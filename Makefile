@@ -31,10 +31,9 @@ check:
 bench:
 	./scripts/bench_plan.sh
 
-# Engine hot path: indexed ready-queue scheduler vs linear-scan reference,
-# the sharded epoch scheduler vs the serial one, the 16-cube scale row, the
-# Section 9 CM crossover rows, plus the full experiment-sweep wall-clock.
-# Writes BENCH_engine.json.
+# Engine hot path: the one-worker engine on a 10-cube, the 16-cube scale
+# row, the Section 9 CM crossover rows, plus the full experiment-sweep
+# wall-clock. Writes BENCH_engine.json.
 bench-engine:
 	./scripts/bench_engine.sh
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sort"
 	"testing"
-	"time"
 
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
@@ -11,12 +9,10 @@ import (
 	"boolcube/internal/plan"
 )
 
-// benchExchangeSetup compiles the checkpoint-overhead workload: the
+// BenchmarkExchangeCheckpointed times the exchange executor — per-block
+// delivery recording, always-on checksums, checkpoint bookkeeping — on the
 // repeated 8-cube exchange transpose (256 nodes, 2^18 elements, iPSC).
-// scripts/bench_engine.sh times the Checkpointed/Baseline pair and
-// scripts/check.sh gates the overhead below 3%.
-func benchExchangeSetup(b *testing.B) (*plan.Plan, *matrix.Dist) {
-	b.Helper()
+func BenchmarkExchangeCheckpointed(b *testing.B) {
 	p, q, n := 9, 9, 8
 	before := field.TwoDimConsecutive(p, q, n/2, n/2, field.Binary)
 	after := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
@@ -25,84 +21,12 @@ func benchExchangeSetup(b *testing.B) (*plan.Plan, *matrix.Dist) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return pl, matrix.Scatter(matrix.NewIota(p, q), before)
-}
-
-func benchExchange(b *testing.B, exec func(*plan.Plan, *matrix.Dist, ExecOptions) (*Result, error)) {
-	pl, d := benchExchangeSetup(b)
-	// The two arms must stay behaviorally identical on the success path:
-	// assert equal Stats before timing, so the pair can't drift apart and
-	// silently time different work.
-	want, err := execExchangeBaseline(pl, d, ExecOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	got, err := exec(pl, d, ExecOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if got.Stats != want.Stats {
-		b.Fatalf("executor arms diverge:\ncheckpointed %+v\nbaseline     %+v", got.Stats, want.Stats)
-	}
+	d := matrix.Scatter(matrix.NewIota(p, q), before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec(pl, d, ExecOptions{}); err != nil {
+		if _, err := execExchange(pl, d, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkExchangeCheckpointed times the production executor: per-block
-// delivery recording, always-on checksums, checkpoint bookkeeping.
-func BenchmarkExchangeCheckpointed(b *testing.B) { benchExchange(b, execExchange) }
-
-// BenchmarkExchangeBaseline times the retained pre-checkpointing executor:
-// bulk scatter, no progress recording, no checksums.
-func BenchmarkExchangeBaseline(b *testing.B) { benchExchange(b, execExchangeBaseline) }
-
-// BenchmarkExchangePair measures the two executors as coupled pairs inside
-// one timing loop and reports the median per-pair overhead as a custom
-// metric (overhead-pct), plus the median wall time per arm. Separate
-// benchmark runs are phase-ordered — all of one arm, then all of the
-// other — so scheduler, turbo and GC drift between phases can swamp a
-// few-percent delta. Here each iteration times both arms back to back
-// (order alternating, so neither arm always pays the other's garbage),
-// takes their ratio — adjacent-in-time, so epoch drift cancels — and the
-// median across iterations discards outlier pairs. scripts/bench_engine.sh
-// derives the checkpoint-overhead gate from overhead-pct.
-func BenchmarkExchangePair(b *testing.B) {
-	pl, d := benchExchangeSetup(b)
-	time1 := func(exec func(*plan.Plan, *matrix.Dist, ExecOptions) (*Result, error)) time.Duration {
-		t0 := time.Now()
-		if _, err := exec(pl, d, ExecOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(t0)
-	}
-	ratios := make([]float64, 0, b.N)
-	ckpts := make([]float64, 0, b.N)
-	bases := make([]float64, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var dtC, dtB time.Duration
-		if i%2 == 0 {
-			dtC = time1(execExchange)
-			dtB = time1(execExchangeBaseline)
-		} else {
-			dtB = time1(execExchangeBaseline)
-			dtC = time1(execExchange)
-		}
-		ratios = append(ratios, float64(dtC)/float64(dtB))
-		ckpts = append(ckpts, float64(dtC.Nanoseconds()))
-		bases = append(bases, float64(dtB.Nanoseconds()))
-	}
-	b.StopTimer()
-	median := func(xs []float64) float64 {
-		sort.Float64s(xs)
-		return xs[len(xs)/2]
-	}
-	b.ReportMetric((median(ratios)-1)*100, "overhead-pct")
-	b.ReportMetric(median(ckpts), "ckpt-ns")
-	b.ReportMetric(median(bases), "base-ns")
 }

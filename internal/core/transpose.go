@@ -224,8 +224,7 @@ func finishDist(after field.Layout, loc [][]float64) *matrix.Dist {
 // fails mid-flight, everything already scattered is durable, the per-node
 // delivery records turn into a plan.Delivered span-set, and the typed
 // *ExecError hands the Checkpoint to Resume. The hook changes no timed
-// operation, so Stats are bit-identical to the pre-checkpoint executor
-// (execExchangeBaseline pins this in the overhead benchmark).
+// operation.
 func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 	e, err := planEngine(p, xo)
 	if err != nil {

@@ -27,42 +27,11 @@ func BenchmarkEngineExchange(b *testing.B) {
 	}
 }
 
-// benchTransposeSched is the scheduler benchmark workload of
-// BENCH_engine.json: a repeated 8-cube exchange transpose (every node
-// exchanges pooled payloads over all dimensions, four passes), run under
-// either the indexed ready-queue scheduler or the linear-scan reference.
-// scripts/bench_engine.sh parses the Indexed/Reference pair and gates their
-// ratio in scripts/check.sh.
-func benchTransposeSched(b *testing.B, reference bool) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e, err := New(8, machine.IPSC())
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetReferenceScheduler(reference)
-		err = e.Run(func(nd fabric.Node) {
-			for rep := 0; rep < 4; rep++ {
-				for d := nd.Dims() - 1; d >= 0; d-- {
-					m := nd.Exchange(d, Msg{Data: nd.AllocData(64)})
-					nd.Recycle(m)
-				}
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngineTransposeIndexed(b *testing.B)   { benchTransposeSched(b, false) }
-func BenchmarkEngineTransposeReference(b *testing.B) { benchTransposeSched(b, true) }
-
 // benchScan runs one SBnT-order dimension-scan all-to-all: every node
 // exchanges a pooled payload with its neighbor across each of the n
 // dimensions, high dimension first — the §4 single-path transpose schedule
-// at engine level. shards selects the scheduler (-1 serial indexed, >= 1
-// sharded with that worker count, 0 auto).
+// at engine level. shards is the SetShards argument (>= 1 forces that worker
+// count, 0 is automatic).
 func benchScan(b *testing.B, n, elems, passes, shards int, params machine.Params) *Engine {
 	e, err := New(n, params)
 	if err != nil {
@@ -83,21 +52,13 @@ func benchScan(b *testing.B, n, elems, passes, shards int, params machine.Params
 	return e
 }
 
-// BenchmarkEngineCube10Sharded / ...Serial are the sharded-vs-serial gate
-// pair of BENCH_engine.json: the same 10-cube (1024 node) scan under the
-// sharded epoch scheduler and the serial indexed one. check.sh requires
-// sharded/serial >= 1.0x.
+// BenchmarkEngineCube10Sharded is the one-worker engine on a 10-cube (1024
+// node) scan — the size class every experiment below the automatic
+// threshold runs in. BENCH_engine.json records its ns/op.
 func BenchmarkEngineCube10Sharded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchScan(b, 10, 16, 2, 1, machine.ConnectionMachine())
-	}
-}
-
-func BenchmarkEngineCube10Serial(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchScan(b, 10, 16, 2, -1, machine.ConnectionMachine())
 	}
 }
 
@@ -136,8 +97,8 @@ func BenchmarkEngineSpawn(b *testing.B) {
 	}
 }
 
-// BenchmarkChecksum measures the always-on delivery-audit pass; the
-// checkpoint-overhead gate depends on this staying near memory speed.
+// BenchmarkChecksum measures the always-on delivery-audit pass, which has to
+// stay near memory speed.
 func BenchmarkChecksum(b *testing.B) {
 	data := make([]float64, 1024)
 	for i := range data {

@@ -7,10 +7,10 @@
 // crash takes effect at the first operation boundary whose action time is at
 // or past t. An operation that *started* before t completes (its
 // transmission was already on the wire); the node's next operation never
-// runs. The check sits at the scheduler's pop in all three schedulers (and
-// in the sharded engine's eager fast path), so the set of executed
+// runs. The check sits at the scheduler's pop (crash schedules put the run
+// in record mode, where nothing executes eagerly), so the set of executed
 // operations is a pure function of action times versus crash times —
-// independent of scheduler choice and shard count.
+// independent of the shard count.
 //
 // Detection is the deterministic analog of a live backend's heartbeat
 // suspicion: the run fails with a typed *fabric.NodeDownError once the
@@ -62,8 +62,7 @@ func (e *Engine) crashDue(id int, t float64) bool {
 // on resume) until drainAll poisons it; crashed is deliberately distinct
 // from done so the drain still unwinds it. Only the node's flag is touched
 // — a shard worker owns its nodes, so this is race-free; the engine-level
-// fired count is maintained by each scheduler at its own synchronization
-// points (inline when serial, at the epoch barrier when sharded).
+// fired count is folded at the epoch barrier.
 func (e *Engine) crashNode(nd *Node) {
 	nd.crashed = true
 }
@@ -71,25 +70,23 @@ func (e *Engine) crashNode(nd *Node) {
 // crashQuiesce fires the crash of every still-live node with a finite crash
 // time — at quiesce their deaths are the only remaining timeline events —
 // and reports whether any crash has fired during the run. The caller treats
-// true as detection (NodeDownError) and false as a plain deadlock. Returns
-// the number of nodes crashed here so the caller can fix its live count.
-func (e *Engine) crashQuiesce() (fired int, any bool) {
+// true as detection (NodeDownError) and false as a plain deadlock.
+func (e *Engine) crashQuiesce() bool {
 	if e.crashT != nil {
 		for _, nd := range e.nodes {
 			if !nd.done && !nd.crashed && !math.IsInf(e.crashT[nd.id], 1) {
 				e.crashNode(nd)
-				fired++
+				e.crashedCount++
 			}
 		}
-		e.crashedCount += fired
 	}
-	return fired, e.crashedCount > 0
+	return e.crashedCount > 0
 }
 
 // nodeDownError builds the typed detection error from the fired crashes and
 // finalizes Stats.Time at the detection instant (never earlier than the
 // latest fired crash). Every field is a pure function of the program and
-// the schedule, so identical runs — on any scheduler — fail identically.
+// the schedule, so identical runs — at any shard count — fail identically.
 func (e *Engine) nodeDownError() error {
 	var nodes []uint64
 	maxCrash := 0.0

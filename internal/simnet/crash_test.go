@@ -2,9 +2,7 @@ package simnet
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"boolcube/internal/fabric"
@@ -113,67 +111,6 @@ func TestCrashTwoNodesReportsBothAscending(t *testing.T) {
 	}
 	if nde.Node != 2 || nde.At != 40 {
 		t.Fatalf("canonical culprit = node %d at %g, want node 2 at 40", nde.Node, nde.At)
-	}
-}
-
-// crashOutcome captures everything a crash run exposes, for determinism
-// comparisons across schedulers and shard counts.
-type crashOutcome struct {
-	errText string
-	nodes   []uint64
-	at      float64
-	detect  float64
-	stats   Stats
-}
-
-func crashRun(t *testing.T, n int, spec fault.Spec, shards int, rounds int) crashOutcome {
-	t.Helper()
-	e := ideal(t, n, machine.OnePort)
-	fp, err := fault.Compile(spec, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetFaults(fp, RetryPolicy{})
-	e.SetShards(shards)
-	rerr := e.Run(ringProg(rounds))
-	var nde *fabric.NodeDownError
-	if !errors.As(rerr, &nde) {
-		t.Fatalf("Run(shards=%d) = %v, want *fabric.NodeDownError", shards, rerr)
-	}
-	return crashOutcome{
-		errText: rerr.Error(),
-		nodes:   nde.Nodes,
-		at:      nde.At,
-		detect:  nde.DetectedAt,
-		stats:   e.Stats(),
-	}
-}
-
-func TestCrashDeterminismAcrossSchedulersAndShards(t *testing.T) {
-	const n = 4
-	specs := []fault.Spec{
-		fault.NodeCrash(7, 60),
-		fault.RandomNodeCrashes(3, 2, 45),
-		{Rules: []fault.Rule{
-			{Kind: fault.Crash, Node: 1, Start: 20},
-			{Kind: fault.LinkDown, Link: fault.Link{From: 12, Dim: 2}, Start: 90},
-		}},
-	}
-	for si, spec := range specs {
-		t.Run(fmt.Sprintf("spec%d", si), func(t *testing.T) {
-			base := crashRun(t, n, spec, -1, 10) // serial indexed
-			for _, p := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-				got := crashRun(t, n, spec, p, 10)
-				if !reflect.DeepEqual(got, base) {
-					t.Fatalf("shards=%d outcome diverged:\n got  %+v\n want %+v", p, got, base)
-				}
-			}
-			// And bit-identical across reruns.
-			again := crashRun(t, n, spec, -1, 10)
-			if !reflect.DeepEqual(again, base) {
-				t.Fatalf("rerun diverged:\n got  %+v\n want %+v", again, base)
-			}
-		})
 	}
 }
 

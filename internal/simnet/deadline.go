@@ -26,8 +26,9 @@ type DeadlineError = fabric.DeadlineError
 // lands after t, and node-program termination is always allowed.
 //
 // t <= 0 or +Inf disables the deadline (the default). Must be called before
-// Run. Both schedulers apply the check to the same chosen operation, so a
-// deadline abort is as deterministic and replayable as any other outcome.
+// Run. The check applies to the canonical next operation whatever the shard
+// count, so a deadline abort is as deterministic and replayable as any other
+// outcome.
 func (e *Engine) SetDeadline(t float64) {
 	if t <= 0 {
 		t = math.Inf(1)

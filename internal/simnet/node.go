@@ -31,18 +31,15 @@ func (nd *Node) Neighbor(d int) uint64 {
 // engine executes it, returning the operation's result message and (for
 // sends under fault injection) its error.
 //
-// Under the sharded scheduler the node first tries to execute the
-// operation itself (tryEager, shard.go): while its shard's worker is
-// blocked waiting for this node to park, the node is the only goroutine
-// touching shard-owned state, so any operation that is provably inside the
-// current epoch and whose choice cannot be changed by a not-yet-delivered
-// arrival can run without the park/resume round-trip. This is what makes
-// the sharded engine faster than the serial one even with one worker.
+// The node first tries to execute the operation itself (tryEager,
+// shard.go): while its shard's worker is blocked waiting for this node to
+// park, the node is the only goroutine touching shard-owned state, so any
+// operation that is provably inside the current epoch and whose choice
+// cannot be changed by a not-yet-delivered arrival can run without the
+// park/resume round-trip.
 func (nd *Node) submit(o op) (Msg, error) {
-	if nd.sh != nil {
-		if m, ok := nd.tryEager(o); ok {
-			return m, nd.opErr
-		}
+	if m, ok := nd.tryEager(o); ok {
+		return m, nd.opErr
 	}
 	nd.pending = o
 	nd.parked <- struct{}{}

@@ -1,21 +1,18 @@
 package simnet
 
-// readyHeap is the engine's indexed ready queue: a binary min-heap over the
+// readyHeap is a shard's indexed ready queue: a binary min-heap over the
 // nodes whose pending operation is currently executable, keyed by the
-// operation's virtual action time with ties broken by node id. The ordering
-// is exactly the one the documented determinism contract promises (smallest
-// action time, then smallest id), so swapping the heap in for the original
-// linear scan changes per-operation cost from O(N) to O(log N) without
-// changing a single scheduling decision — the scheduler-equivalence
-// property test (sched_test.go) holds the two implementations bit-identical.
+// operation's virtual action time with ties broken by node id — the order
+// the determinism contract promises. Popping costs O(log N) where the
+// linear-scan oracle (oracle_test.go) pays O(N); the differential suite
+// holds the two to the same decisions.
 //
-// The heap is indexed (pos maps node id -> heap slot) so the engine can
-// re-key exactly the nodes whose scheduling inputs changed after an
-// operation executes: the executed node itself (its clock, port resources
-// and pending op changed) and, for a send, the destination node (its
-// inbound queue gained an arrival). No other node's action time can change,
-// which is what makes the incremental re-key sound; see
-// (*Engine).refreshNode.
+// The heap is indexed (pos maps node id -> heap slot) so a shard can re-key
+// exactly the nodes whose scheduling inputs changed after an operation
+// executes: the executed node itself (its clock, port resources and pending
+// op changed) and, for a send, the destination node (its inbound queue
+// gained an arrival). No other node's action time can change, which is what
+// makes the incremental re-key sound; see (*shard).refresh.
 type readyHeap struct {
 	key   []float64 // key[id] = action time, valid while id is in the heap
 	pos   []int32   // pos[id] = slot in order, -1 when absent

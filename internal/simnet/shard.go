@@ -1,5 +1,5 @@
-// Sharded epoch-synchronized execution: the engine partitioned across P
-// worker shards, bit-identical to the serial indexed scheduler.
+// The scheduler: epoch-synchronized execution of the engine partitioned
+// across P >= 1 worker shards, with results that do not depend on P.
 //
 // The scheduler exploits the cost model's lookahead: every transmission of
 // at least one element takes at least minDur = SendTime(ElemBytes) virtual
@@ -10,46 +10,49 @@
 // [T, horizon) independently, in shard-local (time, node id) order, because
 // no operation another shard executes in the same window can deliver an
 // arrival inside it. Cross-shard sends are staged in a per-shard outbox and
-// committed to the destination queues at the epoch barrier.
+// committed to the destination queues at the epoch barrier. A machine with
+// no lookahead (minDur = 0) runs on one shard whose epoch is the single
+// globally-minimal operation — plain serial order.
 //
 // Determinism does not depend on the shard count. Queue contents are
 // per-(sender, dimension) FIFO and each directed link has exactly one
 // sender, so delivery order within a queue is the sender's program order
 // regardless of when the barrier runs; RecvAny choices are ordered by the
 // (arrival time, send action time, sender id) key (see Node.anyLess), a
-// pure function of simulation state. The shard-invariance property test
-// (shard_test.go) pins P ∈ {1, 2, 4, GOMAXPROCS} to byte-identical traces,
-// Stats and link loads against both serial schedulers.
+// pure function of simulation state. The differential suite
+// (differential_test.go) pins P ∈ {1, 2, 4, GOMAXPROCS} to byte-identical
+// traces, Stats, link loads and errors against a linear-scan oracle.
 //
 // Two accounting modes keep Stats and traces exact:
 //
 //   - Fast mode (no tracer, no faults, no deadline): statistics are either
 //     order-invariant (integer counters, maxima) or per-node (copy time),
 //     so shards accumulate locally and the coordinator folds at the end.
+//     While a shard waits for a resumed node to park again, the node
+//     executes further operations of its own eagerly (Node.tryEager),
+//     without the park/resume channel round-trip, whenever the operation
+//     is provably inside the epoch (action < horizon): sends touch only
+//     sender-owned state, a receive's queue front is final (single-sender
+//     FIFO), and a RecvAny whose action is inside the epoch cannot be
+//     beaten by an undelivered arrival (those land at or past the horizon).
 //
 //   - Record mode (tracer, faults or a finite deadline): every operation
-//     appends a commit record keyed by (action time, node id, per-node op
-//     index) — exactly the serial execution order — and the coordinator
-//     applies records (and flushes their trace events) in sorted key order
-//     at each barrier. On a failure or deadline abort, records past the
-//     canonical failure key are discarded, so Stats, LinkLoads and traces
-//     match the serial engine even on abort paths. (Node programs in other
-//     shards may have over-executed by up to one epoch — user-visible only
-//     through side effects the program itself wrote; every engine-reported
-//     artifact is exact.)
-//
-// Within an epoch a shard resumes a node and waits for it to park again;
-// during that window the node may execute further operations of its own
-// eagerly (Node.tryEager) without the park/resume channel round-trip,
-// whenever the operation is provably inside the epoch (action < horizon):
-// sends touch only sender-owned state, a receive's queue front is final
-// (single-sender FIFO), and a RecvAny whose action is inside the epoch
-// cannot be beaten by an undelivered arrival (those land at or past the
-// horizon). Halving the channel round-trips is what makes the sharded
-// engine faster than the serial one even with a single worker.
+//     appends a commit record, and the coordinator applies the epoch's
+//     records (and flushes their trace events) in canonical — serial —
+//     order at each barrier (see opRec). On a failure, records past the
+//     canonical first failing operation are discarded, so Stats, LinkLoads
+//     and traces are exact even on abort paths. Eager execution is off (it
+//     would break a shard's serial order), and a one-shard epoch
+//     stops at its first failure: at P = 1 no node program runs past the
+//     canonical failure point, so what programs wrote themselves (a
+//     checkpoint's delivered set) is exact too. At P > 1 node programs in
+//     other shards may have over-executed by up to one epoch — visible only
+//     through such program-written side effects; every engine-reported
+//     artifact is exact.
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -57,30 +60,22 @@ import (
 	"sync"
 )
 
-// autoShardNodes is the node count at which SetShards(0) engages the
-// sharded scheduler on its own: below it (8-cube experiments and the whole
-// historical test suite) the serial indexed scheduler is already fast, and
-// staying serial keeps small runs on the most-proven path.
+// autoShardNodes is the node count at which the automatic policy moves from
+// one worker to GOMAXPROCS: below it (8-cube experiments, service rounds)
+// an epoch holds too few operations to repay the barrier's goroutine
+// hand-offs.
 const autoShardNodes = 2048
 
 // maxAutoShards caps the automatic worker count; property tests may force
 // more via SetShards.
 const maxAutoShards = 16
 
-// SetShards selects the sharded epoch-parallel scheduler for the next Run:
-//
-//	p == 0  automatic (the default): shard when the cube has at least
-//	        autoShardNodes nodes, with up to GOMAXPROCS workers;
-//	p >= 1  force the sharded scheduler with exactly p worker shards
-//	        (p == 1 still uses epochs and the eager in-node fast path);
-//	p < 0   force the serial indexed scheduler regardless of size.
-//
-// The sharded scheduler produces bit-identical traces, Stats, link loads
-// and errors to the serial schedulers for any p — the shard-invariance
-// property test enforces it — so the choice is purely about host
-// performance. Machines whose cost model admits zero-duration transmissions
-// (no per-element cost) fall back to the serial scheduler: the epoch
-// horizon would be empty. Must be called before Run.
+// SetShards sets the worker count for the next Run: p >= 1 forces exactly p
+// shards, p == 0 (the default) is automatic — one worker below
+// autoShardNodes nodes, up to GOMAXPROCS above — and p < 0 means one
+// worker. Traces, Stats, link loads and errors are bit-identical for every
+// p — the differential suite enforces it — so the choice is purely about
+// host performance. Must be called before Run.
 func (e *Engine) SetShards(p int) { e.shards = p }
 
 // shardLookahead is the minimum virtual duration of any nonempty
@@ -90,31 +85,18 @@ func (e *Engine) shardLookahead() float64 {
 	return dur
 }
 
-// shardCount resolves the SetShards setting to a worker count for this
-// run; 0 means "use the serial indexed scheduler".
+// shardCount resolves the SetShards setting to a worker count >= 1.
 func (e *Engine) shardCount() int {
-	if e.shards < 0 || e.n == 0 {
-		return 0
-	}
-	if e.shardLookahead() <= 0 {
-		return 0 // zero-duration sends defeat the epoch horizon
-	}
 	p := e.shards
-	if p == 0 {
-		if e.nodesCount < autoShardNodes {
-			return 0
-		}
+	if p == 0 && e.nodesCount >= autoShardNodes {
 		// The worker count influences host scheduling only, never results
 		// (shard-invariance property): sizing it to the host is safe.
-		p = runtime.GOMAXPROCS(0) //cubevet:ignore detbreak -- worker count is result-invariant; the shard-invariance property test pins P to bit-identical outcomes
-		if p > maxAutoShards {
-			p = maxAutoShards
-		}
+		p = min(runtime.GOMAXPROCS(0), maxAutoShards) //cubevet:ignore detbreak -- worker count is result-invariant; the differential suite pins P to bit-identical outcomes
 	}
-	if p > e.nodesCount {
-		p = e.nodesCount
+	if p < 1 || e.shardLookahead() <= 0 {
+		return 1 // without an epoch width only serial order is safe
 	}
-	return p
+	return min(p, e.nodesCount)
 }
 
 // statAcc is a shard's fast-mode statistics accumulator: integer counters
@@ -125,14 +107,18 @@ type statAcc struct {
 	maxTime                           float64
 }
 
-// opRec is one operation's record-mode commit record. Records are sorted
-// by (act, node, opIdx) — the serial execution order — before application.
+// opRec is one operation's record-mode commit record. Without eager
+// execution a shard appends records in serial order restricted to its own
+// nodes, so sorting an epoch's records by action time alone, stably over the
+// shards in id order, is the canonical — serial — execution order: at equal
+// times the lower shard holds the lower node ids, and no operation of one
+// shard can enable a same-time operation of another (a zero-duration
+// transmission never crosses shards).
 type opRec struct {
-	act   float64
-	node  int32
-	opIdx int32
-	sh    int32 // owning shard, to resolve the event range
-	li    int32 // charged link index, -1 when no charge happened
+	act  float64
+	node int32
+	sh   int32 // owning shard, to resolve the event range
+	li   int32 // charged link index, -1 when no charge happened
 
 	linkBytes int64 // link + volume deltas (all charges of the op summed)
 	linkBusy  float64
@@ -144,6 +130,8 @@ type opRec struct {
 	sends, retries, drops, faulted int32
 
 	ev0, ev1 int32 // trace-event range in the owning shard's buffer
+
+	err error // the node program failed right after this operation
 }
 
 // staged is a cross-shard arrival waiting for the epoch barrier.
@@ -152,36 +140,17 @@ type staged struct {
 	a    arrival
 }
 
-// failCand is a node failure observed during an epoch; the barrier
-// surfaces the one with the smallest key, which is the failure the serial
-// engine would have hit first.
+// failCand is a node failure observed during a fast-mode epoch, keyed by the
+// failing node's last operation; the barrier surfaces the one with the
+// smallest key. (Record mode marks the operation's record instead.)
 type failCand struct {
-	act   float64
-	node  int32
-	opIdx int32
-	err   error
+	act  float64
+	node int32
+	err  error
 }
 
 func (f *failCand) before(g *failCand) bool {
-	if f.act != g.act {
-		return f.act < g.act
-	}
-	if f.node != g.node {
-		return f.node < g.node
-	}
-	return f.opIdx < g.opIdx
-}
-
-// recBefore orders a record against a failure key (inclusive commit: the
-// failing operation's own record is applied).
-func recAfterFail(r *opRec, f *failCand) bool {
-	if r.act != f.act {
-		return r.act > f.act
-	}
-	if r.node != f.node {
-		return r.node > f.node
-	}
-	return r.opIdx > f.opIdx
+	return f.act < g.act || (f.act == g.act && f.node < g.node)
 }
 
 type shard struct {
@@ -214,16 +183,14 @@ type shardRun struct {
 	sortBuf   []opRec
 }
 
-// beginOp opens an operation executed at action time t on nd: bumps the
-// node's canonical op counter and, in record mode, opens a commit record.
+// beginOp opens an operation executed at action time t on nd and, in record
+// mode, its commit record.
 func (sh *shard) beginOp(nd *Node, t float64) {
-	nd.opIdx++
 	nd.lastAct = t
 	if sh.run.record {
 		ev := int32(len(sh.events))
 		sh.recs = append(sh.recs, opRec{
-			act: t, node: int32(nd.id), opIdx: nd.opIdx, sh: int32(sh.id),
-			li: -1, ev0: ev, ev1: ev,
+			act: t, node: int32(nd.id), sh: int32(sh.id), li: -1, ev0: ev, ev1: ev,
 		})
 		sh.cur = &sh.recs[len(sh.recs)-1]
 	}
@@ -245,8 +212,9 @@ func (sh *shard) deliver(dest int, a arrival) {
 	sh.dirty = append(sh.dirty, int32(dest))
 }
 
-// refresh re-keys node i in this shard's ready queue (mirrors
-// Engine.refreshNode for the per-shard heap).
+// refresh re-keys node i in this shard's ready queue after its scheduling
+// inputs changed: present with its new action time when executable, absent
+// otherwise (a receive with an empty queue).
 func (sh *shard) refresh(i int) {
 	nd := sh.run.e.nodes[i]
 	if nd.done || nd.crashed {
@@ -261,27 +229,29 @@ func (sh *shard) refresh(i int) {
 }
 
 // runEpoch executes this shard's operations with action time inside
-// [epoch start, horizon), in shard-local (time, node id) order — exactly
-// the serial engine restricted to this shard's nodes.
+// [epoch start, horizon), in shard-local (time, node id) order — serial
+// execution restricted to this shard's nodes.
 func (sh *shard) runEpoch() {
-	e := sh.run.e
-	horizon := sh.run.horizon
+	run := sh.run
+	e := run.e
+	horizon := run.horizon
 	deadline := e.deadline
 	h := sh.heap
-	for {
+	for first := true; ; first = false {
 		best := h.min()
 		if best == -1 {
 			break
 		}
 		nd := e.nodes[best]
 		t := h.key[best]
-		if t >= horizon {
+		// Without lookahead the epoch is empty; the one shard then runs its
+		// minimum — the global minimum — alone, which is serial order.
+		if t >= horizon && !(first && run.lookahead == 0) {
 			break
 		}
 		if t > deadline && nd.pending.kind != opDone {
 			// The coordinator aborts once the global minimum passes the
-			// deadline; everything at or under it still executes, exactly
-			// as under the serial scheduler.
+			// deadline; everything at or under it still executes.
 			break
 		}
 		if e.crashDue(best, t) {
@@ -307,13 +277,22 @@ func (sh *shard) runEpoch() {
 		nd.resume <- m
 		<-nd.parked // the node may run further ops eagerly before parking
 		if nd.failure != nil && !nd.done {
-			// Keep executing: a smaller-keyed failure may still be found
-			// this epoch (the barrier surfaces the canonical minimum).
 			nd.done = true
 			h.remove(best)
-			sh.fails = append(sh.fails, failCand{
-				act: nd.lastAct, node: int32(nd.id), opIdx: nd.opIdx, err: nd.failure,
-			})
+			if !run.record {
+				sh.fails = append(sh.fails, failCand{act: nd.lastAct, node: int32(nd.id), err: nd.failure})
+			} else {
+				// The node failed right after the operation just executed.
+				sh.recs[len(sh.recs)-1].err = nd.failure
+				if len(run.shards) == 1 {
+					// One shard without eager execution runs in canonical
+					// order: this failure is the first, and stopping here
+					// keeps every node program from running past it.
+					break
+				}
+			}
+			// Otherwise keep executing: an earlier failure may still be found
+			// this epoch (the barrier surfaces the canonical first).
 		} else {
 			sh.refresh(best)
 		}
@@ -327,18 +306,20 @@ func (sh *shard) runEpoch() {
 // tryEager executes the node's next operation in the node's own goroutine,
 // without parking, when it is provably safe: the action lies inside the
 // current epoch (so no undelivered arrival — all of which land at or past
-// the horizon — can influence its choice or be influenced by it) and does
-// not overrun a finite deadline. The shard's worker is blocked waiting for
-// this node to park, so the node is the only goroutine touching
-// shard-owned state.
+// the horizon — can influence its choice or be influenced by it). The
+// shard's worker is blocked waiting for this node to park, so the node is
+// the only goroutine touching shard-owned state. Fast mode only: in record
+// mode a node that ran ahead of the canonical order would be past the
+// failure point when a fault or deadline aborts the run.
 func (nd *Node) tryEager(o op) (Msg, bool) {
 	sh := nd.sh
+	if sh.run.record {
+		return Msg{}, false
+	}
 	e := nd.eng
 	nd.pending = o
 	t, ok := e.actionTime(nd)
-	if !ok || t >= sh.run.horizon || t > e.deadline || e.crashDue(int(nd.id), t) {
-		// A due crash must not execute eagerly: the node parks instead and
-		// the shard loop crash-stops it at the canonical pop.
+	if !ok || t >= sh.run.horizon {
 		return Msg{}, false
 	}
 	sh.beginOp(nd, t)
@@ -347,20 +328,14 @@ func (nd *Node) tryEager(o op) (Msg, bool) {
 	return m, true
 }
 
-// runSharded is the coordinator loop of the sharded scheduler.
-func (e *Engine) runSharded(p int) error {
-	// Surface prologue failures in node-id order, matching the serial
-	// schedulers' scan.
-	for _, nd := range e.nodes {
-		if err := e.checkFailure(nd); err != nil {
-			return err
-		}
-	}
+// newShardRun lays out p shards over the engine's nodes.
+func (e *Engine) newShardRun(p int) *shardRun {
 	run := &shardRun{
 		e:         e,
 		shards:    make([]shard, p),
 		shardSize: (e.nodesCount + p - 1) / p,
 		lookahead: e.shardLookahead(),
+		horizon:   math.Inf(-1), // no epoch open yet: prologues run nothing eagerly
 		record:    e.tracer != nil || e.faults != nil || !math.IsInf(e.deadline, 1),
 	}
 	for i := range run.shards {
@@ -368,32 +343,37 @@ func (e *Engine) runSharded(p int) error {
 		sh.run, sh.id = run, i
 		sh.heap = newReadyHeap(e.nodesCount)
 	}
+	return run
+}
+
+// schedule is the coordinator loop: it runs epochs until every node is done,
+// crashed or stuck.
+func (run *shardRun) schedule() error {
+	e := run.e
+	p := len(run.shards)
+	// Surface prologue failures (panics before the first timed operation)
+	// in node-id order.
+	for _, nd := range e.nodes {
+		if err := e.checkFailure(nd); err != nil {
+			return err
+		}
+	}
 	for i, nd := range e.nodes {
-		sh := &run.shards[i/run.shardSize]
-		nd.sh = sh
 		if t, ok := e.actionTime(nd); ok {
-			sh.heap.update(i, t)
+			nd.sh.heap.update(i, t)
 		}
 	}
 	live := e.nodesCount
 	for live > 0 {
 		minT, minNode := run.globalMin()
 		if minNode == -1 {
-			fired, crashed := e.crashQuiesce()
-			live -= fired
-			if crashed {
-				err := e.nodeDownError()
-				e.drainAll()
-				return err
+			if e.crashQuiesce() {
+				return run.abort(e.nodeDownError())
 			}
-			err := e.deadlockError()
-			e.drainAll()
-			return err
+			return run.abort(e.deadlockError())
 		}
 		if minT > e.deadline && e.nodes[minNode].pending.kind != opDone {
-			err := e.deadlineError(e.nodes[minNode], minT)
-			e.drainAll()
-			return err
+			return run.abort(e.deadlineError(e.nodes[minNode], minT))
 		}
 		run.horizon = minT + run.lookahead
 		if p == 1 {
@@ -413,9 +393,13 @@ func (e *Engine) runSharded(p int) error {
 			}
 			wg.Wait()
 		}
-		// Barrier. First route staged cross-shard arrivals — per queue
-		// (one sender, one dimension) the outbox preserves sender program
-		// order, so delivery order matches the serial engine's.
+		// Barrier. Close the epoch's accounting, then route staged
+		// cross-shard arrivals — per queue (one sender, one dimension) the
+		// outbox preserves sender program order, so delivery order is the
+		// same for every shard count.
+		if err := run.commit(); err != nil {
+			return run.abort(err)
+		}
 		for i := range run.shards {
 			sh := &run.shards[i]
 			for _, st := range sh.out {
@@ -424,11 +408,8 @@ func (e *Engine) runSharded(p int) error {
 					// shard boundary — only possible for an empty payload,
 					// which the horizon argument cannot cover. Refuse
 					// loudly rather than risk a silent divergence.
-					run.commit(nil)
-					err := fmt.Errorf("simnet: internal: zero-duration cross-shard transmission (node %d, dim %d, t=%g) defeats the epoch horizon %g; run this program with SetShards(-1)",
-						st.dest, st.a.fromDim, st.a.at, run.horizon)
-					e.drainAll()
-					return err
+					return run.abort(fmt.Errorf("simnet: internal: zero-duration cross-shard transmission (node %d, dim %d, t=%g) defeats the epoch horizon %g",
+						st.dest, st.a.fromDim, st.a.at, run.horizon))
 				}
 				dest := e.nodes[st.dest]
 				dest.queues[st.a.fromDim].push(st.a)
@@ -436,42 +417,34 @@ func (e *Engine) runSharded(p int) error {
 			}
 			sh.out = sh.out[:0]
 		}
-		// Surface the canonical (smallest-keyed) failure, if any.
-		var fc *failCand
-		for i := range run.shards {
-			for j := range run.shards[i].fails {
-				if f := &run.shards[i].fails[j]; fc == nil || f.before(fc) {
-					fc = f
-				}
-			}
-		}
-		run.commit(fc)
-		if fc != nil {
-			err := fc.err
-			if !run.record {
-				run.foldFast()
-			}
-			e.drainAll()
-			return err
-		}
 		for i := range run.shards {
 			live -= run.shards[i].doneCount + run.shards[i].crashCount
 			e.crashedCount += run.shards[i].crashCount
 			run.shards[i].doneCount, run.shards[i].crashCount = 0, 0
 		}
 	}
-	if !run.record {
-		run.foldFast()
-	}
+	return run.finish()
+}
+
+// finish closes a run whose every node is done or crashed.
+func (run *shardRun) finish() error {
+	e := run.e
 	if e.crashedCount > 0 {
-		err := e.nodeDownError()
-		e.drainAll()
-		return err
+		return run.abort(e.nodeDownError())
 	}
-	if e.stats.Time < e.maxResourceTime() {
-		e.stats.Time = e.maxResourceTime()
+	run.foldFast()
+	if t := e.maxResourceTime(); e.stats.Time < t {
+		e.stats.Time = t
 	}
 	return nil
+}
+
+// abort ends a run on an error: fold what fast mode accumulated so Stats
+// stay readable, unwind every node, return err.
+func (run *shardRun) abort(err error) error {
+	run.foldFast()
+	run.e.drainAll()
+	return err
 }
 
 // globalMin returns the smallest (action time, node id) pending key across
@@ -492,47 +465,50 @@ func (run *shardRun) globalMin() (float64, int) {
 	return bestT, best
 }
 
-// commit applies this epoch's records in canonical (act, node, opIdx)
-// order — the serial execution order — stopping after the failure key when
-// one is given (inclusive: the failing op's own record lands). No-op in
-// fast mode.
-func (run *shardRun) commit(fc *failCand) {
+// commit closes an epoch's accounting and returns its canonical first
+// failure, if any. Record mode applies the records in canonical order (see
+// opRec) up to and including the first one whose node program failed;
+// everything a shard executed past it is discarded.
+func (run *shardRun) commit() error {
 	if !run.record {
-		return
-	}
-	all := run.sortBuf[:0]
-	for i := range run.shards {
-		all = append(all, run.shards[i].recs...)
-	}
-	slices.SortFunc(all, func(a, b opRec) int {
-		if a.act != b.act {
-			if a.act < b.act {
-				return -1
+		var fc *failCand
+		for i := range run.shards {
+			for j := range run.shards[i].fails {
+				if f := &run.shards[i].fails[j]; fc == nil || f.before(fc) {
+					fc = f
+				}
 			}
-			return 1
 		}
-		if a.node != b.node {
-			return int(a.node) - int(b.node)
+		if fc == nil {
+			return nil
 		}
-		return int(a.opIdx) - int(b.opIdx)
-	})
+		return fc.err
+	}
+	all := run.shards[0].recs // one shard: already in canonical order
+	if len(run.shards) > 1 {
+		all = run.sortBuf[:0]
+		for i := range run.shards {
+			all = append(all, run.shards[i].recs...)
+		}
+		slices.SortStableFunc(all, func(a, b opRec) int { return cmp.Compare(a.act, b.act) })
+		run.sortBuf = all[:0]
+	}
+	var err error
 	for i := range all {
-		r := &all[i]
-		if fc != nil && recAfterFail(r, fc) {
+		run.applyRec(&all[i])
+		if err = all[i].err; err != nil {
 			break
 		}
-		run.applyRec(r)
 	}
-	run.sortBuf = all[:0]
 	for i := range run.shards {
 		run.shards[i].recs = run.shards[i].recs[:0]
 		run.shards[i].events = run.shards[i].events[:0]
 	}
+	return err
 }
 
 // applyRec folds one committed record into the engine's statistics, link
-// aggregates and tracer — the exact effects the serial engine applied
-// inline while executing that operation.
+// aggregates and tracer.
 func (run *shardRun) applyRec(r *opRec) {
 	e := run.e
 	if r.li >= 0 {
@@ -567,9 +543,12 @@ func (run *shardRun) applyRec(r *opRec) {
 
 // foldFast folds fast-mode shard accumulators into the engine's Stats. The
 // counters are exact sums; the maxima are order-invariant, so taking them
-// over the final link aggregates equals the serial engine's running
-// maxima on any run that completed cleanly.
+// over the final link aggregates equals a running maximum. No-op in record
+// mode.
 func (run *shardRun) foldFast() {
+	if run.record {
+		return
+	}
 	e := run.e
 	for i := range run.shards {
 		a := &run.shards[i].acc

@@ -12,16 +12,15 @@
 // one receive resource per dimension.
 //
 // Determinism: the engine parks every node at each timed operation and
-// always executes the pending operation with the smallest virtual action
-// time (ties broken by node id). Since node clocks are monotone and a
-// message's arrival time is never earlier than its sender's action time,
-// this order is causally correct, and repeated runs produce identical
-// virtual-time traces regardless of goroutine scheduling. The executable
-// nodes are kept in an indexed min-heap ready queue keyed by action time
-// (sched.go); only the nodes whose scheduling inputs changed — the executed
-// node, and the destination of a send — are re-keyed, so scheduling costs
-// O(log N) per operation instead of the O(N) scan of the retained reference
-// scheduler (SetReferenceScheduler).
+// commits operations in ascending (virtual action time, node id) order.
+// Since node clocks are monotone and a message's arrival time is never
+// earlier than its sender's action time, this order is causally correct, and
+// repeated runs produce identical virtual-time traces regardless of
+// goroutine scheduling. There is one scheduler (shard.go): nodes are
+// partitioned across P >= 1 workers that advance in lookahead-wide epochs,
+// each keeping its executable nodes in an indexed min-heap keyed by action
+// time (sched.go). P is 1 below 2048 nodes and up to GOMAXPROCS above; it
+// moves host time only, never a trace, a statistic or an error.
 //
 // Message payloads are zero-copy: Send hands the Msg — including its Data
 // and Parts backing arrays — to the receiver without cloning, so sending
@@ -138,9 +137,7 @@ type Node struct {
 	crashed bool // crash-stop fired; stays parked until drainAll, never done
 	failure error
 
-	// Sharded-execution state (nil/zero under the serial schedulers).
-	sh      *shard  // owning shard during a sharded Run
-	opIdx   int32   // per-node executed-op counter (canonical commit order)
+	sh      *shard  // owning shard, assigned before the program starts
 	lastAct float64 // action time of the last executed op (failure keys)
 }
 
@@ -162,10 +159,7 @@ type Engine struct {
 	linkUsed     []bool
 	linkAttempts []int64 // per-link transmission attempts, for Drop decisions
 
-	ready    *readyHeap // indexed ready queue (nil until Run)
-	refSched bool       // linear-scan reference scheduler (testing/benchmarks)
-	shards   int        // SetShards: 0 auto, >=1 forced worker count, <0 serial
-	sendDest int        // node whose inbound queue the last op appended to, -1 none
+	shards int // SetShards: 0 auto, >= 1 forced worker count, < 0 one worker
 
 	pool bufPool
 
@@ -198,20 +192,6 @@ type Tracer = fabric.Tracer
 // SetTracer installs a tracer for subsequent Runs (nil disables tracing).
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// SetReferenceScheduler selects the original O(N)-scan scheduler instead of
-// the indexed ready queue for the next Run. The two schedulers make
-// identical decisions — the scheduler-equivalence property test holds them
-// to bit-identical traces and Stats — so this exists only for differential
-// testing and for benchmarking the indexed queue against its baseline.
-// Must be called before Run.
-func (e *Engine) SetReferenceScheduler(on bool) { e.refSched = on }
-
-func (e *Engine) trace(ev TraceEvent) {
-	if e.tracer != nil {
-		e.tracer.Record(ev)
-	}
-}
-
 // errPoisoned unwinds node goroutines after the engine has failed.
 var errPoisoned = fmt.Errorf("simnet: engine poisoned")
 
@@ -230,8 +210,8 @@ func init() {
 
 // simCaps is what the simulation promises: full determinism on a virtual
 // clock, with fault windows interpreted on that same clock — and the
-// determinism survives the sharded epoch scheduler (shard.go), so large
-// engines parallelize without giving up replayability.
+// determinism holds for every shard count (shard.go), so large engines
+// parallelize without giving up replayability.
 var simCaps = fabric.Capabilities{
 	Deterministic:       true,
 	VirtualTime:         true,
@@ -266,7 +246,6 @@ func New(n int, params machine.Params) (*Engine, error) {
 		linkBytes:  make([]int64, nodes*n),
 		linkBusy:   make([]float64, nodes*n),
 		linkUsed:   make([]bool, nodes*n),
-		sendDest:   -1,
 		deadline:   math.Inf(1),
 		debug:      debugMode(),
 	}
@@ -333,10 +312,24 @@ func (e *Engine) portIndex(dim int) int {
 // interface (which *Node implements); programs needing simnet-only API can
 // assert back to *Node, but none of the library's algorithms do.
 func (e *Engine) Run(prog func(fabric.Node)) error {
+	run, err := e.start(prog, e.shardCount())
+	if err != nil {
+		return err
+	}
+	err = run.schedule()
+	e.foldCopyTime()
+	return err
+}
+
+// start builds the per-node state, assigns every node to one of p shards,
+// launches the node programs and returns once each has parked at its first
+// timed operation (or finished).
+func (e *Engine) start(prog func(fabric.Node), p int) (*shardRun, error) {
 	if e.started {
-		return fmt.Errorf("simnet: engine already ran; clocks would restart at zero — create a fresh engine (compose phases inside one program instead)")
+		return nil, fmt.Errorf("simnet: engine already ran; clocks would restart at zero — create a fresh engine (compose phases inside one program instead)")
 	}
 	e.started = true
+	run := e.newShardRun(p)
 	// Per-node state lives in flat engine-level slabs: one Node backing
 	// array plus one shared float/queue arena sliced per node. At 2^16
 	// nodes this turns ~5N small allocations into a handful of large ones
@@ -356,6 +349,7 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 		*nd = Node{
 			id:       uint64(i),
 			eng:      e,
+			sh:       &run.shards[i/run.shardSize],
 			sendFree: portArena[(2*i)*ports : (2*i+1)*ports],
 			recvFree: portArena[(2*i+1)*ports : (2*i+2)*ports],
 			queues:   queueArena[i*dims : (i+1)*dims],
@@ -387,109 +381,22 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 		}(nd)
 	}
 
-	// Invariant: at the top of each iteration every live node is parked with
-	// a pending op and its park token has been consumed, so its goroutine is
-	// blocked waiting on resume.
+	// Invariant: between epochs every live node is parked with a pending op
+	// and its park token has been consumed, so its goroutine is blocked
+	// waiting on resume.
 	for _, nd := range e.nodes {
 		<-nd.parked
 	}
-	var err error
-	switch {
-	case e.refSched:
-		err = e.runLinear()
-	default:
-		if p := e.shardCount(); p > 0 {
-			err = e.runSharded(p)
-		} else {
-			err = e.runIndexed()
-		}
-	}
-	// Copy time is accumulated per node and folded in ascending node-id
-	// order on every exit path, so the float64 sum is independent of both
-	// the scheduler and the shard count.
+	return run, nil
+}
+
+// foldCopyTime sums the per-node copy time in ascending node-id order, so
+// the float64 total is independent of the shard count. Runs on every exit
+// path of a schedule.
+func (e *Engine) foldCopyTime() {
 	for i := range e.copyTime {
 		e.stats.CopyTime += e.copyTime[i]
 	}
-	return err
-}
-
-// runIndexed is the production scheduling loop: executable nodes live in an
-// indexed min-heap keyed by (action time, node id), and after each executed
-// operation only the nodes whose scheduling inputs changed are re-keyed —
-// the executed node itself, plus the destination of a send. All other
-// action times are functions of state only those two operations touch
-// (clock, send ports, inbound queues), so the incremental refresh preserves
-// the exact decision sequence of the linear-scan reference.
-func (e *Engine) runIndexed() error {
-	// Surface prologue failures (panics before the first timed operation)
-	// in node-id order, matching the reference scheduler's scan.
-	for _, nd := range e.nodes {
-		if err := e.checkFailure(nd); err != nil {
-			return err
-		}
-	}
-	e.ready = newReadyHeap(e.nodesCount)
-	for i, nd := range e.nodes {
-		if t, ok := e.actionTime(nd); ok {
-			e.ready.update(i, t)
-		}
-	}
-	live := e.nodesCount
-	for live > 0 {
-		best := e.ready.min()
-		if best == -1 {
-			fired, crashed := e.crashQuiesce()
-			live -= fired
-			if crashed {
-				err := e.nodeDownError()
-				e.drainAll()
-				return err
-			}
-			err := e.deadlockError()
-			e.drainAll()
-			return err
-		}
-		nd := e.nodes[best]
-		t, _ := e.actionTime(nd)
-		if nd.pending.kind != opDone && t > e.deadline {
-			err := e.deadlineError(nd, t)
-			e.drainAll()
-			return err
-		}
-		if e.crashDue(best, t) {
-			// Crash-stop: the pending operation never executes; the node's
-			// goroutine stays parked until drainAll unwinds it.
-			e.crashNode(nd)
-			e.crashedCount++
-			e.ready.remove(best)
-			live--
-			continue
-		}
-		e.sendDest = -1
-		if e.execute(nd) {
-			nd.done = true
-			live--
-			e.ready.remove(best)
-			continue
-		}
-		<-nd.parked // wait for the resumed node to park again
-		if err := e.checkFailure(nd); err != nil {
-			return err
-		}
-		e.refreshNode(best)
-		if d := e.sendDest; d >= 0 && d != best {
-			e.refreshNode(d)
-		}
-	}
-	if e.crashedCount > 0 {
-		err := e.nodeDownError()
-		e.drainAll()
-		return err
-	}
-	if e.stats.Time < e.maxResourceTime() {
-		e.stats.Time = e.maxResourceTime()
-	}
-	return e.fail
 }
 
 // checkFailure surfaces a node-program failure (panic, typed fault abort)
@@ -502,91 +409,6 @@ func (e *Engine) checkFailure(nd *Node) error {
 	err := nd.failure
 	e.drainAll()
 	return err
-}
-
-// refreshNode re-keys one node in the ready queue after its scheduling
-// inputs changed: present with its new action time when executable, absent
-// otherwise (a receive with an empty queue).
-func (e *Engine) refreshNode(i int) {
-	nd := e.nodes[i]
-	if nd.done || nd.crashed {
-		e.ready.remove(i)
-		return
-	}
-	if t, ok := e.actionTime(nd); ok {
-		e.ready.update(i, t)
-	} else {
-		e.ready.remove(i)
-	}
-}
-
-// runLinear is the retained reference scheduler: the seed's O(N) scan over
-// all nodes per operation. It makes exactly the same decisions as
-// runIndexed — the scheduler-equivalence property test pins the two to
-// bit-identical traces and Stats — and exists as the differential-testing
-// baseline and the benchmark yardstick for BENCH_engine.json.
-func (e *Engine) runLinear() error {
-	live := e.nodesCount
-	for live > 0 {
-		// Surface program failures (panics inside node programs).
-		for _, nd := range e.nodes {
-			if err := e.checkFailure(nd); err != nil {
-				return err
-			}
-		}
-		// Pick the executable op with the smallest action time.
-		best := -1
-		bestT := math.Inf(1)
-		for i, nd := range e.nodes {
-			if nd.done || nd.crashed {
-				continue
-			}
-			t, ok := e.actionTime(nd)
-			if ok && t < bestT {
-				bestT = t
-				best = i
-			}
-		}
-		if best == -1 {
-			fired, crashed := e.crashQuiesce()
-			live -= fired
-			if crashed {
-				err := e.nodeDownError()
-				e.drainAll()
-				return err
-			}
-			err := e.deadlockError()
-			e.drainAll()
-			return err
-		}
-		nd := e.nodes[best]
-		if nd.pending.kind != opDone && bestT > e.deadline {
-			err := e.deadlineError(nd, bestT)
-			e.drainAll()
-			return err
-		}
-		if e.crashDue(best, bestT) {
-			e.crashNode(nd)
-			e.crashedCount++
-			live--
-			continue
-		}
-		if e.execute(nd) {
-			nd.done = true
-			live--
-			continue
-		}
-		<-nd.parked // wait for the resumed node to park again
-	}
-	if e.crashedCount > 0 {
-		err := e.nodeDownError()
-		e.drainAll()
-		return err
-	}
-	if e.stats.Time < e.maxResourceTime() {
-		e.stats.Time = e.maxResourceTime()
-	}
-	return e.fail
 }
 
 // drainAll unwinds every still-live node goroutine after an error: the
@@ -674,23 +496,11 @@ func (e *Engine) actionTime(nd *Node) (float64, bool) {
 	return 0, false
 }
 
-// execute runs the node's pending operation, updates time and statistics,
-// and resumes the node (except for opDone). Returns true when the node has
-// finished.
-func (e *Engine) execute(nd *Node) bool {
-	m, done := e.performOp(nd)
-	if !done {
-		nd.resume <- m
-	}
-	return done
-}
-
 // performOp runs the semantics of the node's pending operation — time,
-// statistics, queue movement — without resuming the node's goroutine. The
-// serial schedulers resume immediately (execute); the sharded scheduler
-// resumes only after closing the operation's commit record, because the
-// resumed node may eagerly execute further operations of its own
-// (shard.go), each needing its own record.
+// statistics, queue movement — without resuming the node's goroutine: the
+// caller resumes it only after closing the operation's commit record,
+// because the resumed node may eagerly execute further operations of its
+// own (shard.go), each needing its own record.
 func (e *Engine) performOp(nd *Node) (Msg, bool) {
 	nd.opErr = nil
 	switch nd.pending.kind {
@@ -722,25 +532,24 @@ func (e *Engine) performOp(nd *Node) (Msg, bool) {
 
 // addCopy books a local copy's cost. The time lands in the per-node
 // accumulator (folded in id order after the run); the byte count goes to
-// the node's active stat sink.
+// the shard's stat sink. Every sink below has the same two arms: the open
+// commit record in record mode, the shard's accumulator in fast mode.
 func (e *Engine) addCopy(nd *Node, t float64, bytes int64) {
-	if sh := nd.sh; sh != nil && sh.run.record {
+	sh := nd.sh
+	if sh.run.record {
 		sh.cur.copyDt += t
 		sh.cur.copyBytes += bytes
 		return
 	}
 	e.copyTime[nd.id] += t
-	if sh := nd.sh; sh != nil {
-		sh.acc.copyBytes += bytes
-	} else {
-		e.stats.CopyBytes += bytes
-	}
+	sh.acc.copyBytes += bytes
 }
 
 // doSend executes one send operation. The returned error is non-nil only
 // under fault injection, when the transmission fails past the retry budget;
 // it is delivered to the node (TrySend returns it, Send aborts with it).
 func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
+	sh := nd.sh
 	bytes := len(m.Data) * e.params.ElemBytes
 	dur, startups := e.params.SendTime(bytes)
 	port := e.portIndex(dim)
@@ -750,14 +559,10 @@ func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
 	if e.faults != nil {
 		var err error
 		if start, err = e.clearFaults(nd, dim, li, port, bytes, dur, startups, start); err != nil {
-			if sh := nd.sh; sh != nil {
-				if sh.run.record {
-					sh.cur.faulted++
-				} else {
-					sh.acc.faultedSends++
-				}
+			if sh.run.record {
+				sh.cur.faulted++
 			} else {
-				e.stats.FaultedSends++
+				sh.acc.faultedSends++
 			}
 			nd.clock = math.Max(nd.clock, start)
 			e.bumpTime(nd, nd.clock)
@@ -765,26 +570,15 @@ func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
 		}
 	}
 	end := e.chargeLink(nd, dim, li, port, bytes, dur, startups, start)
-	if sh := nd.sh; sh != nil {
-		if sh.run.record {
-			sh.cur.sends++
-		} else {
-			sh.acc.sends++
-		}
+	if sh.run.record {
+		sh.cur.sends++
 	} else {
-		e.stats.Sends++
+		sh.acc.sends++
 	}
 	nd.clock = start
 	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
 
-	a := arrival{msg: m, at: end, dur: dur, fromDim: dim, act: start}
-	dest := int(nd.id ^ 1<<uint(dim))
-	if sh := nd.sh; sh != nil {
-		sh.deliver(dest, a)
-	} else {
-		e.nodes[dest].queues[dim].push(a)
-		e.sendDest = dest
-	}
+	sh.deliver(int(nd.id^1<<uint(dim)), arrival{msg: m, at: end, dur: dur, fromDim: dim, act: start})
 	return nil
 }
 
@@ -819,14 +613,10 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		// link and the volume statistics, then retransmit after backoff.
 		// DownUntil stays 0: the link was up, the frame was lost in flight.
 		end := e.chargeLink(nd, dim, li, port, bytes, dur, startups, start)
-		if sh := nd.sh; sh != nil {
-			if sh.run.record {
-				sh.cur.drops++
-			} else {
-				sh.acc.drops++
-			}
+		if sh := nd.sh; sh.run.record {
+			sh.cur.drops++
 		} else {
-			e.stats.Drops++
+			sh.acc.drops++
 		}
 		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
 			Attempt: attempts})
@@ -854,51 +644,33 @@ func (e *Engine) chargeLink(nd *Node, dim, li, port, bytes int, dur float64, sta
 	}
 	nd.sendFree[port] = end
 	e.linkFree[li] = end
-	if sh := nd.sh; sh != nil {
-		if sh.run.record {
-			// Volume statistics are deferred to the record so an abort
-			// truncates them at the canonical failure point; linkFree and
-			// sendFree above are simulation state owned by this shard and
-			// stay eager.
-			sh.cur.li = int32(li)
-			sh.cur.linkBytes += int64(bytes)
-			sh.cur.linkBusy += dur
-			sh.cur.startups += int64(startups)
-		} else {
-			e.linkUsed[li] = true
-			e.linkBytes[li] += int64(bytes)
-			e.linkBusy[li] += dur
-			sh.acc.startups += int64(startups)
-			sh.acc.bytes += int64(bytes)
-		}
+	if sh := nd.sh; sh.run.record {
+		// Volume statistics are deferred to the record so an abort
+		// truncates them at the canonical failure point; linkFree and
+		// sendFree above are simulation state owned by this shard and
+		// stay eager.
+		sh.cur.li = int32(li)
+		sh.cur.linkBytes += int64(bytes)
+		sh.cur.linkBusy += dur
+		sh.cur.startups += int64(startups)
 	} else {
 		e.linkUsed[li] = true
 		e.linkBytes[li] += int64(bytes)
 		e.linkBusy[li] += dur
-		if e.linkBytes[li] > e.stats.MaxLinkBytes {
-			e.stats.MaxLinkBytes = e.linkBytes[li]
-		}
-		if e.linkBusy[li] > e.stats.MaxLinkBusy {
-			e.stats.MaxLinkBusy = e.linkBusy[li]
-		}
-		e.stats.Startups += int64(startups)
-		e.stats.Bytes += int64(bytes)
+		sh.acc.startups += int64(startups)
+		sh.acc.bytes += int64(bytes)
 	}
 	e.bumpTime(nd, end)
 	return end
 }
 
-// addRetry books one retransmission into the node's active stat sink.
+// addRetry books one retransmission.
 func (e *Engine) addRetry(nd *Node) {
-	if sh := nd.sh; sh != nil {
-		if sh.run.record {
-			sh.cur.retries++
-		} else {
-			sh.acc.retries++
-		}
-		return
+	if sh := nd.sh; sh.run.record {
+		sh.cur.retries++
+	} else {
+		sh.acc.retries++
 	}
-	e.stats.Retries++
 }
 
 func (e *Engine) doRecv(nd *Node, dim int) Msg {
@@ -926,10 +698,10 @@ func (e *Engine) doRecvAny(nd *Node) Msg {
 }
 
 // anyLess orders two RecvAny candidates by (arrival time, send action time,
-// sender id). The key is a pure function of simulation state — unlike the
-// global send sequence number it replaced, which encoded host-side
-// execution order — so the serial and sharded schedulers, which deliver
-// cross-shard arrivals at different host moments, make identical choices.
+// sender id). The key is a pure function of simulation state — unlike a
+// global send sequence number, which would encode host-side execution order
+// — so every shard count, each delivering cross-shard arrivals at different
+// host moments, makes identical choices.
 // The key is total: two arrivals with equal times on different dimensions
 // come from different senders (one neighbor per dimension), and arrivals
 // from one sender on one dimension never tie (the queue is FIFO).
@@ -958,39 +730,25 @@ func (e *Engine) finishRecv(nd *Node, a arrival) Msg {
 	return a.msg
 }
 
-// bumpTime raises the makespan watermark through the node's active sink:
-// the engine's Stats under the serial schedulers, the shard's commit record
-// or max accumulator under the sharded one (max is order-invariant, which
-// is what makes the deferred fold exact).
+// bumpTime raises the makespan watermark: max is order-invariant, which is
+// what makes the deferred fold exact.
 func (e *Engine) bumpTime(nd *Node, t float64) {
-	if sh := nd.sh; sh != nil {
-		if sh.run.record {
-			if t > sh.cur.timeBump {
-				sh.cur.timeBump = t
-			}
-		} else if t > sh.acc.maxTime {
-			sh.acc.maxTime = t
+	if sh := nd.sh; sh.run.record {
+		if t > sh.cur.timeBump {
+			sh.cur.timeBump = t
 		}
-		return
-	}
-	if t > e.stats.Time {
-		e.stats.Time = t
+	} else if t > sh.acc.maxTime {
+		sh.acc.maxTime = t
 	}
 }
 
-// traceN routes a node's trace event: directly to the tracer under the
-// serial schedulers, into the shard's event buffer under the sharded one
-// (flushed to the tracer in canonical order at the epoch barrier).
+// traceN buffers a node's trace event in its shard; the coordinator flushes
+// the buffer to the tracer in canonical order when it commits the epoch.
 func (e *Engine) traceN(nd *Node, ev TraceEvent) {
-	if sh := nd.sh; sh != nil {
-		if e.tracer != nil {
-			sh.events = append(sh.events, ev)
-			sh.cur.ev1 = int32(len(sh.events))
-		}
-		return
-	}
 	if e.tracer != nil {
-		e.tracer.Record(ev)
+		sh := nd.sh
+		sh.events = append(sh.events, ev)
+		sh.cur.ev1 = int32(len(sh.events))
 	}
 }
 

@@ -1,22 +1,18 @@
 #!/bin/sh
-# Benchmark the simnet engine hot path: the indexed ready-queue scheduler
-# against the retained linear-scan reference on the repeated 8-cube exchange
-# transpose (pooled payloads, -benchmem), the sharded epoch scheduler against
-# the serial indexed one on a 10-cube all-to-all, the Connection Machine
-# scale 16-cube (65,536 node) SBnT all-to-all with its retained bytes/node
-# footprint, plus the wall-clock of the full experiment sweep
-# (`go run ./cmd/experiments -all`) and the Section 9 CM crossover rows.
-# Emits BENCH_engine.json in the repository root.
+# Benchmark the simnet engine hot path: the one-worker engine on a 10-cube
+# all-to-all, the Connection Machine scale 16-cube (65,536 node) SBnT
+# all-to-all with its retained bytes/node footprint, plus the wall-clock of
+# the full experiment sweep (`go run ./cmd/experiments -all`) and the
+# Section 9 CM crossover rows. Emits BENCH_engine.json in the repository root.
 #
 # sweep_baseline_s is the measured wall-clock of the serial sweep at the
 # scheduler's introduction (linear scan, no pooling, serial harness) on the
 # reference machine; regenerating the file re-times only the current sweep.
 #
 # Environment:
-#   BENCH_COUNT     -benchtime for the scheduler/sharded pairs (default 10x)
+#   BENCH_COUNT     -benchtime for the 10-cube benchmark (default 10x)
 #   CUBE16_COUNT    -benchtime for the 16-cube benchmark (default 2x; it
 #                   runs ~5 s per iteration)
-#   OVERHEAD_COUNT  -benchtime for the checkpoint-overhead pair (default 40x)
 #   ENGINE_PROFILE  when set to a directory, also writes cube16_cpu.pprof and
 #                   cube16_mem.pprof profiles of the 16-cube benchmark there
 set -eu
@@ -28,12 +24,8 @@ CUBE16="${CUBE16_COUNT:-2x}"
 OUT=BENCH_engine.json
 BASELINE_S=61.4
 
-raw=$(go test -run '^$' -bench 'BenchmarkEngineTransposeIndexed$|BenchmarkEngineTransposeReference$' \
-	-benchmem -benchtime "$COUNT" ./internal/simnet/)
-echo "$raw"
-
-echo "==> sharded-vs-serial pair (10-cube all-to-all, $COUNT)"
-shraw=$(go test -run '^$' -bench 'BenchmarkEngineCube10Sharded$|BenchmarkEngineCube10Serial$' \
+echo "==> 10-cube all-to-all, one worker ($COUNT)"
+shraw=$(go test -run '^$' -bench 'BenchmarkEngineCube10Sharded$' \
 	-benchmem -benchtime "$COUNT" ./internal/simnet/)
 echo "$shraw"
 
@@ -48,18 +40,6 @@ c16raw=$(go test -run '^$' -bench 'BenchmarkEngineCube16SBnT$' \
 	-benchmem -benchtime "$CUBE16" $PROF_ARGS ./internal/simnet/)
 echo "$c16raw"
 
-# Checkpoint overhead: the production (checkpointed, checksummed) exchange
-# executor against the retained pre-checkpointing baseline on the unfaulted
-# repeated 8-cube exchange. BenchmarkExchangePair times the two arms as
-# back-to-back pairs inside one loop and reports the median per-pair ratio
-# as overhead-pct — adjacent-in-time pairs cancel scheduler/turbo/GC drift
-# that phase-ordered separate runs cannot, so the few-percent delta is
-# measurable.
-echo "==> checkpoint-overhead pair (alternating, median of ${OVERHEAD_COUNT:-40x})"
-ovraw=$(go test -run '^$' -bench 'BenchmarkExchangePair$' \
-	-benchtime "${OVERHEAD_COUNT:-40x}" ./internal/core/)
-echo "$ovraw"
-
 echo "==> timing cmd/experiments -all"
 t0=$(date +%s.%N)
 go run ./cmd/experiments -all >/dev/null
@@ -70,22 +50,12 @@ echo "sweep wall-clock: ${sweep}s (baseline ${BASELINE_S}s)"
 echo "==> cm-crossover rows (Section 9 on the CM)"
 xover=$(go run ./cmd/experiments -exp cm-crossover -format csv)
 
-printf '%s\n%s\n%s\n%s\n@@CROSSOVER@@\n%s\n' "$raw" "$shraw" "$c16raw" "$ovraw" "$xover" | \
+printf '%s\n%s\n@@CROSSOVER@@\n%s\n' "$shraw" "$c16raw" "$xover" | \
 awk -v out="$OUT" -v sweep="$sweep" -v base="$BASELINE_S" '
-	/^BenchmarkEngineTransposeIndexed/   { idx = $3; idx_allocs = $7 }
-	/^BenchmarkEngineTransposeReference/ { ref = $3; ref_allocs = $7 }
-	/^BenchmarkEngineCube10Sharded/      { shard = $3 }
-	/^BenchmarkEngineCube10Serial/       { serial = $3 }
+	/^BenchmarkEngineCube10Sharded/ { shard = $3 }
 	/^BenchmarkEngineCube16SBnT/ {
 		c16 = $3
 		for (i = 2; i <= NF; i++) if ($i == "bytes/node") bpn = $(i - 1)
-	}
-	/^BenchmarkExchangePair/ {
-		for (i = 2; i <= NF; i++) {
-			if ($i == "ckpt-ns") ckpt = $(i - 1)
-			if ($i == "base-ns") bl = $(i - 1)
-			if ($i == "overhead-pct") ov = $(i - 1)
-		}
 	}
 	/^@@CROSSOVER@@$/ { inx = 1; next }
 	inx {
@@ -97,26 +67,14 @@ awk -v out="$OUT" -v sweep="$sweep" -v base="$BASELINE_S" '
 			c[1], c[2], c[4], c[5], c[6], c[7], c[8], c[9])
 	}
 	END {
-		if (idx == "" || ref == "" || shard == "" || serial == "" || c16 == "" || bpn == "" ||
-			ckpt == "" || bl == "" || ov == "" || nrows == 0) {
+		if (shard == "" || c16 == "" || bpn == "" || nrows == 0) {
 			print "bench_engine: missing benchmark output" > "/dev/stderr"
 			exit 1
 		}
 		printf "{\n" > out
-		printf "  \"benchmark\": \"repeated 8-cube exchange transpose (256 nodes, 4 passes, pooled payloads, iPSC)\",\n" >> out
-		printf "  \"indexed_ns_per_op\": %s,\n", idx >> out
-		printf "  \"indexed_allocs_per_op\": %s,\n", idx_allocs >> out
-		printf "  \"reference_ns_per_op\": %s,\n", ref >> out
-		printf "  \"reference_allocs_per_op\": %s,\n", ref_allocs >> out
-		printf "  \"scheduler_speedup\": %.2f,\n", ref / idx >> out
 		printf "  \"cube10_sharded_ns_per_op\": %s,\n", shard >> out
-		printf "  \"cube10_serial_ns_per_op\": %s,\n", serial >> out
-		printf "  \"sharded_speedup\": %.2f,\n", serial / shard >> out
 		printf "  \"cube16_ns_per_op\": %s,\n", c16 >> out
 		printf "  \"bytes_per_node\": %s,\n", bpn >> out
-		printf "  \"checkpointed_ns_per_op\": %d,\n", ckpt >> out
-		printf "  \"baseline_ns_per_op\": %d,\n", bl >> out
-		printf "  \"checkpoint_overhead_pct\": %.2f,\n", ov >> out
 		printf "  \"sweep_wallclock_s\": %s,\n", sweep >> out
 		printf "  \"sweep_baseline_s\": %s,\n", base >> out
 		printf "  \"sweep_speedup\": %.2f,\n", base / sweep >> out

@@ -21,15 +21,21 @@ go test ./...
 echo "==> go test -run '^Fuzz' (fuzz seed regression)"
 go test -run '^Fuzz' ./internal/plan/ ./internal/cube/ ./internal/service/ ./internal/remap/ .
 
-# Smoke the fault sweep: robustness table on a 6-cube (survival under k
-# random link failures per path system).
-echo "==> experiments -exp fault-sweep (6-cube smoke)"
-go run ./cmd/experiments -exp fault-sweep >/dev/null
-
-# Smoke the recovery sweep: mid-run link kills across algorithms, every
-# failed run checkpointed, resumed and verified element-exact.
-echo "==> experiments -exp recovery-sweep (6-cube smoke)"
-go run ./cmd/experiments -exp recovery-sweep >/dev/null
+# Golden results: RESULTS.md is the committed output of the full experiment
+# registry and every virtual-time figure in it is a fixed point — host-side
+# changes must not move one. Regenerate and compare, leaving out the two
+# tables that report wall-clock behaviour (the pair bench/sweep.go
+# excludes). This run is also the smoke of every experiment, the fault,
+# recovery and service sweeps included.
+echo "==> experiments -all -format md vs RESULTS.md (golden)"
+wallclock='/^### /{ skip = ($2 == "service-sweep" || $2 == "chaos-sweep") } !skip'
+golden=$(mktemp)
+trap 'rm -f "$golden"' EXIT
+go run ./cmd/experiments -all -format md | awk "$wallclock" >"$golden"
+if ! awk "$wallclock" RESULTS.md | diff - "$golden"; then
+	echo "check: RESULTS.md differs from a fresh run; if the change is intended: go run ./cmd/experiments -all -parallel 8 -format md > RESULTS.md" >&2
+	exit 1
+fi
 
 # Smoke the chaos sweep: k node crash-stops mid-run on both backends, every
 # node-down failure recovered onto the survivors and verified element-exact.
@@ -65,31 +71,16 @@ echo "==> go test -bench plan split -benchtime=1x"
 go test -run '^$' -bench 'BenchmarkTransposeOneShot$|BenchmarkTransposeCompiled$' -benchtime=1x .
 
 # Connection Machine scale smoke: a full 12-cube (4096 node) all-to-all,
-# sharded vs serial, byte-identical Stats. The test skips itself under
-# -short (so the race suite stays inside its timeout); run it loud here.
+# one worker vs the automatic count, byte-identical Stats. The test skips
+# itself under -short (so the race suite stays inside its timeout); run it
+# loud here.
 echo "==> go test -run TestCube12ShardedSmoke (12-cube sharded smoke)"
 go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
 
-# Engine bench smoke: regenerate BENCH_engine.json (scheduler pair, sharded
-# pair, 16-cube scale row, crossover rows, sweep wall-clock) and gate on the
-# indexed scheduler not regressing below the linear-scan reference and the
-# sharded scheduler not regressing below the serial one.
+# Engine bench smoke: regenerate BENCH_engine.json (10-cube row, 16-cube
+# scale row, crossover rows, sweep wall-clock) and gate on the rows existing.
 echo "==> scripts/bench_engine.sh (BENCH_COUNT=1x smoke)"
 BENCH_COUNT=1x CUBE16_COUNT=1x ./scripts/bench_engine.sh
-awk -F'[:,]' '/"scheduler_speedup"/ {
-	if ($2 + 0 < 1.0) {
-		printf "check: scheduler speedup %.2f below 1.0x — indexed scheduler regressed\n", $2 > "/dev/stderr"
-		exit 1
-	}
-	printf "check: scheduler speedup %.2fx (>= 1.0x gate)\n", $2
-}' BENCH_engine.json
-awk -F'[:,]' '/"sharded_speedup"/ {
-	if ($2 + 0 < 1.0) {
-		printf "check: sharded speedup %.2f below 1.0x — epoch scheduler regressed\n", $2 > "/dev/stderr"
-		exit 1
-	}
-	printf "check: sharded speedup %.2fx (>= 1.0x gate)\n", $2
-}' BENCH_engine.json
 awk '/"cube16_ns_per_op"/ { c16 = 1 } /"bytes_per_node"/ { bpn = 1 } /"cm_crossover"/ { xo = 1 }
 END {
 	if (!c16 || !bpn || !xo) {
@@ -98,18 +89,6 @@ END {
 	}
 	print "check: 16-cube row, bytes_per_node and cm_crossover rows present"
 }' BENCH_engine.json
-awk -F'[:,]' '/"checkpoint_overhead_pct"/ {
-	if ($2 + 0 >= 3.0) {
-		printf "check: checkpoint overhead %.2f%% at or above the 3%% budget\n", $2 > "/dev/stderr"
-		exit 1
-	}
-	printf "check: checkpoint overhead %.2f%% (< 3%% gate)\n", $2
-}' BENCH_engine.json
-
-# Smoke the service sweep: the multi-tenant scheduler under open-loop
-# Poisson load at three offered rates, every job verified element-exact.
-echo "==> experiments -exp service-sweep (6-cube smoke)"
-go run ./cmd/experiments -exp service-sweep >/dev/null
 
 # Service bench: regenerate BENCH_service.json (mixed-burst throughput and
 # latency percentiles, plus the identical-request batching pair) and gate
