@@ -216,3 +216,69 @@ func isTypedFaultErr(err error) bool {
 	return errors.Is(err, simnet.ErrLinkDown) || errors.Is(err, simnet.ErrRetryBudget) ||
 		errors.Is(err, router.ErrNoRoute)
 }
+
+// FailoverAbandon through the executor: with every outgoing link of one node
+// down, that node's SPT flow has no alternative while the flows merely
+// routed through it do. Abandon drops exactly that flow — its destination
+// block stays zero, every other element lands where the unfaulted run puts
+// it (rerouted flows scatter at their own offsets even though the dropped
+// flow shifted the kept ones' indices) — and the default reroute policy
+// refuses the same run with a typed *router.RouteError naming the flow.
+func TestAbandonDropsOnlyTheUnroutableFlow(t *testing.T) {
+	p, q, n := 4, 4, 4
+	const cut = 1
+	m := NewIotaMatrix(p, q)
+	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
+	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
+	ct, err := Compile(before, after, Options{Algorithm: SPT, Machine: IPSCNPort()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ct.Execute(Scatter(m, before))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rules []FaultRule
+	for d := 0; d < n; d++ {
+		rules = append(rules, FaultRule{Kind: FaultLinkDown, Link: FaultLink{From: cut, Dim: d}})
+	}
+	fp, err := CompileFaults(FaultSpec{Rules: rules}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: FailoverAbandon})
+	if err != nil {
+		t.Fatalf("abandon policy failed the run: %v", err)
+	}
+	if res.Stats.Abandoned != 1 || res.Stats.Rerouted == 0 {
+		t.Fatalf("abandoned %d, rerouted %d; want exactly 1 abandoned and some rerouted",
+			res.Stats.Abandoned, res.Stats.Rerouted)
+	}
+	got, want := res.Dist.Gather(), base.Dist.Gather()
+	dropped := 0
+	for u := uint64(0); u < uint64(want.Rows()); u++ {
+		for v := uint64(0); v < uint64(want.Cols()); v++ {
+			// Transposed element (u, v) started as (v, u) on the before side.
+			src, dst := before.ProcOf(v, u), after.ProcOf(u, v)
+			switch {
+			case src == cut && dst != cut:
+				dropped++
+				if got.At(u, v) != 0 {
+					t.Fatalf("abandoned element (%d,%d) = %g, want 0", u, v, got.At(u, v))
+				}
+			case got.At(u, v) != want.At(u, v):
+				t.Fatalf("element (%d,%d) from node %d = %g, want %g", u, v, src, got.At(u, v), want.At(u, v))
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("node 1 sends nothing off-node; the scenario abandons no payload")
+	}
+
+	_, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp})
+	var re *router.RouteError
+	if !errors.As(err, &re) || re.Src != cut || !errors.Is(err, router.ErrNoRoute) {
+		t.Fatalf("reroute policy: %v, want *router.RouteError for node %d's flow", err, cut)
+	}
+}

@@ -12,8 +12,9 @@ import (
 // (see internal/core/checkpoint.go). Two rules:
 //
 // Executor rule — in a function returning (*Result, error), every error
-// return positioned after an engine run (a Run/RunRecover call) has already
-// moved real simulated traffic, so surfacing a bare error there throws that
+// return positioned after an engine run (a Run/RunRecover/RunFlows call, or
+// core.RunTransfers, the kernel through which the flow executors reach the
+// engine) has already moved real simulated traffic, so surfacing a bare error there throws that
 // work away. Such returns must either propagate a single (*Result, error)
 // call, return an error variable produced by one, or wrap the failure in
 // &ExecError{Checkpoint: ...} whose Checkpoint folds the engine Stats: a
@@ -118,7 +119,7 @@ func (p *Package) checkExecutorReturns(fd *ast.FuncDecl) []Finding {
 			return true
 		}
 		switch calleeName(call) {
-		case "Run", "RunRecover":
+		case "Run", "RunRecover", "RunFlows", "RunTransfers":
 			if !firstRun.IsValid() || call.Pos() < firstRun {
 				firstRun = call.Pos()
 			}

@@ -202,3 +202,29 @@ func GoodRecoverBlessedErr(e *Engine, cp *Checkpoint) (*Result, error) {
 	}
 	return &Result{Stats: e.Stats()}, nil
 }
+
+// RunTransfers mimics core.RunTransfers: the kernel through which the flow
+// executors reach the engine. It is a run point in its own right.
+func RunTransfers(e *Engine, cps []*Checkpoint) (Stats, error) {
+	err := e.Run(func(nd *Node) {})
+	return e.Stats(), err
+}
+
+// BadKernelDropsCkpt calls the kernel and drops the checkpoint it filled.
+func BadKernelDropsCkpt(e *Engine, cp *Checkpoint) (*Result, error) {
+	st, err := RunTransfers(e, []*Checkpoint{cp})
+	if err != nil {
+		return nil, err // the kernel's salvage is lost
+	}
+	return &Result{Stats: st}, nil
+}
+
+// GoodKernelFold folds the kernel's Stats into the checkpoint it hands out.
+func GoodKernelFold(e *Engine, cp *Checkpoint) (*Result, error) {
+	st, err := RunTransfers(e, []*Checkpoint{cp})
+	if err != nil {
+		cp.Stats, cp.At = st, st.Time
+		return nil, &ExecError{Checkpoint: cp, Err: err}
+	}
+	return &Result{Stats: st}, nil
+}

@@ -7,6 +7,7 @@ import (
 	"boolcube/internal/fabric"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
+	"boolcube/internal/router"
 )
 
 // Checkpoint is the durable progress record of a failed execution: the
@@ -43,6 +44,55 @@ type Checkpoint struct {
 	// as fired by At, so a second kill during a recovery run folds in on the
 	// next Recover call.
 	Dead []uint64
+}
+
+// NewCheckpoint starts the progress record of a fresh execution of p over
+// d: zeroed after-side arrays with the src == dst self pairs already placed.
+// Self pairs never cross a link, so placing them up front makes them durable
+// from the run's first instant — even a run that fails immediately
+// checkpoints with them delivered.
+func NewCheckpoint(p *plan.Plan, d *matrix.Dist) *Checkpoint {
+	mv, after := p.Moves(), p.After()
+	cp := &Checkpoint{Plan: p, Src: d, Loc: newLocal(after, 1<<uint(p.NDims())), Delivered: plan.NewDelivered()}
+	for dp := 0; dp < after.N() && dp < d.Layout.N(); dp++ {
+		id := uint64(dp)
+		self := mv.Gather(id, d.Local[dp], id)
+		mv.Scatter(id, cp.Loc[dp], id, self)
+		cp.Delivered.Add(id, id, 0, len(self))
+	}
+	return cp
+}
+
+// ResidualSpans turns the residual move-set into executable form: self-pair
+// residuals are replayed host-side on the spot, and every network residual
+// becomes one direct span, dimension-order routed at the plan's packet
+// grain. Ecube routes are shortest paths, so resume traffic is bounded by
+// the residual volume times the pair distance — never more than what a full
+// restart would move for the same pairs, and usually far less. Empty exactly
+// when nothing is left to transport.
+func (cp *Checkpoint) ResidualSpans() []plan.Flow {
+	if cp.Delivered == nil {
+		cp.Delivered = plan.NewDelivered()
+	}
+	p := cp.Plan
+	mv := p.Moves()
+	var spans []plan.Flow
+	for _, r := range cp.Remaining() {
+		if r.Src != r.Dst {
+			spans = append(spans, plan.Flow{
+				Src: r.Src, Dst: r.Dst, Off: r.Off, Len: r.Len,
+				Dims: router.Ecube(r.Src, r.Dst, p.NDims()), Packets: p.Config().Packets,
+			})
+			continue
+		}
+		id := r.Src
+		if id < uint64(len(cp.Src.Local)) && cp.Loc[id] != nil {
+			data := mv.GatherRange(id, cp.Src.Local[id], id, r.Off, r.Len)
+			mv.ScatterRange(id, cp.Loc[id], id, r.Off, data)
+		}
+		cp.Delivered.Add(id, id, r.Off, r.Len)
+	}
+	return spans
 }
 
 // Remaining derives the residual move-set still to be transported.

@@ -119,7 +119,7 @@ func TestConvertEncodingComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TransposeExchange(r1.Dist, gryT, opts(machine.IPSC()))
+	r2, err := Transpose(plan.Exchange, r1.Dist, gryT, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestConvertEncodingComposes(t *testing.T) {
 	total := r1.Stats.Time + r2.Stats.Time + r3.Stats.Time
 	// The combined mixed algorithm should beat the three-phase chain.
 	dm := matrix.Scatter(m, bin)
-	direct, err := TransposeExchange(dm, binT, opts(machine.IPSC()))
+	direct, err := Transpose(plan.Exchange, dm, binT, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,16 @@ type ExecOptions struct {
 	Backend string
 }
 
+// failoverDown is the failover predicate of the run — the fault schedule's
+// permanently-down links — or nil when there is nothing to fail over from
+// (no faults) or the policy forbids it.
+func (xo ExecOptions) failoverDown() func(from uint64, dim int) bool {
+	if xo.Faults == nil || xo.Failover == FailoverNone {
+		return nil
+	}
+	return xo.Faults.PermanentlyDown
+}
+
 // checkFaults validates the fault plan against the plan's cube.
 func (xo ExecOptions) checkFaults(p *plan.Plan) error {
 	if xo.Faults != nil && xo.Faults.Dims() != p.NDims() {

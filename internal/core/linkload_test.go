@@ -7,6 +7,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 	"boolcube/internal/router"
 	"boolcube/internal/simnet"
 )
@@ -21,7 +22,7 @@ func TestSPTLinkLoadsEdgeDisjoint(t *testing.T) {
 	after := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeSPT(d, after, Options{Machine: mach, Packets: 4})
+	res, err := Transpose(plan.SPT, d, after, Options{Machine: mach, Packets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestDPTLinkLoadsHalved(t *testing.T) {
 	after := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeDPT(d, after, Options{Machine: mach, Packets: 2})
+	res, err := Transpose(plan.DPT, d, after, Options{Machine: mach, Packets: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestMPTLinkLoadsBounded(t *testing.T) {
 	after := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeMPT(d, after, Options{Machine: mach, Packets: 2})
+	res, err := Transpose(plan.MPT, d, after, Options{Machine: mach, Packets: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +88,12 @@ func TestRoutingLogicHotspots(t *testing.T) {
 	m := matrix.NewIota(p, q)
 
 	d1 := matrix.Scatter(m, before)
-	spt, err := TransposeSPT(d1, after, Options{Machine: mach})
+	spt, err := Transpose(plan.SPT, d1, after, Options{Machine: mach})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2 := matrix.Scatter(m, before)
-	ecube, err := TransposeRoutingLogic(d2, after, Options{Machine: mach})
+	ecube, err := Transpose(plan.RoutingLogic, d2, after, Options{Machine: mach})
 	if err != nil {
 		t.Fatal(err)
 	}

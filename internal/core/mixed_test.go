@@ -7,6 +7,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 // All four encoding combinations of Section 6.3, both algorithms, verified
@@ -22,10 +23,10 @@ func TestTransposeMixed(t *testing.T) {
 	}
 	algos := []struct {
 		name string
-		f    func(*matrix.Dist, field.Layout, Options) (*Result, error)
+		alg  plan.Algorithm
 	}{
-		{"naive", TransposeMixedNaive},
-		{"combined", TransposeMixedCombined},
+		{"naive", plan.MixedNaive},
+		{"combined", plan.MixedCombined},
 	}
 	for _, ec := range encs {
 		for _, a := range algos {
@@ -34,7 +35,7 @@ func TestTransposeMixed(t *testing.T) {
 			after := field.TwoDimEncoded(q, p, n/2, n/2, ec.ar, ec.ac)
 			m := matrix.NewIota(p, q)
 			d := matrix.Scatter(m, before)
-			res, err := a.f(d, after, opts(machine.IPSC()))
+			res, err := Transpose(a.alg, d, after, opts(machine.IPSC()))
 			verifyTranspose(t, name, m, res, err)
 		}
 	}
@@ -51,12 +52,12 @@ func TestMixedCombinedBeatsNaive(t *testing.T) {
 	m := matrix.NewIota(p, q)
 
 	d1 := matrix.Scatter(m, before)
-	naive, err := TransposeMixedNaive(d1, after, opts(mach))
+	naive, err := Transpose(plan.MixedNaive, d1, after, opts(mach))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2 := matrix.Scatter(m, before)
-	combined, err := TransposeMixedCombined(d2, after, opts(mach))
+	combined, err := Transpose(plan.MixedCombined, d2, after, opts(mach))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMixedRejectsNonPermutation(t *testing.T) {
 	before := field.OneDimConsecutiveRows(4, 4, 2, field.Binary)
 	after := field.OneDimConsecutiveRows(4, 4, 2, field.Binary)
 	d := matrix.Scatter(matrix.NewIota(4, 4), before)
-	if _, err := TransposeMixedCombined(d, after, opts(machine.IPSC())); err == nil {
+	if _, err := Transpose(plan.MixedCombined, d, after, opts(machine.IPSC())); err == nil {
 		t.Error("non-permutation accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 // The literal Section 6.3 pseudocode must produce the same transposed
@@ -21,7 +22,7 @@ func TestTransposeMixedPseudocode(t *testing.T) {
 		after := field.TwoDimEncoded(q, p, h, h, field.Binary, field.Gray)
 		m := matrix.NewIota(p, q)
 		d := matrix.Scatter(m, before)
-		res, err := TransposeMixedPseudocode(d, after, opts(machine.IPSC()))
+		res, err := Transpose(plan.MixedPseudocode, d, after, opts(machine.IPSC()))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -41,12 +42,12 @@ func TestPseudocodeMatchesCombinedCost(t *testing.T) {
 	m := matrix.NewIota(p, q)
 
 	d1 := matrix.Scatter(m, before)
-	pseudo, err := TransposeMixedPseudocode(d1, after, opts(machine.IPSC()))
+	pseudo, err := Transpose(plan.MixedPseudocode, d1, after, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2 := matrix.Scatter(m, before)
-	combined, err := TransposeMixedCombined(d2, after, opts(machine.IPSC()))
+	combined, err := Transpose(plan.MixedCombined, d2, after, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestPseudocodeRejectsWrongEncodings(t *testing.T) {
 	before := field.TwoDimConsecutive(4, 4, 2, 2, field.Binary)
 	after := field.TwoDimConsecutive(4, 4, 2, 2, field.Binary)
 	d := matrix.Scatter(matrix.NewIota(4, 4), before)
-	if _, err := TransposeMixedPseudocode(d, after, opts(machine.IPSC())); err == nil {
+	if _, err := Transpose(plan.MixedPseudocode, d, after, opts(machine.IPSC())); err == nil {
 		t.Error("pure binary layouts accepted")
 	}
 }
@@ -86,7 +87,7 @@ func TestPseudocodeEncodingVariants(t *testing.T) {
 				after := field.TwoDimEncoded(q, p, h, h, c.ar, c.ac)
 				m := matrix.NewIota(p, q)
 				d := matrix.Scatter(m, before)
-				res, err := TransposeMixedPseudocode(d, after, opts(machine.IPSC()))
+				res, err := Transpose(plan.MixedPseudocode, d, after, opts(machine.IPSC()))
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}

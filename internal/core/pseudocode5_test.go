@@ -6,6 +6,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 // The Section 5 standard-exchange program with its local shuffles delivers
@@ -43,7 +44,7 @@ func TestExchangePseudocodeCostMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2 := matrix.Scatter(m, before)
-	ana, err := TransposeExchange(d2, after, opts(machine.Ideal(machine.OnePort)))
+	ana, err := Transpose(plan.Exchange, d2, after, opts(machine.Ideal(machine.OnePort)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"boolcube/internal/fabric"
-	"boolcube/internal/plan"
-	"boolcube/internal/router"
 )
 
 // Resume finishes a checkpointed execution: it derives the residual move-set
@@ -33,14 +31,10 @@ func Resume(cp *Checkpoint, xo ExecOptions) (*Result, error) {
 
 // resumeMapped is Resume over a relabeled physical embedding: phys maps
 // each logical node to the live physical node hosting it (nil means
-// identity). Residual payloads are gathered and scattered host-side by
-// logical id either way; phys only decides where the transport injects and
-// ejects them, so a remapped resume stays element-exact. Logical pairs
-// whose hosts coincide under phys route as zero-hop flows, which the router
-// completes host-side without touching the network.
+// identity). It is RunTransfers over the checkpoint's residual spans; phys
+// only decides where the transport injects and ejects them.
 func resumeMapped(cp *Checkpoint, xo ExecOptions, phys func(uint64) uint64) (*Result, error) {
 	p := cp.Plan
-	mv := p.Moves()
 	if xo.Faults == nil && cp.Opts.Faults != nil {
 		xo.Faults = cp.Opts.Faults.After(cp.At)
 	}
@@ -50,121 +44,24 @@ func resumeMapped(cp *Checkpoint, xo ExecOptions, phys func(uint64) uint64) (*Re
 	if xo.Retry == (fabric.RetryPolicy{}) {
 		xo.Retry = cp.Opts.Retry
 	}
-	if cp.Delivered == nil {
-		cp.Delivered = plan.NewDelivered()
-	}
-
-	residual := cp.Remaining()
-	if len(residual) == 0 {
+	spans := cp.ResidualSpans()
+	if len(spans) == 0 {
 		return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: cp.Stats}, nil
 	}
-
-	// Local residuals (self pairs) are replayed host-side; network residuals
-	// become direct flows below.
-	netRes := residual[:0:0]
-	for _, r := range residual {
-		if r.Src != r.Dst {
-			netRes = append(netRes, r)
-			continue
-		}
-		id := r.Src
-		if id < uint64(len(cp.Src.Local)) && cp.Loc[id] != nil {
-			data := mv.GatherRange(id, cp.Src.Local[id], id, r.Off, r.Len)
-			mv.ScatterRange(id, cp.Loc[id], id, r.Off, data)
-		}
-		cp.Delivered.Add(id, id, r.Off, r.Len)
-	}
-	if len(netRes) == 0 {
-		return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: cp.Stats}, nil
-	}
-
 	e, err := planEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}
-	debug := e.DebugChecks()
-
-	// One direct flow per residual span, dimension-order routed. Ecube
-	// routes are shortest paths, so resume traffic is bounded by the
-	// residual volume times the pair distance — never more than what a full
-	// restart would move for the same pairs, and usually far less.
-	pk := p.Config().Packets
-	flows := make([]router.Flow, len(netRes))
-	for i, r := range netRes {
-		ps, pd := r.Src, r.Dst
-		if phys != nil {
-			ps, pd = phys(r.Src), phys(r.Dst)
-		}
-		flows[i] = router.Flow{
-			Src: ps, Dst: pd, Dims: router.Ecube(ps, pd, p.NDims()), Packets: pk,
-			Data: mv.GatherRange(r.Src, cp.Src.Local[r.Src], r.Dst, r.Off, r.Len),
-		}
-		if debug {
-			flows[i].Tags = addrTags(r.Src, r.Off, r.Len)
-		}
-	}
-	keptIdx := make([]int, len(flows))
-	for i := range keptIdx {
-		keptIdx[i] = i
-	}
-	var rep router.FailoverReport
-	if xo.Faults != nil && xo.Failover != FailoverNone {
-		flows, keptIdx, rep, err = router.Failover(
-			flows, p.NDims(), xo.Faults.PermanentlyDown, xo.Failover == FailoverAbandon)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	deliveries, part, err := router.RunRecover(e, flows)
+	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: spans, Phys: phys}}, xo.failoverDown(), xo.Failover == FailoverAbandon)
+	total := mergeStats(cp.Stats, st)
 	if err != nil {
-		// Fold this attempt's completed flows into the checkpoint and hand
-		// back a new one: Opts/At describe the just-failed attempt (its
-		// fault view and how far it got), Stats the cumulative cost.
-		for k, fi := range part.FlowIdx {
-			r := netRes[keptIdx[fi]]
-			if debug && part.Tags[k] != nil {
-				verifyTagsHost(r.Src, r.Dst, r.Off, part.Tags[k])
-			}
-			mv.ScatterRange(r.Dst, cp.Loc[r.Dst], r.Src, r.Off, part.Data[k])
-			cp.Delivered.Add(r.Src, r.Dst, r.Off, len(part.Data[k]))
-		}
-		st := e.Stats()
-		st.Rerouted = rep.Rerouted
-		st.ExtraHops = rep.ExtraHops
-		st.Abandoned = rep.Abandoned
-		cp.Stats = mergeStats(cp.Stats, st)
+		// Hand the checkpoint back with this attempt folded in: Opts/At
+		// describe the just-failed attempt (its fault view and how far it
+		// got), Stats the cumulative cost.
+		cp.Stats = total
 		cp.At = st.Time
 		cp.Opts = xo
 		return nil, &ExecError{Checkpoint: cp, Err: err}
 	}
-
-	for dst, ds := range deliveries {
-		// Zip deliveries with logical residuals per (physical dst, physical
-		// src), in kept-flow order — the same pairing discipline execFlow
-		// uses. Under a remap several logical pairs can share one physical
-		// pair; flow order disambiguates, because the router sorts each
-		// destination's deliveries stably by source.
-		pend := make(map[uint64][]int)
-		for k, f := range flows {
-			if f.Dst == dst {
-				pend[f.Src] = append(pend[f.Src], k)
-			}
-		}
-		for _, dl := range ds {
-			k := pend[dl.Src][0]
-			pend[dl.Src] = pend[dl.Src][1:]
-			r := netRes[keptIdx[k]]
-			if debug && dl.Tags != nil {
-				verifyTagsHost(r.Src, r.Dst, r.Off, dl.Tags)
-			}
-			mv.ScatterRange(r.Dst, cp.Loc[r.Dst], r.Src, r.Off, dl.Data)
-			cp.Delivered.Add(r.Src, r.Dst, r.Off, len(dl.Data))
-		}
-	}
-	st := e.Stats()
-	st.Rerouted = rep.Rerouted
-	st.ExtraHops = rep.ExtraHops
-	st.Abandoned = rep.Abandoned
-	return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: mergeStats(cp.Stats, st)}, nil
+	return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: total}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 // Some-to-all matrix transposition (Section 5): fewer processors hold data
@@ -23,7 +24,7 @@ func TestTransposeSomeToAll(t *testing.T) {
 	}
 	m := matrix.NewIota(2, 4)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchange(d, after, opts(machine.IPSC()))
+	res, err := Transpose(plan.Exchange, d, after, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestTransposeAllToSome(t *testing.T) {
 	}
 	m := matrix.NewIota(4, 2)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchange(d, after, opts(machine.IPSC()))
+	res, err := Transpose(plan.Exchange, d, after, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestTransposeVectorExtremes(t *testing.T) {
 	after := field.OneDimConsecutiveCols(0, 4, 2, field.Binary)
 	m := matrix.NewIota(4, 0)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchange(d, after, opts(machine.Ideal(machine.OnePort)))
+	res, err := Transpose(plan.Exchange, d, after, opts(machine.Ideal(machine.OnePort)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestTransposeBandedCombined(t *testing.T) {
 	}
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchange(d, after, opts(machine.IPSC()))
+	res, err := Transpose(plan.Exchange, d, after, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestTransposeGeneralPattern(t *testing.T) {
 	t.Logf("pattern: %v (RB=%v RA=%v I=%v)", cls.Pattern, cls.RB, cls.RA, cls.I)
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchange(d, after, opts(machine.IPSC()))
+	res, err := Transpose(plan.Exchange, d, after, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestTransposeOneElementPerProcessor(t *testing.T) {
 	}
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchangeSPTOrder(d, after, opts(machine.Ideal(machine.OnePort)))
+	res, err := Transpose(plan.ExchangeSPTOrder, d, after, opts(machine.Ideal(machine.OnePort)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 // The grand integration sweep: every storage-form pair of Corollary 6
@@ -42,7 +43,7 @@ func TestSweepStorageFormsAllMachines(t *testing.T) {
 						before := fb.mk(p, q, n, eb)
 						after := fa.mk(q, p, n, ea)
 						d := matrix.Scatter(m, before)
-						res, err := TransposeExchange(d, after, opts(mach))
+						res, err := Transpose(plan.Exchange, d, after, opts(mach))
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -50,7 +51,7 @@ func TestSweepStorageFormsAllMachines(t *testing.T) {
 							t.Fatalf("%s: %v", name, verr)
 						}
 						d2 := matrix.Scatter(m, before)
-						res2, err := TransposeSBnT(d2, after, opts(mach))
+						res2, err := Transpose(plan.SBnT, d2, after, opts(mach))
 						if err != nil {
 							t.Fatalf("%s sbnt: %v", name, err)
 						}
@@ -112,7 +113,7 @@ func TestSweepRandomLayouts(t *testing.T) {
 		after := randomLayout(q, p, n)
 		m := matrix.NewIota(p, q)
 		d := matrix.Scatter(m, before)
-		res, err := TransposeExchange(d, after, opts(machine.Ideal(machine.OnePort)))
+		res, err := Transpose(plan.Exchange, d, after, opts(machine.Ideal(machine.OnePort)))
 		if err != nil {
 			t.Fatalf("trial %d (%s -> %s): %v", trial, before, after, err)
 		}

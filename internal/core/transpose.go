@@ -10,8 +10,15 @@
 // Since the compile/execute split, the planning half of every algorithm —
 // element move-sets, routes, dimension orders, packetization — lives in
 // internal/plan as an immutable IR; this package replays a compiled plan
-// against distributed data (Execute) and keeps the one-shot entry points
-// (Transpose, TransposeXxx) as compile-then-execute conveniences.
+// against distributed data (Execute) and keeps Transpose/TransposeCached as
+// compile-then-execute conveniences.
+//
+// Flow-kind plans have one executor, RunTransfers: gather → failover → one
+// engine run → scatter by flow index → fold the failover report, over a list
+// of checkpointed transfers. A first execution (execFlow), a link-fault
+// Resume, a crash Recover and a shared service round are that kernel over
+// different transfer lists, so every mid-run failure leaves a Checkpoint the
+// same kernel can finish.
 //
 // Every algorithm moves real matrix elements between real per-processor
 // arrays; results are returned as a matrix.Dist that callers verify
@@ -28,7 +35,6 @@ import (
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/router"
 
 	// Link both shipped backends so fabric.New resolves "simnet" (the
 	// default) and "livenet" for any core user.
@@ -318,123 +324,25 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 	return &Result{Dist: finishDist(after, loc), Stats: e.Stats()}, nil
 }
 
-// execFlow replays a KindFlow plan: materialize each precompiled flow's
-// payload from the fresh data, inject all flows through the router, and
-// reassemble the deliveries into the after-side distribution. Under fault
-// injection with failover enabled, blocked flows are first rerouted (or
-// abandoned) against the permanently-down links; the plan's own route
-// slices are never touched.
+// execFlow replays a KindFlow plan: the plan's compiled flows are the spans
+// of one fresh transfer, run through RunTransfers. Under fault injection with
+// failover enabled, blocked flows are first rerouted (or abandoned) against
+// the permanently-down links; the plan's own route slices are never touched.
+// Every failure — a refused reroute included — carries the checkpoint, whose
+// self pairs are durable even when nothing else moved.
 func execFlow(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 	e, err := planEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}
-	mv := p.Moves()
-	cfg := p.Config()
-	after := p.After()
-	pf := p.Flows()
-	debug := e.DebugChecks()
-	// Materialize every flow payload into one arena (capped slices) instead
-	// of one allocation per flow; the router chunks each region in place and
-	// ownership passes to the receiving nodes with the messages.
-	total := 0
-	for _, f := range pf {
-		total += f.Len
-	}
-	arena := make([]float64, total)
-	flows := make([]router.Flow, len(pf))
-	off := 0
-	for i, f := range pf {
-		buf := arena[off : off+f.Len : off+f.Len]
-		off += f.Len
-		mv.GatherRangeInto(f.Src, d.Local[f.Src], f.Dst, f.Off, f.Len, buf)
-		flows[i] = router.Flow{
-			Src: f.Src, Dst: f.Dst, Dims: f.Dims, Packets: f.Packets,
-			Data: buf,
-		}
-		if debug {
-			flows[i].Tags = addrTags(f.Src, f.Off, f.Len)
-		}
-	}
-	// keptIdx maps the flows actually injected back to plan flow indices,
-	// so deliveries can be scattered at each flow's canonical offset even
-	// when failover dropped or reordered routes.
-	keptIdx := make([]int, len(flows))
-	for i := range keptIdx {
-		keptIdx[i] = i
-	}
-	var rep router.FailoverReport
-	if xo.Faults != nil && xo.Failover != FailoverNone {
-		flows, keptIdx, rep, err = router.Failover(
-			flows, p.NDims(), xo.Faults.PermanentlyDown, xo.Failover == FailoverAbandon)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Self pairs never cross a link: place them before the run, so even a
-	// failed run checkpoints with them durable.
-	loc := newLocal(after, e.Nodes())
-	del := plan.NewDelivered()
-	for dp := 0; dp < after.N(); dp++ {
-		if uint64(dp) < uint64(d.Layout.N()) {
-			self := mv.Gather(uint64(dp), d.Local[dp], uint64(dp))
-			mv.Scatter(uint64(dp), loc[dp], uint64(dp), self)
-			del.Add(uint64(dp), uint64(dp), 0, len(self))
-		}
-	}
-	deliveries, part, err := router.RunRecover(e, flows)
+	cp := NewCheckpoint(p, d)
+	cp.Opts = xo
+	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: p.Flows()}}, xo.failoverDown(), xo.Failover == FailoverAbandon)
 	if err != nil {
-		// Salvage: every completely delivered flow is scattered at its
-		// canonical offset and recorded, so the checkpoint resumes with only
-		// the flows that were still in flight.
-		for k, fi := range part.FlowIdx {
-			f := flows[fi]
-			o := pf[keptIdx[fi]].Off
-			if debug && part.Tags[k] != nil {
-				verifyTagsHost(f.Src, f.Dst, o, part.Tags[k])
-			}
-			mv.ScatterRange(f.Dst, loc[f.Dst], f.Src, o, part.Data[k])
-			del.Add(f.Src, f.Dst, o, len(part.Data[k]))
-		}
-		st := e.Stats()
-		st.Rerouted = rep.Rerouted
-		st.ExtraHops = rep.ExtraHops
-		st.Abandoned = rep.Abandoned
-		return nil, &ExecError{
-			Checkpoint: &Checkpoint{Plan: p, Src: d, Loc: loc, Delivered: del, Stats: st, At: st.Time, Opts: xo},
-			Err:        err,
-		}
+		cp.Stats, cp.At = st, st.Time
+		return nil, &ExecError{Checkpoint: cp, Err: err}
 	}
-	// offs[dst][src] lists each kept flow's canonical payload offset, in
-	// injection order. Deliveries from one source arrive at a destination in
-	// that same order (router.Run sorts stably by source), so zipping the
-	// two scatters every chunk into its own slot range.
-	offs := make(map[uint64]map[uint64][]int)
-	for k, f := range flows {
-		m := offs[f.Dst]
-		if m == nil {
-			m = make(map[uint64][]int)
-			offs[f.Dst] = m
-		}
-		m[f.Src] = append(m[f.Src], pf[keptIdx[k]].Off)
-	}
-	for dp := 0; dp < after.N(); dp++ {
-		out := loc[dp]
-		next := make(map[uint64]int)
-		for _, dl := range deliveries[uint64(dp)] {
-			o := offs[uint64(dp)][dl.Src][next[dl.Src]]
-			next[dl.Src]++
-			if debug && dl.Tags != nil {
-				verifyTagsHost(dl.Src, uint64(dp), o, dl.Tags)
-			}
-			mv.ScatterRange(uint64(dp), out, dl.Src, o, dl.Data)
-		}
-	}
-	st := e.Stats()
-	st.Rerouted = rep.Rerouted
-	st.ExtraHops = rep.ExtraHops
-	st.Abandoned = rep.Abandoned
-	if cfg.LocalCopies {
+	if cfg := p.Config(); cfg.LocalCopies {
 		// Pack before sending and unpack after receiving: 2 * PQ/N copies
 		// per processor (Section 8.2.1); charged analytically since flows
 		// were materialized outside node programs.
@@ -442,88 +350,5 @@ func execFlow(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 		st.CopyTime += 2 * cfg.Machine.CopyTime(int(per)) * float64(d.Layout.N())
 		st.Time += 2 * cfg.Machine.CopyTime(int(per))
 	}
-	return &Result{Dist: finishDist(after, loc), Stats: st}, nil
-}
-
-// TransposeExchange transposes d into the after layout with the standard
-// exchange algorithm (Section 5), scanning the cube dimensions from highest
-// to lowest — for square two-dimensional layouts this is exactly the Single
-// Path Transpose as a special case of the standard exchange algorithm
-// (Section 6.1.1), and for one-dimensional layouts it is the all-to-all
-// personalized transpose of Section 5 with the chosen buffering Strategy.
-func TransposeExchange(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.Exchange, d, after, opt)
-}
-
-// TransposeExchangeSPTOrder uses the SPT dimension order (row dimension
-// then paired column dimension, highest pairs first), which for pairwise
-// two-dimensional transposes produces the SPT path for every node.
-func TransposeExchangeSPTOrder(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.ExchangeSPTOrder, d, after, opt)
-}
-
-// TransposeSPT transposes a square two-dimensionally partitioned matrix
-// with the Single Path Transpose (Section 6.1.1): one edge-disjoint path
-// from every node x to tr(x), packetized for pipelining.
-func TransposeSPT(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.SPT, d, after, opt)
-}
-
-// TransposeDPT uses the Dual Paths Transpose (Section 6.1.2): two directed
-// edge-disjoint paths per node, halving the transfer time.
-func TransposeDPT(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.DPT, d, after, opt)
-}
-
-// TransposeMPT uses the Multiple Paths Transpose (Section 6.1.3): 2H(x)
-// edge-disjoint paths per node with the (2, 2H)-disjoint schedule, which is
-// within a factor of two of the lower bound for n-port communication
-// (Theorem 2).
-func TransposeMPT(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.MPT, d, after, opt)
-}
-
-// TransposeParallelPaths splits every node's payload over the n
-// node-disjoint paths to its transpose partner (the Saad & Schultz
-// parallel-paths property quoted in Section 2). Unlike the MPT path
-// system, these paths are disjoint only per pair — different pairs'
-// paths collide — so this serves as the ablation showing why the paper
-// builds the globally edge-disjoint MPT schedule instead.
-func TransposeParallelPaths(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.ParallelPaths, d, after, opt)
-}
-
-// TransposeSBnT transposes with one spanning-balanced-n-tree route per
-// (source, destination) pair (the SBnT algorithm of Section 5), optimal
-// within a factor of two for n-port all-to-all personalized communication.
-func TransposeSBnT(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.SBnT, d, after, opt)
-}
-
-// TransposeRoutingLogic sends every (source, destination) payload directly
-// through the machine's dimension-order routing logic, as in the iPSC
-// "routing logic" and Connection Machine measurements (Sections 8.2.1-2).
-func TransposeRoutingLogic(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.RoutingLogic, d, after, opt)
-}
-
-// TransposeMixedNaive transposes a mixed-encoding matrix by separate code
-// conversions followed by the transpose: up to 2n-2 routing steps
-// (Section 6.3).
-func TransposeMixedNaive(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.MixedNaive, d, after, opt)
-}
-
-// TransposeMixedCombined transposes a mixed-encoding matrix with the
-// combined conversion-transpose algorithm: n routing steps (Section 6.3).
-func TransposeMixedCombined(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.MixedCombined, d, after, opt)
-}
-
-// TransposeMixedPseudocode transposes a matrix between the Section 6.3
-// encoding combinations by running the published per-node program: rows
-// binary / columns Gray (unchanged), pure binary to transposed pure Gray,
-// or pure Gray to transposed pure binary.
-func TransposeMixedPseudocode(d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	return Transpose(plan.MixedPseudocode, d, after, opt)
+	return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: st}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 func opts(mach machine.Params) Options {
@@ -48,7 +49,7 @@ func TestTransposeExchangeOneDim(t *testing.T) {
 			name := fmt.Sprintf("%s p=%d q=%d", before, c.p, c.q)
 			m := matrix.NewIota(c.p, c.q)
 			d := matrix.Scatter(m, before)
-			res, err := TransposeExchange(d, after, opts(machine.Ideal(machine.OnePort)))
+			res, err := Transpose(plan.Exchange, d, after, opts(machine.Ideal(machine.OnePort)))
 			verifyTranspose(t, name, m, res, err)
 		}
 	}
@@ -70,7 +71,7 @@ func TestTransposeExchangeStorageConversion(t *testing.T) {
 			before := fb(p, q, n, field.Binary)
 			after := fa(q, p, n, field.Gray)
 			d := matrix.Scatter(m, before)
-			res, err := TransposeExchange(d, after, opts(machine.Ideal(machine.OnePort)))
+			res, err := Transpose(plan.Exchange, d, after, opts(machine.Ideal(machine.OnePort)))
 			verifyTranspose(t, fmt.Sprintf("form %d -> %d", i, j), m, res, err)
 		}
 	}
@@ -86,7 +87,7 @@ func TestTransposeExchangeTwoDim(t *testing.T) {
 			d := matrix.Scatter(m, before)
 			o := opts(machine.IPSC())
 			o.Strategy = strat
-			res, err := TransposeExchange(d, after, o)
+			res, err := Transpose(plan.Exchange, d, after, o)
 			verifyTranspose(t, fmt.Sprintf("2d %v %v", enc, strat), m, res, err)
 		}
 	}
@@ -98,20 +99,20 @@ func TestTransposeExchangeSPTOrder(t *testing.T) {
 	after := field.TwoDimCyclic(q, p, n/2, n/2, field.Binary)
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := TransposeExchangeSPTOrder(d, after, opts(machine.Ideal(machine.OnePort)))
+	res, err := Transpose(plan.ExchangeSPTOrder, d, after, opts(machine.Ideal(machine.OnePort)))
 	verifyTranspose(t, "spt-order", m, res, err)
 }
 
 func TestPathTransposes(t *testing.T) {
 	algos := []struct {
 		name string
-		f    func(*matrix.Dist, field.Layout, Options) (*Result, error)
+		alg  plan.Algorithm
 	}{
-		{"SPT", TransposeSPT},
-		{"DPT", TransposeDPT},
-		{"MPT", TransposeMPT},
-		{"SBnT", TransposeSBnT},
-		{"RoutingLogic", TransposeRoutingLogic},
+		{"SPT", plan.SPT},
+		{"DPT", plan.DPT},
+		{"MPT", plan.MPT},
+		{"SBnT", plan.SBnT},
+		{"RoutingLogic", plan.RoutingLogic},
 	}
 	p, q, n := 4, 4, 4
 	for _, enc := range []field.Encoding{field.Binary, field.Gray} {
@@ -122,7 +123,7 @@ func TestPathTransposes(t *testing.T) {
 			d := matrix.Scatter(m, before)
 			o := opts(machine.IPSCNPort())
 			o.Packets = 2
-			res, err := a.f(d, after, o)
+			res, err := Transpose(a.alg, d, after, o)
 			verifyTranspose(t, fmt.Sprintf("%s/%v", a.name, enc), m, res, err)
 		}
 	}
@@ -133,7 +134,7 @@ func TestPathTransposeRejectsNonPairwise(t *testing.T) {
 	after := field.OneDimConsecutiveRows(4, 4, 2, field.Binary)
 	m := matrix.NewIota(4, 4)
 	d := matrix.Scatter(m, before)
-	if _, err := TransposeSPT(d, after, opts(machine.IPSC())); err == nil {
+	if _, err := Transpose(plan.SPT, d, after, opts(machine.IPSC())); err == nil {
 		t.Error("SPT accepted a non-pairwise transposition")
 	}
 }
@@ -148,9 +149,9 @@ func TestSPTDPTMPTOrdering(t *testing.T) {
 	after := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
 	m := matrix.NewIota(p, q)
 
-	run := func(f func(*matrix.Dist, field.Layout, Options) (*Result, error)) float64 {
+	run := func(alg plan.Algorithm) float64 {
 		d := matrix.Scatter(m, before)
-		res, err := f(d, after, opts(mach))
+		res, err := Transpose(alg, d, after, opts(mach))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestSPTDPTMPTOrdering(t *testing.T) {
 		}
 		return res.Stats.Time
 	}
-	spt, dpt, mpt := run(TransposeSPT), run(TransposeDPT), run(TransposeMPT)
+	spt, dpt, mpt := run(plan.SPT), run(plan.DPT), run(plan.MPT)
 	if !(dpt < spt) {
 		t.Errorf("DPT (%v) not faster than SPT (%v)", dpt, spt)
 	}
@@ -251,7 +252,7 @@ func TestLocalCopiesCharged(t *testing.T) {
 	d := matrix.Scatter(m, before)
 	o := opts(machine.IPSC())
 	o.LocalCopies = true
-	res, err := TransposeExchange(d, after, o)
+	res, err := Transpose(plan.Exchange, d, after, o)
 	if err != nil {
 		t.Fatal(err)
 	}

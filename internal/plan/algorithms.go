@@ -8,11 +8,16 @@ type Algorithm int
 const (
 	// Exchange is the standard exchange algorithm (Section 5), scanning
 	// cube dimensions from highest to lowest; optimal within 2x for
-	// one-port all-to-all transposition.
+	// one-port all-to-all transposition. For square two-dimensional layouts
+	// this is exactly the Single Path Transpose as a special case of the
+	// standard exchange algorithm (Section 6.1.1); for one-dimensional
+	// layouts it is the all-to-all personalized transpose of Section 5 with
+	// the configured buffering Strategy.
 	Exchange Algorithm = iota
 	// ExchangeSPTOrder is the exchange algorithm with paired row/column
-	// dimension order; on square two-dimensional layouts it follows the
-	// Single Path Transpose routes.
+	// dimension order (row dimension then paired column dimension, highest
+	// pairs first); on pairwise two-dimensional transposes it follows the
+	// Single Path Transpose route for every node.
 	ExchangeSPTOrder
 	// SPT is the Single Path Transpose (Section 6.1.1): one pipelined
 	// edge-disjoint path from each node to its transpose partner.
@@ -21,14 +26,17 @@ const (
 	// edge-disjoint paths per node, halving the transfer time.
 	DPT
 	// MPT is the Multiple Paths Transpose (Section 6.1.3 / Theorem 2):
-	// 2H(x) edge-disjoint paths per node; communication-optimal within a
-	// factor of two with n-port communication.
+	// 2H(x) edge-disjoint paths per node with the (2, 2H)-disjoint
+	// schedule; communication-optimal within a factor of two with n-port
+	// communication.
 	MPT
 	// SBnT routes every (source, destination) payload along its spanning
-	// balanced n-tree path (Section 5, n-port optimal all-to-all).
+	// balanced n-tree path (Section 5; optimal within a factor of two for
+	// n-port all-to-all personalized communication).
 	SBnT
 	// RoutingLogic sends every payload straight through dimension-order
-	// (e-cube) routing, as the iPSC/CM routing hardware does (Section 8).
+	// (e-cube) routing, as in the iPSC "routing logic" and Connection
+	// Machine measurements (Sections 8.2.1-2).
 	RoutingLogic
 	// MixedNaive transposes mixed binary/Gray encodings via separate code
 	// conversions plus transpose: 2n-2 routing steps (Section 6.3).
@@ -38,11 +46,16 @@ const (
 	MixedCombined
 	// MixedPseudocode runs the paper's literal Section 6.3 per-node
 	// program (the 14-case table) — equivalent to MixedCombined, kept as
-	// an executable validation of the published pseudocode.
+	// an executable validation of the published pseudocode. It covers the
+	// three encoding combinations the program is published for: rows
+	// binary / columns Gray (unchanged), pure binary to transposed pure
+	// Gray, and pure Gray to transposed pure binary.
 	MixedPseudocode
 	// ParallelPaths splits each pair's payload over the n node-disjoint
-	// paths of Saad & Schultz — per-pair disjoint but globally colliding;
-	// the ablation baseline for the MPT.
+	// paths of Saad & Schultz (the parallel-paths property quoted in
+	// Section 2) — per-pair disjoint but globally colliding; the ablation
+	// baseline showing why the paper builds the globally edge-disjoint MPT
+	// schedule instead.
 	ParallelPaths
 	// Auto is not an algorithm of its own: Compile resolves it to the
 	// cheapest applicable concrete algorithm via field.Classify and the

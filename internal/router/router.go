@@ -8,9 +8,17 @@
 // personalized communication, and the iPSC/CM "routing logic" (dimension-
 // order e-cube) experiments all reduce to flow sets executed by this
 // package.
+//
+// There is one result format, and it is flow-indexed: RunFlows returns the
+// completed flows by their index in the submitted set — all of them on
+// success, the completely delivered ones salvaged on failure — so a caller
+// that knows what flow i carries never has to match deliveries back to
+// flows. Run and RunRecover keep the older per-destination delivery map as
+// a view over that result, for callers that only care what arrived where.
 package router
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -38,9 +46,9 @@ type Delivery struct {
 	Tags []uint64
 }
 
-// Partial is what RunRecover salvages from a failed run: the flows whose
-// every packet had reached its destination when the engine stopped, with
-// payloads reassembled exactly as a successful run would have. FlowIdx
+// Partial is the flow-indexed result of RunFlows: the flows whose every
+// packet had reached its destination when the engine stopped — all of them
+// on a successful run — with payloads reassembled in packet order. FlowIdx
 // indexes into the submitted flow slice, ascending; Data and Tags are
 // parallel to it (Tags entries nil for untagged flows). Flows with any
 // packet still in flight are simply absent — partial payloads are never
@@ -51,7 +59,7 @@ type Partial struct {
 	Tags    [][]uint64
 }
 
-// Elems returns the total number of salvaged payload elements.
+// Elems returns the total number of completed payload elements.
 func (p *Partial) Elems() int {
 	total := 0
 	for _, d := range p.Data {
@@ -67,42 +75,63 @@ func (p *Partial) Elems() int {
 // path per cycle.
 func Run(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, error) {
 	out, _, err := RunRecover(e, flows)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// RunRecover is Run with checkpoint salvage: when the engine run fails
-// (fault injection, deadline, deadlock), the completely delivered flows are
-// recovered from the destination nodes' final buffers — safe to read
-// host-side because a failed Run parks every node before returning — and
-// returned as a Partial alongside the error. On success the Partial is nil
-// and the delivery map is identical to Run's.
+// RunRecover is RunFlows viewed by destination: on success the completed
+// flows regrouped per destination node (sorted by source, flow order kept
+// within a source) and a nil Partial; on failure no map and the salvaged
+// flows. The regrouping forgets which flow a delivery belongs to — callers
+// that scatter by canonical offset want RunFlows.
+func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial, error) {
+	done, err := RunFlows(e, flows)
+	if err != nil {
+		return nil, done, err
+	}
+	out := make(map[uint64][]Delivery)
+	for k, i := range done.FlowIdx {
+		f := flows[i]
+		out[f.Dst] = append(out[f.Dst], Delivery{Src: f.Src, Data: done.Data[k], Tags: done.Tags[k]})
+	}
+	for _, ds := range out {
+		// Stable: deliveries from the same source keep flow order, so
+		// multi-path payloads reassemble deterministically.
+		slices.SortStableFunc(ds, func(a, b Delivery) int { return cmp.Compare(a.Src, b.Src) })
+	}
+	return out, nil, nil
+}
+
+// RunFlows executes all flows on the engine and returns the completed ones
+// by flow index — the one result format: every flow on success, and on a
+// failed run (fault injection, deadline, deadlock) the completely delivered
+// flows salvaged from the destination nodes' final buffers, safe to read
+// host-side because a failed Run parks every node before returning. The
+// Partial is never nil; a flow set refused by validation ran nothing and
+// yields an empty one.
 //
 // Every flow is stamped with a whole-flow delivery-audit checksum at
 // injection (one pass per flow, carried by each of its packets) and
 // verified once at its destination after the flow's packets have all
 // arrived; a mismatch aborts the run with a typed *fabric.AuditError.
-func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial, error) {
+func RunFlows(e fabric.Fabric, flows []Flow) (*Partial, error) {
 	n := e.Dims()
 	N := uint64(e.Nodes())
 	for i, f := range flows {
 		if f.Src >= N || f.Dst >= N {
-			return nil, nil, fmt.Errorf("router: flow %d endpoints out of range", i)
+			return &Partial{}, fmt.Errorf("router: flow %d endpoints out of range", i)
 		}
 		if f.Tags != nil && len(f.Tags) != len(f.Data) {
-			return nil, nil, fmt.Errorf("router: flow %d has %d tags for %d elements", i, len(f.Tags), len(f.Data))
+			return &Partial{}, fmt.Errorf("router: flow %d has %d tags for %d elements", i, len(f.Tags), len(f.Data))
 		}
 		end := f.Src
 		for _, d := range f.Dims {
 			if d < 0 || d >= n {
-				return nil, nil, fmt.Errorf("router: flow %d has dimension %d out of range", i, d)
+				return &Partial{}, fmt.Errorf("router: flow %d has dimension %d out of range", i, d)
 			}
 			end ^= 1 << uint(d)
 		}
 		if end != f.Dst {
-			return nil, nil, fmt.Errorf("router: flow %d route ends at %d, not %d", i, end, f.Dst)
+			return &Partial{}, fmt.Errorf("router: flow %d route ends at %d, not %d", i, end, f.Dst)
 		}
 	}
 
@@ -228,7 +257,7 @@ func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial,
 
 	// Reassemble per flow. After a failed Run every node goroutine has
 	// parked, so finals is safe to read here even on the error path.
-	byFlow := make(map[int][]pkt)
+	byFlow := make([][]pkt, len(flows))
 	for _, ps := range finals {
 		for _, p := range ps {
 			byFlow[p.flow] = append(byFlow[p.flow], p)
@@ -259,46 +288,27 @@ func RunRecover(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, *Partial,
 		return data, tags
 	}
 
-	if err != nil {
-		part := &Partial{}
-		for i, f := range flows {
-			if len(f.Dims) > 0 && len(byFlow[i]) != packetsOf(f) {
-				continue // packets still in flight; never expose partial payloads
-			}
-			data, tags := assemble(i)
-			// The in-run per-flow audit only fires on completed runs; audit
-			// salvaged flows here so a corrupt payload is never exposed.
-			if ps := byFlow[i]; len(ps) > 0 && ps[0].sum != 0 {
-				if fabric.Checksum(data) != ps[0].sum {
-					continue
-				}
-			}
-			part.FlowIdx = append(part.FlowIdx, i)
-			part.Data = append(part.Data, data)
-			part.Tags = append(part.Tags, tags)
-		}
-		return nil, part, err
+	done := &Partial{
+		FlowIdx: make([]int, 0, len(flows)),
+		Data:    make([][]float64, 0, len(flows)),
+		Tags:    make([][]uint64, 0, len(flows)),
 	}
-
-	out := make(map[uint64][]Delivery)
 	for i, f := range flows {
+		ps := byFlow[i]
+		if err != nil && len(f.Dims) > 0 && len(ps) != packetsOf(f) {
+			continue // packets still in flight; never expose partial payloads
+		}
 		data, tags := assemble(i)
-		out[f.Dst] = append(out[f.Dst], Delivery{Src: f.Src, Data: data, Tags: tags})
+		// The in-run per-flow audit only fires on completed runs; audit
+		// salvaged flows here so a corrupt payload is never exposed.
+		if err != nil && len(ps) > 0 && ps[0].sum != 0 && fabric.Checksum(data) != ps[0].sum {
+			continue
+		}
+		done.FlowIdx = append(done.FlowIdx, i)
+		done.Data = append(done.Data, data)
+		done.Tags = append(done.Tags, tags)
 	}
-	for _, ds := range out {
-		// Stable: deliveries from the same source keep flow order, so
-		// multi-path payloads reassemble deterministically.
-		slices.SortStableFunc(ds, func(a, b Delivery) int {
-			if a.Src < b.Src {
-				return -1
-			}
-			if a.Src > b.Src {
-				return 1
-			}
-			return 0
-		})
-	}
-	return out, nil, nil
+	return done, err
 }
 
 // packetsOf returns the effective packet count of a flow: at least 1, and

@@ -3,6 +3,8 @@ package service
 import (
 	"sort"
 	"time"
+
+	"boolcube/internal/plan"
 )
 
 // This file is the service's crash-recovery layer: the circuit breaker that
@@ -10,7 +12,7 @@ import (
 // paces crashed units back into rounds, and the small set-algebra helpers
 // runRound uses to decide which units must be relabeled around dead nodes.
 //
-// The division of labor: a unit's own dead set (unit.dead) is authoritative
+// The division of labor: a unit's own dead set (unit.Dead) is authoritative
 // for that unit — its round failed on those nodes, so its recovery must
 // avoid them. The service-level quarantine is the fleet view: a node named
 // in QuarantineAfter node-down failures is retired for everyone, so fresh
@@ -171,7 +173,7 @@ func sortedNodes(set map[uint64]bool) []uint64 {
 // intermediates on a route are the failover pass's cheaper problem.
 func (u *unit) touchesDead(dead map[uint64]bool) bool {
 	for _, sp := range u.spans {
-		if dead[sp.src] || dead[sp.dst] {
+		if dead[sp.Src] || dead[sp.Dst] {
 			return true
 		}
 	}
@@ -180,11 +182,11 @@ func (u *unit) touchesDead(dead map[uint64]bool) bool {
 
 // spanEndpoints collects the distinct endpoints of a unit's network spans,
 // in first-appearance order — the active set a remap must keep hosted.
-func spanEndpoints(spans []span) []uint64 {
+func spanEndpoints(spans []plan.Flow) []uint64 {
 	seen := make(map[uint64]bool, 2*len(spans))
 	var out []uint64
 	for _, sp := range spans {
-		for _, nd := range [2]uint64{sp.src, sp.dst} {
+		for _, nd := range [2]uint64{sp.Src, sp.Dst} {
 			if !seen[nd] {
 				seen[nd] = true
 				out = append(out, nd)

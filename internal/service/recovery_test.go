@@ -10,6 +10,7 @@ import (
 	"boolcube/internal/fault"
 	"boolcube/internal/field"
 	"boolcube/internal/plan"
+	"boolcube/internal/router"
 )
 
 // unfaultedRoundTime measures one job's fault-free round makespan on a
@@ -308,5 +309,69 @@ func TestBackoffDelayDeterministicJitter(t *testing.T) {
 	}
 	if !varied {
 		t.Fatal("jitter is constant across unit sequences")
+	}
+}
+
+// Tenant isolation on failover: a flow the failover pass cannot reroute
+// condemns the unit that owns it, not the round. Node 63 of a 6-cube is cut
+// off by link faults (every incident link down in both directions — the
+// node is alive, so nothing is remapped); a job spanning the full cube has
+// transfers that end there and fails with ErrNoRoute, while a co-scheduled
+// job on the low 4-subcube never comes near the node and must complete
+// element-exact, whichever of the two comes first in the round's flow order.
+func TestServiceFailoverRefusalIsolatesTenant(t *testing.T) {
+	const n, cut = 6, 63
+	var rules []fault.Rule
+	for d := 0; d < n; d++ {
+		rules = append(rules,
+			fault.Rule{Kind: fault.LinkDown, Link: fault.Link{From: cut, Dim: d}},
+			fault.Rule{Kind: fault.LinkDown, Link: fault.Link{From: cut ^ 1<<uint(d), Dim: d}})
+	}
+	fp, err := fault.Compile(fault.Spec{Rules: rules}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, _ := mkSpec(plan.Exchange, 6, 6, n, field.Binary)
+	narrow, m := mkSpec(plan.SBnT, 4, 4, 4, field.Binary)
+	for _, wideFirst := range []bool{true, false} {
+		// A bare service and a hand-driven round: both jobs are in the same
+		// round by construction, in submit order.
+		s := bareService(Config{Dims: n})
+		s.faults = fp
+		specs := []JobSpec{narrow, wide}
+		if wideFirst {
+			specs = []JobSpec{wide, narrow}
+		}
+		jobs := make(map[bool]*Job)
+		for _, spec := range specs {
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs[spec.Src == wide.Src] = j
+		}
+		s.mu.Lock()
+		units := s.formRoundLocked()
+		s.mu.Unlock()
+		if len(units) != 2 {
+			t.Fatalf("round has %d unit(s), want 2", len(units))
+		}
+		s.runRound(units)
+
+		_, werr := jobs[true].Wait()
+		var ee *core.ExecError
+		if !errors.Is(werr, router.ErrNoRoute) || !errors.As(werr, &ee) {
+			t.Fatalf("wideFirst=%v: full-cube job: %v, want a checkpointed ErrNoRoute", wideFirst, werr)
+		}
+		res, nerr := jobs[false].Wait()
+		if nerr != nil {
+			t.Fatalf("wideFirst=%v: job clear of the cut node failed with its co-tenant: %v", wideFirst, nerr)
+		}
+		if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+			t.Fatalf("wideFirst=%v: %v", wideFirst, verr)
+		}
+		if mt := s.Metrics(); mt.Failed != 1 || mt.Completed != 1 || mt.Rounds != 1 {
+			t.Fatalf("wideFirst=%v: metrics %+v, want 1 failed, 1 completed, 1 round", wideFirst, mt)
+		}
 	}
 }

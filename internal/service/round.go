@@ -13,34 +13,18 @@ import (
 	"boolcube/internal/router"
 )
 
-// span is one source-routed transfer a unit still owes: the [off, off+len)
-// range of the (src, dst) canonical payload, the dimension path it follows,
-// and its pipelining grain. Spans are the unit's residual move-set in
-// executable form; a failed round rebuilds them from the delivery record.
-type span struct {
-	src, dst uint64
-	off, ln  int
-	dims     []int
-	packets  int
-}
-
 // unit is one execution unit of a round: a batch of jobs sharing a compiled
-// plan and a source distribution, their shared destination arrays, delivery
-// record, accrued cost, attempt count and the tightest deadline budget in
-// the batch. jobs[0] is the leader — it receives the real arrays; followers
-// receive deep copies.
+// plan and a source distribution. The embedded checkpoint is the unit's
+// shared progress — plan, source, destination arrays, delivery record, cost
+// accrued across its rounds, crash casualties (ascending) — and is exactly
+// what a failing unit hands its tenants. jobs[0] is the leader — it receives
+// the real arrays; followers receive deep copies.
 type unit struct {
-	jobs []*Job
-	p    *plan.Plan
-	src  *matrix.Dist
-
-	loc      [][]float64     // after-side local arrays, len = after.N()
-	del      *plan.Delivered // spans already placed in loc
-	stats    fabric.Stats    // cost accrued across this unit's rounds
+	core.Checkpoint
+	jobs     []*Job
 	attempts int
-	budget   float64  // remaining deadline budget, µs (+Inf = none)
-	spans    []span   // residual network transfers
-	dead     []uint64 // crash casualties accumulated across this unit's rounds, ascending
+	budget   float64     // remaining deadline budget, µs (+Inf = none)
+	spans    []plan.Flow // residual network transfers
 }
 
 // budgetOf maps a job's deadline to a budget (+Inf when unset).
@@ -51,86 +35,32 @@ func budgetOf(j *Job) float64 {
 	return math.Inf(1)
 }
 
-// newUnit builds a fresh execution unit for one job: allocates the
-// destination arrays, places the src == dst self pairs host-side (they
-// never cross a link, so even a failed first round checkpoints with them
-// durable — the same discipline the dedicated executors use), and derives
-// the network spans. Flow plans keep their compiled path-system routes and
+// newUnit builds a fresh execution unit for one job: a new checkpoint (self
+// pairs placed, so even a failed first round leaves them durable) and the
+// network spans. Flow plans keep their compiled path-system routes and
 // packetization; exchange and mixed-program plans execute their canonical
 // move-set over dimension-order direct routes, exactly as checkpoint
 // resume replays residuals.
-func newUnit(j *Job, packets int) *unit {
-	p := j.plan
-	after := p.After()
-	mv := p.Moves()
+func newUnit(j *Job) *unit {
 	u := &unit{
-		jobs:   []*Job{j},
-		p:      p,
-		src:    j.spec.Src,
-		loc:    make([][]float64, after.N()),
-		del:    plan.NewDelivered(),
-		budget: budgetOf(j),
+		Checkpoint: *core.NewCheckpoint(j.plan, j.spec.Src),
+		jobs:       []*Job{j},
+		budget:     budgetOf(j),
 	}
-	for i := range u.loc {
-		u.loc[i] = make([]float64, after.LocalSize())
+	if j.plan.Kind() == plan.KindFlow {
+		u.spans = j.plan.Flows()
+	} else {
+		u.spans = u.ResidualSpans()
 	}
-	for dp := 0; dp < after.N(); dp++ {
-		if dp < u.src.Layout.N() {
-			self := mv.Gather(uint64(dp), u.src.Local[dp], uint64(dp))
-			mv.Scatter(uint64(dp), u.loc[dp], uint64(dp), self)
-			u.del.Add(uint64(dp), uint64(dp), 0, len(self))
-		}
-	}
-	if p.Kind() == plan.KindFlow {
-		for _, f := range p.Flows() {
-			u.spans = append(u.spans, span{
-				src: f.Src, dst: f.Dst, off: f.Off, ln: f.Len,
-				dims: f.Dims, packets: f.Packets,
-			})
-		}
-		return u
-	}
-	u.rebuildSpans(packets)
 	return u
 }
 
-// rebuildSpans recomputes the unit's network spans from the residual
-// move-set (everything the delivery record does not cover), routing each
-// residual dimension-order. Self-pair residuals are replayed host-side on
-// the spot. Called at unit creation (non-flow plans) and after every
-// partially delivered round.
-func (u *unit) rebuildSpans(packets int) {
-	if packets <= 0 {
-		packets = u.p.Config().Packets
-	}
-	mv := u.p.Moves()
-	u.spans = u.spans[:0]
-	for _, r := range u.p.Remaining(u.del) {
-		if r.Src == r.Dst {
-			id := r.Src
-			if id < uint64(len(u.src.Local)) && u.loc[id] != nil {
-				data := mv.GatherRange(id, u.src.Local[id], id, r.Off, r.Len)
-				mv.ScatterRange(id, u.loc[id], id, r.Off, data)
-			}
-			u.del.Add(id, id, r.Off, r.Len)
-			continue
-		}
-		u.spans = append(u.spans, span{
-			src: r.Src, dst: r.Dst, off: r.Off, ln: r.Len,
-			dims: router.Ecube(r.Src, r.Dst, u.p.NDims()), packets: packets,
-		})
-	}
-}
-
-// pair keys the per-(dst, src) delivery FIFOs of a merged round.
-type pair struct{ dst, src uint64 }
-
-// runRound executes one round: the union of every unit's spans as one flow
-// set on one fresh engine. This is where multi-tenancy becomes physical —
+// runRound executes one round: every unit's spans as one core.RunTransfers
+// call on one fresh engine. This is where multi-tenancy becomes physical —
 // co-scheduled units' packets contend for the same links, and the round's
 // deadline is the tightest remaining budget among its jobs. On success every
 // unit completes; on a deadline abort the binding units fail with per-job
-// checkpoints while the others absorb the round's partial progress, shrink
+// checkpoints while the others keep the round's partial progress, shrink
 // their budgets by the round's makespan, and re-queue for an automatic
 // residual resume.
 //
@@ -143,71 +73,52 @@ type pair struct{ dst, src uint64 }
 // surfaces a *fabric.NodeDownError; its units absorb the casualties into
 // their dead sets and re-queue for recovery under the backoff policy.
 func (s *Service) runRound(units []*unit) {
-	type ref struct {
-		u  *unit
-		si int
+	// Build one transfer per unit, relabeling degraded units first. A unit
+	// needs a remap only when a span endpoint is dead; its compiled routes
+	// are otherwise kept and the failover pass handles dead intermediates.
+	eb := s.cfg.Machine.ElemBytes
+	if eb <= 0 {
+		eb = 8
 	}
-
-	// Relabel degraded units before building flows. A unit needs a remap
-	// only when a span endpoint is dead; its compiled routes are otherwise
-	// kept and the failover pass below handles dead intermediates.
 	avoid := s.quarantineSnapshot()
 	roundDead := make(map[uint64]bool)
-	asgOf := make(map[*unit]*remap.Assignment)
+	var recoveryBytes int64
+	nflows := 0
+	roundBudget := math.Inf(1)
 	live := units[:0:0]
+	transfers := make([]core.Transfer, 0, len(units))
 	for _, u := range units {
-		deadU := deadView(u.dead, avoid)
+		t := core.Transfer{Checkpoint: &u.Checkpoint}
+		deadU := deadView(u.Dead, avoid)
 		for nd := range deadU {
 			roundDead[nd] = true
 		}
 		if len(deadU) > 0 && u.touchesDead(deadU) {
 			// Degrade to dimension-order residual spans (replaying any
 			// self pairs host-side), then embed them on the survivors.
-			u.rebuildSpans(s.cfg.Packets)
+			u.spans = u.ResidualSpans()
 			asg, err := remap.Plan(s.cfg.Dims, sortedNodes(deadU), spanEndpoints(u.spans))
 			if err != nil {
 				s.failUnit(u, err)
 				continue
 			}
 			if asg.Degraded() {
-				asgOf[u] = asg
+				t.Phys = asg.Phys
 			}
 		}
+		t.Spans = u.spans
 		live = append(live, u)
+		transfers = append(transfers, t)
+		roundBudget = min(roundBudget, u.budget)
+		nflows += len(u.spans)
+		if len(u.Dead) > 0 {
+			for _, sp := range u.spans {
+				recoveryBytes += int64(sp.Len * eb)
+			}
+		}
 	}
 	units = live
-
-	eb := s.cfg.Machine.ElemBytes
-	if eb <= 0 {
-		eb = 8
-	}
-	var recoveryBytes int64
-	var flows []router.Flow
-	var refs []ref
-	roundBudget := math.Inf(1)
-	for _, u := range units {
-		if u.budget < roundBudget {
-			roundBudget = u.budget
-		}
-		mv := u.p.Moves()
-		asg := asgOf[u]
-		for si, sp := range u.spans {
-			fsrc, fdst, dims := sp.src, sp.dst, sp.dims
-			if asg != nil {
-				fsrc, fdst = asg.Phys(sp.src), asg.Phys(sp.dst)
-				dims = asg.Route(sp.src, sp.dst)
-			}
-			data := mv.GatherRange(sp.src, u.src.Local[sp.src], sp.dst, sp.off, sp.ln)
-			if len(u.dead) > 0 {
-				recoveryBytes += int64(len(data) * eb)
-			}
-			flows = append(flows, router.Flow{
-				Src: fsrc, Dst: fdst, Dims: dims, Packets: sp.packets, Data: data,
-			})
-			refs = append(refs, ref{u, si})
-		}
-	}
-	if len(flows) == 0 {
+	if nflows == 0 {
 		// Everything was local (self pairs only) — no engine needed.
 		for _, u := range units {
 			s.completeUnit(u)
@@ -218,28 +129,14 @@ func (s *Service) runRound(units []*unit) {
 	// Route around links the fault view has already condemned and around
 	// every node this round treats as dead (a remapped unit's own route
 	// may otherwise thread a spare substitution through the corpse).
-	var rep router.FailoverReport
+	var down func(from uint64, dim int) bool
 	if s.faults != nil || len(roundDead) > 0 {
-		down := func(from uint64, dim int) bool {
+		down = func(from uint64, dim int) bool {
 			if s.faults != nil && s.faults.PermanentlyDown(from, dim) {
 				return true
 			}
 			return roundDead[from] || roundDead[from^(1<<uint(dim))]
 		}
-		var kept []int
-		var ferr error
-		flows, kept, rep, ferr = router.Failover(flows, s.cfg.Dims, down, false)
-		if ferr != nil {
-			for _, u := range units {
-				s.failUnit(u, ferr)
-			}
-			return
-		}
-		reref := make([]ref, len(kept))
-		for i, fi := range kept {
-			reref[i] = refs[fi]
-		}
-		refs = reref
 	}
 
 	e, err := fabric.New(s.cfg.Backend, s.cfg.Dims, s.cfg.Machine)
@@ -257,11 +154,21 @@ func (s *Service) runRound(units []*unit) {
 	if !math.IsInf(roundBudget, 1) {
 		e.SetDeadline(roundBudget)
 	}
-	deliveries, part, runErr := router.RunRecover(e, flows)
-	st := e.Stats()
-	st.Rerouted = rep.Rerouted
-	st.ExtraHops = rep.ExtraHops
-	st.Abandoned = rep.Abandoned
+	st, runErr := core.RunTransfers(e, transfers, down, false)
+	var re *router.RouteError
+	if errors.As(runErr, &re) {
+		// Refused before the engine ran: one flow has no fault-free route.
+		// That condemns the unit owning it, not its co-tenants — fail the
+		// owner and run the round with the rest.
+		i, fi := 0, re.Flow
+		for fi >= len(units[i].spans) {
+			fi -= len(units[i].spans)
+			i++
+		}
+		s.failUnit(units[i], runErr)
+		s.runRound(append(units[:i:i], units[i+1:]...))
+		return
+	}
 	if s.faults != nil {
 		// The machine's clock accumulates across rounds: advance the fault
 		// view by this round's makespan, so fired kills become permanent
@@ -274,127 +181,76 @@ func (s *Service) runRound(units []*unit) {
 	s.metrics.RecoveryBytes += recoveryBytes
 	s.mu.Unlock()
 
-	if runErr != nil {
-		// Salvage completed flows into their units, then classify each
-		// unit: fail with checkpoints, or absorb and resume.
-		for k, fi := range part.FlowIdx {
-			r := refs[fi]
-			sp := r.u.spans[r.si]
-			mv := r.u.p.Moves()
-			mv.ScatterRange(sp.dst, r.u.loc[sp.dst], sp.src, sp.off, part.Data[k])
-			r.u.del.Add(sp.src, sp.dst, sp.off, len(part.Data[k]))
+	// The kernel has scattered every completed flow into its unit (and, on
+	// failure, recorded it); what remains is to classify each unit:
+	// complete, fail with checkpoints, or re-queue its residual.
+	//
+	// A node-down abort is recoverable hardware loss, not a job failure:
+	// feed the circuit breaker, fold the casualties into every unit's dead
+	// set, and re-queue survivors of the attempt budget for a remapped
+	// recovery round under the backoff policy.
+	var nde *fabric.NodeDownError
+	crashed := errors.As(runErr, &nde)
+	if crashed {
+		s.noteSuspects(nde.Nodes)
+	}
+	deadline := !crashed && errors.Is(runErr, fabric.ErrDeadline)
+	for _, u := range units {
+		u.Stats = u.Stats.Merge(st)
+		if runErr == nil {
+			s.completeUnit(u)
+			continue
 		}
-		// A node-down abort is recoverable hardware loss, not a job
-		// failure: feed the circuit breaker, fold the casualties into
-		// every unit's dead set, and re-queue survivors of the attempt
-		// budget for a remapped recovery round under the backoff policy.
-		var nde *fabric.NodeDownError
-		if errors.As(runErr, &nde) {
-			s.noteSuspects(nde.Nodes)
-			for _, u := range units {
-				u.stats = u.stats.Merge(st)
-				u.attempts++
-				u.dead = mergeDead(u.dead, nde.Nodes)
-				if u.attempts >= s.cfg.MaxAttempts {
-					s.failUnit(u, fmt.Errorf("%w (%d attempt(s)): %w", ErrAttempts, u.attempts, runErr))
-					continue
-				}
-				u.budget -= st.Time
-				if u.budget <= 0 {
-					s.failUnit(u, runErr)
-					continue
-				}
-				u.rebuildSpans(s.cfg.Packets)
-				if len(u.spans) == 0 {
-					s.completeUnit(u)
-					continue
-				}
-				s.requeueAfterCrash(u)
-			}
-			return
+		u.attempts++
+		if crashed {
+			u.Dead = mergeDead(u.Dead, nde.Nodes)
 		}
-
-		deadline := errors.Is(runErr, fabric.ErrDeadline)
-		for _, u := range units {
-			u.stats = u.stats.Merge(st)
-			u.attempts++
-			if !deadline {
-				s.failUnit(u, runErr)
-				continue
-			}
-			binding := u.budget <= roundBudget
-			if binding || u.attempts >= s.cfg.MaxAttempts {
-				cause := runErr
-				if !binding {
-					cause = fmt.Errorf("%w (%d attempt(s)): %w", ErrAttempts, u.attempts, runErr)
-				}
-				s.failUnit(u, cause)
-				continue
-			}
-			u.budget -= st.Time
-			if u.budget <= 0 {
-				s.failUnit(u, runErr)
-				continue
-			}
-			u.rebuildSpans(s.cfg.Packets)
-			if len(u.spans) == 0 {
-				s.completeUnit(u)
-				continue
-			}
+		binding := deadline && u.budget <= roundBudget
+		switch {
+		case !deadline && !crashed, binding:
+			s.failUnit(u, runErr)
+			continue
+		case u.attempts >= s.cfg.MaxAttempts:
+			s.failUnit(u, fmt.Errorf("%w (%d attempt(s)): %w", ErrAttempts, u.attempts, runErr))
+			continue
+		}
+		u.budget -= st.Time
+		if u.budget <= 0 {
+			s.failUnit(u, runErr)
+			continue
+		}
+		u.spans = u.ResidualSpans()
+		switch {
+		case len(u.spans) == 0:
+			s.completeUnit(u)
+		case crashed:
+			s.requeueAfterCrash(u)
+		default:
 			s.mu.Lock()
 			s.resume = append(s.resume, u)
 			s.metrics.Resumed++
 			s.cond.Signal()
 			s.mu.Unlock()
 		}
-		return
-	}
-
-	// Zip deliveries back to (unit, span): per (dst, src) pair, deliveries
-	// arrive in global flow-injection order (the router sorts each node's
-	// deliveries stably by source), so a per-pair FIFO of merged flow
-	// indices attributes every chunk even when several tenants share a
-	// processor pair.
-	fifo := make(map[pair][]int)
-	for k, f := range flows {
-		key := pair{f.Dst, f.Src}
-		fifo[key] = append(fifo[key], k)
-	}
-	next := make(map[pair]int)
-	for dst, ds := range deliveries {
-		for _, dl := range ds {
-			key := pair{dst, dl.Src}
-			k := fifo[key][next[key]]
-			next[key]++
-			r := refs[k]
-			sp := r.u.spans[r.si]
-			mv := r.u.p.Moves()
-			// Scatter by the span's logical ids, not the wire endpoints —
-			// under a remap the flow traveled between physical hosts, but
-			// the payload still belongs to the logical (src, dst) pair.
-			mv.ScatterRange(sp.dst, r.u.loc[sp.dst], sp.src, sp.off, dl.Data)
-			r.u.del.Add(sp.src, sp.dst, sp.off, len(dl.Data))
-		}
-	}
-	for _, u := range units {
-		u.stats = u.stats.Merge(st)
-		s.completeUnit(u)
 	}
 }
 
 // completeUnit publishes a finished unit to its tenants. The leader gets
 // the unit's own arrays; every follower gets an independent deep copy —
-// batched tenants must each own their result.
+// batched tenants must each own their result. Followers go first: once the
+// leader's job is finished its tenant owns (and may write) the arrays the
+// copies are taken from.
 func (s *Service) completeUnit(u *unit) {
-	after := u.p.After()
-	for i, j := range u.jobs {
-		loc := u.loc
+	after := u.Plan.After()
+	for i := len(u.jobs) - 1; i >= 0; i-- {
+		j := u.jobs[i]
+		loc := u.Loc
 		if i > 0 {
-			loc = copyLoc(u.loc)
+			loc = copyLoc(u.Loc)
 		}
 		res := &core.Result{
 			Dist:  &matrix.Dist{Layout: after, Local: loc[:after.N()]},
-			Stats: u.stats,
+			Stats: u.Stats,
 		}
 		j.finish(res, nil)
 		s.mu.Lock()
@@ -402,31 +258,33 @@ func (s *Service) completeUnit(u *unit) {
 		if i > 0 {
 			s.metrics.Batched++
 		}
-		s.metrics.latencies = append(s.metrics.latencies, j.lat)
+		s.metrics.lat.add(j.lat)
 		s.mu.Unlock()
 	}
 }
 
 // failUnit fails every tenant of a unit with its own resumable checkpoint:
-// the leader owns the unit's arrays and delivery record, followers get deep
-// copies — each tenant can hand its *core.ExecError checkpoint to
-// core.Resume independently and finish element-exact on a private engine.
+// the leader is handed the unit's checkpoint itself, followers get copies
+// with their own arrays and delivery record — each tenant can hand its
+// *core.ExecError checkpoint to core.Resume independently and finish
+// element-exact on a private engine. Followers go first, for the same
+// reason as in completeUnit: a finished leader may Resume at once, writing
+// the very checkpoint the copies are taken from.
 func (s *Service) failUnit(u *unit, cause error) {
-	for i, j := range u.jobs {
-		loc, del := u.loc, u.del
+	u.At = u.Stats.Time
+	u.Opts = core.ExecOptions{Backend: s.cfg.Backend}
+	for i := len(u.jobs) - 1; i >= 0; i-- {
+		j := u.jobs[i]
+		cp := &u.Checkpoint
 		if i > 0 {
-			loc, del = copyLoc(u.loc), u.del.Clone()
-		}
-		cp := &core.Checkpoint{
-			Plan: u.p, Src: u.src, Loc: loc, Delivered: del,
-			Stats: u.stats, At: u.stats.Time,
-			Opts: core.ExecOptions{Backend: s.cfg.Backend},
-			Dead: u.dead,
+			c := u.Checkpoint
+			c.Loc, c.Delivered = copyLoc(u.Loc), u.Delivered.Clone()
+			cp = &c
 		}
 		j.finish(nil, &core.ExecError{Checkpoint: cp, Err: cause})
 		s.mu.Lock()
 		s.metrics.Failed++
-		s.metrics.latencies = append(s.metrics.latencies, j.lat)
+		s.metrics.lat.add(j.lat)
 		s.mu.Unlock()
 	}
 }

@@ -8,11 +8,11 @@
 //
 // Execution happens in rounds. The scheduler drains the pending queue (by
 // effective priority — submitted priority plus aging), groups identical
-// (plan, source) requests into one execution unit each, converts every
-// unit's residual move-set into source-routed flows — compiled path
-// systems (SPT/DPT/MPT/SBnT routes) for flow plans, dimension-order direct
-// routes otherwise, exactly as checkpoint resume does — and injects the
-// union of all units' flows into a single engine run. Link bandwidth is
+// (plan, source) requests into one execution unit each — a core.Checkpoint
+// plus the spans it still owes: compiled path systems (SPT/DPT/MPT/SBnT
+// routes) for flow plans, dimension-order direct routes otherwise, exactly
+// as checkpoint resume does — and runs all units' spans as one
+// core.RunTransfers call on a single engine. Link bandwidth is
 // genuinely contended: co-scheduled jobs' packets interleave on the same
 // links, the round's makespan reflects the interference, and per-link
 // maxima grow where tenants overlap. The additive Stats counters (sends,
@@ -31,6 +31,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -147,29 +148,58 @@ type Metrics struct {
 	RecoveryBytes int64 // bytes moved by recovery attempts of crashed units
 	Quarantined   int64 // nodes retired by the circuit breaker
 
-	latencies []float64 // finished-job latencies, wall µs, completion order
+	lat latencyHist // finished-job wall latencies
 }
 
-// Latencies returns the finished jobs' wall latencies in µs, in completion
-// order. The slice is the snapshot's own copy.
-func (m *Metrics) Latencies() []float64 { return m.latencies }
+// Latency histogram layout: latOctaves powers of two starting at 1 µs (so up
+// to 2^36 µs, about 19 hours; anything outside clamps to the end buckets),
+// each split into latSub equal-width buckets — a bucket is never wider than
+// 1/latSub of its lower bound. Fixed size, so a service's latency record
+// does not grow with its lifetime and a Metrics snapshot is a plain copy.
+const (
+	latSub     = 8
+	latOctaves = 36
+)
+
+// latencyHist counts finished jobs per latency bucket.
+type latencyHist [latOctaves * latSub]int64
+
+// add records one latency in µs.
+func (h *latencyHist) add(us float64) {
+	i := 0
+	switch {
+	case us >= 1<<latOctaves: // +Inf included
+		i = len(h) - 1
+	case us >= 1:
+		frac, exp := math.Frexp(us) // us = frac·2^exp, frac in [0.5, 1)
+		i = (exp-1)*latSub + int((frac-0.5)*2*latSub)
+	}
+	h[i]++
+}
+
+// latUpper is the exclusive upper bound of bucket i in µs.
+func latUpper(i int) float64 {
+	base := math.Ldexp(1, i/latSub)
+	return base + float64(i%latSub+1)*base/latSub
+}
 
 // LatencyPercentile returns the q-th percentile (0 < q <= 100) of the
-// finished jobs' wall latencies in µs, 0 when nothing finished yet.
+// finished jobs' wall latencies in µs — the upper bound of the bucket
+// holding the nearest-rank sample, so at most one bucket width above the
+// exact value — and 0 when nothing finished yet.
 func (m *Metrics) LatencyPercentile(q float64) float64 {
-	if len(m.latencies) == 0 {
-		return 0
+	var total int64
+	for _, c := range m.lat {
+		total += c
 	}
-	s := append([]float64(nil), m.latencies...)
-	sort.Float64s(s)
-	i := int(q/100*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
+	rank := min(max(int64(q/100*float64(total)+0.5), 1), total)
+	var seen int64
+	for i, c := range m.lat {
+		if seen += c; c > 0 && seen >= rank {
+			return latUpper(i)
+		}
 	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	return 0
 }
 
 // Service is a long-lived multi-tenant transpose scheduler. Construct with
@@ -286,9 +316,7 @@ func (s *Service) Close() {
 func (s *Service) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.metrics
-	m.latencies = append([]float64(nil), s.metrics.latencies...)
-	return m
+	return s.metrics
 }
 
 // run is the scheduler: wait for work, optionally hold the admission
@@ -341,7 +369,7 @@ func (s *Service) formRoundLocked() []*unit {
 	}
 	selected, rest := pickJobs(s.pending, free, s.cfg.Aging)
 	s.pending = rest
-	return append(units, groupUnits(selected, !s.cfg.DisableBatch, s.cfg.Packets)...)
+	return append(units, groupUnits(selected, !s.cfg.DisableBatch)...)
 }
 
 // pickJobs selects up to k jobs from pending by effective priority —
@@ -390,7 +418,7 @@ func pickJobs(pending []*Job, k, aging int) (selected, rest []*Job) {
 // config — one pointer, thanks to the plan cache) and the same source
 // distribution collapse into one unit: the payload moves once and every
 // tenant receives its own copy of the result.
-func groupUnits(jobs []*Job, batch bool, packets int) []*unit {
+func groupUnits(jobs []*Job, batch bool) []*unit {
 	var units []*unit
 	type key struct {
 		p   *plan.Plan
@@ -407,12 +435,12 @@ func groupUnits(jobs []*Job, batch bool, packets int) []*unit {
 				}
 				continue
 			}
-			u := newUnit(j, packets)
+			u := newUnit(j)
 			byKey[k] = u
 			units = append(units, u)
 			continue
 		}
-		units = append(units, newUnit(j, packets))
+		units = append(units, newUnit(j))
 	}
 	return units
 }

@@ -3,8 +3,10 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -526,17 +528,79 @@ func TestUnknownBackend(t *testing.T) {
 // TestServiceMetricsLatency: percentiles are computed over completed jobs
 // and are monotone in q.
 func TestServiceMetricsLatency(t *testing.T) {
-	m := Metrics{latencies: []float64{5, 1, 9, 3, 7}}
+	var m Metrics
+	for _, v := range []float64{5, 1, 9, 3, 7} {
+		m.lat.add(v)
+	}
 	p50, p99 := m.LatencyPercentile(50), m.LatencyPercentile(99)
 	if p50 > p99 {
 		t.Fatalf("p50 %g > p99 %g", p50, p99)
 	}
-	if p99 != 9 {
-		t.Fatalf("p99 = %g, want 9", p99)
+	if p99 < 9 || p99 > 9*(1+1.0/latSub) {
+		t.Fatalf("p99 = %g, want within one bucket above 9", p99)
 	}
 	var empty Metrics
 	if empty.LatencyPercentile(50) != 0 {
 		t.Fatal("empty percentile != 0")
+	}
+
+	// Seeded sample spanning six decades: every percentile lands in the
+	// bucket of the exact nearest-rank value, i.e. at most one bucket width
+	// (1/latSub of the value) above it.
+	rng := rand.New(rand.NewSource(7))
+	var h Metrics
+	sample := make([]float64, 5000)
+	for i := range sample {
+		sample[i] = math.Exp(rng.Float64() * math.Log(1e6))
+		h.lat.add(sample[i])
+	}
+	sort.Float64s(sample)
+	for _, q := range []float64{1, 25, 50, 90, 95, 99, 99.9, 100} {
+		exact := sample[max(int(q/100*float64(len(sample))+0.5), 1)-1]
+		if got := h.LatencyPercentile(q); got < exact || got > exact*(1+1.0/latSub) {
+			t.Errorf("p%g = %g, exact %g: not within one bucket width", q, got, exact)
+		}
+	}
+	// Out-of-range latencies clamp to the end buckets instead of indexing
+	// outside the histogram.
+	h.lat.add(0)
+	h.lat.add(math.Inf(1))
+
+	// The record is fixed-size, so a Metrics snapshot costs the same — no
+	// allocation at all — after 10 finished jobs and after 10,000.
+	s, err := New(Config{Dims: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec, _ := mkSpec(plan.Exchange, 2, 2, 2, field.Binary)
+	finish := func(n int) {
+		t.Helper()
+		jobs := make([]*Job, n)
+		for i := range jobs {
+			if jobs[i], err = s.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, j := range jobs {
+			if _, err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snapshot := func() float64 {
+		return testing.AllocsPerRun(100, func() { _ = s.Metrics() })
+	}
+	finish(10)
+	few := snapshot()
+	for done := 10; done < 10000; done += 370 {
+		finish(370)
+	}
+	if m := s.Metrics(); m.Completed != 10000 {
+		t.Fatalf("completed %d jobs, want 10000", m.Completed)
+	}
+	if many := snapshot(); few != 0 || many != 0 {
+		t.Fatalf("Metrics() allocates %v times after 10 jobs, %v after 10000; want 0 and 0", few, many)
 	}
 }
 

@@ -58,8 +58,10 @@ go run ./cmd/experiments -exp chaos-sweep | awk '
 # Resume determinism: the checkpoint/resume acceptance scenarios replayed
 # twice — the resumed distribution must stay bit-identical to the unfaulted
 # run on every repetition (plan-cache state must not leak into recovery).
+# Link-fault resume, crash recovery and service rounds share one executor
+# (core.RunTransfers), so the crash-recovery scenarios ride the same step.
 echo "==> go test -run resume scenarios -count=2"
-go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes' -count=2 .
+go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery' -count=2 .
 
 # Faulted soak: combined permanent + flaky faults on an 8-cube, replayed
 # for determinism (part of the non-short suite; run explicitly here).
