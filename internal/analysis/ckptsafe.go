@@ -27,8 +27,8 @@ import (
 //
 // Engine rule — in an *Engine method returning error, a failure built by a
 // ...Error constructor (deadlockError, deadlineError, ...) must not be
-// returned without an intervening drainAll(): the per-node goroutines are
-// still parked on their channels and would leak past the run.
+// returned without an intervening drainAll(): the per-node coroutines are
+// still parked in their yield and would leak past the run.
 //
 // Both rules are positional over the declaration body and do not descend
 // into function literals (a node program's returns are not the executor's).

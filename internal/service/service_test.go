@@ -125,7 +125,10 @@ func TestServiceDifferential(t *testing.T) {
 			}
 
 			concSpecs, truth := build()
-			conc, err := New(Config{Dims: n, Backend: backend})
+			// The admission window holds the round open so the jobs meet in
+			// it: the sharing assertion below tests co-scheduling, not that a
+			// round outlasts the next Submit's compile.
+			conc, err := New(Config{Dims: n, Backend: backend, AdmitWindow: 100 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

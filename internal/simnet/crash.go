@@ -58,11 +58,11 @@ func (e *Engine) crashDue(id int, t float64) bool {
 	return e.crashT != nil && t >= e.crashT[id]
 }
 
-// crashNode marks one node dead. The node's goroutine stays parked (blocked
-// on resume) until drainAll poisons it; crashed is deliberately distinct
-// from done so the drain still unwinds it. Only the node's flag is touched
-// — a shard worker owns its nodes, so this is race-free; the engine-level
-// fired count is folded at the epoch barrier.
+// crashNode marks one node dead. The node's program stays parked in its
+// yield until drainAll stops it; crashed is deliberately distinct from done
+// so the drain still unwinds it. Only the node's flag is touched — a shard
+// worker owns its nodes, so this is race-free; the engine-level fired count
+// is folded at the epoch barrier.
 func (e *Engine) crashNode(nd *Node) {
 	nd.crashed = true
 }

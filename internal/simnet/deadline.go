@@ -12,7 +12,7 @@ var ErrDeadline = fabric.ErrDeadline
 // DeadlineError is the typed error Run returns when the virtual-time
 // deadline set with SetDeadline expires (fabric.DeadlineError). The abort
 // is clean and deterministic: no operation scheduled to start after the
-// deadline executes, every node goroutine is unwound, and the engine's
+// deadline executes, every node program is unwound, and the engine's
 // Stats (and any per-node partitioned state the program wrote before the
 // abort) remain readable — which is what lets executors turn a deadline
 // into a checkpoint.

@@ -257,6 +257,7 @@ type diffRow struct {
 	unit     string         // subtest prefix of a case, "seed" when empty
 	salt     int64
 	procs    []int // nil: shardCounts(); 0 is the automatic policy
+	scan     bool  // no random script: the case id is a cube size, the script two high-to-low dimension scans
 }
 
 func upTo(n int) []int {
@@ -282,6 +283,13 @@ var differential = map[string]diffRow{
 	"TestShardInvarianceLinkKill":                   {mode: killed, ids: upTo(8), salt: 700},
 	"TestShardInvarianceDeadline":                   {mode: deadline, ids: upTo(6), salt: 900},
 	"TestCrashDeterminismAcrossSchedulersAndShards": {mode: crashed, ids: []int{0, 1, 2}, unit: "spec", salt: 1100},
+	// Every link carries two messages a pass apart (payload sizes differ per
+	// step), each through a queue buffer that has been round the free list
+	// in between: per-link FIFO order and recycling at a size where buffers
+	// change hands thousands of times, in record mode and — with eager
+	// execution — in fast mode.
+	"TestShardInvarianceScanTraced": {mode: traced, machines: []namedMachine{cm}, ids: []int{10}, unit: "cube", scan: true},
+	"TestShardInvarianceScanFast":   {mode: plain, machines: []namedMachine{cm}, ids: []int{10}, unit: "cube", scan: true},
 	// Four workers asked for, one used: without lookahead only serial order
 	// is safe.
 	"TestZeroLookaheadMatchesOracle": {mode: traced, machines: []namedMachine{zeroLookahead}, ids: upTo(6), salt: 1300, procs: []int{4}},
@@ -293,6 +301,8 @@ func TestShardInvarianceProperty(t *testing.T)      { runDifferential(t) }
 func TestShardInvarianceFast(t *testing.T)          { runDifferential(t) }
 func TestShardInvarianceFaulted(t *testing.T)       { runDifferential(t) }
 func TestShardInvarianceDeadline(t *testing.T)      { runDifferential(t) }
+func TestShardInvarianceScanTraced(t *testing.T)    { runDifferential(t) }
+func TestShardInvarianceScanFast(t *testing.T)      { runDifferential(t) }
 
 // TestShardInvarianceLinkKill is the property behind record mode's two rules
 // — nothing executes eagerly, and a one-shard epoch stops at its first
@@ -319,9 +329,18 @@ func TestZeroCubeMatchesOracle(t *testing.T) {
 
 // newScenario draws one case of a mode. The mid-run modes place their event
 // at a random fraction of the script's fault-free makespan.
-func newScenario(t *testing.T, rng *rand.Rand, row diffRow, params machine.Params) *scenario {
+func newScenario(t *testing.T, rng *rand.Rand, id int, row diffRow, params machine.Params) *scenario {
 	t.Helper()
 	mode := row.mode
+	if row.scan {
+		sc := &scenario{n: id, params: params, trace: mode != plain}
+		for pass := 0; pass < 2; pass++ {
+			for d := id - 1; d >= 0; d-- {
+				sc.script = append(sc.script, schedStep{kind: 0, dim: d})
+			}
+		}
+		return sc
+	}
 	n := 2 + rng.Intn(4) // 4 to 32 nodes
 	sc := &scenario{n: n, params: params, script: genScript(rng, n, 6+rng.Intn(20), row.empties), trace: mode != plain}
 	var spec fault.Spec
@@ -359,6 +378,9 @@ func runDifferential(t *testing.T) {
 	if !ok {
 		t.Fatalf("no row in the differential table for %s", t.Name())
 	}
+	if row.scan && testing.Short() {
+		t.Skip("the O(N)-per-step oracle on a 1024-node scan takes ~10 s per row under the race detector")
+	}
 	machines, procs, unit := row.machines, row.procs, row.unit
 	if machines == nil {
 		machines = []namedMachine{onePort}
@@ -374,7 +396,7 @@ func runDifferential(t *testing.T) {
 		cases := func(t *testing.T) {
 			for _, id := range row.ids {
 				t.Run(fmt.Sprintf("%s%d", unit, id), func(t *testing.T) {
-					sc := newScenario(t, rand.New(rand.NewSource(row.salt+int64(id))), row, m.params)
+					sc := newScenario(t, rand.New(rand.NewSource(row.salt+int64(id))), id, row, m.params)
 					ref := sc.run(t, oracle)
 					if sc.trace && len(ref.events) == 0 {
 						t.Fatal("empty trace; property vacuous")

@@ -27,30 +27,32 @@ func (nd *Node) Neighbor(d int) uint64 {
 	return nd.id ^ 1<<uint(d)
 }
 
-// submit parks the node with a pending operation and blocks until the
-// engine executes it, returning the operation's result message and (for
-// sends under fault injection) its error.
+// submit parks the node at the operation it has just written into
+// nd.pending and returns once the engine has executed it, with the error of
+// a send that failed under fault injection. A receive's message comes back
+// in nd.pending.msg (see result).
 //
 // The node first tries to execute the operation itself (tryEager,
-// shard.go): while its shard's worker is blocked waiting for this node to
-// park, the node is the only goroutine touching shard-owned state, so any
-// operation that is provably inside the current epoch and whose choice
-// cannot be changed by a not-yet-delivered arrival can run without the
-// park/resume round-trip.
-func (nd *Node) submit(o op) (Msg, error) {
-	if m, ok := nd.tryEager(o); ok {
-		return m, nd.opErr
-	}
-	nd.pending = o
-	nd.parked <- struct{}{}
-	m := <-nd.resume
-	if nd.eng.poisoned {
+// shard.go): while its shard's worker is waiting for this node to park, the
+// node is the only one touching shard-owned state, so any operation that is
+// provably inside the current epoch and whose choice cannot be changed by a
+// not-yet-delivered arrival can run without the hand-off. Otherwise it
+// yields to the worker; a false return means the engine is unwinding.
+func (nd *Node) submit() error {
+	if !nd.tryEager() && !nd.yield(struct{}{}) {
 		panic(errPoisoned) //cubevet:ignore liberrors -- control-flow sentinel, recovered by the engine wrapper
 	}
-	return m, nd.opErr
+	return nd.opErr
 }
 
-// nodeAbort unwinds a node goroutine when a Send fails under fault
+// result hands a receive's message to the program and zeroes the slot, so
+// the node pins no payload the program goes on to Recycle.
+func (nd *Node) result() (m Msg) {
+	m, nd.pending.msg = nd.pending.msg, Msg{}
+	return m
+}
+
+// nodeAbort unwinds a node program when a Send fails under fault
 // injection; the engine wrapper recovers it and surfaces err as the
 // program's failure, so Run returns the typed *FaultError.
 type nodeAbort struct{ err error }
@@ -86,23 +88,26 @@ func (nd *Node) Send(dim int, m Msg) {
 // been charged to the node's clock when TrySend returns.
 func (nd *Node) TrySend(dim int, m Msg) error {
 	nd.checkDim(dim)
-	_, err := nd.submit(op{kind: opSend, dim: dim, msg: m})
-	return err
+	nd.pending.kind, nd.pending.dim, nd.pending.msg = opSend, dim, m
+	return nd.submit()
 }
 
 // Recv blocks until a message arrives from the neighbor across dimension
 // dim and returns it. Messages on one link are delivered in FIFO order.
 func (nd *Node) Recv(dim int) Msg {
 	nd.checkDim(dim)
-	m, _ := nd.submit(op{kind: opRecv, dim: dim})
-	return m
+	nd.pending.kind, nd.pending.dim = opRecv, dim
+	_ = nd.submit() // only sends fail
+	return nd.result()
 }
 
 // RecvAny blocks until a message arrives on any dimension and returns the
-// earliest-arriving one (ties broken by global send order).
+// earliest-arriving one; equal arrival times are ordered by the sender's
+// send action time, then by sender id (see anyLess).
 func (nd *Node) RecvAny() Msg {
-	m, _ := nd.submit(op{kind: opRecvAny})
-	return m
+	nd.pending.kind = opRecvAny
+	_ = nd.submit()
+	return nd.result()
 }
 
 // Exchange sends m across dim and receives the partner's message from the
@@ -120,7 +125,8 @@ func (nd *Node) Copy(b int) {
 	if b < 0 {
 		panic(fmt.Sprintf("simnet: negative copy size %d", b))
 	}
-	_, _ = nd.submit(op{kind: opCopy, bytes: b})
+	nd.pending.kind, nd.pending.bytes = opCopy, b
+	_ = nd.submit()
 }
 
 // CopyElems charges the copy cost of k matrix elements.
@@ -133,7 +139,8 @@ func (nd *Node) Advance(dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("simnet: negative time advance %v", dt))
 	}
-	_, _ = nd.submit(op{kind: opAdvance, dt: dt})
+	nd.pending.kind, nd.pending.dt = opAdvance, dt
+	_ = nd.submit()
 }
 
 func (nd *Node) checkDim(d int) {

@@ -44,7 +44,7 @@ func (run *shardRun) runLinear() error {
 			continue
 		}
 		sh.beginOp(nd, bestT)
-		m, done := e.performOp(nd)
+		done := e.performOp(nd)
 		sh.endOp()
 		run.commit()
 		sh.dirty = sh.dirty[:0]
@@ -53,8 +53,7 @@ func (run *shardRun) runLinear() error {
 			live--
 			continue
 		}
-		nd.resume <- m
-		<-nd.parked // wait for the resumed node to park again
+		nd.next() // runs the resumed node until it parks again
 	}
 	return run.finish()
 }

@@ -10,8 +10,8 @@ import (
 // size-classed by power-of-two capacity, so a recycled buffer satisfies any
 // later request of equal or smaller size without reallocation. The pool is
 // engine-scoped — it lives and dies with one Run — and mutex-guarded,
-// because node programs may allocate and recycle during their prologues and
-// epilogues, which execute concurrently (the simnet concurrency contract).
+// because node programs of different shards allocate and recycle
+// concurrently (the simnet concurrency contract).
 //
 // Buffer identity never influences virtual time, so pooling is invisible to
 // the determinism contract: traces and Stats are bit-identical with or

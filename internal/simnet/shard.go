@@ -30,7 +30,7 @@
 //     so shards accumulate locally and the coordinator folds at the end.
 //     While a shard waits for a resumed node to park again, the node
 //     executes further operations of its own eagerly (Node.tryEager),
-//     without the park/resume channel round-trip, whenever the operation
+//     without the coroutine hand-off, whenever the operation
 //     is provably inside the epoch (action < horizon): sends touch only
 //     sender-owned state, a receive's queue front is final (single-sender
 //     FIFO), and a RecvAny whose action is inside the epoch cannot be
@@ -158,8 +158,9 @@ type shard struct {
 	id  int
 
 	heap  *readyHeap
-	out   []staged // cross-shard arrivals staged this epoch
-	dirty []int32  // intra-shard nodes whose queues grew this epoch
+	out   []staged    // cross-shard arrivals staged this epoch
+	dirty []int32     // intra-shard nodes whose queues grew this epoch
+	free  [][]arrival // drained inbound-queue buffers of this shard's nodes (inQueue)
 
 	fails []failCand
 
@@ -198,18 +199,18 @@ func (sh *shard) beginOp(nd *Node, t float64) {
 
 func (sh *shard) endOp() { sh.cur = nil }
 
-// deliver routes one arrival from a node of this shard: intra-shard
-// arrivals go straight into the destination queue (the shard loop is a
-// serial engine over its own nodes), cross-shard arrivals wait for the
-// barrier.
-func (sh *shard) deliver(dest int, a arrival) {
+// deliver routes one arrival from a node of this shard and returns its slot
+// for the sender to fill in place: intra-shard arrivals go straight into the
+// destination queue (the shard loop is a serial engine over its own nodes),
+// cross-shard arrivals wait in the outbox for the barrier.
+func (sh *shard) deliver(dest, dim int) *arrival {
 	run := sh.run
 	if ds := &run.shards[dest/run.shardSize]; ds != sh {
-		sh.out = append(sh.out, staged{dest: int32(dest), a: a})
-		return
+		sh.out = append(sh.out, staged{dest: int32(dest)})
+		return &sh.out[len(sh.out)-1].a
 	}
-	run.e.nodes[dest].queues[a.fromDim].push(a)
 	sh.dirty = append(sh.dirty, int32(dest))
+	return run.e.nodes[dest].queues[dim].push(sh)
 }
 
 // refresh re-keys node i in this shard's ready queue after its scheduling
@@ -256,26 +257,22 @@ func (sh *shard) runEpoch() {
 		}
 		if e.crashDue(best, t) {
 			// Crash-stop at an operation boundary: no record, no resume —
-			// the node's goroutine stays parked until drainAll unwinds it.
+			// the node's program stays parked until drainAll unwinds it.
 			e.crashNode(nd)
 			sh.crashCount++
 			h.remove(best)
 			continue
 		}
-		if nd.pending.kind == opDone {
-			sh.beginOp(nd, t)
-			e.performOp(nd)
-			sh.endOp()
+		sh.beginOp(nd, t)
+		done := e.performOp(nd)
+		sh.endOp()
+		if done {
 			h.remove(best)
 			nd.done = true
 			sh.doneCount++
 			continue
 		}
-		sh.beginOp(nd, t)
-		m, _ := e.performOp(nd)
-		sh.endOp()
-		nd.resume <- m
-		<-nd.parked // the node may run further ops eagerly before parking
+		nd.next() // the node may run further ops eagerly before parking
 		if nd.failure != nil && !nd.done {
 			nd.done = true
 			h.remove(best)
@@ -303,29 +300,28 @@ func (sh *shard) runEpoch() {
 	}
 }
 
-// tryEager executes the node's next operation in the node's own goroutine,
-// without parking, when it is provably safe: the action lies inside the
-// current epoch (so no undelivered arrival — all of which land at or past
-// the horizon — can influence its choice or be influenced by it). The
-// shard's worker is blocked waiting for this node to park, so the node is
-// the only goroutine touching shard-owned state. Fast mode only: in record
+// tryEager executes the node's pending operation in the node's own
+// coroutine, without parking, when it is provably safe: the action lies
+// inside the current epoch (so no undelivered arrival — all of which land at
+// or past the horizon — can influence its choice or be influenced by it).
+// The shard's worker is suspended in next until this node parks, so the node
+// is the only one touching shard-owned state. Fast mode only: in record
 // mode a node that ran ahead of the canonical order would be past the
 // failure point when a fault or deadline aborts the run.
-func (nd *Node) tryEager(o op) (Msg, bool) {
+func (nd *Node) tryEager() bool {
 	sh := nd.sh
 	if sh.run.record {
-		return Msg{}, false
+		return false
 	}
 	e := nd.eng
-	nd.pending = o
 	t, ok := e.actionTime(nd)
 	if !ok || t >= sh.run.horizon {
-		return Msg{}, false
+		return false
 	}
 	sh.beginOp(nd, t)
-	m, _ := e.performOp(nd)
+	e.performOp(nd)
 	sh.endOp()
-	return m, true
+	return true
 }
 
 // newShardRun lays out p shards over the engine's nodes.
@@ -350,7 +346,6 @@ func (e *Engine) newShardRun(p int) *shardRun {
 // crashed or stuck.
 func (run *shardRun) schedule() error {
 	e := run.e
-	p := len(run.shards)
 	// Surface prologue failures (panics before the first timed operation)
 	// in node-id order.
 	for _, nd := range e.nodes {
@@ -376,23 +371,7 @@ func (run *shardRun) schedule() error {
 			return run.abort(e.deadlineError(e.nodes[minNode], minT))
 		}
 		run.horizon = minT + run.lookahead
-		if p == 1 {
-			run.shards[0].runEpoch()
-		} else {
-			var wg sync.WaitGroup
-			for i := range run.shards {
-				sh := &run.shards[i]
-				if sh.heap.min() == -1 {
-					continue
-				}
-				wg.Add(1)
-				go func(sh *shard) {
-					defer wg.Done()
-					sh.runEpoch()
-				}(sh)
-			}
-			wg.Wait()
-		}
+		run.eachShard((*shard).runEpoch)
 		// Barrier. Close the epoch's accounting, then route staged
 		// cross-shard arrivals — per queue (one sender, one dimension) the
 		// outbox preserves sender program order, so delivery order is the
@@ -402,7 +381,8 @@ func (run *shardRun) schedule() error {
 		}
 		for i := range run.shards {
 			sh := &run.shards[i]
-			for _, st := range sh.out {
+			for j := range sh.out {
+				st := &sh.out[j] // moved by index: ranging would copy each entry
 				if st.a.at < run.horizon {
 					// A transmission shorter than the lookahead crossed a
 					// shard boundary — only possible for an empty payload,
@@ -412,7 +392,7 @@ func (run *shardRun) schedule() error {
 						st.dest, st.a.fromDim, st.a.at, run.horizon))
 				}
 				dest := e.nodes[st.dest]
-				dest.queues[st.a.fromDim].push(st.a)
+				*dest.queues[st.a.fromDim].push(dest.sh) = st.a
 				dest.sh.refresh(int(st.dest))
 			}
 			sh.out = sh.out[:0]
@@ -424,6 +404,24 @@ func (run *shardRun) schedule() error {
 		}
 	}
 	return run.finish()
+}
+
+// eachShard runs f on every shard, one goroutine per shard (inline when
+// there is only one), and waits for all of them.
+func (run *shardRun) eachShard(f func(*shard)) {
+	if len(run.shards) == 1 {
+		f(&run.shards[0])
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range run.shards {
+		wg.Add(1)
+		go func(sh *shard) {
+			defer wg.Done()
+			f(sh)
+		}(&run.shards[i])
+	}
+	wg.Wait()
 }
 
 // finish closes a run whose every node is done or crashed.

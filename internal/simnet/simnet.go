@@ -22,6 +22,13 @@
 // time (sched.go). P is 1 below 2048 nodes and up to GOMAXPROCS above; it
 // moves host time only, never a trace, a statistic or an error.
 //
+// Hand-off is by coroutine: every node program runs in an iter.Pull
+// coroutine that yields at each timed operation it cannot execute itself,
+// and its shard's worker resumes it once the operation has executed — a
+// direct switch between the two, with no channel and no trip through the Go
+// scheduler's run queue. A shard's nodes therefore run on one host goroutine
+// at a time; host parallelism exists only between shards.
+//
 // Message payloads are zero-copy: Send hands the Msg — including its Data
 // and Parts backing arrays — to the receiver without cloning, so sending
 // transfers ownership. A sender that needs to keep reading a payload after
@@ -31,14 +38,22 @@
 //
 // Concurrency contract: between a node's timed operations, only that node
 // runs — but all node prologues (before the first timed operation) and
-// epilogues (after the last) execute concurrently. State shared across node
-// programs must therefore be read-only, synchronized, or partitioned per
-// node (e.g. writing result[nd.ID()] is safe; lazily filling a shared map
-// is not).
+// epilogues (after the last) may execute concurrently. State shared across
+// node programs must therefore be read-only, synchronized, or partitioned
+// per node (e.g. writing result[nd.ID()] is safe; lazily filling a shared
+// map is not). The contract is the fabric's, not this backend's: simnet
+// itself overlaps node programs only across shards, while livenet runs them
+// truly concurrently. Two things follow from the coroutines. A node program
+// must not wait on another node program except through the fabric (a node
+// blocked on a host-side lock or channel blocks its whole shard), and it
+// must not call runtime.Goexit — which includes t.FailNow, t.Fatal and
+// t.Skip — because that unwinds the worker that resumed it, not just the
+// node: report through nd.Fail, a panic, or t.Error instead.
 package simnet
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"strings"
 
@@ -77,7 +92,7 @@ const (
 type op struct {
 	kind  opKind
 	dim   int
-	msg   Msg
+	msg   Msg // a send's payload on the way in, a receive's result on the way out
 	bytes int
 	dt    float64
 }
@@ -91,8 +106,11 @@ type arrival struct {
 }
 
 // inQueue is one dimension's inbound arrival queue. Popping advances a head
-// index instead of reslicing, so the backing array is reused once drained
-// rather than regrown on every append/pop cycle.
+// index instead of reslicing, and a drained queue hands its backing array to
+// the free list of the receiving node's shard, where the next push to an
+// empty queue finds it: the engine holds one buffer per active link, not one
+// per link ever used. Both ends run on that shard's worker (or at the
+// barrier, when the coordinator is alone), so the list needs no lock.
 type inQueue struct {
 	buf  []arrival
 	head int
@@ -100,21 +118,28 @@ type inQueue struct {
 
 func (q *inQueue) empty() bool     { return q.head == len(q.buf) }
 func (q *inQueue) front() *arrival { return &q.buf[q.head] }
-func (q *inQueue) push(a arrival)  { q.buf = append(q.buf, a) }
-func (q *inQueue) pop() arrival {
-	a := q.buf[q.head]
-	q.buf[q.head] = arrival{} // release the message for reuse/GC
+
+// push appends a zeroed slot for the sender to fill in place.
+func (q *inQueue) push(sh *shard) *arrival {
+	if n := len(sh.free); q.buf == nil && n > 0 {
+		q.buf, sh.free = sh.free[n-1], sh.free[:n-1]
+	}
+	q.buf = append(q.buf, arrival{})
+	return &q.buf[len(q.buf)-1]
+}
+
+func (q *inQueue) pop(sh *shard) {
+	q.buf[q.head].msg = Msg{} // release the message for reuse/GC
 	q.head++
 	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+		sh.free = append(sh.free, q.buf[:0])
+		q.buf, q.head = nil, 0
 	}
-	return a
 }
 
 // Node is the per-processor handle node programs use. Its methods may only
 // be called from within the program function passed to Run, on the node's
-// own goroutine.
+// own coroutine.
 type Node struct {
 	id  uint64
 	eng *Engine
@@ -130,9 +155,13 @@ type Node struct {
 
 	queues  []inQueue // inbound, per dimension
 	pending op
-	parked  chan struct{} // signaled by node when parked
-	resume  chan Msg      // engine -> node, carries recv results
-	opErr   error         // set by the engine before resume (fault injection)
+	// The program is a coroutine (iter.Pull): it parks by yielding at a
+	// pending op, the shard worker resumes it with next, drainAll unwinds it
+	// with stop.
+	yield   func(struct{}) bool
+	next    func() (struct{}, bool)
+	stop    func()
+	opErr   error // set by the engine before resume (fault injection)
 	done    bool
 	crashed bool // crash-stop fired; stays parked until drainAll, never done
 	failure error
@@ -173,12 +202,11 @@ type Engine struct {
 	crashT       []float64 // per-node crash time, +Inf when the node survives
 	crashedCount int       // crashes fired this run
 
-	stats    Stats
-	tracer   Tracer
-	started  bool // engines are one-shot; see Run
-	poisoned bool // set before resuming nodes during drainAll
-	debug    bool // SIMNET_DEBUG assertions, snapshotted in New
-	fail     error
+	stats   Stats
+	tracer  Tracer
+	started bool // engines are one-shot; see Run
+	debug   bool // SIMNET_DEBUG assertions, snapshotted in New
+	fail    error
 }
 
 // TraceEvent is one timed operation of one node (fabric.TraceEvent).
@@ -192,7 +220,7 @@ type Tracer = fabric.Tracer
 // SetTracer installs a tracer for subsequent Runs (nil disables tracing).
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// errPoisoned unwinds node goroutines after the engine has failed.
+// errPoisoned unwinds node programs after the engine has failed.
 var errPoisoned = fmt.Errorf("simnet: engine poisoned")
 
 // linkIndex densely indexes the directed link (from, dim).
@@ -353,17 +381,14 @@ func (e *Engine) start(prog func(fabric.Node), p int) (*shardRun, error) {
 			sendFree: portArena[(2*i)*ports : (2*i+1)*ports],
 			recvFree: portArena[(2*i+1)*ports : (2*i+2)*ports],
 			queues:   queueArena[i*dims : (i+1)*dims],
-			parked:   make(chan struct{}, 1),
-			resume:   make(chan Msg, 1),
 		}
 		if e.debug {
 			nd.lastSendStart = debugArena[(2*i)*ports : (2*i+1)*ports]
 			nd.lastSendEnd = debugArena[(2*i+1)*ports : (2*i+2)*ports]
 		}
 		e.nodes[i] = nd
-	}
-	for _, nd := range e.nodes {
-		go func(nd *Node) {
+		nd.next, nd.stop = iter.Pull(func(yield func(struct{}) bool) {
+			nd.yield = yield
 			defer func() {
 				if r := recover(); r != nil && r != errPoisoned {
 					if ab, ok := r.(*nodeAbort); ok {
@@ -375,18 +400,21 @@ func (e *Engine) start(prog func(fabric.Node), p int) (*shardRun, error) {
 					}
 				}
 				nd.pending = op{kind: opDone}
-				nd.parked <- struct{}{}
 			}()
 			prog(nd)
-		}(nd)
+		})
 	}
 
-	// Invariant: between epochs every live node is parked with a pending op
-	// and its park token has been consumed, so its goroutine is blocked
-	// waiting on resume.
-	for _, nd := range e.nodes {
-		<-nd.parked
-	}
+	// Prologues, one goroutine per shard: from here on a shard's nodes only
+	// ever run on that shard's worker, which is what tryEager assumes.
+	// Invariant: between epochs every live node is parked in yield with a
+	// pending op.
+	run.eachShard(func(sh *shard) {
+		lo, hi := min(sh.id*run.shardSize, e.nodesCount), min((sh.id+1)*run.shardSize, e.nodesCount)
+		for _, nd := range e.nodes[lo:hi] {
+			nd.next()
+		}
+	})
 	return run, nil
 }
 
@@ -411,22 +439,17 @@ func (e *Engine) checkFailure(nd *Node) error {
 	return err
 }
 
-// drainAll unwinds every still-live node goroutine after an error: the
-// engine is poisoned so the node's next operation panics with a sentinel
-// that the goroutine wrapper converts into a clean exit.
+// drainAll unwinds every still-live node program after an error, crashed
+// nodes included: stop makes the parked yield return false, submit panics
+// with the poison sentinel and the coroutine wrapper converts that into a
+// clean exit, so no coroutine outlives Run. A program that already returned
+// makes stop a no-op.
 func (e *Engine) drainAll() {
-	e.poisoned = true
 	for _, nd := range e.nodes {
-		if nd.done {
-			continue
+		if !nd.done {
+			nd.stop()
+			nd.done = true
 		}
-		if nd.pending.kind != opDone {
-			// Goroutine is blocked on resume; unblock it and let the
-			// poison sentinel unwind it to a final opDone park.
-			nd.resume <- Msg{}
-			<-nd.parked
-		}
-		nd.done = true
 	}
 }
 
@@ -497,20 +520,21 @@ func (e *Engine) actionTime(nd *Node) (float64, bool) {
 }
 
 // performOp runs the semantics of the node's pending operation — time,
-// statistics, queue movement — without resuming the node's goroutine: the
+// statistics, queue movement — without resuming the node's program: the
 // caller resumes it only after closing the operation's commit record,
 // because the resumed node may eagerly execute further operations of its
-// own (shard.go), each needing its own record.
-func (e *Engine) performOp(nd *Node) (Msg, bool) {
+// own (shard.go), each needing its own record. It reports whether the
+// program has ended; a receive leaves its message in nd.pending.msg.
+func (e *Engine) performOp(nd *Node) (done bool) {
 	nd.opErr = nil
 	switch nd.pending.kind {
 	case opSend:
-		nd.opErr = e.doSend(nd, nd.pending.dim, nd.pending.msg)
+		nd.opErr = e.doSend(nd, nd.pending.dim, &nd.pending.msg)
 		nd.pending.msg = Msg{} // ownership moved to the destination queue
 	case opRecv:
-		return e.doRecv(nd, nd.pending.dim), false
+		e.doRecv(nd, &nd.queues[nd.pending.dim])
 	case opRecvAny:
-		return e.doRecvAny(nd), false
+		e.doRecvAny(nd)
 	case opCopy:
 		t := e.params.CopyTime(nd.pending.bytes)
 		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
@@ -525,9 +549,9 @@ func (e *Engine) performOp(nd *Node) (Msg, bool) {
 		e.bumpTime(nd, nd.clock)
 	case opDone:
 		e.bumpTime(nd, nd.clock)
-		return Msg{}, true
+		return true
 	}
-	return Msg{}, false
+	return false
 }
 
 // addCopy books a local copy's cost. The time lands in the per-node
@@ -548,7 +572,7 @@ func (e *Engine) addCopy(nd *Node, t float64, bytes int64) {
 // doSend executes one send operation. The returned error is non-nil only
 // under fault injection, when the transmission fails past the retry budget;
 // it is delivered to the node (TrySend returns it, Send aborts with it).
-func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
+func (e *Engine) doSend(nd *Node, dim int, m *Msg) error {
 	sh := nd.sh
 	bytes := len(m.Data) * e.params.ElemBytes
 	dur, startups := e.params.SendTime(bytes)
@@ -578,7 +602,8 @@ func (e *Engine) doSend(nd *Node, dim int, m Msg) error {
 	nd.clock = start
 	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
 
-	sh.deliver(int(nd.id^1<<uint(dim)), arrival{msg: m, at: end, dur: dur, fromDim: dim, act: start})
+	a := sh.deliver(int(nd.id^1<<uint(dim)), dim)
+	a.msg, a.at, a.dur, a.fromDim, a.act = *m, end, dur, dim, start
 	return nil
 }
 
@@ -673,12 +698,12 @@ func (e *Engine) addRetry(nd *Node) {
 	}
 }
 
-func (e *Engine) doRecv(nd *Node, dim int) Msg {
-	a := nd.queues[dim].pop()
-	return e.finishRecv(nd, a)
+func (e *Engine) doRecv(nd *Node, q *inQueue) {
+	e.finishRecv(nd, q.front())
+	q.pop(nd.sh)
 }
 
-func (e *Engine) doRecvAny(nd *Node) Msg {
+func (e *Engine) doRecvAny(nd *Node) {
 	bestDim := -1
 	for d := range nd.queues {
 		q := &nd.queues[d]
@@ -693,8 +718,7 @@ func (e *Engine) doRecvAny(nd *Node) Msg {
 			bestDim = d
 		}
 	}
-	a := nd.queues[bestDim].pop()
-	return e.finishRecv(nd, a)
+	e.doRecv(nd, &nd.queues[bestDim])
 }
 
 // anyLess orders two RecvAny candidates by (arrival time, send action time,
@@ -719,7 +743,7 @@ func (nd *Node) anyLess(f *arrival, fd int, g *arrival, gd int) bool {
 // duration d completes at max(arrival, prevCompletion + d) on the relevant
 // receive port, which costs nothing when the port is idle and serializes
 // concurrent arrivals on a one-port node.
-func (e *Engine) finishRecv(nd *Node, a arrival) Msg {
+func (e *Engine) finishRecv(nd *Node, a *arrival) {
 	port := e.portIndex(a.fromDim)
 	completion := math.Max(a.at, nd.recvFree[port]+a.dur)
 	nd.recvFree[port] = completion
@@ -727,7 +751,7 @@ func (e *Engine) finishRecv(nd *Node, a arrival) Msg {
 	e.bumpTime(nd, nd.clock)
 	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
 		Bytes: len(a.msg.Data) * e.params.ElemBytes, Start: completion - a.dur, End: completion})
-	return a.msg
+	nd.pending.msg = a.msg
 }
 
 // bumpTime raises the makespan watermark: max is order-invariant, which is
