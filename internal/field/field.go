@@ -150,37 +150,136 @@ func (l Layout) addr(u, v uint64) uint64 {
 	return u<<uint(l.Q) | v
 }
 
-// ProcOf returns the real processor address holding element (u, v).
-// The first field contributes the most significant processor bits.
-func (l Layout) ProcOf(u, v uint64) uint64 {
-	w := l.addr(u, v)
-	var proc uint64
-	for _, f := range l.Fields {
-		fw := f.Width()
-		val := (w >> uint(f.Lo)) & bits.Mask(fw)
-		if f.Enc == Gray {
-			val = gray.Encode(val) & bits.Mask(fw)
-		}
-		proc = proc<<uint(fw) | val
+// seg is one maximal run of element-address bits that moves as a unit: bits
+// [lo, lo+width) of w are bits [out, out+width) of the processor address (a
+// real field, Gray-coded when gray is set) or of the local address (a run of
+// virtual bits). Every address function is an OR of seg moves.
+type seg struct {
+	mask    uint64 // width ones
+	lo, out uint8
+	gray    bool
+}
+
+// get moves the segment's bits of w to their processor/local position. The
+// Gray code of a field value is v ^ v>>1, which stays inside the field.
+func (s seg) get(w uint64) uint64 {
+	v := w >> s.lo & s.mask
+	if s.gray {
+		v ^= v >> 1
+	}
+	return v << s.out
+}
+
+// put is the inverse of get: processor/local bits back to their place in w.
+func (s seg) put(x uint64) uint64 {
+	v := x >> s.out & s.mask
+	if s.gray {
+		v = gray.Decode(v)
+	}
+	return v << s.lo
+}
+
+// appendReal appends the real fields as segments. The last field holds the
+// least significant processor bits.
+func appendReal(segs []seg, fields []Field) []seg {
+	out := 0
+	for i := len(fields) - 1; i >= 0; i-- {
+		f := fields[i]
+		segs = append(segs, seg{lo: uint8(f.Lo), out: uint8(out), mask: bits.Mask(f.Width()), gray: f.Enc == Gray})
+		out += f.Width()
+	}
+	return segs
+}
+
+// appendRuns appends the maximal contiguous runs of the virtual mask vm,
+// ascending: the lowest virtual address bit is the lowest local bit, so the
+// local address reads the virtual bits of w in their order of significance.
+func appendRuns(segs []seg, vm uint64) []seg {
+	out := 0
+	for vm != 0 {
+		lo := mathbits.TrailingZeros64(vm)
+		width := mathbits.TrailingZeros64(^(vm >> uint(lo)))
+		mask := bits.Mask(width)
+		segs = append(segs, seg{lo: uint8(lo), out: uint8(out), mask: mask})
+		out += width
+		vm &^= mask << uint(lo)
+	}
+	return segs
+}
+
+// Map is a Layout compiled for address arithmetic over whole matrices: the
+// real fields and the virtual runs as segment lists, validated once, so each
+// address costs one shift-mask-or per field or run. Elements are named by
+// their address w = (u || v); for a fixed processor, ascending local slot is
+// ascending w.
+type Map struct {
+	real, virt []seg
+}
+
+// Map validates the layout and compiles it.
+func (l Layout) Map() (Map, error) {
+	if err := l.Validate(); err != nil {
+		return Map{}, err
+	}
+	return l.compile(nil, nil), nil
+}
+
+// compile builds the layout's Map into the given buffers, unvalidated.
+func (l Layout) compile(real, virt []seg) Map {
+	real = appendReal(real, l.Fields)
+	vm := bits.Mask(l.M())
+	for _, s := range real {
+		vm &^= s.mask << s.lo
+	}
+	return Map{real: real, virt: appendRuns(virt, vm)}
+}
+
+// Proc returns the real processor address holding element w.
+func (m *Map) Proc(w uint64) (proc uint64) {
+	for _, s := range m.real {
+		proc |= s.get(w)
 	}
 	return proc
 }
 
-// LocalOf returns the local storage slot of element (u, v) within its
-// processor: the virtual-processor bits of w read from most to least
-// significant.
-func (l Layout) LocalOf(u, v uint64) uint64 {
-	w := l.addr(u, v)
-	// Compress the virtual-mask bits of w: the lowest virtual address bit
-	// becomes the lowest local bit (equivalent to reading the virtual bit
-	// positions in ascending order).
-	var local uint64
-	shift := 0
-	for m := l.virtualMask(); m != 0; m &= m - 1 {
-		local |= (w >> uint(mathbits.TrailingZeros64(m)) & 1) << uint(shift)
-		shift++
+// Local returns the local storage slot of element w within its processor.
+func (m *Map) Local(w uint64) (local uint64) {
+	for _, s := range m.virt {
+		local |= s.get(w)
 	}
 	return local
+}
+
+// Addr inverts (Proc, Local): the address of the element a processor holds
+// in a local slot.
+func (m *Map) Addr(proc, local uint64) (w uint64) {
+	for _, s := range m.real {
+		w |= s.put(proc)
+	}
+	for _, s := range m.virt {
+		w |= s.put(local)
+	}
+	return w
+}
+
+// The per-element functions below are the same arithmetic on a Map compiled
+// into a stack buffer per call (unvalidated, like the hand-built layouts
+// they accept); loops over whole matrices compile a Map once instead.
+
+// ProcOf returns the real processor address holding element (u, v).
+// The first field contributes the most significant processor bits.
+func (l Layout) ProcOf(u, v uint64) uint64 {
+	var buf [4]seg
+	m := Map{real: appendReal(buf[:0], l.Fields)}
+	return m.Proc(l.addr(u, v))
+}
+
+// LocalOf returns the local storage slot of element (u, v) within its
+// processor: the virtual-processor bits of w in their order of significance.
+func (l Layout) LocalOf(u, v uint64) uint64 {
+	var rbuf, vbuf [4]seg
+	m := l.compile(rbuf[:0], vbuf[:0])
+	return m.Local(l.addr(u, v))
 }
 
 // LocalSize returns the number of elements stored per processor, 2^(m-n).
@@ -196,26 +295,10 @@ func (l Layout) LocalSize() int {
 // exact inverse of ProcOf/LocalOf and is used by placement verification.
 func (l Layout) ElementOf(proc, local uint64) (u, v uint64) {
 	l.checkShape()
-	var w uint64
-	// Real fields: most significant field holds the top processor bits.
-	shift := l.NBits()
-	for _, f := range l.Fields {
-		fw := f.Width()
-		shift -= fw
-		val := (proc >> uint(shift)) & bits.Mask(fw)
-		if f.Enc == Gray {
-			val = gray.Decode(val) & bits.Mask(fw)
-		}
-		w |= val << uint(f.Lo)
-	}
-	// Expand the local bits back onto the virtual-mask positions (the
-	// inverse of the compression in LocalOf).
-	i := 0
-	for m := l.virtualMask(); m != 0; m &= m - 1 {
-		w |= (local >> uint(i)) & 1 << uint(mathbits.TrailingZeros64(m))
-		i++
-	}
-	return w >> uint(l.Q), w & bits.Mask(max(l.Q, 1))
+	var rbuf, vbuf [4]seg
+	m := l.compile(rbuf[:0], vbuf[:0])
+	w := m.Addr(proc, local)
+	return w >> uint(l.Q), w &^ (^uint64(0) << uint(l.Q))
 }
 
 // String renders the layout for diagnostics and golden tests.

@@ -75,6 +75,8 @@ func TestValidateRejectsOverlap(t *testing.T) {
 func TestLayoutBijection(t *testing.T) {
 	shapes := []struct{ p, q, n int }{
 		{3, 3, 2}, {4, 4, 4}, {5, 3, 2}, {2, 6, 4}, {4, 4, 0},
+		// Row and column vectors: one of the two index fields is empty.
+		{0, 5, 2}, {5, 0, 2}, {0, 3, 0}, {3, 0, 3},
 	}
 	for _, s := range shapes {
 		for _, l := range allLayouts(s.p, s.q, s.n) {

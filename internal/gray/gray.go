@@ -21,7 +21,9 @@ func Encode(w uint64) uint64 {
 // Decode returns the inverse Gray code G^{-1}(g).
 func Decode(g uint64) uint64 {
 	w := g
-	for s := uint(1); s < 64; s <<= 1 {
+	// Once w < 2^s every further step is a no-op (XOR with w>>s never
+	// lengthens w), so narrow values stop after log2(width) steps.
+	for s := uint(1); w>>s != 0; s <<= 1 {
 		w ^= w >> s
 	}
 	return w

@@ -57,9 +57,10 @@ func (m *Matrix) Set(u, v uint64, x float64) {
 // Transposed returns a new matrix equal to m^T.
 func (m *Matrix) Transposed() *Matrix {
 	t := New(m.Q, m.P)
-	for u := uint64(0); u < uint64(m.Rows()); u++ {
-		for v := uint64(0); v < uint64(m.Cols()); v++ {
-			t.Set(v, u, m.At(u, v))
+	rows, cols := m.Rows(), m.Cols()
+	for u := range rows {
+		for v, x := range m.Data[u*cols : (u+1)*cols] {
+			t.Data[v*rows+u] = x
 		}
 	}
 	return t
@@ -90,17 +91,17 @@ func Scatter(m *Matrix, l field.Layout) *Dist {
 	if l.P != m.P || l.Q != m.Q {
 		panic(fmt.Sprintf("matrix: layout shape (%d,%d) != matrix shape (%d,%d)", l.P, l.Q, m.P, m.Q))
 	}
-	if err := l.Validate(); err != nil {
+	mp, err := l.Map()
+	if err != nil {
 		panic("matrix: invalid layout: " + err.Error())
 	}
 	d := &Dist{Layout: l, Local: make([][]float64, l.N())}
-	for i := range d.Local {
-		d.Local[i] = make([]float64, l.LocalSize())
-	}
-	for u := uint64(0); u < uint64(m.Rows()); u++ {
-		for v := uint64(0); v < uint64(m.Cols()); v++ {
-			d.Local[l.ProcOf(u, v)][l.LocalOf(u, v)] = m.At(u, v)
+	for proc := range d.Local {
+		local := make([]float64, l.LocalSize())
+		for slot := range local {
+			local[slot] = m.Data[mp.Addr(uint64(proc), uint64(slot))]
 		}
+		d.Local[proc] = local
 	}
 	return d
 }
@@ -108,10 +109,13 @@ func Scatter(m *Matrix, l field.Layout) *Dist {
 // Gather reassembles the dense matrix from the distributed pieces.
 func (d *Dist) Gather() *Matrix {
 	m := New(d.Layout.P, d.Layout.Q)
-	for proc := range d.Local {
-		for slot, x := range d.Local[proc] {
-			u, v := d.Layout.ElementOf(uint64(proc), uint64(slot))
-			m.Set(u, v, x)
+	mp, err := d.Layout.Map()
+	if err != nil {
+		panic("matrix: invalid layout: " + err.Error())
+	}
+	for proc, local := range d.Local {
+		for slot, x := range local {
+			m.Data[mp.Addr(uint64(proc), uint64(slot))] = x
 		}
 	}
 	return m
@@ -173,14 +177,18 @@ func (d *Dist) Verify(want *Matrix) error {
 		return fmt.Errorf("matrix: shape mismatch: dist (%d,%d) vs want (%d,%d)",
 			d.Layout.P, d.Layout.Q, want.P, want.Q)
 	}
-	for proc := range d.Local {
-		if len(d.Local[proc]) != d.Layout.LocalSize() {
+	mp, err := d.Layout.Map()
+	if err != nil {
+		return fmt.Errorf("matrix: invalid layout: %w", err)
+	}
+	for proc, local := range d.Local {
+		if len(local) != d.Layout.LocalSize() {
 			return fmt.Errorf("matrix: proc %d holds %d elements, want %d",
-				proc, len(d.Local[proc]), d.Layout.LocalSize())
+				proc, len(local), d.Layout.LocalSize())
 		}
-		for slot, x := range d.Local[proc] {
-			u, v := d.Layout.ElementOf(uint64(proc), uint64(slot))
-			if x != want.At(u, v) {
+		for slot, x := range local {
+			if x != want.Data[mp.Addr(uint64(proc), uint64(slot))] {
+				u, v := d.Layout.ElementOf(uint64(proc), uint64(slot))
 				return fmt.Errorf("matrix: proc %d slot %d: got %v, want a(%d,%d) = %v (layout %s)",
 					proc, slot, x, u, v, want.At(u, v), d.Layout)
 			}

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"strings"
 	"testing"
 
 	"boolcube/internal/field"
@@ -70,14 +69,21 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 }
 
+// The failure report is pinned to the letter: the first mismatch in
+// (processor, slot) order — not in element-address order, where the second
+// corruption below (a(8,0), address 128) would come before a(13,10) — with
+// the element's identity recovered through the layout's inverse (processor
+// 11 = Gray 10||11 holds block row 3, block column 2).
 func TestVerifyDetectsCorruption(t *testing.T) {
-	m := NewIota(3, 3)
-	l := field.TwoDimConsecutive(3, 3, 1, 1, field.Binary)
+	m := NewIota(4, 4)
+	l := field.TwoDimConsecutive(4, 4, 2, 2, field.Gray)
 	d := Scatter(m, l)
-	d.Local[2][5] = -42
-	err := d.Verify(m)
-	if err == nil || !strings.Contains(err.Error(), "proc 2 slot 5") {
-		t.Errorf("corruption not located: %v", err)
+	d.Local[11][6] = -42
+	d.Local[12][0] = -7
+	const want = "matrix: proc 11 slot 6: got -42, want a(13,10) = 218 " +
+		"(layout 2d-consecutive/gray p=4 q=4 n=4 [gray[6,8) gray[2,4)])"
+	if err := d.Verify(m); err == nil || err.Error() != want {
+		t.Errorf("Verify = %v\nwant     %s", err, want)
 	}
 }
 

@@ -19,7 +19,7 @@ go test ./...
 
 # Fuzz corpora in regression mode: replay the checked-in seeds (no fuzzing).
 echo "==> go test -run '^Fuzz' (fuzz seed regression)"
-go test -run '^Fuzz' ./internal/plan/ ./internal/cube/ ./internal/service/ ./internal/remap/ .
+go test -run '^Fuzz' ./internal/field/ ./internal/plan/ ./internal/cube/ ./internal/service/ ./internal/remap/ .
 
 # Golden results: RESULTS.md is the committed output of the full experiment
 # registry and every virtual-time figure in it is a fixed point — host-side
@@ -68,9 +68,10 @@ go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKil
 echo "==> go test -run TestSoakFaultedTranspose"
 go test -run 'TestSoakFaultedTranspose' .
 
-# Smoke the plan-cache benchmark pair (full measurement: `make bench`).
-echo "==> go test -bench plan split -benchtime=1x"
-go test -run '^$' -bench 'BenchmarkTransposeOneShot$|BenchmarkTransposeCompiled$' -benchtime=1x .
+# Smoke the plan-cache benchmark pair (full measurement: `make bench`) and
+# the address-arithmetic hot loops under every compile, Scatter and Verify.
+echo "==> go test -bench plan split + address hot loops -benchtime=1x"
+go test -run '^$' -bench 'BenchmarkTransposeOneShot$|BenchmarkTransposeCompiled$|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkScatterVerify$' -benchtime=1x . ./internal/field/ ./internal/plan/ ./internal/matrix/
 
 # Connection Machine scale smoke: a full 12-cube (4096 node) all-to-all,
 # one worker vs the automatic count, byte-identical Stats. The test skips
