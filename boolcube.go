@@ -274,9 +274,12 @@ func (o Options) core() core.Options {
 
 // Transpose moves the distributed matrix d into the after layout (which
 // describes the transposed matrix) with the selected algorithm, returning
-// the new distribution and the simulated communication cost. Each call
-// compiles the transposition afresh and executes it once; callers replaying
-// the same shape repeatedly should Compile once and Execute per run.
+// the new distribution and the simulated communication cost. It is Compile
+// followed by ExecuteWith: the plan comes from the same process-wide cache,
+// so the first call for a (layouts, algorithm, machine) shape pays the
+// O(P·Q) planning and every later one is a cache hit. Like Compile, it
+// therefore retains at most 256 plans per process, evicted first-in
+// first-out.
 func Transpose(d *Dist, after Layout, opt Options) (*Result, error) {
 	return core.Transpose(opt.Algorithm, d, after, opt.core())
 }
@@ -291,7 +294,9 @@ type CompiledTranspose struct {
 // Compile builds (or fetches from the process-wide plan cache) the plan for
 // transposing a matrix distributed under `before` into the `after` layout
 // with opt's algorithm and machine. The O(P·Q) planning work happens here,
-// once per shape; Execute only gathers, routes and scatters.
+// once per shape; Execute only gathers, routes and scatters. The cache holds
+// at most 256 plans, evicted first-in first-out; an evicted plan a caller
+// still holds stays valid.
 func Compile(before, after Layout, opt Options) (*CompiledTranspose, error) {
 	co := opt.core()
 	p, err := plan.Default.Compile(opt.Algorithm, before, after, co.PlanConfig())
@@ -484,7 +489,11 @@ const (
 
 // ConvertConsecutiveToCyclic transposes a TwoDimConsecutive matrix into
 // TwoDimCyclic storage on the transposed matrix with the selected
-// Section 6.2 algorithm.
+// Section 6.2 algorithm. Options.Faults, Retry and Deadline are honoured —
+// a blocked link or a missed deadline aborts with the same typed fault error
+// or *DeadlineError a Transpose surfaces — but the phases run outside any
+// compiled plan, so the error carries no Checkpoint and Options.Failover
+// does not apply (the exchange has no alternative routes).
 func ConvertConsecutiveToCyclic(d *Dist, alg ConvertAlgorithm, opt Options) (*Result, error) {
 	return core.ConvertConsecutiveToCyclic(d, alg, opt.core())
 }
@@ -492,7 +501,10 @@ func ConvertConsecutiveToCyclic(d *Dist, alg ConvertAlgorithm, opt Options) (*Re
 // ConvertEncoding re-embeds the distributed matrix under a layout of the
 // same shape and partitioning but a different encoding (binary <-> Gray) —
 // the standalone code conversion of Section 2, routed most-significant
-// dimension first so each node needs at most n-1 hops.
+// dimension first so each node needs at most n-1 hops. Options.Faults, Retry
+// and Deadline are honoured as in ConvertConsecutiveToCyclic: typed errors,
+// no Checkpoint, and Options.Failover does not apply (each node's one route
+// is fixed).
 func ConvertEncoding(d *Dist, after Layout, opt Options) (*Result, error) {
 	return core.ConvertEncoding(d, after, opt.core())
 }

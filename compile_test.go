@@ -17,9 +17,12 @@ func layoutsFor(alg Algorithm, p, q, n int) (before, after Layout) {
 		TwoDimConsecutive(q, p, n/2, n/2, Binary)
 }
 
-// Replaying a compiled plan must be indistinguishable from the one-shot
-// Transpose for every algorithm: element-exact results and bit-identical
-// simulated Stats, run after run.
+// Replay determinism through both public entry points. Transpose is Compile
+// + Execute over the one plan cache, so this executes one cached plan three
+// times — once via Transpose, twice via Execute — and requires element-exact
+// results and bit-identical simulated Stats run after run, for every
+// algorithm. (That a cached plan equals a freshly compiled one is asserted
+// where the cache lives: internal/plan TestCacheTransparency.)
 func TestCompiledReplayMatchesOneShot(t *testing.T) {
 	p, q, n := 4, 4, 4
 	for _, mach := range []Machine{IPSC(), IPSCNPort()} {

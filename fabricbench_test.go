@@ -7,8 +7,9 @@ import "testing"
 // the host simulates the transpose (its Stats.Time is the virtual time the
 // machine model predicts); the livenet run measures a real 256-goroutine
 // transpose end to end (its Stats.Time is wall-clock elapsed). Both report
-// Stats.Time as the custom metric stats-us/op so scripts/bench_fabric.sh
-// can put model time and wall time side by side in BENCH_fabric.json.
+// Stats.Time as the custom metric stats-us/op, model time beside wall time;
+// `go run ./bench` reports the same comparison as livenet.replay_ms against
+// core.execute_ms.
 
 func benchFabricSetup(b *testing.B) (*CompiledTranspose, *Dist, *Matrix) {
 	b.Helper()

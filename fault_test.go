@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"boolcube/internal/fabric"
 	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 // faultCase enumerates every directed link of an n-cube.
@@ -91,7 +91,7 @@ func TestSPTSingleFaultTypedErrorOrFailover(t *testing.T) {
 		// Failover disabled: the outcome is binary and typed.
 		res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: FailoverNone})
 		if err != nil {
-			if !errors.Is(err, simnet.ErrLinkDown) {
+			if !errors.Is(err, fabric.ErrLinkDown) {
 				t.Fatalf("link %v down: error %v is not typed ErrLinkDown", l, err)
 			}
 			// Deterministic: an identical run fails identically.
@@ -213,7 +213,7 @@ func TestNodeDownIsFatalForItsTraffic(t *testing.T) {
 }
 
 func isTypedFaultErr(err error) bool {
-	return errors.Is(err, simnet.ErrLinkDown) || errors.Is(err, simnet.ErrRetryBudget) ||
+	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
 		errors.Is(err, router.ErrNoRoute)
 }
 

@@ -7,7 +7,7 @@ package ckptsafe
 
 import "errors"
 
-// Stats mimics simnet.Stats.
+// Stats mimics fabric.Stats.
 type Stats struct{ Time float64 }
 
 // Result mimics core.Result.

@@ -4,10 +4,10 @@
 // recycled buffer into captured state without copying it first.
 package poolretain
 
-// Part mimics simnet.Part.
+// Part mimics fabric.Part.
 type Part struct{ N int }
 
-// Msg mimics simnet.Msg: a payload plus optional block boundaries.
+// Msg mimics fabric.Msg: a payload plus optional block boundaries.
 type Msg struct {
 	Data  []float64
 	Parts []Part

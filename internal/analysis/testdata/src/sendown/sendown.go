@@ -6,10 +6,10 @@
 // (m = nd.Exchange(d, m), m = nd.Recv(d)) resets tracking.
 package sendown
 
-// Part mimics simnet.Part.
+// Part mimics fabric.Part.
 type Part struct{ N int }
 
-// Msg mimics simnet.Msg: scalar header fields plus owned buffers.
+// Msg mimics fabric.Msg: scalar header fields plus owned buffers.
 type Msg struct {
 	Src, Dst uint64
 	Tag      int

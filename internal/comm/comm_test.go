@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"boolcube/internal/fabric"
 	"boolcube/internal/machine"
 	"boolcube/internal/simnet"
 )
@@ -347,7 +348,7 @@ func TestTheorem1Ordering(t *testing.T) {
 	size := 8
 	block := func(s, d uint64) []float64 { return payload(s, d, size) }
 
-	run := func(someToAll, optimal bool) simnet.Stats {
+	run := func(someToAll, optimal bool) fabric.Stats {
 		e := newEngine(t, n, machine.Ideal(machine.OnePort))
 		var err error
 		if someToAll {

@@ -116,11 +116,10 @@ func ConvertConsecutiveToCyclic(d *matrix.Dist, alg ConvertAlgorithm, opt Option
 		colDims = append(colDims, i)
 	}
 
-	e, err := fabric.New(opt.Backend, n, opt.Machine)
+	e, err := newEngine(n, opt.Machine, opt.ExecConfig(), fmt.Sprintf("convert %s: %s -> %s", alg, before, after))
 	if err != nil {
 		return nil, err
 	}
-	applyTracer(e, opt)
 	loc := make([][]float64, e.Nodes())
 	localBytes := before.LocalSize() * opt.Machine.ElemBytes
 
@@ -169,8 +168,8 @@ func ConvertConsecutiveToCyclic(d *matrix.Dist, alg ConvertAlgorithm, opt Option
 	}
 	if err != nil {
 		// The conversion phases carry no *plan.Plan move-set, so there is
-		// nothing Resume could replay; a Run error here is a deadlock in the
-		// phase program itself, not a recoverable fault.
+		// nothing Resume could replay: a typed fault or deadline abort is
+		// propagated as-is, without a checkpoint.
 		return nil, err //cubevet:ignore ckptsafe -- no plan move-set to checkpoint; Resume requires one
 	}
 	return &Result{Dist: finishDist(after, loc), Stats: e.Stats()}, nil

@@ -40,11 +40,11 @@ func ConvertEncoding(d *matrix.Dist, after field.Layout, opt Options) (*Result, 
 		}
 	}
 
-	e, n, err := engineFor(before, after, opt)
+	n := before.NBits()
+	e, err := newEngine(n, opt.Machine, opt.ExecConfig(), fmt.Sprintf("convert-encoding %s -> %s", before, after))
 	if err != nil {
 		return nil, err
 	}
-	applyTracer(e, opt)
 	var flows []router.Flow
 	for sp := 0; sp < before.N(); sp++ {
 		src := uint64(sp)
@@ -78,7 +78,8 @@ func ConvertEncoding(d *matrix.Dist, after field.Layout, opt Options) (*Result, 
 	if err != nil {
 		// The ad-hoc flow set is built outside any *plan.Plan, so Resume —
 		// which replays a plan's residual move-set — has nothing to work
-		// from; propagate the router failure as-is.
+		// from; propagate the failure (a typed fault or deadline abort
+		// included) as-is.
 		return nil, err //cubevet:ignore ckptsafe -- ad-hoc flows carry no plan move-set; Resume requires one
 	}
 	loc := newLocal(after, e.Nodes())

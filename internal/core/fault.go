@@ -81,11 +81,12 @@ func (xo ExecOptions) failoverDown() func(from uint64, dim int) bool {
 	return xo.Faults.PermanentlyDown
 }
 
-// checkFaults validates the fault plan against the plan's cube.
-func (xo ExecOptions) checkFaults(p *plan.Plan) error {
-	if xo.Faults != nil && xo.Faults.Dims() != p.NDims() {
-		return fmt.Errorf("core: fault plan compiled for a %d-cube, plan executes on a %d-cube",
-			xo.Faults.Dims(), p.NDims())
+// checkFaults validates the fault plan against the n-cube the run executes
+// on.
+func (xo ExecOptions) checkFaults(n int) error {
+	if xo.Faults != nil && xo.Faults.Dims() != n {
+		return fmt.Errorf("core: fault plan compiled for a %d-cube, run executes on a %d-cube",
+			xo.Faults.Dims(), n)
 	}
 	return nil
 }

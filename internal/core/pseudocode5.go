@@ -57,11 +57,10 @@ func TransposeExchangePseudocode(d *matrix.Dist, after field.Layout, opt Options
 	}
 	N := 1 << uint(n)
 
-	e, err := fabric.New(opt.Backend, n, opt.Machine)
+	e, err := newEngine(n, opt.Machine, opt.ExecConfig(), fmt.Sprintf("exchange-pseudocode %s -> %s", before, after))
 	if err != nil {
 		return nil, err
 	}
-	applyTracer(e, opt)
 	loc := newLocal(after, e.Nodes())
 	err = e.Run(func(nd fabric.Node) {
 		id := nd.ID()
@@ -113,7 +112,8 @@ func TransposeExchangePseudocode(d *matrix.Dist, after field.Layout, opt Options
 	if err != nil {
 		// Paper-faithful transcription: the blocked array lives entirely
 		// inside the node program, so no delivery progress is observable
-		// from the host and there is nothing resumable to checkpoint.
+		// from the host and there is nothing resumable to checkpoint; a
+		// typed fault or deadline abort is propagated as-is.
 		return nil, err //cubevet:ignore ckptsafe -- pseudocode transcription keeps all state in-closure; nothing to checkpoint
 	}
 	return &Result{Dist: finishDist(after, loc), Stats: e.Stats()}, nil
@@ -137,11 +137,10 @@ func TransposeSBnTPseudocode(d *matrix.Dist, after field.Layout, opt Options) (*
 	}
 	N := uint64(1) << uint(n)
 
-	e, err := fabric.New(opt.Backend, n, opt.Machine)
+	e, err := newEngine(n, opt.Machine, opt.ExecConfig(), fmt.Sprintf("sbnt-pseudocode %s -> %s", before, after))
 	if err != nil {
 		return nil, err
 	}
-	applyTracer(e, opt)
 	loc := newLocal(after, e.Nodes())
 	err = e.Run(func(nd fabric.Node) {
 		id := nd.ID()

@@ -10,8 +10,8 @@
 // Since the compile/execute split, the planning half of every algorithm —
 // element move-sets, routes, dimension orders, packetization — lives in
 // internal/plan as an immutable IR; this package replays a compiled plan
-// against distributed data (Execute) and keeps Transpose/TransposeCached as
-// compile-then-execute conveniences.
+// against distributed data (Execute) and keeps Transpose as the
+// compile-then-execute convenience over the process-wide plan cache.
 //
 // Flow-kind plans have one executor, RunTransfers: gather → failover → one
 // engine run → scatter by flow index → fold the failover report, over a list
@@ -90,22 +90,11 @@ func (o Options) PlanConfig() plan.Config {
 	}
 }
 
-// Transpose compiles the transposition (uncached) and executes it once —
-// the seed one-shot path. Callers replaying the same shape repeatedly
-// should compile once (plan.Compile or a plan.Cache) and call Execute per
-// run.
+// Transpose is compile-then-execute through the process-wide plan cache
+// (plan.Default): the first call for a (layouts, algorithm, machine) shape
+// pays the O(P·Q) planning cost, every later one is a cache hit plus
+// ExecuteWith.
 func Transpose(alg plan.Algorithm, d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
-	p, err := plan.Compile(alg, d.Layout, after, opt.PlanConfig())
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteWith(p, d, opt.ExecConfig())
-}
-
-// TransposeCached is Transpose through the process-wide plan cache: sweeps
-// that re-run the same (layout, algorithm, machine) shape pay the O(P·Q)
-// planning cost once.
-func TransposeCached(alg plan.Algorithm, d *matrix.Dist, after field.Layout, opt Options) (*Result, error) {
 	p, err := plan.Default.Compile(alg, d.Layout, after, opt.PlanConfig())
 	if err != nil {
 		return nil, err
@@ -127,7 +116,9 @@ func ExecuteWith(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) 
 	if got, want := d.Layout.String(), p.Before().String(); got != want {
 		return nil, fmt.Errorf("core: distribution layout %s does not match plan layout %s", got, want)
 	}
-	if err := xo.checkFaults(p); err != nil {
+	// Checked here as well as in newEngine: the feasibility analysis below
+	// must not read a schedule compiled for another cube.
+	if err := xo.checkFaults(p.NDims()); err != nil {
 		return nil, err
 	}
 	if err := xo.checkFeasible(p); err != nil {
@@ -144,38 +135,30 @@ func ExecuteWith(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) 
 	return nil, fmt.Errorf("core: unknown plan kind %v", p.Kind())
 }
 
-// engineFor builds an engine big enough for both layouts on the backend
-// the options select.
-func engineFor(before, after field.Layout, opt Options) (fabric.Fabric, int, error) {
-	n := before.NBits()
-	if a := after.NBits(); a > n {
-		n = a
-	}
-	e, err := fabric.New(opt.Backend, n, opt.Machine)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e, n, nil
-}
-
-// applyTracer installs the optional tracer on a fresh engine.
-func applyTracer(e fabric.Fabric, opt Options) {
-	if opt.Tracer != nil {
-		e.SetTracer(opt.Tracer)
-	}
-}
-
-// planEngine builds the engine a plan executes on, installs the tracer
-// (labeling it with the plan's description when the tracer supports
-// labels), and arms fault injection when the run carries a fault plan.
+// planEngine builds the engine a plan executes on, its tracer labeled with
+// the plan's description.
 func planEngine(p *plan.Plan, xo ExecOptions) (fabric.Fabric, error) {
-	e, err := fabric.New(xo.Backend, p.NDims(), p.Config().Machine)
+	return newEngine(p.NDims(), p.Config().Machine, xo, p.Describe())
+}
+
+// newEngine is the one way core builds an engine: an n-cube under mach on
+// the backend xo selects, armed with everything a run's options carry — the
+// tracer (labeled, when it takes labels, and told the injected fault list),
+// fault injection with its retry policy, and the deadline. Plan executions
+// and the ad-hoc entry points that run outside any plan (encoding and
+// partitioning conversions, the Section 5 pseudocode) all come through
+// here, so none can drop an option.
+func newEngine(n int, mach machine.Params, xo ExecOptions, label string) (fabric.Fabric, error) {
+	if err := xo.checkFaults(n); err != nil {
+		return nil, err
+	}
+	e, err := fabric.New(xo.Backend, n, mach)
 	if err != nil {
 		return nil, err
 	}
 	if xo.Tracer != nil {
 		if l, ok := xo.Tracer.(interface{ SetLabel(string) }); ok {
-			l.SetLabel(p.Describe())
+			l.SetLabel(label)
 		}
 		if xo.Faults != nil {
 			if f, ok := xo.Tracer.(interface{ SetFaults([]string) }); ok {

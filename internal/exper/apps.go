@@ -86,7 +86,7 @@ func admStepOneDim(p, q, n int, alg plan.Algorithm, mach machine.Params) (float6
 
 	step := func(dst field.Layout, width int) error {
 		applyADMHalf(d, width, lam)
-		res, err := core.TransposeCached(alg, d, dst, core.Options{Machine: mach, Strategy: comm.Buffered})
+		res, err := core.Transpose(alg, d, dst, core.Options{Machine: mach, Strategy: comm.Buffered})
 		if err != nil {
 			return err
 		}
@@ -118,7 +118,7 @@ func admStepTwoDimMPT(p, q, n int) (float64, error) {
 		if i == 1 {
 			dst = before
 		}
-		res, err := core.TransposeCached(plan.MPT, d, dst, core.Options{Machine: machine.IPSCNPort()})
+		res, err := core.Transpose(plan.MPT, d, dst, core.Options{Machine: machine.IPSCNPort()})
 		if err != nil {
 			return 0, err
 		}

@@ -10,7 +10,6 @@ import (
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -80,7 +79,7 @@ func chaosSweep() (*Table, error) {
 	backends := []string{"simnet", "livenet"}
 	ks := []int{1, 2}
 
-	bases, err := Par(len(algos), 0, func(i int) (simnet.Stats, error) {
+	bases, err := Par(len(algos), 0, func(i int) (fabric.Stats, error) {
 		return runTranspose(algos[i].alg, logElems, n, core.Options{Machine: mach})
 	})
 	if err != nil {
@@ -170,30 +169,30 @@ const maxRecoverAttempts = 4
 // recovery traffic is st.Bytes - sunk). Both the direct and the recovered
 // outcome verify the result element-exact; a recovered outcome additionally
 // requires the failure to have been a typed node-down detection.
-func runChaos(alg plan.Algorithm, logElems, n int, opt core.Options) (chaosOutcome, simnet.Stats, int64, error) {
+func runChaos(alg plan.Algorithm, logElems, n int, opt core.Options) (chaosOutcome, fabric.Stats, int64, error) {
 	before, after, p, q, ok := twoDimLayouts(logElems, n)
 	if !ok {
-		return chaosFailed, simnet.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
+		return chaosFailed, fabric.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
 	}
 	m := matrix.NewIota(p, q)
 	want := m.Transposed()
 	d := matrix.Scatter(m, before)
-	res, err := core.TransposeCached(alg, d, after, opt)
+	res, err := core.Transpose(alg, d, after, opt)
 	if err == nil {
 		if verr := res.Dist.Verify(want); verr != nil {
-			return chaosFailed, simnet.Stats{}, 0, verr
+			return chaosFailed, fabric.Stats{}, 0, verr
 		}
 		return chaosDirect, res.Stats, 0, nil
 	}
 	var xe *core.ExecError
 	if !errors.As(err, &xe) {
 		if isFaultOutcome(err) {
-			return chaosFailed, simnet.Stats{}, 0, nil
+			return chaosFailed, fabric.Stats{}, 0, nil
 		}
-		return chaosFailed, simnet.Stats{}, 0, err
+		return chaosFailed, fabric.Stats{}, 0, err
 	}
 	if !errors.Is(err, fabric.ErrNodeDown) {
-		return chaosFailed, simnet.Stats{}, 0,
+		return chaosFailed, fabric.Stats{}, 0,
 			fmt.Errorf("exper: crash schedule failed without node-down detection: %w", err)
 	}
 	sunk := xe.Checkpoint.Stats.Bytes
@@ -201,7 +200,7 @@ func runChaos(alg plan.Algorithm, logElems, n int, opt core.Options) (chaosOutco
 		res, err = core.Recover(xe.Checkpoint, core.ExecOptions{Backend: opt.Backend})
 		if err == nil {
 			if verr := res.Dist.Verify(want); verr != nil {
-				return chaosFailed, simnet.Stats{}, 0, verr
+				return chaosFailed, fabric.Stats{}, 0, verr
 			}
 			return chaosRecovered, res.Stats, sunk, nil
 		}
@@ -210,7 +209,7 @@ func runChaos(alg plan.Algorithm, logElems, n int, opt core.Options) (chaosOutco
 		}
 	}
 	if isFaultOutcome(err) || errors.Is(err, fabric.ErrNodeDown) {
-		return chaosFailed, simnet.Stats{}, 0, nil
+		return chaosFailed, fabric.Stats{}, 0, nil
 	}
-	return chaosFailed, simnet.Stats{}, 0, err
+	return chaosFailed, fabric.Stats{}, 0, err
 }

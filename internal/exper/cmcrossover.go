@@ -23,8 +23,7 @@ func init() {
 // every size. The simulated rows (even n <= 10) capture what the SBnT bound
 // ignores, congestion on the shared tree paths, and show where the 2-D path
 // system actually wins; the break-even between the two verdicts is the
-// reported result. scripts/bench_engine.sh embeds these rows in
-// BENCH_engine.json.
+// reported result.
 func cmCrossover() (*Table, error) {
 	const logElems = 20 // 2^20 32-bit elements: a fixed 4 MB matrix
 	mach := machine.ConnectionMachine()

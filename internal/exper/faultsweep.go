@@ -6,11 +6,11 @@ import (
 
 	"boolcube/internal/core"
 	"boolcube/internal/cost"
+	"boolcube/internal/fabric"
 	"boolcube/internal/fault"
 	"boolcube/internal/machine"
 	"boolcube/internal/plan"
 	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -62,14 +62,14 @@ func faultSweep() (*Table, error) {
 	// whole sweep fans out over one flat job list; the rows are assembled
 	// serially afterwards in the canonical (algorithm, k, seed) order, so
 	// the table is byte-identical to a serial sweep for any worker count.
-	bases, err := Par(len(algos), 0, func(i int) (simnet.Stats, error) {
+	bases, err := Par(len(algos), 0, func(i int) (fabric.Stats, error) {
 		return runTranspose(algos[i].alg, logElems, n, core.Options{Machine: mach})
 	})
 	if err != nil {
 		return nil, err
 	}
 	type cell struct {
-		st simnet.Stats
+		st fabric.Stats
 		ok bool
 	}
 	nseeds := len(faultSeeds)
@@ -124,16 +124,16 @@ func faultSweep() (*Table, error) {
 
 // runFaulted is runTranspose, but an injected-fault outcome (typed route or
 // send error) is reported as ok=false instead of failing the sweep.
-func runFaulted(alg plan.Algorithm, logElems, n int, opt core.Options) (simnet.Stats, bool, error) {
+func runFaulted(alg plan.Algorithm, logElems, n int, opt core.Options) (fabric.Stats, bool, error) {
 	st, err := runTranspose(alg, logElems, n, opt)
 	if err == nil {
 		return st, true, nil
 	}
-	if errors.Is(err, simnet.ErrLinkDown) || errors.Is(err, simnet.ErrRetryBudget) ||
+	if errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
 		errors.Is(err, router.ErrNoRoute) || errors.Is(err, router.ErrLinkBlocked) {
-		return simnet.Stats{}, false, nil
+		return fabric.Stats{}, false, nil
 	}
-	return simnet.Stats{}, false, err
+	return fabric.Stats{}, false, err
 }
 
 // degradedModel evaluates the DegradedPipelinedPaths expectation over the

@@ -44,7 +44,7 @@ func oneDimTranspose(p, q, n int, strat comm.Strategy, mach machine.Params) (flo
 	after := field.OneDimConsecutiveRows(q, p, n, field.Binary)
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := core.TransposeCached(plan.Exchange, d, after, core.Options{Machine: mach, Strategy: strat})
+	res, err := core.Transpose(plan.Exchange, d, after, core.Options{Machine: mach, Strategy: strat})
 	if err != nil {
 		return 0, err
 	}

@@ -5,12 +5,12 @@ import (
 	"fmt"
 
 	"boolcube/internal/core"
+	"boolcube/internal/fabric"
 	"boolcube/internal/fault"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -74,7 +74,7 @@ func recoverySweep() (*Table, error) {
 	}
 	ks := []int{1, 2, 4}
 
-	bases, err := Par(len(algos), 0, func(i int) (simnet.Stats, error) {
+	bases, err := Par(len(algos), 0, func(i int) (fabric.Stats, error) {
 		return runTranspose(algos[i].alg, logElems, n, core.Options{Machine: mach})
 	})
 	if err != nil {
@@ -157,34 +157,34 @@ const maxResumeAttempts = 3
 // cost already sunk at the first checkpoint (so resumed-run traffic is
 // st.Bytes - sunk). The result is verified element-exact in every
 // successful outcome.
-func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options) (recoveryOutcome, simnet.Stats, int64, error) {
+func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options) (recoveryOutcome, fabric.Stats, int64, error) {
 	before, after, p, q, ok := twoDimLayouts(logElems, n)
 	if !ok {
-		return outFailed, simnet.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
+		return outFailed, fabric.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
 	}
 	m := matrix.NewIota(p, q)
 	want := m.Transposed()
 	d := matrix.Scatter(m, before)
-	res, err := core.TransposeCached(alg, d, after, opt)
+	res, err := core.Transpose(alg, d, after, opt)
 	if err == nil {
 		if verr := res.Dist.Verify(want); verr != nil {
-			return outFailed, simnet.Stats{}, 0, verr
+			return outFailed, fabric.Stats{}, 0, verr
 		}
 		return outDirect, res.Stats, 0, nil
 	}
 	var xe *core.ExecError
 	if !errors.As(err, &xe) {
 		if isFaultOutcome(err) {
-			return outFailed, simnet.Stats{}, 0, nil
+			return outFailed, fabric.Stats{}, 0, nil
 		}
-		return outFailed, simnet.Stats{}, 0, err
+		return outFailed, fabric.Stats{}, 0, err
 	}
 	sunk := xe.Checkpoint.Stats.Bytes
 	for attempt := 0; attempt < maxResumeAttempts; attempt++ {
 		res, err = core.Resume(xe.Checkpoint, core.ExecOptions{})
 		if err == nil {
 			if verr := res.Dist.Verify(want); verr != nil {
-				return outFailed, simnet.Stats{}, 0, verr
+				return outFailed, fabric.Stats{}, 0, verr
 			}
 			return outResumed, res.Stats, sunk, nil
 		}
@@ -193,15 +193,15 @@ func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options) (recove
 		}
 	}
 	if isFaultOutcome(err) {
-		return outFailed, simnet.Stats{}, 0, nil
+		return outFailed, fabric.Stats{}, 0, nil
 	}
-	return outFailed, simnet.Stats{}, 0, err
+	return outFailed, fabric.Stats{}, 0, err
 }
 
 // isFaultOutcome reports whether err is one of the typed injected-fault
 // outcomes a sweep counts as "failed" rather than an experiment error.
 func isFaultOutcome(err error) bool {
-	return errors.Is(err, simnet.ErrLinkDown) || errors.Is(err, simnet.ErrRetryBudget) ||
+	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
 		errors.Is(err, router.ErrNoRoute) || errors.Is(err, router.ErrLinkBlocked) ||
 		errors.Is(err, core.ErrInfeasible)
 }

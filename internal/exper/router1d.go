@@ -42,7 +42,7 @@ func sec81Router() (*Table, error) {
 			m := matrix.NewIota(p, q)
 
 			dr := matrix.Scatter(m, before)
-			router, err := core.TransposeCached(plan.RoutingLogic, dr, after, core.Options{Machine: mach})
+			router, err := core.Transpose(plan.RoutingLogic, dr, after, core.Options{Machine: mach})
 			if err != nil {
 				return nil, err
 			}
@@ -50,7 +50,7 @@ func sec81Router() (*Table, error) {
 				return nil, verr
 			}
 			db := matrix.Scatter(m, before)
-			buffered, err := core.TransposeCached(plan.Exchange, db, after,
+			buffered, err := core.Transpose(plan.Exchange, db, after,
 				core.Options{Machine: mach, Strategy: comm.Buffered})
 			if err != nil {
 				return nil, err

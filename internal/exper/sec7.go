@@ -43,7 +43,7 @@ func sec7Perm() (*Table, error) {
 
 			// Dedicated transposes.
 			d1 := matrix.Scatter(m, before)
-			ex, err := core.TransposeCached(plan.Exchange, d1, after, core.Options{Machine: machine.IPSC()})
+			ex, err := core.Transpose(plan.Exchange, d1, after, core.Options{Machine: machine.IPSC()})
 			if err != nil {
 				return nil, err
 			}

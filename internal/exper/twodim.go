@@ -6,11 +6,11 @@ import (
 	"boolcube/internal/comm"
 	"boolcube/internal/core"
 	"boolcube/internal/cost"
+	"boolcube/internal/fabric"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -38,19 +38,19 @@ func twoDimLayouts(logElems, n int) (before, after field.Layout, p, q int, ok bo
 // runTranspose executes one algorithm and verifies the result. Plans are
 // compiled once per (algorithm, layout, machine) configuration through the
 // shared cache, so sweeps that revisit a configuration only pay execution.
-func runTranspose(alg plan.Algorithm, logElems, n int, opt core.Options) (simnet.Stats, error) {
+func runTranspose(alg plan.Algorithm, logElems, n int, opt core.Options) (fabric.Stats, error) {
 	before, after, p, q, ok := twoDimLayouts(logElems, n)
 	if !ok {
-		return simnet.Stats{}, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
+		return fabric.Stats{}, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
 	}
 	m := matrix.NewIota(p, q)
 	d := matrix.Scatter(m, before)
-	res, err := core.TransposeCached(alg, d, after, opt)
+	res, err := core.Transpose(alg, d, after, opt)
 	if err != nil {
-		return simnet.Stats{}, err
+		return fabric.Stats{}, err
 	}
 	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
-		return simnet.Stats{}, verr
+		return fabric.Stats{}, verr
 	}
 	return res.Stats, nil
 }
@@ -180,7 +180,7 @@ func fig15() (*Table, error) {
 			m := matrix.NewIota(p, q)
 			run := func(alg plan.Algorithm) (float64, error) {
 				d := matrix.Scatter(m, before)
-				res, err := core.TransposeCached(alg, d, after, core.Options{Machine: mach})
+				res, err := core.Transpose(alg, d, after, core.Options{Machine: mach})
 				if err != nil {
 					return 0, err
 				}

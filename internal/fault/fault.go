@@ -2,7 +2,7 @@
 // engine: a declarative Spec (seed + rules) compiles into an immutable Plan
 // — a reproducible schedule of link-down windows, flaky-link drop
 // probabilities and node failures on one cube. The simnet engine consults
-// the Plan at every transmission (it implements simnet.FaultModel), and the
+// the Plan at every transmission (it implements fabric.FaultModel), and the
 // flow executor consults it before injection to fail blocked routes over to
 // unused disjoint-path alternatives.
 //
@@ -133,7 +133,7 @@ func RandomNodeCrashes(seed int64, k int, t float64) Spec {
 type window struct{ start, end float64 }
 
 // Plan is a compiled, immutable fault schedule for one n-cube. It is safe
-// for concurrent readers and implements simnet.FaultModel.
+// for concurrent readers and implements fabric.FaultModel.
 type Plan struct {
 	n     int
 	seed  int64
@@ -284,7 +284,7 @@ func (p *Plan) Dims() int { return p.n }
 
 // LinkState reports whether the directed link (from, dim) is usable at
 // virtual time t; when it is down, nextUp is the time the link recovers
-// (+Inf for a permanent failure). Part of simnet.FaultModel.
+// (+Inf for a permanent failure). Part of fabric.FaultModel.
 func (p *Plan) LinkState(from uint64, dim int, t float64) (up bool, nextUp float64) {
 	for _, w := range p.downs[Link{From: from, Dim: dim}] {
 		if t >= w.start && t < w.end {
@@ -296,7 +296,7 @@ func (p *Plan) LinkState(from uint64, dim int, t float64) (up bool, nextUp float
 
 // Drop reports whether transmission attempt `attempt` on the directed link
 // (from, dim) is dropped by a flaky link. The decision is a pure hash of
-// (seed, link, attempt), so replays agree. Part of simnet.FaultModel.
+// (seed, link, attempt), so replays agree. Part of fabric.FaultModel.
 func (p *Plan) Drop(from uint64, dim int, attempt int64) bool {
 	prob := p.flaky[Link{From: from, Dim: dim}]
 	if prob <= 0 {

@@ -18,7 +18,7 @@ func BenchmarkEngineExchange(b *testing.B) {
 		}
 		err = e.Run(func(nd fabric.Node) {
 			for d := 5; d >= 0; d-- {
-				nd.Exchange(d, Msg{Data: make([]float64, 8)})
+				nd.Exchange(d, fabric.Msg{Data: make([]float64, 8)})
 			}
 		})
 		if err != nil {
@@ -41,7 +41,7 @@ func benchScan(b *testing.B, n, elems, passes, shards int, params machine.Params
 	err = e.Run(func(nd fabric.Node) {
 		for rep := 0; rep < passes; rep++ {
 			for d := nd.Dims() - 1; d >= 0; d-- {
-				m := nd.Exchange(d, Msg{Data: nd.AllocData(elems)})
+				m := nd.Exchange(d, fabric.Msg{Data: nd.AllocData(elems)})
 				nd.Recycle(m)
 			}
 		}
@@ -54,7 +54,7 @@ func benchScan(b *testing.B, n, elems, passes, shards int, params machine.Params
 
 // BenchmarkEngineCube10Sharded is the one-worker engine on a 10-cube (1024
 // node) scan — the size class every experiment below the automatic
-// threshold runs in. BENCH_engine.json records its ns/op.
+// threshold runs in (`go run ./bench` times it as simnet.serial_ms.n10).
 func BenchmarkEngineCube10Sharded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -106,7 +106,7 @@ func BenchmarkChecksum(b *testing.B) {
 	}
 	b.SetBytes(int64(len(data) * 8))
 	for i := 0; i < b.N; i++ {
-		benchSum = Checksum(data)
+		benchSum = fabric.Checksum(data)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestCheckpointExactAtOneShard(t *testing.T) {
 	m := matrix.NewIota(p, q)
 	for _, mach := range []machine.Params{machine.IPSC(), machine.IPSCNPort()} {
 		opt := core.Options{Machine: mach}
-		full, err := core.TransposeCached(plan.Exchange, matrix.Scatter(m, before), after, opt)
+		full, err := core.Transpose(plan.Exchange, matrix.Scatter(m, before), after, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestCheckpointExactAtOneShard(t *testing.T) {
 				checkpoint := func(backend string) *core.Checkpoint {
 					opt := opt
 					opt.Faults, opt.Backend = fp, backend
-					_, err := core.TransposeCached(plan.Exchange, matrix.Scatter(m, before), after, opt)
+					_, err := core.Transpose(plan.Exchange, matrix.Scatter(m, before), after, opt)
 					var xe *core.ExecError
 					if err != nil && !errors.As(err, &xe) {
 						t.Fatalf("%s on %q: %v", where, backend, err)

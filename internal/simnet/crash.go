@@ -33,7 +33,7 @@ import (
 
 // setCrashes snapshots the crash schedule of the installed fault model, if
 // it has one. Called from SetFaults.
-func (e *Engine) setCrashes(f FaultModel) {
+func (e *Engine) setCrashes(f fabric.FaultModel) {
 	e.crashModel = nil
 	e.crashT = nil
 	if cm, ok := f.(fabric.CrashModel); ok && len(cm.CrashedNodes()) > 0 {

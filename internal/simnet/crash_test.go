@@ -16,7 +16,7 @@ func ringProg(rounds int) func(fabric.Node) {
 	return func(nd fabric.Node) {
 		for r := 0; r < rounds; r++ {
 			for d := 0; d < nd.Dims(); d++ {
-				nd.Send(d, Msg{Data: []float64{float64(nd.ID())}})
+				nd.Send(d, fabric.Msg{Data: []float64{float64(nd.ID())}})
 				nd.Recv(d)
 			}
 		}
@@ -24,13 +24,13 @@ func ringProg(rounds int) func(fabric.Node) {
 }
 
 func TestCrashStopSurfacesNodeDownError(t *testing.T) {
-	e := faultEngine(t, 3, fault.NodeCrash(5, 30), RetryPolicy{})
+	e := faultEngine(t, 3, fault.NodeCrash(5, 30), fabric.RetryPolicy{})
 	err := e.Run(ringProg(8))
 	var nde *fabric.NodeDownError
 	if !errors.As(err, &nde) {
 		t.Fatalf("Run() = %v, want *fabric.NodeDownError", err)
 	}
-	if !errors.Is(err, ErrNodeDown) {
+	if !errors.Is(err, fabric.ErrNodeDown) {
 		t.Fatalf("error %v does not unwrap to ErrNodeDown", err)
 	}
 	if nde.Node != 5 || len(nde.Nodes) != 1 || nde.Nodes[0] != 5 {
@@ -51,7 +51,7 @@ func TestCrashStopSurfacesNodeDownError(t *testing.T) {
 }
 
 func TestCrashBeforeAnyWorkKillsImmediately(t *testing.T) {
-	e := faultEngine(t, 2, fault.NodeCrash(0, 0), RetryPolicy{})
+	e := faultEngine(t, 2, fault.NodeCrash(0, 0), fabric.RetryPolicy{})
 	err := e.Run(ringProg(1))
 	var nde *fabric.NodeDownError
 	if !errors.As(err, &nde) {
@@ -64,7 +64,7 @@ func TestCrashBeforeAnyWorkKillsImmediately(t *testing.T) {
 
 func TestCrashAfterProgramEndIsHarmless(t *testing.T) {
 	// The program finishes long before t=1e9, so the kill never fires.
-	e := faultEngine(t, 2, fault.NodeCrash(1, 1e9), RetryPolicy{})
+	e := faultEngine(t, 2, fault.NodeCrash(1, 1e9), fabric.RetryPolicy{})
 	if err := e.Run(ringProg(2)); err != nil {
 		t.Fatalf("Run() = %v, want clean completion before the crash", err)
 	}
@@ -74,10 +74,10 @@ func TestCrashOfBlockedNodeFiresAtQuiesce(t *testing.T) {
 	// Node 1 only ever receives; node 0 sends once then stops. After the
 	// single exchange the system quiesces with node 1 blocked, and its
 	// pending crash is the only remaining event.
-	e := faultEngine(t, 1, fault.NodeCrash(1, 500), RetryPolicy{})
+	e := faultEngine(t, 1, fault.NodeCrash(1, 500), fabric.RetryPolicy{})
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 			return
 		}
 		nd.Recv(0)
@@ -100,7 +100,7 @@ func TestCrashTwoNodesReportsBothAscending(t *testing.T) {
 		{Kind: fault.Crash, Node: 6, Start: 25},
 		{Kind: fault.Crash, Node: 2, Start: 40},
 	}}
-	e := faultEngine(t, 3, spec, RetryPolicy{})
+	e := faultEngine(t, 3, spec, fabric.RetryPolicy{})
 	err := e.Run(ringProg(8))
 	var nde *fabric.NodeDownError
 	if !errors.As(err, &nde) {
@@ -123,9 +123,9 @@ func TestCrashWithFaultErrorFirstWinsByTime(t *testing.T) {
 		{Kind: fault.LinkDown, Link: fault.Link{From: 0, Dim: 0}},
 		{Kind: fault.Crash, Node: 3, Start: 1e6},
 	}}
-	e := faultEngine(t, 2, spec, RetryPolicy{})
+	e := faultEngine(t, 2, spec, fabric.RetryPolicy{})
 	err := e.Run(ringProg(4))
-	var fe *FaultError
+	var fe *fabric.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("Run() = %v, want *FaultError (link failure executes first)", err)
 	}

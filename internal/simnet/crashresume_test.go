@@ -55,7 +55,7 @@ type crashResumeOutcome struct {
 	nodes     []uint64
 	at        float64
 	detect    float64
-	stats     Stats
+	stats     fabric.Stats
 	doneIdx   []int     // flows salvaged complete from the failed run
 	recovered []float64 // multiset of every element delivered across both runs
 }
@@ -73,7 +73,7 @@ func runCrashResume(t *testing.T, n, elems, shards int, victim uint64, crashAt f
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetFaults(fp, RetryPolicy{})
+	e.SetFaults(fp, fabric.RetryPolicy{})
 	e.SetShards(shards)
 	_, part, rerr := router.RunRecover(e, flows)
 	var nde *fabric.NodeDownError

@@ -6,22 +6,10 @@ import (
 	"boolcube/internal/fabric"
 )
 
-// ErrDeadline is the sentinel a deadline abort unwraps to (errors.Is).
-var ErrDeadline = fabric.ErrDeadline
-
-// DeadlineError is the typed error Run returns when the virtual-time
-// deadline set with SetDeadline expires (fabric.DeadlineError). The abort
-// is clean and deterministic: no operation scheduled to start after the
-// deadline executes, every node program is unwound, and the engine's
-// Stats (and any per-node partitioned state the program wrote before the
-// abort) remain readable — which is what lets executors turn a deadline
-// into a checkpoint.
-type DeadlineError = fabric.DeadlineError
-
 // SetDeadline bounds the next Run to virtual time t (µs): the run aborts
-// with a typed *DeadlineError as soon as the operation the scheduler would
-// execute next has an action time past t (strictly — an operation acting
-// exactly at the deadline is admitted). Action time is a send's start or a
+// with a typed *fabric.DeadlineError as soon as the operation the scheduler
+// would execute next has an action time past t (strictly — an operation
+// acting exactly at the deadline is admitted). Action time is a send's start or a
 // receive's arrival; an admitted send completes its transmission even if it
 // lands after t, and node-program termination is always allowed.
 //
@@ -41,5 +29,5 @@ func (e *Engine) Deadline() float64 { return e.deadline }
 
 // deadlineError builds the typed abort for the operation that overran.
 func (e *Engine) deadlineError(nd *Node, at float64) error {
-	return &DeadlineError{Deadline: e.deadline, Node: nd.id, NextAt: at}
+	return &fabric.DeadlineError{Deadline: e.deadline, Node: nd.id, NextAt: at}
 }

@@ -17,7 +17,7 @@ func TestDeadlineAbortsWithTypedError(t *testing.T) {
 	e.SetDeadline(3)
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 			nd.Recv(0)
 		} else {
 			m := nd.Recv(0)
@@ -25,11 +25,11 @@ func TestDeadlineAbortsWithTypedError(t *testing.T) {
 			nd.Recv(0)
 		}
 	})
-	var de *DeadlineError
+	var de *fabric.DeadlineError
 	if !errors.As(err, &de) {
 		t.Fatalf("Run() = %v, want *DeadlineError", err)
 	}
-	if !errors.Is(err, ErrDeadline) {
+	if !errors.Is(err, fabric.ErrDeadline) {
 		t.Fatalf("error %v does not unwrap to ErrDeadline", err)
 	}
 	if de.Deadline != 3 {
@@ -49,7 +49,7 @@ func TestDeadlineGenerousRunCompletes(t *testing.T) {
 	e.SetDeadline(1e9)
 	err := e.Run(func(nd fabric.Node) {
 		for d := 0; d < nd.Dims(); d++ {
-			nd.Exchange(d, Msg{Data: []float64{float64(nd.ID())}})
+			nd.Exchange(d, fabric.Msg{Data: []float64{float64(nd.ID())}})
 		}
 	})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestDeadlineBoundaryIsInclusive(t *testing.T) {
 	e := ideal(t, 1, machine.OnePort)
 	e.SetDeadline(2) // sends start at t=0, receives act exactly at t=2
 	err := e.Run(func(nd fabric.Node) {
-		nd.Exchange(0, Msg{Data: []float64{float64(nd.ID())}})
+		nd.Exchange(0, fabric.Msg{Data: []float64{float64(nd.ID())}})
 	})
 	if err != nil {
 		t.Fatalf("run acting exactly at the deadline aborted: %v", err)
@@ -84,7 +84,7 @@ func TestDeadlineDisabledByNonPositive(t *testing.T) {
 // A deadline abort is as deterministic as any other outcome: identical
 // engines produce identical typed errors, stats and traces.
 func TestDeadlineAbortDeterministic(t *testing.T) {
-	run := func() (string, Stats, []TraceEvent) {
+	run := func() (string, fabric.Stats, []fabric.TraceEvent) {
 		e := ideal(t, 3, machine.OnePort)
 		fp, err := fault.Compile(fault.Spec{Seed: 5, Rules: []fault.Rule{
 			{Kind: fault.LinkFlaky, Link: fault.Link{From: 1, Dim: 0}, Prob: 0.5},
@@ -92,21 +92,21 @@ func TestDeadlineAbortDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetFaults(fp, RetryPolicy{Attempts: 64})
+		e.SetFaults(fp, fabric.RetryPolicy{Attempts: 64})
 		tr := &recordTracer{}
 		e.SetTracer(tr)
 		e.SetDeadline(40)
 		rerr := e.Run(func(nd fabric.Node) {
 			for rep := 0; rep < 8; rep++ {
 				for d := 0; d < nd.Dims(); d++ {
-					nd.Exchange(d, Msg{Data: []float64{1, 2, 3, 4}})
+					nd.Exchange(d, fabric.Msg{Data: []float64{1, 2, 3, 4}})
 				}
 			}
 		})
 		if rerr == nil {
 			t.Fatal("deadline t=40 did not abort an 8-round exchange storm")
 		}
-		if !errors.Is(rerr, ErrDeadline) {
+		if !errors.Is(rerr, fabric.ErrDeadline) {
 			t.Fatalf("abort error = %v, want ErrDeadline", rerr)
 		}
 		return rerr.Error(), e.Stats(), tr.events

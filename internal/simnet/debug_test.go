@@ -25,7 +25,7 @@ func TestDebugCleanRun(t *testing.T) {
 		// Every node exchanges with both neighbors: two sends per node on
 		// the single port of a one-port machine.
 		for dim := 0; dim < 2; dim++ {
-			nd.Send(dim, Msg{Src: nd.ID(), Data: make([]float64, 4)})
+			nd.Send(dim, fabric.Msg{Src: nd.ID(), Data: make([]float64, 4)})
 		}
 		for dim := 0; dim < 2; dim++ {
 			nd.Recv(dim)
@@ -58,13 +58,13 @@ func TestDebugDetectsOverlappingSends(t *testing.T) {
 		}()
 		err := e.Run(func(nd fabric.Node) {
 			if nd.ID() == 0 {
-				nd.Send(0, Msg{Src: 0, Data: make([]float64, 16)})
+				nd.Send(0, fabric.Msg{Src: 0, Data: make([]float64, 16)})
 				// Simulate a port-serialization bug: forget that the single
 				// send port is busy. The second send targets a different link
 				// (dim 1), so only the port resource should force it to wait —
 				// and with the bookkeeping corrupted, nothing does.
 				nd.(*Node).sendFree[0] = 0
-				nd.Send(1, Msg{Src: 0, Data: make([]float64, 16)})
+				nd.Send(1, fabric.Msg{Src: 0, Data: make([]float64, 16)})
 			}
 		})
 		if err != nil {

@@ -24,10 +24,10 @@ import (
 // demands the same program-written state: the per-node progress logs.
 
 type eventLog struct {
-	events []simnet.TraceEvent
+	events []fabric.TraceEvent
 }
 
-func (l *eventLog) Record(ev simnet.TraceEvent) { l.events = append(l.events, ev) }
+func (l *eventLog) Record(ev fabric.TraceEvent) { l.events = append(l.events, ev) }
 
 // A schedStep is one synchronous phase of the randomized symmetric program.
 // Every node executes the same step kinds in the same order (with payload
@@ -80,9 +80,9 @@ func genScript(rng *rand.Rand, n, steps int, empties bool) []schedStep {
 // outcome is everything one run exposes: what the engine reports, and what
 // the node programs wrote themselves.
 type outcome struct {
-	events   []simnet.TraceEvent
-	stats    simnet.Stats
-	loads    []simnet.LinkLoad
+	events   []fabric.TraceEvent
+	stats    fabric.Stats
+	loads    []fabric.LinkLoad
 	err      string
 	progress [][]int // per node: the script step of every completed operation
 }
@@ -118,7 +118,7 @@ func (sc *scenario) run(t *testing.T, shards int) outcome {
 		e.SetDeadline(sc.deadline)
 	}
 	if sc.faults != nil {
-		e.SetFaults(sc.faults, simnet.RetryPolicy{Attempts: 12})
+		e.SetFaults(sc.faults, fabric.RetryPolicy{Attempts: 12})
 	}
 	progress := make([][]int, 1<<uint(sc.n))
 	script := sc.script
@@ -130,14 +130,14 @@ func (sc *scenario) run(t *testing.T, shards int) outcome {
 			switch s.kind {
 			case 0:
 				sz := 1 + (id*7+si*3)%29
-				nd.Send(s.dim, simnet.Msg{Data: nd.AllocData(sz)})
+				nd.Send(s.dim, fabric.Msg{Data: nd.AllocData(sz)})
 				mark()
 				nd.Recycle(nd.Recv(s.dim))
 				mark()
 			case 1:
 				for _, d := range s.dims {
 					sz := 1 + (id+5*d+si)%17
-					nd.Send(d, simnet.Msg{Data: nd.AllocData(sz)})
+					nd.Send(d, fabric.Msg{Data: nd.AllocData(sz)})
 					mark()
 				}
 				for range s.dims {
@@ -151,7 +151,7 @@ func (sc *scenario) run(t *testing.T, shards int) outcome {
 				nd.Advance(s.dt)
 				mark()
 			case 4:
-				nd.Send(s.dim, simnet.Msg{})
+				nd.Send(s.dim, fabric.Msg{})
 				mark()
 				nd.Recv(s.dim)
 				mark()
@@ -460,7 +460,7 @@ func errorAcrossShards(t *testing.T, n int, prog func(fabric.Node)) string {
 func TestShardDeadlockReported(t *testing.T) {
 	ref := errorAcrossShards(t, 2, func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, simnet.Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 		}
 		if nd.ID() != 1 {
 			nd.Recv(0) // nodes 2, 3 wait forever
@@ -475,7 +475,7 @@ func TestShardDeadlockReported(t *testing.T) {
 func TestShardProgramPanic(t *testing.T) {
 	errorAcrossShards(t, 2, func(nd fabric.Node) {
 		for d := 0; d < nd.Dims(); d++ {
-			nd.Exchange(d, simnet.Msg{Data: []float64{1}})
+			nd.Exchange(d, fabric.Msg{Data: []float64{1}})
 		}
 		if nd.ID() == 3 {
 			panic("boom")
@@ -485,7 +485,7 @@ func TestShardProgramPanic(t *testing.T) {
 
 // scanStats runs one high-to-low dimension scan of exchanges on an n-cube
 // and returns its Stats.
-func scanStats(t *testing.T, n, elems, shards int, params machine.Params) simnet.Stats {
+func scanStats(t *testing.T, n, elems, shards int, params machine.Params) fabric.Stats {
 	t.Helper()
 	e, err := simnet.New(n, params)
 	if err != nil {
@@ -494,7 +494,7 @@ func scanStats(t *testing.T, n, elems, shards int, params machine.Params) simnet
 	e.SetShards(shards)
 	err = e.Run(func(nd fabric.Node) {
 		for d := nd.Dims() - 1; d >= 0; d-- {
-			m := nd.Exchange(d, simnet.Msg{Data: nd.AllocData(elems)})
+			m := nd.Exchange(d, fabric.Msg{Data: nd.AllocData(elems)})
 			nd.Recycle(m)
 		}
 	})

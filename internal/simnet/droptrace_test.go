@@ -12,17 +12,17 @@ import (
 // trace alone: the 1-based attempt that failed, and how long the link
 // stays down (+Inf for a permanent failure, the window end for transient).
 func TestDropTraceCarriesAttemptAndWindow(t *testing.T) {
-	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 1), RetryPolicy{Attempts: 3})
+	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 1), fabric.RetryPolicy{Attempts: 3})
 	tr := &recordTracer{}
 	e.SetTracer(tr)
 	e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 		} else {
 			nd.Recv(0)
 		}
 	})
-	var drops []TraceEvent
+	var drops []fabric.TraceEvent
 	for _, ev := range tr.events {
 		if ev.Kind == "drop" {
 			drops = append(drops, ev)
@@ -44,12 +44,12 @@ func TestDownWindowInDropTrace(t *testing.T) {
 	spec := fault.Spec{Rules: []fault.Rule{
 		{Kind: fault.LinkDown, Link: fault.Link{From: 0, Dim: 0}, Start: 0, End: 10},
 	}}
-	e := faultEngine(t, 1, spec, RetryPolicy{})
+	e := faultEngine(t, 1, spec, fabric.RetryPolicy{})
 	tr := &recordTracer{}
 	e.SetTracer(tr)
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 		} else {
 			nd.Recv(0)
 		}
@@ -67,12 +67,12 @@ func TestDownWindowInDropTrace(t *testing.T) {
 		t.Fatal("waited-out transient window left no drop event with DownUntil=10")
 	}
 	// Permanent failures must report an unbounded window.
-	e2 := faultEngine(t, 1, fault.SingleLinkDown(0, 0), RetryPolicy{})
+	e2 := faultEngine(t, 1, fault.SingleLinkDown(0, 0), fabric.RetryPolicy{})
 	tr2 := &recordTracer{}
 	e2.SetTracer(tr2)
 	e2.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 		} else {
 			nd.Recv(0)
 		}

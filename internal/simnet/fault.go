@@ -4,43 +4,12 @@ import (
 	"boolcube/internal/fabric"
 )
 
-// The fault-injection contract is backend-neutral and lives in
-// internal/fabric; the aliases keep simnet's historical names working.
-
-// FaultModel is what the engine asks about injected faults
-// (fabric.FaultModel). Implementations must be pure functions of their
-// construction inputs — the engine consults them on the deterministic
-// scheduling path, so any internal nondeterminism would break the
-// replayability promise.
-type FaultModel = fabric.FaultModel
-
-// RetryPolicy bounds how the engine responds to injected failures
-// (fabric.RetryPolicy): at most Attempts transmission attempts per hop with
-// Backoff µs between them; zero fields take the defaults at SetFaults time.
-type RetryPolicy = fabric.RetryPolicy
-
-// Fault cause sentinels, exposed for errors.Is.
-var (
-	// ErrLinkDown: the link was down and will not recover (or stayed down
-	// past the retry budget).
-	ErrLinkDown = fabric.ErrLinkDown
-	// ErrRetryBudget: every attempt within the retry budget was dropped.
-	ErrRetryBudget = fabric.ErrRetryBudget
-	// ErrNodeDown: a crash-stop node kill was detected.
-	ErrNodeDown = fabric.ErrNodeDown
-)
-
-// FaultError is the typed error a transmission surfaces when fault
-// injection defeats it (fabric.FaultError). It unwraps to ErrLinkDown or
-// ErrRetryBudget.
-type FaultError = fabric.FaultError
-
 // SetFaults installs a fault model and retry policy for the next Run (nil
-// disables injection). Zero RetryPolicy fields default to 3 attempts with
+// disables injection). Zero fabric.RetryPolicy fields default to 3 attempts with
 // the machine's τ as backoff. A model that also implements
 // fabric.CrashModel schedules crash-stop node kills (crash.go). Must be
 // called before Run.
-func (e *Engine) SetFaults(f FaultModel, rp RetryPolicy) {
+func (e *Engine) SetFaults(f fabric.FaultModel, rp fabric.RetryPolicy) {
 	e.faults = f
 	e.retry = rp.WithDefaults(e.params.Tau)
 	if f != nil && e.linkAttempts == nil {
@@ -50,4 +19,4 @@ func (e *Engine) SetFaults(f FaultModel, rp RetryPolicy) {
 }
 
 // Faults returns the installed fault model (nil when injection is off).
-func (e *Engine) Faults() FaultModel { return e.faults }
+func (e *Engine) Faults() fabric.FaultModel { return e.faults }

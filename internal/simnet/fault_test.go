@@ -11,7 +11,7 @@ import (
 )
 
 // faultEngine builds an ideal one-port engine with a compiled fault plan.
-func faultEngine(t *testing.T, n int, spec fault.Spec, rp RetryPolicy) *Engine {
+func faultEngine(t *testing.T, n int, spec fault.Spec, rp fabric.RetryPolicy) *Engine {
 	t.Helper()
 	e := ideal(t, n, machine.OnePort)
 	fp, err := fault.Compile(spec, n)
@@ -23,19 +23,19 @@ func faultEngine(t *testing.T, n int, spec fault.Spec, rp RetryPolicy) *Engine {
 }
 
 func TestPermanentLinkDownAbortsWithTypedError(t *testing.T) {
-	e := faultEngine(t, 1, fault.SingleLinkDown(0, 0), RetryPolicy{})
+	e := faultEngine(t, 1, fault.SingleLinkDown(0, 0), fabric.RetryPolicy{})
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 		} else {
 			nd.Recv(0)
 		}
 	})
-	var fe *FaultError
+	var fe *fabric.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("Run() = %v, want *FaultError", err)
 	}
-	if !errors.Is(err, ErrLinkDown) {
+	if !errors.Is(err, fabric.ErrLinkDown) {
 		t.Fatalf("error %v does not unwrap to ErrLinkDown", err)
 	}
 	if fe.From != 0 || fe.To != 1 || fe.Dim != 0 || fe.Attempts != 1 {
@@ -47,17 +47,17 @@ func TestPermanentLinkDownAbortsWithTypedError(t *testing.T) {
 }
 
 func TestTrySendSurfacesErrorWithoutAborting(t *testing.T) {
-	e := faultEngine(t, 1, fault.SingleLinkDown(0, 0), RetryPolicy{})
+	e := faultEngine(t, 1, fault.SingleLinkDown(0, 0), fabric.RetryPolicy{})
 	var sawErr error
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			sawErr = nd.TrySend(0, Msg{Data: []float64{1}})
+			sawErr = nd.TrySend(0, fabric.Msg{Data: []float64{1}})
 		}
 	})
 	if err != nil {
 		t.Fatalf("Run() = %v, want nil (program handled the fault)", err)
 	}
-	if !errors.Is(sawErr, ErrLinkDown) {
+	if !errors.Is(sawErr, fabric.ErrLinkDown) {
 		t.Fatalf("TrySend error = %v, want ErrLinkDown", sawErr)
 	}
 }
@@ -66,11 +66,11 @@ func TestTransientWindowWaitedOut(t *testing.T) {
 	spec := fault.Spec{Rules: []fault.Rule{
 		{Kind: fault.LinkDown, Link: fault.Link{From: 0, Dim: 0}, Start: 0, End: 10},
 	}}
-	e := faultEngine(t, 1, spec, RetryPolicy{})
+	e := faultEngine(t, 1, spec, fabric.RetryPolicy{})
 	var got float64
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{42}})
+			nd.Send(0, fabric.Msg{Data: []float64{42}})
 		} else {
 			got = nd.Recv(0).Data[0]
 		}
@@ -92,19 +92,19 @@ func TestTransientWindowWaitedOut(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustedOnAlwaysDropLink(t *testing.T) {
-	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 1), RetryPolicy{Attempts: 3})
+	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 1), fabric.RetryPolicy{Attempts: 3})
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
 		} else {
 			nd.Recv(0)
 		}
 	})
-	var fe *FaultError
+	var fe *fabric.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("Run() = %v, want *FaultError", err)
 	}
-	if !errors.Is(err, ErrRetryBudget) {
+	if !errors.Is(err, fabric.ErrRetryBudget) {
 		t.Fatalf("error %v does not unwrap to ErrRetryBudget", err)
 	}
 	if fe.Attempts != 3 {
@@ -117,12 +117,12 @@ func TestRetryBudgetExhaustedOnAlwaysDropLink(t *testing.T) {
 
 func TestFlakyLinkRetransmitsAndDelivers(t *testing.T) {
 	const msgs = 20
-	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 0.5), RetryPolicy{Attempts: 64})
+	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 0.5), fabric.RetryPolicy{Attempts: 64})
 	var got []float64
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
 			for i := 0; i < msgs; i++ {
-				nd.Send(0, Msg{Data: []float64{float64(i)}})
+				nd.Send(0, fabric.Msg{Data: []float64{float64(i)}})
 			}
 		} else {
 			for i := 0; i < msgs; i++ {
@@ -148,22 +148,22 @@ func TestFlakyLinkRetransmitsAndDelivers(t *testing.T) {
 }
 
 // recordTracer captures events for determinism comparison.
-type recordTracer struct{ events []TraceEvent }
+type recordTracer struct{ events []fabric.TraceEvent }
 
-func (r *recordTracer) Record(ev TraceEvent) { r.events = append(r.events, ev) }
+func (r *recordTracer) Record(ev fabric.TraceEvent) { r.events = append(r.events, ev) }
 
 func TestFaultedRunDeterminism(t *testing.T) {
-	run := func() (Stats, []TraceEvent) {
+	run := func() (fabric.Stats, []fabric.TraceEvent) {
 		spec := fault.Spec{Seed: 11, Rules: []fault.Rule{
 			{Kind: fault.LinkFlaky, Link: fault.Link{From: 0, Dim: 1}, Prob: 0.5},
 			{Kind: fault.LinkDown, Link: fault.Link{From: 2, Dim: 0}, Start: 0, End: 6},
 		}}
-		e := faultEngine(t, 2, spec, RetryPolicy{Attempts: 32})
+		e := faultEngine(t, 2, spec, fabric.RetryPolicy{Attempts: 32})
 		tr := &recordTracer{}
 		e.SetTracer(tr)
 		err := e.Run(func(nd fabric.Node) {
 			for d := 0; d < nd.Dims(); d++ {
-				nd.Exchange(d, Msg{Data: []float64{float64(nd.ID())}})
+				nd.Exchange(d, fabric.Msg{Data: []float64{float64(nd.ID())}})
 			}
 		})
 		if err != nil {

@@ -23,14 +23,14 @@ func TestNoCoroutineOutlivesRun(t *testing.T) {
 	const n = 6
 	scan := func(nd fabric.Node) {
 		for d := nd.Dims() - 1; d >= 0; d-- {
-			nd.Recycle(nd.Exchange(d, simnet.Msg{Data: nd.AllocData(4)}))
+			nd.Recycle(nd.Exchange(d, fabric.Msg{Data: nd.AllocData(4)}))
 		}
 	}
 	// after runs one exchange (so every node is mid-program, parked or
 	// runnable, when node 5 ends the run) and then lets node 5 do then.
 	after := func(then func(nd fabric.Node)) func(fabric.Node) {
 		return func(nd fabric.Node) {
-			nd.Exchange(0, simnet.Msg{Data: []float64{1}})
+			nd.Exchange(0, fabric.Msg{Data: []float64{1}})
 			if nd.ID() == 5 {
 				then(nd)
 			}
@@ -38,8 +38,8 @@ func TestNoCoroutineOutlivesRun(t *testing.T) {
 		}
 	}
 	errBoom := errors.New("boom")
-	var faultErr *simnet.FaultError
-	var deadlineErr *simnet.DeadlineError
+	var faultErr *fabric.FaultError
+	var deadlineErr *fabric.DeadlineError
 	var downErr *fabric.NodeDownError
 	cases := []struct {
 		name  string
@@ -53,19 +53,19 @@ func TestNoCoroutineOutlivesRun(t *testing.T) {
 		{"panic", nil, after(func(fabric.Node) { panic("boom") }),
 			func(err error) bool { return err != nil && strings.Contains(err.Error(), "node 5 panicked: boom") }},
 		{"fault abort", func(e *simnet.Engine) {
-			e.SetFaults(fault.MustCompile(fault.SingleLinkDown(5, 3), n), simnet.RetryPolicy{})
+			e.SetFaults(fault.MustCompile(fault.SingleLinkDown(5, 3), n), fabric.RetryPolicy{})
 		}, scan, func(err error) bool { return errors.As(err, &faultErr) }},
 		{"deadline", func(e *simnet.Engine) { e.SetDeadline(3 * machine.IPSC().Tau) }, scan,
 			func(err error) bool { return errors.As(err, &deadlineErr) }},
 		{"deadlock", nil, func(nd fabric.Node) {
-			nd.Exchange(0, simnet.Msg{Data: []float64{1}})
+			nd.Exchange(0, fabric.Msg{Data: []float64{1}})
 			if nd.ID() != 5 {
 				nd.Recv(1) // nobody sends on dimension 1: every node ends up parked
 			}
 			scan(nd)
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "deadlock") }},
 		{"crash-stop with survivors", func(e *simnet.Engine) {
-			e.SetFaults(fault.MustCompile(fault.NodeCrash(5, 2*machine.IPSC().Tau), n), simnet.RetryPolicy{})
+			e.SetFaults(fault.MustCompile(fault.NodeCrash(5, 2*machine.IPSC().Tau), n), fabric.RetryPolicy{})
 		}, scan, func(err error) bool { return errors.As(err, &downErr) && len(downErr.Nodes) == 1 }},
 	}
 	for _, tc := range cases {

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 
+	"boolcube/internal/fabric"
 	"boolcube/internal/machine"
 )
 
@@ -47,14 +48,14 @@ func (nd *Node) submit() error {
 
 // result hands a receive's message to the program and zeroes the slot, so
 // the node pins no payload the program goes on to Recycle.
-func (nd *Node) result() (m Msg) {
-	m, nd.pending.msg = nd.pending.msg, Msg{}
+func (nd *Node) result() (m fabric.Msg) {
+	m, nd.pending.msg = nd.pending.msg, fabric.Msg{}
 	return m
 }
 
 // nodeAbort unwinds a node program when a Send fails under fault
 // injection; the engine wrapper recovers it and surfaces err as the
-// program's failure, so Run returns the typed *FaultError.
+// program's failure, so Run returns the typed *fabric.FaultError.
 type nodeAbort struct{ err error }
 
 // Fail aborts the node's program with a typed error: the engine unwinds
@@ -74,19 +75,19 @@ func (nd *Node) Fail(err error) {
 // for the transmission duration, so consecutive sends serialize according
 // to the machine's port model. If fault injection defeats the transmission
 // (link down, retry budget exhausted) the node program is aborted and Run
-// returns the typed *FaultError; programs that handle failures themselves
+// returns the typed *fabric.FaultError; programs that handle failures themselves
 // use TrySend.
-func (nd *Node) Send(dim int, m Msg) {
+func (nd *Node) Send(dim int, m fabric.Msg) {
 	if err := nd.TrySend(dim, m); err != nil {
 		panic(&nodeAbort{err: err})
 	}
 }
 
 // TrySend is Send, but an injected failure (link down past the retry
-// budget, every retransmission dropped) is returned as a *FaultError
+// budget, every retransmission dropped) is returned as a *fabric.FaultError
 // instead of aborting the program. The retry/backoff budget has already
 // been charged to the node's clock when TrySend returns.
-func (nd *Node) TrySend(dim int, m Msg) error {
+func (nd *Node) TrySend(dim int, m fabric.Msg) error {
 	nd.checkDim(dim)
 	nd.pending.kind, nd.pending.dim, nd.pending.msg = opSend, dim, m
 	return nd.submit()
@@ -94,7 +95,7 @@ func (nd *Node) TrySend(dim int, m Msg) error {
 
 // Recv blocks until a message arrives from the neighbor across dimension
 // dim and returns it. Messages on one link are delivered in FIFO order.
-func (nd *Node) Recv(dim int) Msg {
+func (nd *Node) Recv(dim int) fabric.Msg {
 	nd.checkDim(dim)
 	nd.pending.kind, nd.pending.dim = opRecv, dim
 	_ = nd.submit() // only sends fail
@@ -104,7 +105,7 @@ func (nd *Node) Recv(dim int) Msg {
 // RecvAny blocks until a message arrives on any dimension and returns the
 // earliest-arriving one; equal arrival times are ordered by the sender's
 // send action time, then by sender id (see anyLess).
-func (nd *Node) RecvAny() Msg {
+func (nd *Node) RecvAny() fabric.Msg {
 	nd.pending.kind = opRecvAny
 	_ = nd.submit()
 	return nd.result()
@@ -114,7 +115,7 @@ func (nd *Node) RecvAny() Msg {
 // same dimension. With bi-directional links the send and receive overlap,
 // so on a one-port machine an exchange costs the same as one send
 // (Section 2 of the paper).
-func (nd *Node) Exchange(dim int, m Msg) Msg {
+func (nd *Node) Exchange(dim int, m fabric.Msg) fabric.Msg {
 	nd.Send(dim, m)
 	return nd.Recv(dim)
 }

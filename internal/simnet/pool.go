@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"boolcube/internal/fabric"
 )
 
 // bufPool recycles message payload buffers within one engine. Buffers are
@@ -19,7 +21,7 @@ import (
 type bufPool struct {
 	mu    sync.Mutex
 	data  [maxPoolClass][][]float64
-	parts [maxPoolClass][][]Part
+	parts [maxPoolClass][][]fabric.Part
 }
 
 // maxPoolClass bounds the pooled size classes at 2^24 elements (128 MB of
@@ -60,7 +62,7 @@ func (p *bufPool) putData(s []float64) {
 	p.mu.Unlock()
 }
 
-func (p *bufPool) getParts(n int) []Part {
+func (p *bufPool) getParts(n int) []fabric.Part {
 	c := classFor(n)
 	if c < maxPoolClass {
 		p.mu.Lock()
@@ -71,12 +73,12 @@ func (p *bufPool) getParts(n int) []Part {
 			return buf[:n]
 		}
 		p.mu.Unlock()
-		return make([]Part, n, 1<<uint(c))
+		return make([]fabric.Part, n, 1<<uint(c))
 	}
-	return make([]Part, n)
+	return make([]fabric.Part, n)
 }
 
-func (p *bufPool) putParts(s []Part) {
+func (p *bufPool) putParts(s []fabric.Part) {
 	c := capClass(cap(s))
 	if c < 0 {
 		return
@@ -111,7 +113,7 @@ func (nd *Node) AllocData(n int) []float64 {
 
 // AllocParts returns a Parts buffer of length n from the engine's pool,
 // under the same ownership rules as AllocData.
-func (nd *Node) AllocParts(n int) []Part {
+func (nd *Node) AllocParts(n int) []fabric.Part {
 	return nd.eng.pool.getParts(n)
 }
 
@@ -122,7 +124,7 @@ func (nd *Node) AllocParts(n int) []Part {
 // Recycle is the aliasing bug the cubevet poolretain pass flags; copy (or
 // Clone) first. Under SIMNET_DEBUG the recycled payload is poisoned with
 // NaN so a retained alias is loud instead of silently corrupt.
-func (nd *Node) Recycle(m Msg) {
+func (nd *Node) Recycle(m fabric.Msg) {
 	e := nd.eng
 	if m.Data != nil {
 		if e.debug {

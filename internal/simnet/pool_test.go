@@ -83,7 +83,7 @@ func TestRecycleDebugPoison(t *testing.T) {
 			data[i] = 1.5
 		}
 		retained[nd.ID()] = data
-		nd.Recycle(Msg{Data: data})
+		nd.Recycle(fabric.Msg{Data: data})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,14 +100,14 @@ func TestRecycleDebugPoison(t *testing.T) {
 // TestPoolInvisibleToTiming: recycling buffers must not change virtual time
 // or statistics — buffer identity is host-side only.
 func TestPoolInvisibleToTiming(t *testing.T) {
-	run := func(recycle bool) Stats {
+	run := func(recycle bool) fabric.Stats {
 		e, err := New(3, machine.IPSC())
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = e.Run(func(nd fabric.Node) {
 			for d := 0; d < nd.Dims(); d++ {
-				nd.Send(d, Msg{Data: nd.AllocData(32)})
+				nd.Send(d, fabric.Msg{Data: nd.AllocData(32)})
 				m := nd.Recv(d)
 				if recycle {
 					nd.Recycle(m)

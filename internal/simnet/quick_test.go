@@ -13,7 +13,7 @@ import (
 // run, independent of goroutine scheduling.
 func TestRandomProgramDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		run := func() (Stats, []LinkLoad) {
+		run := func() (fabric.Stats, []fabric.LinkLoad) {
 			n := int(seed%4) + 1
 			e, err := New(n, machine.Ideal(machine.PortModel(seed%2)))
 			if err != nil {
@@ -25,7 +25,7 @@ func TestRandomProgramDeterminism(t *testing.T) {
 					switch rng.Intn(3) {
 					case 0:
 						d := rng.Intn(n)
-						nd.Exchange(d, Msg{Src: nd.ID(), Data: make([]float64, rng.Intn(8))})
+						nd.Exchange(d, fabric.Msg{Src: nd.ID(), Data: make([]float64, rng.Intn(8))})
 					case 1:
 						nd.Copy(rng.Intn(100))
 					case 2:
@@ -37,7 +37,7 @@ func TestRandomProgramDeterminism(t *testing.T) {
 			// that is expected for most seeds — both runs must then agree
 			// on the error too.
 			if err != nil {
-				return Stats{Time: -1}, nil
+				return fabric.Stats{Time: -1}, nil
 			}
 			return e.Stats(), e.LinkLoads()
 		}
@@ -61,7 +61,7 @@ func TestRandomProgramDeterminism(t *testing.T) {
 // never deadlock and remain deterministic.
 func TestSynchronizedRandomExchanges(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		run := func() Stats {
+		run := func() fabric.Stats {
 			n := int(seed%4) + 2
 			e, err := New(n, machine.Ideal(machine.NPort))
 			if err != nil {
@@ -76,7 +76,7 @@ func TestSynchronizedRandomExchanges(t *testing.T) {
 			}
 			err = e.Run(func(nd fabric.Node) {
 				for i, d := range dims {
-					nd.Exchange(d, Msg{Src: nd.ID(), Data: make([]float64, sizes[i])})
+					nd.Exchange(d, fabric.Msg{Src: nd.ID(), Data: make([]float64, sizes[i])})
 				}
 			})
 			if err != nil {
@@ -97,8 +97,8 @@ func TestLinkLoads(t *testing.T) {
 	}
 	err = e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: make([]float64, 5)})
-			nd.Send(1, Msg{Data: make([]float64, 3)})
+			nd.Send(0, fabric.Msg{Data: make([]float64, 5)})
+			nd.Send(1, fabric.Msg{Data: make([]float64, 3)})
 		}
 		if nd.ID() == 1 {
 			nd.Recv(0)

@@ -56,7 +56,7 @@ func TestNodeReleasesPayloads(t *testing.T) {
 			nd := fn.(*Node)
 			held := func() bool { return nd.pending.msg.Data != nil || nd.pending.msg.Parts != nil }
 			for i := 0; i < 3; i++ {
-				nd.Send(0, Msg{Data: nd.AllocData(4), Parts: nd.AllocParts(1)})
+				nd.Send(0, fabric.Msg{Data: nd.AllocData(4), Parts: nd.AllocParts(1)})
 				if held() {
 					nd.Fail(fmt.Errorf("P=%d: pending op still holds the sent payload", p))
 				}

@@ -58,6 +58,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+
+	"boolcube/internal/fabric"
 )
 
 // autoShardNodes is the node count at which the automatic policy moves from
@@ -166,7 +168,7 @@ type shard struct {
 
 	// Record mode: per-op commit records plus their trace events.
 	recs   []opRec
-	events []TraceEvent
+	events []fabric.TraceEvent
 	cur    *opRec // open record of the operation being executed
 
 	acc        statAcc

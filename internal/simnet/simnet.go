@@ -61,23 +61,6 @@ import (
 	"boolcube/internal/machine"
 )
 
-// The wire-level types are shared by every backend and live in
-// internal/fabric; the aliases keep simnet's historical API surface (and
-// every existing caller) intact while making *Node and *Engine satisfy the
-// fabric.Node and fabric.Fabric contracts structurally.
-
-// Part is one logical block inside a multi-block message (fabric.Part).
-type Part = fabric.Part
-
-// Msg is a message traveling over one cube link (fabric.Msg). Send
-// transfers ownership of its buffers to the receiver.
-type Msg = fabric.Msg
-
-// Stats aggregates what the paper measures (fabric.Stats): simulated
-// elapsed time, communication start-ups, transferred volume and link load —
-// plus, under fault injection, how much the run degraded.
-type Stats = fabric.Stats
-
 type opKind int
 
 const (
@@ -92,13 +75,13 @@ const (
 type op struct {
 	kind  opKind
 	dim   int
-	msg   Msg // a send's payload on the way in, a receive's result on the way out
+	msg   fabric.Msg // a send's payload on the way in, a receive's result on the way out
 	bytes int
 	dt    float64
 }
 
 type arrival struct {
-	msg     Msg
+	msg     fabric.Msg
 	at      float64 // transmission completion at receiver
 	dur     float64 // transmission duration (for receive-port serialization)
 	fromDim int
@@ -129,7 +112,7 @@ func (q *inQueue) push(sh *shard) *arrival {
 }
 
 func (q *inQueue) pop(sh *shard) {
-	q.buf[q.head].msg = Msg{} // release the message for reuse/GC
+	q.buf[q.head].msg = fabric.Msg{} // release the message for reuse/GC
 	q.head++
 	if q.head == len(q.buf) {
 		sh.free = append(sh.free, q.buf[:0])
@@ -192,8 +175,8 @@ type Engine struct {
 
 	pool bufPool
 
-	faults   FaultModel
-	retry    RetryPolicy
+	faults   fabric.FaultModel
+	retry    fabric.RetryPolicy
 	deadline float64 // virtual-time budget; +Inf when unset (see SetDeadline)
 
 	// Crash-stop schedule (crash.go); nil unless the fault model implements
@@ -202,23 +185,16 @@ type Engine struct {
 	crashT       []float64 // per-node crash time, +Inf when the node survives
 	crashedCount int       // crashes fired this run
 
-	stats   Stats
-	tracer  Tracer
+	stats   fabric.Stats
+	tracer  fabric.Tracer
 	started bool // engines are one-shot; see Run
 	debug   bool // SIMNET_DEBUG assertions, snapshotted in New
 	fail    error
 }
 
-// TraceEvent is one timed operation of one node (fabric.TraceEvent).
-type TraceEvent = fabric.TraceEvent
-
-// Tracer receives every timed operation as it executes, in deterministic
-// engine order (fabric.Tracer). Implementations must not call back into
-// the engine.
-type Tracer = fabric.Tracer
-
-// SetTracer installs a tracer for subsequent Runs (nil disables tracing).
-func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
+// SetTracer installs a tracer for subsequent Runs (nil disables tracing);
+// it receives every timed operation in deterministic engine order.
+func (e *Engine) SetTracer(t fabric.Tracer) { e.tracer = t }
 
 // errPoisoned unwinds node programs after the engine has failed.
 var errPoisoned = fmt.Errorf("simnet: engine poisoned")
@@ -290,22 +266,18 @@ func (e *Engine) Nodes() int { return e.nodesCount }
 func (e *Engine) Params() machine.Params { return e.params }
 
 // Stats returns the accumulated statistics of the last Run.
-func (e *Engine) Stats() Stats { return e.stats }
-
-// LinkLoad reports the traffic carried by one directed link
-// (fabric.LinkLoad).
-type LinkLoad = fabric.LinkLoad
+func (e *Engine) Stats() fabric.Stats { return e.stats }
 
 // LinkLoads returns the per-directed-link traffic of the last Run, sorted
 // by (From, Dim). Links that carried no traffic are omitted.
-func (e *Engine) LinkLoads() []LinkLoad {
-	var out []LinkLoad
+func (e *Engine) LinkLoads() []fabric.LinkLoad {
+	var out []fabric.LinkLoad
 	for li, used := range e.linkUsed {
 		if !used {
 			continue
 		}
 		// Dense iteration order is ascending (From, Dim) by construction.
-		out = append(out, LinkLoad{
+		out = append(out, fabric.LinkLoad{
 			From:  uint64(li / e.n),
 			Dim:   li % e.n,
 			Bytes: e.linkBytes[li],
@@ -530,20 +502,20 @@ func (e *Engine) performOp(nd *Node) (done bool) {
 	switch nd.pending.kind {
 	case opSend:
 		nd.opErr = e.doSend(nd, nd.pending.dim, &nd.pending.msg)
-		nd.pending.msg = Msg{} // ownership moved to the destination queue
+		nd.pending.msg = fabric.Msg{} // ownership moved to the destination queue
 	case opRecv:
 		e.doRecv(nd, &nd.queues[nd.pending.dim])
 	case opRecvAny:
 		e.doRecvAny(nd)
 	case opCopy:
 		t := e.params.CopyTime(nd.pending.bytes)
-		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
+		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
 			Bytes: nd.pending.bytes, Start: nd.clock, End: nd.clock + t})
 		nd.clock += t
 		e.addCopy(nd, t, int64(nd.pending.bytes))
 		e.bumpTime(nd, nd.clock)
 	case opAdvance:
-		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "compute", Dim: -1,
+		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "compute", Dim: -1,
 			Start: nd.clock, End: nd.clock + nd.pending.dt})
 		nd.clock += nd.pending.dt
 		e.bumpTime(nd, nd.clock)
@@ -572,7 +544,7 @@ func (e *Engine) addCopy(nd *Node, t float64, bytes int64) {
 // doSend executes one send operation. The returned error is non-nil only
 // under fault injection, when the transmission fails past the retry budget;
 // it is delivered to the node (TrySend returns it, Send aborts with it).
-func (e *Engine) doSend(nd *Node, dim int, m *Msg) error {
+func (e *Engine) doSend(nd *Node, dim int, m *fabric.Msg) error {
 	sh := nd.sh
 	bytes := len(m.Data) * e.params.ElemBytes
 	dur, startups := e.params.SendTime(bytes)
@@ -600,7 +572,7 @@ func (e *Engine) doSend(nd *Node, dim int, m *Msg) error {
 		sh.acc.sends++
 	}
 	nd.clock = start
-	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
+	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
 
 	a := sh.deliver(int(nd.id^1<<uint(dim)), dim)
 	a.msg, a.at, a.dur, a.fromDim, a.act = *m, end, dur, dim, start
@@ -610,8 +582,9 @@ func (e *Engine) doSend(nd *Node, dim int, m *Msg) error {
 // clearFaults advances a transmission's start time past injected failures:
 // transient link-down windows are waited out and flaky drops retransmitted,
 // each consuming one attempt of the retry budget and charging the backoff.
-// It returns the start time of the first clean attempt, or a *FaultError
-// once the budget is exhausted (immediately, for a permanent link failure).
+// It returns the start time of the first clean attempt, or a
+// *fabric.FaultError once the budget is exhausted (immediately, for a
+// permanent link failure).
 func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, startups int, start float64) (float64, error) {
 	attempts := 0
 	for {
@@ -620,11 +593,11 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		if !up {
 			// A zero-length drop event records the attempt that found the
 			// link down and the remaining down-window [Start, DownUntil).
-			e.traceN(nd, TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Start: start, End: start,
+			e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Start: start, End: start,
 				Attempt: attempts, DownUntil: nextUp})
 			if math.IsInf(nextUp, 1) || attempts >= e.retry.Attempts {
-				return start, &FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
-					At: start, Attempts: attempts, Err: ErrLinkDown}
+				return start, &fabric.FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
+					At: start, Attempts: attempts, Err: fabric.ErrLinkDown}
 			}
 			e.addRetry(nd)
 			start = math.Max(nextUp, start+e.retry.Backoff)
@@ -643,11 +616,11 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		} else {
 			sh.acc.drops++
 		}
-		e.traceN(nd, TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
+		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
 			Attempt: attempts})
 		if attempts >= e.retry.Attempts {
-			return end, &FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
-				At: start, Attempts: attempts, Err: ErrRetryBudget}
+			return end, &fabric.FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
+				At: start, Attempts: attempts, Err: fabric.ErrRetryBudget}
 		}
 		e.addRetry(nd)
 		start = end + e.retry.Backoff
@@ -749,7 +722,7 @@ func (e *Engine) finishRecv(nd *Node, a *arrival) {
 	nd.recvFree[port] = completion
 	nd.clock = math.Max(nd.clock, completion)
 	e.bumpTime(nd, nd.clock)
-	e.traceN(nd, TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
+	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
 		Bytes: len(a.msg.Data) * e.params.ElemBytes, Start: completion - a.dur, End: completion})
 	nd.pending.msg = a.msg
 }
@@ -768,7 +741,7 @@ func (e *Engine) bumpTime(nd *Node, t float64) {
 
 // traceN buffers a node's trace event in its shard; the coordinator flushes
 // the buffer to the tracer in canonical order when it commits the epoch.
-func (e *Engine) traceN(nd *Node, ev TraceEvent) {
+func (e *Engine) traceN(nd *Node, ev fabric.TraceEvent) {
 	if e.tracer != nil {
 		sh := nd.sh
 		sh.events = append(sh.events, ev)

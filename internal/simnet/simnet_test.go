@@ -36,7 +36,7 @@ func TestSingleExchange(t *testing.T) {
 	e := ideal(t, 1, machine.OnePort)
 	var got [2]float64
 	err := e.Run(func(nd fabric.Node) {
-		m := nd.Exchange(0, Msg{Src: nd.ID(), Data: []float64{float64(nd.ID())}})
+		m := nd.Exchange(0, fabric.Msg{Src: nd.ID(), Data: []float64{float64(nd.ID())}})
 		got[nd.ID()] = m.Data[0]
 	})
 	if err != nil {
@@ -62,8 +62,8 @@ func TestOnePortSerializesSends(t *testing.T) {
 	err := e.Run(func(nd fabric.Node) {
 		switch nd.ID() {
 		case 0:
-			nd.Send(0, Msg{Data: []float64{1}}) // dur 2
-			nd.Send(1, Msg{Data: []float64{1}}) // dur 2, starts at 2
+			nd.Send(0, fabric.Msg{Data: []float64{1}}) // dur 2
+			nd.Send(1, fabric.Msg{Data: []float64{1}}) // dur 2, starts at 2
 		case 1:
 			nd.Recv(0)
 		case 2:
@@ -84,8 +84,8 @@ func TestNPortOverlapsSends(t *testing.T) {
 	err := e.Run(func(nd fabric.Node) {
 		switch nd.ID() {
 		case 0:
-			nd.Send(0, Msg{Data: []float64{1}})
-			nd.Send(1, Msg{Data: []float64{1}})
+			nd.Send(0, fabric.Msg{Data: []float64{1}})
+			nd.Send(1, fabric.Msg{Data: []float64{1}})
 		case 1:
 			nd.Recv(0)
 		case 2:
@@ -113,7 +113,7 @@ func TestOnePortSerializesReceives(t *testing.T) {
 			if nd.ID() == 2 {
 				d = 0
 			}
-			nd.Send(d, Msg{Data: []float64{9}})
+			nd.Send(d, fabric.Msg{Data: []float64{9}})
 		case 3:
 			nd.RecvAny()
 			nd.RecvAny()
@@ -139,7 +139,7 @@ func TestNPortParallelReceives(t *testing.T) {
 			if nd.ID() == 2 {
 				d = 0
 			}
-			nd.Send(d, Msg{Data: []float64{9}})
+			nd.Send(d, fabric.Msg{Data: []float64{9}})
 		case 3:
 			nd.RecvAny()
 			nd.RecvAny()
@@ -154,29 +154,6 @@ func TestNPortParallelReceives(t *testing.T) {
 	}
 }
 
-// Link contention: two transmissions cannot share one directed link; FIFO
-// order is preserved.
-func TestLinkFIFO(t *testing.T) {
-	e := ideal(t, 1, machine.NPort)
-	var order []float64
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 0 {
-			nd.Send(0, Msg{Tag: 1, Data: []float64{1}})
-			nd.Send(0, Msg{Tag: 2, Data: []float64{2}})
-		} else {
-			a := nd.Recv(0)
-			b := nd.Recv(0)
-			order = []float64{a.Data[0], b.Data[0]}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != 1 || order[1] != 2 {
-		t.Errorf("FIFO violated: %v", order)
-	}
-}
-
 func TestPacketizationStartups(t *testing.T) {
 	p := machine.IPSC() // Bm = 1024
 	e, err := New(1, p)
@@ -186,7 +163,7 @@ func TestPacketizationStartups(t *testing.T) {
 	elems := 600 // 2400 bytes -> 3 packets
 	err = e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: make([]float64, elems)})
+			nd.Send(0, fabric.Msg{Data: make([]float64, elems)})
 		} else {
 			nd.Recv(0)
 		}
@@ -267,7 +244,7 @@ func TestBadDimensionPanicsAsError(t *testing.T) {
 	e := ideal(t, 2, machine.OnePort)
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(5, Msg{})
+			nd.Send(5, fabric.Msg{})
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "dimension") {
@@ -277,14 +254,14 @@ func TestBadDimensionPanicsAsError(t *testing.T) {
 
 // Determinism: two identical runs produce identical stats.
 func TestDeterminism(t *testing.T) {
-	run := func() Stats {
+	run := func() fabric.Stats {
 		e := ideal(t, 4, machine.NPort)
 		err := e.Run(func(nd fabric.Node) {
 			n := nd.Dims()
 			// All-to-all exchange over all dims with varying payloads.
 			for d := 0; d < n; d++ {
 				size := int(nd.ID())%3 + 1
-				nd.Exchange(d, Msg{Src: nd.ID(), Data: make([]float64, size)})
+				nd.Exchange(d, fabric.Msg{Src: nd.ID(), Data: make([]float64, size)})
 			}
 		})
 		if err != nil {
@@ -305,7 +282,7 @@ func TestExchangeScanTiming(t *testing.T) {
 	e := ideal(t, n, machine.OnePort)
 	err := e.Run(func(nd fabric.Node) {
 		for d := n - 1; d >= 0; d-- {
-			nd.Exchange(d, Msg{Data: make([]float64, B)})
+			nd.Exchange(d, fabric.Msg{Data: make([]float64, B)})
 		}
 	})
 	if err != nil {
@@ -324,9 +301,9 @@ func TestRecvAnyOrder(t *testing.T) {
 	err := e.Run(func(nd fabric.Node) {
 		switch nd.ID() {
 		case 1: // arrives later: big message on dim 0 towards node 3
-			nd.Send(1, Msg{Data: make([]float64, 100)})
+			nd.Send(1, fabric.Msg{Data: make([]float64, 100)})
 		case 2: // arrives earlier: small message towards node 3
-			nd.Send(0, Msg{Data: []float64{7}})
+			nd.Send(0, fabric.Msg{Data: []float64{7}})
 		case 3:
 			m := nd.RecvAny()
 			first = m.Data[0]
@@ -342,7 +319,7 @@ func TestRecvAnyOrder(t *testing.T) {
 }
 
 func TestMsgClone(t *testing.T) {
-	m := Msg{Data: []float64{1, 2}, Path: []int{3}}
+	m := fabric.Msg{Data: []float64{1, 2}, Path: []int{3}}
 	c := m.Clone()
 	c.Data[0] = 99
 	c.Path[0] = 0
@@ -375,7 +352,7 @@ func TestPipelinedSingleStartup(t *testing.T) {
 	}
 	err = e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: make([]float64, 100000)})
+			nd.Send(0, fabric.Msg{Data: make([]float64, 100000)})
 		} else {
 			nd.Recv(0)
 		}
@@ -392,8 +369,8 @@ func TestMaxLinkStats(t *testing.T) {
 	e := ideal(t, 1, machine.NPort)
 	err := e.Run(func(nd fabric.Node) {
 		if nd.ID() == 0 {
-			nd.Send(0, Msg{Data: make([]float64, 10)})
-			nd.Send(0, Msg{Data: make([]float64, 10)})
+			nd.Send(0, fabric.Msg{Data: make([]float64, 10)})
+			nd.Send(0, fabric.Msg{Data: make([]float64, 10)})
 		} else {
 			nd.Recv(0)
 			nd.Recv(0)
@@ -407,16 +384,6 @@ func TestMaxLinkStats(t *testing.T) {
 	}
 }
 
-func TestEngineIsOneShot(t *testing.T) {
-	e := ideal(t, 1, machine.OnePort)
-	if err := e.Run(func(nd fabric.Node) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(func(nd fabric.Node) {}); err == nil {
-		t.Error("second Run accepted; engines must be one-shot")
-	}
-}
-
 // Asymmetric exchange: the two sides may carry different payload sizes; the
 // slower transmission bounds both completions.
 func TestAsymmetricExchange(t *testing.T) {
@@ -427,7 +394,7 @@ func TestAsymmetricExchange(t *testing.T) {
 		if nd.ID() == 1 {
 			size = 100
 		}
-		nd.Exchange(0, Msg{Data: make([]float64, size)})
+		nd.Exchange(0, fabric.Msg{Data: make([]float64, size)})
 		if nd.ID() == 0 {
 			clock0 = nd.Clock()
 		} else {
@@ -444,32 +411,5 @@ func TestAsymmetricExchange(t *testing.T) {
 	}
 	if clock1 != 2 {
 		t.Errorf("node 1 clock = %v, want 2", clock1)
-	}
-}
-
-// Messages preserve metadata (Src, Dst, Tag, Rel, Path, Parts) end to end.
-func TestMessageMetadataPreserved(t *testing.T) {
-	e := ideal(t, 1, machine.OnePort)
-	var got Msg
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 0 {
-			nd.Send(0, Msg{
-				Src: 7, Dst: 9, Tag: 42, Rel: 0b101,
-				Path:  []int{2, 1},
-				Parts: []Part{{Src: 1, Dst: 2, N: 3}},
-				Data:  []float64{1, 2, 3},
-			})
-		} else {
-			got = nd.Recv(0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Src != 7 || got.Dst != 9 || got.Tag != 42 || got.Rel != 0b101 {
-		t.Errorf("metadata lost: %+v", got)
-	}
-	if len(got.Path) != 2 || got.Path[0] != 2 || len(got.Parts) != 1 || got.Parts[0].N != 3 {
-		t.Errorf("path/parts lost: %+v", got)
 	}
 }

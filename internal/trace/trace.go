@@ -8,12 +8,12 @@ import (
 	"sort"
 	"strings"
 
-	"boolcube/internal/simnet"
+	"boolcube/internal/fabric"
 )
 
-// Recorder collects trace events; it implements simnet.Tracer.
+// Recorder collects trace events; it implements fabric.Tracer.
 type Recorder struct {
-	Events []simnet.TraceEvent
+	Events []fabric.TraceEvent
 	// Label identifies what produced the events — the executor sets it to
 	// the compiled plan's description, so rendered timelines say which
 	// algorithm/layout/machine they show.
@@ -27,8 +27,8 @@ type Recorder struct {
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Record implements simnet.Tracer.
-func (r *Recorder) Record(ev simnet.TraceEvent) {
+// Record implements fabric.Tracer.
+func (r *Recorder) Record(ev fabric.TraceEvent) {
 	r.Events = append(r.Events, ev)
 }
 
@@ -61,8 +61,8 @@ func (r *Recorder) Span() (float64, float64) {
 
 // PerNode returns the events grouped by node, each group sorted by start
 // time (ties by end).
-func (r *Recorder) PerNode() map[uint64][]simnet.TraceEvent {
-	out := make(map[uint64][]simnet.TraceEvent)
+func (r *Recorder) PerNode() map[uint64][]fabric.TraceEvent {
+	out := make(map[uint64][]fabric.TraceEvent)
 	for _, ev := range r.Events {
 		out[ev.Node] = append(out[ev.Node], ev)
 	}

@@ -27,7 +27,7 @@ func TestRecorderCapturesOps(t *testing.T) {
 	rec := tracedRun(t, 1, func(nd fabric.Node) {
 		nd.Copy(10)
 		nd.Advance(5)
-		nd.Exchange(0, simnet.Msg{Data: []float64{1, 2}})
+		nd.Exchange(0, fabric.Msg{Data: []float64{1, 2}})
 	})
 	kinds := map[string]int{}
 	for _, ev := range rec.Events {
@@ -45,7 +45,7 @@ func TestRecorderCapturesOps(t *testing.T) {
 func TestEventsOrderedAndConsistent(t *testing.T) {
 	rec := tracedRun(t, 2, func(nd fabric.Node) {
 		for d := 0; d < 2; d++ {
-			nd.Exchange(d, simnet.Msg{Data: make([]float64, 4)})
+			nd.Exchange(d, fabric.Msg{Data: make([]float64, 4)})
 		}
 	})
 	for _, ev := range rec.Events {
@@ -87,7 +87,7 @@ func TestBusyTotals(t *testing.T) {
 
 func TestGanttRendering(t *testing.T) {
 	rec := tracedRun(t, 1, func(nd fabric.Node) {
-		nd.Exchange(0, simnet.Msg{Data: make([]float64, 8)})
+		nd.Exchange(0, fabric.Msg{Data: make([]float64, 8)})
 		nd.Copy(100)
 	})
 	g := rec.Gantt(40)
@@ -106,7 +106,7 @@ func TestGanttRendering(t *testing.T) {
 
 func TestSummaryRendering(t *testing.T) {
 	rec := tracedRun(t, 1, func(nd fabric.Node) {
-		nd.Exchange(0, simnet.Msg{Data: make([]float64, 8)})
+		nd.Exchange(0, fabric.Msg{Data: make([]float64, 8)})
 	})
 	s := rec.Summary()
 	if !strings.Contains(s, "send") || !strings.Contains(s, "0") {
@@ -116,10 +116,10 @@ func TestSummaryRendering(t *testing.T) {
 
 // The trace must be identical across runs (engine determinism carries over).
 func TestTraceDeterminism(t *testing.T) {
-	run := func() []simnet.TraceEvent {
+	run := func() []fabric.TraceEvent {
 		rec := tracedRun(t, 3, func(nd fabric.Node) {
 			for d := 2; d >= 0; d-- {
-				nd.Exchange(d, simnet.Msg{Data: make([]float64, int(nd.ID())+1)})
+				nd.Exchange(d, fabric.Msg{Data: make([]float64, int(nd.ID())+1)})
 			}
 		})
 		return rec.Events

@@ -45,9 +45,10 @@ func randomLayouts(rng *rand.Rand, alg Algorithm, p, q, n int) (before, after La
 }
 
 // Property: for ANY (layout, algorithm, machine, option) combination, the
-// compile/execute split is indistinguishable from the one-shot entry point
-// — both fail, or both succeed with element-exact results and bit-identical
-// Stats. Randomized with a fixed seed, this extends the 11-case table of
+// two public entry points agree — Transpose and Compile both refuse it, or
+// both succeed and two executions of the one cached plan give element-exact
+// results and bit-identical Stats. Randomized with a fixed seed, this
+// extends the 11-case replay-determinism table of
 // TestCompiledReplayMatchesOneShot across the whole configuration space.
 func TestCompiledReplayMatchesOneShotRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))

@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"boolcube/internal/fabric"
 	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 // FuzzCheckpointResume drives the recovery invariant over random fault
@@ -64,7 +64,7 @@ func FuzzCheckpointResume(f *testing.F) {
 			res, err = Resume(xe.Checkpoint, ExecOptions{})
 		}
 		if err != nil {
-			if errors.Is(err, router.ErrNoRoute) || errors.Is(err, simnet.ErrLinkDown) {
+			if errors.Is(err, router.ErrNoRoute) || errors.Is(err, fabric.ErrLinkDown) {
 				t.Skipf("scenario unrecoverable in 4 attempts: %v", err)
 			}
 			t.Fatalf("resume did not converge: %v", err)

@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"boolcube/internal/simnet"
+	"boolcube/internal/fabric"
 )
 
 // resumeLoop drives Resume to completion, bounding the attempts. It returns
@@ -205,7 +205,7 @@ func TestInfeasibleRefusedPreFlight(t *testing.T) {
 	}
 	// The refusal must also classify as a link-down outcome for existing
 	// sweep/soak code that switches on the fault sentinels.
-	if !errors.Is(err, simnet.ErrLinkDown) {
+	if !errors.Is(err, fabric.ErrLinkDown) {
 		t.Fatal("InfeasibleError does not unwrap to ErrLinkDown")
 	}
 }

@@ -5,6 +5,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The gate leaves the work tree as it found it: no step may rewrite a
+# tracked file or drop an unignored one. Fingerprint it now, compare at the
+# end (in a clean checkout this is `git diff --exit-code`).
+worktree() { { git status --porcelain; git diff --binary HEAD; } 2>/dev/null | cksum; }
+before=$(worktree)
+
 echo "==> go build ./..."
 go build ./...
 
@@ -68,10 +74,11 @@ go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKil
 echo "==> go test -run TestSoakFaultedTranspose"
 go test -run 'TestSoakFaultedTranspose' .
 
-# Smoke the plan-cache benchmark pair (full measurement: `make bench`) and
-# the address-arithmetic hot loops under every compile, Scatter and Verify.
-echo "==> go test -bench plan split + address hot loops -benchtime=1x"
-go test -run '^$' -bench 'BenchmarkTransposeOneShot$|BenchmarkTransposeCompiled$|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkScatterVerify$' -benchtime=1x . ./internal/field/ ./internal/plan/ ./internal/matrix/
+# Keep the Go micro-benchmarks compiling and running (measurement is `go run
+# ./bench`): the compiled replay, the backend and service pairs, and the
+# address-arithmetic hot loops under every compile, Scatter and Verify.
+echo "==> go test -bench replay + backends + service + address hot loops -benchtime=1x"
+go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkFabric|BenchmarkService|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkScatterVerify$' -benchtime=1x . ./internal/field/ ./internal/plan/ ./internal/matrix/
 
 # Connection Machine scale smoke: a full 12-cube (4096 node) all-to-all,
 # one worker vs the automatic count, byte-identical Stats. The test skips
@@ -80,53 +87,23 @@ go test -run '^$' -bench 'BenchmarkTransposeOneShot$|BenchmarkTransposeCompiled$
 echo "==> go test -run TestCube12ShardedSmoke (12-cube sharded smoke)"
 go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
 
-# Engine bench smoke: regenerate BENCH_engine.json (10-cube row, 16-cube
-# scale row, crossover rows, sweep wall-clock) and gate on the rows existing.
-echo "==> scripts/bench_engine.sh (BENCH_COUNT=1x smoke)"
-BENCH_COUNT=1x CUBE16_COUNT=1x ./scripts/bench_engine.sh
-awk '/"cube16_ns_per_op"/ { c16 = 1 } /"bytes_per_node"/ { bpn = 1 } /"cm_crossover"/ { xo = 1 }
-END {
-	if (!c16 || !bpn || !xo) {
-		print "check: BENCH_engine.json missing 16-cube scale row or crossover rows" > "/dev/stderr"
-		exit 1
-	}
-	print "check: 16-cube row, bytes_per_node and cm_crossover rows present"
-}' BENCH_engine.json
-
-# Service bench: regenerate BENCH_service.json (mixed-burst throughput and
-# latency percentiles, plus the identical-request batching pair) and gate
-# on batching actually beating the unbatched control — the core throughput
-# claim of the multi-tenant scheduler.
-echo "==> scripts/bench_service.sh (BENCH_COUNT=1x smoke)"
-BENCH_COUNT=1x ./scripts/bench_service.sh
-awk -F'[:,]' '/"batched_speedup"/ {
-	if ($2 + 0 <= 1.0) {
-		printf "check: batching speedup %.2fx not above 1.0x — batched rounds regressed\n", $2 > "/dev/stderr"
-		exit 1
-	}
-	printf "check: batching speedup %.2fx (> 1.0x gate)\n", $2
-}' BENCH_service.json
-
 # Backend parity smoke: the same compiled plans replayed on the simnet
 # simulation and the livenet goroutine transport must agree element-exactly
 # and on logical stats, including the checkpoint/resume round-trip.
 echo "==> go test -run TestBackendParity -short (backend parity smoke)"
 go test -run 'TestBackendParity' -short -count=1 .
 
-# Fabric bench: regenerate BENCH_fabric.json (simnet host + virtual time vs
-# livenet wall-clock on the compiled 8-cube SBnT plan) and gate on the
-# artifact existing — a PR must not land without the backend comparison.
-echo "==> scripts/bench_fabric.sh (BENCH_COUNT=1x smoke)"
-BENCH_COUNT=1x ./scripts/bench_fabric.sh
-test -s BENCH_fabric.json || {
-	echo "check: BENCH_fabric.json missing or empty" >&2
-	exit 1
-}
-
 # -short skips the exper figure sweeps, which exceed the per-package test
 # timeout under the race detector; they exercise no concurrency the short
 # suite doesn't. `make race` runs the full sweep with a raised timeout.
 echo "==> go test -race -short ./... (SIMNET_DEBUG=1)"
 SIMNET_DEBUG=1 go test -race -short ./...
+
+echo "==> work tree unchanged by the gate"
+if [ "$(worktree)" != "$before" ]; then
+	echo "check: a gate step modified the work tree:" >&2
+	git status --short >&2
+	exit 1
+fi
 
 echo "check: all gates passed"

@@ -10,7 +10,8 @@ import (
 // one shared 6-cube service and reports throughput plus latency
 // percentiles as custom metrics. The Batched/Unbatched pair submits the
 // same identical-request burst with batching on and off — the ns/op ratio
-// is the batching speedup scripts/bench_service.sh gates on.
+// is the batching speedup (that batching happens at all is asserted
+// deterministically in internal/service: Batched == tenants-1).
 
 func benchServiceSpecs(b *testing.B, n int) ([]JobSpec, int) {
 	b.Helper()

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"boolcube/internal/fabric"
 	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 // Large-configuration soak: a 1024-processor cube moving a megabyte-scale
@@ -129,7 +129,7 @@ func TestSoakFaultedTranspose(t *testing.T) {
 			}
 			survived++
 		case err1 != nil && err2 != nil:
-			if !errors.Is(err1, simnet.ErrLinkDown) && !errors.Is(err1, simnet.ErrRetryBudget) &&
+			if !errors.Is(err1, fabric.ErrLinkDown) && !errors.Is(err1, fabric.ErrRetryBudget) &&
 				!errors.Is(err1, router.ErrNoRoute) {
 				t.Fatalf("seed %d: untyped fault outcome: %v", seed, err1)
 			}
