@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet cubevet check bench profile-engine
+.PHONY: build test race vet cubevet check bench profile-engine profile-sweep
 
 build:
 	$(GO) build ./...
@@ -37,3 +37,9 @@ bench:
 profile-engine:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineCube16SBnT$$' -benchtime 2x -cpuprofile profiles/cube16_cpu.pprof -memprofile profiles/cube16_mem.pprof -o profiles/simnet.test ./internal/simnet/
+
+# CPU profile of the full experiment registry, the `sweep` workload's op
+# (`go tool pprof -top profiles/sweep_cpu.pprof`).
+profile-sweep:
+	mkdir -p profiles
+	$(GO) run ./cmd/experiments -all -cpuprofile profiles/sweep_cpu.pprof >/dev/null

@@ -94,7 +94,12 @@ func chaosSweep() (*Table, error) {
 	nseeds, nepochs := len(chaosSeeds), len(chaosEpochsSim)
 	perCell := nseeds * nepochs
 	nk, nb := len(ks), len(backends)
-	cells, err := Par(len(algos)*nb*nk*perCell, 0, func(j int) (cell, error) {
+	// One goroutine per cell, not one per CPU: a livenet cell spends its life
+	// blocked on the failure detector's wall-clock suspicion timeout, so at
+	// pool width the sweep would sit those waits out GOMAXPROCS at a time.
+	// The simnet cells are a few ms of CPU each and ride along.
+	ncells := len(algos) * nb * nk * perCell
+	cells, err := Par(ncells, ncells, func(j int) (cell, error) {
 		ai := j / (nb * nk * perCell)
 		backend := backends[j/(nk*perCell)%nb]
 		k := ks[j/perCell%nk]

@@ -250,16 +250,30 @@ func (m *Map) Local(w uint64) (local uint64) {
 	return local
 }
 
-// Addr inverts (Proc, Local): the address of the element a processor holds
-// in a local slot.
-func (m *Map) Addr(proc, local uint64) (w uint64) {
+// ProcPart returns the address bits a processor fixes: the bits of w that
+// every element held by proc shares. It is the loop-invariant half of Addr
+// for a walk over one processor's slots.
+func (m *Map) ProcPart(proc uint64) (w uint64) {
 	for _, s := range m.real {
 		w |= s.put(proc)
 	}
+	return w
+}
+
+// LocalPart returns the address bits a local slot fixes. The real fields and
+// the virtual runs partition the address, so ProcPart and LocalPart never
+// share a bit.
+func (m *Map) LocalPart(local uint64) (w uint64) {
 	for _, s := range m.virt {
 		w |= s.put(local)
 	}
 	return w
+}
+
+// Addr inverts (Proc, Local): the address of the element a processor holds
+// in a local slot.
+func (m *Map) Addr(proc, local uint64) uint64 {
+	return m.ProcPart(proc) | m.LocalPart(local)
 }
 
 // The per-element functions below are the same arithmetic on a Map compiled

@@ -88,5 +88,6 @@ func FuzzMapAgrees(f *testing.F) {
 		if got := mp.Addr(proc, local); got != w {
 			t.Fatalf("%s: Addr(%d,%d) = %#b, want %#b", l, proc, local, got, w)
 		}
+		checkParts(t, l, &mp, proc, local, w)
 	})
 }

@@ -139,6 +139,15 @@ func mapLayouts(t testing.TB, p, q, n int) []Layout {
 	return ls
 }
 
+// checkParts holds the two halves of Addr to their contract for the element
+// w = Addr(proc, local): they share no bit and OR back to w.
+func checkParts(t testing.TB, l Layout, mp *Map, proc, local, w uint64) {
+	pp, lp := mp.ProcPart(proc), mp.LocalPart(local)
+	if pp&lp != 0 || pp|lp != w {
+		t.Fatalf("%s: ProcPart(%d) = %#b, LocalPart(%d) = %#b, want disjoint and OR %#b", l, proc, pp, local, lp, w)
+	}
+}
+
 // checkMap holds a compiled Map, and the per-element Layout functions, to
 // the bit-at-a-time reference on every element of the matrix.
 func checkMap(t testing.TB, l Layout) {
@@ -154,6 +163,7 @@ func checkMap(t testing.TB, l Layout) {
 		if got, ref := mp.Addr(proc, local), refAddr(l, proc, local); got != w || ref != w {
 			t.Fatalf("%s: Addr(%d,%d) = %#b, reference %#b, want %#b", l, proc, local, got, ref, w)
 		}
+		checkParts(t, l, &mp, proc, local, w)
 		u, v := w>>uint(l.Q), w&^(^uint64(0)<<uint(l.Q))
 		if l.ProcOf(u, v) != proc || l.LocalOf(u, v) != local {
 			t.Fatalf("%s: per-element (%d,%d) -> (%d,%d), Map (%d,%d)",

@@ -19,3 +19,15 @@ func BenchmarkScatterVerify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTransposed builds the ground truth of a 1024x1024 transpose: what
+// every experiment cell pays before it can Verify.
+func BenchmarkTransposed(b *testing.B) {
+	m := NewIota(10, 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if t := m.Transposed(); t.Data[1] != 1024 {
+			b.Fatal("wrong transpose")
+		}
+	}
+}

@@ -54,13 +54,24 @@ func (m *Matrix) Set(u, v uint64, x float64) {
 	m.Data[u<<uint(m.Q)|v] = x //cubevet:ignore shiftwidth -- Q bounded by New, index checked by runtime
 }
 
+// transposeTile is the side of the square tile Transposed walks: 32×32
+// float64 is 8 KB read plus 8 KB written, so both the tile's source rows and
+// its destination rows stay in L1 while the strided writes land.
+const transposeTile = 32
+
 // Transposed returns a new matrix equal to m^T.
 func (m *Matrix) Transposed() *Matrix {
 	t := New(m.Q, m.P)
 	rows, cols := m.Rows(), m.Cols()
-	for u := range rows {
-		for v, x := range m.Data[u*cols : (u+1)*cols] {
-			t.Data[v*rows+u] = x
+	for u0 := 0; u0 < rows; u0 += transposeTile {
+		u1 := min(u0+transposeTile, rows)
+		for v0 := 0; v0 < cols; v0 += transposeTile {
+			v1 := min(v0+transposeTile, cols)
+			for u := u0; u < u1; u++ {
+				for v, x := range m.Data[u*cols+v0 : u*cols+v1] {
+					t.Data[(v0+v)*rows+u] = x
+				}
+			}
 		}
 	}
 	return t
@@ -98,8 +109,9 @@ func Scatter(m *Matrix, l field.Layout) *Dist {
 	d := &Dist{Layout: l, Local: make([][]float64, l.N())}
 	for proc := range d.Local {
 		local := make([]float64, l.LocalSize())
+		base := mp.ProcPart(uint64(proc))
 		for slot := range local {
-			local[slot] = m.Data[mp.Addr(uint64(proc), uint64(slot))]
+			local[slot] = m.Data[base|mp.LocalPart(uint64(slot))]
 		}
 		d.Local[proc] = local
 	}
@@ -114,8 +126,9 @@ func (d *Dist) Gather() *Matrix {
 		panic("matrix: invalid layout: " + err.Error())
 	}
 	for proc, local := range d.Local {
+		base := mp.ProcPart(uint64(proc))
 		for slot, x := range local {
-			m.Data[mp.Addr(uint64(proc), uint64(slot))] = x
+			m.Data[base|mp.LocalPart(uint64(slot))] = x
 		}
 	}
 	return m
@@ -186,8 +199,9 @@ func (d *Dist) Verify(want *Matrix) error {
 			return fmt.Errorf("matrix: proc %d holds %d elements, want %d",
 				proc, len(local), d.Layout.LocalSize())
 		}
+		base := mp.ProcPart(uint64(proc))
 		for slot, x := range local {
-			if x != want.Data[mp.Addr(uint64(proc), uint64(slot))] {
+			if x != want.Data[base|mp.LocalPart(uint64(slot))] {
 				u, v := d.Layout.ElementOf(uint64(proc), uint64(slot))
 				return fmt.Errorf("matrix: proc %d slot %d: got %v, want a(%d,%d) = %v (layout %s)",
 					proc, slot, x, u, v, want.At(u, v), d.Layout)

@@ -16,22 +16,25 @@ func TestNewIotaAt(t *testing.T) {
 	}
 }
 
+// The tiled Transposed against the naive double loop, on shapes below, at and
+// above the tile, square and not, degenerate rows and columns included.
 func TestTransposed(t *testing.T) {
-	m := NewIota(2, 3)
-	tr := m.Transposed()
-	if tr.Rows() != 8 || tr.Cols() != 4 {
-		t.Fatalf("transposed shape %dx%d", tr.Rows(), tr.Cols())
-	}
-	for u := uint64(0); u < 4; u++ {
-		for v := uint64(0); v < 8; v++ {
-			if tr.At(v, u) != m.At(u, v) {
-				t.Fatalf("tr(%d,%d) != m(%d,%d)", v, u, u, v)
+	for _, sh := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 7}, {7, 1}, {2, 3}, {5, 5}, {6, 3}, {10, 9}} {
+		m := NewIota(sh[0], sh[1])
+		tr := m.Transposed()
+		if tr.Rows() != m.Cols() || tr.Cols() != m.Rows() {
+			t.Fatalf("(%d,%d): transposed shape %dx%d", sh[0], sh[1], tr.Rows(), tr.Cols())
+		}
+		for u := uint64(0); u < uint64(m.Rows()); u++ {
+			for v := uint64(0); v < uint64(m.Cols()); v++ {
+				if tr.At(v, u) != m.At(u, v) {
+					t.Fatalf("(%d,%d): tr(%d,%d) != m(%d,%d)", sh[0], sh[1], v, u, u, v)
+				}
 			}
 		}
-	}
-	// Transposing twice is the identity.
-	if !tr.Transposed().Equal(m) {
-		t.Error("double transpose is not identity")
+		if !tr.Transposed().Equal(m) {
+			t.Errorf("(%d,%d): double transpose is not identity", sh[0], sh[1])
+		}
 	}
 }
 

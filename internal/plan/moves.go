@@ -96,8 +96,9 @@ func NewMoves(before, after field.Layout, transpose bool) (*Moves, error) {
 	var peers []uint64
 	for sp := range nb {
 		peers = peers[:0]
+		base := bm.ProcPart(uint64(sp))
 		for s := range dp {
-			w := bm.Addr(uint64(sp), uint64(s))
+			w := base | bm.LocalPart(uint64(s))
 			if transpose {
 				// (u || v) becomes (v || u): w rotated left by p within its
 				// p+q bits (the paper's sh^p).

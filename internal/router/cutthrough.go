@@ -35,62 +35,91 @@ const HopLatency = 0.1
 // CutThrough schedules the flows under circuit switching and returns the
 // aggregate statistics. Flow payload sizes are taken from Data (in
 // elements, converted with the machine's element size); routes must be
-// valid as in Run.
+// valid as in Run, and endpoints must lie in the n-cube.
 func CutThrough(n int, p machine.Params, flows []Flow) (CutThroughStats, error) {
 	type pending struct {
-		idx   int
-		edges []linkID
-		dur   float64
-		bytes int
+		idx    int
+		lo, hi int // the flow's links are edges[lo:hi]
+		dur    float64
+		bytes  int
 	}
 	var st CutThroughStats
-	linkFree := make(map[linkID]float64)
-	linkBytes := make(map[linkID]int64)
+	if n < 0 || n > 30 {
+		return st, fmt.Errorf("router: cube dimension %d out of range [0,30]", n)
+	}
+	N := uint64(1) << uint(n)
 
+	// Links are numbered densely in order of first use, so the scheduling
+	// scan below indexes a slice per edge instead of hashing a linkID; the
+	// map is touched once per edge here and holds only the links some flow
+	// uses.
+	type linkID struct {
+		from uint64
+		dim  int
+	}
+	links := make(map[linkID]int32)
+	var edges []int32
 	items := make([]pending, 0, len(flows))
 	for i, f := range flows {
+		if f.Src >= N || f.Dst >= N {
+			return st, fmt.Errorf("router: flow %d endpoints %d -> %d outside the %d-cube", i, f.Src, f.Dst, n)
+		}
 		x := f.Src
-		edges := make([]linkID, 0, len(f.Dims))
+		lo := len(edges)
 		for _, d := range f.Dims {
 			if d < 0 || d >= n {
 				return st, fmt.Errorf("router: flow %d dimension %d out of range", i, d)
 			}
-			edges = append(edges, linkID{from: x, dim: d})
+			id := linkID{from: x, dim: d}
+			e, ok := links[id]
+			if !ok {
+				e = int32(len(links))
+				links[id] = e
+			}
+			edges = append(edges, e)
 			x ^= 1 << uint(d)
 		}
 		if x != f.Dst {
 			return st, fmt.Errorf("router: flow %d route ends at %d, not %d", i, x, f.Dst)
 		}
-		if len(edges) == 0 {
+		hops := len(edges) - lo
+		if hops == 0 {
 			continue // local
 		}
 		bytes := len(f.Data) * p.ElemBytes
 		// One start-up, per-hop header latency, pipelined body.
-		dur := p.Tau + float64(len(edges)-1)*HopLatency*p.Tau + float64(bytes)*p.Tc
-		items = append(items, pending{idx: i, edges: edges, dur: dur, bytes: bytes})
+		dur := p.Tau + float64(hops-1)*HopLatency*p.Tau + float64(bytes)*p.Tc
+		items = append(items, pending{idx: i, lo: lo, hi: len(edges), dur: dur, bytes: bytes})
 	}
+	linkFree := make([]float64, len(links))
+	linkBytes := make([]int64, len(links))
 
+	// The pick below orders by (start time, flow index) explicitly, so the
+	// order of remaining is free and a scheduled flow is removed by swapping
+	// the last one into its place.
 	remaining := items
 	for len(remaining) > 0 {
 		// Pick the flow that can start earliest (ties by flow index).
 		best := -1
 		bestT := math.Inf(1)
-		for j, it := range remaining {
+		for j := range remaining {
+			it := &remaining[j]
 			t := 0.0
-			for _, e := range it.edges {
+			for _, e := range edges[it.lo:it.hi] {
 				if f := linkFree[e]; f > t {
 					t = f
 				}
 			}
-			if t < bestT || (t == bestT && (best == -1 || remaining[j].idx < remaining[best].idx)) {
+			if t < bestT || (t == bestT && (best < 0 || it.idx < remaining[best].idx)) {
 				bestT = t
 				best = j
 			}
 		}
 		it := remaining[best]
-		remaining = append(remaining[:best:best], remaining[best+1:]...)
+		remaining[best] = remaining[len(remaining)-1]
+		remaining = remaining[:len(remaining)-1]
 		end := bestT + it.dur
-		for _, e := range it.edges {
+		for _, e := range edges[it.lo:it.hi] {
 			linkFree[e] = end
 			linkBytes[e] += int64(it.bytes)
 		}
@@ -109,11 +138,6 @@ func CutThrough(n int, p machine.Params, flows []Flow) (CutThroughStats, error) 
 		}
 	}
 	return st, nil
-}
-
-type linkID struct {
-	from uint64
-	dim  int
 }
 
 // EcubeCutThroughAllPairs schedules one cut-through flow per (src, dst)

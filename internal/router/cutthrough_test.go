@@ -2,6 +2,7 @@ package router
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"boolcube/internal/bits"
@@ -84,6 +85,20 @@ func TestCutThroughValidation(t *testing.T) {
 	if _, err := CutThrough(2, p, []Flow{{Src: 0, Dst: 1, Dims: []int{5}}}); err == nil {
 		t.Error("bad dim accepted")
 	}
+	// Endpoints outside the cube: the route is self-consistent (4 -> 5 along
+	// dimension 0), but neither node exists in a 2-cube.
+	_, err := CutThrough(2, p, []Flow{{Src: 0, Dst: 1, Dims: []int{0}}, {Src: 4, Dst: 5, Dims: []int{0}}})
+	if err == nil || !strings.Contains(err.Error(), "flow 1") {
+		t.Errorf("out-of-range endpoints: err = %v, want one naming flow 1", err)
+	}
+	if _, err := CutThrough(2, p, []Flow{{Src: 4, Dst: 4}}); err == nil {
+		t.Error("out-of-range local flow accepted")
+	}
+	for _, n := range []int{-1, 31, 64} {
+		if _, err := CutThrough(n, p, nil); err == nil {
+			t.Errorf("cube dimension %d accepted", n)
+		}
+	}
 }
 
 func TestCutThroughLocalFlowsFree(t *testing.T) {
@@ -134,16 +149,7 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	N := uint64(1) << uint(n)
-	var flows []Flow
-	for s := uint64(0); s < N; s++ {
-		d := perm(s)
-		if d == s {
-			continue
-		}
-		flows = append(flows, Flow{Src: s, Dst: d, Dims: Ecube(s, d, n),
-			Data: make([]float64, 256)})
-	}
+	flows := transposeFlows(n, 256)
 	if _, err := Run(e, flows); err != nil {
 		t.Fatal(err)
 	}

@@ -29,29 +29,33 @@ go test -run '^Fuzz' ./internal/field/ ./internal/plan/ ./internal/cube/ ./inter
 
 # Golden results: RESULTS.md is the committed output of the full experiment
 # registry and every virtual-time figure in it is a fixed point — host-side
-# changes must not move one. Regenerate and compare, leaving out the two
+# changes must not move one. Regenerate once and compare, leaving out the two
 # tables that report wall-clock behaviour (the pair bench/sweep.go
 # excludes). This run is also the smoke of every experiment, the fault,
 # recovery and service sweeps included.
 echo "==> experiments -all -format md vs RESULTS.md (golden)"
 wallclock='/^### /{ skip = ($2 == "service-sweep" || $2 == "chaos-sweep") } !skip'
-golden=$(mktemp)
-trap 'rm -f "$golden"' EXIT
-go run ./cmd/experiments -all -format md | awk "$wallclock" >"$golden"
-if ! awk "$wallclock" RESULTS.md | diff - "$golden"; then
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/experiments -all -format md >"$tmp/all.md"
+awk "$wallclock" "$tmp/all.md" >"$tmp/fresh.md"
+if ! awk "$wallclock" RESULTS.md | diff - "$tmp/fresh.md"; then
 	echo "check: RESULTS.md differs from a fresh run; if the change is intended: go run ./cmd/experiments -all -parallel 8 -format md > RESULTS.md" >&2
 	exit 1
 fi
 
-# Smoke the chaos sweep: k node crash-stops mid-run on both backends, every
-# node-down failure recovered onto the survivors and verified element-exact.
-# Gate on zero failed cells — crash-stop survival is an acceptance invariant.
-echo "==> experiments -exp chaos-sweep (6-cube, both backends)"
-go run ./cmd/experiments -exp chaos-sweep | awk '
-	/^(SPT|DPT|MPT) / {
+# The chaos sweep, read from the same run (the golden diff filters its table
+# out): k node crash-stops mid-run on both backends, every node-down failure
+# recovered onto the survivors and verified element-exact. Gate on zero
+# failed cells — crash-stop survival is an acceptance invariant.
+echo "==> chaos-sweep section of that run (6-cube, both backends): zero failed cells"
+awk '
+	/^### / { chaos = ($2 == "chaos-sweep") }
+	chaos && /^\| (SPT|DPT|MPT) \|/ {
+		# | algorithm | backend | k | direct | recovered | failed | ...
 		rows++
-		if ($6 + 0 != 0) {
-			printf "check: chaos-sweep cell %s/%s k=%s has %s failed run(s)\n", $1, $2, $3, $6 > "/dev/stderr"
+		if ($12 + 0 != 0) {
+			printf "check: chaos-sweep cell %s/%s k=%s has %s failed run(s)\n", $2, $4, $6, $12 > "/dev/stderr"
 			bad = 1
 		}
 	}
@@ -59,7 +63,7 @@ go run ./cmd/experiments -exp chaos-sweep | awk '
 		if (rows == 0) { print "check: chaos-sweep produced no rows" > "/dev/stderr"; exit 1 }
 		if (bad) exit 1
 		printf "check: chaos-sweep %d cells, zero failed runs\n", rows
-	}'
+	}' "$tmp/all.md"
 
 # Resume determinism: the checkpoint/resume acceptance scenarios replayed
 # twice — the resumed distribution must stay bit-identical to the unfaulted
@@ -76,9 +80,10 @@ go test -run 'TestSoakFaultedTranspose' .
 
 # Keep the Go micro-benchmarks compiling and running (measurement is `go run
 # ./bench`): the compiled replay, the backend and service pairs, and the
-# address-arithmetic hot loops under every compile, Scatter and Verify.
+# address-arithmetic hot loops under every compile, Scatter and Verify, the
+# ground-truth transpose and the cut-through scheduler.
 echo "==> go test -bench replay + backends + service + address hot loops -benchtime=1x"
-go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkFabric|BenchmarkService|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkScatterVerify$' -benchtime=1x . ./internal/field/ ./internal/plan/ ./internal/matrix/
+go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkFabric|BenchmarkService|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkScatterVerify$|BenchmarkTransposed$|BenchmarkCutThrough$' -benchtime=1x . ./internal/field/ ./internal/plan/ ./internal/matrix/ ./internal/router/
 
 # Connection Machine scale smoke: a full 12-cube (4096 node) all-to-all,
 # one worker vs the automatic count, byte-identical Stats. The test skips
