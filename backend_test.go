@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"boolcube/internal/fabric"
+	"boolcube/internal/plan/plantest"
 )
 
 // The differential backend-parity suite: the same compiled plan executed on
@@ -39,7 +40,7 @@ func parityBackends(t *testing.T) []string {
 // element-identical results and equal logical stats.
 func TestBackendParityAllAlgorithms(t *testing.T) {
 	parityBackends(t)
-	cubes := []struct{ p, q, n int }{{4, 4, 4}, {4, 4, 6}}
+	cubes := []struct{ p, q, n int }{{4, 4, 4}, {6, 6, 6}} // the conversions need p, q >= n
 	if testing.Short() {
 		cubes = cubes[:1]
 	}
@@ -47,8 +48,9 @@ func TestBackendParityAllAlgorithms(t *testing.T) {
 		for _, mach := range []Machine{IPSC(), IPSCNPort()} {
 			for _, alg := range Algorithms() {
 				t.Run(fmt.Sprintf("n%d/%s/%s", c.n, mach.Name, alg), func(t *testing.T) {
-					before, after := layoutsFor(alg, c.p, c.q, c.n)
+					before, after, transposes := plantest.Pair(alg, c.p, c.q, c.n)
 					m := NewIotaMatrix(c.p, c.q)
+					want := plantest.Want(m, transposes)
 					ct, err := Compile(before, after, Options{
 						Algorithm: alg, Machine: mach, LocalCopies: true,
 					})
@@ -59,14 +61,14 @@ func TestBackendParityAllAlgorithms(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if verr := sim.Dist.Verify(m.Transposed()); verr != nil {
+					if verr := sim.Dist.Verify(want); verr != nil {
 						t.Fatalf("simnet result wrong: %v", verr)
 					}
 					live, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Backend: "livenet"})
 					if err != nil {
 						t.Fatalf("livenet run failed: %v", err)
 					}
-					if verr := live.Dist.Verify(m.Transposed()); verr != nil {
+					if verr := live.Dist.Verify(want); verr != nil {
 						t.Fatalf("livenet result wrong: %v", verr)
 					}
 					if got, want := live.Stats.Logical(), sim.Stats.Logical(); got != want {
@@ -103,7 +105,7 @@ func TestBackendParityRandomized(t *testing.T) {
 		n := 2 + 2*rng.Intn(2)
 		p := n/2 + 1 + rng.Intn(2)
 		q := n/2 + 1 + rng.Intn(2)
-		before, after := randomLayouts(rng, alg, p, q, n)
+		before, after, transposes := randomLayouts(rng, alg, p, q, n)
 		opt := Options{
 			Algorithm:   alg,
 			Machine:     machines[rng.Intn(len(machines))],
@@ -131,6 +133,7 @@ func TestBackendParityRandomized(t *testing.T) {
 			i, alg, before, after, opt.Machine.Name, xo.Faults != nil)
 
 		m := NewIotaMatrix(p, q)
+		want := plantest.Want(m, transposes)
 		ct, err := Compile(before, after, opt)
 		if err != nil {
 			continue // invalid combination; covered by the one-shot property test
@@ -145,10 +148,10 @@ func TestBackendParityRandomized(t *testing.T) {
 		if errSim != nil {
 			continue
 		}
-		if verr := sim.Dist.Verify(m.Transposed()); verr != nil {
+		if verr := sim.Dist.Verify(want); verr != nil {
 			t.Fatalf("%s: simnet result wrong: %v", name, verr)
 		}
-		if verr := live.Dist.Verify(m.Transposed()); verr != nil {
+		if verr := live.Dist.Verify(want); verr != nil {
 			t.Fatalf("%s: livenet result wrong: %v", name, verr)
 		}
 		if got, want := live.Stats.Logical(), sim.Stats.Logical(); got != want {
@@ -247,7 +250,7 @@ func TestLivenetRaceSoak6Cube(t *testing.T) {
 		{SBnT, IPSCNPort()},
 		{Exchange, IPSC()},
 	} {
-		before, after := layoutsFor(cfg.alg, p, q, n)
+		before, after, _ := plantest.Pair(cfg.alg, p, q, n)
 		res, err := Transpose(Scatter(m, before), after, Options{
 			Algorithm: cfg.alg, Machine: cfg.mach, Backend: "livenet",
 		})

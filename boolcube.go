@@ -206,8 +206,11 @@ const (
 	AlgorithmAuto = plan.Auto
 )
 
-// Algorithms lists every concrete transposition algorithm (excluding
-// AlgorithmAuto), for sweeps.
+// Algorithms lists every concrete algorithm (excluding AlgorithmAuto), for
+// sweeps. The last four rows are the conversions ("convert-1" .. "convert-3"
+// and "convert-encoding"), reached by name through ParseAlgorithm or through
+// ConvertConsecutiveToCyclic and ConvertEncoding; each accepts only its own
+// kind of layout pair.
 func Algorithms() []Algorithm { return plan.Algorithms() }
 
 // ParseAlgorithm maps an algorithm name (as produced by Algorithm.String,
@@ -489,11 +492,19 @@ const (
 
 // ConvertConsecutiveToCyclic transposes a TwoDimConsecutive matrix into
 // TwoDimCyclic storage on the transposed matrix with the selected
-// Section 6.2 algorithm. Options.Faults, Retry and Deadline are honoured —
-// a blocked link or a missed deadline aborts with the same typed fault error
-// or *DeadlineError a Transpose surfaces — but the phases run outside any
-// compiled plan, so the error carries no Checkpoint and Options.Failover
-// does not apply (the exchange has no alternative routes).
+// Section 6.2 algorithm. It is Transpose with the matching registry row
+// ("convert-1" .. "convert-3", see ParseAlgorithm) and the derived target
+// layout — a compiled three-phase exchange plan, cached, priced by
+// PredictedCost and admissible to the Service like any other. A before
+// layout that is not two-dimensional consecutive with nr == nc, p >= 2nr and
+// q >= 2nc is refused with an error. A mid-run failure (fault past the retry
+// budget, a missed Deadline, a crashed node) returns an *ExecError whose
+// Checkpoint Resume or Recover finishes element-exact; the checkpoint is the
+// coarse one — only the self pairs count as delivered, since a block of the
+// last phase is no span of the composed move-set. The exchange phases have
+// no alternative routes, so Options.Failover does not apply and a
+// permanently down link on a dimension they scan is refused pre-flight with
+// an *InfeasibleError (errors.Is(err, fabric.ErrLinkDown) holds).
 func ConvertConsecutiveToCyclic(d *Dist, alg ConvertAlgorithm, opt Options) (*Result, error) {
 	return core.ConvertConsecutiveToCyclic(d, alg, opt.core())
 }
@@ -501,10 +512,13 @@ func ConvertConsecutiveToCyclic(d *Dist, alg ConvertAlgorithm, opt Options) (*Re
 // ConvertEncoding re-embeds the distributed matrix under a layout of the
 // same shape and partitioning but a different encoding (binary <-> Gray) —
 // the standalone code conversion of Section 2, routed most-significant
-// dimension first so each node needs at most n-1 hops. Options.Faults, Retry
-// and Deadline are honoured as in ConvertConsecutiveToCyclic: typed errors,
-// no Checkpoint, and Options.Failover does not apply (each node's one route
-// is fixed).
+// dimension first so each node needs at most n-1 hops. It is Transpose with
+// the "convert-encoding" registry row — the one row that does not transpose
+// — and so a compiled flow plan: a mid-run failure returns an *ExecError
+// with a per-flow Checkpoint for Resume or Recover, and a permanently down
+// link on a route is failed over to a disjoint path under the default
+// FailoverReroute (Stats.Rerouted counts it), refused pre-flight with an
+// *InfeasibleError under FailoverNone.
 func ConvertEncoding(d *Dist, after Layout, opt Options) (*Result, error) {
 	return core.ConvertEncoding(d, after, opt.core())
 }

@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"boolcube/internal/bits"
+	"boolcube/internal/plan/plantest"
 )
 
-// Every public algorithm transposes a two-dimensional square layout
+// Every public algorithm moves its own layout pair (plantest.Pair)
 // correctly on every machine model.
 func TestTransposeAllAlgorithms(t *testing.T) {
 	p, q, n := 4, 4, 4
@@ -16,20 +17,13 @@ func TestTransposeAllAlgorithms(t *testing.T) {
 		for _, alg := range Algorithms() {
 			t.Run(fmt.Sprintf("%s/%s", mach.Name, alg), func(t *testing.T) {
 				m := NewIotaMatrix(p, q)
-				before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
-				after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
-				if alg == MixedPseudocode {
-					// The literal pseudocode requires the exact Section 6.3
-					// encodings (binary rows, Gray columns).
-					before = TwoDimEncoded(p, q, n/2, n/2, Binary, Gray)
-					after = TwoDimEncoded(q, p, n/2, n/2, Binary, Gray)
-				}
+				before, after, transposes := plantest.Pair(alg, p, q, n)
 				d := Scatter(m, before)
 				res, err := Transpose(d, after, Options{Algorithm: alg, Machine: mach})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+				if verr := res.Dist.Verify(plantest.Want(m, transposes)); verr != nil {
 					t.Fatal(verr)
 				}
 				if res.Stats.Time <= 0 || res.Stats.Startups <= 0 {
@@ -73,6 +67,26 @@ func TestConvertPublicAPI(t *testing.T) {
 		}
 		if verr := res.Dist.Verify(m.Transposed()); verr != nil {
 			t.Fatalf("%v: %v", alg, verr)
+		}
+	}
+}
+
+// A before layout that is not exactly two-dimensional consecutive is refused
+// when the conversion compiles: a one-field layout used to index past its
+// fields and panic, and a cyclic input used to run its fixed dimension
+// subsets over a move-set that leaves them, returning a wrong distribution
+// with a nil error.
+func TestConvertRejectsForeignLayouts(t *testing.T) {
+	m := NewIotaMatrix(4, 4)
+	for name, before := range map[string]Layout{
+		"one field": OneDimConsecutiveRows(4, 4, 2, Binary),
+		"cyclic":    TwoDimCyclic(4, 4, 2, 2, Binary),
+		"mixed":     TwoDimEncoded(4, 4, 2, 2, Binary, Gray),
+	} {
+		for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+			if res, err := ConvertConsecutiveToCyclic(Scatter(m, before), alg, Options{}); err == nil {
+				t.Errorf("%s layout, %v: accepted (result verifies: %v)", name, alg, res.Dist.Verify(m.Transposed()) == nil)
+			}
 		}
 	}
 }

@@ -3,19 +3,9 @@ package boolcube
 import (
 	"fmt"
 	"testing"
-)
 
-// layoutsFor returns the layout pair used by the determinism tests: the
-// square two-dimensional consecutive pair, except for the Section 6.3
-// pseudocode which requires its exact binary/Gray encodings.
-func layoutsFor(alg Algorithm, p, q, n int) (before, after Layout) {
-	if alg == MixedPseudocode {
-		return TwoDimEncoded(p, q, n/2, n/2, Binary, Gray),
-			TwoDimEncoded(q, p, n/2, n/2, Binary, Gray)
-	}
-	return TwoDimConsecutive(p, q, n/2, n/2, Binary),
-		TwoDimConsecutive(q, p, n/2, n/2, Binary)
-}
+	"boolcube/internal/plan/plantest"
+)
 
 // Replay determinism through both public entry points. Transpose is Compile
 // + Execute over the one plan cache, so this executes one cached plan three
@@ -28,15 +18,16 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 	for _, mach := range []Machine{IPSC(), IPSCNPort()} {
 		for _, alg := range Algorithms() {
 			t.Run(fmt.Sprintf("%s/%s", mach.Name, alg), func(t *testing.T) {
-				before, after := layoutsFor(alg, p, q, n)
+				before, after, transposes := plantest.Pair(alg, p, q, n)
 				m := NewIotaMatrix(p, q)
+				want := plantest.Want(m, transposes)
 				opt := Options{Algorithm: alg, Machine: mach, LocalCopies: true}
 
 				oneShot, err := Transpose(Scatter(m, before), after, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if verr := oneShot.Dist.Verify(m.Transposed()); verr != nil {
+				if verr := oneShot.Dist.Verify(want); verr != nil {
 					t.Fatal(verr)
 				}
 
@@ -49,7 +40,7 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+					if verr := res.Dist.Verify(want); verr != nil {
 						t.Fatalf("run %d: %v", run, verr)
 					}
 					if got, want := res.Stats.Logical(), oneShot.Stats.Logical(); got != want {

@@ -268,7 +268,7 @@ func (p *Package) checkExecErrorLit(ret *ast.ReturnStmt, lit *ast.CompositeLit, 
 	case *ast.Ident:
 		if o := p.objOf(c); o != nil && !statsFolded(o, ret.Pos()) {
 			return []Finding{p.finding("ckptsafe", ret, fmt.Sprintf(
-				"checkpoint %q returned without folding Stats into it; assign %s.Stats (mergeStats) before returning", c.Name, c.Name))}
+				"checkpoint %q returned without folding Stats into it; assign %s.Stats (Stats.Merge) before returning", c.Name, c.Name))}
 		}
 	}
 	return nil

@@ -47,7 +47,7 @@ func (e *Engine) drainAll() {}
 // deadlockError mimics the engine failure constructor.
 func (e *Engine) deadlockError() error { return errors.New("deadlock") }
 
-// mergeStats mimics core.mergeStats.
+// mergeStats mimics fabric.Stats.Merge.
 func mergeStats(a, b Stats) Stats { return Stats{Time: a.Time + b.Time} }
 
 // execInner is a checkpointing helper; its (*Result, error) failures are

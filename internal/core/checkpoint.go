@@ -25,8 +25,9 @@ type Checkpoint struct {
 	// them; Resume completes them in place.
 	Loc [][]float64
 	// Delivered records which canonical payload spans are already in Loc.
-	// Nil means no fine-grained progress was tracked (mixed-program plans):
-	// Resume re-executes the full move-set into fresh arrays.
+	// Executors without fine-grained progress tracking (mixed-program and
+	// multi-phase exchange plans) record only the self pairs; nil means
+	// nothing at all, and Resume re-executes the full move-set.
 	Delivered *plan.Delivered
 	// Stats is the cost accrued across the failed attempt(s) so far; a
 	// successful Resume folds its own cost on top (counters add, makespans
@@ -151,11 +152,4 @@ func (e *InfeasibleError) Unwrap() []error {
 		out = append(out, e.Cause)
 	}
 	return out
-}
-
-// mergeStats folds the cost of a resumed run on top of a checkpoint's
-// accrued cost (fabric.Stats.Merge: counters and makespans add, per-link
-// maxima take the max).
-func mergeStats(a, b fabric.Stats) fabric.Stats {
-	return a.Merge(b)
 }

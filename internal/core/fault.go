@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"boolcube/internal/fabric"
 	"boolcube/internal/fault"
@@ -95,8 +96,9 @@ func (xo ExecOptions) checkFaults(n int) error {
 // permanently severs every path the plan needs, the run is refused with a
 // typed *InfeasibleError before any traffic moves, instead of burning the
 // doomed run and failing mid-flight. Exchange plans have a fixed dimension
-// schedule with no alternative routes, so any permanently-down link on an
-// exchange dimension is fatal (every node transmits on every dimension).
+// schedule with no alternative routes, so any permanently-down link on a
+// dimension some phase exchanges over is fatal (every node transmits on every
+// dimension of every phase).
 // Flow plans are checked route by route, but only with failover disabled —
 // the reroute policies do their own feasibility analysis against the
 // disjoint-path alternatives. Mixed-program plans exchange along fixed
@@ -112,11 +114,11 @@ func (xo ExecOptions) checkFeasible(p *plan.Plan) error {
 			if !xo.Faults.PermanentlyDown(l.From, l.Dim) {
 				continue
 			}
-			for _, d := range p.Dims() {
-				if d == l.Dim {
+			for _, ph := range p.Phases() {
+				if slices.Contains(ph.Dims, l.Dim) {
 					return &InfeasibleError{
 						Plan:   p.Describe(),
-						Detail: fmt.Sprintf("%v permanently down severs exchange dimension %d", l, d),
+						Detail: fmt.Sprintf("%v permanently down severs exchange dimension %d", l, l.Dim),
 					}
 				}
 			}

@@ -50,7 +50,7 @@ func mixedCase(evenRow, evenParityCol bool, bitRow, bitCol uint64) mixedCaseActi
 // execMixedProgram replays a KindMixedProgram plan: the published per-node
 // program, gated by the plan's row/column control modes.
 func execMixedProgram(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
-	e, err := planEngine(p, xo)
+	e, err := newEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}
@@ -110,17 +110,13 @@ func execMixedProgram(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, er
 	if err != nil {
 		// The per-node case program circulates whole blocks through
 		// intermediate nodes without a canonical per-span protocol, so no
-		// fine-grained progress survives a failure: the checkpoint carries
-		// an empty delivery record and fresh arrays, and Resume replays the
-		// full move-set over fault-free routes.
-		st := e.Stats()
-		return nil, &ExecError{
-			Checkpoint: &Checkpoint{
-				Plan: p, Src: d, Loc: newLocal(after, e.Nodes()),
-				Delivered: plan.NewDelivered(), Stats: st, At: st.Time, Opts: xo,
-			},
-			Err: err,
-		}
+		// fine-grained progress survives a failure: the checkpoint is the
+		// coarse one (fresh arrays, self pairs placed), and Resume replays
+		// the rest of the move-set over fault-free routes.
+		cp := NewCheckpoint(p, d)
+		cp.Stats, cp.Opts = e.Stats(), xo
+		cp.At = cp.Stats.Time
+		return nil, &ExecError{Checkpoint: cp, Err: err}
 	}
 	return &Result{Dist: finishDist(after, loc), Stats: e.Stats()}, nil
 }

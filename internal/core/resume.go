@@ -48,12 +48,12 @@ func resumeMapped(cp *Checkpoint, xo ExecOptions, phys func(uint64) uint64) (*Re
 	if len(spans) == 0 {
 		return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: cp.Stats}, nil
 	}
-	e, err := planEngine(p, xo)
+	e, err := newEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}
 	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: spans, Phys: phys}}, xo.failoverDown(), xo.Failover == FailoverAbandon)
-	total := mergeStats(cp.Stats, st)
+	total := cp.Stats.Merge(st)
 	if err != nil {
 		// Hand the checkpoint back with this attempt folded in: Opts/At
 		// describe the just-failed attempt (its fault view and how far it

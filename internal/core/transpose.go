@@ -135,30 +135,22 @@ func ExecuteWith(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) 
 	return nil, fmt.Errorf("core: unknown plan kind %v", p.Kind())
 }
 
-// planEngine builds the engine a plan executes on, its tracer labeled with
-// the plan's description.
-func planEngine(p *plan.Plan, xo ExecOptions) (fabric.Fabric, error) {
-	return newEngine(p.NDims(), p.Config().Machine, xo, p.Describe())
-}
-
-// newEngine is the one way core builds an engine: an n-cube under mach on
-// the backend xo selects, armed with everything a run's options carry — the
-// tracer (labeled, when it takes labels, and told the injected fault list),
-// fault injection with its retry policy, and the deadline. Plan executions
-// and the ad-hoc entry points that run outside any plan (encoding and
-// partitioning conversions, the Section 5 pseudocode) all come through
-// here, so none can drop an option.
-func newEngine(n int, mach machine.Params, xo ExecOptions, label string) (fabric.Fabric, error) {
-	if err := xo.checkFaults(n); err != nil {
+// newEngine is the one way core builds an engine: the plan's cube under its
+// machine on the backend xo selects, armed with everything a run's options
+// carry — the tracer (labeled with the plan's description, when it takes
+// labels, and told the injected fault list), fault injection with its retry
+// policy, and the deadline — so no execution path can drop an option.
+func newEngine(p *plan.Plan, xo ExecOptions) (fabric.Fabric, error) {
+	if err := xo.checkFaults(p.NDims()); err != nil {
 		return nil, err
 	}
-	e, err := fabric.New(xo.Backend, n, mach)
+	e, err := fabric.New(xo.Backend, p.NDims(), p.Config().Machine)
 	if err != nil {
 		return nil, err
 	}
 	if xo.Tracer != nil {
 		if l, ok := xo.Tracer.(interface{ SetLabel(string) }); ok {
-			l.SetLabel(label)
+			l.SetLabel(p.Describe())
 		}
 		if xo.Faults != nil {
 			if f, ok := xo.Tracer.(interface{ SetFaults([]string) }); ok {
@@ -205,31 +197,36 @@ func finishDist(after field.Layout, loc [][]float64) *matrix.Dist {
 	return &matrix.Dist{Layout: after, Local: loc[:after.N()]}
 }
 
-// execExchange replays a KindExchange plan: every node gathers its
-// per-destination blocks, runs the dimension-scan exchange over the plan's
+// execExchange replays a KindExchange plan: inside one node program, phase
+// after phase, every node gathers its per-destination blocks from the
+// phase's input array, runs the dimension-scan exchange over the phase's
 // dimension order with the configured strategy, and scatters each block into
-// the destination array the moment it arrives (the exchange delivery hook).
-// Early scattering is what makes the execution checkpointable: when the run
-// fails mid-flight, everything already scattered is durable, the per-node
-// delivery records turn into a plan.Delivered span-set, and the typed
-// *ExecError hands the Checkpoint to Resume. The hook changes no timed
-// operation.
+// the phase's output array — the next phase's input, or the destination array
+// for the last one — the moment it arrives (the exchange delivery hook).
+// Early scattering is what makes a one-phase execution checkpointable: when
+// the run fails mid-flight, everything already scattered is durable, the
+// per-node delivery records turn into a plan.Delivered span-set, and the
+// typed *ExecError hands the Checkpoint to Resume. A block of a multi-phase
+// plan's last phase is not a span of the composed move-set the checkpoint
+// addresses, so such a plan fails with the coarse checkpoint (self pairs
+// placed, nothing else delivered). The hook changes no timed operation.
 func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
-	e, err := planEngine(p, xo)
+	e, err := newEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}
-	mv := p.Moves()
 	cfg := p.Config()
-	dims := p.Dims()
+	phases := p.Phases()
+	last := len(phases) - 1
+	fine := last == 0 // only a one-phase plan's deliveries are spans of p.Moves()
 	after := p.After()
 	loc := newLocal(after, e.Nodes())
-	hint := p.MsgElemsHint()
 	debug := e.DebugChecks()
 
-	// Per-node delivery records: each cell is written only by its owning
-	// node's program (partitioned state under the simnet concurrency
-	// contract) and read host-side only after the run has fully unwound.
+	// Per-node delivery records (fine tracking only): each cell is written only
+	// by its owning node's program (partitioned state under the simnet
+	// concurrency contract) and read host-side only after the run has fully
+	// unwound.
 	type exchProgress struct {
 		srcs     []uint64
 		selfDone bool
@@ -239,70 +236,87 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 	err = e.Run(func(nd fabric.Node) {
 		id := nd.ID()
 		local := srcLocal(d, id)
-		if cfg.LocalCopies && len(local) > 0 {
-			nd.Copy(len(local) * cfg.Machine.ElemBytes)
-		}
-		out := loc[id]
-		if local != nil && out != nil {
-			// The self payload never crosses a link: place it up front so it
-			// is durable from the run's first instant.
-			mv.Scatter(id, out, id, mv.Gather(id, local, id))
-			prog[id].selfDone = true
-		}
-		var blocks []comm.Block
-		if local != nil {
-			// Gather every destination's payload into one pooled arena sized
-			// by the plan's hint, instead of one allocation per destination.
-			// The arena is handed off to the exchange (which copies blocks
-			// into outgoing messages), never recycled here.
-			dests := mv.Destinations(id)
-			arena := nd.AllocData(hint)
-			blocks = make([]comm.Block, 0, len(dests))
-			off := 0
-			for _, dp := range dests {
-				n := mv.PayloadLen(id, dp)
-				buf := arena[off : off+n : off+n]
-				off += n
-				mv.GatherInto(id, local, dp, buf)
-				b := comm.Block{Src: id, Dst: dp, Data: buf, Sum: fabric.Checksum(buf)}
-				if debug {
-					b.Tags = addrTags(id, 0, n)
+		for k, ph := range phases {
+			mv := ph.Moves
+			out := loc[id]
+			if k < last {
+				out = nil
+				if id < uint64(mv.After().N()) {
+					out = make([]float64, mv.After().LocalSize())
 				}
-				blocks = append(blocks, b)
 			}
-		}
-		comm.ExchangeBlocksHooked(nd, dims, cfg.Strategy, blocks, comm.ExchangeHooks{
-			OnFinal: func(step int, b comm.Block) {
-				if out == nil {
-					return
+			if ph.CopyBefore && len(local) > 0 {
+				nd.Copy(len(local) * cfg.Machine.ElemBytes)
+			}
+			if local != nil && out != nil {
+				// The self payload never crosses a link: place it up front so
+				// it is durable from the phase's first instant.
+				mv.Scatter(id, out, id, mv.Gather(id, local, id))
+				prog[id].selfDone = fine
+			}
+			var blocks []comm.Block
+			if local != nil {
+				// Gather every destination's payload into one pooled arena —
+				// a node sends at most its whole local array — instead of one
+				// allocation per destination. The arena is handed off to the
+				// exchange (which copies blocks into outgoing messages), never
+				// recycled here.
+				dests := mv.Destinations(id)
+				arena := nd.AllocData(len(local))
+				blocks = make([]comm.Block, 0, len(dests))
+				off := 0
+				for _, dp := range dests {
+					n := mv.PayloadLen(id, dp)
+					buf := arena[off : off+n : off+n]
+					off += n
+					mv.GatherInto(id, local, dp, buf)
+					b := comm.Block{Src: id, Dst: dp, Data: buf, Sum: fabric.Checksum(buf)}
+					if debug {
+						b.Tags = addrTags(id, 0, n)
+					}
+					blocks = append(blocks, b)
 				}
-				if b.Tags != nil {
-					verifyTags(nd, b.Src, b.Dst, 0, b.Tags)
-				}
-				mv.Scatter(id, out, b.Src, b.Data)
-				prog[id].srcs = append(prog[id].srcs, b.Src)
-			},
-		})
-		if out != nil && cfg.LocalCopies {
-			nd.Copy(len(out) * cfg.Machine.ElemBytes)
+			}
+			comm.ExchangeBlocksHooked(nd, ph.Dims, cfg.Strategy, blocks, comm.ExchangeHooks{
+				OnFinal: func(step int, b comm.Block) {
+					if out == nil {
+						return
+					}
+					if b.Tags != nil {
+						verifyTags(nd, b.Src, b.Dst, 0, b.Tags)
+					}
+					mv.Scatter(id, out, b.Src, b.Data)
+					if fine {
+						prog[id].srcs = append(prog[id].srcs, b.Src)
+					}
+				},
+			})
+			if out != nil && ph.CopyAfter {
+				nd.Copy(len(out) * cfg.Machine.ElemBytes)
+			}
+			local = out
 		}
 	})
 	if err != nil {
-		del := plan.NewDelivered()
-		for i := range prog {
-			id := uint64(i)
-			if prog[i].selfDone {
-				del.Add(id, id, 0, mv.PayloadLen(id, id))
+		var cp *Checkpoint
+		if fine {
+			cp = &Checkpoint{Plan: p, Src: d, Loc: loc, Delivered: plan.NewDelivered()}
+			mv := p.Moves()
+			for i := range prog {
+				id := uint64(i)
+				if prog[i].selfDone {
+					cp.Delivered.Add(id, id, 0, mv.PayloadLen(id, id))
+				}
+				for _, src := range prog[i].srcs {
+					cp.Delivered.Add(src, id, 0, mv.PayloadLen(src, id))
+				}
 			}
-			for _, src := range prog[i].srcs {
-				del.Add(src, id, 0, mv.PayloadLen(src, id))
-			}
+		} else {
+			cp = NewCheckpoint(p, d)
 		}
-		st := e.Stats()
-		return nil, &ExecError{
-			Checkpoint: &Checkpoint{Plan: p, Src: d, Loc: loc, Delivered: del, Stats: st, At: st.Time, Opts: xo},
-			Err:        err,
-		}
+		cp.Stats, cp.Opts = e.Stats(), xo
+		cp.At = cp.Stats.Time
+		return nil, &ExecError{Checkpoint: cp, Err: err}
 	}
 	return &Result{Dist: finishDist(after, loc), Stats: e.Stats()}, nil
 }
@@ -314,7 +328,7 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 // Every failure — a refused reroute included — carries the checkpoint, whose
 // self pairs are durable even when nothing else moved.
 func execFlow(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
-	e, err := planEngine(p, xo)
+	e, err := newEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"boolcube/internal/comm"
+	"boolcube/internal/fabric"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
@@ -273,6 +274,44 @@ func TestConvertAlgorithmsGray(t *testing.T) {
 		verifyTranspose(t, alg.String()+"-gray", m, res, err)
 		if res.Dist.Layout.Fields[0].Enc != field.Gray {
 			t.Errorf("%v: result layout lost the Gray encoding", alg)
+		}
+	}
+}
+
+// Virtual time is a fixed point: the zero-option cost of every Section 6.2
+// conversion is pinned bit-for-bit (the values predate the conversions
+// becoming compiled plans, and must never move with host-side refactors).
+func TestConversionStatsPinned(t *testing.T) {
+	small := [3]fabric.Stats{
+		{Time: 43784.312, Startups: 96, Sends: 128, Bytes: 4096, CopyBytes: 1024, CopyTime: 54404.99199999998, MaxLinkBytes: 96, MaxLinkBusy: 10096},
+		{Time: 26928.623999999996, Startups: 64, Sends: 64, Bytes: 2048, CopyBytes: 2048, CopyTime: 108809.98399999995, MaxLinkBytes: 32, MaxLinkBusy: 5032},
+		{Time: 20128, Startups: 64, Sends: 64, Bytes: 2048, MaxLinkBytes: 32, MaxLinkBusy: 5032},
+	}
+	large := [3]fabric.Stats{
+		{Time: 60205.992, Startups: 96, Sends: 128, Bytes: 32768, CopyBytes: 16384, CopyTime: 274143.872, MaxLinkBytes: 768, MaxLinkBusy: 10768},
+		{Time: 45291.488, Startups: 64, Sends: 64, Bytes: 16384, CopyBytes: 24576, CopyTime: 388279.8080000001, MaxLinkBytes: 256, MaxLinkBusy: 5256},
+		{Time: 38157.992, Startups: 64, Sends: 64, Bytes: 16384, CopyBytes: 16384, CopyTime: 274143.872, MaxLinkBytes: 256, MaxLinkBusy: 5256},
+	}
+	cases := []struct {
+		name   string
+		p, q   int
+		enc    field.Encoding
+		opt    Options
+		pinned [3]fabric.Stats
+	}{
+		{"4x4 binary ipsc", 4, 4, field.Binary, Options{Machine: machine.IPSC()}, small},
+		{"4x4 binary ipsc-nport", 4, 4, field.Binary, Options{Machine: machine.IPSCNPort()}, small},
+		{"6x5 gray buffered ipsc", 6, 5, field.Gray, Options{Machine: machine.IPSC(), Strategy: comm.Buffered}, large},
+	}
+	for _, c := range cases {
+		m := matrix.NewIota(c.p, c.q)
+		for i, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+			d := matrix.Scatter(m, field.TwoDimConsecutive(c.p, c.q, 2, 2, c.enc))
+			res, err := ConvertConsecutiveToCyclic(d, alg, c.opt)
+			verifyTranspose(t, c.name+" "+alg.String(), m, res, err)
+			if err == nil && res.Stats != c.pinned[i] {
+				t.Errorf("%s %v: Stats moved:\ngot  %+v\nwant %+v", c.name, alg, res.Stats, c.pinned[i])
+			}
 		}
 	}
 }

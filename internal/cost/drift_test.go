@@ -9,11 +9,13 @@ import (
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
+	"boolcube/internal/plan/plantest"
 )
 
-// driftCase runs one compiled transpose and returns simulated/predicted.
+// driftCase runs one compiled plan over the 2^p x 2^q iota matrix and returns
+// simulated/predicted.
 func driftCase(t *testing.T, alg plan.Algorithm, mach machine.Params,
-	before, after field.Layout, p, q int) float64 {
+	before, after field.Layout, p, q int, transposes bool) float64 {
 	t.Helper()
 	pl, err := plan.Compile(alg, before, after, plan.Config{Machine: mach})
 	if err != nil {
@@ -28,7 +30,7 @@ func driftCase(t *testing.T, alg plan.Algorithm, mach machine.Params,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+	if verr := res.Dist.Verify(plantest.Want(m, transposes)); verr != nil {
 		t.Fatal(verr)
 	}
 	ratio := res.Stats.Time / predicted
@@ -50,7 +52,7 @@ func TestExchangePredictionExactOneDim(t *testing.T) {
 		t.Run(fmt.Sprintf("p%dq%dn%d", sh.p, sh.q, sh.n), func(t *testing.T) {
 			before := field.OneDimConsecutiveRows(sh.p, sh.q, sh.n, field.Binary)
 			after := field.OneDimConsecutiveRows(sh.q, sh.p, sh.n, field.Binary)
-			ratio := driftCase(t, plan.Exchange, mach, before, after, sh.p, sh.q)
+			ratio := driftCase(t, plan.Exchange, mach, before, after, sh.p, sh.q, true)
 			if ratio > factor || ratio < 1/factor {
 				t.Errorf("simulated/predicted ratio %.3f outside [%.2f, %.2f]",
 					ratio, 1/factor, factor)
@@ -63,16 +65,22 @@ func TestExchangePredictionExactOneDim(t *testing.T) {
 // approximations (the 2-D exchange moves different volumes, and the SBnT
 // executor pays per-hop start-ups the bundled pseudocode amortizes), but
 // the paper's models still track the simulation within a factor of 2 —
-// the accuracy the predictor needs for AlgorithmAuto to pick sanely.
+// the accuracy the predictor needs for AlgorithmAuto to pick sanely. The
+// conversions (each on its own layout pair, plantest.Pair) are priced from
+// their compiled phases and held to the same factor on both port models.
 func TestPredictionTracksSimulation(t *testing.T) {
 	const factor = 2.0
-	cases := []struct {
+	type row struct {
 		alg  plan.Algorithm
 		mach machine.Params
-	}{
+	}
+	cases := []row{
 		{plan.Exchange, machine.IPSC()},
 		{plan.SBnT, machine.IPSC()},
 		{plan.SBnT, machine.IPSCNPort()},
+	}
+	for _, alg := range []plan.Algorithm{plan.Convert1, plan.Convert2, plan.Convert3, plan.ConvertEncoding} {
+		cases = append(cases, row{alg, machine.IPSC()}, row{alg, machine.IPSCNPort()})
 	}
 	shapes := []struct{ p, q, n int }{
 		{4, 4, 4}, {5, 5, 4}, {6, 6, 4}, {6, 6, 6},
@@ -81,14 +89,34 @@ func TestPredictionTracksSimulation(t *testing.T) {
 		for _, sh := range shapes {
 			name := fmt.Sprintf("%s/%s/p%dq%dn%d", c.alg, c.mach.Name, sh.p, sh.q, sh.n)
 			t.Run(name, func(t *testing.T) {
-				before := field.TwoDimConsecutive(sh.p, sh.q, sh.n/2, sh.n/2, field.Binary)
-				after := field.TwoDimConsecutive(sh.q, sh.p, sh.n/2, sh.n/2, field.Binary)
-				ratio := driftCase(t, c.alg, c.mach, before, after, sh.p, sh.q)
+				before, after, transposes := plantest.Pair(c.alg, sh.p, sh.q, sh.n)
+				ratio := driftCase(t, c.alg, c.mach, before, after, sh.p, sh.q, transposes)
 				if ratio > factor || ratio < 1/factor {
 					t.Errorf("simulated/predicted ratio %.3f outside [%.2f, %.2f]",
 						ratio, 1/factor, factor)
 				}
 			})
+		}
+	}
+}
+
+// Section 6.2's comparison: algorithm 1 takes 2n exchange steps where
+// algorithm 3 takes n, and the predictor — which prices the compiled phases —
+// must order them that way wherever start-ups cost anything.
+func TestConvertPredictionOrder(t *testing.T) {
+	for _, mach := range []machine.Params{machine.IPSC(), machine.IPSCNPort()} {
+		for _, n := range []int{4, 6} {
+			cost := func(alg plan.Algorithm) float64 {
+				before, after, _ := plantest.Pair(alg, n, n, n)
+				pl, err := plan.Compile(alg, before, after, plan.Config{Machine: mach})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pl.PredictedCost()
+			}
+			if c1, c3 := cost(plan.Convert1), cost(plan.Convert3); c1 <= c3 {
+				t.Errorf("%s n=%d: convert-1 predicted %v, not above convert-3's %v", mach.Name, n, c1, c3)
+			}
 		}
 	}
 }

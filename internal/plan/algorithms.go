@@ -57,6 +57,23 @@ const (
 	// baseline showing why the paper builds the globally edge-disjoint MPT
 	// schedule instead.
 	ParallelPaths
+	// Convert1, Convert2 and Convert3 are the Section 6.2 transpositions
+	// with change of assignment scheme — two-dimensional consecutive
+	// storage into two-dimensional cyclic storage of the transposed matrix
+	// — as three-phase exchange plans. Algorithm 1 converts rows, then
+	// columns, then transposes over paired dimensions: 2n exchange steps.
+	// Algorithm 2 transposes locally, converts rows and columns in n steps
+	// and transposes the N small local matrices; algorithm 3 pairs the
+	// dimensions so no pre-transpose is needed, leaving a local shuffle
+	// when p > 2nr. All three require nr == nc, p >= 2nr and q >= 2nc.
+	Convert1
+	Convert2
+	Convert3
+	// ConvertEncoding re-embeds a matrix under a layout of the same shape
+	// and partitioning in another encoding (binary <-> Gray), without
+	// transposing it (Sections 2 and 6.3): a node permutation routed most
+	// significant differing dimension first, at most n-1 hops per node.
+	ConvertEncoding
 	// Auto is not an algorithm of its own: Compile resolves it to the
 	// cheapest applicable concrete algorithm via field.Classify and the
 	// closed-form cost model (see Choose).
@@ -85,6 +102,10 @@ var specs = [...]spec{
 	MixedCombined:    {"mixed-combined", compileMixedCombined, predictMixedCombined},
 	MixedPseudocode:  {"mixed-pseudocode", compileMixedPseudocode, predictMixedCombined},
 	ParallelPaths:    {"parallel-paths", compileParallelPaths, predictParallelPaths},
+	Convert1:         {"convert-1", compileConvert, predictConvert},
+	Convert2:         {"convert-2", compileConvert, predictConvert},
+	Convert3:         {"convert-3", compileConvert, predictConvert},
+	ConvertEncoding:  {"convert-encoding", compileConvertEncoding, predictConvertEncoding},
 	Auto:             {"auto", nil, nil}, // resolved by Compile before dispatch
 }
 
@@ -95,8 +116,8 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("algorithm(%d)", int(a))
 }
 
-// Algorithms lists every concrete transposition algorithm (excluding Auto),
-// for sweeps, in enum order.
+// Algorithms lists every concrete algorithm (excluding Auto), for sweeps, in
+// enum order.
 func Algorithms() []Algorithm {
 	out := make([]Algorithm, 0, len(specs)-1)
 	for a := range specs {

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"boolcube/internal/core"
-	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
+	"boolcube/internal/plan/plantest"
 )
 
 // Cache transparency: the plan plan.Default hands out is the plan a fresh
@@ -21,16 +21,11 @@ import (
 func TestCacheTransparency(t *testing.T) {
 	const p, q, n = 4, 4, 4
 	m := matrix.NewIota(p, q)
-	want := m.Transposed()
 	for _, mach := range []machine.Params{machine.IPSC(), machine.IPSCNPort()} {
 		for _, alg := range plan.Algorithms() {
 			t.Run(fmt.Sprintf("%s/%s", mach.Name, alg), func(t *testing.T) {
-				before := field.TwoDimConsecutive(p, q, n/2, n/2, field.Binary)
-				after := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
-				if alg == plan.MixedPseudocode { // needs its exact binary/Gray encodings
-					before = field.TwoDimEncoded(p, q, n/2, n/2, field.Binary, field.Gray)
-					after = field.TwoDimEncoded(q, p, n/2, n/2, field.Binary, field.Gray)
-				}
+				before, after, transposes := plantest.Pair(alg, p, q, n)
+				want := plantest.Want(m, transposes)
 				cfg := plan.Config{Machine: mach, LocalCopies: true}
 				cached, err := plan.Default.Compile(alg, before, after, cfg)
 				if err != nil {
@@ -49,8 +44,8 @@ func TestCacheTransparency(t *testing.T) {
 				if !reflect.DeepEqual(cached.Flows(), fresh.Flows()) {
 					t.Error("Flows differ between the cached and the fresh plan")
 				}
-				if !reflect.DeepEqual(cached.Dims(), fresh.Dims()) {
-					t.Errorf("Dims: cached %v, fresh %v", cached.Dims(), fresh.Dims())
+				if !reflect.DeepEqual(cached.Phases(), fresh.Phases()) {
+					t.Error("Phases differ between the cached and the fresh plan")
 				}
 				if c, f := cached.PredictedCost(), fresh.PredictedCost(); c != f {
 					t.Errorf("PredictedCost: cached %v, fresh %v", c, f)

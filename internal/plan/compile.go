@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"boolcube/internal/bits"
 	"boolcube/internal/comm"
@@ -36,28 +37,137 @@ func Compile(alg Algorithm, before, after field.Layout, cfg Config) (*Plan, erro
 	return p, nil
 }
 
-func compileExchange(p *Plan) error {
+// addPhase appends one exchange phase to a KindExchange plan, enforcing the
+// invariant the exchange node program relies on: it routes a block by its
+// destination's bits on dims alone, so every (source, destination) pair of
+// mv must differ only there. A phase over no dimensions therefore moves
+// nothing off-processor.
+func (p *Plan) addPhase(mv *Moves, dims []int, copyBefore, copyAfter bool) error {
+	var mask uint64
+	for _, d := range dims {
+		mask |= 1 << uint(d)
+	}
+	for sp, dests := range mv.dests {
+		for _, dp := range dests {
+			if (uint64(sp)^dp)&^mask != 0 {
+				return fmt.Errorf("plan: %s phase %d (%s -> %s) moves data from node %d to node %d, outside its exchange dimensions %v",
+					p.alg, len(p.phases)+1, mv.before.Name, mv.after.Name, sp, dp, dims)
+			}
+		}
+	}
+	p.kind = KindExchange
+	p.phases = append(p.phases, Phase{Moves: mv, Dims: dims, CopyBefore: copyBefore, CopyAfter: copyAfter})
+	return nil
+}
+
+// compileScan is the one-phase exchange plan: the whole transpose as a
+// single dimension scan, with the optional pack/unpack copy charges.
+func compileScan(p *Plan, dims []int) error {
 	mv, err := NewMoves(p.before, p.after, true)
 	if err != nil {
 		return err
 	}
-	p.kind, p.moves = KindExchange, mv
-	p.dims = comm.DescendingDims(p.n)
-	return nil
+	p.moves = mv
+	return p.addPhase(mv, dims, p.cfg.LocalCopies, p.cfg.LocalCopies)
 }
+
+func compileExchange(p *Plan) error { return compileScan(p, comm.DescendingDims(p.n)) }
 
 func compileExchangeSPTOrder(p *Plan) error {
 	n := p.before.NBits()
 	if n%2 != 0 {
 		return fmt.Errorf("plan: SPT order needs an even number of cube dimensions, got %d", n)
 	}
-	mv, err := NewMoves(p.before, p.after, true)
-	if err != nil {
-		return err
+	return compileScan(p, comm.PairedDims(n))
+}
+
+// sameLayout reports whether two layouts place every element identically
+// (names aside).
+func sameLayout(a, b field.Layout) bool {
+	return a.P == b.P && a.Q == b.Q && slices.Equal(a.Fields, b.Fields)
+}
+
+// compileConvert compiles the three Section 6.2 algorithms. All of them
+// first make the row assignment cyclic by an exchange over the high (row)
+// cube dimensions, then the column assignment over the low ones, through
+// intermediate layouts of the untransposed matrix; they differ in the last
+// phase and in the local rearrangements charged around the exchanges.
+// Element address bit ranges: v3 = [0, nc), v1 = [q-nc, q), u3 = [q, q+nr).
+func compileConvert(p *Plan) error {
+	before, after := p.before, p.after
+	if len(before.Fields) != 2 {
+		return fmt.Errorf("plan: %s needs a two-dimensional consecutive before layout, got %s", p.alg, before)
 	}
-	p.kind, p.moves = KindExchange, mv
-	p.dims = comm.PairedDims(n)
-	return nil
+	P, Q := before.P, before.Q
+	nr, nc, enc := before.Fields[0].Width(), before.Fields[1].Width(), before.Fields[0].Enc
+	if nr != nc {
+		return fmt.Errorf("plan: %s requires nr == nc, got %d and %d", p.alg, nr, nc)
+	}
+	if P < 2*nr || Q < 2*nc {
+		return fmt.Errorf("plan: %s requires p >= 2nr and q >= 2nc, got p=%d q=%d nr=nc=%d", p.alg, P, Q, nr)
+	}
+	// The conversion keeps the before layout's encoding: the exchanges route
+	// by the (possibly Gray-coded) processor addresses either way.
+	if want := field.TwoDimConsecutive(P, Q, nr, nc, enc); !sameLayout(before, want) {
+		return fmt.Errorf("plan: %s converts from %s, got %s", p.alg, want, before)
+	}
+	if want := field.TwoDimCyclic(Q, P, nc, nr, enc); !sameLayout(after, want) {
+		return fmt.Errorf("plan: %s converts into %s, got %s", p.alg, want, after)
+	}
+	u3 := field.Field{Lo: Q, Hi: Q + nr, Enc: enc}
+	v1 := field.Field{Lo: Q - nc, Hi: Q, Enc: enc}
+	v3 := field.Field{Lo: 0, Hi: nc, Enc: enc}
+	mid := func(name string, row, col field.Field) field.Layout {
+		return field.Layout{P: P, Q: Q, Name: name, Fields: []field.Field{row, col}}
+	}
+	n := nr + nc
+	desc := comm.DescendingDims(n)
+	rowDims, colDims := desc[:nr:nr], desc[nr:]
+
+	type step struct {
+		to         field.Layout
+		transpose  bool
+		dims       []int
+		copyBefore bool
+		copyAfter  bool
+	}
+	var steps [3]step
+	switch p.alg {
+	case Convert1:
+		// Rows, columns, then the global transpose over paired dimensions
+		// (2n exchange steps) and a final local transpose.
+		steps = [3]step{
+			{to: mid("conv1-cycrows", u3, v1), dims: rowDims},
+			{to: mid("conv1-cyclic", u3, v3), dims: colDims},
+			{to: after, transpose: true, dims: comm.PairedDims(n), copyAfter: true},
+		}
+	default:
+		// Converting rows into the column field's position pairs the
+		// dimensions, so n exchange steps leave every element on its final
+		// processor and the last phase only relabels local storage.
+		// Algorithm 2 transposes the whole local matrix first and the N
+		// small local matrices afterwards; algorithm 3 needs only a local
+		// shuffle, and only when p > 2nr.
+		steps = [3]step{
+			{to: mid("conv23-rows", v3, v1), dims: rowDims, copyBefore: p.alg == Convert2},
+			{to: mid("conv23-both", v3, u3), dims: colDims, copyAfter: p.alg == Convert2 || P > 2*nr},
+			{to: after, transpose: true},
+		}
+	}
+	from := before
+	for _, st := range steps {
+		mv, err := NewMoves(from, st.to, st.transpose)
+		if err != nil {
+			return err
+		}
+		if err := p.addPhase(mv, st.dims, st.copyBefore, st.copyAfter); err != nil {
+			return err
+		}
+		from = st.to
+	}
+	var err error
+	p.moves, err = NewMoves(before, after, true)
+	return err
 }
 
 // pairwiseOnly verifies that the transposition is between distinct
@@ -70,16 +180,21 @@ func pairwiseOnly(before, after field.Layout, name string) error {
 	return nil
 }
 
-// compileFlows expresses the transpose as source-routed flows: for every
-// (source, destination) payload, the route function's paths split the
-// payload evenly (by canonical-order ranges), and each chunk is packetized
-// — by the caller's Packets, or at the machine's natural B_m grain so
-// store-and-forward hops pipeline.
+// compileFlows expresses the transpose as source-routed flows (see routeFlows).
 func compileFlows(p *Plan, route func(src, dst uint64, n int) [][]int) error {
 	mv, err := NewMoves(p.before, p.after, true)
 	if err != nil {
 		return err
 	}
+	return routeFlows(p, mv, route)
+}
+
+// routeFlows expresses a move-set as source-routed flows: for every (source,
+// destination) payload, the route function's paths split the payload evenly
+// (by canonical-order ranges), and each chunk is packetized — by the
+// caller's Packets, or at the machine's natural B_m grain so
+// store-and-forward hops pipeline.
+func routeFlows(p *Plan, mv *Moves, route func(src, dst uint64, n int) [][]int) error {
 	p.kind, p.moves = KindFlow, mv
 	for sp := 0; sp < p.before.N(); sp++ {
 		src := uint64(sp)
@@ -109,6 +224,20 @@ func compileFlows(p *Plan, route func(src, dst uint64, n int) [][]int) error {
 		}
 	}
 	return nil
+}
+
+// compilePermutation compiles a node permutation (each source sends all of
+// its data to at most one other node — what the Section 6.3 algorithms and
+// the standalone code conversion route) as one flow set.
+func compilePermutation(p *Plan, transpose bool, route func(src, dst uint64, n int) [][]int) error {
+	mv, err := NewMoves(p.before, p.after, transpose)
+	if err != nil {
+		return err
+	}
+	if err := nodePermutationOnly(p.alg, mv); err != nil {
+		return err
+	}
+	return routeFlows(p, mv, route)
 }
 
 // shareRange splits a payload of n elements into k nearly-equal chunks and
@@ -179,13 +308,12 @@ func compileRoutingLogic(p *Plan) error {
 	})
 }
 
-// nodePermutationOnly checks that the transposition is a node permutation
-// (each source sends all of its data to exactly one destination), which is
-// what the Section 6.3 algorithms route.
-func nodePermutationOnly(mv *Moves) error {
-	for sp := 0; sp < mv.before.N(); sp++ {
-		if n := len(mv.Destinations(uint64(sp))); n > 1 {
-			return fmt.Errorf("plan: mixed transpose needs a node permutation; node %d sends to %d nodes", sp, n)
+// nodePermutationOnly checks that the move-set is a node permutation: each
+// source sends all of its data to exactly one destination.
+func nodePermutationOnly(alg Algorithm, mv *Moves) error {
+	for sp, dests := range mv.dests {
+		if len(dests) > 1 {
+			return fmt.Errorf("plan: %s needs a node permutation; node %d sends to %d nodes", alg, sp, len(dests))
 		}
 	}
 	return nil
@@ -248,18 +376,28 @@ func compileMixed(p *Plan, route func(src, dst uint64, n int) [][]int) error {
 	if n := p.before.NBits(); n%2 != 0 {
 		return fmt.Errorf("plan: mixed transpose needs an even number of cube dimensions")
 	}
-	mv, err := NewMoves(p.before, p.after, true)
-	if err != nil {
-		return err
-	}
-	if err := nodePermutationOnly(mv); err != nil {
-		return err
-	}
-	return compileFlows(p, route)
+	return compilePermutation(p, true, route)
 }
 
 func compileMixedNaive(p *Plan) error    { return compileMixed(p, naiveMixedRoute) }
 func compileMixedCombined(p *Plan) error { return compileMixed(p, combinedMixedRoute) }
+
+// compileConvertEncoding compiles the standalone Gray/binary code conversion
+// (Sections 2 and 6.3, citing [10]): the same matrix under the same
+// partitioning in another encoding. Binary and Gray codes agree on the most
+// significant bit, so an n-bit field moves data across at most n-1
+// dimensions; scanning from the most significant differing bit down makes
+// the paths of different nodes edge-disjoint.
+func compileConvertEncoding(p *Plan) error {
+	if a, b := p.after.NBits(), p.before.NBits(); a != b {
+		return fmt.Errorf("plan: %s requires the same processor count, got %d and %d cube dimensions", p.alg, b, a)
+	}
+	return compilePermutation(p, false, func(src, dst uint64, n int) [][]int {
+		dims := router.Ecube(src, dst, n)
+		slices.Reverse(dims)
+		return [][]int{dims}
+	})
+}
 
 // pseudocodeControls returns the row and column control modes for the
 // encoding combination (before -> after), or an error for unsupported
@@ -309,10 +447,8 @@ func compileMixedPseudocode(p *Plan) error {
 	if err != nil {
 		return err
 	}
-	for sp := 0; sp < p.before.N(); sp++ {
-		if len(mv.Destinations(uint64(sp))) > 1 {
-			return fmt.Errorf("plan: layout pair is not a node permutation")
-		}
+	if err := nodePermutationOnly(p.alg, mv); err != nil {
+		return err
 	}
 	p.kind, p.moves = KindMixedProgram, mv
 	p.rowCtrl, p.colCtrl = row, col

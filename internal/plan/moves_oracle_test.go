@@ -8,6 +8,7 @@ import (
 
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
+	"boolcube/internal/plan/plantest"
 )
 
 // movesOracle is NewMoves as it stood before the compressed-row rebuild,
@@ -110,17 +111,13 @@ func movesCases() []movesCase {
 	add := func(name string, before, after field.Layout, transpose bool) {
 		cs = append(cs, movesCase{name, Auto, before, after, transpose})
 	}
-	// The pair each registry algorithm compiles, on 2-, 4- and 6-cubes (the
-	// Section 6.3 algorithms get the mixed encodings they are about).
+	// The pair each registry algorithm compiles (plantest.Pair), on 2-, 4- and
+	// 6-cubes (the Section 6.2 conversions need p >= n).
 	for _, n := range []int{2, 4, 6} {
-		h := n / 2
-		p := h + 2
+		p := n/2 + 2
 		for _, alg := range Algorithms() {
-			l := field.TwoDimConsecutive(p, p, h, h, field.Binary)
-			if alg == MixedPseudocode || alg == MixedNaive || alg == MixedCombined {
-				l = field.TwoDimEncoded(p, p, h, h, field.Binary, field.Gray)
-			}
-			cs = append(cs, movesCase{fmt.Sprintf("%s/n=%d", alg, n), alg, l, l, true})
+			before, after, transposes := plantest.Pair(alg, max(p, n), max(p, n), n)
+			cs = append(cs, movesCase{fmt.Sprintf("%s/n=%d", alg, n), alg, before, after, transposes})
 		}
 		// One-dimensional all-to-all, Gray and cyclic, and some-to-all.
 		add(fmt.Sprintf("1d-rows/n=%d", n), field.OneDimConsecutiveRows(p+1, p+1, n, field.Gray), field.OneDimConsecutiveRows(p+1, p+1, n, field.Gray), true)
@@ -133,8 +130,8 @@ func movesCases() []movesCase {
 	add("rect-split", field.BandedCombined(6, 3, 1, 1, field.Binary), field.CombinedSplit(3, 6, 4, 1, false, field.Gray), true)
 	add("column-vector", field.OneDimConsecutiveRows(5, 0, 3, field.Gray), field.OneDimCyclicCols(0, 5, 2, field.Binary), true)
 	add("one-processor", field.OneDimConsecutiveRows(3, 2, 0, field.Binary), field.TwoDimCyclic(2, 3, 1, 1, field.Gray), true)
-	// The repartition chains of core/convert.go (Section 6.2): two
-	// transpose=false conversions, then the transposing phase.
+	// The phase chains of the Section 6.2 conversions (compileConvert): two
+	// transpose=false repartitionings, then the transposing phase.
 	for _, enc := range []field.Encoding{field.Binary, field.Gray} {
 		p, q, nr, nc := 4, 4, 2, 2
 		before, after := field.TwoDimConsecutive(p, q, nr, nc, enc), field.TwoDimCyclic(q, p, nc, nr, enc)

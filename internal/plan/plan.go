@@ -34,7 +34,8 @@ type Config struct {
 type Kind int
 
 const (
-	// KindExchange runs the dimension-scan exchange node program over Dims.
+	// KindExchange runs the dimension-scan exchange node program once per
+	// Phase, each phase's output array being the next one's input.
 	KindExchange Kind = iota
 	// KindFlow injects the precomputed source-routed Flows.
 	KindFlow
@@ -65,6 +66,18 @@ type Flow struct {
 	Packets  int
 }
 
+// Phase is one dimension-scan exchange of a KindExchange plan: the move-set
+// it realizes, the cube dimensions it scans (in order), and whether a full
+// local-array rearrangement is charged before and after it. Every (source,
+// destination) pair of Moves differs only on Dims — compilation enforces it,
+// since the exchange routes a block by its destination's bits on Dims alone —
+// so a phase with no dimensions is a purely local relabeling.
+type Phase struct {
+	Moves                 *Moves
+	Dims                  []int // read-only; shared across executions
+	CopyBefore, CopyAfter bool
+}
+
 // Ctrl selects how a direction of the Section 6.3 pseudocode program is
 // gated across iterations: by the node's bit in the previous iteration's
 // dimension ("even block"), or by the running parity of the processed bits
@@ -87,9 +100,9 @@ type Plan struct {
 	kind          Kind
 	moves         *Moves
 
-	dims             []int  // KindExchange: scan order
-	flows            []Flow // KindFlow: precompiled flows
-	rowCtrl, colCtrl Ctrl   // KindMixedProgram: iteration gating
+	phases           []Phase // KindExchange: exchanges, in execution order
+	flows            []Flow  // KindFlow: precompiled flows
+	rowCtrl, colCtrl Ctrl    // KindMixedProgram: iteration gating
 }
 
 // Algorithm returns the (resolved, never Auto) algorithm the plan encodes.
@@ -110,11 +123,15 @@ func (p *Plan) NDims() int { return p.n }
 // Kind returns which executor replays the plan.
 func (p *Plan) Kind() Kind { return p.kind }
 
-// Moves returns the element move-set.
+// Moves returns the element move-set from Before to After — for a
+// multi-phase plan the composition of its phases, which is what checkpoints,
+// residuals and the service address.
 func (p *Plan) Moves() *Moves { return p.moves }
 
-// Dims returns the exchange scan order (KindExchange). Read-only.
-func (p *Plan) Dims() []int { return p.dims }
+// Phases returns the exchanges of a KindExchange plan in execution order
+// (one for the plain transposes, three for the Section 6.2 conversions).
+// Read-only.
+func (p *Plan) Phases() []Phase { return p.phases }
 
 // Flows returns the precompiled flows (KindFlow). Read-only.
 func (p *Plan) Flows() []Flow { return p.flows }
@@ -122,20 +139,17 @@ func (p *Plan) Flows() []Flow { return p.flows }
 // Controls returns the row and column gating modes (KindMixedProgram).
 func (p *Plan) Controls() (row, col Ctrl) { return p.rowCtrl, p.colCtrl }
 
-// MsgElemsHint returns a per-node payload capacity hint in elements: an
-// upper bound on the data one node contributes to the communication,
-// derived from the layout (and, for flow plans, matching the packetization
-// total). Executors use it to pool-allocate gather arenas and message
-// buffers up front instead of growing them by append; 0 means no hint.
-func (p *Plan) MsgElemsHint() int { return p.before.LocalSize() }
-
 // Describe renders a one-line human-readable summary, used as the trace
 // label and by cmd/transpose.
 func (p *Plan) Describe() string {
 	detail := ""
 	switch p.kind {
 	case KindExchange:
-		detail = fmt.Sprintf("%d exchange steps", len(p.dims))
+		steps := 0
+		for _, ph := range p.phases {
+			steps += len(ph.Dims)
+		}
+		detail = fmt.Sprintf("%d exchange steps", steps)
 	case KindFlow:
 		detail = fmt.Sprintf("%d flows", len(p.flows))
 	case KindMixedProgram:

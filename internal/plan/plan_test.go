@@ -9,6 +9,7 @@ import (
 
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
+	"boolcube/internal/plan/plantest"
 )
 
 // Satellite: every algorithm name must round-trip String -> Parse -> String,
@@ -205,15 +206,8 @@ func TestChooseResolvesAuto(t *testing.T) {
 // Every concrete algorithm must price to a positive finite time on a
 // layout pair it accepts.
 func TestPredictedCostFinite(t *testing.T) {
-	before, after := sptLayouts()
-	// The pseudocode program only accepts the Section 6.3 encoding pairs.
-	mixedBefore := field.TwoDimEncoded(5, 5, 2, 2, field.Binary, field.Gray)
-	mixedAfter := field.TwoDimEncoded(5, 5, 2, 2, field.Binary, field.Gray)
 	for _, a := range Algorithms() {
-		b, af := before, after
-		if a == MixedPseudocode {
-			b, af = mixedBefore, mixedAfter
-		}
+		b, af, _ := plantest.Pair(a, 5, 5, 4)
 		p, err := Compile(a, b, af, Config{Machine: machine.IPSCNPort()})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
@@ -222,6 +216,29 @@ func TestPredictedCostFinite(t *testing.T) {
 		if math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
 			t.Errorf("%v: PredictedCost = %v", a, c)
 		}
+	}
+}
+
+// The exchange routes a block by its destination's bits on the phase's
+// dimensions alone, so a phase whose move-set leaves them must not compile —
+// in particular a phase over no dimensions may only relabel local storage.
+func TestPhaseMovesStayInsideItsDimensions(t *testing.T) {
+	before, after := sptLayouts()
+	p := &Plan{alg: Exchange, before: before, after: after, n: 4}
+	mv := MustMoves(before, after, true)
+	if err := p.addPhase(mv, []int{3, 2, 1, 0}, false, false); err != nil {
+		t.Errorf("full dimension scan refused: %v", err)
+	}
+	for _, dims := range [][]int{{3, 2, 1}, {}} {
+		if err := p.addPhase(mv, dims, false, false); err == nil {
+			t.Errorf("transpose accepted as a phase over dimensions %v", dims)
+		}
+	}
+	if err := p.addPhase(MustMoves(before, before, false), nil, false, false); err != nil {
+		t.Errorf("identity repartition refused as a zero-dimension phase: %v", err)
+	}
+	if len(p.phases) != 2 {
+		t.Errorf("%d phases recorded, want the 2 accepted ones", len(p.phases))
 	}
 }
 

@@ -1,0 +1,41 @@
+// Package plantest holds what tests of the algorithm registry share across
+// packages. It imports neither plan nor core, so plan's own tests can use it.
+package plantest
+
+import (
+	"fmt"
+
+	"boolcube/internal/field"
+	"boolcube/internal/matrix"
+)
+
+// Pair returns a layout pair the named registry row accepts for a 2^p x 2^q
+// matrix on an n-cube split n/2 + n/2 (the conversions need p, q >= n), and
+// whether the row transposes: sweeps over plan.Algorithms() call it instead
+// of holding every row to one fixed pair. The default is the square
+// two-dimensional consecutive pair; the Section 6.3 rows get the binary-rows /
+// Gray-columns encodings they are about (the pseudocode accepts nothing
+// else), the Section 6.2 rows their consecutive -> cyclic pair, and the code
+// conversion — the one row that does not transpose — binary -> Gray.
+func Pair(alg fmt.Stringer, p, q, n int) (before, after field.Layout, transposes bool) {
+	h := n / 2
+	before = field.TwoDimConsecutive(p, q, h, h, field.Binary)
+	switch alg.String() {
+	case "mixed-naive", "mixed-combined", "mixed-pseudocode":
+		return field.TwoDimEncoded(p, q, h, h, field.Binary, field.Gray),
+			field.TwoDimEncoded(q, p, h, h, field.Binary, field.Gray), true
+	case "convert-1", "convert-2", "convert-3":
+		return before, field.TwoDimCyclic(q, p, h, h, field.Binary), true
+	case "convert-encoding":
+		return before, field.TwoDimConsecutive(p, q, h, h, field.Gray), false
+	}
+	return before, field.TwoDimConsecutive(q, p, h, h, field.Binary), true
+}
+
+// Want returns what a run of such a row over m must produce.
+func Want(m *matrix.Matrix, transposes bool) *matrix.Matrix {
+	if transposes {
+		return m.Transposed()
+	}
+	return m
+}

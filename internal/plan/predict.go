@@ -114,6 +114,31 @@ func predictMixedCombined(p *Plan) float64 {
 	return cost.PipelinedPaths(p.totalBytes(), p.n, p.n, 1, p.pathPacketBytes(1), p.cfg.Machine)
 }
 
+// predictConvert prices the compiled phases of a Section 6.2 conversion:
+// every exchange step moves half the local array, exactly the per-step term
+// of the standard exchange, and every charged rearrangement copies all of
+// it. Algorithm 1's 2n steps against n is the paper's comparison.
+func predictConvert(p *Plan) float64 {
+	steps, copies := 0, 0
+	for _, ph := range p.phases {
+		steps += len(ph.Dims)
+		if ph.CopyBefore {
+			copies++
+		}
+		if ph.CopyAfter {
+			copies++
+		}
+	}
+	mach := p.cfg.Machine
+	perStep := cost.AllToAllExchange(p.totalBytes(), p.n, mach) / float64(p.n)
+	return float64(steps)*perStep + float64(copies)*mach.CopyTime(p.before.LocalSize()*mach.ElemBytes)
+}
+
+func predictConvertEncoding(p *Plan) float64 {
+	// The two codes share their most significant bit: at most n-1 hops.
+	return cost.PipelinedPaths(p.totalBytes(), p.n, max(p.n-1, 1), 1, p.pathPacketBytes(1), p.cfg.Machine)
+}
+
 // Choose resolves the Auto algorithm: it classifies the communication
 // pattern of the layout pair (field.Classify) and picks the candidate with
 // the lowest closed-form predicted time on the configured machine. The

@@ -42,6 +42,7 @@ func FuzzJobSubmit(f *testing.F) {
 	f.Add("auto", "2d-cyclic", "2d-cyclic", "1", "", 2, 2, 4)
 	f.Add("mixed-combined", "2d-mixed-enc", "2d-mixed-enc", "", "25", 3, 3, 4)
 	f.Add("exchange", "banded:2,1", "banded:2,1", "0", "", 3, 3, 4)
+	f.Add("convert-2", "2d-consecutive", "2d-cyclic", "0", "", 4, 4, 4)
 	f.Add("", "", "", "", "", 0, 0, 0)
 	f.Add("no-such-alg", "1d-consecutive-rows", "1d-consecutive-rows", "0", "", 3, 3, 4)
 	f.Add("exchange", "custom([0,3):binary+[3,5):gray", "1d-consecutive-rows", "x", "y", 3, 2, 4)

@@ -609,8 +609,9 @@ func TestServiceMetricsLatency(t *testing.T) {
 
 // TestServiceMixedEncodings: jobs over mixed binary/Gray and 2D layouts
 // coexist in shared rounds with 1D binary jobs; everything stays
-// element-exact. Exercises exchange, flow and mixed-program plan kinds
-// through the one merged-flow execution path.
+// element-exact. Exercises exchange (one-phase and, with the Section 6.2
+// conversions, three-phase), flow and mixed-program plan kinds through the
+// one merged-flow execution path; one conversion arrives in textual form.
 func TestServiceMixedEncodings(t *testing.T) {
 	const n = 4
 	s, err := New(Config{Dims: n, Machine: machine.IPSCNPort()})
@@ -633,6 +634,17 @@ func TestServiceMixedEncodings(t *testing.T) {
 	add(plan.SPT,
 		field.TwoDimConsecutive(3, 3, 2, 2, field.Binary),
 		field.TwoDimConsecutive(3, 3, 2, 2, field.Binary), 3, 3)
+	add(plan.Convert3,
+		field.TwoDimConsecutive(4, 4, 2, 2, field.Binary),
+		field.TwoDimCyclic(4, 4, 2, 2, field.Binary), 4, 4)
+	parsed, err := ParseJob("convert-2", "2d-consecutive", "2d-cyclic:binary", "", "", 5, 4, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Alg != plan.Convert2 || parsed.After.String() != field.TwoDimCyclic(4, 5, 2, 2, field.Binary).String() {
+		t.Fatalf("ParseJob(convert-2) = %v into %s", parsed.Alg, parsed.After)
+	}
+	add(parsed.Alg, parsed.Before, parsed.After, 5, 4)
 	results := submitAll(t, s, specs)
 	s.Close()
 	for i, res := range results {

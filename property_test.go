@@ -8,6 +8,7 @@ import (
 
 	"boolcube/internal/core"
 	"boolcube/internal/plan"
+	"boolcube/internal/plan/plantest"
 )
 
 // oneDimCapable marks the algorithms the randomized property test may pair
@@ -22,11 +23,13 @@ var oneDimCapable = map[Algorithm]bool{
 // randomLayouts draws a random compatible layout pair for the algorithm:
 // square two-dimensional splits in random storage (consecutive/cyclic) and
 // encoding, or a one-dimensional row partition for the all-to-all
-// algorithms; MixedPseudocode gets its required binary/Gray encodings.
-func randomLayouts(rng *rand.Rand, alg Algorithm, p, q, n int) (before, after Layout) {
-	if alg == MixedPseudocode {
-		return TwoDimEncoded(p, q, n/2, n/2, Binary, Gray),
-			TwoDimEncoded(q, p, n/2, n/2, Binary, Gray)
+// algorithms; the rows that accept one pair only (the Section 6.3 pseudocode
+// and the conversions) get it from plantest.Pair. transposes is false for the
+// code conversion alone.
+func randomLayouts(rng *rand.Rand, alg Algorithm, p, q, n int) (before, after Layout, transposes bool) {
+	switch alg {
+	case MixedPseudocode, plan.Convert1, plan.Convert2, plan.Convert3, plan.ConvertEncoding:
+		return plantest.Pair(alg, p, q, n)
 	}
 	enc := Binary
 	if rng.Intn(2) == 1 {
@@ -34,14 +37,14 @@ func randomLayouts(rng *rand.Rand, alg Algorithm, p, q, n int) (before, after La
 	}
 	if oneDimCapable[alg] && p >= n && q >= n && rng.Intn(3) == 0 {
 		if rng.Intn(2) == 0 {
-			return OneDimConsecutiveRows(p, q, n, enc), OneDimConsecutiveRows(q, p, n, enc)
+			return OneDimConsecutiveRows(p, q, n, enc), OneDimConsecutiveRows(q, p, n, enc), true
 		}
-		return OneDimCyclicRows(p, q, n, enc), OneDimCyclicRows(q, p, n, enc)
+		return OneDimCyclicRows(p, q, n, enc), OneDimCyclicRows(q, p, n, enc), true
 	}
 	if rng.Intn(2) == 0 {
-		return TwoDimConsecutive(p, q, n/2, n/2, enc), TwoDimConsecutive(q, p, n/2, n/2, enc)
+		return TwoDimConsecutive(p, q, n/2, n/2, enc), TwoDimConsecutive(q, p, n/2, n/2, enc), true
 	}
-	return TwoDimCyclic(p, q, n/2, n/2, enc), TwoDimCyclic(q, p, n/2, n/2, enc)
+	return TwoDimCyclic(p, q, n/2, n/2, enc), TwoDimCyclic(q, p, n/2, n/2, enc), true
 }
 
 // Property: for ANY (layout, algorithm, machine, option) combination, the
@@ -63,7 +66,7 @@ func TestCompiledReplayMatchesOneShotRandomized(t *testing.T) {
 		n := 2 + 2*rng.Intn(2)     // 2 or 4
 		p := n/2 + 1 + rng.Intn(2) // enough rows for the split
 		q := n/2 + 1 + rng.Intn(2)
-		before, after := randomLayouts(rng, alg, p, q, n)
+		before, after, transposes := randomLayouts(rng, alg, p, q, n)
 		opt := Options{
 			Algorithm:   alg,
 			Machine:     machines[rng.Intn(len(machines))],
@@ -74,6 +77,7 @@ func TestCompiledReplayMatchesOneShotRandomized(t *testing.T) {
 		name := fmt.Sprintf("trial %d: %v %s->%s on %s", i, alg, before, after, opt.Machine.Name)
 
 		m := NewIotaMatrix(p, q)
+		want := plantest.Want(m, transposes)
 		oneShot, errOne := Transpose(Scatter(m, before), after, opt)
 		ct, errCompile := Compile(before, after, opt)
 		if (errOne == nil) != (errCompile == nil) {
@@ -82,14 +86,14 @@ func TestCompiledReplayMatchesOneShotRandomized(t *testing.T) {
 		if errOne != nil {
 			continue // invalid combination: both paths agree it is
 		}
-		if verr := oneShot.Dist.Verify(m.Transposed()); verr != nil {
+		if verr := oneShot.Dist.Verify(want); verr != nil {
 			t.Fatalf("%s: one-shot result wrong: %v", name, verr)
 		}
 		res, err := ct.Execute(Scatter(m, before))
 		if err != nil {
 			t.Fatalf("%s: compiled execute failed where one-shot succeeded: %v", name, err)
 		}
-		if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+		if verr := res.Dist.Verify(want); verr != nil {
 			t.Fatalf("%s: compiled result wrong: %v", name, verr)
 		}
 		if got, want := res.Stats.Logical(), oneShot.Stats.Logical(); got != want {

@@ -2,6 +2,7 @@ package boolcube
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -248,5 +249,71 @@ func TestResumeDegenerateCases(t *testing.T) {
 	}
 	if verr := res2.Dist.Verify(want); verr != nil {
 		t.Fatalf("idempotent resume wrong: %v", verr)
+	}
+}
+
+// conversionPhase2 compiles convert-2 (Section 6.2, algorithm 2) for a 64x32
+// matrix on a 4-cube and returns, beside the unfaulted baseline, the window
+// of its second phase: the column exchange is the only phase that transmits
+// on the low nr cube dimensions, so it spans their first send to their last.
+func conversionPhase2(t *testing.T) (ct *CompiledTranspose, src func() *Dist, base *Result, want *Matrix, lo, hi float64) {
+	t.Helper()
+	p, q, nr := 6, 5, 2
+	m := NewIotaMatrix(p, q)
+	before, after := TwoDimConsecutive(p, q, nr, nr, Binary), TwoDimCyclic(q, p, nr, nr, Binary)
+	alg, err := ParseAlgorithm("convert-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct, err = Compile(before, after, Options{Algorithm: alg, Machine: IPSC()}); err != nil {
+		t.Fatal(err)
+	}
+	src = func() *Dist { return Scatter(m, before) }
+	tr := NewTrace()
+	if base, err = ct.ExecuteTraced(src(), tr); err != nil {
+		t.Fatal(err)
+	}
+	lo = math.Inf(1)
+	for _, ev := range tr.Events {
+		if ev.Kind == "send" && ev.Dim < nr {
+			lo, hi = min(lo, ev.Start), max(hi, ev.End)
+		}
+	}
+	if !(lo > 0 && lo < hi) {
+		t.Fatalf("phase 2 window [%v, %v) is not inside the run", lo, hi)
+	}
+	return ct, src, base, m.Transposed(), lo, hi
+}
+
+// A conversion is a plan like any other: a link killed while its second
+// phase is under way fails the run with a checkpoint — the coarse one, a
+// multi-phase block being no span of the composed move-set — and Resume
+// finishes into the distribution an unfaulted run produces, bit for bit.
+func TestConversionResumeAfterPhase2LinkKill(t *testing.T) {
+	ct, src, base, want, lo, hi := conversionPhase2(t)
+	var xe *ExecError
+	for seed := int64(1); seed <= 32 && xe == nil; seed++ {
+		fp, err := CompileFaults(FaultSpec{Seed: seed, Rules: []FaultRule{
+			{Kind: FaultRandomLinks, Count: 1, Start: lo + (hi-lo)/4},
+		}}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = ct.ExecuteWith(src(), ExecOptions{Faults: fp}); err != nil && !errors.As(err, &xe) {
+			t.Fatalf("mid-run kill returned %v, want *ExecError", err)
+		}
+	}
+	if xe == nil {
+		t.Fatal("no seed in 1..32 killed a link phase 2 still needed")
+	}
+	if at := xe.Checkpoint.At; at < lo || at > hi {
+		t.Fatalf("run stopped at t=%v, outside phase 2 [%v, %v]", at, lo, hi)
+	}
+	res, _ := resumeLoop(t, xe, ExecOptions{})
+	if verr := res.Dist.Verify(want); verr != nil {
+		t.Fatalf("resumed conversion wrong: %v", verr)
+	}
+	if !reflect.DeepEqual(res.Dist.Local, base.Dist.Local) {
+		t.Fatal("resumed distribution differs bit-for-bit from the unfaulted run")
 	}
 }

@@ -69,9 +69,10 @@ awk '
 # twice — the resumed distribution must stay bit-identical to the unfaulted
 # run on every repetition (plan-cache state must not leak into recovery).
 # Link-fault resume, crash recovery and service rounds share one executor
-# (core.RunTransfers), so the crash-recovery scenarios ride the same step.
+# (core.RunTransfers), so the crash-recovery scenarios ride the same step,
+# and so do the two that interrupt a three-phase conversion plan.
 echo "==> go test -run resume scenarios -count=2"
-go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery' -count=2 .
+go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestConversionResumeAfterPhase2LinkKill|TestConversionRecoverAfterPhase2Crash' -count=2 .
 
 # Faulted soak: combined permanent + flaky faults on an 8-cube, replayed
 # for determinism (part of the non-short suite; run explicitly here).
@@ -94,7 +95,8 @@ go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
 
 # Backend parity smoke: the same compiled plans replayed on the simnet
 # simulation and the livenet goroutine transport must agree element-exactly
-# and on logical stats, including the checkpoint/resume round-trip.
+# and on logical stats, including the checkpoint/resume round-trip; the
+# all-algorithms table covers every registry row, the conversions included.
 echo "==> go test -run TestBackendParity -short (backend parity smoke)"
 go test -run 'TestBackendParity' -short -count=1 .
 
