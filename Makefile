@@ -38,8 +38,11 @@ profile-engine:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineCube16SBnT$$' -benchtime 2x -cpuprofile profiles/cube16_cpu.pprof -memprofile profiles/cube16_mem.pprof -o profiles/simnet.test ./internal/simnet/
 
-# CPU profile of the full experiment registry, the `sweep` workload's op
-# (`go tool pprof -top profiles/sweep_cpu.pprof`).
+# CPU and heap profiles of the full experiment registry, the `sweep`
+# workload's op (`go tool pprof -top profiles/sweep_cpu.pprof`). The heap
+# profile is taken at exit, so its inuse_space is what the plan cache
+# retains (`go tool pprof -sample_index=inuse_space -top
+# profiles/sweep_mem.pprof`).
 profile-sweep:
 	mkdir -p profiles
-	$(GO) run ./cmd/experiments -all -cpuprofile profiles/sweep_cpu.pprof >/dev/null
+	$(GO) run ./cmd/experiments -all -cpuprofile profiles/sweep_cpu.pprof -memprofile profiles/sweep_mem.pprof >/dev/null

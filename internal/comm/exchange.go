@@ -142,6 +142,10 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 	id := nd.ID()
 	l := len(dims)
 	hooked := hooks.OnFinal != nil
+	// The machine parameters are fixed for the run; read them once rather
+	// than copying the struct through the Node interface per run and step.
+	params := nd.Params()
+	elemBytes := params.ElemBytes
 	slotOf := func(src, dst uint64, step int) int {
 		s := 0
 		for j, d := range dims {
@@ -156,7 +160,6 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		return s
 	}
 	nslots := 1 << uint(l)
-	slots := make([][]slotBlock, nslots)
 	var rx []rxBuf
 
 	// retire drops one reference to a receive buffer, recycling it once no
@@ -201,7 +204,11 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		retire(sb.buf)
 	}
 
+	// Count each slot's initial blocks, then carve every slot list out of
+	// one arena: one allocation per call instead of one per slot. A slot
+	// refilled past its carved capacity by a later step grows on its own.
 	tagged := false
+	first := make([]int, nslots+1)
 	for _, b := range blocks {
 		for _, d := range dims {
 			if bits.Bit(b.Src, d) != bits.Bit(id, d) {
@@ -211,6 +218,19 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		if b.Tags != nil {
 			tagged = true
 		}
+		if !hooked || !isHome(b.Dst) {
+			first[slotOf(b.Src, b.Dst, 0)+1]++
+		}
+	}
+	for s := range nslots {
+		first[s+1] += first[s]
+	}
+	arena := make([]slotBlock, first[nslots])
+	slots := make([][]slotBlock, nslots)
+	for s := range slots {
+		slots[s] = arena[first[s]:first[s]:first[s+1]]
+	}
+	for _, b := range blocks {
 		if hooked && isHome(b.Dst) {
 			deliver(-1, slotBlock{Block: b, buf: -1})
 			continue
@@ -234,7 +254,8 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 	// retires the forwarded blocks' receive buffers.
 	packRun := func(m *fabric.Msg, po, do, start, runLen int) (int, int) {
 		for s := start; s < start+runLen; s++ {
-			for _, b := range slots[s] {
+			for i := range slots[s] {
+				b := &slots[s][i]
 				m.Parts[po] = fabric.Part{Src: b.Src, Dst: b.Dst, N: len(b.Data), Sum: b.Sum}
 				po++
 				if m.Tags != nil && b.Tags != nil {
@@ -279,9 +300,9 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		for r := 0; r < numRuns; r++ {
 			nb, ne := 0, 0
 			for s, end := runStart(r), runStart(r)+runLen; s < end; s++ {
-				for _, b := range slots[s] {
-					nb++
-					ne += len(b.Data)
+				nb += len(slots[s])
+				for i := range slots[s] {
+					ne += len(slots[s][i].Data)
 				}
 			}
 			runBlocks[r], runElems[r] = nb, ne
@@ -319,8 +340,7 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 			// Runs of at least BCopy bytes go directly; the rest are copied
 			// into one buffered message (charged as a local copy).
 			direct := func(r int) bool {
-				rb := runElems[r] * nd.Params().ElemBytes
-				return rb >= nd.Params().BCopy && nd.Params().BCopy > 0
+				return params.BCopy > 0 && runElems[r]*elemBytes >= params.BCopy
 			}
 			tb, te := 0, 0
 			for r := 0; r < numRuns; r++ {
@@ -347,7 +367,7 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 				po, do = packRun(&buffered, po, do, runStart(r), runLen)
 			}
 			if tb > 0 {
-				nd.Copy(te * nd.Params().ElemBytes)
+				nd.Copy(te * elemBytes)
 				msgs = append(msgs, buffered)
 			}
 		}
@@ -410,11 +430,11 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 			// modeled array, so they stay in the charge.
 			total := deliveredElems
 			for _, sl := range slots {
-				for _, b := range sl {
-					total += len(b.Data)
+				for i := range sl {
+					total += len(sl[i].Data)
 				}
 			}
-			nd.Copy(total * nd.Params().ElemBytes)
+			nd.Copy(total * elemBytes)
 		}
 	}
 
@@ -433,13 +453,11 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 	}
 	out := make([]Block, 0, total)
 	for _, sl := range slots {
-		for _, sb := range sl {
-			for _, d := range dims {
-				if bits.Bit(sb.Dst, d) != bits.Bit(id, d) {
-					panic(fmt.Sprintf("comm: node %d ended with block for %d", id, sb.Dst))
-				}
+		for i := range sl {
+			if !isHome(sl[i].Dst) {
+				panic(fmt.Sprintf("comm: node %d ended with block for %d", id, sl[i].Dst))
 			}
-			out = append(out, sb.Block)
+			out = append(out, sl[i].Block)
 		}
 	}
 	slices.SortFunc(out, func(a, b Block) int {

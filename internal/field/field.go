@@ -160,6 +160,8 @@ type seg struct {
 	gray    bool
 }
 
+func (s seg) width() int { return mathbits.OnesCount64(s.mask) }
+
 // get moves the segment's bits of w to their processor/local position. The
 // Gray code of a field value is v ^ v>>1, which stays inside the field.
 func (s seg) get(w uint64) uint64 {
@@ -274,6 +276,48 @@ func (m *Map) LocalPart(local uint64) (w uint64) {
 // in a local slot.
 func (m *Map) Addr(proc, local uint64) uint64 {
 	return m.ProcPart(proc) | m.LocalPart(local)
+}
+
+// Block measures how much of m's local order survives into to when every
+// address is rotated left by rot bits within the p+q address bits (the
+// paper's sh^p for a transpose, 0 for a repartitioning). It returns the
+// largest k such that m's local bits [0, k) become to's local bits
+// [at, at+k), in order. Any aligned run of 2^k slots of one processor under m
+// then lands on one processor under to, at slots spaced 2^at apart: the
+// bits that vary inside the run are virtual on both sides, so they touch no
+// processor bit and no Gray-coded field.
+func (m *Map) Block(to *Map, rot int) (k, at int) {
+	width := 0
+	for _, s := range m.real {
+		width += s.width()
+	}
+	for _, s := range m.virt {
+		width += s.width()
+	}
+	for _, s := range m.virt {
+		for b := int(s.lo); b < int(s.lo)+s.width(); b++ {
+			pos, ok := to.localBit((b + rot) % width)
+			if !ok || k > 0 && pos != at+k {
+				return k, at
+			}
+			if k == 0 {
+				at = pos
+			}
+			k++
+		}
+	}
+	return k, at
+}
+
+// localBit returns the local-address bit that address bit b is stored in,
+// or false when b is a processor bit.
+func (m *Map) localBit(b int) (int, bool) {
+	for _, s := range m.virt {
+		if b >= int(s.lo) && b < int(s.lo)+s.width() {
+			return int(s.out) + b - int(s.lo), true
+		}
+	}
+	return 0, false
 }
 
 // The per-element functions below are the same arithmetic on a Map compiled

@@ -193,6 +193,57 @@ func TestMapAgreesWithReference(t *testing.T) {
 	}
 }
 
+// refBlock is Map.Block bit by bit: the local bit of `to` each local bit of
+// `from` lands on after the rotation (-1 on a processor bit), and the
+// longest prefix of those that climbs by one from its first.
+func refBlock(from, to Layout, rot int) (k, at int) {
+	m := from.M()
+	for i := 0; i < m-from.NBits(); i++ {
+		w := refAddr(from, 0, 1<<uint(i))
+		w = (w<<uint(rot) | w>>uint(m-rot)) & bits.Mask(m)
+		local := refLocal(to, w)
+		if refProc(to, w) != 0 || local == 0 {
+			return k, at
+		}
+		pos := mathbits.TrailingZeros64(local)
+		if k == 0 {
+			at = pos
+		} else if pos != at+k {
+			return k, at
+		}
+		k++
+	}
+	return k, at
+}
+
+// Block agrees with the bit-at-a-time reference on every pair of
+// constructor layouts, transposing (rotation p) and repartitioning (none).
+func TestBlockAgreesWithReference(t *testing.T) {
+	pairs := 0
+	for _, s := range []struct{ p, q int }{{4, 3}, {0, 4}, {3, 0}, {2, 2}} {
+		for n := 0; n <= 3; n++ {
+			for _, from := range mapLayouts(t, s.p, s.q, n) {
+				fm, _ := from.Map()
+				for _, tr := range []struct{ p, q, rot int }{{s.q, s.p, s.p}, {s.p, s.q, 0}} {
+					for na := 0; na <= 3; na++ {
+						for _, to := range mapLayouts(t, tr.p, tr.q, na) {
+							tm, _ := to.Map()
+							k, at := fm.Block(&tm, tr.rot)
+							if rk, rat := refBlock(from, to, tr.rot); k != rk || k > 0 && at != rat {
+								t.Fatalf("%s -> %s (rot %d): Block = (%d,%d), reference (%d,%d)", from, to, tr.rot, k, at, rk, rat)
+							}
+							pairs++
+						}
+					}
+				}
+			}
+		}
+	}
+	if pairs < 1000 {
+		t.Errorf("only %d layout pairs checked", pairs)
+	}
+}
+
 // Map rejects what Validate rejects, with Validate's error.
 func TestMapRejectsInvalidLayouts(t *testing.T) {
 	for _, l := range []Layout{

@@ -44,9 +44,13 @@ func NewCache(capacity int) *Cache {
 }
 
 // Default is the process-wide cache used by the public Compile entry point
-// and the experiment sweeps. 256 plans comfortably covers the paper's
-// largest sweep (a few dozen layout/machine/algorithm combinations) while
-// bounding memory on adversarial workloads.
+// and the experiment sweeps. It bounds the plan count, not bytes: 256 plans
+// cover the whole experiment registry, which then stays resident for the
+// life of the process. A plan retains its move-set — 12 bytes per run of
+// local slots and about 56 bytes per (source, destination) pair, both sides
+// together, with no per-element array — plus its flows or phases. At the
+// end of cmd/experiments -all the cache holds 252 move-sets over 21 M
+// elements in 35 MB; at 16 bytes per element they held 335 MB.
 var Default = NewCache(256)
 
 // Compile returns the cached plan for the key, compiling it at most once.

@@ -1,6 +1,41 @@
 package plan
 
-import "testing"
+import (
+	"testing"
+
+	"boolcube/internal/field"
+)
+
+// FuzzNewMovesMatchesOracle builds a layout pair from raw bytes — any number
+// of fields, any order, any widths, as field's FuzzMapAgrees does — and
+// holds NewMoves to the per-element oracle. A pair the oracle refuses must
+// be refused with the same error.
+func FuzzNewMovesMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ps, qs uint8, transpose bool, before, after []byte) {
+		layout := func(p, q int, fields []byte) field.Layout {
+			l := field.Layout{P: p, Q: q, Name: "fuzz"}
+			for ; len(fields) >= 3; fields = fields[3:] {
+				lo := int(fields[0]) % 11
+				l.Fields = append(l.Fields, field.Field{Lo: lo, Hi: lo + int(fields[1])%4, Enc: field.Encoding(fields[2] % 2)})
+			}
+			return l
+		}
+		p, q := int(ps)%6, int(qs)%6
+		b, a := layout(p, q, before), layout(p, q, after)
+		if transpose {
+			a.P, a.Q = q, p
+		}
+		want, werr := newMovesOracle(b, a, transpose)
+		got, err := NewMoves(b, a, transpose)
+		if werr != nil || err != nil {
+			if werr == nil || err == nil || err.Error() != werr.Error() {
+				t.Fatalf("%s -> %s: oracle says %v, NewMoves says %v", b, a, werr, err)
+			}
+			return
+		}
+		matchOracle(t, got, want)
+	})
+}
 
 // Fuzz the algorithm registry's Parse∘String round-trip: any string the
 // parser accepts must re-parse to the same Algorithm from its canonical

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"boolcube/internal/field"
@@ -13,9 +14,11 @@ import (
 // in ascending element-address order, so payloads travel as bare data with
 // no per-element headers — exactly like the machines the paper measures.
 //
-// Building a Moves is the O(P·Q) part of planning; replaying it (Gather and
-// Scatter) touches only the slots actually moved. A Moves is immutable after
-// construction and safe for concurrent readers.
+// A transfer set is a product of address-bit fields, so its local slots form
+// a few arithmetic progressions; each side stores those runs, not one slot
+// per element. Building a Moves is the O(P·Q) part of planning; replaying it
+// (Gather and Scatter) touches only the slots actually moved. A Moves is
+// immutable after construction and safe for concurrent readers.
 type Moves struct {
 	before, after field.Layout
 	out           index // by source processor: destinations and source slots
@@ -24,25 +27,78 @@ type Moves struct {
 	dests [][]uint64
 }
 
-// index is one side of a move-set in compressed-row form over one flat slot
-// arena: processor proc's peers are peer[first[proc]:first[proc+1]],
-// ascending, and entry i's local slots are slots[off[i]:off[i+1]] in
-// canonical order.
+// run is an arithmetic progression of n local slots: start, start+stride,
+// ... The stride of a one-slot run is meaningless.
+type run struct{ start, stride, n int32 }
+
+// index is one side of a move-set in compressed-row form: processor proc's
+// peers are peer[first[proc]:first[proc+1]], ascending; entry i carries
+// elements [off[i], off[i+1]) of the side's payload order, whose local slots
+// are runs[at[i]:at[i+1]] read in canonical order.
 type index struct {
 	first []int
 	peer  []uint64
 	off   []int
-	slots []int
+	at    []int
+	runs  []run
 }
 
-// of returns the local slots proc exchanges with peer (nil when none).
-func (x *index) of(proc, peer uint64) []int {
+// of returns the runs and element count of what proc exchanges with peer
+// (nil, 0 when nothing).
+func (x *index) of(proc, peer uint64) ([]run, int) {
 	lo := x.first[proc]
 	i, ok := slices.BinarySearch(x.peer[lo:x.first[proc+1]], peer)
 	if !ok {
-		return nil
+		return nil, 0
 	}
-	return x.slots[x.off[lo+i]:x.off[lo+i+1]]
+	i += lo
+	return x.runs[x.at[i]:x.at[i+1]], x.off[i+1] - x.off[i]
+}
+
+// span returns the runs of what proc exchanges with peer, checking that
+// [off, off+n) lies inside it.
+func (x *index) span(proc, peer uint64, off, n int) []run {
+	runs, total := x.of(proc, peer)
+	if off < 0 || n < 0 || off+n > total {
+		panic("plan: payload range does not match move-set")
+	}
+	return runs
+}
+
+// copyRuns moves len(buf) elements between buf and the local slots that
+// runs list, starting off elements into the runs' sequence: local into buf,
+// or buf into local when scatter is set. A stride-1 run is one copy.
+func copyRuns(runs []run, off int, local, buf []float64, scatter bool) {
+	for _, r := range runs {
+		if len(buf) == 0 {
+			return
+		}
+		n := int(r.n)
+		if off >= n {
+			off -= n
+			continue
+		}
+		stride := int(r.stride)
+		s, c := int(r.start)+off*stride, min(n-off, len(buf))
+		off = 0
+		switch {
+		case stride == 1 && scatter:
+			copy(local[s:s+c], buf[:c])
+		case stride == 1:
+			copy(buf[:c], local[s:s+c])
+		case scatter:
+			for _, v := range buf[:c] {
+				local[s] = v
+				s += stride
+			}
+		default:
+			for i := range buf[:c] {
+				buf[i] = local[s]
+				s += stride
+			}
+		}
+		buf = buf[c:]
+	}
 }
 
 // NewMoves builds the move-set. If transpose is true, element (u, v) of the
@@ -50,14 +106,17 @@ func (x *index) of(proc, peer uint64) []int {
 // layout must have the transposed shape); otherwise the shapes must match
 // and elements keep their indices (a pure repartitioning).
 //
-// The construction is count → displacements → fill, one source processor at
-// a time. Ascending local slot is ascending element address within a
-// processor, so walking sources in order and each source's slots in order
-// meets every (srcProc, dstProc) transfer set in canonical order on both
-// sides, and no sort or per-element record is needed: a source's slots are
-// counted per destination, its destinations sorted, and its segment of the
-// out arena (every processor holds exactly LocalSize elements) carved up by
-// the counts; the in arena fills behind one cursor per destination.
+// The construction is count → displacements → fill over blocks. field's
+// Map.Block finds the largest k for which every aligned 2^k source slots
+// travel together: one destination processor, destination slots 2^at apart.
+// A block is then one run on each side (stride 1 out, stride 2^at in), and
+// k = 0 is the per-element walk. Ascending local slot is ascending element
+// address within a processor, so walking sources in order and each source's
+// blocks in order meets every (srcProc, dstProc) transfer set in canonical
+// order on both sides; consecutive blocks of a pair merge into one run when
+// they continue its progression. The count pass sizes every array exactly;
+// the fill pass walks each source once more, carves its out entries by
+// destination, and places runs behind per-pair cursors.
 func NewMoves(before, after field.Layout, transpose bool) (*Moves, error) {
 	bm, err := before.Map()
 	if err != nil {
@@ -79,82 +138,198 @@ func NewMoves(before, after field.Layout, transpose bool) (*Moves, error) {
 		}
 	}
 	nb, lb, na, la := before.N(), before.LocalSize(), after.N(), after.LocalSize()
-	// Map validated both layouts, so p+q <= 62 and the shifts below stay
-	// under word size.
-	p, q := uint(before.P), uint(before.Q)
+	if lb > math.MaxInt32 || la > math.MaxInt32 {
+		return nil, fmt.Errorf("plan: %d and %d elements per processor exceed the int32 slot range of a move-set", lb, la)
+	}
+	b := newBuilder(&bm, &am, before, transpose, lb, na)
+
+	// Count: entries and runs in all, and per destination its entries
+	// (in.first) and in-side runs (inAt).
 	m := &Moves{before: before, after: after, dests: make([][]uint64, nb)}
 	out, in := &m.out, &m.in
-	out.first, out.slots = make([]int, nb+1), make([]int, nb*lb)
-	in.first, in.slots = make([]int, na+1), make([]int, na*la)
-
-	dp, ds := make([]uint64, lb), make([]int, lb) // where each source slot goes
-	next := make([]int, na)                       // per destination: count, then out-arena cursor; zero between sources
-	fill := make([]int, na)                       // per destination: in-arena cursor
-	for d := range fill {
-		fill[d] = d * la
-	}
-	var peers []uint64
+	out.first, in.first = make([]int, nb+1), make([]int, na+1)
+	inAt := make([]int, na)
+	entries, outRuns, selfPairs := 0, 0, 0
 	for sp := range nb {
-		peers = peers[:0]
-		base := bm.ProcPart(uint64(sp))
-		for s := range dp {
-			w := base | bm.LocalPart(uint64(s))
-			if transpose {
-				// (u || v) becomes (v || u): w rotated left by p within its
-				// p+q bits (the paper's sh^p).
-				w = w&^(^uint64(0)<<q)<<p | w>>q
-			}
-			d := am.Proc(w)
-			if next[d] == 0 {
-				peers = append(peers, d)
-			}
-			next[d]++
-			dp[s], ds[s] = d, int(am.Local(w))
-		}
-		slices.Sort(peers)
-		pos := sp * lb
-		for _, d := range peers {
-			out.peer, out.off = append(out.peer, d), append(out.off, pos)
-			pos, next[d] = pos+next[d], pos
-		}
-		out.first[sp+1] = len(out.peer)
-		for s, d := range dp {
-			out.slots[next[d]], in.slots[fill[d]] = s, ds[s]
-			next[d]++
-			fill[d]++
-		}
-		for _, d := range peers {
-			next[d] = 0
+		b.walk(sp)
+		b.merge(nil, nil)
+		for _, d := range b.peers {
+			o := &b.open[d]
+			entries, outRuns = entries+1, outRuns+o.outAt
 			in.first[d+1]++
+			inAt[d] += o.inAt
+			if d == uint64(sp) {
+				selfPairs++
+			}
+			*o = pending{}
 		}
 	}
-	out.off = append(out.off, nb*lb)
 
-	// The in index is the out index transposed; walking it in source order
-	// lists every destination's sources ascending, as its arena was filled.
-	// next (all zero again) counts the entries placed per destination.
+	// Displacements: in entries and runs are grouped by destination, so a
+	// running sum turns the counts into each destination's first entry and
+	// first run; inNext and inElem are its cursors during the fill.
+	inRuns := 0
 	for d := range na {
 		in.first[d+1] += in.first[d]
+		inAt[d], inRuns = inRuns, inRuns+inAt[d]
 	}
-	in.peer, in.off = make([]uint64, len(out.peer)), make([]int, len(out.peer)+1)
-	arena := make([]uint64, 0, len(out.peer))
+	inNext, inElem := slices.Clone(in.first[:na]), make([]int, na)
+	for d := range inElem {
+		inElem[d] = d * la
+	}
+	out.peer, out.off, out.at, out.runs = make([]uint64, entries), make([]int, entries+1), make([]int, entries+1), make([]run, outRuns)
+	in.peer, in.off, in.at, in.runs = make([]uint64, entries), make([]int, entries+1), make([]int, entries+1), make([]run, inRuns)
+	dests := make([]uint64, 0, entries-selfPairs)
+
+	// Fill: per source, count its pairs' runs again, carve its out entries in
+	// destination order and each destination's next in entry, then merge the
+	// recorded blocks into place.
+	e, runAt := 0, 0
 	for sp := range nb {
-		start := len(arena)
-		for i := out.first[sp]; i < out.first[sp+1]; i++ {
-			d := out.peer[i]
-			j := in.first[d] + next[d]
-			next[d]++
-			in.peer[j], in.off[j+1] = uint64(sp), out.off[i+1]-out.off[i]
+		b.walk(sp)
+		b.merge(nil, nil)
+		slices.Sort(b.peers)
+		start, elem := len(dests), sp*lb
+		for _, d := range b.peers {
+			o := &b.open[d]
+			j := inNext[d]
+			inNext[d]++
+			out.peer[e], out.off[e], out.at[e] = d, elem, runAt
+			in.peer[j], in.off[j], in.at[j] = uint64(sp), inElem[d], inAt[d]
+			elem, inElem[d] = elem+o.n, inElem[d]+o.n
+			o.outAt, runAt = runAt, runAt+o.outAt
+			o.inAt, inAt[d] = inAt[d], inAt[d]+o.inAt
 			if d != uint64(sp) {
-				arena = append(arena, d)
+				dests = append(dests, d)
 			}
+			e++
 		}
-		m.dests[sp] = arena[start:len(arena):len(arena)]
+		out.first[sp+1] = e
+		m.dests[sp] = dests[start:len(dests):len(dests)]
+		b.merge(out.runs, in.runs)
+		for _, d := range b.peers {
+			b.open[d] = pending{}
+		}
 	}
-	for j := range in.peer {
-		in.off[j+1] += in.off[j]
-	}
+	out.off[entries], out.at[entries] = nb*lb, outRuns
+	in.off[entries], in.at[entries] = na*la, inRuns
 	return m, nil
+}
+
+// builder walks one source processor's blocks for NewMoves. walk records
+// where each block goes; merge folds the recorded blocks into runs.
+type builder struct {
+	bm, am    *field.Map
+	p, q      uint
+	transpose bool
+	size      int   // slots per block, 2^k
+	inStride  int32 // destination-slot stride inside a block, 2^at
+	// Per block of the current source: destination and first destination slot.
+	dst   []uint64
+	dslot []int32
+	open  []pending // per destination
+	peers []uint64  // destinations of the current source, in order of first block
+}
+
+// pending is one (source, destination) pair during a walk: its element
+// count, the run each side is still extending, and per side the closed-run
+// count (counting) or the next run slot (filling).
+type pending struct {
+	n           int
+	out, in     run
+	outAt, inAt int
+}
+
+func newBuilder(bm, am *field.Map, before field.Layout, transpose bool, lb, na int) *builder {
+	rot := 0
+	if transpose {
+		rot = before.P
+	}
+	k, at := bm.Block(am, rot)
+	nblk := lb >> uint(k)
+	// Map validated both layouts, so p+q <= 62 and every shift stays under
+	// word size.
+	return &builder{
+		bm: bm, am: am, p: uint(before.P), q: uint(before.Q), transpose: transpose,
+		size: 1 << uint(k), inStride: 1 << uint(at),
+		dst: make([]uint64, nblk), dslot: make([]int32, nblk),
+		open: make([]pending, na), peers: make([]uint64, 0, min(na, nblk)),
+	}
+}
+
+// walk records the destination processor and first destination slot of
+// every block of source sp, and each destination's element count.
+func (b *builder) walk(sp int) {
+	b.peers = b.peers[:0]
+	base := b.bm.ProcPart(uint64(sp))
+	for i := range b.dst {
+		w := base | b.bm.LocalPart(uint64(i*b.size))
+		if b.transpose {
+			// (u || v) becomes (v || u): w rotated left by p within its p+q
+			// bits (the paper's sh^p).
+			w = w&^(^uint64(0)<<b.q)<<b.p | w>>b.q
+		}
+		d := b.am.Proc(w)
+		if b.open[d].n == 0 {
+			b.peers = append(b.peers, d)
+		}
+		b.open[d].n += b.size
+		b.dst[i], b.dslot[i] = d, int32(b.am.Local(w))
+	}
+}
+
+// merge folds the walked blocks, in order, into their pairs' runs and closes
+// every pair's last runs. With nil arrays it only counts each pair's runs
+// into outAt/inAt; otherwise it writes each closed run at its pair's cursor.
+func (b *builder) merge(outRuns, inRuns []run) {
+	size := int32(b.size)
+	for i, d := range b.dst {
+		o := &b.open[d]
+		out := run{start: int32(i) * size, stride: 1, n: size}
+		in := run{start: b.dslot[i], stride: b.inStride, n: size}
+		if o.out.n == 0 {
+			o.out, o.in = out, in
+			continue
+		}
+		if !o.out.extend(out) {
+			o.outAt = put(outRuns, o.outAt, o.out)
+			o.out = out
+		}
+		if !o.in.extend(in) {
+			o.inAt = put(inRuns, o.inAt, o.in)
+			o.in = in
+		}
+	}
+	for _, d := range b.peers {
+		o := &b.open[d]
+		o.outAt = put(outRuns, o.outAt, o.out)
+		o.inAt = put(inRuns, o.inAt, o.in)
+		o.out, o.in = run{}, run{}
+	}
+}
+
+// put stores r at runs[at] unless only counting, and returns the next slot.
+func put(runs []run, at int, r run) int {
+	if runs != nil {
+		runs[at] = r
+	}
+	return at + 1
+}
+
+// extend appends block next to r if r's progression continues into it, and
+// reports whether it did. Every block of one build has the same length and
+// stride, so a run of several slots already has next's stride and only the
+// start must line up; a one-slot run (k = 0) takes the step to next.
+func (r *run) extend(next run) bool {
+	step := r.stride
+	if r.n == 1 {
+		step = next.start - r.start
+	}
+	if int64(next.start) != int64(r.start)+int64(r.n)*int64(step) {
+		return false
+	}
+	r.stride, r.n = step, r.n+next.n
+	return true
 }
 
 // MustMoves is NewMoves for internally constructed layout pairs whose
@@ -176,38 +351,31 @@ func (m *Moves) After() field.Layout { return m.after }
 // Gather collects the payload srcProc sends to dstProc from its local
 // array, in canonical order.
 func (m *Moves) Gather(srcProc uint64, local []float64, dstProc uint64) []float64 {
-	return m.gatherSlots(m.out.of(srcProc, dstProc), local)
+	runs, n := m.out.of(srcProc, dstProc)
+	data := make([]float64, n)
+	copyRuns(runs, 0, local, data, false)
+	return data
 }
 
 // GatherRange collects the [off, off+n) sub-range of the canonical
 // (srcProc, dstProc) payload — the chunk a single path of a multi-path
 // route carries.
 func (m *Moves) GatherRange(srcProc uint64, local []float64, dstProc uint64, off, n int) []float64 {
-	slots := m.out.of(srcProc, dstProc)
-	return m.gatherSlots(slots[off:off+n], local)
-}
-
-func (m *Moves) gatherSlots(slots []int, local []float64) []float64 {
-	data := make([]float64, len(slots))
-	m.gatherSlotsInto(slots, local, data)
+	runs := m.out.span(srcProc, dstProc, off, n)
+	data := make([]float64, n)
+	copyRuns(runs, off, local, data, false)
 	return data
-}
-
-func (m *Moves) gatherSlotsInto(slots []int, local, dst []float64) {
-	for i, s := range slots {
-		dst[i] = local[s]
-	}
 }
 
 // GatherInto is Gather into a caller-provided buffer (len(dst) must equal
 // PayloadLen(srcProc, dstProc)), so replay loops can gather every
 // destination's payload into one preallocated arena.
 func (m *Moves) GatherInto(srcProc uint64, local []float64, dstProc uint64, dst []float64) {
-	slots := m.out.of(srcProc, dstProc)
-	if len(slots) != len(dst) {
+	runs, n := m.out.of(srcProc, dstProc)
+	if n != len(dst) {
 		panic("plan: gather buffer size does not match move-set")
 	}
-	m.gatherSlotsInto(slots, local, dst)
+	copyRuns(runs, 0, local, dst, false)
 }
 
 // GatherRangeInto is GatherRange into a caller-provided buffer of length n,
@@ -217,20 +385,17 @@ func (m *Moves) GatherRangeInto(srcProc uint64, local []float64, dstProc uint64,
 	if len(dst) != n {
 		panic("plan: gather buffer size does not match range")
 	}
-	slots := m.out.of(srcProc, dstProc)
-	m.gatherSlotsInto(slots[off:off+n], local, dst)
+	copyRuns(m.out.span(srcProc, dstProc, off, n), off, local, dst, false)
 }
 
 // Scatter places a payload received from srcProc into the destination local
 // array.
 func (m *Moves) Scatter(dstProc uint64, local []float64, srcProc uint64, data []float64) {
-	slots := m.in.of(dstProc, srcProc)
-	if len(slots) != len(data) {
+	runs, n := m.in.of(dstProc, srcProc)
+	if n != len(data) {
 		panic("plan: payload size does not match move-set")
 	}
-	for i, s := range slots {
-		local[s] = data[i]
-	}
+	copyRuns(runs, 0, local, data, true)
 }
 
 // ScatterRange places the [off, off+len(data)) sub-range of the canonical
@@ -238,13 +403,7 @@ func (m *Moves) Scatter(dstProc uint64, local []float64, srcProc uint64, data []
 // receive-side counterpart of GatherRange, used when multi-path chunks are
 // scattered per flow (e.g. after a failover pass abandons some of them).
 func (m *Moves) ScatterRange(dstProc uint64, local []float64, srcProc uint64, off int, data []float64) {
-	slots := m.in.of(dstProc, srcProc)
-	if off < 0 || off+len(data) > len(slots) {
-		panic("plan: payload range does not match move-set")
-	}
-	for i, s := range slots[off : off+len(data)] {
-		local[s] = data[i]
-	}
+	copyRuns(m.in.span(dstProc, srcProc, off, len(data)), off, local, data, true)
 }
 
 // Destinations lists the processors srcProc sends to (excluding itself),
@@ -252,4 +411,7 @@ func (m *Moves) ScatterRange(dstProc uint64, local []float64, srcProc uint64, of
 func (m *Moves) Destinations(srcProc uint64) []uint64 { return m.dests[srcProc] }
 
 // PayloadLen returns the number of elements srcProc sends to dstProc.
-func (m *Moves) PayloadLen(srcProc, dstProc uint64) int { return len(m.out.of(srcProc, dstProc)) }
+func (m *Moves) PayloadLen(srcProc, dstProc uint64) int {
+	_, n := m.out.of(srcProc, dstProc)
+	return n
+}

@@ -104,12 +104,16 @@ type movesCase struct {
 	alg           Algorithm
 	before, after field.Layout
 	transpose     bool
+	k             int // the block exponent the row is there to reach; -1 for any
 }
 
 func movesCases() []movesCase {
 	var cs []movesCase
+	addK := func(name string, before, after field.Layout, transpose bool, k int) {
+		cs = append(cs, movesCase{name, Auto, before, after, transpose, k})
+	}
 	add := func(name string, before, after field.Layout, transpose bool) {
-		cs = append(cs, movesCase{name, Auto, before, after, transpose})
+		addK(name, before, after, transpose, -1)
 	}
 	// The pair each registry algorithm compiles (plantest.Pair), on 2-, 4- and
 	// 6-cubes (the Section 6.2 conversions need p >= n).
@@ -117,7 +121,7 @@ func movesCases() []movesCase {
 		p := n/2 + 2
 		for _, alg := range Algorithms() {
 			before, after, transposes := plantest.Pair(alg, max(p, n), max(p, n), n)
-			cs = append(cs, movesCase{fmt.Sprintf("%s/n=%d", alg, n), alg, before, after, transposes})
+			cs = append(cs, movesCase{fmt.Sprintf("%s/n=%d", alg, n), alg, before, after, transposes, -1})
 		}
 		// One-dimensional all-to-all, Gray and cyclic, and some-to-all.
 		add(fmt.Sprintf("1d-rows/n=%d", n), field.OneDimConsecutiveRows(p+1, p+1, n, field.Gray), field.OneDimConsecutiveRows(p+1, p+1, n, field.Gray), true)
@@ -151,51 +155,198 @@ func movesCases() []movesCase {
 		}
 		add("encoding/"+enc.String(), before, field.TwoDimEncoded(p, q, nr, nc, field.Gray, field.Binary), false)
 	}
+	// Block edges (Map.Block's k). The local run straddles bit q: a
+	// repartition keeps it whole, a transpose cuts it at q.
+	addK("straddle-q/repartition", field.OneDimConsecutiveRows(4, 3, 2, field.Binary), field.OneDimConsecutiveRows(4, 3, 1, field.Gray), false, 5)
+	addK("straddle-q/transpose", field.OneDimConsecutiveRows(4, 3, 1, field.Binary), field.OneDimCyclicCols(3, 4, 1, field.Gray), true, 3)
+	// A Gray field right above the block's landing bits, and one between
+	// the two halves of the after layout's local address.
+	addK("gray-beside-local/1d", field.OneDimCyclicCols(4, 4, 2, field.Gray), field.TwoDimCyclic(4, 4, 1, 1, field.Gray), true, 2)
+	addK("gray-beside-local/2d", field.TwoDimConsecutive(4, 4, 2, 2, field.Gray), field.TwoDimConsecutive(4, 4, 2, 2, field.Gray), true, 2)
+	// Parse'd custom specs whose fields are not in address order.
+	parse := func(spec string) field.Layout {
+		l, err := field.Parse(spec, 4, 4, 0)
+		if err != nil {
+			panic(err)
+		}
+		return l
+	}
+	addK("parsed-nonmonotone/k1", parse("custom([1,2)+[5,7):gray+[3,4))"), parse("custom([6,8):gray+[0,1))"), true, 1)
+	addK("parsed-nonmonotone/k0", parse("custom([0,1):gray+[7,8)+[3,4))"), parse("custom([5,6)+[0,2):gray)"), true, 0)
+	// Vectors: the transpose of a row vector rotates by p = 0.
+	addK("row-vector", field.OneDimCyclicCols(0, 5, 2, field.Gray), field.OneDimConsecutiveRows(5, 0, 3, field.Binary), true, 0)
+	addK("vector-repartition", field.OneDimConsecutiveRows(5, 0, 2, field.Binary), field.OneDimConsecutiveRows(5, 0, 1, field.Gray), false, 3)
+	// The whole local array is one block.
+	addK("full-block/transpose", field.OneDimConsecutiveCols(3, 3, 3, field.Gray), field.OneDimConsecutiveRows(3, 3, 3, field.Binary), true, 3)
 	return cs
 }
 
-// The compressed-row construction must agree with its predecessor on every
-// (srcProc, dstProc) slot list, in order, on both sides, and on
-// Destinations and PayloadLen.
+// blockOf is the block exponent NewMoves builds a case with, and the
+// before layout's local address width.
+func blockOf(t testing.TB, c movesCase) (k, local int) {
+	bm, err := c.before.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	am, err := c.after.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot := 0
+	if c.transpose {
+		rot = c.before.P
+	}
+	k, _ = bm.Block(&am, rot)
+	return k, c.before.M() - c.before.NBits()
+}
+
+// slots expands one side's runs for proc and peer into the slot list they
+// encode, checking the runs add up to the entry's element count.
+func slots(t testing.TB, x *index, proc, peer uint64) []int {
+	runs, n := x.of(proc, peer)
+	var s []int
+	for _, r := range runs {
+		if r.n < 1 {
+			t.Fatalf("entry (%d,%d) holds an empty run %+v", proc, peer, r)
+		}
+		for i := range int(r.n) {
+			s = append(s, int(r.start)+i*int(r.stride))
+		}
+	}
+	if len(s) != n {
+		t.Fatalf("entry (%d,%d): runs hold %d slots, offsets say %d", proc, peer, len(s), n)
+	}
+	return s
+}
+
+// matchOracle holds a move-set to the oracle on every (srcProc, dstProc)
+// slot list, in order, on both sides, and on Destinations and PayloadLen.
+func matchOracle(t testing.TB, got *Moves, want *movesOracle) {
+	t.Helper()
+	pairs := 0
+	for sp := range want.out {
+		src := uint64(sp)
+		if !slices.Equal(got.Destinations(src), want.dests[sp]) {
+			t.Fatalf("Destinations(%d) = %v, want %v", sp, got.Destinations(src), want.dests[sp])
+		}
+		for dp := range want.after.N() {
+			dst := uint64(dp)
+			if s := slots(t, &got.out, src, dst); !slices.Equal(s, want.out[sp][dst]) {
+				t.Fatalf("out[%d][%d] = %v, want %v", sp, dp, s, want.out[sp][dst])
+			}
+			if s := slots(t, &got.in, dst, src); !slices.Equal(s, want.in[dp][src]) {
+				t.Fatalf("in[%d][%d] = %v, want %v", dp, sp, s, want.in[dp][src])
+			}
+			if got.PayloadLen(src, dst) != len(want.out[sp][dst]) {
+				t.Fatalf("PayloadLen(%d,%d) = %d, want %d", sp, dp, got.PayloadLen(src, dst), len(want.out[sp][dst]))
+			}
+		}
+		pairs += len(want.out[sp])
+	}
+	if len(got.out.peer) != pairs || len(got.in.peer) != pairs {
+		t.Fatalf("index holds %d out / %d in pairs, want %d", len(got.out.peer), len(got.in.peer), pairs)
+	}
+}
+
+// movesFor builds a case's move-set: a registry row's from its compiled
+// plan, any other pair's from NewMoves.
+func movesFor(t *testing.T, c movesCase) *Moves {
+	t.Helper()
+	if c.alg != Auto {
+		p, err := Compile(c.alg, c.before, c.after, Config{Machine: machine.IPSCNPort()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Moves()
+	}
+	got, err := NewMoves(c.before, c.after, c.transpose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// The run construction must agree with the per-element oracle everywhere,
+// and the table must reach every kind of block: single elements (k = 0),
+// part of the local address, and all of it.
 func TestNewMovesMatchesOracle(t *testing.T) {
+	var single, partial, whole int
+	for _, c := range movesCases() {
+		t.Run(c.name, func(t *testing.T) {
+			k, local := blockOf(t, c)
+			if c.k >= 0 && k != c.k {
+				t.Fatalf("block exponent %d, the row is there for %d", k, c.k)
+			}
+			switch {
+			case k == 0:
+				single++
+			case k < local:
+				partial++
+			default:
+				whole++
+			}
+			want, err := newMovesOracle(c.before, c.after, c.transpose)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchOracle(t, movesFor(t, c), want)
+		})
+	}
+	if single == 0 || partial == 0 || whole == 0 {
+		t.Errorf("blocks covered: %d single-element, %d partial, %d whole-array cases; want each", single, partial, whole)
+	}
+}
+
+// Every pair that is more than one run on either side, split at every
+// (off, n): GatherRangeInto must collect the oracle's source slots
+// [off, off+n), and ScatterRange must write exactly its destination slots.
+func TestMovesRangesMatchOracle(t *testing.T) {
 	for _, c := range movesCases() {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := newMovesOracle(c.before, c.after, c.transpose)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewMoves(c.before, c.after, c.transpose)
-			if c.alg != Auto {
-				var p *Plan
-				if p, err = Compile(c.alg, c.before, c.after, Config{Machine: machine.IPSCNPort()}); err == nil {
-					got = p.Moves()
-				}
+			got := movesFor(t, c)
+			src := make([]float64, c.before.LocalSize())
+			for i := range src {
+				src[i] = float64(i)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			pairs := 0
-			for sp := range want.out {
-				src := uint64(sp)
-				if !slices.Equal(got.Destinations(src), want.dests[sp]) {
-					t.Fatalf("Destinations(%d) = %v, want %v", sp, got.Destinations(src), want.dests[sp])
+			dst := make([]float64, c.after.LocalSize())
+			for sp, peers := range want.out {
+				for dp, outSlots := range peers {
+					s := uint64(sp)
+					ro, _ := got.out.of(s, dp)
+					ri, _ := got.in.of(dp, s)
+					if len(ro) < 2 && len(ri) < 2 {
+						continue
+					}
+					inSlots := want.in[dp][s]
+					for off := 0; off <= len(outSlots); off++ {
+						for n := 0; off+n <= len(outSlots); n++ {
+							buf := make([]float64, n)
+							got.GatherRangeInto(s, src, dp, off, n, buf)
+							for i, v := range buf {
+								if v != float64(outSlots[off+i]) {
+									t.Fatalf("(%d,%d) gather [%d,+%d): element %d from slot %v, want %d", sp, dp, off, n, i, v, outSlots[off+i])
+								}
+								buf[i] = float64(i + 1)
+							}
+							got.ScatterRange(dp, dst, s, off, buf)
+							for i, j := range inSlots[off : off+n] {
+								if dst[j] != float64(i+1) {
+									t.Fatalf("(%d,%d) scatter [%d,+%d): slot %d holds %v, want element %d", sp, dp, off, n, j, dst[j], i)
+								}
+								dst[j] = 0
+							}
+							for j, v := range dst {
+								if v != 0 {
+									t.Fatalf("(%d,%d) scatter [%d,+%d) wrote slot %d outside the range", sp, dp, off, n, j)
+								}
+							}
+						}
+					}
 				}
-				for dp := range c.after.N() {
-					dst := uint64(dp)
-					if !slices.Equal(got.out.of(src, dst), want.out[sp][dst]) {
-						t.Fatalf("out[%d][%d] = %v, want %v", sp, dp, got.out.of(src, dst), want.out[sp][dst])
-					}
-					if !slices.Equal(got.in.of(dst, src), want.in[dp][src]) {
-						t.Fatalf("in[%d][%d] = %v, want %v", dp, sp, got.in.of(dst, src), want.in[dp][src])
-					}
-					if got.PayloadLen(src, dst) != len(want.out[sp][dst]) {
-						t.Fatalf("PayloadLen(%d,%d) = %d, want %d", sp, dp, got.PayloadLen(src, dst), len(want.out[sp][dst]))
-					}
-				}
-				pairs += len(want.out[sp])
-			}
-			if len(got.out.peer) != pairs || len(got.in.peer) != pairs {
-				t.Fatalf("index holds %d out / %d in pairs, want %d", len(got.out.peer), len(got.in.peer), pairs)
 			}
 		})
 	}

@@ -44,6 +44,46 @@ func TestQueueRecycling(t *testing.T) {
 	}
 }
 
+// TestQueueReusesPoppedHead: a link refilled before it drains keeps FIFO
+// order and stops growing once its buffer covers the live arrivals — the
+// popped head is reused, not doubled past — and the slots it slid away from
+// hold no message.
+func TestQueueReusesPoppedHead(t *testing.T) {
+	sh := &shard{}
+	var q inQueue
+	pushed, popped := 0, 0
+	clean := func() {
+		for i, a := range q.buf[:cap(q.buf)] {
+			if (i < q.head || i >= len(q.buf)) && a.msg.Data != nil {
+				t.Fatalf("after %d pushes slot %d, outside the live range [%d,%d), still references a message", pushed, i, q.head, len(q.buf))
+			}
+		}
+	}
+	push := func() {
+		a := q.push(sh)
+		clean()
+		a.at, a.msg.Data = float64(pushed), make([]float64, 1)
+		pushed++
+	}
+	push()
+	push()
+	for range 1000 { // two to five arrivals live, never empty
+		push()
+		push()
+		push()
+		for range 3 {
+			if q.front().at != float64(popped) {
+				t.Fatalf("pop %d: got arrival %v, queue out of FIFO order", popped, q.front().at)
+			}
+			q.pop(sh)
+			popped++
+		}
+	}
+	if cap(q.buf) > 16 {
+		t.Errorf("queue of at most 5 live arrivals grew to %d slots over %d pushes", cap(q.buf), pushed)
+	}
+}
+
 // TestNodeReleasesPayloads: once Send returns the node's pending op holds no
 // reference to the payload (ownership moved to the receiver), and once Recv
 // returns neither the node nor the drained queue does — so a buffer the
