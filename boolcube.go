@@ -192,10 +192,6 @@ const (
 	// MixedCombined folds the conversions into the transpose: n routing
 	// steps (Section 6.3).
 	MixedCombined = plan.MixedCombined
-	// MixedPseudocode runs the paper's literal Section 6.3 per-node
-	// program (the 14-case table) — equivalent to MixedCombined, kept as
-	// an executable validation of the published pseudocode.
-	MixedPseudocode = plan.MixedPseudocode
 	// ParallelPaths splits each pair's payload over the n node-disjoint
 	// paths of Saad & Schultz — per-pair disjoint but globally colliding;
 	// the ablation baseline for the MPT.
@@ -210,7 +206,8 @@ const (
 // sweeps. The last four rows are the conversions ("convert-1" .. "convert-3"
 // and "convert-encoding"), reached by name through ParseAlgorithm or through
 // ConvertConsecutiveToCyclic and ConvertEncoding; each accepts only its own
-// kind of layout pair.
+// kind of layout pair. Algorithm.Transposes is false for "convert-encoding"
+// alone: its after layout describes the input matrix, not its transpose.
 func Algorithms() []Algorithm { return plan.Algorithms() }
 
 // ParseAlgorithm maps an algorithm name (as produced by Algorithm.String,

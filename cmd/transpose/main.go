@@ -17,9 +17,10 @@ import (
 )
 
 // layoutFor parses a before-layout spec (for the p x q matrix) and an
-// after-layout spec (for the transposed q x p matrix). An empty after spec
-// reuses the before spec on the transposed shape.
-func layoutFor(spec, afterSpec string, p, q, n int, enc boolcube.Encoding) (before, after boolcube.Layout, err error) {
+// after-layout spec (for the transposed q x p matrix, or the p x q matrix
+// itself when the algorithm does not transpose). An empty after spec reuses
+// the before spec.
+func layoutFor(spec, afterSpec string, p, q, n int, enc boolcube.Encoding, transposes bool) (before, after boolcube.Layout, err error) {
 	full := spec
 	if enc == boolcube.Gray && !hasEncSuffix(spec) {
 		full = spec + ":gray"
@@ -33,7 +34,10 @@ func layoutFor(spec, afterSpec string, p, q, n int, enc boolcube.Encoding) (befo
 	} else if enc == boolcube.Gray && !hasEncSuffix(afterSpec) {
 		afterSpec += ":gray"
 	}
-	a, err := boolcube.ParseLayout(afterSpec, q, p, n)
+	if transposes {
+		p, q = q, p
+	}
+	a, err := boolcube.ParseLayout(afterSpec, p, q, n)
 	if err != nil {
 		return before, after, fmt.Errorf("after layout: %w", err)
 	}
@@ -107,7 +111,11 @@ func realMain(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown encoding %q", *encName)
 	}
 
-	before, after, err := layoutFor(*layout, *afterSpec, *p, *q, *n, enc)
+	alg, err := algorithmFor(*algName)
+	if err != nil {
+		return err
+	}
+	before, after, err := layoutFor(*layout, *afterSpec, *p, *q, *n, enc, alg.Transposes())
 	if err != nil {
 		return err
 	}
@@ -124,10 +132,6 @@ func realMain(args []string, out io.Writer) error {
 	if *bm >= 0 {
 		mach.Bm = *bm
 	}
-	alg, err := algorithmFor(*algName)
-	if err != nil {
-		return err
-	}
 	caps, ok := boolcube.BackendCapabilities(*backend)
 	if !ok {
 		return &boolcube.UnknownBackendError{Backend: *backend, Known: boolcube.Backends()}
@@ -135,7 +139,6 @@ func realMain(args []string, out io.Writer) error {
 
 	m := boolcube.NewIotaMatrix(*p, *q)
 	d := boolcube.Scatter(m, before)
-	cls := boolcube.Classify(before, after)
 
 	opt := boolcube.Options{Algorithm: alg, Machine: mach, LocalCopies: *copies, Backend: *backend}
 	ct, err := boolcube.Compile(before, after, opt)
@@ -152,7 +155,11 @@ func realMain(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+	want := m
+	if alg.Transposes() {
+		want = m.Transposed()
+	}
+	if verr := res.Dist.Verify(want); verr != nil {
 		return fmt.Errorf("result verification failed: %w", verr)
 	}
 
@@ -161,7 +168,10 @@ func realMain(args []string, out io.Writer) error {
 		m.Rows(), m.Cols(), m.Rows()*m.Cols()*mach.ElemBytes/1024, mach.ElemBytes)
 	fmt.Fprintf(out, "cube:              %d dimensions, %d processors (%s)\n", *n, 1<<uint(*n), mach.Ports)
 	fmt.Fprintf(out, "layout:            %s -> %s\n", before, after)
-	fmt.Fprintf(out, "communication:     %s (k=%d splitting, l=%d exchange steps)\n", cls.Pattern, cls.K, cls.L)
+	if alg.Transposes() {
+		cls := boolcube.Classify(before, after)
+		fmt.Fprintf(out, "communication:     %s (k=%d splitting, l=%d exchange steps)\n", cls.Pattern, cls.K, cls.L)
+	}
 	backendName := *backend
 	if backendName == "" {
 		backendName = "simnet"

@@ -40,6 +40,23 @@ func TestRunStorageConversion(t *testing.T) {
 	}
 }
 
+// The code conversion does not transpose: its after layout describes the
+// input's shape, and the result verifies against the input matrix.
+func TestRunConvertEncoding(t *testing.T) {
+	for _, args := range [][]string{
+		{"-p", "4", "-q", "4", "-n", "4", "-alg", "convert-encoding"},
+		{"-p", "5", "-q", "4", "-n", "4", "-alg", "convert-encoding", "-after", "2d-consecutive:gray"},
+	} {
+		out, err := run(t, args...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !strings.Contains(out, "verified element-exact") {
+			t.Errorf("%v: output not verified:\n%s", args, out)
+		}
+	}
+}
+
 func TestRunTrace(t *testing.T) {
 	out, err := run(t, "-p", "3", "-q", "3", "-n", "2", "-alg", "spt", "-trace")
 	if err != nil {

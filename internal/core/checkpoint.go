@@ -25,9 +25,9 @@ type Checkpoint struct {
 	// them; Resume completes them in place.
 	Loc [][]float64
 	// Delivered records which canonical payload spans are already in Loc.
-	// Executors without fine-grained progress tracking (mixed-program and
-	// multi-phase exchange plans) record only the self pairs; nil means
-	// nothing at all, and Resume re-executes the full move-set.
+	// A multi-phase exchange plan, which has no fine-grained progress
+	// tracking, records only the self pairs; nil means nothing at all, and
+	// Resume re-executes the full move-set.
 	Delivered *plan.Delivered
 	// Stats is the cost accrued across the failed attempt(s) so far; a
 	// successful Resume folds its own cost on top (counters add, makespans

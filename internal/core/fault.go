@@ -101,9 +101,7 @@ func (xo ExecOptions) checkFaults(n int) error {
 // dimension of every phase).
 // Flow plans are checked route by route, but only with failover disabled —
 // the reroute policies do their own feasibility analysis against the
-// disjoint-path alternatives. Mixed-program plans exchange along fixed
-// dimensions too, but their per-node case table makes static link usage
-// address-dependent, so they keep the runtime diagnosis.
+// disjoint-path alternatives.
 func (xo ExecOptions) checkFeasible(p *plan.Plan) error {
 	if xo.Faults == nil {
 		return nil

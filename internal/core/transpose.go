@@ -129,8 +129,6 @@ func ExecuteWith(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) 
 		return execExchange(p, d, xo)
 	case plan.KindFlow:
 		return execFlow(p, d, xo)
-	case plan.KindMixedProgram:
-		return execMixedProgram(p, d, xo)
 	}
 	return nil, fmt.Errorf("core: unknown plan kind %v", p.Kind())
 }

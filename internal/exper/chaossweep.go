@@ -1,14 +1,12 @@
 package exper
 
 import (
-	"errors"
 	"fmt"
 
 	"boolcube/internal/core"
 	"boolcube/internal/fabric"
 	"boolcube/internal/fault"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 )
 
@@ -30,15 +28,6 @@ var chaosEpochsSim = []float64{0.35, 0.7}
 // run. Wall timing makes the direct/recovered split vary run to run; what
 // the sweep pins is that every interrupted run recovers element-exact.
 var chaosEpochsLive = []float64{0, 800}
-
-// chaosOutcome classifies one (algorithm, backend, k, seed, epoch) run.
-type chaosOutcome int
-
-const (
-	chaosDirect    chaosOutcome = iota // kill never fired (or node outlived it idle)
-	chaosRecovered                     // node-down failure, Recover finished it
-	chaosFailed                        // neither direct nor recoverable
-)
 
 // chaosSweep is the crash-stop acceptance table: k random nodes are killed
 // mid-transpose on both backends, the failed run surfaces a typed
@@ -87,7 +76,7 @@ func chaosSweep() (*Table, error) {
 	}
 
 	type cell struct {
-		out      chaosOutcome
+		out      outcome
 		recBytes int64   // recovery traffic (final bytes - bytes sunk at failure)
 		recFrac  float64 // recovery traffic / full-restart bytes
 	}
@@ -114,13 +103,15 @@ func chaosSweep() (*Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		out, st, sunk, err := runChaos(algos[ai].alg, logElems, n,
-			core.Options{Machine: mach, Faults: fp, Backend: backend})
+		// A crash schedule must fail by node-down detection.
+		out, st, sunk, err := runRecovered(algos[ai].alg, logElems, n,
+			core.Options{Machine: mach, Faults: fp, Backend: backend},
+			core.Recover, maxRecoverAttempts, fabric.ErrNodeDown)
 		if err != nil {
 			return cell{}, err
 		}
 		c := cell{out: out}
-		if out == chaosRecovered {
+		if out == outRecovered {
 			c.recBytes = st.Bytes - sunk
 			c.recFrac = float64(c.recBytes) / float64(bases[ai].Bytes)
 		}
@@ -139,9 +130,9 @@ func chaosSweep() (*Table, error) {
 				for s := 0; s < perCell; s++ {
 					c := cells[((ai*nb+bi)*nk+ki)*perCell+s]
 					switch c.out {
-					case chaosDirect:
+					case outDirect:
 						direct++
-					case chaosRecovered:
+					case outRecovered:
 						recovered++
 						bytes += c.recBytes
 						frac += c.recFrac
@@ -167,54 +158,3 @@ func chaosSweep() (*Table, error) {
 // recovery run folds into the checkpoint's dead set and the next attempt
 // continues on the remaining survivors.
 const maxRecoverAttempts = 4
-
-// runChaos runs one transposition under a node-crash schedule, recovering
-// from the checkpoint on failure. It returns the outcome class, the final
-// cumulative Stats, and the cost already sunk at the first failure (so
-// recovery traffic is st.Bytes - sunk). Both the direct and the recovered
-// outcome verify the result element-exact; a recovered outcome additionally
-// requires the failure to have been a typed node-down detection.
-func runChaos(alg plan.Algorithm, logElems, n int, opt core.Options) (chaosOutcome, fabric.Stats, int64, error) {
-	before, after, p, q, ok := twoDimLayouts(logElems, n)
-	if !ok {
-		return chaosFailed, fabric.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
-	}
-	m := matrix.NewIota(p, q)
-	want := m.Transposed()
-	d := matrix.Scatter(m, before)
-	res, err := core.Transpose(alg, d, after, opt)
-	if err == nil {
-		if verr := res.Dist.Verify(want); verr != nil {
-			return chaosFailed, fabric.Stats{}, 0, verr
-		}
-		return chaosDirect, res.Stats, 0, nil
-	}
-	var xe *core.ExecError
-	if !errors.As(err, &xe) {
-		if isFaultOutcome(err) {
-			return chaosFailed, fabric.Stats{}, 0, nil
-		}
-		return chaosFailed, fabric.Stats{}, 0, err
-	}
-	if !errors.Is(err, fabric.ErrNodeDown) {
-		return chaosFailed, fabric.Stats{}, 0,
-			fmt.Errorf("exper: crash schedule failed without node-down detection: %w", err)
-	}
-	sunk := xe.Checkpoint.Stats.Bytes
-	for attempt := 0; attempt < maxRecoverAttempts; attempt++ {
-		res, err = core.Recover(xe.Checkpoint, core.ExecOptions{Backend: opt.Backend})
-		if err == nil {
-			if verr := res.Dist.Verify(want); verr != nil {
-				return chaosFailed, fabric.Stats{}, 0, verr
-			}
-			return chaosRecovered, res.Stats, sunk, nil
-		}
-		if !errors.As(err, &xe) {
-			break
-		}
-	}
-	if isFaultOutcome(err) || errors.Is(err, fabric.ErrNodeDown) {
-		return chaosFailed, fabric.Stats{}, 0, nil
-	}
-	return chaosFailed, fabric.Stats{}, 0, err
-}

@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"errors"
 	"fmt"
 
 	"boolcube/internal/core"
@@ -10,7 +9,6 @@ import (
 	"boolcube/internal/fault"
 	"boolcube/internal/machine"
 	"boolcube/internal/plan"
-	"boolcube/internal/router"
 )
 
 func init() {
@@ -129,8 +127,7 @@ func runFaulted(alg plan.Algorithm, logElems, n int, opt core.Options) (fabric.S
 	if err == nil {
 		return st, true, nil
 	}
-	if errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
-		errors.Is(err, router.ErrNoRoute) || errors.Is(err, router.ErrLinkBlocked) {
+	if isFaultOutcome(err) {
 		return fabric.Stats{}, false, nil
 	}
 	return fabric.Stats{}, false, err

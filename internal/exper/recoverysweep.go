@@ -26,13 +26,13 @@ var recoverySeeds = []int64{1, 2, 3}
 // and one late kill (most of it already delivered).
 var recoveryEpochs = []float64{0.35, 0.7}
 
-// recoveryOutcome classifies one (algorithm, k, seed, epoch) run.
-type recoveryOutcome int
+// outcome classifies one faulted run of the recovery and chaos sweeps.
+type outcome int
 
 const (
-	outDirect  recoveryOutcome = iota // completed despite the kill
-	outResumed                        // failed mid-run, Resume finished it
-	outFailed                         // neither direct nor resumable
+	outDirect    outcome = iota // completed despite the kill
+	outRecovered                // failed mid-run, finished from its checkpoint
+	outFailed                   // neither direct nor recoverable
 )
 
 // recoverySweep measures checkpoint/resume rather than raw robustness: k
@@ -82,7 +82,7 @@ func recoverySweep() (*Table, error) {
 	}
 
 	type cell struct {
-		out        recoveryOutcome
+		out        outcome
 		resumeFrac float64 // resumed-run bytes / fault-free run bytes
 		slow       float64 // total makespan / fault-free makespan
 	}
@@ -100,12 +100,13 @@ func recoverySweep() (*Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		out, st, sunk, err := runRecovered(a.alg, logElems, n, core.Options{Machine: mach, Faults: fp})
+		out, st, sunk, err := runRecovered(a.alg, logElems, n, core.Options{Machine: mach, Faults: fp},
+			core.Resume, maxResumeAttempts, nil)
 		if err != nil {
 			return cell{}, err
 		}
 		c := cell{out: out}
-		if out == outResumed {
+		if out == outRecovered {
 			base := bases[j/(len(ks)*perCell)]
 			c.resumeFrac = float64(st.Bytes-sunk) / float64(base.Bytes)
 			c.slow = st.Time / base.Time
@@ -125,7 +126,7 @@ func recoverySweep() (*Table, error) {
 				switch c.out {
 				case outDirect:
 					direct++
-				case outResumed:
+				case outRecovered:
 					resumed++
 					frac += c.resumeFrac
 					slow += c.slow
@@ -151,48 +152,42 @@ func recoverySweep() (*Table, error) {
 // every retry.
 const maxResumeAttempts = 3
 
-// runRecovered runs one transposition under a mid-run fault schedule,
-// resuming from the checkpoint on failure. It returns the outcome class,
-// the final cumulative Stats (for direct and resumed outcomes), and the
-// cost already sunk at the first checkpoint (so resumed-run traffic is
-// st.Bytes - sunk). The result is verified element-exact in every
-// successful outcome.
-func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options) (recoveryOutcome, fabric.Stats, int64, error) {
+// runRecovered runs one transposition under a mid-run fault schedule and,
+// on failure, hands the checkpoint to finish (core.Resume or core.Recover,
+// on the run's backend) up to attempts times. cause, when non-nil, is the
+// sentinel the failure must carry; a run that still fails with it, or with
+// any injected-fault outcome, counts as failed. It returns the outcome class,
+// the final cumulative Stats, and the cost already sunk at the first
+// checkpoint (so finishing traffic is st.Bytes - sunk). The result is
+// verified element-exact in every successful outcome.
+func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options,
+	finish func(*core.Checkpoint, core.ExecOptions) (*core.Result, error), attempts int, cause error) (outcome, fabric.Stats, int64, error) {
 	before, after, p, q, ok := twoDimLayouts(logElems, n)
 	if !ok {
 		return outFailed, fabric.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
 	}
 	m := matrix.NewIota(p, q)
-	want := m.Transposed()
-	d := matrix.Scatter(m, before)
-	res, err := core.Transpose(alg, d, after, opt)
+	res, err := core.Transpose(alg, matrix.Scatter(m, before), after, opt)
+	out, sunk := outDirect, int64(0)
+	var xe *core.ExecError
+	if errors.As(err, &xe) {
+		if cause != nil && !errors.Is(err, cause) {
+			return outFailed, fabric.Stats{}, 0, fmt.Errorf("exper: fault schedule failed without %v: %w", cause, err)
+		}
+		out, sunk = outRecovered, xe.Checkpoint.Stats.Bytes
+		for attempt := 0; attempt < attempts; attempt++ {
+			if res, err = finish(xe.Checkpoint, core.ExecOptions{Backend: opt.Backend}); !errors.As(err, &xe) {
+				break
+			}
+		}
+	}
 	if err == nil {
-		if verr := res.Dist.Verify(want); verr != nil {
+		if verr := res.Dist.Verify(m.Transposed()); verr != nil {
 			return outFailed, fabric.Stats{}, 0, verr
 		}
-		return outDirect, res.Stats, 0, nil
+		return out, res.Stats, sunk, nil
 	}
-	var xe *core.ExecError
-	if !errors.As(err, &xe) {
-		if isFaultOutcome(err) {
-			return outFailed, fabric.Stats{}, 0, nil
-		}
-		return outFailed, fabric.Stats{}, 0, err
-	}
-	sunk := xe.Checkpoint.Stats.Bytes
-	for attempt := 0; attempt < maxResumeAttempts; attempt++ {
-		res, err = core.Resume(xe.Checkpoint, core.ExecOptions{})
-		if err == nil {
-			if verr := res.Dist.Verify(want); verr != nil {
-				return outFailed, fabric.Stats{}, 0, verr
-			}
-			return outResumed, res.Stats, sunk, nil
-		}
-		if !errors.As(err, &xe) {
-			break
-		}
-	}
-	if isFaultOutcome(err) {
+	if isFaultOutcome(err) || cause != nil && errors.Is(err, cause) {
 		return outFailed, fabric.Stats{}, 0, nil
 	}
 	return outFailed, fabric.Stats{}, 0, err

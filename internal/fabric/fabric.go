@@ -241,8 +241,6 @@ type Node interface {
 	Exchange(dim int, m Msg) Msg
 	// Copy charges the cost of moving b bytes locally.
 	Copy(b int)
-	// CopyElems charges the copy cost of k matrix elements.
-	CopyElems(k int)
 	// Advance moves the node's clock forward by dt µs of computation.
 	Advance(dt float64)
 	// Fail aborts the node's program with a typed error: the engine
@@ -326,10 +324,6 @@ type Fabric interface {
 	// DebugChecks reports whether SIMNET_DEBUG-level verification (element
 	// address tags) is active for this engine.
 	DebugChecks() bool
-	// IsSimulation reports whether time is simulated. Equivalent to
-	// Capabilities().VirtualTime, kept as a method because it is the one
-	// flag executors branch on.
-	IsSimulation() bool
 	// Capabilities declares what this backend promises.
 	Capabilities() Capabilities
 }

@@ -126,15 +126,12 @@ func (c *countTracer) Record(ev fabric.TraceEvent) {
 }
 
 // The capability matrix is honest: the engine reports what the registry
-// declares, IsSimulation is the VirtualTime flag, and a backend that
-// declares Tracing reports every send to the tracer it was given.
+// declares, and a backend that declares Tracing reports every send to the
+// tracer it was given.
 func testCapabilities(t *testing.T, c contract) {
 	e := c.engine(t, 2, machine.NPort)
 	if got := e.Capabilities(); got != c.caps {
 		t.Errorf("engine declares %+v, registry %+v", got, c.caps)
-	}
-	if e.IsSimulation() != c.caps.VirtualTime {
-		t.Errorf("IsSimulation() = %v with VirtualTime %v", e.IsSimulation(), c.caps.VirtualTime)
 	}
 	if e.Dims() != 2 || e.Nodes() != 4 || e.Params() != machine.Ideal(machine.NPort) {
 		t.Errorf("engine echoes dims %d, nodes %d, machine %+v", e.Dims(), e.Nodes(), e.Params())

@@ -170,9 +170,6 @@ func (e *Engine) Nodes() int { return e.nodesCount }
 // Params returns the machine model in force.
 func (e *Engine) Params() machine.Params { return e.params }
 
-// IsSimulation reports that time is real (fabric.Fabric contract).
-func (e *Engine) IsSimulation() bool { return false }
-
 // Capabilities declares what this backend promises.
 func (e *Engine) Capabilities() fabric.Capabilities { return liveCaps }
 

@@ -340,11 +340,6 @@ func (nd *Node) Copy(b int) {
 	nd.eng.progress.Add(1)
 }
 
-// CopyElems charges the copy volume of k matrix elements.
-func (nd *Node) CopyElems(k int) {
-	nd.Copy(k * nd.eng.params.ElemBytes)
-}
-
 // Advance sleeps dt µs of real time — the live interpretation of "the node
 // computes for dt µs".
 func (nd *Node) Advance(dt float64) {

@@ -44,13 +44,6 @@ const (
 	// MixedCombined folds the conversions into the transpose: n routing
 	// steps (Section 6.3).
 	MixedCombined
-	// MixedPseudocode runs the paper's literal Section 6.3 per-node
-	// program (the 14-case table) — equivalent to MixedCombined, kept as
-	// an executable validation of the published pseudocode. It covers the
-	// three encoding combinations the program is published for: rows
-	// binary / columns Gray (unchanged), pure binary to transposed pure
-	// Gray, and pure Gray to transposed pure binary.
-	MixedPseudocode
 	// ParallelPaths splits each pair's payload over the n node-disjoint
 	// paths of Saad & Schultz (the parallel-paths property quoted in
 	// Section 2) — per-pair disjoint but globally colliding; the ablation
@@ -88,25 +81,33 @@ type spec struct {
 	name    string
 	compile func(*Plan) error
 	predict func(*Plan) float64
+	// transposes: the after layout describes the transposed matrix.
+	transposes bool
 }
 
-var specs = [...]spec{
-	Exchange:         {"exchange", compileExchange, predictExchange},
-	ExchangeSPTOrder: {"exchange-spt-order", compileExchangeSPTOrder, predictExchange},
-	SPT:              {"spt", compileSPT, predictSPT},
-	DPT:              {"dpt", compileDPT, predictDPT},
-	MPT:              {"mpt", compileMPT, predictMPT},
-	SBnT:             {"sbnt", compileSBnT, predictSBnT},
-	RoutingLogic:     {"routing-logic", compileRoutingLogic, predictSPT},
-	MixedNaive:       {"mixed-naive", compileMixedNaive, predictMixedNaive},
-	MixedCombined:    {"mixed-combined", compileMixedCombined, predictMixedCombined},
-	MixedPseudocode:  {"mixed-pseudocode", compileMixedPseudocode, predictMixedCombined},
-	ParallelPaths:    {"parallel-paths", compileParallelPaths, predictParallelPaths},
-	Convert1:         {"convert-1", compileConvert, predictConvert},
-	Convert2:         {"convert-2", compileConvert, predictConvert},
-	Convert3:         {"convert-3", compileConvert, predictConvert},
-	ConvertEncoding:  {"convert-encoding", compileConvertEncoding, predictConvertEncoding},
-	Auto:             {"auto", nil, nil}, // resolved by Compile before dispatch
+var specs [Auto + 1]spec
+
+// init fills the registry: a package-level initializer would be an
+// initialization cycle, since compilers read their own row back
+// (Transposes).
+func init() {
+	specs = [...]spec{
+		Exchange:         {"exchange", compileExchange, predictExchange, true},
+		ExchangeSPTOrder: {"exchange-spt-order", compileExchangeSPTOrder, predictExchange, true},
+		SPT:              {"spt", compileSPT, predictSPT, true},
+		DPT:              {"dpt", compileDPT, predictDPT, true},
+		MPT:              {"mpt", compileMPT, predictMPT, true},
+		SBnT:             {"sbnt", compileSBnT, predictSBnT, true},
+		RoutingLogic:     {"routing-logic", compileRoutingLogic, predictSPT, true},
+		MixedNaive:       {"mixed-naive", compileMixedNaive, predictMixedNaive, true},
+		MixedCombined:    {"mixed-combined", compileMixedCombined, predictMixedCombined, true},
+		ParallelPaths:    {"parallel-paths", compileParallelPaths, predictParallelPaths, true},
+		Convert1:         {"convert-1", compileConvert, predictConvert, true},
+		Convert2:         {"convert-2", compileConvert, predictConvert, true},
+		Convert3:         {"convert-3", compileConvert, predictConvert, true},
+		ConvertEncoding:  {"convert-encoding", compileConvertEncoding, predictConvertEncoding, false},
+		Auto:             {"auto", nil, nil, true}, // resolved by Compile before dispatch
+	}
 }
 
 func (a Algorithm) String() string {
@@ -114,6 +115,13 @@ func (a Algorithm) String() string {
 		return specs[a].name
 	}
 	return fmt.Sprintf("algorithm(%d)", int(a))
+}
+
+// Transposes reports whether the algorithm's after layout describes the
+// transposed matrix — true for every row but ConvertEncoding, which
+// re-embeds the same matrix.
+func (a Algorithm) Transposes() bool {
+	return a >= 0 && int(a) < len(specs) && specs[a].transposes
 }
 
 // Algorithms lists every concrete algorithm (excluding Auto), for sweeps, in

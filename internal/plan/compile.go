@@ -228,9 +228,10 @@ func routeFlows(p *Plan, mv *Moves, route func(src, dst uint64, n int) [][]int) 
 
 // compilePermutation compiles a node permutation (each source sends all of
 // its data to at most one other node — what the Section 6.3 algorithms and
-// the standalone code conversion route) as one flow set.
-func compilePermutation(p *Plan, transpose bool, route func(src, dst uint64, n int) [][]int) error {
-	mv, err := NewMoves(p.before, p.after, transpose)
+// the standalone code conversion route) as one flow set. The registry row
+// says whether the after layout describes the transposed matrix.
+func compilePermutation(p *Plan, route func(src, dst uint64, n int) [][]int) error {
+	mv, err := NewMoves(p.before, p.after, p.alg.Transposes())
 	if err != nil {
 		return err
 	}
@@ -376,7 +377,7 @@ func compileMixed(p *Plan, route func(src, dst uint64, n int) [][]int) error {
 	if n := p.before.NBits(); n%2 != 0 {
 		return fmt.Errorf("plan: mixed transpose needs an even number of cube dimensions")
 	}
-	return compilePermutation(p, true, route)
+	return compilePermutation(p, route)
 }
 
 func compileMixedNaive(p *Plan) error    { return compileMixed(p, naiveMixedRoute) }
@@ -392,67 +393,9 @@ func compileConvertEncoding(p *Plan) error {
 	if a, b := p.after.NBits(), p.before.NBits(); a != b {
 		return fmt.Errorf("plan: %s requires the same processor count, got %d and %d cube dimensions", p.alg, b, a)
 	}
-	return compilePermutation(p, false, func(src, dst uint64, n int) [][]int {
+	return compilePermutation(p, func(src, dst uint64, n int) [][]int {
 		dims := router.Ecube(src, dst, n)
 		slices.Reverse(dims)
 		return [][]int{dims}
 	})
-}
-
-// pseudocodeControls returns the row and column control modes for the
-// encoding combination (before -> after), or an error for unsupported
-// pairs. The modes follow from the invariant that after the iterations
-// above j, each direction's processed dimensions hold the TARGET encoding
-// bits of the block currently at the node:
-//
-//   - crossRow(j) = rowBit_j XOR colBit_j XOR T_row, where T_row
-//     reconstructs the next-higher bit of the source encoding in the row
-//     direction: the node's previous row bit when the target row bits are
-//     plain (block mode), or the parity of the processed row bits when the
-//     target row bits are a Gray code (parity mode). Symmetrically for
-//     crossCol(j) with the column direction.
-//
-// Base case (binary rows / Gray columns, unchanged): target row bits are
-// the plain v (block), target column bits are G(u) (parity) — the paper's
-// even-block-rows and even-parity-block-columns. Pure binary to transposed
-// pure Gray: targets are G(v) and G(u), both parity. Pure Gray to
-// transposed pure binary: targets are v and u, both block.
-func pseudocodeControls(before, after field.Layout) (row, col Ctrl, err error) {
-	if len(before.Fields) != 2 || len(after.Fields) != 2 {
-		return 0, 0, fmt.Errorf("plan: pseudocode transpose needs two-field layouts")
-	}
-	br, bc := before.Fields[0].Enc, before.Fields[1].Enc
-	ar, ac := after.Fields[0].Enc, after.Fields[1].Enc
-	switch {
-	case br == field.Binary && bc == field.Gray && ar == field.Binary && ac == field.Gray:
-		return CtrlBlock, CtrlParity, nil
-	case br == field.Binary && bc == field.Binary && ar == field.Gray && ac == field.Gray:
-		return CtrlParity, CtrlParity, nil
-	case br == field.Gray && bc == field.Gray && ar == field.Binary && ac == field.Binary:
-		return CtrlBlock, CtrlBlock, nil
-	}
-	return 0, 0, fmt.Errorf("plan: pseudocode transpose does not support %v/%v -> %v/%v", br, bc, ar, ac)
-}
-
-func compileMixedPseudocode(p *Plan) error {
-	n := p.before.NBits()
-	if n%2 != 0 {
-		return fmt.Errorf("plan: pseudocode transpose needs even n")
-	}
-	row, col, err := pseudocodeControls(p.before, p.after)
-	if err != nil {
-		return err
-	}
-	mv, err := NewMoves(p.before, p.after, true)
-	if err != nil {
-		return err
-	}
-	if err := nodePermutationOnly(p.alg, mv); err != nil {
-		return err
-	}
-	p.kind, p.moves = KindMixedProgram, mv
-	p.rowCtrl, p.colCtrl = row, col
-	// The published program runs on exactly the before-layout's cube.
-	p.n = n
-	return nil
 }

@@ -47,6 +47,7 @@ func FuzzAlgorithmParseString(f *testing.F) {
 	f.Add("auto")
 	f.Add("")
 	f.Add("no-such-algorithm")
+	f.Add("MPT") // names are case-sensitive
 	f.Fuzz(func(t *testing.T, s string) {
 		a, err := ParseAlgorithm(s)
 		if err != nil {

@@ -39,9 +39,6 @@ const (
 	KindExchange Kind = iota
 	// KindFlow injects the precomputed source-routed Flows.
 	KindFlow
-	// KindMixedProgram runs the Section 6.3 per-node case-table program
-	// gated by RowCtrl/ColCtrl.
-	KindMixedProgram
 )
 
 func (k Kind) String() string {
@@ -50,8 +47,6 @@ func (k Kind) String() string {
 		return "exchange"
 	case KindFlow:
 		return "flows"
-	case KindMixedProgram:
-		return "mixed-program"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -78,17 +73,6 @@ type Phase struct {
 	CopyBefore, CopyAfter bool
 }
 
-// Ctrl selects how a direction of the Section 6.3 pseudocode program is
-// gated across iterations: by the node's bit in the previous iteration's
-// dimension ("even block"), or by the running parity of the processed bits
-// ("even parity").
-type Ctrl int
-
-const (
-	CtrlBlock Ctrl = iota
-	CtrlParity
-)
-
 // Plan is the compiled, immutable transpose IR. All fields are unexported;
 // consumers read it through the accessor methods and must not retain
 // mutable references into the returned slices.
@@ -100,9 +84,8 @@ type Plan struct {
 	kind          Kind
 	moves         *Moves
 
-	phases           []Phase // KindExchange: exchanges, in execution order
-	flows            []Flow  // KindFlow: precompiled flows
-	rowCtrl, colCtrl Ctrl    // KindMixedProgram: iteration gating
+	phases []Phase // KindExchange: exchanges, in execution order
+	flows  []Flow  // KindFlow: precompiled flows
 }
 
 // Algorithm returns the (resolved, never Auto) algorithm the plan encodes.
@@ -136,9 +119,6 @@ func (p *Plan) Phases() []Phase { return p.phases }
 // Flows returns the precompiled flows (KindFlow). Read-only.
 func (p *Plan) Flows() []Flow { return p.flows }
 
-// Controls returns the row and column gating modes (KindMixedProgram).
-func (p *Plan) Controls() (row, col Ctrl) { return p.rowCtrl, p.colCtrl }
-
 // Describe renders a one-line human-readable summary, used as the trace
 // label and by cmd/transpose.
 func (p *Plan) Describe() string {
@@ -152,8 +132,6 @@ func (p *Plan) Describe() string {
 		detail = fmt.Sprintf("%d exchange steps", steps)
 	case KindFlow:
 		detail = fmt.Sprintf("%d flows", len(p.flows))
-	case KindMixedProgram:
-		detail = fmt.Sprintf("%d case-table iterations", p.before.NBits()/2)
 	}
 	return fmt.Sprintf("%s: %s -> %s on %s (n=%d, %s)",
 		p.alg, p.before.Name, p.after.Name, p.cfg.Machine.Name, p.n, detail)

@@ -9,25 +9,32 @@ import (
 	"boolcube/internal/matrix"
 )
 
-// Pair returns a layout pair the named registry row accepts for a 2^p x 2^q
-// matrix on an n-cube split n/2 + n/2 (the conversions need p, q >= n), and
-// whether the row transposes: sweeps over plan.Algorithms() call it instead
-// of holding every row to one fixed pair. The default is the square
+// Row is the part of a registry row (plan.Algorithm) Pair reads.
+type Row interface {
+	fmt.Stringer
+	Transposes() bool
+}
+
+// Pair returns a layout pair the registry row accepts for a 2^p x 2^q matrix
+// on an n-cube split n/2 + n/2 (the conversions need p, q >= n), and whether
+// the row transposes: sweeps over plan.Algorithms() call it instead of
+// holding every row to one fixed pair. The default is the square
 // two-dimensional consecutive pair; the Section 6.3 rows get the binary-rows /
-// Gray-columns encodings they are about (the pseudocode accepts nothing
-// else), the Section 6.2 rows their consecutive -> cyclic pair, and the code
-// conversion — the one row that does not transpose — binary -> Gray.
-func Pair(alg fmt.Stringer, p, q, n int) (before, after field.Layout, transposes bool) {
+// Gray-columns encodings they are about, the Section 6.2 rows their
+// consecutive -> cyclic pair, and a row that does not transpose (the code
+// conversion) binary -> Gray of the same matrix.
+func Pair(alg Row, p, q, n int) (before, after field.Layout, transposes bool) {
 	h := n / 2
 	before = field.TwoDimConsecutive(p, q, h, h, field.Binary)
+	if !alg.Transposes() {
+		return before, field.TwoDimConsecutive(p, q, h, h, field.Gray), false
+	}
 	switch alg.String() {
-	case "mixed-naive", "mixed-combined", "mixed-pseudocode":
+	case "mixed-naive", "mixed-combined":
 		return field.TwoDimEncoded(p, q, h, h, field.Binary, field.Gray),
 			field.TwoDimEncoded(q, p, h, h, field.Binary, field.Gray), true
 	case "convert-1", "convert-2", "convert-3":
 		return before, field.TwoDimCyclic(q, p, h, h, field.Binary), true
-	case "convert-encoding":
-		return before, field.TwoDimConsecutive(p, q, h, h, field.Gray), false
 	}
 	return before, field.TwoDimConsecutive(q, p, h, h, field.Binary), true
 }

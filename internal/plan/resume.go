@@ -119,9 +119,7 @@ func (r Residual) String() string {
 // when the delivered set covers the whole move-set.
 //
 // delivered == nil means nothing was delivered: Remaining returns the full
-// move-set, which is what lets executors without fine-grained progress
-// tracking (the mixed-program plans) still participate in checkpoint/resume
-// — their checkpoints simply resume from scratch into fresh arrays.
+// move-set.
 func (p *Plan) Remaining(delivered *Delivered) []Residual {
 	mv := p.moves
 	var out []Residual

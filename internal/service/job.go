@@ -60,9 +60,13 @@ func ParseJob(alg, before, after, priority, deadline string, p, q, n int) (JobSp
 	if spec.Before, err = field.Parse(before, p, q, n); err != nil {
 		return spec, &SpecError{Field: "before", Value: before, Err: err}
 	}
-	// The transposed matrix is 2^q x 2^p, so the after layout parses
-	// against the swapped shape.
-	if spec.After, err = field.Parse(after, q, p, n); err != nil {
+	// A transposing row's after layout describes the 2^q x 2^p transposed
+	// matrix, so it parses against the swapped shape.
+	ap, aq := p, q
+	if a.Transposes() {
+		ap, aq = q, p
+	}
+	if spec.After, err = field.Parse(after, ap, aq, n); err != nil {
 		return spec, &SpecError{Field: "after", Value: after, Err: err}
 	}
 	if priority != "" {

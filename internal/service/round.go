@@ -38,9 +38,9 @@ func budgetOf(j *Job) float64 {
 // newUnit builds a fresh execution unit for one job: a new checkpoint (self
 // pairs placed, so even a failed first round leaves them durable) and the
 // network spans. Flow plans keep their compiled path-system routes and
-// packetization; exchange and mixed-program plans execute their canonical
-// move-set over dimension-order direct routes, exactly as checkpoint
-// resume replays residuals.
+// packetization; exchange plans execute their canonical move-set over
+// dimension-order direct routes, exactly as checkpoint resume replays
+// residuals.
 func newUnit(j *Job) *unit {
 	u := &unit{
 		Checkpoint: *core.NewCheckpoint(j.plan, j.spec.Src),

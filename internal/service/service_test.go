@@ -17,6 +17,7 @@ import (
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
+	"boolcube/internal/plan/plantest"
 )
 
 // mkSpec builds a ready-to-submit spec: an iota matrix of shape 2^p x 2^q
@@ -609,9 +610,11 @@ func TestServiceMetricsLatency(t *testing.T) {
 
 // TestServiceMixedEncodings: jobs over mixed binary/Gray and 2D layouts
 // coexist in shared rounds with 1D binary jobs; everything stays
-// element-exact. Exercises exchange (one-phase and, with the Section 6.2
-// conversions, three-phase), flow and mixed-program plan kinds through the
-// one merged-flow execution path; one conversion arrives in textual form.
+// element-exact. Exercises both plan kinds — exchange (one-phase and, with
+// the Section 6.2 conversions, three-phase) and flow — through the one
+// merged-flow execution path; two conversions arrive in textual form, one of
+// them the code conversion of a rectangular matrix, which does not
+// transpose.
 func TestServiceMixedEncodings(t *testing.T) {
 	const n = 4
 	s, err := New(Config{Dims: n, Machine: machine.IPSCNPort()})
@@ -645,10 +648,18 @@ func TestServiceMixedEncodings(t *testing.T) {
 		t.Fatalf("ParseJob(convert-2) = %v into %s", parsed.Alg, parsed.After)
 	}
 	add(parsed.Alg, parsed.Before, parsed.After, 5, 4)
+	parsed, err = ParseJob("convert-encoding", "2d-consecutive", "2d-consecutive:gray", "", "", 5, 4, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Alg != plan.ConvertEncoding || parsed.After.String() != field.TwoDimConsecutive(5, 4, 2, 2, field.Gray).String() {
+		t.Fatalf("ParseJob(convert-encoding) = %v into %s", parsed.Alg, parsed.After)
+	}
+	add(parsed.Alg, parsed.Before, parsed.After, 5, 4)
 	results := submitAll(t, s, specs)
 	s.Close()
 	for i, res := range results {
-		if err := res.Dist.Verify(truth[i].Transposed()); err != nil {
+		if err := res.Dist.Verify(plantest.Want(truth[i], specs[i].Alg.Transposes())); err != nil {
 			t.Fatalf("job %d (%s): %v", i, specs[i].Alg, err)
 		}
 	}

@@ -130,11 +130,6 @@ func (nd *Node) Copy(b int) {
 	_ = nd.submit()
 }
 
-// CopyElems charges the copy cost of k matrix elements.
-func (nd *Node) CopyElems(k int) {
-	nd.Copy(k * nd.eng.params.ElemBytes)
-}
-
 // Advance moves the node's local clock forward by dt µs of computation.
 func (nd *Node) Advance(dt float64) {
 	if dt < 0 {

@@ -237,9 +237,6 @@ var simCaps = fabric.Capabilities{
 	CrashStop:           true,
 }
 
-// IsSimulation reports that time is simulated (fabric.Fabric contract).
-func (e *Engine) IsSimulation() bool { return true }
-
 // Capabilities declares what this backend promises (fabric.Fabric contract).
 func (e *Engine) Capabilities() fabric.Capabilities { return simCaps }
 

@@ -23,12 +23,11 @@ var oneDimCapable = map[Algorithm]bool{
 // randomLayouts draws a random compatible layout pair for the algorithm:
 // square two-dimensional splits in random storage (consecutive/cyclic) and
 // encoding, or a one-dimensional row partition for the all-to-all
-// algorithms; the rows that accept one pair only (the Section 6.3 pseudocode
-// and the conversions) get it from plantest.Pair. transposes is false for the
-// code conversion alone.
+// algorithms; the rows that accept one pair only (the conversions) get it
+// from plantest.Pair. transposes is false for the code conversion alone.
 func randomLayouts(rng *rand.Rand, alg Algorithm, p, q, n int) (before, after Layout, transposes bool) {
 	switch alg {
-	case MixedPseudocode, plan.Convert1, plan.Convert2, plan.Convert3, plan.ConvertEncoding:
+	case plan.Convert1, plan.Convert2, plan.Convert3, plan.ConvertEncoding:
 		return plantest.Pair(alg, p, q, n)
 	}
 	enc := Binary

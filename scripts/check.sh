@@ -14,6 +14,12 @@ before=$(worktree)
 echo "==> go build ./..."
 go build ./...
 
+# Every example is a self-verifying demo: run each main, fail on nonzero exit.
+for ex in examples/*/; do
+	echo "==> go run ./$ex"
+	go run "./$ex" >/dev/null
+done
+
 echo "==> go vet ./..."
 go vet ./...
 
