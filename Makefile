@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet cubevet check bench profile-engine profile-sweep
+.PHONY: build test race vet cubevet check bench loc profile-engine profile-sweep
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,15 @@ check:
 # bench/README.md and BENCHMARK.json).
 bench:
 	$(GO) run ./bench
+
+# Line counts of the tracked Go sources, the one way every size figure in
+# ROADMAP.md and CHANGES.md is taken: non-test code (outside bench/, the
+# fabrictest contract package and testdata/ fixtures), tests (outside
+# bench/), and the benchmark harness under bench/.
+loc:
+	@echo "non-test $$(git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e '^internal/fabric/fabrictest/' -e 'testdata/' | xargs cat | wc -l)"
+	@echo "test     $$(git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
+	@echo "bench    $$(git ls-files 'bench/*.go' | xargs cat | wc -l)"
 
 # CPU and heap profiles of the 16-cube all-to-all (inspect with `go tool
 # pprof`); cmd/experiments takes the same -cpuprofile/-memprofile flags for

@@ -250,13 +250,18 @@ type Options struct {
 	Backend string
 }
 
-func (o Options) core() core.Options {
-	m := o.Machine
+// orIPSC is the root API's machine default: the zero Machine (no Name)
+// means the iPSC one-port parameters.
+func orIPSC(m Machine) Machine {
 	if m.Name == "" {
-		m = machine.IPSC()
+		return machine.IPSC()
 	}
+	return m
+}
+
+func (o Options) core() core.Options {
 	co := core.Options{
-		Machine:     m,
+		Machine:     orIPSC(o.Machine),
 		Strategy:    o.Strategy,
 		Packets:     o.Packets,
 		LocalCopies: o.LocalCopies,

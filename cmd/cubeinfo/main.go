@@ -40,6 +40,9 @@ func realMain(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *n < 0 || *n > cube.MaxDims {
+		return fmt.Errorf("-n %d out of range [0,%d]", *n, cube.MaxDims)
+	}
 	c := cube.New(*n)
 	if x >= uint64(c.Nodes()) {
 		return fmt.Errorf("node %d out of range for a %d-cube", x, *n)
@@ -72,6 +75,9 @@ func realMain(args []string, out io.Writer) error {
 	if *n%2 != 0 {
 		fmt.Fprintln(out, "  (odd dimension: transpose path systems need even n)")
 		return nil
+	}
+	if *n == 0 {
+		return nil // a single node: nothing to transpose
 	}
 	tr := cube.Tr(x, *n)
 	H := cube.HalfHamming(x, *n)

@@ -81,10 +81,23 @@ func TestCubeinfoErrors(t *testing.T) {
 		{"-n", "3", "-node", "0", "-tree", "oak"},
 		{"-n", "3", "-node", "0", "-tree", "rotated:x"},
 		{"-n", "3", "-node", "1", "-to", "1"},
+		{"-n", "-1"},
+		{"-n", "25"},
+		{"-n", "64"},
 	}
 	for _, args := range cases {
 		if _, err := out(t, args...); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+func TestZeroCube(t *testing.T) {
+	s, err := out(t, "-n", "0", "-node", "0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(s, "cube: 0 dimensions, 1 nodes, 0 links") {
+		t.Errorf("0-cube report missing:\n%s", s)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"boolcube/internal/comm"
-	"boolcube/internal/machine"
+	"boolcube/internal/fabric"
 	"boolcube/internal/simnet"
 )
 
@@ -47,17 +47,10 @@ const (
 	SBnTTree = comm.KindSBnT
 )
 
-func commMachine(m Machine) Machine {
-	if m.Name == "" {
-		return machine.IPSC()
-	}
-	return m
-}
-
 // AllToAllPersonalized performs all-to-all personalized communication on an
 // n-cube: block(src, dst) supplies the payload for every ordered pair.
 func AllToAllPersonalized(n int, mach Machine, routing Routing, strat Strategy, block func(src, dst uint64) []float64) (*CommResult, error) {
-	e, err := simnet.New(n, commMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +72,7 @@ func AllToAllPersonalized(n int, mach Machine, routing Routing, strat Strategy, 
 // OneToAllPersonalized scatters data(dst) from root to every node over the
 // selected spanning-tree family.
 func OneToAllPersonalized(n int, mach Machine, kind TreeKind, root uint64, data func(dst uint64) []float64) (*CommResult, error) {
-	e, err := simnet.New(n, commMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +90,7 @@ func OneToAllPersonalized(n int, mach Machine, kind TreeKind, root uint64, data 
 // AllToOnePersonalized gathers data(src) from every node at root over a
 // spanning binomial tree; Recv is populated only at the root.
 func AllToOnePersonalized(n int, mach Machine, root uint64, data func(src uint64) []float64) (*CommResult, error) {
-	e, err := simnet.New(n, commMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}
@@ -121,59 +114,34 @@ func AllToOnePersonalized(n int, mach Machine, root uint64, data func(src uint64
 // dimensions are the sources; splitting is performed before the all-to-all
 // steps per Theorem 1. block(src, dst) supplies the payload per pair.
 func SomeToAllPersonalized(n, k int, mach Machine, strat Strategy, block func(src, dst uint64) []float64) (*CommResult, error) {
-	if k < 0 || k > n {
-		return nil, fmt.Errorf("boolcube: k = %d out of range [0,%d]", k, n)
-	}
-	e, err := simnet.New(n, commMachine(mach))
-	if err != nil {
-		return nil, err
-	}
-	l := n - k
-	splitDims := make([]int, 0, k)
-	for d := n - 1; d >= l; d-- {
-		splitDims = append(splitDims, d)
-	}
-	exchDims := make([]int, 0, l)
-	for d := l - 1; d >= 0; d-- {
-		exchDims = append(exchDims, d)
-	}
-	var recv []map[uint64][]float64
-	if k == 0 {
-		recv, err = comm.AllToAllExchange(e, exchDims, strat, block)
-	} else {
-		recv, err = comm.SomeToAll(e, splitDims, exchDims, strat, true, block)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &CommResult{Recv: recv, Stats: e.Stats()}, nil
+	return splitPersonalized(n, k, mach, strat, block, comm.SomeToAll)
 }
 
 // AllToSomePersonalized is the reverse: every node holds one block per
 // target (the 2^l zero-split-bit nodes); the all-to-all steps run first per
 // Theorem 1.
 func AllToSomePersonalized(n, k int, mach Machine, strat Strategy, block func(src, dst uint64) []float64) (*CommResult, error) {
+	return splitPersonalized(n, k, mach, strat, block, comm.AllToSome)
+}
+
+// splitPersonalized runs a k-split operation (comm.SomeToAll or
+// comm.AllToSome, in Theorem 1's optimal order) on a fresh n-cube; k = 0 is
+// the plain all-to-all exchange.
+func splitPersonalized(n, k int, mach Machine, strat Strategy, block func(src, dst uint64) []float64,
+	op func(fabric.Fabric, []int, []int, comm.Strategy, bool, func(src, dst uint64) []float64) ([]map[uint64][]float64, error)) (*CommResult, error) {
 	if k < 0 || k > n {
 		return nil, fmt.Errorf("boolcube: k = %d out of range [0,%d]", k, n)
 	}
-	e, err := simnet.New(n, commMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}
-	l := n - k
-	splitDims := make([]int, 0, k)
-	for d := n - 1; d >= l; d-- {
-		splitDims = append(splitDims, d)
-	}
-	exchDims := make([]int, 0, l)
-	for d := l - 1; d >= 0; d-- {
-		exchDims = append(exchDims, d)
-	}
+	splitDims, exchDims := comm.SplitDims(n, k)
 	var recv []map[uint64][]float64
 	if k == 0 {
 		recv, err = comm.AllToAllExchange(e, exchDims, strat, block)
 	} else {
-		recv, err = comm.AllToSome(e, splitDims, exchDims, strat, true, block)
+		recv, err = op(e, splitDims, exchDims, strat, true, block)
 	}
 	if err != nil {
 		return nil, err

@@ -74,48 +74,6 @@ func (p *Package) isConversion(call *ast.CallExpr) bool {
 	return false
 }
 
-// baseExpr strips parens, stars, index and selector wrappers off an
-// assignable expression and returns the root identifier, or nil (e.g. for
-// function-call results).
-func baseExpr(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// mentionsObj reports whether expr references any of the given objects.
-func (p *Package) mentionsObj(expr ast.Node, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if o := p.objOf(id); o != nil && objs[o] {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // mentionsName reports whether expr contains an identifier or field
 // selector with one of the given names.
 func mentionsName(expr ast.Node, names map[string]bool) bool {

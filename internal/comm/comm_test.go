@@ -417,3 +417,19 @@ func TestSBnTLinkBalance(t *testing.T) {
 		t.Errorf("SBnT link imbalance: max %d vs avg %.1f", max, avg)
 	}
 }
+
+func TestSplitDims(t *testing.T) {
+	for _, c := range []struct {
+		n, k        int
+		split, exch string
+	}{
+		{6, 2, "[5 4]", "[3 2 1 0]"},
+		{3, 0, "[]", "[2 1 0]"},
+		{3, 3, "[2 1 0]", "[]"},
+	} {
+		split, exch := SplitDims(c.n, c.k)
+		if fmt.Sprint(split) != c.split || fmt.Sprint(exch) != c.exch {
+			t.Errorf("SplitDims(%d, %d) = %v, %v; want %s, %s", c.n, c.k, split, exch, c.split, c.exch)
+		}
+	}
+}

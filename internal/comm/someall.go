@@ -42,6 +42,14 @@ func zeroOn(x uint64, dims []int) bool {
 	return true
 }
 
+// SplitDims returns the dimension sets of a k-split on an n-cube (Section
+// 3.3): the k highest dimensions are split and the other n-k run the
+// all-to-all exchange, both in descending order.
+func SplitDims(n, k int) (split, exch []int) {
+	dims := DescendingDims(n)
+	return dims[:k:k], dims[k:]
+}
+
 // SplitBlocks performs the k splitting steps over splitDims (one-to-all
 // personalized communication within each split subcube): before, only the
 // nodes with zero bits on all splitDims hold blocks; after, every node

@@ -6,6 +6,7 @@ import (
 	"boolcube/internal/bits"
 	"boolcube/internal/comm"
 	"boolcube/internal/fabric"
+	"boolcube/internal/plan"
 )
 
 // This file implements Section 7: using the general exchange algorithm for
@@ -18,16 +19,8 @@ import (
 // permutation of the node set.
 func PermuteNodes(e fabric.Fabric, perm func(uint64) uint64, dims []int, strat comm.Strategy, data [][]float64) ([][]float64, error) {
 	N := uint64(e.Nodes())
-	if len(data) != int(N) {
-		return nil, fmt.Errorf("core: %d payloads for %d nodes", len(data), N)
-	}
-	seen := make([]bool, N)
-	for x := uint64(0); x < N; x++ {
-		y := perm(x)
-		if y >= N || seen[y] {
-			return nil, fmt.Errorf("core: perm is not a permutation at %d", x)
-		}
-		seen[y] = true
+	if err := checkNodePerm(N, perm, data); err != nil {
+		return nil, err
 	}
 	out := make([][]float64, N)
 	err := e.Run(func(nd fabric.Node) {
@@ -42,6 +35,23 @@ func PermuteNodes(e fabric.Fabric, perm func(uint64) uint64, dims []int, strat c
 		return nil, err
 	}
 	return out, nil
+}
+
+// checkNodePerm reports an error unless data holds one payload per node of
+// an N-node cube and perm is a permutation of the node set.
+func checkNodePerm(N uint64, perm func(uint64) uint64, data [][]float64) error {
+	if len(data) != int(N) {
+		return fmt.Errorf("core: %d payloads for %d nodes", len(data), N)
+	}
+	seen := make([]bool, N)
+	for x := uint64(0); x < N; x++ {
+		y := perm(x)
+		if y >= N || seen[y] {
+			return fmt.Errorf("core: perm is not a permutation at %d", x)
+		}
+		seen[y] = true
+	}
+	return nil
 }
 
 // BitReversalDims returns the general-exchange dimension order pairing
@@ -157,16 +167,8 @@ func DimPermSteps(pi []int) ([][][2]int, error) {
 // just come out unevenly sized).
 func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, strat comm.Strategy, data [][]float64) ([][]float64, error) {
 	N := uint64(e.Nodes())
-	if len(data) != int(N) {
-		return nil, fmt.Errorf("core: %d payloads for %d nodes", len(data), N)
-	}
-	seen := make([]bool, N)
-	for x := uint64(0); x < N; x++ {
-		y := perm(x)
-		if y >= N || seen[y] {
-			return nil, fmt.Errorf("core: perm is not a permutation at %d", x)
-		}
-		seen[y] = true
+	if err := checkNodePerm(N, perm, data); err != nil {
+		return nil, err
 	}
 	dims := comm.DescendingDims(e.Dims())
 	out := make([][]float64, N)
@@ -175,7 +177,8 @@ func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, strat comm.Strat
 		// Round 1: scatter my payload in N pieces, piece j to node j.
 		blocks := make([]comm.Block, 0, N)
 		for j := uint64(0); j < N; j++ {
-			blocks = append(blocks, comm.Block{Src: id, Dst: j, Data: pieceOf(data[id], int(N), int(j))})
+			off, sz := plan.ShareRange(len(data[id]), int(N), int(j))
+			blocks = append(blocks, comm.Block{Src: id, Dst: j, Data: data[id][off : off+sz]})
 		}
 		got := comm.ExchangeBlocks(nd, dims, strat, blocks)
 		// Round 2: forward each piece to the final destination of its
@@ -198,25 +201,6 @@ func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, strat comm.Strat
 		return nil, err
 	}
 	return out, nil
-}
-
-// pieceOf splits data into k nearly-equal pieces and returns piece i.
-func pieceOf(data []float64, k, i int) []float64 {
-	base := len(data) / k
-	rem := len(data) % k
-	off := 0
-	for j := 0; j < i; j++ {
-		sz := base
-		if j < rem {
-			sz++
-		}
-		off += sz
-	}
-	sz := base
-	if i < rem {
-		sz++
-	}
-	return data[off : off+sz]
 }
 
 // swapAddr exchanges the bit pairs of one parallel-swapping step within a

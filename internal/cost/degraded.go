@@ -35,15 +35,6 @@ func PathBlockProb(n, hops, k int) float64 {
 	return 1 - math.Pow(1-float64(k)/L, float64(hops))
 }
 
-// ExpectedExtraTraffic returns the expected extra bytes moved because of
-// failover when k random directed links are down: every (src, dst) pair's
-// M/N-byte payload whose H-hop route is blocked re-traverses an (H+2)-hop
-// detour, so the per-pair extra volume is pb·(M/N)·2 additional link
-// crossings — summed over the N pairs, 2·M·pb.
-func ExpectedExtraTraffic(M float64, n, hops, k int) float64 {
-	return 2 * M * PathBlockProb(n, hops, k)
-}
-
 // DegradedPipelinedPaths returns the expected pipelined path-transpose time
 // under k random directed-link failures with reroute failover: the
 // PipelinedPaths estimate averaged over the surviving-route length

@@ -1,10 +1,6 @@
 package cube
 
-import (
-	"fmt"
-
-	"boolcube/internal/bits"
-)
+import "boolcube/internal/bits"
 
 // Tree is a spanning tree of the cube rooted at Root. Parent[x] is the
 // parent node of x (Parent[Root] = -1); Children lists each node's children.
@@ -42,21 +38,6 @@ func (t *Tree) Depth(x uint64) int {
 	return d
 }
 
-// PathFromRoot returns the dimension sequence from the root to node x.
-func (t *Tree) PathFromRoot(x uint64) []int {
-	var rev []int
-	for t.Parent[x] >= 0 {
-		p := uint64(t.Parent[x])
-		rev = append(rev, dimBetween(p, x))
-		x = p
-	}
-	dims := make([]int, len(rev))
-	for i := range rev {
-		dims[i] = rev[len(rev)-1-i]
-	}
-	return dims
-}
-
 // SubtreeSize returns the number of nodes in the subtree rooted at x
 // (including x).
 func (t *Tree) SubtreeSize(x uint64) int {
@@ -65,19 +46,6 @@ func (t *Tree) SubtreeSize(x uint64) int {
 		s += t.SubtreeSize(ch)
 	}
 	return s
-}
-
-func dimBetween(a, b uint64) int {
-	d := a ^ b
-	if d == 0 || d&(d-1) != 0 {
-		panic(fmt.Sprintf("cube: nodes %b and %b are not adjacent", a, b))
-	}
-	dim := 0
-	for d > 1 {
-		d >>= 1
-		dim++
-	}
-	return dim
 }
 
 // SBT returns the spanning binomial tree rooted at root. In relative

@@ -9,7 +9,6 @@ import (
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/solve"
 )
 
 func init() {
@@ -134,7 +133,7 @@ func applyADMHalf(d *matrix.Dist, w int, lam float64) {
 	for proc := range d.Local {
 		local := d.Local[proc]
 		for off := 0; off+w <= len(local); off += w {
-			solve.HeatExplicit(lam, local[off:off+w], tmp)
+			heatExplicit(lam, local[off:off+w], tmp)
 			copy(local[off:off+w], tmp)
 		}
 	}
@@ -146,10 +145,55 @@ func solveADMHalf(d *matrix.Dist, w int, lam float64) error {
 	for proc := range d.Local {
 		local := d.Local[proc]
 		for off := 0; off+w <= len(local); off += w {
-			if err := solve.HeatImplicit(lam, local[off:off+w], scratch); err != nil {
+			if err := heatImplicit(lam, local[off:off+w], scratch); err != nil {
 				return fmt.Errorf("exper: implicit ADM solve at proc %d offset %d: %w", proc, off, err)
 			}
 		}
+	}
+	return nil
+}
+
+// heatExplicit applies (I + lam/2 * d2) along row into out (out may not
+// alias row), with zero Dirichlet boundaries.
+func heatExplicit(lam float64, row, out []float64) {
+	n := len(row)
+	for j := 0; j < n; j++ {
+		left, right := 0.0, 0.0
+		if j > 0 {
+			left = row[j-1]
+		}
+		if j < n-1 {
+			right = row[j+1]
+		}
+		out[j] = row[j] + lam/2*(left-2*row[j]+right)
+	}
+}
+
+// heatImplicit solves (I - lam/2 * d2) x = rhs in place for the
+// Peaceman-Rachford half step: the constant-coefficient Thomas algorithm
+// with diagonal 1+lam, off-diagonals -lam/2 and zero Dirichlet ends.
+// scratch must hold len(rhs) values.
+func heatImplicit(lam float64, rhs, scratch []float64) error {
+	a, b := -lam/2, 1+lam
+	n := len(rhs)
+	if n == 0 {
+		return nil
+	}
+	beta := b
+	if beta == 0 {
+		return fmt.Errorf("exper: zero pivot at row 0")
+	}
+	rhs[0] /= beta
+	for i := 1; i < n; i++ {
+		scratch[i-1] = a / beta
+		beta = b - a*scratch[i-1]
+		if beta == 0 {
+			return fmt.Errorf("exper: zero pivot at row %d", i)
+		}
+		rhs[i] = (rhs[i] - a*rhs[i-1]) / beta
+	}
+	for i := n - 2; i >= 0; i-- {
+		rhs[i] -= scratch[i] * rhs[i+1]
 	}
 	return nil
 }

@@ -36,13 +36,7 @@ func sec7Dims() (*Table, error) {
 			for p := range pi {
 				pi[p] = (p + n/2) % n
 			}
-			perm := func(x uint64) uint64 {
-				var y uint64
-				for p, tgt := range pi {
-					y |= (x >> uint(p) & 1) << uint(tgt)
-				}
-				return y
-			}
+			perm := func(x uint64) uint64 { return core.ApplyDimPerm(x, pi) }
 			payloads := func() [][]float64 {
 				data := make([][]float64, N)
 				for i := range data {

@@ -89,7 +89,6 @@ func table3() (*Table, error) {
 	const totalBytes = 1 << 18
 	cases := []struct{ k, l int }{{1, 5}, {2, 4}, {3, 3}, {4, 2}, {5, 1}, {0, 6}, {6, 0}}
 	for _, c := range cases {
-		n := c.k + c.l
 		one, err := simulateSomeToAll(totalBytes, c.k, c.l, machine.IPSC())
 		if err != nil {
 			return nil, err
@@ -98,7 +97,6 @@ func table3() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_ = n
 		t.AddRow(c.k, c.l,
 			cost.SomeToAllOnePort(totalBytes, c.k, c.l, machine.IPSC()), one,
 			cost.SomeToAllNPort(totalBytes, c.k, c.l, machine.IPSCNPort()), np)
@@ -112,14 +110,7 @@ func simulateSomeToAll(totalBytes, k, l int, mach machine.Params) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	splitDims := make([]int, 0, k)
-	for d := n - 1; d >= l; d-- {
-		splitDims = append(splitDims, d)
-	}
-	exchDims := make([]int, 0, l)
-	for d := l - 1; d >= 0; d-- {
-		exchDims = append(exchDims, d)
-	}
+	splitDims, exchDims := comm.SplitDims(n, k)
 	// Each of the 2^l sources holds M/2^l bytes, one block per destination
 	// in its n-dimensional subcube.
 	elems := totalBytes / mach.ElemBytes / (1 << uint(l)) / (1 << uint(n))

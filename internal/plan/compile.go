@@ -205,7 +205,7 @@ func routeFlows(p *Plan, mv *Moves, route func(src, dst uint64, n int) [][]int) 
 				return fmt.Errorf("plan: no route from %d to %d", src, dp)
 			}
 			for pi, dims := range paths {
-				off, sz := shareRange(total, len(paths), pi)
+				off, sz := ShareRange(total, len(paths), pi)
 				pk := p.cfg.Packets
 				if pk < 1 {
 					pk = 1
@@ -241,9 +241,9 @@ func compilePermutation(p *Plan, route func(src, dst uint64, n int) [][]int) err
 	return routeFlows(p, mv, route)
 }
 
-// shareRange splits a payload of n elements into k nearly-equal chunks and
+// ShareRange splits a payload of n elements into k nearly-equal chunks and
 // returns the (offset, size) of chunk i.
-func shareRange(n, k, i int) (off, sz int) {
+func ShareRange(n, k, i int) (off, sz int) {
 	base := n / k
 	rem := n % k
 	for j := 0; j < i; j++ {

@@ -80,14 +80,14 @@ func TestShareRangeTilesPayload(t *testing.T) {
 		for k := 1; k <= 5; k++ {
 			off := 0
 			for i := 0; i < k; i++ {
-				o, sz := shareRange(n, k, i)
+				o, sz := ShareRange(n, k, i)
 				if o != off {
-					t.Fatalf("shareRange(%d,%d,%d) offset %d, want %d", n, k, i, o, off)
+					t.Fatalf("ShareRange(%d,%d,%d) offset %d, want %d", n, k, i, o, off)
 				}
 				off += sz
 			}
 			if off != n {
-				t.Fatalf("shareRange(%d,%d,*) covers %d elements", n, k, off)
+				t.Fatalf("ShareRange(%d,%d,*) covers %d elements", n, k, off)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package boolcube
 
 import (
 	"boolcube/internal/core"
-	"boolcube/internal/machine"
 	"boolcube/internal/simnet"
 )
 
@@ -16,18 +15,11 @@ type PermResult struct {
 	Stats Stats
 }
 
-func permMachine(m Machine) Machine {
-	if m.Name == "" {
-		return machine.IPSC()
-	}
-	return m
-}
-
 // BitReversal sends each node's payload to the node with the bit-reversed
 // address, using the general exchange algorithm with dimension pairing
 // f(i) = i, g(i) = n-1-i (Section 7).
 func BitReversal(n int, mach Machine, data [][]float64) (*PermResult, error) {
-	e, err := simnet.New(n, permMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +34,7 @@ func BitReversal(n int, mach Machine, data [][]float64) (*PermResult, error) {
 // (x_{n-1}...x_0) moves to the node whose bit pi[p] equals x_p — through
 // parallel swappings (Lemma 15).
 func PermuteDims(n int, pi []int, mach Machine, data [][]float64) (*PermResult, error) {
-	e, err := simnet.New(n, permMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +60,7 @@ func ShufflePermutation(n, k int) []int {
 // the permutation, at the cost of moving every payload twice. The paper's
 // balance guarantee assumes at least N elements per node.
 func PermuteTwoPhase(n int, perm func(uint64) uint64, mach Machine, data [][]float64) (*PermResult, error) {
-	e, err := simnet.New(n, permMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return nil, err
 	}

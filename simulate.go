@@ -46,7 +46,7 @@ type UnknownBackendError = fabric.UnknownBackendError
 //
 // Runs are deterministic: identical programs produce identical stats.
 func Simulate(n int, mach Machine, prog func(Node)) (Stats, error) {
-	e, err := simnet.New(n, commMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return Stats{}, err
 	}
@@ -58,7 +58,7 @@ func Simulate(n int, mach Machine, prog func(Node)) (Stats, error) {
 
 // SimulateLoads is Simulate but also returns the per-link traffic.
 func SimulateLoads(n int, mach Machine, prog func(Node)) (Stats, []LinkLoad, error) {
-	e, err := simnet.New(n, commMachine(mach))
+	e, err := simnet.New(n, orIPSC(mach))
 	if err != nil {
 		return Stats{}, nil, err
 	}
