@@ -10,9 +10,10 @@ import (
 // each of the N(N-1) transfers along its spanning-balanced-n-tree path
 // (Section 3.2 / the SBnT transpose of Section 5): the route from src to
 // dst visits the set bits of src XOR dst in ascending cyclic order starting
-// at the base of the relative address. With n-port communication the
-// transfer term drops to PQ/(2N)·t_c + nτ, a factor n below the exchange
-// algorithm.
+// at the base of the relative address. Each transfer is its own flow, so a
+// node pays one start-up per destination per hop — not the paper's nτ,
+// which needs the transfers bundled into one message per port per round
+// (ROADMAP item 1).
 //
 // block(src, dst) supplies the payload for every ordered pair; result[x]
 // maps sources to the data x received.

@@ -132,7 +132,7 @@ func (j *Job) Cancel() bool {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			s.metrics.Canceled++
 			s.mu.Unlock()
-			j.finish(nil, ErrCanceled)
+			j.finish(nil, ErrCanceled, nil)
 			return true
 		}
 	}
@@ -147,11 +147,16 @@ func (j *Job) Latency() float64 { return j.lat }
 // Priority returns the job's submitted priority.
 func (j *Job) Priority() int { return j.spec.Priority }
 
-// finish publishes the job's outcome exactly once. It must be called from
-// the scheduler goroutine (or, for cancellation, after the job has been
-// unlinked from the queue under the service lock).
-func (j *Job) finish(res *core.Result, err error) {
+// finish publishes the job's outcome exactly once. book, when non-nil, is
+// handed the job's latency and runs before the job's waiters wake, so a
+// caller returning from Wait finds its job already counted in Metrics. It
+// must be called from the scheduler goroutine (or, for cancellation, after
+// the job has been unlinked from the queue under the service lock).
+func (j *Job) finish(res *core.Result, err error, book func(lat float64)) {
 	j.lat = float64(time.Since(j.submitted)) / float64(time.Microsecond) //cubevet:ignore detbreak -- service latency metric is wall-clock by design; results stay deterministic
 	j.res, j.err = res, err
+	if book != nil {
+		book(j.lat)
+	}
 	close(j.done)
 }

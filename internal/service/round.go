@@ -252,14 +252,15 @@ func (s *Service) completeUnit(u *unit) {
 			Dist:  &matrix.Dist{Layout: after, Local: loc[:after.N()]},
 			Stats: u.Stats,
 		}
-		j.finish(res, nil)
-		s.mu.Lock()
-		s.metrics.Completed++
-		if i > 0 {
-			s.metrics.Batched++
-		}
-		s.metrics.lat.add(j.lat)
-		s.mu.Unlock()
+		j.finish(res, nil, func(lat float64) {
+			s.mu.Lock()
+			s.metrics.Completed++
+			if i > 0 {
+				s.metrics.Batched++
+			}
+			s.metrics.lat.add(lat)
+			s.mu.Unlock()
+		})
 	}
 }
 
@@ -281,11 +282,12 @@ func (s *Service) failUnit(u *unit, cause error) {
 			c.Loc, c.Delivered = copyLoc(u.Loc), u.Delivered.Clone()
 			cp = &c
 		}
-		j.finish(nil, &core.ExecError{Checkpoint: cp, Err: cause})
-		s.mu.Lock()
-		s.metrics.Failed++
-		s.metrics.lat.add(j.lat)
-		s.mu.Unlock()
+		j.finish(nil, &core.ExecError{Checkpoint: cp, Err: cause}, func(lat float64) {
+			s.mu.Lock()
+			s.metrics.Failed++
+			s.metrics.lat.add(lat)
+			s.mu.Unlock()
+		})
 	}
 }
 

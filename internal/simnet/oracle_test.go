@@ -47,7 +47,7 @@ func (run *shardRun) runLinear() error {
 		done := e.performOp(nd)
 		sh.endOp()
 		run.commit()
-		sh.dirty = sh.dirty[:0]
+		sh.dirty, sh.skipped = sh.dirty[:0], sh.skipped[:0]
 		if done {
 			nd.done = true
 			live--

@@ -3,23 +3,23 @@ package simnet
 import (
 	"math"
 	"math/bits"
-	"sync"
 
 	"boolcube/internal/fabric"
 )
 
-// bufPool recycles message payload buffers within one engine. Buffers are
+// bufPool recycles message payload buffers within one shard. Buffers are
 // size-classed by power-of-two capacity, so a recycled buffer satisfies any
-// later request of equal or smaller size without reallocation. The pool is
-// engine-scoped — it lives and dies with one Run — and mutex-guarded,
-// because node programs of different shards allocate and recycle
-// concurrently (the simnet concurrency contract).
+// later request of equal or smaller size without reallocation. Each shard
+// owns one pool for the length of one Run and needs no lock: a shard's nodes
+// only ever run on that shard's worker, and drainAll runs on the coordinator
+// while it is alone — the fact the inbound-queue free list (inQueue) relies
+// on too. Buffers migrate with their messages: a buffer received in shard B
+// is recycled into B's pool, whichever shard allocated it.
 //
 // Buffer identity never influences virtual time, so pooling is invisible to
 // the determinism contract: traces and Stats are bit-identical with or
 // without recycling.
 type bufPool struct {
-	mu    sync.Mutex
 	data  [maxPoolClass][][]float64
 	parts [maxPoolClass][][]fabric.Part
 }
@@ -39,14 +39,11 @@ func classFor(n int) int {
 func (p *bufPool) getData(n int) []float64 {
 	c := classFor(n)
 	if c < maxPoolClass {
-		p.mu.Lock()
 		if l := len(p.data[c]); l > 0 {
 			buf := p.data[c][l-1]
 			p.data[c] = p.data[c][:l-1]
-			p.mu.Unlock()
 			return buf[:n]
 		}
-		p.mu.Unlock()
 		return make([]float64, n, 1<<uint(c))
 	}
 	return make([]float64, n)
@@ -57,22 +54,17 @@ func (p *bufPool) putData(s []float64) {
 	if c < 0 {
 		return
 	}
-	p.mu.Lock()
 	p.data[c] = append(p.data[c], s[:0])
-	p.mu.Unlock()
 }
 
 func (p *bufPool) getParts(n int) []fabric.Part {
 	c := classFor(n)
 	if c < maxPoolClass {
-		p.mu.Lock()
 		if l := len(p.parts[c]); l > 0 {
 			buf := p.parts[c][l-1]
 			p.parts[c] = p.parts[c][:l-1]
-			p.mu.Unlock()
 			return buf[:n]
 		}
-		p.mu.Unlock()
 		return make([]fabric.Part, n, 1<<uint(c))
 	}
 	return make([]fabric.Part, n)
@@ -83,9 +75,7 @@ func (p *bufPool) putParts(s []fabric.Part) {
 	if c < 0 {
 		return
 	}
-	p.mu.Lock()
 	p.parts[c] = append(p.parts[c], s[:0])
-	p.mu.Unlock()
 }
 
 // capClass returns the class a buffer of the given capacity is filed under
@@ -102,39 +92,39 @@ func capClass(c int) int {
 	return cl
 }
 
-// AllocData returns a payload buffer of length n from the engine's pool.
-// The contents are unspecified — callers overwrite every element they send.
-// Ownership follows the message it is packed into: once sent, the receiver
-// owns it (and may Recycle it); a buffer never sent may be recycled by its
-// allocator.
+// AllocData returns a payload buffer of length n from the pool of the node's
+// shard. The contents are unspecified — callers overwrite every element they
+// send. Ownership follows the message it is packed into: once sent, the
+// receiver owns it (and may Recycle it); a buffer never sent may be recycled
+// by its allocator.
 func (nd *Node) AllocData(n int) []float64 {
-	return nd.eng.pool.getData(n)
+	return nd.sh.pool.getData(n)
 }
 
-// AllocParts returns a Parts buffer of length n from the engine's pool,
-// under the same ownership rules as AllocData.
+// AllocParts returns a Parts buffer of length n from the pool of the node's
+// shard, under the same ownership rules as AllocData.
 func (nd *Node) AllocParts(n int) []fabric.Part {
-	return nd.eng.pool.getParts(n)
+	return nd.sh.pool.getParts(n)
 }
 
-// Recycle returns m's buffers (Data and Parts) to the engine's pool. The
-// caller must own the message — normally because it received it — and must
-// not touch the buffers afterwards: the pool hands them to the next
-// allocation, on any node. Retaining a view of m.Data or m.Parts past
+// Recycle returns m's buffers (Data and Parts) to the pool of the node's
+// shard. The caller must own the message — normally because it received it
+// — and must not touch the buffers afterwards: the pool hands them to the
+// next allocation, on any node of the shard. Retaining a view of m.Data or m.Parts past
 // Recycle is the aliasing bug the cubevet poolretain pass flags; copy (or
 // Clone) first. Under SIMNET_DEBUG the recycled payload is poisoned with
 // NaN so a retained alias is loud instead of silently corrupt.
 func (nd *Node) Recycle(m fabric.Msg) {
-	e := nd.eng
+	p := &nd.sh.pool
 	if m.Data != nil {
-		if e.debug {
+		if nd.eng.debug {
 			for i := range m.Data {
 				m.Data[i] = math.NaN()
 			}
 		}
-		e.pool.putData(m.Data)
+		p.putData(m.Data)
 	}
 	if m.Parts != nil {
-		e.pool.putParts(m.Parts)
+		p.putParts(m.Parts)
 	}
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -98,13 +99,15 @@ func TestRecycleDebugPoison(t *testing.T) {
 }
 
 // TestPoolInvisibleToTiming: recycling buffers must not change virtual time
-// or statistics — buffer identity is host-side only.
+// or statistics — buffer identity is host-side only — whether the buffers
+// stay in one shard's pool or cross between four.
 func TestPoolInvisibleToTiming(t *testing.T) {
-	run := func(recycle bool) fabric.Stats {
+	run := func(p int, recycle bool) fabric.Stats {
 		e, err := New(3, machine.IPSC())
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.SetShards(p)
 		err = e.Run(func(nd fabric.Node) {
 			for d := 0; d < nd.Dims(); d++ {
 				nd.Send(d, fabric.Msg{Data: nd.AllocData(32)})
@@ -119,8 +122,54 @@ func TestPoolInvisibleToTiming(t *testing.T) {
 		}
 		return e.Stats()
 	}
-	with, without := run(true), run(false)
-	if with != without {
-		t.Fatalf("recycling changed the run:\n  with:    %+v\n  without: %+v", with, without)
+	want := run(1, false)
+	for _, p := range []int{1, 4} {
+		for _, recycle := range []bool{false, true} {
+			if got := run(p, recycle); got != want {
+				t.Fatalf("P=%d recycle=%v changed the run:\n  got:  %+v\n  want: %+v", p, recycle, got, want)
+			}
+		}
+	}
+}
+
+// TestPoolCrossShardRecycle: at four shards a buffer allocated in one shard
+// and received in another is recycled into the receiving shard's pool, which
+// hands it out to that shard's next allocation. Under -race this also holds
+// the lock-free per-shard pools to the claim that only one goroutine touches
+// each.
+func TestPoolCrossShardRecycle(t *testing.T) {
+	const elems = 16
+	e, err := New(3, machine.IPSC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetShards(4)
+	sent := make([]*float64, e.Nodes())
+	top := e.Dims() - 1
+	err = e.Run(func(fn fabric.Node) {
+		nd := fn.(*Node)
+		buf := nd.AllocData(elems)
+		sent[nd.ID()] = &buf[0]
+		nd.Send(top, fabric.Msg{Data: buf})
+		m := nd.Recv(top)
+		if &m.Data[0] != sent[nd.Neighbor(top)] {
+			nd.Fail(fmt.Errorf("node %d: received a buffer its neighbor did not send", nd.ID()))
+		}
+		nd.Recycle(m)
+		again := nd.AllocData(elems)
+		if &again[0] != &m.Data[0] {
+			nd.Fail(fmt.Errorf("node %d: the recycled buffer was not handed out again by its shard's pool", nd.ID()))
+		}
+		for i := range again {
+			again[i] = float64(i)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, nd := range e.nodes {
+		if nd.sh == e.nodes[i^1<<uint(top)].sh {
+			t.Fatalf("nodes %d and %d share a shard: the exchange did not cross shards", i, i^1<<uint(top))
+		}
 	}
 }

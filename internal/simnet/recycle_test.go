@@ -127,3 +127,40 @@ func TestNodeReleasesPayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestOutboxPresized: an outbox is presized to the directed links leaving
+// its shard, and a 12-cube dimension scan — every link crossing shards
+// carries a message each pass — never grows one past that capacity, because
+// a link carries at most one nonempty send per epoch.
+func TestOutboxPresized(t *testing.T) {
+	for _, p := range []int{2, 4} {
+		e := ideal(t, 12, machine.OnePort)
+		e.SetShards(p)
+		err := e.Run(func(nd fabric.Node) {
+			for rep := 0; rep < 2; rep++ {
+				for d := nd.Dims() - 1; d >= 0; d-- {
+					nd.Recycle(nd.Exchange(d, fabric.Msg{Data: nd.AllocData(4)}))
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaving := map[*shard]int{}
+		for i, nd := range e.nodes {
+			for d := range e.n {
+				if e.nodes[i^1<<uint(d)].sh != nd.sh {
+					leaving[nd.sh]++
+				}
+			}
+		}
+		if len(leaving) != p {
+			t.Fatalf("P=%d: links leave %d shards", p, len(leaving))
+		}
+		for sh, want := range leaving {
+			if got := cap(sh.out); got != want {
+				t.Errorf("P=%d: shard %d outbox capacity %d, want the %d links leaving it", p, sh.id, got, want)
+			}
+		}
+	}
+}

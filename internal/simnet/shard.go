@@ -10,9 +10,20 @@
 // [T, horizon) independently, in shard-local (time, node id) order, because
 // no operation another shard executes in the same window can deliver an
 // arrival inside it. Cross-shard sends are staged in a per-shard outbox and
-// committed to the destination queues at the epoch barrier. A machine with
-// no lookahead (minDur = 0) runs on one shard whose epoch is the single
+// committed to the destination queues at the epoch barrier. The outbox is
+// presized to the links leaving the shard: a nonempty send holds its port
+// for at least minDur, so each link carries at most one per epoch. A machine
+// with no lookahead (minDur = 0) runs on one shard whose epoch is the single
 // globally-minimal operation — plain serial order.
+//
+// A shard owns its nodes' scheduling state outright — ready heap, outbox,
+// inbound-queue free list and payload pool — and takes no lock on any of
+// it: a shard's nodes only ever run on its worker, and the coordinator
+// touches shard state only at barriers, while no worker runs. After
+// an operation the shard re-keys the executing node and, for a send, the
+// destination only when the arrival can move the destination's action time
+// (shard.note); under SIMNET_DEBUG every skipped re-key is checked against a
+// recomputation.
 //
 // Determinism does not depend on the shard count. Queue contents are
 // per-(sender, dimension) FIFO and each directed link has exactly one
@@ -159,10 +170,12 @@ type shard struct {
 	run *shardRun
 	id  int
 
-	heap  *readyHeap
-	out   []staged    // cross-shard arrivals staged this epoch
-	dirty []int32     // intra-shard nodes whose queues grew this epoch
-	free  [][]arrival // drained inbound-queue buffers of this shard's nodes (inQueue)
+	heap    *readyHeap
+	out     []staged    // cross-shard arrivals staged this epoch
+	dirty   []int32     // nodes an arrival may have re-keyed (shard.note)
+	skipped []int32     // SIMNET_DEBUG: arrivals that re-keyed nothing, to check
+	free    [][]arrival // drained inbound-queue buffers of this shard's nodes (inQueue)
+	pool    bufPool     // payload buffers, allocated and recycled by this shard's nodes
 
 	fails []failCand
 
@@ -201,6 +214,13 @@ func (sh *shard) beginOp(nd *Node, t float64) {
 
 func (sh *shard) endOp() { sh.cur = nil }
 
+// span returns the node ids [lo, hi) the shard owns.
+func (sh *shard) span() (lo, hi int) {
+	run := sh.run
+	n := run.e.nodesCount
+	return min(sh.id*run.shardSize, n), min((sh.id+1)*run.shardSize, n)
+}
+
 // deliver routes one arrival from a node of this shard and returns its slot
 // for the sender to fill in place: intra-shard arrivals go straight into the
 // destination queue (the shard loop is a serial engine over its own nodes),
@@ -211,8 +231,45 @@ func (sh *shard) deliver(dest, dim int) *arrival {
 		sh.out = append(sh.out, staged{dest: int32(dest)})
 		return &sh.out[len(sh.out)-1].a
 	}
-	sh.dirty = append(sh.dirty, int32(dest))
-	return run.e.nodes[dest].queues[dim].push(sh)
+	nd := run.e.nodes[dest]
+	sh.note(nd, dim)
+	return nd.queues[dim].push(sh)
+}
+
+// note is called before an arrival is pushed onto the queue for dim of nd,
+// one of this shard's nodes, and files nd for re-keying when the arrival can
+// move its action time: only when the queue is empty, so the arrival becomes
+// its front, and the pending operation reads that queue. In every other case
+// the heap key cannot change; under SIMNET_DEBUG the skip is filed for wake
+// to check.
+func (sh *shard) note(nd *Node, dim int) {
+	k := nd.pending.kind
+	if nd.queues[dim].empty() && (k == opRecvAny || (k == opRecv && nd.pending.dim == dim)) {
+		sh.dirty = append(sh.dirty, int32(nd.id))
+	} else if sh.run.e.debug {
+		sh.skipped = append(sh.skipped, int32(nd.id))
+	}
+}
+
+// wake re-keys the nodes arrivals may have moved since the last wake, then
+// asserts (SIMNET_DEBUG) that every node whose re-key was skipped sits in
+// the heap exactly as refresh would put it.
+func (sh *shard) wake() {
+	for _, d := range sh.dirty {
+		sh.refresh(int(d))
+	}
+	sh.dirty = sh.dirty[:0]
+	e := sh.run.e
+	for _, id := range sh.skipped {
+		nd := e.nodes[id]
+		t, ok := e.actionTime(nd)
+		ok = ok && !nd.done && !nd.crashed
+		if ht, in := sh.heap.key(int(id)); in != ok || (ok && ht != t) {
+			panic(fmt.Sprintf("simnet: debug: node %d skipped a re-key: heap holds (%g, %v), action time is (%g, %v)",
+				id, ht, in, t, ok))
+		}
+	}
+	sh.skipped = sh.skipped[:0]
 }
 
 // refresh re-keys node i in this shard's ready queue after its scheduling
@@ -241,12 +298,11 @@ func (sh *shard) runEpoch() {
 	deadline := e.deadline
 	h := sh.heap
 	for first := true; ; first = false {
-		best := h.min()
+		best, t := h.min()
 		if best == -1 {
 			break
 		}
 		nd := e.nodes[best]
-		t := h.key[best]
 		// Without lookahead the epoch is empty; the one shard then runs its
 		// minimum — the global minimum — alone, which is serial order.
 		if t >= horizon && !(first && run.lookahead == 0) {
@@ -295,10 +351,7 @@ func (sh *shard) runEpoch() {
 		} else {
 			sh.refresh(best)
 		}
-		for _, d := range sh.dirty {
-			sh.refresh(int(d))
-		}
-		sh.dirty = sh.dirty[:0]
+		sh.wake()
 	}
 }
 
@@ -339,7 +392,22 @@ func (e *Engine) newShardRun(p int) *shardRun {
 	for i := range run.shards {
 		sh := &run.shards[i]
 		sh.run, sh.id = run, i
-		sh.heap = newReadyHeap(e.nodesCount)
+		lo, hi := sh.span()
+		sh.heap = newReadyHeap(e.nodesCount, hi-lo)
+		if p > 1 {
+			// Each link carries at most one nonempty send per epoch (see the
+			// package comment), so the links leaving the shard bound its
+			// outbox; empty payloads may still append past it.
+			links := 0
+			for id := lo; id < hi; id++ {
+				for d := range e.n {
+					if j := id ^ 1<<uint(d); j < lo || j >= hi {
+						links++
+					}
+				}
+			}
+			sh.out = make([]staged, 0, links)
+		}
 	}
 	return run
 }
@@ -377,7 +445,7 @@ func (run *shardRun) schedule() error {
 		// Barrier. Close the epoch's accounting, then route staged
 		// cross-shard arrivals — per queue (one sender, one dimension) the
 		// outbox preserves sender program order, so delivery order is the
-		// same for every shard count.
+		// same for every shard count — and re-key the receivers they moved.
 		if err := run.commit(); err != nil {
 			return run.abort(err)
 		}
@@ -394,10 +462,13 @@ func (run *shardRun) schedule() error {
 						st.dest, st.a.fromDim, st.a.at, run.horizon))
 				}
 				dest := e.nodes[st.dest]
+				dest.sh.note(dest, st.a.fromDim)
 				*dest.queues[st.a.fromDim].push(dest.sh) = st.a
-				dest.sh.refresh(int(st.dest))
 			}
 			sh.out = sh.out[:0]
+		}
+		for i := range run.shards {
+			run.shards[i].wake()
 		}
 		for i := range run.shards {
 			live -= run.shards[i].doneCount + run.shards[i].crashCount
@@ -452,12 +523,10 @@ func (run *shardRun) abort(err error) error {
 func (run *shardRun) globalMin() (float64, int) {
 	bestT, best := math.Inf(1), -1
 	for i := range run.shards {
-		h := run.shards[i].heap
-		id := h.min()
+		id, t := run.shards[i].heap.min()
 		if id == -1 {
 			continue
 		}
-		t := h.key[id]
 		if best == -1 || t < bestT || (t == bestT && id < best) {
 			bestT, best = t, id
 		}

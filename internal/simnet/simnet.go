@@ -33,7 +33,7 @@
 // and Parts backing arrays — to the receiver without cloning, so sending
 // transfers ownership. A sender that needs to keep reading a payload after
 // Send must Clone it first. Receivers that are done with a message may
-// return its buffers to the engine's pool with Recycle (see pool.go); the
+// return its buffers to their shard's pool with Recycle (see pool.go); the
 // cubevet poolretain pass flags programs that retain a recycled buffer.
 //
 // Concurrency contract: between a node's timed operations, only that node
@@ -183,8 +183,6 @@ type Engine struct {
 	linkAttempts []int64 // per-link transmission attempts, for Drop decisions
 
 	shards int // SetShards: 0 auto, >= 1 forced worker count, < 0 one worker
-
-	pool bufPool
 
 	faults   fabric.FaultModel
 	retry    fabric.RetryPolicy
@@ -390,7 +388,7 @@ func (e *Engine) start(prog func(fabric.Node), p int) (*shardRun, error) {
 	// Invariant: between epochs every live node is parked in yield with a
 	// pending op.
 	run.eachShard(func(sh *shard) {
-		lo, hi := min(sh.id*run.shardSize, e.nodesCount), min((sh.id+1)*run.shardSize, e.nodesCount)
+		lo, hi := sh.span()
 		for _, nd := range e.nodes[lo:hi] {
 			nd.next()
 		}
