@@ -17,9 +17,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific invariants: simnet node-program captures, shift widths,
-# library error discipline, determinism. See internal/analysis and
-# `go run ./cmd/cubevet -list`.
+# Repo-specific invariants no test observes: shift widths, library error
+# discipline, determinism, mediated goroutine writes. See internal/analysis
+# and `go run ./cmd/cubevet -list`.
 cubevet:
 	$(GO) run ./cmd/cubevet ./...
 

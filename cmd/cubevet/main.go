@@ -1,8 +1,8 @@
 // Cubevet is this repository's static analyzer: it enforces the invariants
-// the compiler cannot see (the simnet concurrency contract, address-width
-// shift bounds, the library error contract, the engine's determinism
-// guarantee, and the pooled-buffer / send-ownership / checkpoint-recovery
-// contracts). See internal/analysis for the passes and
+// the compiler cannot see and no test observes (address-width shift bounds,
+// the library error contract, the engine's determinism guarantee, and
+// mediated writes from goroutines), plus the hygiene of its own
+// suppressions. See internal/analysis for the passes and
 // internal/analysis/flow for the shared dataflow core.
 //
 // Usage:
@@ -17,7 +17,7 @@
 // reported but do not gate. Suppress a finding with a
 // "//cubevet:ignore <pass> -- reason" comment on the same line or the line
 // above it (the reason is mandatory: the ignorereason pass audits bare
-// directives).
+// directives, and directives naming a pass that does not exist).
 package main
 
 import (

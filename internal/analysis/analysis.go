@@ -1,16 +1,13 @@
 // Package analysis is cubevet's engine: a stdlib-only (go/ast + go/parser +
-// go/types, no go/packages) static-analysis framework that enforces this
-// repository's invariants — contracts the compiler cannot see. The shared
-// dataflow machinery (alias fixpoints, closure captures, def-use chains,
-// per-function summaries) lives in the flow subpackage; the passes here are
-// thin rule layers over it.
+// go/types, no go/packages) static-analysis framework that enforces the
+// repository invariants no test observes. The shared machinery (closure
+// captures, per-function summaries) lives in the flow subpackage; the
+// passes here are thin rule layers over it. Contracts a test or runtime
+// check already carries (pooled-buffer retention, send ownership,
+// node-state partitioning, checkpoint recovery) are left to those checks.
 //
-// Nine passes ship with it:
+// Five passes ship with it:
 //
-//   - nodeprog: node-program closures handed to Simulate/SimulateLoads/
-//     (*Engine).Run must only write shared state partitioned by nd.ID()
-//     (the simnet concurrency contract: prologues and epilogues of all
-//     nodes run concurrently).
 //   - shiftwidth: shift counts derived from the address-width vocabulary
 //     (n, p, q, m, ... parameters and .P/.Q/.M fields) must be guarded
 //     below word size before shifting; m = p+q element addresses overflow
@@ -22,21 +19,11 @@
 //     time.Now, no unseeded math/rand, no output emitted from map
 //     iteration order — including nondeterminism reached transitively
 //     through module-internal helpers (the summary index).
-//   - poolretain: node programs must not retain a pooled message buffer
-//     (Msg.Data/Msg.Parts or an alias) past the Recycle call that returns
-//     it to the engine's pool.
-//   - sendown: Send/TrySend/Exchange transfer a message's buffers to the
-//     receiver; the sender must not touch the payload (or an alias of it)
-//     afterwards.
 //   - sharedwrite: goroutines (go statements, exper.Par worker closures)
 //     must not write captured shared state without channel/sync mediation
 //     or a goroutine-local index.
-//   - ckptsafe: checkpointed executors must not drop the recovery
-//     invariants — a post-run failure returns *ExecError with a Stats-
-//     folding Checkpoint, and engine failure constructors drain the node
-//     goroutines before surfacing.
 //   - ignorereason: every //cubevet:ignore suppression must carry a
-//     "-- reason" justification.
+//     "-- reason" justification and name only registered passes.
 //
 // Findings are reported as "file:line: [pass] message". A finding is
 // suppressed by a "//cubevet:ignore <pass> -- reason" comment on the same
@@ -143,15 +130,11 @@ type Pass struct {
 // Passes returns every registered pass in stable order.
 func Passes() []Pass {
 	return []Pass{
-		{Name: "nodeprog", Doc: "node programs must partition shared state by nd.ID()", Severity: SeverityError, Run: runNodeprog},
 		{Name: "shiftwidth", Doc: "shift counts derived from address widths must be guarded < 64", Severity: SeverityError, Run: runShiftwidth},
 		{Name: "liberrors", Doc: "library code must not drop errors or panic on error values", Severity: SeverityError, Run: runLiberrors},
 		{Name: "detbreak", Doc: "simulation paths must stay deterministic, including through helpers", Severity: SeverityError, Run: runDetbreak},
-		{Name: "poolretain", Doc: "node programs must not retain pooled message buffers past Recycle", Severity: SeverityError, Run: runPoolretain},
-		{Name: "sendown", Doc: "Send transfers payload ownership; no use of the buffers after it", Severity: SeverityError, Run: runSendown},
 		{Name: "sharedwrite", Doc: "goroutines must not write captured state without mediation or a local index", Severity: SeverityError, Run: runSharedwrite},
-		{Name: "ckptsafe", Doc: "post-run failures must checkpoint (fold Stats) or drain before surfacing", Severity: SeverityError, Run: runCkptsafe},
-		{Name: "ignorereason", Doc: "cubevet:ignore suppressions must carry a -- reason", Severity: SeverityError, Run: runIgnorereason},
+		{Name: "ignorereason", Doc: "cubevet:ignore suppressions must carry a -- reason and name registered passes", Severity: SeverityError, Run: runIgnorereason},
 	}
 }
 

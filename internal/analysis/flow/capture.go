@@ -94,40 +94,3 @@ func firstRef(c Capture) (p int) {
 	}
 	return p
 }
-
-// Escape is one assignment that stores an alias of a tracked object into
-// state declared outside the set's scope, retaining the tracked storage
-// beyond the scope's lifetime rules.
-type Escape struct {
-	At   ast.Node     // the assignment statement
-	Root types.Object // the tracked seed whose storage escapes
-	Dest types.Object // the outside-scope object it is stored into
-}
-
-// Escapes scans body for assignments whose right-hand side aliases a member
-// of set (per set.RootOf) and whose left-hand side roots in an object
-// declared outside the set's scope, in source order.
-func Escapes(info *types.Info, set *Set, body ast.Node) []Escape {
-	var out []Escape
-	ast.Inspect(body, func(n ast.Node) bool {
-		st, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		assignPairs(st, func(lhs, rhs ast.Expr) {
-			root := set.RootOf(rhs)
-			if root == nil {
-				return
-			}
-			base := BaseIdent(lhs)
-			if base == nil || base.Name == "_" {
-				return
-			}
-			if o := ObjOf(info, base); o != nil && !set.Local(o) {
-				out = append(out, Escape{At: st, Root: root, Dest: o})
-			}
-		})
-		return true
-	})
-	return out
-}

@@ -2,26 +2,16 @@
 // stdlib-only toolkit over go/ast + go/types that the passes share instead
 // of each growing its own ad-hoc walker. It provides
 //
-//   - Span scoping and object resolution helpers,
-//   - an alias/derivation fixpoint (Set) generalized from the original
-//     poolretain pass: seed it with objects of interest and it computes
-//     every local that aliases their backing storage (Aliases mode) or
-//     whose value derives from them (Derived mode),
-//   - closure-capture and escape tracking (Captures, Escapes): which
-//     outside-declared objects a function literal reads and writes, and
-//     which assignments leak a tracked alias into captured state,
-//   - def-use chains (DefUse): every definition and use of every in-scope
-//     object in source order, with rebind classification, and
+//   - Span scoping and object resolution helpers (ObjOf, BaseIdent),
+//   - closure-capture tracking (Captures): which outside-declared objects a
+//     function literal reads and writes, and
 //   - per-function summaries (Index): direct facts plus the static
 //     module-internal call graph, closed transitively by Reaches so passes
 //     can ask intra-module interprocedural questions ("does calling this
 //     helper eventually read the wall clock?") and report the call chain.
 //
 // Everything here is position-based and flow-insensitive within one
-// function body — exact for the straight-line node programs and executor
-// shapes this repository is made of, and documented as approximate for
-// loop-carried aliasing (see the individual passes for their escape
-// hatches).
+// function body.
 package flow
 
 import (
@@ -69,35 +59,5 @@ func BaseIdent(e ast.Expr) *ast.Ident {
 		default:
 			return nil
 		}
-	}
-}
-
-// Mentions reports whether expr references any of the given objects.
-func Mentions(info *types.Info, expr ast.Node, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if o := ObjOf(info, id); o != nil && objs[o] {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// assignPairs visits an assignment's (lhs, rhs) pairs, handling the
-// multi-assign form a, b = f() by reusing the single rhs for every lhs.
-func assignPairs(st *ast.AssignStmt, f func(lhs, rhs ast.Expr)) {
-	for i, lhs := range st.Lhs {
-		rhs := st.Rhs[0]
-		if len(st.Rhs) == len(st.Lhs) {
-			rhs = st.Rhs[i]
-		}
-		f(lhs, rhs)
 	}
 }

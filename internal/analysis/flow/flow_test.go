@@ -40,65 +40,6 @@ func fn(t *testing.T, f *ast.File, name string) *ast.FuncDecl {
 	return nil
 }
 
-// objNamed finds the object of the identifier with the given name defined
-// inside node.
-func objNamed(t *testing.T, info *types.Info, node ast.Node, name string) types.Object {
-	t.Helper()
-	var obj types.Object
-	ast.Inspect(node, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name && obj == nil {
-			if o := info.Defs[id]; o != nil {
-				obj = o
-			}
-		}
-		return true
-	})
-	if obj == nil {
-		t.Fatalf("no object %s", name)
-	}
-	return obj
-}
-
-const aliasSrc = `package x
-type M struct{ Data []float64 }
-func clone(s []float64) []float64 { return append([]float64(nil), s...) }
-func f() []float64 {
-	m := M{}
-	d := m.Data
-	e := d[2:]
-	c := clone(m.Data)
-	_ = e
-	return c
-}`
-
-func TestAliasSetModes(t *testing.T) {
-	_, f, info := load(t, aliasSrc)
-	decl := fn(t, f, "f")
-	scope := NodeSpan(decl)
-	m := objNamed(t, info, decl, "m")
-
-	al := NewSet(info, scope, Aliases)
-	al.Seed(m)
-	al.Solve(decl.Body)
-	for name, want := range map[string]bool{"d": true, "e": true, "c": false} {
-		o := objNamed(t, info, decl, name)
-		if al.Has(o) != want {
-			t.Errorf("Aliases: Has(%s) = %v, want %v", name, al.Has(o), want)
-		}
-		if want && al.Root(o) != m {
-			t.Errorf("Aliases: Root(%s) != m", name)
-		}
-	}
-
-	de := NewSet(info, scope, Derived)
-	de.Seed(m)
-	de.Solve(decl.Body)
-	// Derived mode crosses the call boundary: c derives from m.
-	if c := objNamed(t, info, decl, "c"); !de.Has(c) {
-		t.Error("Derived: c should derive from m through clone(m.Data)")
-	}
-}
-
 const captureSrc = `package x
 func g() {
 	shared := 0
@@ -142,70 +83,6 @@ func TestCaptures(t *testing.T) {
 	}
 	if _, ok := got["i"]; ok {
 		t.Error("parameter i must not be reported as captured")
-	}
-}
-
-const escapeSrc = `package x
-type M struct{ Data []float64 }
-func h() {
-	var keep []float64
-	m := M{}
-	d := m.Data
-	keep = d
-	_ = keep
-}`
-
-func TestEscapes(t *testing.T) {
-	_, f, info := load(t, escapeSrc)
-	decl := fn(t, f, "h")
-	// Scope the set to the statements after keep's declaration, so keep is
-	// outside-scope and the store into it is an escape.
-	stmts := decl.Body.List[1:]
-	scope := Span{stmts[0].Pos(), decl.Body.End()}
-	set := NewSet(info, scope, Aliases)
-	set.Seed(objNamed(t, info, decl, "m"))
-	set.Solve(decl.Body)
-	esc := Escapes(info, set, decl.Body)
-	if len(esc) != 1 {
-		t.Fatalf("want 1 escape, got %d", len(esc))
-	}
-	if esc[0].Dest.Name() != "keep" || esc[0].Root.Name() != "m" {
-		t.Errorf("escape = root %s into %s, want m into keep", esc[0].Root.Name(), esc[0].Dest.Name())
-	}
-}
-
-const defuseSrc = `package x
-type M struct{ Data []float64 }
-func recv() M { return M{} }
-func k() {
-	m := recv()
-	_ = m.Data
-	m = recv()
-	_ = m.Data
-}`
-
-func TestDefUse(t *testing.T) {
-	_, f, info := load(t, defuseSrc)
-	decl := fn(t, f, "k")
-	du := CollectDefUse(info, NodeSpan(decl), decl.Body)
-	m := objNamed(t, info, decl, "m")
-	refs := du.Refs(m)
-	if len(refs) != 4 {
-		t.Fatalf("want 4 refs to m, got %d", len(refs))
-	}
-	wantDefs := []bool{true, false, true, false}
-	for i, r := range refs {
-		if r.IsDef != wantDefs[i] {
-			t.Errorf("ref %d: IsDef = %v, want %v", i, r.IsDef, wantDefs[i])
-		}
-	}
-	// Uses strictly after the first def: the two selector uses.
-	if uses := du.UsesAfter(m, refs[0].Ident.Pos()); len(uses) != 2 {
-		t.Errorf("UsesAfter(first def) = %d uses, want 2", len(uses))
-	}
-	// A def (the rebind) sits between the first use and the last use.
-	if !du.DefBetween(m, refs[1].Ident.Pos(), refs[3].Ident.Pos(), nil) {
-		t.Error("DefBetween missed the rebind")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // finding builds a Finding at the given node.
@@ -137,77 +136,10 @@ func terminatesEarly(stmts []ast.Stmt) bool {
 	return false
 }
 
-// nodeMethods are the ownership-transfer operations whose joint presence in
-// a type's method set marks it as a node handle. The fabric.Node interface
-// and every concrete backend node (*simnet.Node, *livenet.Node) carry all
-// three.
-var nodeMethods = []string{"Send", "Recv", "Exchange"}
-
-// isNodeType reports whether t is a node handle: a named type (or pointer
-// to one) called Node, or any type whose method set carries the
-// ownership-transfer trio Send/Recv/Exchange — so programs written against
-// the backend-neutral fabric.Node interface fall under the same contracts
-// as ones holding a concrete backend node.
-func isNodeType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	elem := t
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		elem = ptr.Elem()
-	}
-	if named, ok := elem.(*types.Named); ok && named.Obj().Name() == "Node" {
-		return true
-	}
-	ms := types.NewMethodSet(t)
-	found := 0
-	for i := 0; i < ms.Len(); i++ {
-		for _, want := range nodeMethods {
-			if ms.At(i).Obj().Name() == want {
-				found++
-			}
-		}
-	}
-	return found == len(nodeMethods)
-}
-
-// isNodeParamType reports whether a parameter's type expression denotes a
-// node handle, preferring type information (the method-set match, so
-// interfaces qualify) and falling back to the syntactic shapes *Node,
-// pkg.Node and Node when the file does not type-check.
-func (p *Package) isNodeParamType(te ast.Expr) bool {
-	if tv, ok := p.Info.Types[te]; ok && tv.Type != nil {
-		return isNodeType(tv.Type)
-	}
-	e := te
-	if star, ok := e.(*ast.StarExpr); ok {
-		e = star.X
-	}
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name == "Node"
-	case *ast.SelectorExpr:
-		return t.Sel.Name == "Node"
-	}
-	return false
-}
-
 // errorType is the predeclared error interface.
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 // isErrorType reports whether t is (or implements) error.
 func isErrorType(t types.Type) bool {
 	return t != nil && types.Implements(t, errorType)
-}
-
-// sortedObjects returns the keys of an alias-set result ordered by
-// declaration position, so passes iterating it emit findings
-// deterministically instead of in map order.
-func sortedObjects(set map[types.Object]types.Object) []types.Object {
-	out := make([]types.Object, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
 }

@@ -46,7 +46,7 @@ func Recover(cp *Checkpoint, xo ExecOptions) (*Result, error) {
 	}
 	asg, err := remap.Plan(cp.Plan.NDims(), dead, active)
 	if err != nil {
-		return nil, err //cubevet:ignore ckptsafe -- pre-flight: no engine ran, the checkpoint is unchanged and still resumable
+		return nil, err // pre-flight: no engine ran, the checkpoint is unchanged and still resumable
 	}
 	return resumeMapped(cp, xo, asg.Phys)
 }

@@ -18,9 +18,11 @@
 // The ownership and concurrency contracts documented on Msg, Node.Send and
 // Node.Recycle are part of this interface, not simnet implementation
 // detail: every backend transfers message buffers on send and runs node
-// prologues/epilogues concurrently, and the cubevet passes (sendown,
-// poolretain, nodeprog) enforce the contracts against any node-shaped
-// handle.
+// prologues/epilogues concurrently. The contracts are checked at run time:
+// block audits (Checksum, AuditError) catch a payload touched after Send,
+// simnet's SIMNET_DEBUG pool poisons recycled buffers with NaN, and the
+// race detector over the livenet backend catches unpartitioned shared
+// writes.
 package fabric
 
 import (
@@ -207,8 +209,8 @@ func (l LinkLoad) To() uint64 { return l.From ^ 1<<uint(l.Dim) }
 // Run, on the node's own goroutine. The ownership contract is uniform
 // across backends: Send/TrySend/Exchange transfer the message's buffers to
 // the receiver, Recycle returns a received message's buffers to the
-// backend's pool, and neither may be touched afterwards (the cubevet
-// sendown and poolretain passes enforce this for any node-shaped handle).
+// backend's pool, and neither may be touched afterwards (block audits and
+// simnet's SIMNET_DEBUG NaN poison catch a violation at run time).
 type Node interface {
 	// ID returns the node's cube address.
 	ID() uint64

@@ -180,5 +180,5 @@ func (e *Engine) firedCrashError() error {
 	if len(dead) == 0 {
 		return nil
 	}
-	return e.nodeDownError(dead, e.elapsed) //cubevet:ignore ckptsafe -- called after wg.Wait: every node goroutine has already unwound
+	return e.nodeDownError(dead, e.elapsed) // called after wg.Wait: every node goroutine has already unwound
 }

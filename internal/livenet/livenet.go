@@ -382,7 +382,7 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 	// A kill can fire without wedging anyone (the survivors' programs never
 	// needed the dead node again); the run still did not complete — the
 	// dead node's own program is unfinished.
-	return e.firedCrashError() //cubevet:ignore ckptsafe -- past wg.Wait: every node goroutine has already unwound
+	return e.firedCrashError() // past wg.Wait: every node goroutine has already unwound
 }
 
 // watchdog enforces the wall-clock deadline and detects stalls. It samples

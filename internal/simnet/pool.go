@@ -110,10 +110,10 @@ func (nd *Node) AllocParts(n int) []fabric.Part {
 // Recycle returns m's buffers (Data and Parts) to the pool of the node's
 // shard. The caller must own the message — normally because it received it
 // — and must not touch the buffers afterwards: the pool hands them to the
-// next allocation, on any node of the shard. Retaining a view of m.Data or m.Parts past
-// Recycle is the aliasing bug the cubevet poolretain pass flags; copy (or
-// Clone) first. Under SIMNET_DEBUG the recycled payload is poisoned with
-// NaN so a retained alias is loud instead of silently corrupt.
+// next allocation, on any node of the shard. Retaining a view of m.Data or
+// m.Parts past Recycle is an aliasing bug; copy (or Clone) first. Under
+// SIMNET_DEBUG the recycled payload is poisoned with NaN so a retained alias
+// is loud instead of silently corrupt.
 func (nd *Node) Recycle(m fabric.Msg) {
 	p := &nd.sh.pool
 	if m.Data != nil {

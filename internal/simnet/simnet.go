@@ -33,8 +33,9 @@
 // and Parts backing arrays — to the receiver without cloning, so sending
 // transfers ownership. A sender that needs to keep reading a payload after
 // Send must Clone it first. Receivers that are done with a message may
-// return its buffers to their shard's pool with Recycle (see pool.go); the
-// cubevet poolretain pass flags programs that retain a recycled buffer.
+// return its buffers to their shard's pool with Recycle (see pool.go);
+// under SIMNET_DEBUG a recycled buffer is poisoned with NaN, so a program
+// that retains one fails loudly.
 //
 // Concurrency contract: between a node's timed operations, only that node
 // runs — but all node prologues (before the first timed operation) and

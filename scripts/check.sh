@@ -76,9 +76,11 @@ awk '
 # run on every repetition (plan-cache state must not leak into recovery).
 # Link-fault resume, crash recovery and service rounds share one executor
 # (core.RunTransfers), so the crash-recovery scenarios ride the same step,
-# and so do the two that interrupt a three-phase conversion plan.
+# and so do the two that interrupt a three-phase conversion plan. The
+# deadline sweep cuts every registry row at every operation end of its clean
+# run and checks each checkpoint's delivery record against the clean result.
 echo "==> go test -run resume scenarios -count=2"
-go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestConversionResumeAfterPhase2LinkKill|TestConversionRecoverAfterPhase2Crash' -count=2 .
+go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestConversionResumeAfterPhase2LinkKill|TestConversionRecoverAfterPhase2Crash|TestCheckpointAtEveryDeadline' -count=2 . ./internal/core/
 
 # Faulted soak: combined permanent + flaky faults on an 8-cube, replayed
 # for determinism (part of the non-short suite; run explicitly here).
