@@ -374,6 +374,12 @@ var (
 	ErrAudit = fabric.ErrAudit
 	// ErrNodeDown marks crash-stopped node failures.
 	ErrNodeDown = fabric.ErrNodeDown
+	// ErrLinkDown marks a send over a link that is down and will not
+	// recover (or stayed down past the retry budget).
+	ErrLinkDown = fabric.ErrLinkDown
+	// ErrRetryBudget marks a send whose every attempt within the retry
+	// budget was dropped by a flaky link.
+	ErrRetryBudget = fabric.ErrRetryBudget
 )
 
 // Resume finishes a checkpointed execution: local residuals replay
@@ -506,7 +512,7 @@ const (
 // last phase is no span of the composed move-set. The exchange phases have
 // no alternative routes, so Options.Failover does not apply and a
 // permanently down link on a dimension they scan is refused pre-flight with
-// an *InfeasibleError (errors.Is(err, fabric.ErrLinkDown) holds).
+// an *InfeasibleError (errors.Is(err, ErrLinkDown) holds).
 func ConvertConsecutiveToCyclic(d *Dist, alg ConvertAlgorithm, opt Options) (*Result, error) {
 	return core.ConvertConsecutiveToCyclic(d, alg, opt.core())
 }

@@ -125,8 +125,8 @@ func AllToSomePersonalized(n, k int, mach Machine, strat Strategy, block func(sr
 }
 
 // splitPersonalized runs a k-split operation (comm.SomeToAll or
-// comm.AllToSome, in Theorem 1's optimal order) on a fresh n-cube; k = 0 is
-// the plain all-to-all exchange.
+// comm.AllToSome, in Theorem 1's optimal order) on a fresh n-cube; k = 0
+// leaves no split dimension, so either is the plain all-to-all exchange.
 func splitPersonalized(n, k int, mach Machine, strat Strategy, block func(src, dst uint64) []float64,
 	op func(fabric.Fabric, []int, []int, comm.Strategy, bool, func(src, dst uint64) []float64) ([]map[uint64][]float64, error)) (*CommResult, error) {
 	if k < 0 || k > n {
@@ -137,12 +137,7 @@ func splitPersonalized(n, k int, mach Machine, strat Strategy, block func(src, d
 		return nil, err
 	}
 	splitDims, exchDims := comm.SplitDims(n, k)
-	var recv []map[uint64][]float64
-	if k == 0 {
-		recv, err = comm.AllToAllExchange(e, exchDims, strat, block)
-	} else {
-		recv, err = op(e, splitDims, exchDims, strat, true, block)
-	}
+	recv, err := op(e, splitDims, exchDims, strat, true, block)
 	if err != nil {
 		return nil, err
 	}

@@ -482,29 +482,9 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 // block per (src, dst) pair. block(src, dst) supplies the payload for every
 // ordered pair of nodes that agree on all dimensions outside dims
 // (including dst == src). result[x] maps each subcube source to the data x
-// received from it.
+// received from it. It is SomeToAll with no split dimensions.
 func AllToAllExchange(e fabric.Fabric, dims []int, strat Strategy, block func(src, dst uint64) []float64) ([]map[uint64][]float64, error) {
-	if err := checkDims(e, dims); err != nil {
-		return nil, err
-	}
-	result := make([]map[uint64][]float64, e.Nodes())
-	err := e.Run(func(nd fabric.Node) {
-		id := nd.ID()
-		blocks := make([]Block, 0, 1<<uint(len(dims)))
-		for _, dst := range subcube(id, dims) {
-			blocks = append(blocks, Block{Src: id, Dst: dst, Data: block(id, dst)})
-		}
-		got := ExchangeBlocks(nd, dims, strat, blocks)
-		out := make(map[uint64][]float64, len(got))
-		for _, b := range got {
-			out[b.Src] = b.Data
-		}
-		result[id] = out
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result, nil
+	return SomeToAll(e, nil, dims, strat, true, block)
 }
 
 // DescendingDims returns [n-1, n-2, ..., 0], the paper's default scan order.

@@ -140,6 +140,7 @@ func SomeToAll(e fabric.Fabric, splitDims, exchDims []int, strat Strategy, split
 		id := nd.ID()
 		var held []Block
 		if zeroOn(id, splitDims) { // I am a source
+			held = make([]Block, 0, 1<<uint(len(splitDims)+len(exchDims)))
 			for _, dk := range subcube(id, splitDims) {
 				for _, dst := range subcube(dk, exchDims) {
 					held = append(held, Block{Src: id, Dst: dst, Data: block(id, dst)})

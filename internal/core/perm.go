@@ -12,12 +12,14 @@ import (
 // This file implements Section 7: using the general exchange algorithm for
 // permutations other than the transpose — the bit-reversal permutation and
 // arbitrary dimension permutations realized by at most ceil(log2 n)
-// parallel swappings (Lemma 15).
+// parallel swappings (Lemma 15). Every exchange step sends what crosses a
+// dimension as one message and charges no local copy (comm.SingleMessage):
+// Section 7 counts communication steps, not the §8.1 packaging trade-offs.
 
 // PermuteNodes moves each node's payload to perm(node) with the general
 // exchange algorithm over the given dimension order. perm must be a
 // permutation of the node set.
-func PermuteNodes(e fabric.Fabric, perm func(uint64) uint64, dims []int, strat comm.Strategy, data [][]float64) ([][]float64, error) {
+func PermuteNodes(e fabric.Fabric, perm func(uint64) uint64, dims []int, data [][]float64) ([][]float64, error) {
 	N := uint64(e.Nodes())
 	if err := checkNodePerm(N, perm, data); err != nil {
 		return nil, err
@@ -26,7 +28,7 @@ func PermuteNodes(e fabric.Fabric, perm func(uint64) uint64, dims []int, strat c
 	err := e.Run(func(nd fabric.Node) {
 		id := nd.ID()
 		blocks := []comm.Block{{Src: id, Dst: perm(id), Data: data[id]}}
-		got := comm.ExchangeBlocks(nd, dims, strat, blocks)
+		got := comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
 		for _, b := range got {
 			out[id] = append(out[id], b.Data...)
 		}
@@ -69,11 +71,11 @@ func BitReversalDims(n int) []int {
 
 // BitReversal applies the bit-reversal permutation to per-node payloads via
 // the general exchange algorithm.
-func BitReversal(e fabric.Fabric, strat comm.Strategy, data [][]float64) ([][]float64, error) {
+func BitReversal(e fabric.Fabric, data [][]float64) ([][]float64, error) {
 	n := e.Dims()
 	return PermuteNodes(e, func(x uint64) uint64 {
 		return bits.Reverse(x, n)
-	}, BitReversalDims(n), strat, data)
+	}, BitReversalDims(n), data)
 }
 
 // ApplyDimPerm returns the address obtained by moving the content of
@@ -165,7 +167,7 @@ func DimPermSteps(pi []int) ([][][2]int, error) {
 // under direct dimension-order routing. The paper's condition is a payload
 // of at least N elements per node; smaller payloads still work here (pieces
 // just come out unevenly sized).
-func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, strat comm.Strategy, data [][]float64) ([][]float64, error) {
+func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, data [][]float64) ([][]float64, error) {
 	N := uint64(e.Nodes())
 	if err := checkNodePerm(N, perm, data); err != nil {
 		return nil, err
@@ -180,7 +182,7 @@ func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, strat comm.Strat
 			off, sz := plan.ShareRange(len(data[id]), int(N), int(j))
 			blocks = append(blocks, comm.Block{Src: id, Dst: j, Data: data[id][off : off+sz]})
 		}
-		got := comm.ExchangeBlocks(nd, dims, strat, blocks)
+		got := comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
 		// Round 2: forward each piece to the final destination of its
 		// original owner. The piece index at the destination is this
 		// node's id, carried implicitly as the round-2 source.
@@ -188,7 +190,7 @@ func PermuteTwoPhase(e fabric.Fabric, perm func(uint64) uint64, strat comm.Strat
 		for _, b := range got {
 			blocks = append(blocks, comm.Block{Src: id, Dst: perm(b.Src), Data: b.Data})
 		}
-		final := comm.ExchangeBlocks(nd, dims, strat, blocks)
+		final := comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
 		// Reassemble pieces in intermediate order (round-2 Src ascending —
 		// ExchangeBlocks returns blocks sorted by Src).
 		var payload []float64
@@ -223,7 +225,7 @@ func swapAddr(x uint64, step [][2]int, n int) uint64 {
 // at most ceil(log2 n) parallel swappings, all inside one simulated run so
 // that step times accumulate. Each step routes data between nodes whose
 // addresses differ in the swapped bit pairs.
-func PermuteDims(e fabric.Fabric, pi []int, strat comm.Strategy, data [][]float64) ([][]float64, error) {
+func PermuteDims(e fabric.Fabric, pi []int, data [][]float64) ([][]float64, error) {
 	n := e.Dims()
 	if len(pi) != n {
 		return nil, fmt.Errorf("core: permutation over %d dims on an %d-cube", len(pi), n)
@@ -249,7 +251,7 @@ func PermuteDims(e fabric.Fabric, pi []int, strat comm.Strategy, data [][]float6
 					dims = append(dims, pr[1])
 				}
 			}
-			got := comm.ExchangeBlocks(nd, dims, strat,
+			got := comm.ExchangeBlocks(nd, dims, comm.SingleMessage,
 				[]comm.Block{{Src: id, Dst: swapAddr(id, step, n), Data: payload}})
 			payload = nil
 			for _, b := range got {

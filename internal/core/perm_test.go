@@ -32,7 +32,7 @@ func TestBitReversal(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5} {
 		e := permEngine(t, n)
 		N := e.Nodes()
-		got, err := BitReversal(e, comm.SingleMessage, nodePayloads(N))
+		got, err := BitReversal(e, nodePayloads(N))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestBitReversalDims(t *testing.T) {
 func TestPermuteNodesRejectsNonPermutation(t *testing.T) {
 	e := permEngine(t, 2)
 	_, err := PermuteNodes(e, func(x uint64) uint64 { return 0 },
-		comm.DescendingDims(2), comm.SingleMessage, nodePayloads(4))
+		comm.DescendingDims(2), nodePayloads(4))
 	if err == nil {
 		t.Error("constant map accepted as permutation")
 	}
@@ -149,7 +149,7 @@ func TestPermuteDimsData(t *testing.T) {
 			pi := rng.Perm(n)
 			e := permEngine(t, n)
 			N := e.Nodes()
-			got, err := PermuteDims(e, pi, comm.SingleMessage, nodePayloads(N))
+			got, err := PermuteDims(e, pi, nodePayloads(N))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestPermuteDimsShuffle(t *testing.T) {
 		pi[p] = (p + k) % n
 	}
 	e := permEngine(t, n)
-	got, err := PermuteDims(e, pi, comm.SingleMessage, nodePayloads(e.Nodes()))
+	got, err := PermuteDims(e, pi, nodePayloads(e.Nodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +187,13 @@ func TestPermuteDimsShuffle(t *testing.T) {
 
 func TestPermuteDimsRejectsBadInput(t *testing.T) {
 	e := permEngine(t, 3)
-	if _, err := PermuteDims(e, []int{0, 1}, comm.SingleMessage, nodePayloads(8)); err == nil {
+	if _, err := PermuteDims(e, []int{0, 1}, nodePayloads(8)); err == nil {
 		t.Error("wrong-length permutation accepted")
 	}
-	if _, err := PermuteDims(e, []int{0, 0, 1}, comm.SingleMessage, nodePayloads(8)); err == nil {
+	if _, err := PermuteDims(e, []int{0, 0, 1}, nodePayloads(8)); err == nil {
 		t.Error("non-permutation accepted")
 	}
-	if _, err := PermuteDims(e, []int{0, 1, 2}, comm.SingleMessage, nodePayloads(4)); err == nil {
+	if _, err := PermuteDims(e, []int{0, 1, 2}, nodePayloads(4)); err == nil {
 		t.Error("wrong payload count accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestPermuteTwoPhase(t *testing.T) {
 				data[i][j] = float64(i*N + j)
 			}
 		}
-		got, err := PermuteTwoPhase(e, perm, comm.SingleMessage, data)
+		got, err := PermuteTwoPhase(e, perm, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestPermuteTwoPhaseSmallPayload(t *testing.T) {
 	// Payloads below N elements still deliver correctly.
 	e := permEngine(t, 3)
 	perm := func(x uint64) uint64 { return x ^ 7 } // complement permutation
-	got, err := PermuteTwoPhase(e, perm, comm.SingleMessage, nodePayloads(8))
+	got, err := PermuteTwoPhase(e, perm, nodePayloads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPermuteTwoPhaseSmallPayload(t *testing.T) {
 func TestPermuteTwoPhaseRejectsNonPermutation(t *testing.T) {
 	e := permEngine(t, 2)
 	if _, err := PermuteTwoPhase(e, func(x uint64) uint64 { return 0 },
-		comm.SingleMessage, nodePayloads(4)); err == nil {
+		nodePayloads(4)); err == nil {
 		t.Error("constant map accepted")
 	}
 }
@@ -291,7 +291,7 @@ func TestPermuteTwoPhaseBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PermuteTwoPhase(eTwo, perm, comm.SingleMessage, mkData()); err != nil {
+	if _, err := PermuteTwoPhase(eTwo, perm, mkData()); err != nil {
 		t.Fatal(err)
 	}
 	direct := eDirect.Stats().MaxLinkBytes

@@ -32,7 +32,11 @@ func Resume(cp *Checkpoint, xo ExecOptions) (*Result, error) {
 // resumeMapped is Resume over a relabeled physical embedding: phys maps
 // each logical node to the live physical node hosting it (nil means
 // identity). It is RunTransfers over the checkpoint's residual spans; phys
-// only decides where the transport injects and ejects them.
+// only decides where the transport injects and ejects them. A spare
+// substitution leaves the rest of the cube in place, so the e-cube route
+// between two live hosts may still cross a dead node: the failover pass
+// moves such a span off, because the post-failure fault view reports every
+// link of a crashed node as permanently down.
 func resumeMapped(cp *Checkpoint, xo ExecOptions, phys func(uint64) uint64) (*Result, error) {
 	p := cp.Plan
 	if xo.Faults == nil && cp.Opts.Faults != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"boolcube/internal/bits"
-	"boolcube/internal/comm"
 	"boolcube/internal/core"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
@@ -61,7 +60,7 @@ func sec7Perm() (*Table, error) {
 			}
 			d := matrix.Scatter(m, before)
 			perm := func(x uint64) uint64 { return bits.RotL(x, n/2, n) }
-			_, err = core.PermuteTwoPhase(e, perm, comm.SingleMessage, d.Local)
+			_, err = core.PermuteTwoPhase(e, perm, d.Local)
 			if err != nil {
 				return nil, err
 			}

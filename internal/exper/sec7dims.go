@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"boolcube/internal/comm"
 	"boolcube/internal/core"
 	"boolcube/internal/machine"
 	"boolcube/internal/router"
@@ -49,7 +48,7 @@ func sec7Dims() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := core.PermuteDims(eSwap, pi, comm.SingleMessage, payloads()); err != nil {
+			if _, err := core.PermuteDims(eSwap, pi, payloads()); err != nil {
 				return nil, err
 			}
 
@@ -57,7 +56,7 @@ func sec7Dims() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := core.PermuteTwoPhase(eTwo, perm, comm.SingleMessage, payloads()); err != nil {
+			if _, err := core.PermuteTwoPhase(eTwo, perm, payloads()); err != nil {
 				return nil, err
 			}
 

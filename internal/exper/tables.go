@@ -118,12 +118,7 @@ func simulateSomeToAll(totalBytes, k, l int, mach machine.Params) (float64, erro
 		elems = 1
 	}
 	block := func(src, dst uint64) []float64 { return make([]float64, elems) }
-	if k == 0 {
-		_, err = comm.AllToAllExchange(e, exchDims, comm.SingleMessage, block)
-	} else {
-		_, err = comm.SomeToAll(e, splitDims, exchDims, comm.SingleMessage, true, block)
-	}
-	if err != nil {
+	if _, err := comm.SomeToAll(e, splitDims, exchDims, comm.SingleMessage, true, block); err != nil {
 		return 0, err
 	}
 	return e.Stats().Time, nil

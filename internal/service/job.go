@@ -30,7 +30,7 @@ type JobSpec struct {
 	// same shape and algorithm are batched into one execution.
 	Src *matrix.Dist
 	// Priority orders round admission: higher runs earlier. Waiting jobs
-	// age (Config.Aging per round skipped), so low priorities cannot starve.
+	// age (one priority step per round skipped), so low priorities cannot starve.
 	Priority int
 	// Deadline, when positive, is the job's execution budget in µs on the
 	// backend's clock (virtual time on simnet, wall time on livenet),
@@ -95,7 +95,7 @@ type Job struct {
 	plan *plan.Plan
 	seq  int64
 	// waited counts the rounds formed while this job sat in the queue; the
-	// scheduler adds Config.Aging per round to the job's effective
+	// scheduler adds aging per round to the job's effective
 	// priority, which is what bounds every admitted job's wait.
 	waited    int
 	submitted time.Time

@@ -65,16 +65,9 @@ type Config struct {
 	// accumulate into batches. Default 0 (form rounds immediately; jobs
 	// arriving while a round executes still batch naturally).
 	AdmitWindow time.Duration
-	// Aging is the effective-priority boost a queued job gains per round
-	// it waits, bounding every job's wait under adversarial priorities.
-	// Default 1.
-	Aging int
 	// MaxAttempts bounds a job's executions: the initial round plus the
 	// automatic residual resumes after shared-round aborts. Default 3.
 	MaxAttempts int
-	// Packets is the pipelining grain for the service's direct flows (0 =
-	// one packet per transfer; flow plans keep their compiled grain).
-	Packets int
 	// DisableBatch turns identical-request batching off — every job
 	// becomes its own execution unit. The batching benchmarks use this as
 	// the control arm.
@@ -105,6 +98,14 @@ type Config struct {
 	QuarantineAfter int
 }
 
+// aging is the effective-priority boost a queued job gains per round it
+// waits, bounding every job's wait under adversarial priorities: every
+// queued rival ages at the same rate, so a rival's lead over a waiting job
+// never grows, and with gap the highest submitted priority minus its own,
+// only rivals arriving within the first gap/aging rounds of its wait can
+// ever outrank it.
+const aging = 1
+
 // withDefaults fills the zero-valued knobs.
 func (c Config) withDefaults() Config {
 	if c.Machine.Name == "" {
@@ -115,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRound <= 0 {
 		c.MaxRound = 32
-	}
-	if c.Aging <= 0 {
-		c.Aging = 1
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -268,9 +266,9 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	if spec.Deadline < 0 || spec.Deadline != spec.Deadline {
 		return nil, &SpecError{Field: "deadline", Value: fmt.Sprintf("%g", spec.Deadline)}
 	}
-	p, err := plan.Default.Compile(spec.Alg, spec.Before, spec.After, plan.Config{
-		Machine: s.cfg.Machine, Packets: s.cfg.Packets,
-	})
+	// Jobs compile at the default grain: direct flows travel as one packet
+	// per transfer, flow plans keep their compiled packetization.
+	p, err := plan.Default.Compile(spec.Alg, spec.Before, spec.After, plan.Config{Machine: s.cfg.Machine})
 	if err != nil {
 		return nil, &SpecError{Field: "alg", Value: spec.Alg.String(), Err: err}
 	}
@@ -367,7 +365,7 @@ func (s *Service) formRoundLocked() []*unit {
 	if free < 1 {
 		return units
 	}
-	selected, rest := pickJobs(s.pending, free, s.cfg.Aging)
+	selected, rest := pickJobs(s.pending, free, aging)
 	s.pending = rest
 	return append(units, groupUnits(selected, !s.cfg.DisableBatch)...)
 }

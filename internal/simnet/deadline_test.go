@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"boolcube/internal/fabric"
@@ -70,14 +69,6 @@ func TestDeadlineBoundaryIsInclusive(t *testing.T) {
 	}
 	if st := e.Stats(); st.Time != 2 {
 		t.Fatalf("makespan = %v, want 2", st.Time)
-	}
-}
-
-func TestDeadlineDisabledByNonPositive(t *testing.T) {
-	e := ideal(t, 1, machine.OnePort)
-	e.SetDeadline(-1)
-	if d := e.Deadline(); !math.IsInf(d, 1) {
-		t.Fatalf("Deadline() = %v after SetDeadline(-1), want +Inf", d)
 	}
 }
 

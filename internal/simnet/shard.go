@@ -34,7 +34,10 @@
 // (differential_test.go) pins P ∈ {1, 2, 4, GOMAXPROCS} to byte-identical
 // traces, Stats, link loads and errors against a linear-scan oracle.
 //
-// Two accounting modes keep Stats and traces exact:
+// Two accounting modes keep Stats and traces exact. Record mode alone
+// would do, but its per-operation commit records and barrier sort cost host
+// time on every run; fast mode skips them where nothing needs the canonical
+// order, and the differential suite holds the two to the same results.
 //
 //   - Fast mode (no tracer, no faults, no deadline): statistics are either
 //     order-invariant (integer counters, maxima) or per-node (copy time),

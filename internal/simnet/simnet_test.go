@@ -18,20 +18,6 @@ func ideal(t *testing.T, n int, ports machine.PortModel) *Engine {
 	return e
 }
 
-func TestNewRejectsBadDims(t *testing.T) {
-	if _, err := New(-1, machine.Ideal(machine.OnePort)); err == nil {
-		t.Error("negative dims accepted")
-	}
-	if _, err := New(21, machine.Ideal(machine.OnePort)); err == nil {
-		t.Error("oversized dims accepted")
-	}
-	bad := machine.Ideal(machine.OnePort)
-	bad.Tau = -5
-	if _, err := New(3, bad); err == nil {
-		t.Error("invalid machine accepted")
-	}
-}
-
 func TestSingleExchange(t *testing.T) {
 	e := ideal(t, 1, machine.OnePort)
 	var got [2]float64
@@ -222,33 +208,6 @@ func TestPartialDeadlockDetected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
-	}
-}
-
-func TestProgramPanicReported(t *testing.T) {
-	e := ideal(t, 2, machine.OnePort)
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 3 {
-			panic("boom")
-		}
-		if nd.ID() == 0 {
-			nd.Recv(1) // would deadlock; panic must be reported instead
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("want panic error, got %v", err)
-	}
-}
-
-func TestBadDimensionPanicsAsError(t *testing.T) {
-	e := ideal(t, 2, machine.OnePort)
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 0 {
-			nd.Send(5, fabric.Msg{})
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "dimension") {
-		t.Fatalf("want dimension error, got %v", err)
 	}
 }
 

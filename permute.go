@@ -23,7 +23,7 @@ func BitReversal(n int, mach Machine, data [][]float64) (*PermResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.BitReversal(e, SingleMessage, data)
+	out, err := core.BitReversal(e, data)
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +38,7 @@ func PermuteDims(n int, pi []int, mach Machine, data [][]float64) (*PermResult, 
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.PermuteDims(e, pi, SingleMessage, data)
+	out, err := core.PermuteDims(e, pi, data)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +64,7 @@ func PermuteTwoPhase(n int, perm func(uint64) uint64, mach Machine, data [][]flo
 	if err != nil {
 		return nil, err
 	}
-	out, err := core.PermuteTwoPhase(e, perm, SingleMessage, data)
+	out, err := core.PermuteTwoPhase(e, perm, data)
 	if err != nil {
 		return nil, err
 	}

@@ -111,10 +111,16 @@ echo "==> go test -run TestBackendParity -short (backend parity smoke)"
 go test -run 'TestBackendParity' -short -count=1 .
 
 # -short skips the exper figure sweeps, which exceed the per-package test
-# timeout under the race detector; they exercise no concurrency the short
-# suite doesn't. `make race` runs the full sweep with a raised timeout.
+# timeout under the race detector. `make race` runs the full sweep with a
+# raised timeout.
 echo "==> go test -race -short ./... (SIMNET_DEBUG=1)"
 SIMNET_DEBUG=1 go test -race -short ./...
+
+# Three of the skipped sweeps run concurrency the short suite reaches nowhere
+# else: the exper.Par cells of fault-sweep and recovery-sweep, and the
+# service sweep's per-job goroutines. Race-run those three alone.
+echo "==> go test -race fault, recovery and service sweeps (SIMNET_DEBUG=1)"
+SIMNET_DEBUG=1 go test -race -count=1 -run 'TestAllExperimentsGenerate/(fault-sweep|recovery-sweep|service-sweep)$' ./internal/exper/
 
 echo "==> work tree unchanged by the gate"
 if [ "$(worktree)" != "$before" ]; then

@@ -15,7 +15,8 @@ type (
 	// Submit jobs from any goroutine, Close to drain.
 	Service = service.Service
 	// ServiceConfig shapes a Service (cube dimension, machine model,
-	// backend, queue/round bounds, admission window, aging, attempts).
+	// backend, queue/round bounds, admission window, attempts, batching,
+	// faults and recovery).
 	ServiceConfig = service.Config
 	// ServiceMetrics is a snapshot of the service counters, cumulative
 	// fabric statistics and completed-job latencies.
