@@ -15,7 +15,8 @@ import (
 // useful on their own (the paper notes they realize arbitrary permutations).
 
 // CommResult is the outcome of a personalized-communication operation:
-// Recv[x] maps source nodes to the payload node x received from them.
+// Recv[x] maps source nodes to the payload node x received from them. A
+// payload may share the slice the caller supplied for it.
 type CommResult struct {
 	Recv  []map[uint64][]float64
 	Stats Stats

@@ -7,7 +7,6 @@ import (
 	"boolcube/internal/fabric"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/router"
 )
 
 // Checkpoint is the durable progress record of a failed execution: the
@@ -67,23 +66,20 @@ func NewCheckpoint(p *plan.Plan, d *matrix.Dist) *Checkpoint {
 // ResidualSpans turns the residual move-set into executable form: self-pair
 // residuals are replayed host-side on the spot, and every network residual
 // becomes one direct span, dimension-order routed at the plan's packet
-// grain. Ecube routes are shortest paths, so resume traffic is bounded by
+// grain (plan.DirectSpans). Ecube routes are shortest paths, so resume traffic is bounded by
 // the residual volume times the pair distance — never more than what a full
 // restart would move for the same pairs, and usually far less. Empty exactly
-// when nothing is left to transport.
+// when nothing is left to transport. On a fresh checkpoint it equals
+// Plan.DirectFlows, which a fresh execution can share instead.
 func (cp *Checkpoint) ResidualSpans() []plan.Flow {
 	if cp.Delivered == nil {
 		cp.Delivered = plan.NewDelivered()
 	}
 	p := cp.Plan
 	mv := p.Moves()
-	var spans []plan.Flow
-	for _, r := range cp.Remaining() {
+	res := cp.Remaining()
+	for _, r := range res {
 		if r.Src != r.Dst {
-			spans = append(spans, plan.Flow{
-				Src: r.Src, Dst: r.Dst, Off: r.Off, Len: r.Len,
-				Dims: router.Ecube(r.Src, r.Dst, p.NDims()), Packets: p.Config().Packets,
-			})
 			continue
 		}
 		id := r.Src
@@ -93,7 +89,7 @@ func (cp *Checkpoint) ResidualSpans() []plan.Flow {
 		}
 		cp.Delivered.Add(id, id, r.Off, r.Len)
 	}
-	return spans
+	return plan.DirectSpans(res, p.NDims(), p.Config().Packets)
 }
 
 // Remaining derives the residual move-set still to be transported.

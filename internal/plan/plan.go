@@ -14,6 +14,7 @@ package plan
 
 import (
 	"fmt"
+	"sync"
 
 	"boolcube/internal/comm"
 	"boolcube/internal/field"
@@ -86,6 +87,11 @@ type Plan struct {
 
 	phases []Phase // KindExchange: exchanges, in execution order
 	flows  []Flow  // KindFlow: precompiled flows
+
+	// direct memoizes DirectFlows, the one field built lazily rather than
+	// at compilation; it also makes a Plan uncopyable (go vet copylocks).
+	direct     sync.Once
+	directSpan []Flow
 }
 
 // Algorithm returns the (resolved, never Auto) algorithm the plan encodes.
@@ -118,6 +124,17 @@ func (p *Plan) Phases() []Phase { return p.phases }
 
 // Flows returns the precompiled flows (KindFlow). Read-only.
 func (p *Plan) Flows() []Flow { return p.flows }
+
+// DirectFlows returns the whole move-set as direct spans: one flow per
+// network (src != dst) pair carrying its full payload, dimension-order
+// routed at the plan's packet grain, in Remaining's order — what a fresh
+// checkpoint's residual spans are. It depends only on the plan, so it is
+// built on first use and shared by every later call; safe for concurrent
+// use. Read-only.
+func (p *Plan) DirectFlows() []Flow {
+	p.direct.Do(func() { p.directSpan = DirectSpans(p.Remaining(nil), p.n, p.cfg.Packets) })
+	return p.directSpan
+}
 
 // Describe renders a one-line human-readable summary, used as the trace
 // label and by cmd/transpose.

@@ -2,7 +2,10 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+
+	"boolcube/internal/router"
 )
 
 // This file is the plan-side half of checkpoint/resume: a Delivered set
@@ -109,6 +112,36 @@ type Residual struct {
 
 func (r Residual) String() string {
 	return fmt.Sprintf("%d->%d [%d,%d)", r.Src, r.Dst, r.Off, r.Off+r.Len)
+}
+
+// DirectSpans turns the network (src != dst) residuals into direct spans on
+// an n-cube, in order: each carries its range, a dimension-order route and
+// the given packet count; self pairs are skipped. The spans and their
+// routes are cut from two presized arenas, not allocated one by one. Nil
+// when no residual crosses a link.
+func DirectSpans(res []Residual, n, packets int) []Flow {
+	spans, hops := 0, 0
+	for _, r := range res {
+		if r.Src != r.Dst {
+			spans++
+			hops += bits.OnesCount64(r.Src ^ r.Dst)
+		}
+	}
+	if spans == 0 {
+		return nil
+	}
+	out := make([]Flow, 0, spans)
+	route := make([]int, 0, hops)
+	for _, r := range res {
+		if r.Src == r.Dst {
+			continue
+		}
+		lo := len(route)
+		route = router.AppendEcube(route, r.Src, r.Dst, n)
+		out = append(out, Flow{Src: r.Src, Dst: r.Dst, Off: r.Off, Len: r.Len,
+			Dims: route[lo:len(route):len(route)], Packets: packets})
+	}
+	return out
 }
 
 // Remaining derives the residual move-set: for every (src, dst) pair of the

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"sync"
 	"testing"
 
 	"boolcube/internal/field"
@@ -122,5 +123,31 @@ func TestRemainingEmptyWhenAllDelivered(t *testing.T) {
 	}
 	if rem := p.Remaining(d); len(rem) != 0 {
 		t.Fatalf("fully delivered plan still has residuals %v", rem)
+	}
+}
+
+// TestDirectFlowsConcurrentFirstUse: goroutines racing to the first
+// DirectFlows call of one plan — as services sharing the plan cache do —
+// all get the one memoized slice (run under -race by the check gate).
+func TestDirectFlowsConcurrentFirstUse(t *testing.T) {
+	p := resumePlan(t)
+	const callers = 8
+	got := make([][]Flow, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.DirectFlows()
+		}()
+	}
+	wg.Wait()
+	if len(got[0]) == 0 {
+		t.Fatal("no direct flow")
+	}
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got its own spans", i)
+		}
 	}
 }

@@ -13,8 +13,12 @@
 // completed flows by their index in the submitted set — all of them on
 // success, the completely delivered ones salvaged on failure — so a caller
 // that knows what flow i carries never has to match deliveries back to
-// flows. Run and RunRecover keep the older per-destination delivery map as
-// a view over that result, for callers that only care what arrived where.
+// flows. Every packet has a slot fixed before the run (a prefix sum of
+// packets per flow), so destinations file arrivals in place and nothing is
+// sorted or regrouped per node; a one-packet flow's payload is handed over
+// as it arrived, not copied. Run and RunRecover keep the older
+// per-destination delivery map as a view over that result, for callers
+// that only care what arrived where.
 package router
 
 import (
@@ -52,7 +56,10 @@ type Delivery struct {
 // indexes into the submitted flow slice, ascending; Data and Tags are
 // parallel to it (Tags entries nil for untagged flows). Flows with any
 // packet still in flight are simply absent — partial payloads are never
-// exposed.
+// exposed. A one-packet flow's Data and Tags are the packet as it arrived,
+// which on a backend that moves payloads without copying (simnet) shares
+// the submitted Flow.Data and Flow.Tags; a local or multi-packet flow's
+// are fresh copies.
 type Partial struct {
 	FlowIdx []int
 	Data    [][]float64
@@ -135,173 +142,151 @@ func RunFlows(e fabric.Fabric, flows []Flow) (*Partial, error) {
 		}
 	}
 
-	// Static planning: per-source flow lists, per-node arrival counts, and
-	// per-destination final packet counts (all dense — the routes are fixed,
-	// so every buffer can be sized exactly before the engine runs).
-	bySrc := make([][]int, N)
+	// Static planning, count -> displacement -> fill: every routed flow's
+	// packets own the slots [base[i], base[i+1]) of one arena, and the
+	// per-source and per-destination flow lists are compressed rows over
+	// the nodes. The routes are fixed, so every buffer is sized before the
+	// engine runs and nothing grows while packets move.
+	base := make([]int, len(flows)+1)
 	expect := make([]int, N)
-	finalCount := make([]int, N)
 	for i, f := range flows {
-		if len(f.Dims) == 0 {
-			continue // local; no traffic
+		pk := 0
+		if len(f.Dims) > 0 {
+			pk = packetsOf(f)
+			x := f.Src
+			for _, d := range f.Dims {
+				x ^= 1 << uint(d)
+				expect[x] += pk
+			}
 		}
-		pk := packetsOf(f)
-		bySrc[f.Src] = append(bySrc[f.Src], i)
-		x := f.Src
-		for _, d := range f.Dims {
-			x ^= 1 << uint(d)
-			expect[x] += pk
-		}
-		finalCount[f.Dst] += pk
+		base[i+1] = base[i] + pk
 	}
+	srcOff, srcFlows := group(flows, int(N), func(f Flow) uint64 { return f.Src })
+	dstOff, dstFlows := group(flows, int(N), func(f Flow) uint64 { return f.Dst })
 
 	type pkt struct {
-		flow, idx int
-		data      []float64
-		tags      []uint64
-		sum       uint64 // whole-flow checksum carried by the packet
+		data []float64
+		tags []uint64
 	}
-	// finals[node] accumulates (flow, packet, data) at destinations,
-	// presized to the known arrival totals.
-	finals := make([][]pkt, N)
-	for i := range finals {
-		if finalCount[i] > 0 {
-			finals[i] = make([]pkt, 0, finalCount[i])
-		}
-	}
+	// Sources stamp each flow's checksum; destinations fill
+	// slots[base[flow]+packet], count arrivals and keep the sum the packets
+	// carried. Each node writes only its own flows' entries.
+	slots := make([]pkt, base[len(flows)])
+	arrived := make([]int, len(flows))
+	stamp := make([]uint64, len(flows))
+	sums := make([]uint64, len(flows))
 
 	err := e.Run(func(nd fabric.Node) {
 		id := nd.ID()
-		// Inject own packets, round-robin across flows.
-		myFlows := bySrc[id]
-		type cursor struct {
-			flow   int
-			chunks [][]float64
-			tags   [][]uint64
-			next   int
-			sum    uint64
+		// Inject own packets, round-robin across flows: round r sends
+		// packet r of every flow that has one.
+		mine := srcFlows[srcOff[id]:srcOff[id+1]]
+		rounds := 0
+		for _, fi := range mine {
+			rounds = max(rounds, packetsOf(flows[fi]))
 		}
-		cursors := make([]cursor, 0, len(myFlows))
-		for _, fi := range myFlows {
-			f := flows[fi]
-			pk := packetsOf(f)
-			// One audit pass over the whole flow at injection; every packet
-			// carries the flow sum and the destination verifies it once.
-			c := cursor{flow: fi, chunks: splitChunks(f.Data, pk), sum: fabric.Checksum(f.Data)}
-			if f.Tags != nil {
-				// Same length as Data, so the chunk boundaries line up.
-				c.tags = splitTags(f.Tags, pk)
-			}
-			cursors = append(cursors, c)
-		}
-		for remaining := true; remaining; {
-			remaining = false
-			for ci := range cursors {
-				c := &cursors[ci]
-				if c.next >= len(c.chunks) {
+		for r := 0; r < rounds; r++ {
+			for _, fi := range mine {
+				f := &flows[fi]
+				pk := packetsOf(*f)
+				if r >= pk {
 					continue
 				}
-				f := flows[c.flow]
-				m := fabric.Msg{
-					Src: f.Src, Dst: f.Dst, Tag: c.flow, Rel: uint64(c.next),
-					Path: f.Dims[1:], Data: c.chunks[c.next],
-					FlowSum: c.sum,
+				if r == 0 {
+					// One audit pass over the whole flow at injection; every
+					// packet carries the flow sum and the destination
+					// verifies it once.
+					stamp[fi] = fabric.Checksum(f.Data)
 				}
-				if c.tags != nil {
-					m.Tags = c.tags[c.next]
+				lo, hi := chunk(len(f.Data), pk, r)
+				m := fabric.Msg{
+					Src: f.Src, Dst: f.Dst, Tag: fi, Rel: uint64(r),
+					Path: f.Dims[1:], Data: f.Data[lo:hi],
+					FlowSum: stamp[fi],
+				}
+				if f.Tags != nil {
+					// Same length as Data, so the chunk boundaries line up.
+					m.Tags = f.Tags[lo:hi]
 				}
 				nd.Send(f.Dims[0], m)
-				c.next++
-				if c.next < len(c.chunks) {
-					remaining = true
-				}
 			}
 		}
 		// Receive and forward until the static arrival count is met.
 		for i := 0; i < expect[id]; i++ {
 			m := nd.RecvAny()
 			if len(m.Path) == 0 {
-				finals[id] = append(finals[id], pkt{flow: m.Tag, idx: int(m.Rel), data: m.Data, tags: m.Tags, sum: m.FlowSum})
+				slots[base[m.Tag]+int(m.Rel)] = pkt{data: m.Data, tags: m.Tags}
+				arrived[m.Tag]++
+				sums[m.Tag] = m.FlowSum
 				continue
 			}
 			next := m.Path[0]
 			m.Path = m.Path[1:]
 			nd.Send(next, m)
 		}
-		// Per-flow delivery audit: with every packet in, sort this node's
-		// arrivals into (flow, packet) order and verify each flow's
-		// reassembled payload in one streaming pass against the flow sum
-		// stamped at injection.
-		fin := finals[id]
-		slices.SortFunc(fin, func(a, b pkt) int {
-			if a.flow != b.flow {
-				return a.flow - b.flow
+		// Per-flow delivery audit: with every packet in, verify each of
+		// this node's flows, in flow order, in one streaming pass over its
+		// packets against the flow sum stamped at injection.
+		for _, fi := range dstFlows[dstOff[id]:dstOff[id+1]] {
+			want := sums[fi]
+			if want == 0 {
+				continue
 			}
-			return a.idx - b.idx
-		})
-		for s := 0; s < len(fin); {
 			var sm fabric.Summer
-			e := s
-			for ; e < len(fin) && fin[e].flow == fin[s].flow; e++ {
-				sm.Add(fin[e].data)
+			for _, p := range slots[base[fi]:base[fi+1]] {
+				sm.Add(p.data)
 			}
-			if want := fin[s].sum; want != 0 {
-				if got := sm.Sum(); got != want {
-					f := flows[fin[s].flow]
-					nd.Fail(&fabric.AuditError{Node: id, Src: f.Src, Dst: f.Dst, What: "flow", Want: want, Got: got})
-				}
+			if got := sm.Sum(); got != want {
+				f := flows[fi]
+				nd.Fail(&fabric.AuditError{Node: id, Src: f.Src, Dst: f.Dst, What: "flow", Want: want, Got: got})
 			}
-			s = e
 		}
 	})
 
-	// Reassemble per flow. After a failed Run every node goroutine has
-	// parked, so finals is safe to read here even on the error path.
-	byFlow := make([][]pkt, len(flows))
-	for _, ps := range finals {
-		for _, p := range ps {
-			byFlow[p.flow] = append(byFlow[p.flow], p)
+	// Reassemble per flow. After a failed Run every node has parked, so the
+	// slots are safe to read here even on the error path. A one-packet flow
+	// hands over the packet it arrived as; longer ones are concatenated
+	// into one shared arena, each capped to its own region.
+	multi := 0
+	for i, f := range flows {
+		if base[i+1]-base[i] > 1 {
+			multi += len(f.Data)
 		}
 	}
-	assemble := func(i int) ([]float64, []uint64) {
-		f := flows[i]
-		if len(f.Dims) == 0 {
-			var tags []uint64
-			if f.Tags != nil {
-				tags = append([]uint64(nil), f.Tags...)
-			}
-			return append([]float64(nil), f.Data...), tags
-		}
-		ps := byFlow[i]
-		slices.SortFunc(ps, func(a, b pkt) int { return a.idx - b.idx })
-		data := make([]float64, 0, len(f.Data))
-		var tags []uint64
-		if f.Tags != nil {
-			tags = make([]uint64, 0, len(f.Tags))
-		}
-		for _, p := range ps {
-			data = append(data, p.data...)
-			if tags != nil {
-				tags = append(tags, p.tags...)
-			}
-		}
-		return data, tags
-	}
-
+	joined := make([]float64, multi)
 	done := &Partial{
 		FlowIdx: make([]int, 0, len(flows)),
 		Data:    make([][]float64, 0, len(flows)),
 		Tags:    make([][]uint64, 0, len(flows)),
 	}
 	for i, f := range flows {
-		ps := byFlow[i]
-		if err != nil && len(f.Dims) > 0 && len(ps) != packetsOf(f) {
+		var data []float64
+		var tags []uint64
+		switch ps := slots[base[i]:base[i+1]]; {
+		case len(f.Dims) == 0:
+			data = append([]float64(nil), f.Data...)
+			if f.Tags != nil {
+				tags = append([]uint64(nil), f.Tags...)
+			}
+		case arrived[i] != len(ps):
 			continue // packets still in flight; never expose partial payloads
+		case len(ps) == 1:
+			data, tags = ps[0].data, ps[0].tags
+		default:
+			data, joined = joined[:0:len(f.Data)], joined[len(f.Data):]
+			if f.Tags != nil {
+				tags = make([]uint64, 0, len(f.Tags))
+			}
+			for _, p := range ps {
+				data = append(data, p.data...)
+				if tags != nil {
+					tags = append(tags, p.tags...)
+				}
+			}
 		}
-		data, tags := assemble(i)
 		// The in-run per-flow audit only fires on completed runs; audit
 		// salvaged flows here so a corrupt payload is never exposed.
-		if err != nil && len(ps) > 0 && ps[0].sum != 0 && fabric.Checksum(data) != ps[0].sum {
+		if err != nil && sums[i] != 0 && fabric.Checksum(data) != sums[i] {
 			continue
 		}
 		done.FlowIdx = append(done.FlowIdx, i)
@@ -309,6 +294,31 @@ func RunFlows(e fabric.Fabric, flows []Flow) (*Partial, error) {
 		done.Tags = append(done.Tags, tags)
 	}
 	return done, err
+}
+
+// group lists the routed (non-local) flows by node, ascending flow index
+// within a node, as compressed rows: node v's flows are
+// list[off[v]:off[v+1]].
+func group(flows []Flow, nodes int, node func(Flow) uint64) (off, list []int) {
+	off = make([]int, nodes+1)
+	for _, f := range flows {
+		if len(f.Dims) > 0 {
+			off[node(f)+1]++
+		}
+	}
+	for v := range nodes {
+		off[v+1] += off[v]
+	}
+	list = make([]int, off[nodes])
+	fill := slices.Clone(off[:nodes])
+	for i, f := range flows {
+		if len(f.Dims) > 0 {
+			v := node(f)
+			list[fill[v]] = i
+			fill[v]++
+		}
+	}
+	return off, list
 }
 
 // packetsOf returns the effective packet count of a flow: at least 1, and
@@ -324,48 +334,27 @@ func packetsOf(f Flow) int {
 	return pk
 }
 
-// splitChunks splits data into pk nearly equal chunks (earlier chunks get
-// the remainder). Empty data yields pk empty chunks so that timing-only
-// flows still generate traffic-free messages; callers normally provide
-// payload.
-func splitChunks(data []float64, pk int) [][]float64 {
-	chunks := make([][]float64, pk)
-	base := len(data) / pk
-	rem := len(data) % pk
-	off := 0
-	for i := 0; i < pk; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		chunks[i] = data[off : off+sz]
-		off += sz
+// chunk returns the bounds [lo, hi) of packet k when n elements are split
+// into pk nearly equal packets, earlier packets taking the remainder. An
+// empty payload yields pk empty packets, so timing-only flows still
+// generate traffic-free messages; callers normally provide payload.
+func chunk(n, pk, k int) (lo, hi int) {
+	size, rem := n/pk, n%pk
+	lo = k*size + min(k, rem)
+	hi = lo + size
+	if k < rem {
+		hi++
 	}
-	return chunks
-}
-
-// splitTags splits a tag array with the same boundaries splitChunks uses for
-// an equal-length payload.
-func splitTags(tags []uint64, pk int) [][]uint64 {
-	chunks := make([][]uint64, pk)
-	base := len(tags) / pk
-	rem := len(tags) % pk
-	off := 0
-	for i := 0; i < pk; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		chunks[i] = tags[off : off+sz]
-		off += sz
-	}
-	return chunks
+	return lo, hi
 }
 
 // Ecube returns the dimension-order (ascending) route from src to dst, the
 // paths taken by the iPSC and Connection Machine routing logic.
-func Ecube(src, dst uint64, n int) []int {
-	var dims []int
+func Ecube(src, dst uint64, n int) []int { return AppendEcube(nil, src, dst, n) }
+
+// AppendEcube appends the Ecube route from src to dst to dims, so callers
+// that build many routes can cut them from one arena.
+func AppendEcube(dims []int, src, dst uint64, n int) []int {
 	diff := src ^ dst
 	for d := 0; d < n; d++ {
 		if diff>>uint(d)&1 == 1 {

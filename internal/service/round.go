@@ -40,7 +40,7 @@ func budgetOf(j *Job) float64 {
 // network spans. Flow plans keep their compiled path-system routes and
 // packetization; exchange plans execute their canonical move-set over
 // dimension-order direct routes, exactly as checkpoint resume replays
-// residuals.
+// residuals — the plan's DirectFlows, built once per plan and shared.
 func newUnit(j *Job) *unit {
 	u := &unit{
 		Checkpoint: *core.NewCheckpoint(j.plan, j.spec.Src),
@@ -50,7 +50,7 @@ func newUnit(j *Job) *unit {
 	if j.plan.Kind() == plan.KindFlow {
 		u.spans = j.plan.Flows()
 	} else {
-		u.spans = u.ResidualSpans()
+		u.spans = j.plan.DirectFlows()
 	}
 	return u
 }

@@ -362,10 +362,9 @@ func (s *Service) formRoundLocked() []*unit {
 	for _, u := range units {
 		free -= len(u.jobs)
 	}
-	if free < 1 {
-		return units
-	}
-	selected, rest := pickJobs(s.pending, free, aging)
+	// With no room left pickJobs selects nothing but still ages the queue:
+	// every queued job waits this round either way.
+	selected, rest := pickJobs(s.pending, max(free, 0), aging)
 	s.pending = rest
 	return append(units, groupUnits(selected, !s.cfg.DisableBatch)...)
 }

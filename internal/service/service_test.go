@@ -328,6 +328,32 @@ func TestPickJobsDeterministic(t *testing.T) {
 	}
 }
 
+// TestQueuedJobsAgeWhileResumesFillRound: a round that resumed units fill
+// completely still ages the queue — a job waits that round like any other,
+// so resumes cannot stall the starvation bound pickJobs proves.
+func TestQueuedJobsAgeWhileResumesFillRound(t *testing.T) {
+	spec, _ := mkSpec2D(plan.SPT, 2, 2, 2, field.Binary)
+	s := bareService(Config{Dims: 2, MaxRound: 1})
+	for range 2 {
+		if _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	first := s.formRoundLocked() // admits the first job; the second waits
+	if len(first) != 1 || len(s.pending) != 1 || s.pending[0].waited != 1 {
+		t.Fatalf("first round: %d unit(s), %d queued", len(first), len(s.pending))
+	}
+	s.resume = first // the first job's unit is owed a resume and fills the next round
+	if second := s.formRoundLocked(); len(second) != 1 || second[0] != first[0] {
+		t.Fatalf("second round: %d unit(s), want the resumed one", len(second))
+	}
+	if w := s.pending[0].waited; w != 2 {
+		t.Fatalf("queued job has waited %d round(s) after two rounds, want 2", w)
+	}
+}
+
 // TestServiceDeadlineCheckpointResume: a job whose budget cannot cover its
 // transpose fails with a typed *core.ExecError carrying a resumable
 // checkpoint, and core.Resume finishes it element-exact on a private

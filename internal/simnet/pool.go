@@ -12,7 +12,7 @@ import (
 // later request of equal or smaller size without reallocation. Each shard
 // owns one pool for the length of one Run and needs no lock: a shard's nodes
 // only ever run on that shard's worker, and drainAll runs on the coordinator
-// while it is alone — the fact the inbound-queue free list (inQueue) relies
+// while it is alone — the fact the inbound-queue slot arena (inQueue) relies
 // on too. Buffers migrate with their messages: a buffer received in shard B
 // is recycled into B's pool, whichever shard allocated it.
 //

@@ -8,60 +8,19 @@ import (
 	"boolcube/internal/machine"
 )
 
-// TestQueueRecycling: a drained inbound queue gives its backing array to the
-// receiving shard's free list, the next push to another empty queue of that
-// shard takes it from there, and messages queued more than one deep on a
-// link still come out in FIFO order through the recycled arrays.
+// TestQueueRecycling: a link refilled before it drains keeps FIFO order,
+// and a shard whose queues never hold more than five arrivals at once takes
+// at most five slots over 3,002 pushes — all of them from its first chunk —
+// because every pop hands its slot back for the next push.
 func TestQueueRecycling(t *testing.T) {
-	sh := &shard{}
-	var a, b inQueue
-	for i := 1; i <= 3; i++ {
-		a.push(sh).at = float64(i)
-	}
-	first := &a.buf[0]
-	for i := 1; i <= 3; i++ {
-		if a.empty() || a.front().at != float64(i) {
-			t.Fatalf("pop %d: queue out of FIFO order", i)
-		}
-		a.pop(sh)
-	}
-	if a.buf != nil || a.head != 0 || !a.empty() {
-		t.Fatalf("drained queue keeps buf %p (len %d), head %d", a.buf, len(a.buf), a.head)
-	}
-	if len(sh.free) != 1 || &sh.free[0][:1][0] != first {
-		t.Fatalf("free list holds %d arrays, want the drained one", len(sh.free))
-	}
-	b.push(sh).at = 7
-	if &b.buf[0] != first || len(sh.free) != 0 {
-		t.Fatal("push to an empty queue did not take the array from the free list")
-	}
-	if b.buf[0].msg.Data != nil || b.front().at != 7 {
-		t.Fatal("recycled slot was not handed out clean")
-	}
-	a.push(sh) // free list empty: a fresh array
-	if &a.buf[0] == first {
-		t.Fatal("two live queues share one array")
-	}
-}
-
-// TestQueueReusesPoppedHead: a link refilled before it drains keeps FIFO
-// order and stops growing once its buffer covers the live arrivals — the
-// popped head is reused, not doubled past — and the slots it slid away from
-// hold no message.
-func TestQueueReusesPoppedHead(t *testing.T) {
 	sh := &shard{}
 	var q inQueue
 	pushed, popped := 0, 0
-	clean := func() {
-		for i, a := range q.buf[:cap(q.buf)] {
-			if (i < q.head || i >= len(q.buf)) && a.msg.Data != nil {
-				t.Fatalf("after %d pushes slot %d, outside the live range [%d,%d), still references a message", pushed, i, q.head, len(q.buf))
-			}
-		}
-	}
 	push := func() {
 		a := q.push(sh)
-		clean()
+		if a.msg.Data != nil || a.next != nil {
+			t.Fatalf("push %d: slot handed out holding a message or a link", pushed)
+		}
 		a.at, a.msg.Data = float64(pushed), make([]float64, 1)
 		pushed++
 	}
@@ -79,8 +38,59 @@ func TestQueueReusesPoppedHead(t *testing.T) {
 			popped++
 		}
 	}
-	if cap(q.buf) > 16 {
-		t.Errorf("queue of at most 5 live arrivals grew to %d slots over %d pushes", cap(q.buf), pushed)
+	if pushed != 3002 {
+		t.Fatalf("%d pushes, want 3002", pushed)
+	}
+	if sh.grow != minChunk {
+		t.Fatalf("shard grew to a %d-slot chunk; one %d-slot chunk covers 5 live arrivals", sh.grow, minChunk)
+	}
+	if carved := minChunk - len(sh.chunk); carved > 5 {
+		t.Errorf("queue of at most 5 live arrivals took %d slots over %d pushes", carved, pushed)
+	}
+}
+
+// TestQueueReusesPoppedHead: the slot a pop releases is the slot the next
+// push in that shard takes, whichever queue pushes; a released slot
+// references no message; and a second live queue never shares a slot.
+func TestQueueReusesPoppedHead(t *testing.T) {
+	sh := &shard{}
+	var a, b inQueue
+	for i := 1; i <= 3; i++ {
+		s := a.push(sh)
+		s.at, s.msg.Data = float64(i), make([]float64, 1)
+	}
+	for i := 1; i <= 3; i++ {
+		head := a.front()
+		if a.empty() || head.at != float64(i) {
+			t.Fatalf("pop %d: queue out of FIFO order", i)
+		}
+		a.pop(sh)
+		if head.msg.Data != nil || head.at != 0 {
+			t.Fatalf("pop %d: released slot still references its message", i)
+		}
+		if sh.free != head {
+			t.Fatalf("pop %d: released slot is not the head of the free list", i)
+		}
+		if got := b.push(sh); got != head {
+			t.Fatalf("pop %d: next push took slot %p, not the popped %p", i, got, head)
+		}
+	}
+	if !a.empty() || a.tail != nil {
+		t.Fatal("drained queue still links a slot")
+	}
+	if sh.free != nil {
+		t.Fatal("free list not empty after every released slot was retaken")
+	}
+	fresh := a.push(sh) // free list empty: a slot from the chunk
+	live := 0
+	for s := b.front(); s != nil; s = s.next {
+		if s == fresh {
+			t.Fatal("two live queues share one slot")
+		}
+		live++
+	}
+	if live != 3 || b.tail.next != nil {
+		t.Fatalf("refilled queue links %d slots, want 3", live)
 	}
 }
 
@@ -111,19 +121,30 @@ func TestNodeReleasesPayloads(t *testing.T) {
 				}
 				nd.Recycle(m)
 			}
-			if q := &nd.queues[0]; q.buf != nil {
-				nd.Fail(fmt.Errorf("P=%d: drained queue keeps its array", p))
+			if q := &nd.queues[0]; q.head != nil || q.tail != nil {
+				nd.Fail(fmt.Errorf("P=%d: drained queue still links a slot", p))
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		free := len(e.nodes[0].sh.free)
+		// Every slot the run took is back on its shard's free list, holding
+		// no message: the drained queues pin nothing.
+		shards := []*shard{e.nodes[0].sh}
 		if e.nodes[1].sh != e.nodes[0].sh {
-			free += len(e.nodes[1].sh.free)
+			shards = append(shards, e.nodes[1].sh)
 		}
-		if free != 2 {
-			t.Fatalf("P=%d: %d arrays on the free lists, want one per link used", p, free)
+		for _, sh := range shards {
+			free := 0
+			for a := sh.free; a != nil; a = a.next {
+				if a.msg.Data != nil || a.msg.Parts != nil {
+					t.Fatalf("P=%d: a released slot still references a message", p)
+				}
+				free++
+			}
+			if carved := sh.grow - len(sh.chunk); free != carved || free == 0 {
+				t.Fatalf("P=%d: shard %d took %d slots, %d are back on its free list", p, sh.id, carved, free)
+			}
 		}
 	}
 }

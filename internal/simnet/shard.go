@@ -17,7 +17,7 @@
 // globally-minimal operation — plain serial order.
 //
 // A shard owns its nodes' scheduling state outright — ready heap, outbox,
-// inbound-queue free list and payload pool — and takes no lock on any of
+// inbound-queue slot arena and payload pool — and takes no lock on any of
 // it: a shard's nodes only ever run on its worker, and the coordinator
 // touches shard state only at barriers, while no worker runs. After
 // an operation the shard re-keys the executing node and, for a send, the
@@ -174,11 +174,13 @@ type shard struct {
 	id  int
 
 	heap    *readyHeap
-	out     []staged    // cross-shard arrivals staged this epoch
-	dirty   []int32     // nodes an arrival may have re-keyed (shard.note)
-	skipped []int32     // SIMNET_DEBUG: arrivals that re-keyed nothing, to check
-	free    [][]arrival // drained inbound-queue buffers of this shard's nodes (inQueue)
-	pool    bufPool     // payload buffers, allocated and recycled by this shard's nodes
+	out     []staged  // cross-shard arrivals staged this epoch
+	dirty   []int32   // nodes an arrival may have re-keyed (shard.note)
+	skipped []int32   // SIMNET_DEBUG: arrivals that re-keyed nothing, to check
+	free    *arrival  // popped inbound-queue slots, linked through next (inQueue)
+	chunk   []arrival // never-used slots of the newest slot chunk
+	grow    int       // size of the newest slot chunk
+	pool    bufPool   // payload buffers, allocated and recycled by this shard's nodes
 
 	fails []failCand
 
@@ -216,6 +218,31 @@ func (sh *shard) beginOp(nd *Node, t float64) {
 }
 
 func (sh *shard) endOp() { sh.cur = nil }
+
+// slot hands out an inbound-queue slot for one of this shard's nodes: a
+// popped one from the free list, else the next unused slot of the newest
+// chunk. Chunks are never moved (queues link into them) and grow
+// geometrically from minChunk to maxChunk slots, so a tiny engine stays
+// tiny and a large one allocates at most ~190 KB at a time.
+func (sh *shard) slot() *arrival {
+	if a := sh.free; a != nil {
+		sh.free, a.next = a.next, nil
+		return a
+	}
+	if len(sh.chunk) == 0 {
+		sh.grow = min(max(2*sh.grow, minChunk), maxChunk)
+		sh.chunk = make([]arrival, sh.grow)
+	}
+	a := &sh.chunk[0]
+	sh.chunk = sh.chunk[1:]
+	return a
+}
+
+// Slot chunk sizes, in arrivals (see shard.slot).
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
 
 // span returns the node ids [lo, hi) the shard owns.
 func (sh *shard) span() (lo, hi int) {
@@ -466,6 +493,8 @@ func (run *shardRun) schedule() error {
 				}
 				dest := e.nodes[st.dest]
 				dest.sh.note(dest, st.a.fromDim)
+				// The whole-arrival copy keeps the queue linked: the pushed
+				// slot is the tail, and a staged arrival's link is nil.
 				*dest.queues[st.a.fromDim].push(dest.sh) = st.a
 			}
 			sh.out = sh.out[:0]

@@ -86,50 +86,44 @@ type arrival struct {
 	at      float64 // transmission completion at receiver
 	dur     float64 // transmission duration (for receive-port serialization)
 	fromDim int
-	act     float64 // sender's send action (start) time, for RecvAny tie-breaks
+	act     float64  // sender's send action (start) time, for RecvAny tie-breaks
+	next    *arrival // next in its queue, or in the shard's free list once popped
 }
 
-// inQueue is one dimension's inbound arrival queue. Popping advances a head
-// index instead of reslicing, and a drained queue hands its backing array to
-// the free list of the receiving node's shard, where the next push to an
-// empty queue finds it: the engine holds one buffer per active link, not one
-// per link ever used. Both ends run on that shard's worker (or at the
-// barrier, when the coordinator is alone), so the list needs no lock.
+// inQueue is one dimension's inbound arrival queue: a FIFO linked through
+// arrival slots of the receiving node's shard (shard.slot). A push takes a
+// slot, a pop zeroes it and returns it to the shard's free list, so the
+// engine holds as many slots per shard as that shard ever had arrivals
+// live at once — not a buffer per link, regrown on every fresh engine. Both
+// ends run on that shard's worker (or at the barrier, when the coordinator
+// is alone), so the slots need no lock.
 type inQueue struct {
-	buf  []arrival
-	head int
+	head, tail *arrival
 }
 
-func (q *inQueue) empty() bool     { return q.head == len(q.buf) }
-func (q *inQueue) front() *arrival { return &q.buf[q.head] }
+func (q *inQueue) empty() bool     { return q.head == nil }
+func (q *inQueue) front() *arrival { return q.head }
 
-// push appends a zeroed slot for the sender to fill in place. A full buffer
-// whose popped head is at least half of it slides its live arrivals to the
-// front instead of growing: a link that is refilled before it drains would
-// otherwise double its buffer on every wrap while holding only a few live
-// arrivals (replaying an SBnT all-to-all and an MPT transpose, that was a
-// quarter of all bytes allocated per run). No caller holds an arrival
-// pointer across a push.
+// push links a zeroed slot at the tail for the sender to fill in place.
 func (q *inQueue) push(sh *shard) *arrival {
-	if n := len(sh.free); q.buf == nil && n > 0 {
-		q.buf, sh.free = sh.free[n-1], sh.free[:n-1]
+	a := sh.slot()
+	if q.tail == nil {
+		q.head = a
+	} else {
+		q.tail.next = a
 	}
-	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:]) // the moved arrivals' old slots still reference their messages
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, arrival{})
-	return &q.buf[len(q.buf)-1]
+	q.tail = a
+	return a
 }
 
+// pop unlinks the front and releases its slot, message reference cleared.
 func (q *inQueue) pop(sh *shard) {
-	q.buf[q.head].msg = fabric.Msg{} // release the message for reuse/GC
-	q.head++
-	if q.head == len(q.buf) {
-		sh.free = append(sh.free, q.buf[:0])
-		q.buf, q.head = nil, 0
+	a := q.head
+	if q.head = a.next; q.head == nil {
+		q.tail = nil
 	}
+	*a = arrival{next: sh.free}
+	sh.free = a
 }
 
 // Node is the per-processor handle node programs use. Its methods may only

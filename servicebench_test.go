@@ -122,3 +122,50 @@ func benchServiceIdentical(b *testing.B, disableBatch bool) {
 
 func BenchmarkServiceBatchedIdentical(b *testing.B)   { benchServiceIdentical(b, false) }
 func BenchmarkServiceUnbatchedIdentical(b *testing.B) { benchServiceIdentical(b, true) }
+
+// BenchmarkServiceHeavyJob: one op = one heavy job of the bench service
+// workload — a 64x64 one-dimensional transpose on the 6-cube, 4,032
+// one-element flows — submitted alone to a warm service (plan cached) and
+// waited for. Allocations per op are the noise-free signal of the packet
+// path: router reassembly, engine queues and the unit's spans.
+func BenchmarkServiceHeavyJob(b *testing.B) {
+	const n, p = 6, 6
+	for _, c := range []struct {
+		name string
+		alg  Algorithm
+		enc  Encoding
+	}{
+		{"exchange-1d-binary", Exchange, Binary},
+		{"sbnt-1d-gray", SBnT, Gray},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			lay := OneDimConsecutiveRows(p, p, n, c.enc)
+			m := NewIotaMatrix(p, p)
+			spec := JobSpec{Alg: c.alg, Before: lay, After: lay, Src: Scatter(m, lay)}
+			s, err := NewService(ServiceConfig{Dims: n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			run := func() *Dist {
+				j, err := s.Submit(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := j.Wait()
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res.Dist
+			}
+			if err := run().Verify(m.Transposed()); err != nil { // warm the plan cache, check once
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
