@@ -196,6 +196,32 @@ const (
 	// paths of Saad & Schultz — per-pair disjoint but globally colliding;
 	// the ablation baseline for the MPT.
 	ParallelPaths = plan.ParallelPaths
+	// Convert1, Convert2 and Convert3 are Section 6.2's transpositions
+	// with a change of assignment scheme: a TwoDimConsecutive(p, q, nr, nc)
+	// matrix into TwoDimCyclic(q, p, nc, nr) storage of its transpose, in
+	// the before layout's encoding, as a compiled three-phase exchange
+	// plan. Convert1 converts rows, then columns, then transposes: 2n
+	// steps. Convert2 transposes locally first, then converts in n steps.
+	// Convert3 pairs dimensions to avoid the pre-transpose: n steps. Each
+	// requires nr == nc, p >= 2nr and q >= 2nc; any other layout pair is a
+	// compile error. Their checkpoint is the coarse one — only the self
+	// pairs count as delivered, since a block of the last phase is no span
+	// of the composed move-set — and the exchange phases have no
+	// alternative routes, so Options.Failover does not apply: a
+	// permanently down link on a dimension they scan is refused pre-flight
+	// with an *InfeasibleError.
+	Convert1 = plan.Convert1
+	Convert2 = plan.Convert2
+	Convert3 = plan.Convert3
+	// ConvertEncoding re-embeds the matrix under a layout of the same shape
+	// and partitioning in another encoding (binary <-> Gray) without
+	// transposing it — the standalone code conversion of Section 2, routed
+	// most-significant dimension first so each node needs at most n-1
+	// hops. It is the one row whose after layout describes the input
+	// matrix, not its transpose (Algorithm.Transposes is false), and it is
+	// a flow plan: per-flow checkpoints, and failover under the default
+	// FailoverReroute.
+	ConvertEncoding = plan.ConvertEncoding
 	// AlgorithmAuto lets the library pick: the layout pair is classified
 	// (Classify) and the candidate with the lowest paper-predicted time on
 	// the configured machine wins.
@@ -203,11 +229,12 @@ const (
 )
 
 // Algorithms lists every concrete algorithm (excluding AlgorithmAuto), for
-// sweeps. The last four rows are the conversions ("convert-1" .. "convert-3"
-// and "convert-encoding"), reached by name through ParseAlgorithm or through
-// ConvertConsecutiveToCyclic and ConvertEncoding; each accepts only its own
-// kind of layout pair. Algorithm.Transposes is false for "convert-encoding"
-// alone: its after layout describes the input matrix, not its transpose.
+// sweeps. The last four rows are the conversions (Convert1 .. Convert3 and
+// ConvertEncoding, named "convert-1" .. "convert-3" and "convert-encoding"),
+// run through Transpose or Compile like every row; each accepts only its
+// own kind of layout pair. Algorithm.Transposes is false for
+// ConvertEncoding alone: its after layout describes the input matrix, not
+// its transpose.
 func Algorithms() []Algorithm { return plan.Algorithms() }
 
 // ParseAlgorithm maps an algorithm name (as produced by Algorithm.String,
@@ -482,51 +509,3 @@ const (
 // RetryPolicy bounds the engine's per-transmission retry/backoff loop
 // under fault injection.
 type RetryPolicy = fabric.RetryPolicy
-
-// ConvertAlgorithm selects one of Section 6.2's three algorithms for
-// transposing from two-dimensional consecutive to two-dimensional cyclic
-// storage.
-type ConvertAlgorithm = core.ConvertAlgorithm
-
-// Section 6.2 algorithms.
-const (
-	// Convert1 converts rows, then columns, then transposes: 2n steps.
-	Convert1 = core.Convert1
-	// Convert2 local-transposes first, then converts in n steps.
-	Convert2 = core.Convert2
-	// Convert3 pairs dimensions to avoid the pre-transpose: n steps.
-	Convert3 = core.Convert3
-)
-
-// ConvertConsecutiveToCyclic transposes a TwoDimConsecutive matrix into
-// TwoDimCyclic storage on the transposed matrix with the selected
-// Section 6.2 algorithm. It is Transpose with the matching registry row
-// ("convert-1" .. "convert-3", see ParseAlgorithm) and the derived target
-// layout — a compiled three-phase exchange plan, cached, priced by
-// PredictedCost and admissible to the Service like any other. A before
-// layout that is not two-dimensional consecutive with nr == nc, p >= 2nr and
-// q >= 2nc is refused with an error. A mid-run failure (fault past the retry
-// budget, a missed Deadline, a crashed node) returns an *ExecError whose
-// Checkpoint Resume or Recover finishes element-exact; the checkpoint is the
-// coarse one — only the self pairs count as delivered, since a block of the
-// last phase is no span of the composed move-set. The exchange phases have
-// no alternative routes, so Options.Failover does not apply and a
-// permanently down link on a dimension they scan is refused pre-flight with
-// an *InfeasibleError (errors.Is(err, ErrLinkDown) holds).
-func ConvertConsecutiveToCyclic(d *Dist, alg ConvertAlgorithm, opt Options) (*Result, error) {
-	return core.ConvertConsecutiveToCyclic(d, alg, opt.core())
-}
-
-// ConvertEncoding re-embeds the distributed matrix under a layout of the
-// same shape and partitioning but a different encoding (binary <-> Gray) —
-// the standalone code conversion of Section 2, routed most-significant
-// dimension first so each node needs at most n-1 hops. It is Transpose with
-// the "convert-encoding" registry row — the one row that does not transpose
-// — and so a compiled flow plan: a mid-run failure returns an *ExecError
-// with a per-flow Checkpoint for Resume or Recover, and a permanently down
-// link on a route is failed over to a disjoint path under the default
-// FailoverReroute (Stats.Rerouted counts it), refused pre-flight with an
-// *InfeasibleError under FailoverNone.
-func ConvertEncoding(d *Dist, after Layout, opt Options) (*Result, error) {
-	return core.ConvertEncoding(d, after, opt.core())
-}

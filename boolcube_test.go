@@ -60,8 +60,8 @@ func TestTransposeUnknownAlgorithm(t *testing.T) {
 func TestConvertPublicAPI(t *testing.T) {
 	m := NewIotaMatrix(4, 4)
 	d := Scatter(m, TwoDimConsecutive(4, 4, 1, 1, Binary))
-	for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
-		res, err := ConvertConsecutiveToCyclic(d, alg, Options{Machine: IPSC()})
+	for _, alg := range []Algorithm{Convert1, Convert2, Convert3} {
+		res, err := Transpose(d, TwoDimCyclic(4, 4, 1, 1, Binary), Options{Algorithm: alg, Machine: IPSC()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +72,8 @@ func TestConvertPublicAPI(t *testing.T) {
 }
 
 // A before layout that is not exactly two-dimensional consecutive is refused
-// when the conversion compiles: a one-field layout used to index past its
-// fields and panic, and a cyclic input used to run its fixed dimension
+// when the conversion compiles: a one-field layout must not index past its
+// fields and panic, and a cyclic input must not run the fixed dimension
 // subsets over a move-set that leaves them, returning a wrong distribution
 // with a nil error.
 func TestConvertRejectsForeignLayouts(t *testing.T) {
@@ -83,8 +83,9 @@ func TestConvertRejectsForeignLayouts(t *testing.T) {
 		"cyclic":    TwoDimCyclic(4, 4, 2, 2, Binary),
 		"mixed":     TwoDimEncoded(4, 4, 2, 2, Binary, Gray),
 	} {
-		for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
-			if res, err := ConvertConsecutiveToCyclic(Scatter(m, before), alg, Options{}); err == nil {
+		for _, alg := range []Algorithm{Convert1, Convert2, Convert3} {
+			after := TwoDimCyclic(4, 4, 2, 2, Binary)
+			if res, err := Transpose(Scatter(m, before), after, Options{Algorithm: alg}); err == nil {
 				t.Errorf("%s layout, %v: accepted (result verifies: %v)", name, alg, res.Dist.Verify(m.Transposed()) == nil)
 			}
 		}
@@ -102,24 +103,33 @@ func TestClassifyPublic(t *testing.T) {
 	}
 }
 
+// The 0-cube's one node is its own reversal: the payload comes back
+// unchanged at no cost.
 func TestBitReversalPublic(t *testing.T) {
-	n := 4
-	data := make([][]float64, 1<<uint(n))
-	for i := range data {
-		data[i] = []float64{float64(i)}
-	}
-	res, err := BitReversal(n, IPSC(), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range res.Data {
-		want := float64(bits.Reverse(uint64(x), n))
-		if res.Data[x][0] != want {
-			t.Fatalf("node %04b holds %v, want %v", x, res.Data[x][0], want)
+	for _, n := range []int{4, 0} {
+		data := make([][]float64, 1<<uint(n))
+		for i := range data {
+			data[i] = []float64{float64(i)}
 		}
-	}
-	if res.Stats.Time <= 0 {
-		t.Error("no time elapsed")
+		res, err := BitReversal(n, IPSC(), data)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for x := range res.Data {
+			want := float64(x)
+			if n > 0 {
+				want = float64(bits.Reverse(uint64(x), n))
+			}
+			if res.Data[x][0] != want {
+				t.Fatalf("n=%d: node %04b holds %v, want %v", n, x, res.Data[x][0], want)
+			}
+		}
+		if n == 0 && res.Stats != (Stats{}) {
+			t.Errorf("0-cube reversal cost %+v, want zero Stats", res.Stats)
+		}
+		if n > 0 && res.Stats.Time <= 0 {
+			t.Error("no time elapsed")
+		}
 	}
 }
 

@@ -47,18 +47,24 @@ func TestAllToAllPersonalizedPublic(t *testing.T) {
 	}
 }
 
+// Every tree family delivers each node its share, the root's own included —
+// also on the 0-cube, where the root's share is all there is.
 func TestOneToAllPersonalizedPublic(t *testing.T) {
 	for _, kind := range []TreeKind{SBTTree, RotatedSBTTrees, SBnTTree} {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			n, size := 4, 8
-			root := uint64(5)
-			res, err := OneToAllPersonalized(n, IPSC(), kind, root,
-				func(dst uint64) []float64 { return commPayload(root, dst, size) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x := uint64(0); x < 1<<uint(n); x++ {
-				checkCommPayload(t, res.Recv[x][root], root, x, size)
+			const size = 8
+			for _, c := range []struct {
+				n    int
+				root uint64
+			}{{4, 5}, {0, 0}} {
+				res, err := OneToAllPersonalized(c.n, IPSC(), kind, c.root,
+					func(dst uint64) []float64 { return commPayload(c.root, dst, size) })
+				if err != nil {
+					t.Fatalf("n=%d: %v", c.n, err)
+				}
+				for x := uint64(0); x < 1<<uint(c.n); x++ {
+					checkCommPayload(t, res.Recv[x][c.root], c.root, x, size)
+				}
 			}
 		})
 	}

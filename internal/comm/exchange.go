@@ -82,14 +82,11 @@ type Block struct {
 // checkpointed execution: OnFinal fires the moment a block reaches its home
 // node — step is the exchange step that delivered it (-1 for blocks already
 // home before the first step) — instead of the block being retained until
-// the algorithm completes. OnStep fires after each step's receives have been
-// placed and delivered, marking a step boundary. Hooks run inside the node
-// program between timed operations; OnFinal must copy out any data it wants
-// to keep, because the block may alias a pooled receive buffer that is
+// the algorithm completes. The hook runs inside the node program between
+// timed operations; it must copy out any data it wants to keep, because the block may alias a pooled receive buffer that is
 // recycled as soon as the hook returns.
 type ExchangeHooks struct {
 	OnFinal func(step int, b Block)
-	OnStep  func(step, dim int)
 }
 
 // slotBlock is a Block inside the exchange slot table, tagged with the
@@ -418,10 +415,6 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 				slots[s] = append(slots[s], slotBlock{Block: b, buf: bi})
 			}
 			nd.Recycle(fabric.Msg{Parts: in.Parts})
-		}
-
-		if hooks.OnStep != nil {
-			hooks.OnStep(step, d)
 		}
 
 		if strat == Shuffled && step < l-1 {

@@ -241,15 +241,16 @@ func (k TreeKind) String() string {
 }
 
 // BuildTrees constructs the spanning tree set of the given kind rooted at
-// root on an n-cube.
+// root on an n-cube. The rotated family has n trees, and one on the 0-cube,
+// so the root's own share is never split zero ways.
 func BuildTrees(kind TreeKind, n int, root uint64) []*cube.Tree {
 	c := cube.New(n)
 	switch kind {
 	case KindSBT:
 		return []*cube.Tree{cube.SBT(c, root)}
 	case KindRotatedSBTs:
-		ts := make([]*cube.Tree, n)
-		for k := 0; k < n; k++ {
+		ts := make([]*cube.Tree, max(n, 1))
+		for k := range ts {
 			ts[k] = cube.RotatedSBT(c, root, k)
 		}
 		return ts

@@ -9,6 +9,7 @@ import (
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 // firstSend remembers the first directed link a run transmits on — by
@@ -26,8 +27,9 @@ func (f *firstSend) Record(ev fabric.TraceEvent) {
 
 // The four entry points that used to run outside any compiled plan cost, with
 // zero options, exactly what they always did (Stats pinned below). The two
-// conversions are plans now, so Options.Deadline and Options.Faults get a
-// plan's treatment: a deadline abort is an *ExecError whose checkpoint Resume
+// conversions are registry rows now, run through Transpose (each case keeps
+// the name of the entry point it replaced), so Options.Deadline and
+// Options.Faults get a plan's treatment: a deadline abort is an *ExecError whose checkpoint Resume
 // finishes, and a permanently-down used link is refused pre-flight (the
 // exchange phases have no alternative routes) or routed around (the encoding
 // conversion's flows fail over like any flow plan's). The Section 5
@@ -49,10 +51,11 @@ func TestAdHocEntryPointsHonourExecOptions(t *testing.T) {
 		want      fabric.Stats // fault-free, no deadline
 	}{
 		{"ConvertEncoding", 3, false, true, true, func(o Options) (*Result, error) {
-			return ConvertEncoding(matrix.Scatter(m, rows), field.OneDimConsecutiveRows(4, 4, 3, field.Gray), o)
+			return Transpose(plan.ConvertEncoding, matrix.Scatter(m, rows), field.OneDimConsecutiveRows(4, 4, 3, field.Gray), o)
 		}, fabric.Stats{Time: 10256, Startups: 8, Sends: 8, Bytes: 1024, MaxLinkBytes: 128, MaxLinkBusy: 5128}},
 		{"ConvertConsecutiveToCyclic", 4, true, true, false, func(o Options) (*Result, error) {
-			return ConvertConsecutiveToCyclic(matrix.Scatter(m, field.TwoDimConsecutive(4, 4, 2, 2, field.Binary)), Convert1, o)
+			d := matrix.Scatter(m, field.TwoDimConsecutive(4, 4, 2, 2, field.Binary))
+			return Transpose(plan.Convert1, d, field.TwoDimCyclic(4, 4, 2, 2, field.Binary), o)
 		}, fabric.Stats{Time: 43784.312, Startups: 96, Sends: 128, Bytes: 4096, CopyBytes: 1024, CopyTime: 54404.99199999998, MaxLinkBytes: 96, MaxLinkBusy: 10096}},
 		{"TransposeExchangePseudocode", 3, true, false, false, oracle(TransposeExchangePseudocode),
 			fabric.Stats{Time: 15192, Startups: 24, Sends: 24, Bytes: 1536, MaxLinkBytes: 64, MaxLinkBusy: 5064}},

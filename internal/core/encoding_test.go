@@ -44,7 +44,7 @@ func TestConvertEncoding(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := matrix.NewIota(4, 4)
 			d := matrix.Scatter(m, c.before)
-			res, err := ConvertEncoding(d, c.after, opts(machine.IPSC()))
+			res, err := Transpose(plan.ConvertEncoding, d, c.after, opts(machine.IPSC()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,17 +88,17 @@ func TestConvertEncodingRejectsBadPairs(t *testing.T) {
 	m := matrix.NewIota(4, 4)
 	d := matrix.Scatter(m, field.OneDimConsecutiveRows(4, 4, 2, field.Binary))
 	// Shape change.
-	if _, err := ConvertEncoding(d, field.OneDimConsecutiveRows(4, 5, 2, field.Gray),
+	if _, err := Transpose(plan.ConvertEncoding, d, field.OneDimConsecutiveRows(4, 5, 2, field.Gray),
 		opts(machine.IPSC())); err == nil {
 		t.Error("shape change accepted")
 	}
 	// Processor count change.
-	if _, err := ConvertEncoding(d, field.OneDimConsecutiveRows(4, 4, 3, field.Gray),
+	if _, err := Transpose(plan.ConvertEncoding, d, field.OneDimConsecutiveRows(4, 4, 3, field.Gray),
 		opts(machine.IPSC())); err == nil {
 		t.Error("processor count change accepted")
 	}
 	// Consecutive -> cyclic is all-to-all, not a permutation.
-	if _, err := ConvertEncoding(d, field.OneDimCyclicRows(4, 4, 2, field.Binary),
+	if _, err := Transpose(plan.ConvertEncoding, d, field.OneDimCyclicRows(4, 4, 2, field.Binary),
 		opts(machine.IPSC())); err == nil {
 		t.Error("non-permutation repartitioning accepted")
 	}
@@ -115,7 +115,7 @@ func TestConvertEncodingComposes(t *testing.T) {
 	binT := field.TwoDimConsecutive(q, p, n/2, n/2, field.Binary)
 
 	d := matrix.Scatter(m, bin)
-	r1, err := ConvertEncoding(d, gry, opts(machine.IPSC()))
+	r1, err := Transpose(plan.ConvertEncoding, d, gry, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestConvertEncodingComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := ConvertEncoding(r2.Dist, binT, opts(machine.IPSC()))
+	r3, err := Transpose(plan.ConvertEncoding, r2.Dist, binT, opts(machine.IPSC()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,10 +70,14 @@ func BitReversalDims(n int) []int {
 }
 
 // BitReversal applies the bit-reversal permutation to per-node payloads via
-// the general exchange algorithm.
+// the general exchange algorithm. The 0-cube's one node is its own
+// reversal.
 func BitReversal(e fabric.Fabric, data [][]float64) ([][]float64, error) {
 	n := e.Dims()
 	return PermuteNodes(e, func(x uint64) uint64 {
+		if n == 0 {
+			return x
+		}
 		return bits.Reverse(x, n)
 	}, BitReversalDims(n), data)
 }

@@ -173,13 +173,23 @@ func TestSPTDPTMPTOrdering(t *testing.T) {
 	}
 }
 
+// convertRows are the Section 6.2 registry rows.
+var convertRows = []plan.Algorithm{plan.Convert1, plan.Convert2, plan.Convert3}
+
+// cyclicOf is the Section 6.2 conversions' after layout for a
+// two-dimensional consecutive before layout: TwoDimCyclic storage of the
+// transposed matrix, in the before layout's encoding.
+func cyclicOf(b field.Layout) field.Layout {
+	return field.TwoDimCyclic(b.Q, b.P, b.Fields[1].Width(), b.Fields[0].Width(), b.Fields[0].Enc)
+}
+
 func TestConvertAlgorithms(t *testing.T) {
 	p, q, nr := 4, 4, 1
-	for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+	for _, alg := range convertRows {
 		before := field.TwoDimConsecutive(p, q, nr, nr, field.Binary)
 		m := matrix.NewIota(p, q)
 		d := matrix.Scatter(m, before)
-		res, err := ConvertConsecutiveToCyclic(d, alg, opts(machine.IPSC()))
+		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(machine.IPSC()))
 		verifyTranspose(t, alg.String(), m, res, err)
 		want := field.TwoDimCyclic(q, p, nr, nr, field.Binary)
 		if res.Dist.Layout.String() != want.String() {
@@ -190,11 +200,11 @@ func TestConvertAlgorithms(t *testing.T) {
 
 func TestConvertAlgorithmsLarger(t *testing.T) {
 	p, q, nr := 5, 4, 2
-	for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+	for _, alg := range convertRows {
 		before := field.TwoDimConsecutive(p, q, nr, nr, field.Binary)
 		m := matrix.NewIota(p, q)
 		d := matrix.Scatter(m, before)
-		res, err := ConvertConsecutiveToCyclic(d, alg, opts(machine.Ideal(machine.OnePort)))
+		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(machine.Ideal(machine.OnePort)))
 		verifyTranspose(t, alg.String()+"-large", m, res, err)
 	}
 }
@@ -208,11 +218,11 @@ func TestConvertAlgorithmCosts(t *testing.T) {
 	before := field.TwoDimConsecutive(p, q, nr, nr, field.Binary)
 	m := matrix.NewIota(p, q)
 
-	times := map[ConvertAlgorithm]float64{}
-	copies := map[ConvertAlgorithm]float64{}
-	for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+	times := map[plan.Algorithm]float64{}
+	copies := map[plan.Algorithm]float64{}
+	for _, alg := range convertRows {
 		d := matrix.Scatter(m, before)
-		res, err := ConvertConsecutiveToCyclic(d, alg, opts(mach))
+		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(mach))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,25 +232,25 @@ func TestConvertAlgorithmCosts(t *testing.T) {
 		times[alg] = res.Stats.Time
 		copies[alg] = res.Stats.CopyTime
 	}
-	if times[Convert1] <= times[Convert3] {
+	if times[plan.Convert1] <= times[plan.Convert3] {
 		t.Errorf("algorithm 1 (%v) should be slower than algorithm 3 (%v) on a start-up bound machine",
-			times[Convert1], times[Convert3])
+			times[plan.Convert1], times[plan.Convert3])
 	}
-	if copies[Convert2] <= copies[Convert3] {
+	if copies[plan.Convert2] <= copies[plan.Convert3] {
 		t.Errorf("algorithm 2 copy time (%v) should exceed algorithm 3 (%v)",
-			copies[Convert2], copies[Convert3])
+			copies[plan.Convert2], copies[plan.Convert3])
 	}
 }
 
 func TestConvertRejectsBadShapes(t *testing.T) {
 	before := field.TwoDimConsecutive(4, 4, 2, 1, field.Binary) // nr != nc
 	d := matrix.Scatter(matrix.NewIota(4, 4), before)
-	if _, err := ConvertConsecutiveToCyclic(d, Convert1, opts(machine.IPSC())); err == nil {
+	if _, err := Transpose(plan.Convert1, d, cyclicOf(d.Layout), opts(machine.IPSC())); err == nil {
 		t.Error("nr != nc accepted")
 	}
 	before = field.TwoDimConsecutive(2, 4, 2, 2, field.Binary) // p < 2nr
 	d = matrix.Scatter(matrix.NewIota(2, 4), before)
-	if _, err := ConvertConsecutiveToCyclic(d, Convert2, opts(machine.IPSC())); err == nil {
+	if _, err := Transpose(plan.Convert2, d, cyclicOf(d.Layout), opts(machine.IPSC())); err == nil {
 		t.Error("p < 2nr accepted")
 	}
 }
@@ -266,11 +276,11 @@ func TestLocalCopiesCharged(t *testing.T) {
 // convert exactly like binary ones.
 func TestConvertAlgorithmsGray(t *testing.T) {
 	p, q, nr := 4, 4, 2
-	for _, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+	for _, alg := range convertRows {
 		before := field.TwoDimConsecutive(p, q, nr, nr, field.Gray)
 		m := matrix.NewIota(p, q)
 		d := matrix.Scatter(m, before)
-		res, err := ConvertConsecutiveToCyclic(d, alg, opts(machine.IPSC()))
+		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(machine.IPSC()))
 		verifyTranspose(t, alg.String()+"-gray", m, res, err)
 		if res.Dist.Layout.Fields[0].Enc != field.Gray {
 			t.Errorf("%v: result layout lost the Gray encoding", alg)
@@ -305,9 +315,9 @@ func TestConversionStatsPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := matrix.NewIota(c.p, c.q)
-		for i, alg := range []ConvertAlgorithm{Convert1, Convert2, Convert3} {
+		for i, alg := range convertRows {
 			d := matrix.Scatter(m, field.TwoDimConsecutive(c.p, c.q, 2, 2, c.enc))
-			res, err := ConvertConsecutiveToCyclic(d, alg, c.opt)
+			res, err := Transpose(alg, d, cyclicOf(d.Layout), c.opt)
 			verifyTranspose(t, c.name+" "+alg.String(), m, res, err)
 			if err == nil && res.Stats != c.pinned[i] {
 				t.Errorf("%s %v: Stats moved:\ngot  %+v\nwant %+v", c.name, alg, res.Stats, c.pinned[i])

@@ -2,20 +2,18 @@ package service
 
 import (
 	"sort"
-	"time"
 
 	"boolcube/internal/plan"
 )
 
 // This file is the service's crash-recovery layer: the circuit breaker that
-// quarantines repeatedly-suspected nodes, the deterministic backoff that
-// paces crashed units back into rounds, and the small set-algebra helpers
+// quarantines repeatedly-suspected nodes and the small set-algebra helpers
 // runRound uses to decide which units must be relabeled around dead nodes.
 //
 // The division of labor: a unit's own dead set (unit.Dead) is authoritative
 // for that unit — its round failed on those nodes, so its recovery must
 // avoid them. The service-level quarantine is the fleet view: a node named
-// in QuarantineAfter node-down failures is retired for everyone, so fresh
+// in quarantineAfter node-down failures is retired for everyone, so fresh
 // jobs stop rediscovering the corpse by failing on it first. On the
 // deterministic backend one suspicion is already proof; the threshold
 // exists for live backends, where a heartbeat suspicion can be a false
@@ -23,7 +21,7 @@ import (
 
 // noteSuspects feeds one node-down failure into the circuit breaker:
 // every named node's suspicion count rises, and nodes crossing the
-// QuarantineAfter threshold are quarantined (counted once in the metrics).
+// quarantineAfter threshold are quarantined (counted once in the metrics).
 func (s *Service) noteSuspects(nodes []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -35,7 +33,7 @@ func (s *Service) noteSuspects(nodes []uint64) {
 			s.suspect = make(map[uint64]int)
 		}
 		s.suspect[nd]++
-		if s.suspect[nd] >= s.cfg.QuarantineAfter {
+		if s.suspect[nd] >= quarantineAfter {
 			if s.quarantined == nil {
 				s.quarantined = make(map[uint64]bool)
 			}
@@ -71,57 +69,6 @@ func (s *Service) quarantineSnapshot() map[uint64]bool {
 		out[nd] = true
 	}
 	return out
-}
-
-// requeueAfterCrash schedules a crashed unit's recovery attempt: immediately
-// when no backoff is configured, otherwise after the unit's deterministic
-// exponential delay. A delayed unit is "parked" — the scheduler counts it as
-// outstanding work and will not drain past it.
-func (s *Service) requeueAfterCrash(u *unit) {
-	delay := backoffDelay(s.cfg.RecoveryBackoff, u.attempts, u.jobs[0].seq)
-	s.mu.Lock()
-	s.metrics.Recoveries++
-	if delay <= 0 {
-		s.resume = append(s.resume, u)
-		s.cond.Signal()
-		s.mu.Unlock()
-		return
-	}
-	s.parked++
-	s.mu.Unlock()
-	time.AfterFunc(delay, func() {
-		s.mu.Lock()
-		s.parked--
-		s.resume = append(s.resume, u)
-		s.cond.Signal()
-		s.mu.Unlock()
-	})
-}
-
-// backoffDelay is the recovery pacing function: base·2^(attempt-1), scaled
-// by a deterministic jitter in [0.5, 1.5) mixed (splitmix64) from the
-// unit's leader sequence and the attempt number. Pure, so tests can pin it;
-// deterministic, so two runs of the same scenario back off identically —
-// yet distinct units de-synchronize instead of restampeding the fabric
-// together. The exponent is clamped so a pathological attempt count cannot
-// overflow the shift.
-func backoffDelay(base time.Duration, attempt int, seq int64) time.Duration {
-	if base <= 0 || attempt < 1 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 10 {
-		shift = 10
-	}
-	d := base << uint(shift)
-	z := uint64(seq)*0x9E3779B97F4A7C15 + uint64(attempt)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	frac := float64(z>>11) / float64(1<<53)
-	return d/2 + time.Duration(float64(d)*frac)
 }
 
 // deadView merges a unit's own casualties with the service quarantine into

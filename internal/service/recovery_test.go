@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"boolcube/internal/core"
 	"boolcube/internal/fabric"
@@ -32,16 +31,22 @@ func unfaultedRoundTime(t *testing.T, cfg Config, spec JobSpec) float64 {
 	return s.Metrics().Fabric.Time
 }
 
-// newCrashService builds a service whose fault schedule kills victim at µs
-// time at.
-func newCrashService(t *testing.T, cfg Config, victim uint64, at float64) *Service {
+// crashConfig is cfg with a fault schedule that kills victim at µs time at.
+func crashConfig(t *testing.T, cfg Config, victim uint64, at float64) Config {
 	t.Helper()
 	fp, err := fault.Compile(fault.NodeCrash(victim, at), cfg.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults = fp
-	s, err := New(cfg)
+	return cfg
+}
+
+// newCrashService builds a service whose fault schedule kills victim at µs
+// time at.
+func newCrashService(t *testing.T, cfg Config, victim uint64, at float64) *Service {
+	t.Helper()
+	s, err := New(crashConfig(t, cfg, victim, at))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,24 +94,28 @@ func TestServiceRecoversFromNodeCrash(t *testing.T) {
 		}
 		if mtr.Quarantined != 0 {
 			t.Fatalf("one suspicion quarantined %d node(s); threshold is %d",
-				mtr.Quarantined, cfg.withDefaults().QuarantineAfter)
+				mtr.Quarantined, quarantineAfter)
 		}
 		return
 	}
 	t.Fatal("no crash instant interrupted a round")
 }
 
-// The circuit breaker: with QuarantineAfter=1 the first node-down failure
-// retires the node, and a later job is relabeled around the corpse up
-// front — it completes without the service suffering another failure.
+// The circuit breaker: with the node already suspected once, its first
+// node-down failure reaches the threshold and retires it, and a later job
+// is relabeled around the corpse up front — it completes without the
+// service suffering another failure.
 func TestServiceQuarantinesRepeatedlySuspectedNode(t *testing.T) {
-	cfg := Config{Dims: 6, QuarantineAfter: 1}
+	cfg := Config{Dims: 6}
 	spec, m := mkSpec2D(plan.DPT, 5, 5, 6, field.Binary)
 	want := m.Transposed()
-	base := unfaultedRoundTime(t, Config{Dims: 6}, spec)
+	base := unfaultedRoundTime(t, cfg, spec)
 
 	for _, frac := range crashFracs {
 		s := newCrashService(t, cfg, 7, frac*base)
+		for range quarantineAfter - 1 {
+			s.noteSuspects([]uint64{7})
+		}
 		j, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +129,7 @@ func TestServiceQuarantinesRepeatedlySuspectedNode(t *testing.T) {
 			continue
 		}
 		if first.Quarantined != 1 {
-			t.Fatalf("quarantined %d node(s) after one suspicion at threshold 1", first.Quarantined)
+			t.Fatalf("quarantined %d node(s) after the failure that reached the threshold", first.Quarantined)
 		}
 		if q := s.QuarantinedNodes(); len(q) != 1 || q[0] != 7 {
 			t.Fatalf("quarantined set = %v, want [7]", q)
@@ -155,15 +164,15 @@ func TestServiceQuarantinesRepeatedlySuspectedNode(t *testing.T) {
 
 // Batched tenants survive together: two identical requests share one unit,
 // the unit's recovery runs once, and both tenants receive element-exact
-// results.
+// results. Rounds are driven by hand, so the two meet in the first one.
 func TestServiceBatchRecoversTogether(t *testing.T) {
-	cfg := Config{Dims: 6, AdmitWindow: 10 * time.Millisecond}
+	cfg := Config{Dims: 6}
 	spec, m := mkSpec2D(plan.SPT, 5, 5, 6, field.Binary)
 	want := m.Transposed()
-	base := unfaultedRoundTime(t, Config{Dims: 6}, spec)
+	base := unfaultedRoundTime(t, cfg, spec)
 
 	for _, frac := range crashFracs {
-		s := newCrashService(t, cfg, 11, frac*base)
+		s := bareService(crashConfig(t, cfg, 11, frac*base))
 		j1, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -172,9 +181,9 @@ func TestServiceBatchRecoversTogether(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		drainRounds(s)
 		r1, err1 := j1.Wait()
 		r2, err2 := j2.Wait()
-		s.Close()
 		if err1 != nil || err2 != nil {
 			t.Fatalf("batched jobs did not survive the kill: %v / %v", err1, err2)
 		}
@@ -198,21 +207,26 @@ func TestServiceBatchRecoversTogether(t *testing.T) {
 // When the attempt budget is exhausted mid-recovery, the job fails with a
 // checkpoint that carries the accumulated dead set — and handing it to
 // core.Recover finishes the transpose element-exact on a private engine.
-// The service's recovery and the library's compose.
+// The service's recovery and the library's compose. The round is driven by
+// hand on a unit that has already spent all but its last attempt.
 func TestServiceHandsRecoverableCheckpointPastAttempts(t *testing.T) {
-	cfg := Config{Dims: 6, MaxAttempts: 1}
+	cfg := Config{Dims: 6}
 	spec, m := mkSpec2D(plan.MPT, 5, 5, 6, field.Binary)
 	want := m.Transposed()
-	base := unfaultedRoundTime(t, Config{Dims: 6}, spec)
+	base := unfaultedRoundTime(t, cfg, spec)
 
 	for _, frac := range crashFracs {
-		s := newCrashService(t, cfg, 11, frac*base)
+		s := bareService(crashConfig(t, cfg, 11, frac*base))
 		j, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.mu.Lock()
+		units := s.formRoundLocked()
+		s.mu.Unlock()
+		units[0].attempts = maxAttempts - 1
+		s.runRound(units)
 		_, werr := j.Wait()
-		s.Close()
 		if werr == nil {
 			continue // kill landed after the round; nothing failed
 		}
@@ -236,80 +250,6 @@ func TestServiceHandsRecoverableCheckpointPastAttempts(t *testing.T) {
 		return
 	}
 	t.Fatal("no crash instant interrupted a round")
-}
-
-// A unit parked on a recovery backoff is outstanding work: the job still
-// completes and Close drains past the parked window instead of hanging.
-func TestServiceRecoveryBackoffParksAndDrains(t *testing.T) {
-	cfg := Config{Dims: 6, RecoveryBackoff: 2 * time.Millisecond}
-	spec, m := mkSpec2D(plan.MPT, 5, 5, 6, field.Binary)
-	want := m.Transposed()
-	base := unfaultedRoundTime(t, Config{Dims: 6}, spec)
-
-	for _, frac := range crashFracs {
-		s := newCrashService(t, cfg, 11, frac*base)
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := j.Wait()
-		if err != nil {
-			t.Fatalf("job did not survive the kill: %v", err)
-		}
-		done := make(chan struct{})
-		go func() { s.Close(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("Close hung on a parked recovery unit")
-		}
-		if verr := res.Dist.Verify(want); verr != nil {
-			t.Fatalf("recovered result wrong: %v", verr)
-		}
-		if s.Metrics().Recoveries > 0 {
-			return
-		}
-	}
-	t.Fatal("no crash instant interrupted a round")
-}
-
-// backoffDelay is pure: deterministic per (seq, attempt), zero without a
-// base, exponential envelope with jitter confined to [0.5, 1.5) of the
-// doubled base.
-func TestBackoffDelayDeterministicJitter(t *testing.T) {
-	if d := backoffDelay(0, 3, 42); d != 0 {
-		t.Fatalf("zero base gave delay %v", d)
-	}
-	if d := backoffDelay(time.Second, 0, 42); d != 0 {
-		t.Fatalf("attempt 0 gave delay %v", d)
-	}
-	base := 10 * time.Millisecond
-	for attempt := 1; attempt <= 6; attempt++ {
-		for seq := int64(1); seq <= 8; seq++ {
-			d := backoffDelay(base, attempt, seq)
-			if d != backoffDelay(base, attempt, seq) {
-				t.Fatalf("delay not deterministic for attempt=%d seq=%d", attempt, seq)
-			}
-			step := base << uint(attempt-1)
-			if d < step/2 || d >= step/2+step {
-				t.Fatalf("attempt=%d seq=%d delay %v outside [%v, %v)",
-					attempt, seq, d, step/2, step/2+step)
-			}
-		}
-	}
-	// Distinct seqs must de-synchronize: not all eight first-attempt delays
-	// may coincide.
-	first := backoffDelay(base, 1, 1)
-	varied := false
-	for seq := int64(2); seq <= 8; seq++ {
-		if backoffDelay(base, 1, seq) != first {
-			varied = true
-			break
-		}
-	}
-	if !varied {
-		t.Fatal("jitter is constant across unit sequences")
-	}
 }
 
 // Tenant isolation on failover: a flow the failover pass cannot reroute

@@ -71,7 +71,7 @@ func newUnit(j *Job) *unit {
 // element-exact; flows that merely route through a casualty fail over to
 // disjoint-path alternatives. A round that still dies on a node crash
 // surfaces a *fabric.NodeDownError; its units absorb the casualties into
-// their dead sets and re-queue for recovery under the backoff policy.
+// their dead sets and re-queue at once for a remapped recovery round.
 func (s *Service) runRound(units []*unit) {
 	// Build one transfer per unit, relabeling degraded units first. A unit
 	// needs a remap only when a span endpoint is dead; its compiled routes
@@ -188,7 +188,7 @@ func (s *Service) runRound(units []*unit) {
 	// A node-down abort is recoverable hardware loss, not a job failure:
 	// feed the circuit breaker, fold the casualties into every unit's dead
 	// set, and re-queue survivors of the attempt budget for a remapped
-	// recovery round under the backoff policy.
+	// recovery round.
 	var nde *fabric.NodeDownError
 	crashed := errors.As(runErr, &nde)
 	if crashed {
@@ -210,7 +210,7 @@ func (s *Service) runRound(units []*unit) {
 		case !deadline && !crashed, binding:
 			s.failUnit(u, runErr)
 			continue
-		case u.attempts >= s.cfg.MaxAttempts:
+		case u.attempts >= maxAttempts:
 			s.failUnit(u, fmt.Errorf("%w (%d attempt(s)): %w", ErrAttempts, u.attempts, runErr))
 			continue
 		}
@@ -220,18 +220,19 @@ func (s *Service) runRound(units []*unit) {
 			continue
 		}
 		u.spans = u.ResidualSpans()
-		switch {
-		case len(u.spans) == 0:
+		if len(u.spans) == 0 {
 			s.completeUnit(u)
-		case crashed:
-			s.requeueAfterCrash(u)
-		default:
-			s.mu.Lock()
-			s.resume = append(s.resume, u)
-			s.metrics.Resumed++
-			s.cond.Signal()
-			s.mu.Unlock()
+			continue
 		}
+		s.mu.Lock()
+		s.resume = append(s.resume, u)
+		if crashed {
+			s.metrics.Recoveries++
+		} else {
+			s.metrics.Resumed++
+		}
+		s.cond.Signal()
+		s.mu.Unlock()
 	}
 }
 

@@ -43,8 +43,8 @@ import (
 	"boolcube/internal/plan"
 )
 
-// Config shapes a Service. The zero value of every bound picks a sensible
-// default; Dims is required.
+// Config shapes a Service: the machine it deploys and the queue bound.
+// Dims is required; every other zero value picks a default.
 type Config struct {
 	// Dims is the cube dimension n of the shared fabric (2^n nodes). Every
 	// job's layouts must fit it.
@@ -58,20 +58,6 @@ type Config struct {
 	// MaxQueue bounds the pending queue; Submit past it is refused with a
 	// typed *AdmissionError (ErrQueueFull). Default 1024.
 	MaxQueue int
-	// MaxRound bounds how many jobs one round admits. Default 32.
-	MaxRound int
-	// AdmitWindow, when positive, is how long the scheduler waits after
-	// finding work before forming a round, letting identical requests
-	// accumulate into batches. Default 0 (form rounds immediately; jobs
-	// arriving while a round executes still batch naturally).
-	AdmitWindow time.Duration
-	// MaxAttempts bounds a job's executions: the initial round plus the
-	// automatic residual resumes after shared-round aborts. Default 3.
-	MaxAttempts int
-	// DisableBatch turns identical-request batching off — every job
-	// becomes its own execution unit. The batching benchmarks use this as
-	// the control arm.
-	DisableBatch bool
 	// Faults, when set, is the fault schedule of the shared fabric. The
 	// service owns one physical machine whose clock accumulates across
 	// rounds, so it keeps a single evolving view of the schedule: each
@@ -80,31 +66,31 @@ type Config struct {
 	// therefore fires in whichever round crosses t, and every later round
 	// sees that node as already dead — its links permanently down.
 	Faults *fault.Plan
-	// RecoveryBackoff is the base delay of the exponential backoff applied
-	// before re-queuing a unit whose round died on a node crash: recovery
-	// attempt k waits RecoveryBackoff·2^(k-1), scaled by a deterministic
-	// jitter in [0.5, 1.5) derived from the unit's leader sequence and the
-	// attempt number, so concurrent casualties do not re-converge on the
-	// fabric in lockstep. Default 0: re-queue immediately, the right
-	// choice on the simulated backend where wall delay buys nothing.
-	RecoveryBackoff time.Duration
-	// QuarantineAfter is the circuit-breaker threshold: a node named in
+}
+
+// The scheduler's fixed bounds.
+const (
+	// aging is the effective-priority boost a queued job gains per round it
+	// waits, bounding every job's wait under adversarial priorities: every
+	// queued rival ages at the same rate, so a rival's lead over a waiting
+	// job never grows, and with gap the highest submitted priority minus
+	// its own, only rivals arriving within the first gap/aging rounds of
+	// its wait can ever outrank it.
+	aging = 1
+	// maxRound bounds how many jobs one round admits.
+	maxRound = 32
+	// maxAttempts bounds a job's executions: the initial round plus the
+	// automatic residual resumes after shared-round aborts.
+	maxAttempts = 3
+	// quarantineAfter is the circuit-breaker threshold: a node named in
 	// that many node-down failures is quarantined, and every later round
 	// relabels work around it up front — remapping units whose transfers
 	// would touch it and routing the rest clear of its links — instead of
-	// rediscovering the corpse by failing again. Default 2, so a single
+	// rediscovering the corpse by failing again. Two, so a single
 	// (possibly spurious, on a live backend) suspicion does not retire
 	// hardware.
-	QuarantineAfter int
-}
-
-// aging is the effective-priority boost a queued job gains per round it
-// waits, bounding every job's wait under adversarial priorities: every
-// queued rival ages at the same rate, so a rival's lead over a waiting job
-// never grows, and with gap the highest submitted priority minus its own,
-// only rivals arriving within the first gap/aging rounds of its wait can
-// ever outrank it.
-const aging = 1
+	quarantineAfter = 2
+)
 
 // withDefaults fills the zero-valued knobs.
 func (c Config) withDefaults() Config {
@@ -113,15 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
-	}
-	if c.MaxRound <= 0 {
-		c.MaxRound = 32
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 2
 	}
 	return c
 }
@@ -209,7 +186,6 @@ type Service struct {
 	cond    *sync.Cond
 	pending []*Job  // admitted, waiting for a round
 	resume  []*unit // aborted units owed an automatic residual resume
-	parked  int     // crashed units waiting out a recovery backoff
 	closed  bool
 	seq     int64
 	metrics Metrics
@@ -317,33 +293,23 @@ func (s *Service) Metrics() Metrics {
 	return s.metrics
 }
 
-// run is the scheduler: wait for work, optionally hold the admission
-// window open so batches accumulate, form a round, execute it, repeat.
-// One round executes at a time — the fabric is the contended resource.
+// run is the scheduler: wait for work, form a round, execute it, repeat.
+// One round executes at a time — the fabric is the contended resource, and
+// jobs arriving while a round executes batch into the next one.
 func (s *Service) run() {
 	for {
 		s.mu.Lock()
-		// A parked unit (waiting out a recovery backoff) is outstanding
-		// work: the scheduler must not exit — even draining — until its
-		// timer re-queues it.
-		for len(s.pending) == 0 && len(s.resume) == 0 && !(s.closed && s.parked == 0) {
+		for len(s.pending) == 0 && len(s.resume) == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.pending) == 0 && len(s.resume) == 0 && s.parked == 0 {
+		if len(s.pending) == 0 && len(s.resume) == 0 {
 			s.mu.Unlock()
 			close(s.done)
 			return
 		}
-		if w := s.cfg.AdmitWindow; w > 0 {
-			s.mu.Unlock()
-			time.Sleep(w)
-			s.mu.Lock()
-		}
 		units := s.formRoundLocked()
 		s.mu.Unlock()
-		if len(units) > 0 {
-			s.runRound(units)
-		}
+		s.runRound(units)
 	}
 }
 
@@ -352,13 +318,12 @@ func (s *Service) run() {
 // effective priority, grouped into batched execution units. Caller holds
 // s.mu.
 func (s *Service) formRoundLocked() []*unit {
-	units := make([]*unit, 0, s.cfg.MaxRound)
-	slots := s.cfg.MaxRound
-	for len(s.resume) > 0 && len(units) < slots {
+	units := make([]*unit, 0, maxRound)
+	for len(s.resume) > 0 && len(units) < maxRound {
 		units = append(units, s.resume[0])
 		s.resume = s.resume[1:]
 	}
-	free := slots
+	free := maxRound
 	for _, u := range units {
 		free -= len(u.jobs)
 	}
@@ -366,7 +331,7 @@ func (s *Service) formRoundLocked() []*unit {
 	// every queued job waits this round either way.
 	selected, rest := pickJobs(s.pending, max(free, 0), aging)
 	s.pending = rest
-	return append(units, groupUnits(selected, !s.cfg.DisableBatch)...)
+	return append(units, groupUnits(selected)...)
 }
 
 // pickJobs selects up to k jobs from pending by effective priority —
@@ -410,12 +375,12 @@ func pickJobs(pending []*Job, k, aging int) (selected, rest []*Job) {
 	return selected, rest
 }
 
-// groupUnits folds the selected jobs into execution units. When batching
-// is on, jobs sharing both the compiled plan (same shape, algorithm and
-// config — one pointer, thanks to the plan cache) and the same source
-// distribution collapse into one unit: the payload moves once and every
-// tenant receives its own copy of the result.
-func groupUnits(jobs []*Job, batch bool) []*unit {
+// groupUnits folds the selected jobs into execution units: jobs sharing
+// both the compiled plan (same shape, algorithm and config — one pointer,
+// thanks to the plan cache) and the same source distribution collapse into
+// one unit. The payload moves once and every tenant receives its own copy
+// of the result.
+func groupUnits(jobs []*Job) []*unit {
 	var units []*unit
 	type key struct {
 		p   *plan.Plan
@@ -423,21 +388,15 @@ func groupUnits(jobs []*Job, batch bool) []*unit {
 	}
 	byKey := make(map[key]*unit)
 	for _, j := range jobs {
-		if batch {
-			k := key{j.plan, j.spec.Src}
-			if u := byKey[k]; u != nil {
-				u.jobs = append(u.jobs, j)
-				if b := budgetOf(j); b < u.budget {
-					u.budget = b
-				}
-				continue
-			}
-			u := newUnit(j)
-			byKey[k] = u
-			units = append(units, u)
+		k := key{j.plan, j.spec.Src}
+		if u := byKey[k]; u != nil {
+			u.jobs = append(u.jobs, j)
+			u.budget = min(u.budget, budgetOf(j))
 			continue
 		}
-		units = append(units, newUnit(j))
+		u := newUnit(j)
+		byKey[k] = u
+		units = append(units, u)
 	}
 	return units
 }

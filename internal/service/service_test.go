@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"boolcube/internal/core"
 	"boolcube/internal/fabric"
@@ -46,11 +45,52 @@ func mkSpec2D(alg plan.Algorithm, p, q, n int, enc field.Encoding) (JobSpec, *ma
 }
 
 // bareService builds a Service with no scheduler goroutine, for
-// deterministic white-box admission tests (nothing ever drains the queue).
+// deterministic white-box tests: nothing drains the queue unless the test
+// drives rounds itself (drainRounds).
 func bareService(cfg Config) *Service {
 	s := &Service{cfg: cfg.withDefaults(), done: make(chan struct{})}
+	s.faults = s.cfg.Faults
 	s.cond = sync.NewCond(&s.mu)
 	return s
+}
+
+// drainRounds is the scheduler loop run by hand on a bare service: it forms
+// and runs rounds until no queued or resumed work is left, so every job
+// submitted before the call meets the others in the first round.
+func drainRounds(s *Service) {
+	for {
+		s.mu.Lock()
+		units := s.formRoundLocked()
+		s.mu.Unlock()
+		if len(units) == 0 {
+			return
+		}
+		s.runRound(units)
+	}
+}
+
+// submitBare submits every spec to a bare service, drives its rounds to
+// completion, and returns the results in submission order.
+func submitBare(t *testing.T, s *Service, specs []JobSpec) []*core.Result {
+	t.Helper()
+	jobs := make([]*Job, len(specs))
+	for i, spec := range specs {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs[i] = j
+	}
+	drainRounds(s)
+	results := make([]*core.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		results[i] = res
+	}
+	return results
 }
 
 // submitAll submits every spec concurrently and waits for all jobs.
@@ -85,10 +125,10 @@ func submitAll(t *testing.T, s *Service, specs []JobSpec) []*core.Result {
 	return results
 }
 
-// TestServiceDifferential is the service-level differential test: N
-// concurrent jobs through one shared fabric versus the same jobs run
-// serially, each round on its own private engine (MaxRound=1, batching
-// off). Per-job arrays must be element-exact in both arms and identical
+// TestServiceDifferential is the service-level differential test: N jobs
+// co-scheduled in one round on a shared fabric versus the same jobs run
+// serially, each submitted only once the previous one finished, so every
+// round runs one job on its own private engine. Per-job arrays must be element-exact in both arms and identical
 // across arms, and the additive fabric statistics (sends, bytes,
 // start-ups — everything unaffected by how traffic is interleaved) must
 // agree exactly, on the simulated backend and on the live goroutine
@@ -126,22 +166,21 @@ func TestServiceDifferential(t *testing.T) {
 			}
 
 			concSpecs, truth := build()
-			// The admission window holds the round open so the jobs meet in
-			// it: the sharing assertion below tests co-scheduling, not that a
-			// round outlasts the next Submit's compile.
-			conc, err := New(Config{Dims: n, Backend: backend, AdmitWindow: 100 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			concRes := submitAll(t, conc, concSpecs)
-			conc.Close()
+			// Rounds driven by hand: the jobs meet in one round by
+			// construction, so the sharing assertion below tests
+			// co-scheduling, not that a round outlasts the next Submit.
+			conc := bareService(Config{Dims: n, Backend: backend})
+			concRes := submitBare(t, conc, concSpecs)
 
 			serSpecs, _ := build()
-			ser, err := New(Config{Dims: n, Backend: backend, MaxRound: 1, DisableBatch: true})
+			ser, err := New(Config{Dims: n, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
-			serRes := submitAll(t, ser, serSpecs)
+			var serRes []*core.Result
+			for _, spec := range serSpecs {
+				serRes = append(serRes, submitAll(t, ser, []JobSpec{spec})...)
+			}
 			ser.Close()
 
 			for i := range concRes {
@@ -179,17 +218,13 @@ func TestServiceDifferential(t *testing.T) {
 func TestServiceBatching(t *testing.T) {
 	const n, tenants = 4, 8
 	spec, m := mkSpec2D(plan.SPT, 3, 3, n, field.Binary)
-	// The admission window holds the round open so all tenants coalesce.
-	s, err := New(Config{Dims: n, AdmitWindow: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Rounds driven by hand, so all tenants meet in the first one.
+	s := bareService(Config{Dims: n})
 	specs := make([]JobSpec, tenants)
 	for i := range specs {
 		specs[i] = spec // same Src pointer, same shape: one unit
 	}
-	results := submitAll(t, s, specs)
-	s.Close()
+	results := submitBare(t, s, specs)
 
 	mt := s.Metrics()
 	if mt.Rounds != 1 {
@@ -216,28 +251,23 @@ func TestServiceBatching(t *testing.T) {
 
 // TestServiceBatchingMovesLessData: the batched arm's additive byte count
 // must be that of ONE job, not of all tenants — batching is a traffic
-// optimization, not just a latency one.
+// optimization, not just a latency one. The unbatched control arm scatters
+// the matrix once per tenant, so no two jobs share a batch key.
 func TestServiceBatchingMovesLessData(t *testing.T) {
 	const n, tenants = 4, 6
-	spec, _ := mkSpec2D(plan.SPT, 3, 3, n, field.Binary)
-	specs := make([]JobSpec, tenants)
-	for i := range specs {
-		specs[i] = spec
+	spec, m := mkSpec2D(plan.SPT, 3, 3, n, field.Binary)
+	shared := make([]JobSpec, tenants)
+	private := make([]JobSpec, tenants)
+	for i := range shared {
+		shared[i] = spec
+		private[i] = spec
+		private[i].Src = matrix.Scatter(m, spec.Before)
 	}
 
-	batched, err := New(Config{Dims: n, AdmitWindow: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, batched, specs)
-	batched.Close()
-
-	unbatched, err := New(Config{Dims: n, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, unbatched, specs)
-	unbatched.Close()
+	batched := bareService(Config{Dims: n})
+	submitBare(t, batched, shared)
+	unbatched := bareService(Config{Dims: n})
+	submitBare(t, unbatched, private)
 
 	b, u := batched.Metrics().Fabric, unbatched.Metrics().Fabric
 	if b.Bytes == 0 || u.Bytes == 0 {
@@ -333,19 +363,21 @@ func TestPickJobsDeterministic(t *testing.T) {
 // so resumes cannot stall the starvation bound pickJobs proves.
 func TestQueuedJobsAgeWhileResumesFillRound(t *testing.T) {
 	spec, _ := mkSpec2D(plan.SPT, 2, 2, 2, field.Binary)
-	s := bareService(Config{Dims: 2, MaxRound: 1})
-	for range 2 {
+	s := bareService(Config{Dims: 2})
+	for range maxRound + 1 {
 		if _, err := s.Submit(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	first := s.formRoundLocked() // admits the first job; the second waits
+	// The first round admits maxRound identical jobs, one batched unit; the
+	// last job waits.
+	first := s.formRoundLocked()
 	if len(first) != 1 || len(s.pending) != 1 || s.pending[0].waited != 1 {
 		t.Fatalf("first round: %d unit(s), %d queued", len(first), len(s.pending))
 	}
-	s.resume = first // the first job's unit is owed a resume and fills the next round
+	s.resume = first // the first round's unit is owed a resume and fills the next round
 	if second := s.formRoundLocked(); len(second) != 1 || second[0] != first[0] {
 		t.Fatalf("second round: %d unit(s), want the resumed one", len(second))
 	}
@@ -363,7 +395,7 @@ func TestServiceDeadlineCheckpointResume(t *testing.T) {
 	const n = 4
 	spec, m := mkSpec(plan.Exchange, 4, 4, n, field.Binary)
 	spec.Deadline = 50 // µs of virtual time: far too tight for a 256-element transpose
-	s, err := New(Config{Dims: n, MaxAttempts: 1})
+	s, err := New(Config{Dims: n})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,9 @@ type (
 	// Service is the long-lived scheduler; construct with NewService,
 	// Submit jobs from any goroutine, Close to drain.
 	Service = service.Service
-	// ServiceConfig shapes a Service (cube dimension, machine model,
-	// backend, queue/round bounds, admission window, attempts, batching,
-	// faults and recovery).
+	// ServiceConfig shapes a Service: the deployed machine (cube
+	// dimension, machine model, backend, fault schedule) and the queue
+	// bound. Round size, attempts and the quarantine threshold are fixed.
 	ServiceConfig = service.Config
 	// ServiceMetrics is a snapshot of the service counters, cumulative
 	// fabric statistics and completed-job latencies.

@@ -84,9 +84,10 @@ func BenchmarkServiceSweep(b *testing.B) {
 }
 
 // benchServiceIdentical: one op = a burst of identical requests (same
-// source, same shape) through a fresh service — with batching on they
-// collapse into one execution per round, with it off each is private.
-func benchServiceIdentical(b *testing.B, disableBatch bool) {
+// shape) through a fresh service. Batched, the tenants share one source and
+// collapse into one execution per round; unbatched, each scatters its own
+// copy of the matrix, so no two share a batch key and each runs privately.
+func benchServiceIdentical(b *testing.B, batch bool) {
 	const (
 		n       = 6
 		tenants = 16
@@ -96,15 +97,24 @@ func benchServiceIdentical(b *testing.B, disableBatch bool) {
 		Before: TwoDimConsecutive(4, 4, n/2, n/2, Binary),
 		After:  TwoDimConsecutive(4, 4, n/2, n/2, Binary),
 	}
-	spec.Src = Scatter(NewIotaMatrix(4, 4), spec.Before)
+	m := NewIotaMatrix(4, 4)
+	specs := make([]JobSpec, tenants)
+	for t := range specs {
+		specs[t] = spec
+		if t == 0 || !batch {
+			specs[t].Src = Scatter(m, spec.Before)
+		} else {
+			specs[t].Src = specs[0].Src
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewService(ServiceConfig{Dims: n, DisableBatch: disableBatch})
+		s, err := NewService(ServiceConfig{Dims: n})
 		if err != nil {
 			b.Fatal(err)
 		}
 		jobs := make([]*Job, 0, tenants)
-		for t := 0; t < tenants; t++ {
+		for _, spec := range specs {
 			j, err := s.Submit(spec)
 			if err != nil {
 				b.Fatal(err)
@@ -120,8 +130,8 @@ func benchServiceIdentical(b *testing.B, disableBatch bool) {
 	}
 }
 
-func BenchmarkServiceBatchedIdentical(b *testing.B)   { benchServiceIdentical(b, false) }
-func BenchmarkServiceUnbatchedIdentical(b *testing.B) { benchServiceIdentical(b, true) }
+func BenchmarkServiceBatchedIdentical(b *testing.B)   { benchServiceIdentical(b, true) }
+func BenchmarkServiceUnbatchedIdentical(b *testing.B) { benchServiceIdentical(b, false) }
 
 // BenchmarkServiceHeavyJob: one op = one heavy job of the bench service
 // workload — a 64x64 one-dimensional transpose on the 6-cube, 4,032

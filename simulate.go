@@ -14,9 +14,6 @@ type Node = fabric.Node
 // Msg is a message between processors.
 type Msg = fabric.Msg
 
-// LinkLoad reports the traffic carried by one directed cube link.
-type LinkLoad = fabric.LinkLoad
-
 // Backends lists the registered fabric backend names, sorted — "simnet"
 // (the default deterministic simulation) and "livenet" (the real
 // goroutine-per-node transport). Select one with Options.Backend or
@@ -54,16 +51,4 @@ func Simulate(n int, mach Machine, prog func(Node)) (Stats, error) {
 		return Stats{}, err
 	}
 	return e.Stats(), nil
-}
-
-// SimulateLoads is Simulate but also returns the per-link traffic.
-func SimulateLoads(n int, mach Machine, prog func(Node)) (Stats, []LinkLoad, error) {
-	e, err := simnet.New(n, orIPSC(mach))
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	if err := e.Run(prog); err != nil {
-		return Stats{}, nil, err
-	}
-	return e.Stats(), e.LinkLoads(), nil
 }
