@@ -3,7 +3,6 @@ package boolcube
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"boolcube/internal/fabric"
@@ -18,7 +17,8 @@ import (
 // a model of a real machine and the live transport trustworthy as an
 // implementation of the model.
 
-// liveBackends returns the backend names every parity case runs on.
+// parityBackends returns the backend names every parity case runs on,
+// failing the test unless both are registered.
 func parityBackends(t *testing.T) []string {
 	t.Helper()
 	got := Backends()
@@ -80,87 +80,6 @@ func TestBackendParityAllAlgorithms(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// Randomized backend parity (the property-test version): seeded random
-// shapes, algorithms, strategies, machines and fault plans, executed on
-// both backends. Fault plans stay within what both backends interpret
-// identically — flaky links (attempt-indexed, deterministic on a single
-// sender per link) and permanent link failures — never wall-clock windows.
-func TestBackendParityRandomized(t *testing.T) {
-	parityBackends(t)
-	rng := rand.New(rand.NewSource(20260808))
-	algos := Algorithms()
-	machines := []Machine{IPSC(), IPSCNPort()}
-	strategies := []Strategy{SingleMessage, Shuffled, Unbuffered, Buffered}
-
-	trials := 40
-	if testing.Short() {
-		trials = 12
-	}
-	executed := 0
-	for i := 0; i < trials; i++ {
-		alg := algos[rng.Intn(len(algos))]
-		n := 2 + 2*rng.Intn(2)
-		p := n/2 + 1 + rng.Intn(2)
-		q := n/2 + 1 + rng.Intn(2)
-		before, after, transposes := randomLayouts(rng, alg, p, q, n)
-		opt := Options{
-			Algorithm:   alg,
-			Machine:     machines[rng.Intn(len(machines))],
-			Strategy:    strategies[rng.Intn(len(strategies))],
-			Packets:     rng.Intn(4),
-			LocalCopies: rng.Intn(2) == 1,
-		}
-		xo := ExecOptions{}
-		// A third of the trials run under a deterministic fault plan with a
-		// retry budget generous enough to always clear it.
-		if rng.Intn(3) == 0 {
-			spec := FaultSpec{Seed: rng.Int63(), Rules: []FaultRule{{
-				Kind: FaultLinkFlaky,
-				Link: FaultLink{From: uint64(rng.Intn(1 << n)), Dim: rng.Intn(n)},
-				Prob: 0.4,
-			}}}
-			fp, err := CompileFaults(spec, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xo.Faults = fp
-			xo.Retry = RetryPolicy{Attempts: 64}
-		}
-		name := fmt.Sprintf("trial %d: %v %s->%s on %s (faults=%v)",
-			i, alg, before, after, opt.Machine.Name, xo.Faults != nil)
-
-		m := NewIotaMatrix(p, q)
-		want := plantest.Want(m, transposes)
-		ct, err := Compile(before, after, opt)
-		if err != nil {
-			continue // invalid combination; covered by the one-shot property test
-		}
-		xo.Backend = "simnet"
-		sim, errSim := ct.ExecuteWith(Scatter(m, before), xo)
-		xo.Backend = "livenet"
-		live, errLive := ct.ExecuteWith(Scatter(m, before), xo)
-		if (errSim == nil) != (errLive == nil) {
-			t.Fatalf("%s: backends disagree on failure: simnet=%v livenet=%v", name, errSim, errLive)
-		}
-		if errSim != nil {
-			continue
-		}
-		if verr := sim.Dist.Verify(want); verr != nil {
-			t.Fatalf("%s: simnet result wrong: %v", name, verr)
-		}
-		if verr := live.Dist.Verify(want); verr != nil {
-			t.Fatalf("%s: livenet result wrong: %v", name, verr)
-		}
-		if got, want := live.Stats.Logical(), sim.Stats.Logical(); got != want {
-			t.Fatalf("%s: logical stats diverge:\nlivenet %+v\nsimnet  %+v", name, got, want)
-		}
-		executed++
-	}
-	if executed < trials/2 {
-		t.Fatalf("only %d of %d random trials executed — generator too narrow", executed, trials)
 	}
 }
 

@@ -55,6 +55,16 @@ func TestTransposeUnknownAlgorithm(t *testing.T) {
 		Options{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
+	// A Strategy outside the four is refused when the plan compiles, not by
+	// a node program that has no packaging for it.
+	before, after := TwoDimConsecutive(2, 2, 1, 1, Binary), TwoDimConsecutive(2, 2, 1, 1, Binary)
+	opt := Options{Algorithm: Exchange, Strategy: Strategy(9)}
+	if _, err := Compile(before, after, opt); err == nil {
+		t.Error("unknown strategy compiled")
+	}
+	if _, err := Transpose(Scatter(m, before), after, opt); err == nil {
+		t.Error("unknown strategy accepted")
+	}
 }
 
 func TestConvertPublicAPI(t *testing.T) {

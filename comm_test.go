@@ -2,6 +2,7 @@ package boolcube
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -137,5 +138,10 @@ func TestPersonalizedRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := AllToAllPersonalized(3, IPSC(), Routing(9), SingleMessage, nil); err == nil {
 		t.Error("unknown routing accepted")
+	}
+	one := func(src, dst uint64) []float64 { return []float64{1} }
+	// Refused up front, not by a node program that has no packaging for it.
+	if _, err := AllToAllPersonalized(2, IPSC(), ExchangeRouting, Strategy(9), one); err == nil || !strings.Contains(err.Error(), "unknown exchange strategy") {
+		t.Errorf("unknown strategy: %v, want a refusal naming it", err)
 	}
 }

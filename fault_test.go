@@ -8,7 +8,7 @@ import (
 	"boolcube/internal/router"
 )
 
-// faultCase enumerates every directed link of an n-cube.
+// everyDirectedLink enumerates every directed link of an n-cube.
 func everyDirectedLink(n int) []FaultLink {
 	var links []FaultLink
 	for from := uint64(0); from < 1<<uint(n); from++ {
@@ -124,70 +124,6 @@ func TestSPTSingleFaultTypedErrorOrFailover(t *testing.T) {
 	}
 }
 
-// A faulted execution is exactly as reproducible as a fault-free one: same
-// fault seed, same Stats, same rendered trace.
-func TestFaultedTransposeDeterministic(t *testing.T) {
-	p, q, n := 4, 4, 4
-	m := NewIotaMatrix(p, q)
-	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
-	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
-	spec := FaultSpec{Seed: 5, Rules: []FaultRule{
-		{Kind: FaultRandomLinks, Count: 3},
-		{Kind: FaultLinkFlaky, Link: FaultLink{From: 1, Dim: 1}, Prob: 0.4},
-	}}
-	fp, err := CompileFaults(spec, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := Compile(before, after, Options{Algorithm: MPT, Machine: IPSCNPort()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() (Stats, string) {
-		tr := NewTrace()
-		res, err := ct.ExecuteWith(Scatter(m, before),
-			ExecOptions{Faults: fp, Tracer: tr, Retry: RetryPolicy{Attempts: 16}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if verr := res.Dist.Verify(m.Transposed()); verr != nil {
-			t.Fatal(verr)
-		}
-		return res.Stats, tr.Gantt(100)
-	}
-	st1, g1 := run()
-	st2, g2 := run()
-	if st1 != st2 {
-		t.Fatalf("stats diverge across identical faulted runs:\n%+v\n%+v", st1, st2)
-	}
-	if g1 != g2 {
-		t.Fatal("rendered traces diverge across identical faulted runs")
-	}
-	// The Gantt output must label the injected faults.
-	for _, line := range fp.Describe() {
-		if !containsLine(g1, "fault: "+line) {
-			t.Fatalf("trace output missing fault label %q:\n%s", line, g1)
-		}
-	}
-}
-
-func containsLine(s, line string) bool {
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != '\n' {
-			i++
-		}
-		if s[:i] == line {
-			return true
-		}
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
-	}
-	return false
-}
-
 // Node failure: taking a node down severs all its links, so any transpose
 // that must traverse it fails typed — and the error names a link incident
 // to the failed node.
@@ -280,5 +216,37 @@ func TestAbandonDropsOnlyTheUnroutableFlow(t *testing.T) {
 	var re *router.RouteError
 	if !errors.As(err, &re) || re.Src != cut || !errors.Is(err, router.ErrNoRoute) {
 		t.Fatalf("reroute policy: %v, want *router.RouteError for node %d's flow", err, cut)
+	}
+}
+
+// A FailoverPolicy outside the three is refused before any engine is built,
+// by ExecuteWith and by Resume and Recover, instead of acting as reroute.
+func TestUnknownFailoverPolicyRefused(t *testing.T) {
+	p, q, n := 4, 4, 4
+	m := NewIotaMatrix(p, q)
+	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
+	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
+	ct, err := Compile(before, after, Options{Algorithm: SPT, Machine: IPSCNPort()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := CompileFaults(SingleLinkDown(0, 0), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := FailoverPolicy(7)
+	res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: bad})
+	var xe *ExecError
+	if err == nil || errors.As(err, &xe) {
+		t.Fatalf("failover %v: result %v, error %v; want a refusal before the run", bad, res, err)
+	}
+	_, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Deadline: 1e-9})
+	if !errors.As(err, &xe) {
+		t.Fatalf("tiny deadline did not checkpoint: %v", err)
+	}
+	for name, finish := range map[string]func(*Checkpoint, ExecOptions) (*Result, error){"Resume": Resume, "Recover": Recover} {
+		if _, err := finish(xe.Checkpoint, ExecOptions{Failover: bad}); err == nil || errors.As(err, new(*ExecError)) {
+			t.Errorf("%s with failover %v: %v, want a refusal before the run", name, bad, err)
+		}
 	}
 }

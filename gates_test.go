@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -22,8 +23,25 @@ import (
 // Benchmark function, in the packages that command lists. Only the
 // top-level element of a pattern is held (before the first unbracketed /):
 // subtest names exist only at run time. The pattern ^$, which selects
-// nothing on purpose, is skipped.
+// nothing on purpose, is skipped. The docs name tests too: every Test,
+// Benchmark, Fuzz or Example name in DESIGN.md, README.md and EXPERIMENTS.md
+// must be a prefix of a function somewhere in the module, as -run would
+// select it.
 func TestGatesNameLiveTests(t *testing.T) {
+	all := testFuncs(t, []string{"./..."})
+	docName := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range docName.FindAllString(string(src), -1) {
+			if !slices.ContainsFunc(all, func(fn string) bool { return strings.HasPrefix(fn, name) }) {
+				t.Errorf("%s names %s, which no test, benchmark, fuzz or example function starts with", doc, name)
+			}
+		}
+	}
+
 	for _, file := range []string{"scripts/check.sh", ".github/workflows/check.yml"} {
 		src, err := os.ReadFile(file)
 		if err != nil {

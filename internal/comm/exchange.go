@@ -57,9 +57,19 @@ func (s Strategy) String() string {
 		return "shuffled"
 	case Unbuffered:
 		return "unbuffered"
-	default:
+	case Buffered:
 		return "buffered"
 	}
+	return fmt.Sprintf("strategy(%d)", int(s))
+}
+
+// checkStrategy refuses a Strategy outside the four, which ExchangeBlocks
+// has no packaging for.
+func checkStrategy(s Strategy) error {
+	if s < SingleMessage || s > Buffered {
+		return fmt.Errorf("comm: unknown exchange strategy %v", s)
+	}
+	return nil
 }
 
 // Block is one (source, destination) payload. The routing of ExchangeBlocks

@@ -135,6 +135,9 @@ func SomeToAll(e fabric.Fabric, splitDims, exchDims []int, strat Strategy, split
 	if err := validateDimSets(e, splitDims, exchDims); err != nil {
 		return nil, err
 	}
+	if err := checkStrategy(strat); err != nil {
+		return nil, err
+	}
 	result := make([]map[uint64][]float64, e.Nodes())
 	err := e.Run(func(nd fabric.Node) {
 		id := nd.ID()
@@ -179,6 +182,9 @@ func SomeToAll(e fabric.Fabric, splitDims, exchDims []int, strat Strategy, split
 // order of Theorem 1. result[x] is populated only at targets.
 func AllToSome(e fabric.Fabric, splitDims, exchDims []int, strat Strategy, exchangeFirst bool, block func(src, dst uint64) []float64) ([]map[uint64][]float64, error) {
 	if err := validateDimSets(e, splitDims, exchDims); err != nil {
+		return nil, err
+	}
+	if err := checkStrategy(strat); err != nil {
 		return nil, err
 	}
 	result := make([]map[uint64][]float64, e.Nodes())

@@ -82,9 +82,12 @@ func (xo ExecOptions) failoverDown() func(from uint64, dim int) bool {
 	return xo.Faults.PermanentlyDown
 }
 
-// checkFaults validates the fault plan against the n-cube the run executes
-// on.
+// checkFaults validates the failover policy, and the fault plan against the
+// n-cube the run executes on.
 func (xo ExecOptions) checkFaults(n int) error {
+	if xo.Failover < FailoverReroute || xo.Failover > FailoverAbandon {
+		return fmt.Errorf("core: unknown failover policy %v", xo.Failover)
+	}
 	if xo.Faults != nil && xo.Faults.Dims() != n {
 		return fmt.Errorf("core: fault plan compiled for a %d-cube, run executes on a %d-cube",
 			xo.Faults.Dims(), n)

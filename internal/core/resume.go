@@ -48,6 +48,9 @@ func resumeMapped(cp *Checkpoint, xo ExecOptions, phys func(uint64) uint64) (*Re
 	if xo.Retry == (fabric.RetryPolicy{}) {
 		xo.Retry = cp.Opts.Retry
 	}
+	if err := xo.checkFaults(p.NDims()); err != nil {
+		return nil, err
+	}
 	spans := cp.ResidualSpans()
 	if len(spans) == 0 {
 		return &Result{Dist: finishDist(p.After(), cp.Loc), Stats: cp.Stats}, nil

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -59,5 +61,50 @@ func TestSummerEmptyNeverZero(t *testing.T) {
 	}
 	if s.Sum() != Checksum(nil) {
 		t.Fatal("empty Summer differs from Checksum(nil)")
+	}
+}
+
+func TestChecksumNeverZero(t *testing.T) {
+	cases := [][]float64{nil, {}, {0}, {0, 0, 0}, {1.5, -2.25}}
+	for _, c := range cases {
+		if Checksum(c) == 0 {
+			t.Errorf("Checksum(%v) = 0; 0 must be reserved for \"unaudited\"", c)
+		}
+	}
+}
+
+func TestChecksumPositionSensitive(t *testing.T) {
+	a := Checksum([]float64{1, 2, 3})
+	b := Checksum([]float64{3, 2, 1})
+	if a == b {
+		t.Fatal("checksum blind to element order")
+	}
+	if Checksum([]float64{1, 2, 3}) != a {
+		t.Fatal("checksum not pure")
+	}
+	if Checksum([]float64{1, 2}) == a {
+		t.Fatal("checksum blind to truncation")
+	}
+}
+
+func TestChecksumDistinguishesBitPatterns(t *testing.T) {
+	// -0 and +0 differ in the sign bit only; an audit over IEEE-754 bits
+	// must see them as different payloads.
+	if Checksum([]float64{0}) == Checksum([]float64{math.Copysign(0, -1)}) {
+		t.Fatal("checksum blind to the sign bit")
+	}
+}
+
+func TestAuditErrorUnwraps(t *testing.T) {
+	err := error(&AuditError{Node: 3, Src: 1, Dst: 2, What: "packet", Want: 7, Got: 9})
+	if !errors.Is(err, ErrAudit) {
+		t.Fatal("AuditError does not unwrap to ErrAudit")
+	}
+	var ae *AuditError
+	if !errors.As(err, &ae) || ae.What != "packet" {
+		t.Fatalf("errors.As round-trip: %+v", ae)
+	}
+	if err.Error() != (&AuditError{Node: 3, Src: 1, Dst: 2, What: "packet", Want: 7, Got: 9}).Error() {
+		t.Fatal("audit message not a pure function of the mismatch")
 	}
 }

@@ -17,6 +17,9 @@ import (
 // algorithm first. The returned plan is sealed: it is never mutated and is
 // safe to replay concurrently and to share through a Cache.
 func Compile(alg Algorithm, before, after field.Layout, cfg Config) (*Plan, error) {
+	if cfg.Strategy < comm.SingleMessage || cfg.Strategy > comm.Buffered {
+		return nil, fmt.Errorf("plan: unknown exchange strategy %v", cfg.Strategy)
+	}
 	if alg == Auto {
 		var err error
 		if alg, err = Choose(before, after, cfg); err != nil {

@@ -46,22 +46,6 @@ func TestPermanentLinkDownAbortsWithTypedError(t *testing.T) {
 	}
 }
 
-func TestTrySendSurfacesErrorWithoutAborting(t *testing.T) {
-	e := faultEngine(t, 1, fault.SingleLinkDown(0, 0), fabric.RetryPolicy{})
-	var sawErr error
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 0 {
-			sawErr = nd.TrySend(0, fabric.Msg{Data: []float64{1}})
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run() = %v, want nil (program handled the fault)", err)
-	}
-	if !errors.Is(sawErr, fabric.ErrLinkDown) {
-		t.Fatalf("TrySend error = %v, want ErrLinkDown", sawErr)
-	}
-}
-
 func TestTransientWindowWaitedOut(t *testing.T) {
 	spec := fault.Spec{Rules: []fault.Rule{
 		{Kind: fault.LinkDown, Link: fault.Link{From: 0, Dim: 0}, Start: 0, End: 10},
@@ -88,62 +72,6 @@ func TestTransientWindowWaitedOut(t *testing.T) {
 	// The send could only start once the window closed at t=10.
 	if st.Time < 10 {
 		t.Fatalf("makespan %v predates the link recovery at t=10", st.Time)
-	}
-}
-
-func TestRetryBudgetExhaustedOnAlwaysDropLink(t *testing.T) {
-	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 1), fabric.RetryPolicy{Attempts: 3})
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 0 {
-			nd.Send(0, fabric.Msg{Data: []float64{1}})
-		} else {
-			nd.Recv(0)
-		}
-	})
-	var fe *fabric.FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("Run() = %v, want *FaultError", err)
-	}
-	if !errors.Is(err, fabric.ErrRetryBudget) {
-		t.Fatalf("error %v does not unwrap to ErrRetryBudget", err)
-	}
-	if fe.Attempts != 3 {
-		t.Fatalf("Attempts = %d, want 3", fe.Attempts)
-	}
-	if st := e.Stats(); st.Drops != 3 || st.Retries != 2 {
-		t.Fatalf("stats = %+v, want 3 drops, 2 retries", st)
-	}
-}
-
-func TestFlakyLinkRetransmitsAndDelivers(t *testing.T) {
-	const msgs = 20
-	e := faultEngine(t, 1, fault.FlakyLink(0, 0, 0.5), fabric.RetryPolicy{Attempts: 64})
-	var got []float64
-	err := e.Run(func(nd fabric.Node) {
-		if nd.ID() == 0 {
-			for i := 0; i < msgs; i++ {
-				nd.Send(0, fabric.Msg{Data: []float64{float64(i)}})
-			}
-		} else {
-			for i := 0; i < msgs; i++ {
-				got = append(got, nd.Recv(0).Data[0])
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != float64(i) {
-			t.Fatalf("message %d carried %v (FIFO order broken by retransmits)", i, v)
-		}
-	}
-	st := e.Stats()
-	if st.Drops == 0 {
-		t.Fatal("p=0.5 over 20 transmissions produced no drops")
-	}
-	if st.Retries != st.Drops {
-		t.Fatalf("retries %d != drops %d for a drop-only fault", st.Retries, st.Drops)
 	}
 }
 

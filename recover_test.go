@@ -177,36 +177,6 @@ func TestRecoverSurvivesSecondKillDuringRecovery(t *testing.T) {
 	t.Fatal("no second-kill instant interrupted a recovery attempt")
 }
 
-// Recovery must be deterministic on the simulated backend: the same crash
-// scenario recovered twice yields bit-identical results and statistics.
-func TestRecoverDeterministicOnSimnet(t *testing.T) {
-	run := func() (*Result, []uint64) {
-		ct, src, base, _ := crashSetup(t, SPT, 4, 4, 6)
-		fp, err := CompileFaults(NodeCrash(5, 0.4*base.Stats.Time), 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rerr := ct.ExecuteWith(src(), ExecOptions{Faults: fp})
-		var xe *ExecError
-		if !errors.As(rerr, &xe) {
-			t.Fatalf("kill did not interrupt the run: %v", rerr)
-		}
-		res, _ := recoverLoop(t, xe, ExecOptions{})
-		return res, xe.Checkpoint.Dead
-	}
-	a, deadA := run()
-	b, deadB := run()
-	if !reflect.DeepEqual(a.Dist.Local, b.Dist.Local) {
-		t.Fatal("recovered distributions differ across reruns")
-	}
-	if !reflect.DeepEqual(a.Stats, b.Stats) {
-		t.Fatalf("recovered stats differ across reruns:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-	if !reflect.DeepEqual(deadA, deadB) {
-		t.Fatalf("dead sets differ across reruns: %v vs %v", deadA, deadB)
-	}
-}
-
 // A crash before any traffic moves recovers from a zero-progress
 // checkpoint: everything reruns on the survivors.
 func TestRecoverFromImmediateCrash(t *testing.T) {

@@ -77,10 +77,11 @@ awk '
 # Link-fault resume, crash recovery and service rounds share one executor
 # (core.RunTransfers), so the crash-recovery scenarios ride the same step,
 # and so do the two that interrupt a three-phase conversion plan. The
-# deadline sweep cuts every registry row at every operation end of its clean
-# run and checks each checkpoint's delivery record against the clean result.
+# registry contract suite cuts every row at every operation end of its clean
+# run, kills a link and crashes a node mid-run, and checks each checkpoint's
+# delivery record and finish against the clean result.
 echo "==> go test -run resume scenarios -count=2"
-go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestConversionResumeAfterPhase2LinkKill|TestConversionRecoverAfterPhase2Crash|TestCheckpointAtEveryDeadline' -count=2 . ./internal/core/
+go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestConversionResumeAfterPhase2LinkKill|TestConversionRecoverAfterPhase2Crash|TestContract' -count=2 . ./internal/core/
 
 # Faulted soak: combined permanent + flaky faults on an 8-cube, replayed
 # for determinism (part of the non-short suite; run explicitly here).
@@ -106,9 +107,10 @@ go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
 # Backend parity smoke: the same compiled plans replayed on the simnet
 # simulation and the livenet goroutine transport must agree element-exactly
 # and on logical stats, including the checkpoint/resume round-trip; the
-# all-algorithms table covers every registry row, the conversions included.
-echo "==> go test -run TestBackendParity -short (backend parity smoke)"
-go test -run 'TestBackendParity' -short -count=1 .
+# registry contract suite and the all-algorithms table cover every registry
+# row, the conversions included.
+echo "==> go test -run TestBackendParity|TestContract -short (backend parity smoke)"
+go test -run 'TestBackendParity|TestContract' -short -count=1 . ./internal/core/
 
 # -short skips the exper figure sweeps, which exceed the per-package test
 # timeout under the race detector. `make race` runs the full sweep with a
