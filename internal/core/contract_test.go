@@ -24,21 +24,28 @@ import (
 	"boolcube/internal/trace"
 )
 
-// shardedBackend is the simulation forced to four epoch workers. It is
-// registered in this test binary only, so the shard contract runs a plan
-// through the unchanged executor on more than one worker.
-const shardedBackend = "simnet-4"
+// shardedBackend is the simulation forced to four epoch workers, and
+// serialBackend the simulation forced to one. They are registered in this
+// test binary only, so the shard contract runs a plan through the unchanged
+// executor on more than one worker — and on exactly one, whatever the
+// automatic policy would pick on the runner's CPUs.
+const (
+	shardedBackend = "simnet-4"
+	serialBackend  = "simnet-1"
+)
 
 func init() {
 	caps, _ := fabric.Caps("simnet")
-	fabric.Register(shardedBackend, func(n int, params machine.Params) (fabric.Fabric, error) {
-		e, err := simnet.New(n, params)
-		if err != nil {
-			return nil, err
-		}
-		e.SetShards(4)
-		return e, nil
-	}, caps)
+	for name, p := range map[string]int{shardedBackend: 4, serialBackend: 1} {
+		fabric.Register(name, func(n int, params machine.Params) (fabric.Fabric, error) {
+			e, err := simnet.New(n, params)
+			if err != nil {
+				return nil, err
+			}
+			e.SetShards(p)
+			return e, nil
+		}, caps)
+	}
 }
 
 // oracles maps a registry row to the published program (Sections 5 and 6.3)
@@ -58,12 +65,10 @@ var knownDivergences = []struct {
 	why      string
 }{
 	{"oracle", func(c *contractCell) bool { return c.alg == plan.SBnT },
-		"the row sends one flow per (source, destination) pair, a start-up per destination per hop; the published program sends one bundle per port per round for n rounds (ROADMAP item 4)"},
+		"the row sends one flow per (source, destination) pair, a start-up per destination per hop; the published program sends one bundle per port per round for n rounds (ROADMAP item 5(b))"},
 	{"oracle", func(c *contractCell) bool {
 		return c.alg == plan.MixedCombined && c.pl.Config().Machine.Ports == machine.OnePort
-	}, "on one port the row takes longer than the published program with the same sends and bytes (n-port and CM match); the cause is open (ROADMAP item 7(a))"},
-	{"shards", func(c *contractCell) bool { return c.emptySend },
-		"simnet's epoch scheduler refuses a zero-duration transmission between shards, and the exchange sends an empty message whenever a step has nothing for the partner"},
+	}, "on one port the row takes longer than the published program with the same sends and bytes (n-port and CM match); the cause is open (ROADMAP item 5(a))"},
 }
 
 // TestContract is the registry's contract suite: every contract a transpose
@@ -73,7 +78,8 @@ var knownDivergences = []struct {
 // one-port iPSC, the n-port iPSC and the Connection Machine; at n = 2, 3, 4
 // (and 6, pairs only, outside -short); each at the zero options and, up to
 // n = 4, at one seeded draw of Strategy × Packets × LocalCopies (see
-// contractCells).
+// contractCells). Outside -short the scale leg runs every row on 2,048
+// nodes (checkScale).
 func TestContract(t *testing.T) {
 	sizes := []int{2, 3, 4}
 	if !testing.Short() {
@@ -90,6 +96,9 @@ func TestContract(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !testing.Short() {
+		t.Run("scale", checkScale)
 	}
 	t.Logf("%d deadlines, %d aborts; oracle cells %v; known divergences shown %v",
 		tally.deadlines, tally.aborts, tally.oracleCells, tally.known)
@@ -132,7 +141,6 @@ type contractCell struct {
 	flaky      *fault.Plan     // drawn cells only, a third of the time
 	clean      *Result         // the traced simnet run every contract compares with
 	rec        *trace.Recorder // its trace
-	emptySend  bool            // it sent an empty message
 	tally      *contractTally
 }
 
@@ -252,9 +260,6 @@ func (c *contractCell) movesOffNode() bool {
 func (c *contractCell) check(t *testing.T) {
 	c.rec = trace.New()
 	c.clean = c.run(t, ExecOptions{Tracer: c.rec})
-	for _, ev := range c.rec.Events {
-		c.emptySend = c.emptySend || ev.Kind == "send" && ev.Bytes == 0
-	}
 	t.Run("exact", c.checkExact)
 	t.Run("replay", c.checkReplay)
 	t.Run("shards", c.checkShards)
@@ -359,6 +364,70 @@ func (c *contractCell) checkShards(t *testing.T) {
 	}
 	if diff := diffBits(four.Dist, c.clean.Dist); diff != "" {
 		t.Error(diff)
+	}
+}
+
+// The scale leg of contract 3: every row on an 11-cube, with 1 and with 4
+// elements per node, on each machine — wherever the row compiles that shape.
+// A row that compiles neither (the path systems and the Section 6.3 rows need
+// an even n) runs on a 12-cube instead. At this size an exchange sends empty
+// messages between every pair of shards; four workers must still give the
+// Dist and Stats of one.
+func checkScale(t *testing.T) {
+	for _, mach := range []machine.Params{machine.IPSC(), machine.IPSCNPort(), machine.ConnectionMachine()} {
+		for _, alg := range plan.Algorithms() {
+			compiled := false
+			for _, n := range []int{11, 12} {
+				hr, hc := n-n/2, n/2 // the node address: hr row bits over hc column bits
+				shapes := [][2]int{{hr, hc}, {hr + 1, hc + 1}}
+				if n == 12 {
+					if compiled {
+						break
+					}
+					shapes = shapes[:1] // 1 element per node keeps the 12-cube affordable
+				}
+				for _, pq := range shapes {
+					p, q := pq[0], pq[1]
+					before := field.TwoDimConsecutive(p, q, hr, hc, field.Binary)
+					after, transposes := field.TwoDimConsecutive(q, p, hc, hr, field.Binary), alg.Transposes()
+					switch {
+					case !transposes:
+						after = field.TwoDimConsecutive(p, q, hr, hc, field.Gray)
+					case alg == plan.MixedNaive || alg == plan.MixedCombined:
+						before = field.TwoDimEncoded(p, q, hr, hc, field.Binary, field.Gray)
+						after = field.TwoDimEncoded(q, p, hc, hr, field.Binary, field.Gray)
+					}
+					pl, err := plan.Compile(alg, before, after, plan.Config{Machine: mach})
+					if err != nil {
+						continue
+					}
+					compiled = true
+					t.Run(fmt.Sprintf("n%d/%s/%v/%dx%d", n, mach.Name, alg, p, q), func(t *testing.T) {
+						m := matrix.NewIota(p, q)
+						run := func(backend string) *Result {
+							res, err := ExecuteWith(pl, matrix.Scatter(m, before), ExecOptions{Backend: backend})
+							if err != nil {
+								t.Fatalf("%s: %v", backend, err)
+							}
+							return res
+						}
+						one, four := run(serialBackend), run(shardedBackend)
+						if err := one.Dist.Verify(plantest.Want(m, transposes)); err != nil {
+							t.Fatalf("one worker: %v", err)
+						}
+						if four.Stats != one.Stats {
+							t.Errorf("Stats at 4 workers diverge:\ngot  %+v\nwant %+v", four.Stats, one.Stats)
+						}
+						if diff := diffBits(four.Dist, one.Dist); diff != "" {
+							t.Error(diff)
+						}
+					})
+				}
+			}
+			if !compiled && alg.Transposes() && !strings.HasPrefix(alg.String(), "convert-") {
+				t.Errorf("%v compiles no 11- or 12-cube shape on %s", alg, mach.Name)
+			}
+		}
 	}
 }
 

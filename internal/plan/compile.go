@@ -173,6 +173,15 @@ func compileConvert(p *Plan) error {
 	return err
 }
 
+// pathSystems verifies what the Section 6.1 path systems need: a pairwise
+// transposition on a cube of even dimension.
+func pathSystems(p *Plan, name string) error {
+	if p.n%2 != 0 {
+		return fmt.Errorf("plan: %s needs an even cube dimension, got %d", name, p.n)
+	}
+	return pairwiseOnly(p.before, p.after, name)
+}
+
 // pairwiseOnly verifies that the transposition is between distinct
 // source/destination pairs (Section 6.1) so path-system transposes apply.
 func pairwiseOnly(before, after field.Layout, name string) error {
@@ -264,7 +273,7 @@ func ShareRange(n, k, i int) (off, sz int) {
 }
 
 func compileSPT(p *Plan) error {
-	if err := pairwiseOnly(p.before, p.after, "SPT"); err != nil {
+	if err := pathSystems(p, "SPT"); err != nil {
 		return err
 	}
 	return compileFlows(p, func(src, dst uint64, n int) [][]int {
@@ -273,7 +282,7 @@ func compileSPT(p *Plan) error {
 }
 
 func compileDPT(p *Plan) error {
-	if err := pairwiseOnly(p.before, p.after, "DPT"); err != nil {
+	if err := pathSystems(p, "DPT"); err != nil {
 		return err
 	}
 	return compileFlows(p, func(src, dst uint64, n int) [][]int {
@@ -282,7 +291,7 @@ func compileDPT(p *Plan) error {
 }
 
 func compileMPT(p *Plan) error {
-	if err := pairwiseOnly(p.before, p.after, "MPT"); err != nil {
+	if err := pathSystems(p, "MPT"); err != nil {
 		return err
 	}
 	return compileFlows(p, func(src, dst uint64, n int) [][]int {

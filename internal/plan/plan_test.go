@@ -171,6 +171,18 @@ func TestCacheCachesErrors(t *testing.T) {
 	}
 }
 
+// The Section 6.1 path systems exist for an even cube dimension only: on an
+// odd one the path rows compile to an error, not a panic.
+func TestPathSystemsRefuseOddN(t *testing.T) {
+	before := field.TwoDimConsecutive(6, 5, 6, 5, field.Binary)
+	after := field.TwoDimConsecutive(5, 6, 5, 6, field.Binary)
+	for _, alg := range []Algorithm{SPT, DPT, MPT} {
+		if _, err := Compile(alg, before, after, Config{Machine: machine.IPSC()}); err == nil || !strings.Contains(err.Error(), "even cube dimension") {
+			t.Errorf("%v on an 11-cube: %v, want an even-dimension error", alg, err)
+		}
+	}
+}
+
 // Auto must resolve to a concrete algorithm and pick sensibly: on a
 // one-port machine nothing beats the exchange family; on an n-port machine
 // with a pairwise layout pair a path algorithm (or SBnT) must win.

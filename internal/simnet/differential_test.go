@@ -34,30 +34,26 @@ func (l *eventLog) Record(ev fabric.TraceEvent) { l.events = append(l.events, ev
 // sizes varying by node id), so the program is deadlock-free by
 // construction: matching sends and receives always pair up.
 type schedStep struct {
-	kind  int // 0 exchange, 1 multi-send + RecvAny, 2 copy, 3 advance, 4 empty exchange
+	kind  int // 0 exchange, 1 multi-send + RecvAny, 2 copy, 3 advance, 4 empty exchange, 5 mixed multi-send + RecvAny
 	dim   int
 	dims  []int
 	bytes int
 	dt    float64
 }
 
-// genScript draws a script. With empties it includes exchanges of empty
-// messages, which take zero virtual time: the receive becomes executable at
-// the very instant of the send, so (time, node id) alone no longer says
-// which operation serial execution reaches first.
-func genScript(rng *rand.Rand, n, steps int, empties bool) []schedStep {
-	kinds := 4
-	if empties {
-		kinds = 5
-	}
+// genScript draws a script from the step kinds given. Kinds 4 and 5 send
+// empty messages, which take zero virtual time: the receive becomes
+// executable at the very instant of the send, so (time, node id) alone no
+// longer says which operation serial execution reaches first.
+func genScript(rng *rand.Rand, n, steps int, kinds []int) []schedStep {
 	script := make([]schedStep, steps)
 	for i := range script {
 		s := &script[i]
-		s.kind = rng.Intn(kinds)
+		s.kind = kinds[rng.Intn(len(kinds))]
 		switch s.kind {
 		case 0, 4:
 			s.dim = rng.Intn(n)
-		case 1:
+		case 1, 5:
 			// A random non-empty dimension subset; every node sends on each
 			// and drains the same count with RecvAny.
 			for d := 0; d < n; d++ {
@@ -134,9 +130,12 @@ func (sc *scenario) run(t *testing.T, shards int) outcome {
 				mark()
 				nd.Recycle(nd.Recv(s.dim))
 				mark()
-			case 1:
+			case 1, 5:
 				for _, d := range s.dims {
 					sz := 1 + (id+5*d+si)%17
+					if s.kind == 5 && (id+d+si)%2 == 0 {
+						sz = 0 // about half the messages are empty
+					}
 					nd.Send(d, fabric.Msg{Data: nd.AllocData(sz)})
 					mark()
 				}
@@ -215,6 +214,9 @@ func shardCounts() []int {
 	return counts
 }
 
+// withAuto is shardCounts() plus the automatic policy.
+var withAuto = append([]int{0}, shardCounts()...)
+
 // diffMode is what a row installs on the engine besides the script.
 type diffMode int
 
@@ -251,7 +253,7 @@ var (
 // omitted.
 type diffRow struct {
 	mode     diffMode
-	empties  bool           // scripts exchange empty messages too; one worker only
+	kinds    []int          // the step kinds scripts draw from; nil: nonempty
 	machines []namedMachine // nil: one-port iPSC
 	ids      []int          // case ids; the rng seed is salt + id
 	unit     string         // subtest prefix of a case, "seed" when empty
@@ -268,14 +270,29 @@ func upTo(n int) []int {
 	return ids
 }
 
+// Step kinds a row's scripts draw from (see schedStep).
+var (
+	nonempty = []int{0, 1, 2, 3}
+	empties  = []int{0, 1, 2, 3, 4}
+	// On one worker fast mode runs a RecvAny eagerly, before an empty
+	// arrival still in flight at its action time lands — a known gap, not a
+	// sharding one. Fast-mode rows with empty messages therefore draw no
+	// RecvAny; record-mode rows also draw kind 5, a RecvAny that drains
+	// empty and nonempty messages.
+	emptiesNoAny = []int{0, 2, 3, 4}
+	emptiesAny   = []int{0, 1, 2, 3, 4, 5}
+)
+
 // differential is the table, keyed by the top-level test that runs the row
 // (go test needs one function per name; see the one-liners below).
 var differential = map[string]diffRow{
-	// The default configuration: SetShards never called. Below 2048 nodes
-	// that is one worker, the only count that accepts a zero-duration
-	// transmission between any two nodes.
-	"TestSchedulerEquivalenceProperty": {mode: traced, empties: true, machines: []namedMachine{onePort, nPort}, ids: upTo(12), salt: 0, procs: []int{0}},
-	"TestSchedulerEquivalenceFaulted":  {mode: faulted, empties: true, ids: upTo(8), salt: 100, procs: []int{0}},
+	// Empty messages, which cross shards inside the epoch that sends them:
+	// the default configuration (SetShards never called) and every forced
+	// worker count.
+	"TestSchedulerEquivalenceProperty": {mode: traced, kinds: empties, machines: []namedMachine{onePort, nPort}, ids: upTo(12), salt: 0, procs: withAuto},
+	"TestSchedulerEquivalenceFaulted":  {mode: faulted, kinds: empties, ids: upTo(8), salt: 100, procs: withAuto},
+	"TestShardInvarianceEmptiesFast":   {mode: plain, kinds: emptiesNoAny, machines: []namedMachine{onePort, nPort, cm}, ids: upTo(10), salt: 1500},
+	"TestShardInvarianceEmptiesAny":    {mode: traced, kinds: emptiesAny, machines: []namedMachine{onePort, nPort, cm}, ids: upTo(12), salt: 1700},
 	// Forced worker counts.
 	"TestShardInvarianceProperty":                   {mode: traced, machines: []namedMachine{onePort, nPort, cm}, ids: upTo(10), salt: 200},
 	"TestShardInvarianceFast":                       {mode: plain, machines: []namedMachine{nPort}, ids: upTo(8), salt: 300},
@@ -296,6 +313,8 @@ var differential = map[string]diffRow{
 }
 
 func TestSchedulerEquivalenceProperty(t *testing.T) { runDifferential(t) }
+func TestShardInvarianceEmptiesFast(t *testing.T)   { runDifferential(t) }
+func TestShardInvarianceEmptiesAny(t *testing.T)    { runDifferential(t) }
 func TestSchedulerEquivalenceFaulted(t *testing.T)  { runDifferential(t) }
 func TestShardInvarianceProperty(t *testing.T)      { runDifferential(t) }
 func TestShardInvarianceFast(t *testing.T)          { runDifferential(t) }
@@ -342,7 +361,11 @@ func newScenario(t *testing.T, rng *rand.Rand, id int, row diffRow, params machi
 		return sc
 	}
 	n := 2 + rng.Intn(4) // 4 to 32 nodes
-	sc := &scenario{n: n, params: params, script: genScript(rng, n, 6+rng.Intn(20), row.empties), trace: mode != plain}
+	kinds := row.kinds
+	if kinds == nil {
+		kinds = nonempty
+	}
+	sc := &scenario{n: n, params: params, script: genScript(rng, n, 6+rng.Intn(20), kinds), trace: mode != plain}
 	var spec fault.Spec
 	switch mode {
 	case plain, traced:
@@ -484,15 +507,19 @@ func TestShardProgramPanic(t *testing.T) {
 }
 
 // scanStats runs one high-to-low dimension scan of exchanges on an n-cube
-// and returns its Stats.
-func scanStats(t *testing.T, n, elems, shards int, params machine.Params) fabric.Stats {
+// and returns its Stats and the worker count node 0 saw as it started.
+func scanStats(t *testing.T, n, elems, shards int, params machine.Params) (fabric.Stats, int) {
 	t.Helper()
 	e, err := simnet.New(n, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetShards(shards)
+	workers := 0
 	err = e.Run(func(nd fabric.Node) {
+		if nd.ID() == 0 {
+			workers = nd.(*simnet.Node).Workers()
+		}
 		for d := nd.Dims() - 1; d >= 0; d-- {
 			m := nd.Exchange(d, fabric.Msg{Data: nd.AllocData(elems)})
 			nd.Recycle(m)
@@ -501,19 +528,179 @@ func scanStats(t *testing.T, n, elems, shards int, params machine.Params) fabric
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e.Stats()
+	return e.Stats(), workers
 }
 
-// TestShardAutoEquivalence checks the SetShards(0) policy boundary: an
-// 11-cube (2048 nodes) is the smallest size the automatic policy gives
-// GOMAXPROCS workers, and its results agree with one worker.
-func TestShardAutoEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("auto-shard equivalence is covered by the 12-cube smoke in check.sh")
+// autoWorkers is what the automatic policy gives an engine of 2^n nodes
+// in fast mode when no other engine runs.
+func autoWorkers(n int) int {
+	if 1<<uint(n) < simnet.AutoShardNodes || runtime.GOMAXPROCS(0) < 2 {
+		return 1
 	}
-	one := scanStats(t, 11, 4, 1, machine.IPSCNPort())
-	if auto := scanStats(t, 11, 4, 0, machine.IPSCNPort()); one != auto {
-		t.Fatalf("auto-sharded 11-cube diverged:\n  P=1:  %+v\n  auto: %+v", one, auto)
+	return min(runtime.GOMAXPROCS(0), 16, 1<<uint(n))
+}
+
+// TestShardAutoEquivalence checks the SetShards(0) policy boundary: a cube
+// just below, at and above autoShardNodes runs on one worker below it and on
+// every CPU from it on, and agrees with one worker on Stats. Outside -short
+// an 11-cube does too.
+func TestShardAutoEquivalence(t *testing.T) {
+	sizes := []int{6, 7, 8}
+	if !testing.Short() {
+		sizes = append(sizes, 11)
+	}
+	if 1<<6 >= simnet.AutoShardNodes || 1<<7 != simnet.AutoShardNodes {
+		t.Fatalf("sizes 6, 7, 8 no longer straddle autoShardNodes = %d", simnet.AutoShardNodes)
+	}
+	for _, n := range sizes {
+		one, _ := scanStats(t, n, 4, 1, machine.IPSCNPort())
+		auto, workers := scanStats(t, n, 4, 0, machine.IPSCNPort())
+		if one != auto {
+			t.Errorf("auto-sharded %d-cube diverged:\n  P=1:  %+v\n  auto: %+v", n, one, auto)
+		}
+		if want := autoWorkers(n); workers != want {
+			t.Errorf("%d-cube: the automatic policy ran %d workers, want %d", n, workers, want)
+		}
+	}
+}
+
+// TestShardAutoRecordModeOneWorker: a tracer, faults or a deadline keep the
+// automatic policy on one worker at any size.
+func TestShardAutoRecordModeOneWorker(t *testing.T) {
+	const n = 8
+	for name, install := range map[string]func(*simnet.Engine){
+		"tracer":   func(e *simnet.Engine) { e.SetTracer(&eventLog{}) },
+		"faults":   func(e *simnet.Engine) { e.SetFaults(fault.MustCompile(fault.Spec{}, n), fabric.RetryPolicy{}) },
+		"deadline": func(e *simnet.Engine) { e.SetDeadline(1e12) },
+	} {
+		e, err := simnet.New(n, machine.IPSC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		install(e)
+		workers := 0
+		if err := e.Run(func(nd fabric.Node) {
+			if nd.ID() == 0 {
+				workers = nd.(*simnet.Node).Workers()
+			}
+			nd.Exchange(0, fabric.Msg{Data: []float64{1}})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if workers != 1 {
+			t.Errorf("%s: record mode ran on %d workers, want 1", name, workers)
+		}
+	}
+}
+
+// TestShardRecvAnyFallsBackToOneWorker: a sharded run stops at its first
+// RecvAny and goes on on one worker, and lands where the oracle and one
+// worker do — in fast mode and, traced, in record mode. Every node first
+// exchanges empty and nonempty messages on every dimension (parallel), then
+// drains two messages, one of them empty, with RecvAny.
+func TestShardRecvAnyFallsBackToOneWorker(t *testing.T) {
+	const n = 7
+	for _, traced := range []bool{false, true} {
+		type result struct {
+			stats         fabric.Stats
+			events        []fabric.TraceEvent
+			before, after []int
+			err           string
+		}
+		run := func(p int) result {
+			e, err := simnet.New(n, machine.IPSC())
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &eventLog{}
+			if traced {
+				e.SetTracer(log)
+			}
+			r := result{before: make([]int, 1<<n), after: make([]int, 1<<n)}
+			prog := func(nd fabric.Node) {
+				id := int(nd.ID())
+				for d := range nd.Dims() {
+					nd.Recycle(nd.Exchange(d, fabric.Msg{Data: nd.AllocData((id + d) % 3)}))
+				}
+				r.before[id] = nd.(*simnet.Node).Workers()
+				nd.Send(0, fabric.Msg{})
+				nd.Send(1, fabric.Msg{Data: nd.AllocData(1 + id%2)})
+				nd.Recycle(nd.RecvAny())
+				nd.Recycle(nd.RecvAny())
+				r.after[id] = nd.(*simnet.Node).Workers()
+			}
+			if p == oracle {
+				err = e.RunOracle(prog)
+			} else {
+				e.SetShards(p)
+				err = e.Run(prog)
+			}
+			if err != nil {
+				r.err = err.Error()
+			}
+			r.stats, r.events = e.Stats(), log.events
+			return r
+		}
+		ref, one, four := run(oracle), run(1), run(4)
+		for name, got := range map[string]result{"P1": one, "P4": four} {
+			if got.err != ref.err || got.stats != ref.stats || !slices.Equal(got.events, ref.events) {
+				t.Errorf("traced=%v %s diverges from the oracle:\n  oracle: %q %+v\n  engine: %q %+v",
+					traced, name, ref.err, ref.stats, got.err, got.stats)
+			}
+		}
+		if slices.Max(four.before) != 4 || slices.Max(four.after) != 1 {
+			t.Errorf("traced=%v: workers before the first RecvAny %d, after it %d; want 4 and 1",
+				traced, slices.Max(four.before), slices.Max(four.after))
+		}
+	}
+}
+
+// TestShardAutoSharesCPUs: the automatic policy takes only CPUs no other
+// running engine holds. With GOMAXPROCS = 4, an engine that holds every CPU
+// leaves a second one a single worker, and an engine that holds one leaves
+// the second three.
+func TestShardAutoSharesCPUs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 8
+	for _, tc := range []struct{ first, wantFirst, wantSecond int }{
+		{first: 0, wantFirst: 4, wantSecond: 1},
+		{first: 1, wantFirst: 1, wantSecond: 3},
+	} {
+		if h := simnet.HeldWorkers(); h != 0 {
+			t.Fatalf("%d workers held before any engine runs", h)
+		}
+		a, err := simnet.New(n, machine.IPSC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetShards(tc.first)
+		started, release, done := make(chan int), make(chan struct{}), make(chan error)
+		go func() {
+			done <- a.Run(func(nd fabric.Node) {
+				if nd.ID() == 0 {
+					started <- nd.(*simnet.Node).Workers()
+					<-release
+				}
+				nd.Exchange(0, fabric.Msg{Data: []float64{1}})
+			})
+		}()
+		first := <-started
+		_, second := scanStats(t, n, 1, 0, machine.IPSC())
+		held := simnet.HeldWorkers()
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if first != tc.wantFirst || second != tc.wantSecond {
+			t.Errorf("first engine (SetShards(%d)) ran %d workers, the second %d; want %d and %d",
+				tc.first, first, second, tc.wantFirst, tc.wantSecond)
+		}
+		if held != first {
+			t.Errorf("with the first engine running alone, %d workers are held; want %d", held, first)
+		}
+		if first+second > 4 && second != 1 {
+			t.Errorf("two engines hold %d + %d workers on 4 CPUs", first, second)
+		}
 	}
 }
 
@@ -525,8 +712,8 @@ func TestCube12ShardedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("12-cube smoke skipped in -short mode (run by check.sh explicitly)")
 	}
-	one := scanStats(t, 12, 8, 1, machine.ConnectionMachine())
-	if auto := scanStats(t, 12, 8, 0, machine.ConnectionMachine()); one != auto {
+	one, _ := scanStats(t, 12, 8, 1, machine.ConnectionMachine())
+	if auto, _ := scanStats(t, 12, 8, 0, machine.ConnectionMachine()); one != auto {
 		t.Fatalf("12-cube sharded run diverged:\n  P=1:  %+v\n  auto: %+v", one, auto)
 	}
 	if one.Sends != int64(4096*12*1) {

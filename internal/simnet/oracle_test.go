@@ -46,7 +46,7 @@ func (run *shardRun) runLinear() error {
 		sh.beginOp(nd, bestT)
 		done := e.performOp(nd)
 		sh.endOp()
-		run.commit()
+		run.commit(math.Inf(1))
 		sh.dirty, sh.skipped = sh.dirty[:0], sh.skipped[:0]
 		if done {
 			nd.done = true

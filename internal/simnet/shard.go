@@ -3,18 +3,32 @@
 //
 // The scheduler exploits the cost model's lookahead: every transmission of
 // at least one element takes at least minDur = SendTime(ElemBytes) virtual
-// time, so an operation executed at time t cannot make any arrival land
-// before t + minDur. Each round (epoch) the coordinator takes the global
-// minimum pending action time T and sets a horizon T + minDur; every shard
-// may then execute all of its own nodes' operations with action time in
-// [T, horizon) independently, in shard-local (time, node id) order, because
-// no operation another shard executes in the same window can deliver an
-// arrival inside it. Cross-shard sends are staged in a per-shard outbox and
-// committed to the destination queues at the epoch barrier. The outbox is
-// presized to the links leaving the shard: a nonempty send holds its port
-// for at least minDur, so each link carries at most one per epoch. A machine
-// with no lookahead (minDur = 0) runs on one shard whose epoch is the single
+// time, so an operation executed at time t cannot make a nonempty arrival
+// land before t + minDur. Each round (epoch) the coordinator takes the
+// global minimum pending action time T and sets a horizon T + minDur; every
+// shard then executes all of its own nodes' operations with action time in
+// [T, horizon) independently, in shard-local (time, node id) order.
+// Cross-shard sends are staged in a per-shard outbox and routed to the
+// destination queues at the epoch barrier. The outbox is presized to the
+// links leaving the shard: a nonempty send holds its port for at least
+// minDur, so each link carries at most one per epoch. A machine with no
+// lookahead (minDur = 0) runs on one shard whose epoch is the single
 // globally-minimal operation — plain serial order.
+//
+// An empty message takes no time, so it can cross a shard boundary and land
+// inside the epoch that sent it. The barrier routes it like any other, and
+// when a routed arrival lands before the horizon the receiving shards run
+// the epoch again at the same horizon, until no such arrival is staged (a
+// same-time fixpoint). That is exact for everything but RecvAny: a receive
+// on one dimension reads a queue with one sender, FIFO, so when it runs
+// does not change what it takes, and an operation's action time is a pure
+// function of its node's program order and its queue fronts. A RecvAny
+// chooses among senders, so it must see exactly the arrivals serial order
+// has delivered. A shard therefore stops as soon as one of its nodes parks
+// at a RecvAny (Node.tryEager), and at the barrier the run continues on one
+// worker: the shards' heaps, accumulators and nodes merge into shard 0
+// (shardRun.collapse). Programs that never call RecvAny — every exchange
+// plan — stay parallel to the end.
 //
 // A shard owns its nodes' scheduling state outright — ready heap, outbox,
 // inbound-queue slot arena and payload pool — and takes no lock on any of
@@ -46,49 +60,59 @@
 //     executes further operations of its own eagerly (Node.tryEager),
 //     without the coroutine hand-off, whenever the operation
 //     is provably inside the epoch (action < horizon): sends touch only
-//     sender-owned state, a receive's queue front is final (single-sender
-//     FIFO), and a RecvAny whose action is inside the epoch cannot be
-//     beaten by an undelivered arrival (those land at or past the horizon).
+//     sender-owned state, and a receive's queue front is final (single-sender
+//     FIFO). On one worker an eager RecvAny runs too; it is serial-exact
+//     unless an empty arrival is still in flight at its action time.
 //
 //   - Record mode (tracer, faults or a finite deadline): every operation
 //     appends a commit record, and the coordinator applies the epoch's
 //     records (and flushes their trace events) in canonical — serial —
-//     order at each barrier (see opRec). On a failure, records past the
-//     canonical first failing operation are discarded, so Stats, LinkLoads
-//     and traces are exact even on abort paths. Eager execution is off (it
-//     would break a shard's serial order), and a one-shard epoch
-//     stops at its first failure: at P = 1 no node program runs past the
-//     canonical failure point, so what programs wrote themselves (a
-//     checkpoint's delivered set) is exact too. At P > 1 node programs in
-//     other shards may have over-executed by up to one epoch — visible only
-//     through such program-written side effects; every engine-reported
-//     artifact is exact.
+//     order once the epoch's fixpoint closes (see opRec, shardRun.commit).
+//     On a failure, records past the canonical first failing operation are
+//     discarded, so Stats, LinkLoads and traces are exact even on abort
+//     paths. Eager execution is off (it would break a shard's serial order),
+//     and a one-shard epoch stops at its first failure: at P = 1 no node
+//     program runs past the canonical failure point, so what programs wrote
+//     themselves (a checkpoint's delivered set) is exact too. At P > 1 node
+//     programs in other shards may have over-executed by up to one epoch —
+//     visible only through such program-written side effects; every
+//     engine-reported artifact is exact. The automatic policy therefore
+//     keeps record-mode runs on one worker. When a RecvAny collapses a
+//     sharded run, the records at or past the earliest operation left are
+//     set aside and replayed into the one worker's order where serial
+//     execution reaches them (shardRun.replay).
 package simnet
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"boolcube/internal/fabric"
 )
 
 // autoShardNodes is the node count at which the automatic policy moves from
-// one worker to GOMAXPROCS: below it (8-cube experiments, service rounds)
-// an epoch holds too few operations to repay the barrier's goroutine
-// hand-offs.
-const autoShardNodes = 2048
+// one worker to every free CPU. On 2 CPUs a 512x512 buffered §8.1 exchange
+// runs 30% faster sharded on 128 nodes and 37% on 256 (DESIGN.md §7); below
+// 128 the gain shrinks (13% on 64 nodes), and 64-node service rounds, whose
+// peak memory sharding raised, stay on one worker.
+const autoShardNodes = 128
 
 // maxAutoShards caps the automatic worker count; property tests may force
 // more via SetShards.
 const maxAutoShards = 16
 
+// heldWorkers counts the workers of every engine running in the process.
+// The automatic policy takes only CPUs no other engine holds, so engines
+// run side by side (exper.Par) do not oversubscribe the host.
+var heldWorkers atomic.Int64
+
 // SetShards sets the worker count for the next Run: p >= 1 forces exactly p
 // shards, p == 0 (the default) is automatic — one worker below
-// autoShardNodes nodes, up to GOMAXPROCS above — and p < 0 means one
+// autoShardNodes nodes and in record mode, otherwise every CPU up to
+// GOMAXPROCS that no other running engine holds — and p < 0 means one
 // worker. Traces, Stats, link loads and errors are bit-identical for every
 // p — the differential suite enforces it — so the choice is purely about
 // host performance. Must be called before Run.
@@ -101,18 +125,35 @@ func (e *Engine) shardLookahead() float64 {
 	return dur
 }
 
-// shardCount resolves the SetShards setting to a worker count >= 1.
-func (e *Engine) shardCount() int {
-	p := e.shards
-	if p == 0 && e.nodesCount >= autoShardNodes {
-		// The worker count influences host scheduling only, never results
-		// (shard-invariance property): sizing it to the host is safe.
-		p = min(runtime.GOMAXPROCS(0), maxAutoShards) //cubevet:ignore detbreak -- worker count is result-invariant; the differential suite pins P to bit-identical outcomes
+// recordMode reports whether the run needs record mode: a tracer, faults or
+// a finite deadline.
+func (e *Engine) recordMode() bool {
+	return e.tracer != nil || e.faults != nil || !math.IsInf(e.deadline, 1)
+}
+
+// acquireWorkers resolves the SetShards setting to a worker count >= 1 and
+// holds that many workers until the returned release is called.
+func (e *Engine) acquireWorkers() (p int, release func()) {
+	p = 1 // without an epoch width only serial order is safe
+	if e.shardLookahead() > 0 {
+		if e.shards > 0 {
+			p = min(e.shards, e.nodesCount)
+		} else if e.shards == 0 && e.nodesCount >= autoShardNodes && !e.recordMode() {
+			// The worker count influences host scheduling only, never
+			// results (shard-invariance property): sizing it to the host is
+			// safe.
+			procs := int64(runtime.GOMAXPROCS(0)) //cubevet:ignore detbreak -- worker count is result-invariant; the differential suite pins P to bit-identical outcomes
+			for {
+				held := heldWorkers.Load()
+				free := max(1, min(procs-held, maxAutoShards, int64(e.nodesCount)))
+				if heldWorkers.CompareAndSwap(held, held+free) {
+					return int(free), func() { heldWorkers.Add(-free) }
+				}
+			}
+		}
 	}
-	if p < 1 || e.shardLookahead() <= 0 {
-		return 1 // without an epoch width only serial order is safe
-	}
-	return min(p, e.nodesCount)
+	heldWorkers.Add(int64(p))
+	return p, func() { heldWorkers.Add(-int64(p)) }
 }
 
 // statAcc is a shard's fast-mode statistics accumulator: integer counters
@@ -123,13 +164,15 @@ type statAcc struct {
 	maxTime                           float64
 }
 
-// opRec is one operation's record-mode commit record. Without eager
-// execution a shard appends records in serial order restricted to its own
-// nodes, so sorting an epoch's records by action time alone, stably over the
-// shards in id order, is the canonical — serial — execution order: at equal
-// times the lower shard holds the lower node ids, and no operation of one
-// shard can enable a same-time operation of another (a zero-duration
-// transmission never crosses shards).
+// opRec is one operation's record-mode commit record. The canonical order
+// of an epoch's records is serial order: ascending action time, and at one
+// time the order in which the linear scan reaches the operations — the
+// lowest node id among those executable. Within a time, an operation becomes
+// executable when its node's previous operation has run and, for a receive,
+// when the send of the message it takes has run: a zero-duration (empty)
+// message can enable a receive at the very instant of its send. commit
+// rebuilds that order from the records alone (program order per node, plus
+// dep), however the shards interleaved them.
 type opRec struct {
 	act  float64
 	node int32
@@ -146,6 +189,9 @@ type opRec struct {
 	sends, retries, drops, faulted int32
 
 	ev0, ev1 int32 // trace-event range in the owning shard's buffer
+
+	seq int64 // unique operation id, carried by the arrival a send makes
+	dep int64 // a receive: the seq of the send it took when both share a time, else 0
 
 	err error // the node program failed right after this operation
 }
@@ -189,9 +235,16 @@ type shard struct {
 	events []fabric.TraceEvent
 	cur    *opRec // open record of the operation being executed
 
+	nseq int64 // record mode: operations recorded by this shard (opRec.seq)
+
 	acc        statAcc
 	doneCount  int
 	crashCount int // crash-stops fired in this shard this epoch
+
+	reopen bool // an arrival routed at the barrier landed before the horizon
+	// A node of this shard is parked at a RecvAny: the shard executes
+	// nothing more until the run collapses onto one worker.
+	anyStop bool
 }
 
 type shardRun struct {
@@ -202,6 +255,18 @@ type shardRun struct {
 	horizon   float64 // current epoch's horizon (written at barriers only)
 	record    bool
 	sortBuf   []opRec
+	// Record mode, after a collapse: the records the shards executed at or
+	// past the stopping RecvAny's time, in canonical order, and their trace
+	// events. runEpoch replays them into shard 0 merged with what it
+	// executes (see replay).
+	pend   []opRec
+	pendEv []fabric.TraceEvent
+	unsent map[int64]arrival // by send seq: set-aside messages out of their queues
+	// commit's scratch at P > 1: the canonical order of sortBuf, and the
+	// ready records by node (canonical).
+	order    []int32
+	sortHeap *readyHeap
+	readyRec []int32
 }
 
 // beginOp opens an operation executed at action time t on nd and, in record
@@ -210,8 +275,10 @@ func (sh *shard) beginOp(nd *Node, t float64) {
 	nd.lastAct = t
 	if sh.run.record {
 		ev := int32(len(sh.events))
+		sh.nseq++
 		sh.recs = append(sh.recs, opRec{
 			act: t, node: int32(nd.id), sh: int32(sh.id), li: -1, ev0: ev, ev1: ev,
+			seq: int64(sh.id)<<40 | sh.nseq,
 		})
 		sh.cur = &sh.recs[len(sh.recs)-1]
 	}
@@ -293,7 +360,7 @@ func (sh *shard) wake() {
 	for _, id := range sh.skipped {
 		nd := e.nodes[id]
 		t, ok := e.actionTime(nd)
-		ok = ok && !nd.done && !nd.crashed
+		ok = ok && !nd.done && !nd.crashed && nd.held == 0
 		if ht, in := sh.heap.key(int(id)); in != ok || (ok && ht != t) {
 			panic(fmt.Sprintf("simnet: debug: node %d skipped a re-key: heap holds (%g, %v), action time is (%g, %v)",
 				id, ht, in, t, ok))
@@ -307,7 +374,7 @@ func (sh *shard) wake() {
 // otherwise (a receive with an empty queue).
 func (sh *shard) refresh(i int) {
 	nd := sh.run.e.nodes[i]
-	if nd.done || nd.crashed {
+	if nd.done || nd.crashed || nd.held > 0 {
 		sh.heap.remove(i)
 		return
 	}
@@ -327,8 +394,17 @@ func (sh *shard) runEpoch() {
 	horizon := run.horizon
 	deadline := e.deadline
 	h := sh.heap
-	for first := true; ; first = false {
+	sh.reopen = false
+	for first := true; !sh.anyStop; first = false {
 		best, t := h.min()
+		if len(run.pend) > 0 {
+			if r := &run.pend[0]; best == -1 || r.act < t || r.act == t && int(r.node) < best {
+				if r.act >= horizon || run.replay() {
+					break
+				}
+				continue
+			}
+		}
 		if best == -1 {
 			break
 		}
@@ -387,14 +463,21 @@ func (sh *shard) runEpoch() {
 
 // tryEager executes the node's pending operation in the node's own
 // coroutine, without parking, when it is provably safe: the action lies
-// inside the current epoch (so no undelivered arrival — all of which land at
-// or past the horizon — can influence its choice or be influenced by it).
+// inside the current epoch, a send touches only sender-owned state, and a
+// receive's queue front is final.
 // The shard's worker is suspended in next until this node parks, so the node
 // is the only one touching shard-owned state. Fast mode only: in record
 // mode a node that ran ahead of the canonical order would be past the
-// failure point when a fault or deadline aborts the run.
+// failure point when a fault or deadline aborts the run. A RecvAny runs
+// eagerly only on one worker: sharded, it stops the shard (anyStop) — another
+// shard may still send the node an empty message serial order delivers
+// first.
 func (nd *Node) tryEager() bool {
 	sh := nd.sh
+	if nd.pending.kind == opRecvAny && len(sh.run.shards) > 1 {
+		sh.anyStop = true
+		return false
+	}
 	if sh.run.record {
 		return false
 	}
@@ -417,7 +500,7 @@ func (e *Engine) newShardRun(p int) *shardRun {
 		shardSize: (e.nodesCount + p - 1) / p,
 		lookahead: e.shardLookahead(),
 		horizon:   math.Inf(-1), // no epoch open yet: prologues run nothing eagerly
-		record:    e.tracer != nil || e.faults != nil || !math.IsInf(e.deadline, 1),
+		record:    e.recordMode(),
 	}
 	for i := range run.shards {
 		sh := &run.shards[i]
@@ -459,7 +542,7 @@ func (run *shardRun) schedule() error {
 		}
 	}
 	live := e.nodesCount
-	for live > 0 {
+	for live > 0 || len(run.pend) > 0 {
 		minT, minNode := run.globalMin()
 		if minNode == -1 {
 			if e.crashQuiesce() {
@@ -472,60 +555,174 @@ func (run *shardRun) schedule() error {
 		}
 		run.horizon = minT + run.lookahead
 		run.eachShard((*shard).runEpoch)
-		// Barrier. Close the epoch's accounting, then route staged
-		// cross-shard arrivals — per queue (one sender, one dimension) the
-		// outbox preserves sender program order, so delivery order is the
-		// same for every shard count — and re-key the receivers they moved.
-		if err := run.commit(); err != nil {
-			return run.abort(err)
-		}
-		for i := range run.shards {
-			sh := &run.shards[i]
-			for j := range sh.out {
-				st := &sh.out[j] // moved by index: ranging would copy each entry
-				if st.a.at < run.horizon {
-					// A transmission shorter than the lookahead crossed a
-					// shard boundary — only possible for an empty payload,
-					// which the horizon argument cannot cover. Refuse
-					// loudly rather than risk a silent divergence.
-					return run.abort(fmt.Errorf("simnet: internal: zero-duration cross-shard transmission (node %d, dim %d, t=%g) defeats the epoch horizon %g",
-						st.dest, st.a.fromDim, st.a.at, run.horizon))
+		// Barrier. Route the staged cross-shard arrivals, and run the epoch
+		// again for every shard an empty one landed in before the horizon,
+		// until none does; then close the epoch's accounting.
+		for run.route() {
+			run.eachShard(func(sh *shard) {
+				if sh.reopen {
+					sh.runEpoch()
 				}
-				dest := e.nodes[st.dest]
-				dest.sh.note(dest, st.a.fromDim)
-				// The whole-arrival copy keeps the queue linked: the pushed
-				// slot is the tail, and a staged arrival's link is nil.
-				*dest.queues[st.a.fromDim].push(dest.sh) = st.a
-			}
-			sh.out = sh.out[:0]
+			})
 		}
+		// A stopped shard's remaining operations run after the collapse,
+		// and so does everything they enable: none acts before the
+		// smallest pending key.
+		stopped, anyAt := false, math.Inf(1)
 		for i := range run.shards {
-			run.shards[i].wake()
+			stopped = stopped || run.shards[i].anyStop
+		}
+		if stopped {
+			anyAt, _ = run.globalMin()
+		}
+		if err := run.commit(anyAt); err != nil {
+			return run.abort(err)
 		}
 		for i := range run.shards {
 			live -= run.shards[i].doneCount + run.shards[i].crashCount
 			e.crashedCount += run.shards[i].crashCount
 			run.shards[i].doneCount, run.shards[i].crashCount = 0, 0
 		}
+		if stopped {
+			run.collapse()
+		}
 	}
 	return run.finish()
 }
 
-// eachShard runs f on every shard, one goroutine per shard (inline when
-// there is only one), and waits for all of them.
-func (run *shardRun) eachShard(f func(*shard)) {
-	if len(run.shards) == 1 {
-		f(&run.shards[0])
+// route delivers the staged cross-shard arrivals and re-keys the receivers
+// they moved. Per queue (one sender, one dimension) the outbox preserves
+// sender program order, so delivery order is the same for every shard count.
+// It reports whether an arrival landed before the horizon — only an empty
+// one can — and marks its shard to run the epoch again.
+func (run *shardRun) route() bool {
+	e := run.e
+	reopen := false
+	for i := range run.shards {
+		sh := &run.shards[i]
+		for j := range sh.out {
+			st := &sh.out[j] // moved by index: ranging would copy each entry
+			dest := e.nodes[st.dest]
+			if st.a.at < run.horizon {
+				dest.sh.reopen, reopen = true, true
+			}
+			dest.sh.note(dest, st.a.fromDim)
+			// The whole-arrival copy keeps the queue linked: the pushed
+			// slot is the tail, and a staged arrival's link is nil.
+			*dest.queues[st.a.fromDim].push(dest.sh) = st.a
+		}
+		sh.out = sh.out[:0]
+	}
+	for i := range run.shards {
+		run.shards[i].wake()
+	}
+	return reopen
+}
+
+// collapse moves the run onto one worker after a RecvAny stopped a shard:
+// shard 0 takes over every node, ready-heap entry and accumulated statistic.
+// The other shards' outboxes are empty and their records were committed or
+// set aside (commit), so nothing else remains.
+func (run *shardRun) collapse() {
+	e := run.e
+	s0 := &run.shards[0]
+	for i := 1; i < len(run.shards); i++ {
+		sh := &run.shards[i]
+		for _, he := range sh.heap.order {
+			s0.heap.update(int(he.id), he.t)
+		}
+		s0.acc.add(&sh.acc)
+	}
+	run.shards = run.shards[:1]
+	run.shardSize = e.nodesCount
+	s0.anyStop = false
+	for _, nd := range e.nodes {
+		nd.sh = s0
+	}
+	if len(run.pend) == 0 {
 		return
 	}
+	// Until replayed, a set-aside operation has not happened: its node
+	// waits, and the message it sent is not in its queue. A sender's
+	// set-aside sends are its last ones, so in every queue they are the
+	// tail; replay appends each back in the sender's program order.
+	sent := map[int64]bool{}
+	for i := range run.pend {
+		r := &run.pend[i]
+		e.nodes[r.node].held++
+		if r.sends > 0 {
+			sent[r.seq] = true
+		}
+	}
+	run.unsent = map[int64]arrival{}
+	for _, nd := range e.nodes {
+		for d := range nd.queues {
+			q := &nd.queues[d]
+			var prev *arrival
+			for a := q.head; a != nil; prev, a = a, a.next {
+				if sent[a.seq] {
+					for ; a != nil; a = a.next {
+						run.unsent[a.seq] = arrival{msg: a.msg, at: a.at, dur: a.dur, fromDim: a.fromDim, act: a.act, seq: a.seq}
+					}
+					if q.tail = prev; prev == nil {
+						q.head = nil
+					} else {
+						prev.next = nil
+					}
+					break
+				}
+			}
+		}
+	}
+	for i := range e.nodes {
+		s0.refresh(i)
+	}
+}
+
+// replay moves the next set-aside record into shard 0's commit order, as if
+// its operation executed now: its send's message, unless a set-aside receive
+// took it already, joins its queue, and once its node has no set-aside
+// record left the node runs again. It reports whether the node program
+// failed after the operation.
+func (run *shardRun) replay() (failed bool) {
+	e := run.e
+	sh := &run.shards[0]
+	r := run.pend[0]
+	run.pend = run.pend[1:]
+	ev0 := int32(len(sh.events))
+	sh.events = append(sh.events, run.pendEv[r.ev0:r.ev1]...)
+	r.ev0, r.ev1 = ev0, int32(len(sh.events))
+	sh.recs = append(sh.recs, r)
+	if a, ok := run.unsent[r.seq]; ok {
+		delete(run.unsent, r.seq)
+		dest := e.nodes[int(r.node)^1<<uint(a.fromDim)]
+		sh.note(dest, a.fromDim)
+		*dest.queues[a.fromDim].push(sh) = a
+	}
+	nd := e.nodes[r.node]
+	if nd.held--; nd.held == 0 {
+		sh.refresh(int(r.node))
+	}
+	sh.wake()
+	if len(run.pend) == 0 {
+		run.pend, run.pendEv, run.unsent = nil, nil, nil
+	}
+	return r.err != nil
+}
+
+// eachShard runs f on every shard and waits for all of them: shard 0 on the
+// calling goroutine, every other shard on a goroutine of its own, so a
+// one-shard run spawns nothing and a barrier wakes one goroutine fewer.
+func (run *shardRun) eachShard(f func(*shard)) {
 	var wg sync.WaitGroup
-	for i := range run.shards {
+	for i := 1; i < len(run.shards); i++ {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
 			f(sh)
 		}(&run.shards[i])
 	}
+	f(&run.shards[0])
 	wg.Wait()
 }
 
@@ -551,9 +748,12 @@ func (run *shardRun) abort(err error) error {
 }
 
 // globalMin returns the smallest (action time, node id) pending key across
-// all shards, or (-1) when nothing is executable.
+// all shards and set-aside records, or (-1) when nothing is executable.
 func (run *shardRun) globalMin() (float64, int) {
 	bestT, best := math.Inf(1), -1
+	if len(run.pend) > 0 {
+		bestT, best = run.pend[0].act, int(run.pend[0].node)
+	}
 	for i := range run.shards {
 		id, t := run.shards[i].heap.min()
 		if id == -1 {
@@ -569,8 +769,11 @@ func (run *shardRun) globalMin() (float64, int) {
 // commit closes an epoch's accounting and returns its canonical first
 // failure, if any. Record mode applies the records in canonical order (see
 // opRec) up to and including the first one whose node program failed;
-// everything a shard executed past it is discarded.
-func (run *shardRun) commit() error {
+// everything a shard executed past it is discarded. Records acting at or
+// after anyAt, the earliest operation left when a RecvAny stopped a shard,
+// are not applied but set aside in run.pend: operations the run has yet to
+// execute may precede them in serial order (see replay).
+func (run *shardRun) commit(anyAt float64) error {
 	if !run.record {
 		var fc *failCand
 		for i := range run.shards {
@@ -585,20 +788,36 @@ func (run *shardRun) commit() error {
 		}
 		return fc.err
 	}
-	all := run.shards[0].recs // one shard: already in canonical order
+	all, order := run.shards[0].recs, []int32(nil) // one shard: already in canonical order
 	if len(run.shards) > 1 {
 		all = run.sortBuf[:0]
 		for i := range run.shards {
 			all = append(all, run.shards[i].recs...)
 		}
-		slices.SortStableFunc(all, func(a, b opRec) int { return cmp.Compare(a.act, b.act) })
 		run.sortBuf = all[:0]
+		order = run.canonical(all)
+	}
+	at := func(k int) *opRec {
+		if order == nil {
+			return &all[k]
+		}
+		return &all[order[k]]
 	}
 	var err error
-	for i := range all {
-		run.applyRec(&all[i])
-		if err = all[i].err; err != nil {
+	k := 0
+	for ; k < len(all) && at(k).act < anyAt; k++ {
+		run.applyRec(at(k))
+		if err = at(k).err; err != nil {
 			break
+		}
+	}
+	if err == nil {
+		for ; k < len(all); k++ {
+			r := *at(k)
+			r.ev0 = int32(len(run.pendEv))
+			run.pendEv = append(run.pendEv, run.shards[r.sh].events[at(k).ev0:at(k).ev1]...)
+			r.sh, r.ev1 = 0, int32(len(run.pendEv))
+			run.pend = append(run.pend, r)
 		}
 	}
 	for i := range run.shards {
@@ -606,6 +825,67 @@ func (run *shardRun) commit() error {
 		run.shards[i].events = run.shards[i].events[:0]
 	}
 	return err
+}
+
+// canonical returns the serial order of an epoch's records as indices into
+// all: the linear scan's order, rebuilt by running it over the records. A
+// record is ready once its node's previous record and, for a same-time
+// receive, the send it took (opRec.dep) are placed; the ready record with
+// the smallest (action time, node id) goes next. In all, every node's
+// records appear in program order, so at most one record per node is ready
+// at a time and a ready heap keyed by node holds them.
+func (run *shardRun) canonical(all []opRec) []int32 {
+	if run.sortHeap == nil {
+		run.sortHeap = newReadyHeap(run.e.nodesCount, 0)
+		run.readyRec = make([]int32, run.e.nodesCount)
+	}
+	next := make([]int32, 2*len(all)) // per record: its node's next record, the receive its send enabled
+	waits := make([]int8, len(all))   // per record: predecessors not yet placed
+	for i := range next {
+		next[i] = -1
+	}
+	bySeq := make(map[int64]int32, len(all))
+	for i := range all {
+		bySeq[all[i].seq] = int32(i)
+	}
+	last := map[int32]int32{}
+	for i := range all {
+		r := &all[i]
+		if j, ok := last[r.node]; ok {
+			next[2*j] = int32(i)
+			waits[i]++
+		}
+		last[r.node] = int32(i)
+		if j, ok := bySeq[r.dep]; ok && r.dep != 0 {
+			next[2*j+1] = int32(i)
+			waits[i]++
+		}
+	}
+	h := run.sortHeap
+	ready := func(i int32) {
+		h.update(int(all[i].node), all[i].act)
+		run.readyRec[all[i].node] = i
+	}
+	for i := range all {
+		if waits[i] == 0 {
+			ready(int32(i))
+		}
+	}
+	order := run.order[:0]
+	for node, _ := h.min(); node != -1; node, _ = h.min() {
+		h.remove(node)
+		i := run.readyRec[node]
+		order = append(order, i)
+		for _, j := range next[2*i : 2*i+2] {
+			if j >= 0 {
+				if waits[j]--; waits[j] == 0 {
+					ready(j)
+				}
+			}
+		}
+	}
+	run.order = order[:0]
+	return order
 }
 
 // applyRec folds one committed record into the engine's statistics, link
@@ -640,6 +920,18 @@ func (run *shardRun) applyRec(r *opRec) {
 			e.tracer.Record(evs[i])
 		}
 	}
+}
+
+// add folds another shard's accumulator into a.
+func (a *statAcc) add(b *statAcc) {
+	a.sends += b.sends
+	a.startups += b.startups
+	a.bytes += b.bytes
+	a.copyBytes += b.copyBytes
+	a.retries += b.retries
+	a.drops += b.drops
+	a.faultedSends += b.faultedSends
+	a.maxTime = max(a.maxTime, b.maxTime)
 }
 
 // foldFast folds fast-mode shard accumulators into the engine's Stats. The

@@ -19,8 +19,9 @@
 // goroutine scheduling. There is one scheduler (shard.go): nodes are
 // partitioned across P >= 1 workers that advance in lookahead-wide epochs,
 // each keeping its executable nodes in an indexed min-heap keyed by action
-// time (sched.go). P is 1 below 2048 nodes and up to GOMAXPROCS above; it
-// moves host time only, never a trace, a statistic or an error.
+// time (sched.go). The automatic P is 1 below 128 nodes and in record mode,
+// else every CPU no other running engine holds; it moves host time only,
+// never a trace, a statistic or an error.
 //
 // Hand-off is by coroutine: every node program runs in an iter.Pull
 // coroutine that yields at each timed operation it cannot execute itself,
@@ -87,6 +88,7 @@ type arrival struct {
 	dur     float64 // transmission duration (for receive-port serialization)
 	fromDim int
 	act     float64  // sender's send action (start) time, for RecvAny tie-breaks
+	seq     int64    // record mode: the send's opRec.seq
 	next    *arrival // next in its queue, or in the shard's free list once popped
 }
 
@@ -152,7 +154,8 @@ type Node struct {
 	stop    func()
 	opErr   error // set by the engine before resume (fault injection)
 	done    bool
-	crashed bool // crash-stop fired; stays parked until drainAll, never done
+	crashed bool  // crash-stop fired; stays parked until drainAll, never done
+	held    int32 // set-aside records still to replay (shardRun.replay); the node waits until 0
 	failure error
 
 	sh      *shard  // owning shard, assigned before the program starts
@@ -313,7 +316,9 @@ func (e *Engine) portIndex(dim int) int {
 // interface (which *Node implements); programs needing simnet-only API can
 // assert back to *Node, but none of the library's algorithms do.
 func (e *Engine) Run(prog func(fabric.Node)) error {
-	run, err := e.start(prog, e.shardCount())
+	p, release := e.acquireWorkers()
+	defer release()
+	run, err := e.start(prog, p)
 	if err != nil {
 		return err
 	}
@@ -577,6 +582,9 @@ func (e *Engine) doSend(nd *Node, dim int, m *fabric.Msg) error {
 
 	a := sh.deliver(int(nd.id^1<<uint(dim)), dim)
 	a.msg, a.at, a.dur, a.fromDim, a.act = *m, end, dur, dim, start
+	if sh.run.record {
+		a.seq = sh.cur.seq
+	}
 	return nil
 }
 
@@ -726,6 +734,9 @@ func (e *Engine) finishRecv(nd *Node, a *arrival) {
 	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
 		Bytes: len(a.msg.Data) * e.params.ElemBytes, Start: completion - a.dur, End: completion})
 	nd.pending.msg = a.msg
+	if sh := nd.sh; sh.run.record && a.act == sh.cur.act {
+		sh.cur.dep = a.seq // an empty message taken at the instant it was sent
+	}
 }
 
 // bumpTime raises the makespan watermark: max is order-invariant, which is

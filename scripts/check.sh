@@ -104,6 +104,13 @@ go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkFabric|BenchmarkSer
 echo "==> go test -run TestCube12ShardedSmoke (12-cube sharded smoke)"
 go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
 
+# Registry contract at scale: every row on an 11-cube (a 12-cube where the
+# row needs an even n), four simnet workers against one, identical Dist and
+# Stats — the exchange rows send empty messages between every pair of
+# shards. The leg skips itself under -short; run it loud here.
+echo "==> go test -run TestContract/scale (registry rows at scale, 4 workers vs 1)"
+go test -run 'TestContract/scale' -count=1 ./internal/core/
+
 # Backend parity smoke: the same compiled plans replayed on the simnet
 # simulation and the livenet goroutine transport must agree element-exactly
 # and on logical stats, including the checkpoint/resume round-trip; the
