@@ -13,7 +13,7 @@ import (
 // at the base of the relative address. Each transfer is its own flow, so a
 // node pays one start-up per destination per hop — not the paper's nτ,
 // which needs the transfers bundled into one message per port per round
-// (ROADMAP item 4).
+// (ROADMAP item 5(b)).
 //
 // block(src, dst) supplies the payload for every ordered pair; result[x]
 // maps sources to the data x received.

@@ -67,7 +67,7 @@ func TestExchangePredictionExactOneDim(t *testing.T) {
 // the paper's models still track the simulation within a factor of 2 on
 // these small shapes. That bound is all the test checks: it says nothing
 // about whether AlgorithmAuto ranks the candidates right, and a factor of
-// 2 is loose enough for it not to (ROADMAP item 1 measured Choose picking
+// 2 is loose enough for it not to (ROADMAP item 2 measured Choose picking
 // the slowest plan on every n-port cell at 512x512). The conversions (each on its own layout pair, plantest.Pair) are priced from
 // their compiled phases and held to the same factor on both port models.
 func TestPredictionTracksSimulation(t *testing.T) {

@@ -40,7 +40,7 @@ func init() {
 // program-written state. With links killed mid-run on a 6-cube, the
 // checkpoint the engine's default (one-worker) configuration hands back —
 // delivered set, destination arrays, sunk Stats, stop time — equals the
-// oracle's exactly. A node program running past the canonical failure point
+// oracle's exactly. A node program running past the first failure
 // would deliver blocks "after" the fault and shrink the residual.
 func TestCheckpointExactAtOneShard(t *testing.T) {
 	const n, p, q = 6, 6, 6

@@ -7,10 +7,10 @@
 // crash takes effect at the first operation boundary whose action time is at
 // or past t. An operation that *started* before t completes (its
 // transmission was already on the wire); the node's next operation never
-// runs. The check sits at the scheduler's pop (crash schedules put the run
-// in record mode, where nothing executes eagerly), so the set of executed
-// operations is a pure function of action times versus crash times —
-// independent of the shard count.
+// runs. The check sits at the scheduler's pop (a crash schedule puts the
+// run in serial mode, where nothing executes eagerly), so the set of
+// executed operations is a pure function of action times versus crash
+// times — independent of the shard count asked for.
 //
 // Detection is the deterministic analog of a live backend's heartbeat
 // suspicion: the run fails with a typed *fabric.NodeDownError once the
@@ -87,6 +87,8 @@ func (e *Engine) crashQuiesce() bool {
 // finalizes Stats.Time at the detection instant (never earlier than the
 // latest fired crash). Every field is a pure function of the program and
 // the schedule, so identical runs — at any shard count — fail identically.
+// The caller folds the shard accumulators first (shardRun.close), so
+// Stats.Time covers every executed operation when it is read here.
 func (e *Engine) nodeDownError() error {
 	var nodes []uint64
 	maxCrash := 0.0

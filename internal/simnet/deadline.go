@@ -14,9 +14,9 @@ import (
 // lands after t, and node-program termination is always allowed.
 //
 // t <= 0 or +Inf disables the deadline (the default). Must be called before
-// Run. The check applies to the canonical next operation whatever the shard
-// count, so a deadline abort is as deterministic and replayable as any other
-// outcome.
+// Run. A finite deadline puts the run in serial mode (one worker, see
+// shard.go), so the check applies to the serial next operation and a
+// deadline abort is as deterministic and replayable as any other outcome.
 func (e *Engine) SetDeadline(t float64) {
 	if t <= 0 {
 		t = math.Inf(1)

@@ -20,8 +20,9 @@ import (
 // time only. Every row of the table below runs randomized node programs
 // under the linear-scan oracle (oracle_test.go) and under the engine at
 // P ∈ {1, 2, 4, GOMAXPROCS} and demands the same virtual-time trace, Stats,
-// link loads and error. At P = 1 — and on any run that completes — it also
-// demands the same program-written state: the per-node progress logs.
+// link loads, error and program-written state: per node, the step and the
+// clock after every completed operation. Serial-mode rows (a tracer,
+// faults or a deadline) run on one worker whatever P asks; plain rows shard.
 
 type eventLog struct {
 	events []fabric.TraceEvent
@@ -80,7 +81,13 @@ type outcome struct {
 	stats    fabric.Stats
 	loads    []fabric.LinkLoad
 	err      string
-	progress [][]int // per node: the script step of every completed operation
+	progress [][]opMark // per node: every completed operation
+}
+
+// opMark is one completed operation in a node's progress log.
+type opMark struct {
+	step  int     // script step
+	clock float64 // the node's clock after the operation
 }
 
 // scenario is one randomized run: a script on an n-cube, plus what is
@@ -116,13 +123,13 @@ func (sc *scenario) run(t *testing.T, shards int) outcome {
 	if sc.faults != nil {
 		e.SetFaults(sc.faults, fabric.RetryPolicy{Attempts: 12})
 	}
-	progress := make([][]int, 1<<uint(sc.n))
+	progress := make([][]opMark, 1<<uint(sc.n))
 	script := sc.script
 	prog := func(nd fabric.Node) {
 		id := int(nd.ID())
 		for si := range script {
 			s := &script[si]
-			mark := func() { progress[id] = append(progress[id], si) }
+			mark := func() { progress[id] = append(progress[id], opMark{si, nd.Clock()}) }
 			switch s.kind {
 			case 0:
 				sz := 1 + (id*7+si*3)%29
@@ -171,10 +178,8 @@ func (sc *scenario) run(t *testing.T, shards int) outcome {
 	return out
 }
 
-// checkEquivalent holds got to the oracle's outcome. programs adds the
-// program-written state, which is exact at one worker in record mode and on
-// every run that completes.
-func checkEquivalent(t *testing.T, ref, got outcome, programs bool) {
+// checkEquivalent holds got to the oracle's outcome.
+func checkEquivalent(t *testing.T, ref, got outcome) {
 	t.Helper()
 	if ref.err != got.err {
 		t.Fatalf("errors differ:\n  oracle: %q\n  engine: %q", ref.err, got.err)
@@ -194,12 +199,9 @@ func checkEquivalent(t *testing.T, ref, got outcome, programs bool) {
 				i, ref.events[i], got.events[i])
 		}
 	}
-	if !programs {
-		return
-	}
 	for id := range ref.progress {
 		if !slices.Equal(ref.progress[id], got.progress[id]) {
-			t.Fatalf("node %d ran %d operations, the oracle %d: a node program ran past the canonical abort point",
+			t.Fatalf("node %d progress differs: %d operations, the oracle %d (a node program ran past the abort point, or an operation's clock moved)",
 				id, len(got.progress[id]), len(ref.progress[id]))
 		}
 	}
@@ -221,8 +223,8 @@ var withAuto = append([]int{0}, shardCounts()...)
 type diffMode int
 
 const (
-	plain    diffMode = iota // nothing: fast-mode accounting
-	traced                   // a tracer: record mode, run completes
+	plain    diffMode = iota // nothing: fast mode, shards at P > 1
+	traced                   // a tracer: serial mode, run completes
 	faulted                  // flaky links (drops, retries) or links down from t=0 (abort)
 	killed                   // links killed mid-run: abort with work in flight
 	deadline                 // a mid-run deadline: abort with work in flight
@@ -277,7 +279,7 @@ var (
 	// On one worker fast mode runs a RecvAny eagerly, before an empty
 	// arrival still in flight at its action time lands — a known gap, not a
 	// sharding one. Fast-mode rows with empty messages therefore draw no
-	// RecvAny; record-mode rows also draw kind 5, a RecvAny that drains
+	// RecvAny; serial-mode rows also draw kind 5, a RecvAny that drains
 	// empty and nonempty messages.
 	emptiesNoAny = []int{0, 2, 3, 4}
 	emptiesAny   = []int{0, 1, 2, 3, 4, 5}
@@ -286,9 +288,10 @@ var (
 // differential is the table, keyed by the top-level test that runs the row
 // (go test needs one function per name; see the one-liners below).
 var differential = map[string]diffRow{
-	// Empty messages, which cross shards inside the epoch that sends them:
-	// the default configuration (SetShards never called) and every forced
-	// worker count.
+	// Empty messages, which cross shards inside the epoch that sends them
+	// (plain rows; the others run on one worker whatever P asks): the
+	// default configuration (SetShards never called) and every forced worker
+	// count.
 	"TestSchedulerEquivalenceProperty": {mode: traced, kinds: empties, machines: []namedMachine{onePort, nPort}, ids: upTo(12), salt: 0, procs: withAuto},
 	"TestSchedulerEquivalenceFaulted":  {mode: faulted, kinds: empties, ids: upTo(8), salt: 100, procs: withAuto},
 	"TestShardInvarianceEmptiesFast":   {mode: plain, kinds: emptiesNoAny, machines: []namedMachine{onePort, nPort, cm}, ids: upTo(10), salt: 1500},
@@ -303,13 +306,14 @@ var differential = map[string]diffRow{
 	// Every link carries two messages a pass apart (payload sizes differ per
 	// step), each through a queue buffer that has been round the free list
 	// in between: per-link FIFO order and recycling at a size where buffers
-	// change hands thousands of times, in record mode and — with eager
-	// execution — in fast mode.
+	// change hands thousands of times, in serial mode and — sharded, with
+	// eager execution — in fast mode.
 	"TestShardInvarianceScanTraced": {mode: traced, machines: []namedMachine{cm}, ids: []int{10}, unit: "cube", scan: true},
 	"TestShardInvarianceScanFast":   {mode: plain, machines: []namedMachine{cm}, ids: []int{10}, unit: "cube", scan: true},
 	// Four workers asked for, one used: without lookahead only serial order
-	// is safe.
-	"TestZeroLookaheadMatchesOracle": {mode: traced, machines: []namedMachine{zeroLookahead}, ids: upTo(6), salt: 1300, procs: []int{4}},
+	// is safe, in fast mode too.
+	"TestZeroLookaheadMatchesOracle":     {mode: traced, machines: []namedMachine{zeroLookahead}, ids: upTo(6), salt: 1300, procs: []int{4}},
+	"TestZeroLookaheadFastMatchesOracle": {mode: plain, machines: []namedMachine{zeroLookahead}, ids: upTo(6), salt: 1300, procs: []int{4}},
 }
 
 func TestSchedulerEquivalenceProperty(t *testing.T) { runDifferential(t) }
@@ -323,14 +327,16 @@ func TestShardInvarianceDeadline(t *testing.T)      { runDifferential(t) }
 func TestShardInvarianceScanTraced(t *testing.T)    { runDifferential(t) }
 func TestShardInvarianceScanFast(t *testing.T)      { runDifferential(t) }
 
-// TestShardInvarianceLinkKill is the property behind record mode's two rules
-// — nothing executes eagerly, and a one-shard epoch stops at its first
-// failure: with either rule off, some node's progress log at P = 1 runs past
-// the oracle's when the killed link aborts the run.
+// TestShardInvarianceLinkKill is the property behind serial mode's three
+// rules — nothing executes eagerly, the epoch stops at its first failure,
+// and the run never shards: with any of them off, Stats, the trace or a
+// node's progress log part from the oracle's when the killed link aborts
+// the run (at P = 1 already for the first two).
 func TestShardInvarianceLinkKill(t *testing.T) { runDifferential(t) }
 
 func TestCrashDeterminismAcrossSchedulersAndShards(t *testing.T) { runDifferential(t) }
 func TestZeroLookaheadMatchesOracle(t *testing.T)                { runDifferential(t) }
+func TestZeroLookaheadFastMatchesOracle(t *testing.T)            { runDifferential(t) }
 
 // TestZeroCubeMatchesOracle: a 0-cube has one node, no links and nothing to
 // partition; its copies and clock advances still go through the scheduler.
@@ -342,7 +348,7 @@ func TestZeroCubeMatchesOracle(t *testing.T) {
 		t.Fatalf("oracle traced %d events (err %q), want %d", len(ref.events), ref.err, len(sc.script))
 	}
 	for _, p := range []int{0, 4} {
-		checkEquivalent(t, ref, sc.run(t, p), true)
+		checkEquivalent(t, ref, sc.run(t, p))
 	}
 }
 
@@ -433,7 +439,7 @@ func runDifferential(t *testing.T) {
 							name = "auto"
 						}
 						t.Run(name, func(t *testing.T) {
-							checkEquivalent(t, ref, sc.run(t, p), p <= 1 || ref.err == "")
+							checkEquivalent(t, ref, sc.run(t, p))
 						})
 					}
 				})
@@ -564,43 +570,15 @@ func TestShardAutoEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardAutoRecordModeOneWorker: a tracer, faults or a deadline keep the
-// automatic policy on one worker at any size.
-func TestShardAutoRecordModeOneWorker(t *testing.T) {
-	const n = 8
-	for name, install := range map[string]func(*simnet.Engine){
-		"tracer":   func(e *simnet.Engine) { e.SetTracer(&eventLog{}) },
-		"faults":   func(e *simnet.Engine) { e.SetFaults(fault.MustCompile(fault.Spec{}, n), fabric.RetryPolicy{}) },
-		"deadline": func(e *simnet.Engine) { e.SetDeadline(1e12) },
-	} {
-		e, err := simnet.New(n, machine.IPSC())
-		if err != nil {
-			t.Fatal(err)
-		}
-		install(e)
-		workers := 0
-		if err := e.Run(func(nd fabric.Node) {
-			if nd.ID() == 0 {
-				workers = nd.(*simnet.Node).Workers()
-			}
-			nd.Exchange(0, fabric.Msg{Data: []float64{1}})
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if workers != 1 {
-			t.Errorf("%s: record mode ran on %d workers, want 1", name, workers)
-		}
-	}
-}
-
-// TestShardRecvAnyFallsBackToOneWorker: a sharded run stops at its first
-// RecvAny and goes on on one worker, and lands where the oracle and one
-// worker do — in fast mode and, traced, in record mode. Every node first
-// exchanges empty and nonempty messages on every dimension (parallel), then
+// TestShardRecvAnyFallsBackToOneWorker: a sharded fast-mode run stops at its
+// first RecvAny and goes on on one worker; a serial-mode run (traced,
+// faulted or with a deadline) runs on one worker throughout, asked for four
+// or left to the automatic policy. Each lands where the oracle does. Every
+// node first exchanges empty and nonempty messages on every dimension, then
 // drains two messages, one of them empty, with RecvAny.
 func TestShardRecvAnyFallsBackToOneWorker(t *testing.T) {
-	const n = 7
-	for _, traced := range []bool{false, true} {
+	const n = 7 // autoShardNodes: the automatic policy shards a plain run
+	for _, mode := range []string{"plain", "traced", "faulted", "deadline"} {
 		type result struct {
 			stats         fabric.Stats
 			events        []fabric.TraceEvent
@@ -613,8 +591,13 @@ func TestShardRecvAnyFallsBackToOneWorker(t *testing.T) {
 				t.Fatal(err)
 			}
 			log := &eventLog{}
-			if traced {
+			switch mode {
+			case "traced":
 				e.SetTracer(log)
+			case "faulted":
+				e.SetFaults(fault.MustCompile(fault.FlakyLink(3, 1, 0.4), n), fabric.RetryPolicy{Attempts: 12})
+			case "deadline":
+				e.SetDeadline(1e12)
 			}
 			r := result{before: make([]int, 1<<n), after: make([]int, 1<<n)}
 			prog := func(nd fabric.Node) {
@@ -641,16 +624,23 @@ func TestShardRecvAnyFallsBackToOneWorker(t *testing.T) {
 			r.stats, r.events = e.Stats(), log.events
 			return r
 		}
-		ref, one, four := run(oracle), run(1), run(4)
-		for name, got := range map[string]result{"P1": one, "P4": four} {
+		ref := run(oracle)
+		for _, p := range []int{1, 4, 0} {
+			got := run(p)
 			if got.err != ref.err || got.stats != ref.stats || !slices.Equal(got.events, ref.events) {
-				t.Errorf("traced=%v %s diverges from the oracle:\n  oracle: %q %+v\n  engine: %q %+v",
-					traced, name, ref.err, ref.stats, got.err, got.stats)
+				t.Errorf("%s P%d diverges from the oracle:\n  oracle: %q %+v\n  engine: %q %+v",
+					mode, p, ref.err, ref.stats, got.err, got.stats)
 			}
-		}
-		if slices.Max(four.before) != 4 || slices.Max(four.after) != 1 {
-			t.Errorf("traced=%v: workers before the first RecvAny %d, after it %d; want 4 and 1",
-				traced, slices.Max(four.before), slices.Max(four.after))
+			want := 1
+			if mode == "plain" && p == 4 {
+				want = 4
+			} else if mode == "plain" && p == 0 {
+				want = autoWorkers(n)
+			}
+			if slices.Max(got.before) != want || slices.Max(got.after) != 1 {
+				t.Errorf("%s P%d: workers before the first RecvAny %d, after it %d; want %d and 1",
+					mode, p, slices.Max(got.before), slices.Max(got.after), want)
+			}
 		}
 	}
 }

@@ -3,15 +3,15 @@ package simnet
 import "boolcube/internal/fabric"
 
 // RunOracle is Run under the linear-scan oracle scheduler (oracle_test.go),
-// for the external differential suite. One shard, forced into record mode so
-// that nothing executes eagerly and every operation commits as it runs.
+// for the external differential suite. One shard, forced into serial mode
+// so that nothing executes eagerly.
 func (e *Engine) RunOracle(prog func(fabric.Node)) error {
 	run, err := e.start(prog, 1)
 	if err != nil {
 		return err
 	}
-	run.record = true
-	err = run.runLinear()
+	run.serial = true
+	err = run.close(run.runLinear())
 	e.foldCopyTime()
 	return err
 }

@@ -6,16 +6,17 @@ import "math"
 // over all nodes that executes the one pending operation with the smallest
 // (action time, node id) per step. It shares no scheduling decision with
 // the production engine — no ready heap, no epochs, no horizon, no eager
-// execution — only the operation semantics (performOp) and, through one
-// record-mode shard committed after every step, the accounting.
-func (run *shardRun) runLinear() error {
+// execution — only the operation semantics (performOp), the statistic
+// sinks and the run's close (shardRun.close), whose results it returns in
+// the shape of shardRun.epochs.
+func (run *shardRun) runLinear() (stuck bool, err error) {
 	e := run.e
 	sh := &run.shards[0]
 	for live := e.nodesCount; live > 0; {
 		// Surface program failures (panics inside node programs).
 		for _, nd := range e.nodes {
 			if err := e.checkFailure(nd); err != nil {
-				return err
+				return false, err
 			}
 		}
 		best, bestT := -1, math.Inf(1)
@@ -28,14 +29,11 @@ func (run *shardRun) runLinear() error {
 			}
 		}
 		if best == -1 {
-			if e.crashQuiesce() {
-				return run.abort(e.nodeDownError())
-			}
-			return run.abort(e.deadlockError())
+			return true, nil
 		}
 		nd := e.nodes[best]
 		if nd.pending.kind != opDone && bestT > e.deadline {
-			return run.abort(e.deadlineError(nd, bestT))
+			return false, e.deadlineError(nd, bestT)
 		}
 		if e.crashDue(best, bestT) {
 			e.crashNode(nd)
@@ -43,10 +41,8 @@ func (run *shardRun) runLinear() error {
 			live--
 			continue
 		}
-		sh.beginOp(nd, bestT)
+		nd.lastAct = bestT
 		done := e.performOp(nd)
-		sh.endOp()
-		run.commit(math.Inf(1))
 		sh.dirty, sh.skipped = sh.dirty[:0], sh.skipped[:0]
 		if done {
 			nd.done = true
@@ -55,5 +51,5 @@ func (run *shardRun) runLinear() error {
 		}
 		nd.next() // runs the resumed node until it parks again
 	}
-	return run.finish()
+	return false, nil
 }

@@ -46,41 +46,33 @@
 // (arrival time, send action time, sender id) key (see Node.anyLess), a
 // pure function of simulation state. The differential suite
 // (differential_test.go) pins P ∈ {1, 2, 4, GOMAXPROCS} to byte-identical
-// traces, Stats, link loads and errors against a linear-scan oracle.
+// traces, Stats, link loads, errors and node-program progress against a
+// linear-scan oracle.
 //
-// Two accounting modes keep Stats and traces exact. Record mode alone
-// would do, but its per-operation commit records and barrier sort cost host
-// time on every run; fast mode skips them where nothing needs the canonical
-// order, and the differential suite holds the two to the same results.
+// Every statistic has one sink, whatever the mode: a shard accumulates its
+// counters and time maximum locally, link aggregates go to per-link slots
+// only the sending shard writes, copy time to per-node slots, and trace
+// events straight to the tracer. The coordinator folds the accumulators
+// into Stats once, as the run ends (shardRun.fold): integer sums and maxima
+// are exact in any order, and copy time is summed in node order. The two
+// modes differ in how a run executes, not in how it counts:
 //
-//   - Fast mode (no tracer, no faults, no deadline): statistics are either
-//     order-invariant (integer counters, maxima) or per-node (copy time),
-//     so shards accumulate locally and the coordinator folds at the end.
-//     While a shard waits for a resumed node to park again, the node
-//     executes further operations of its own eagerly (Node.tryEager),
-//     without the coroutine hand-off, whenever the operation
-//     is provably inside the epoch (action < horizon): sends touch only
-//     sender-owned state, and a receive's queue front is final (single-sender
-//     FIFO). On one worker an eager RecvAny runs too; it is serial-exact
-//     unless an empty arrival is still in flight at its action time.
+//   - Fast mode (no tracer, no faults, no deadline): while a shard waits for
+//     a resumed node to park again, the node executes further operations of
+//     its own eagerly (Node.tryEager), without the coroutine hand-off,
+//     whenever the operation is provably inside the epoch (action <
+//     horizon): sends touch only sender-owned state, and a receive's queue
+//     front is final (single-sender FIFO). On one worker an eager RecvAny
+//     runs too; it is serial-exact unless an empty arrival is still in
+//     flight at its action time.
 //
-//   - Record mode (tracer, faults or a finite deadline): every operation
-//     appends a commit record, and the coordinator applies the epoch's
-//     records (and flushes their trace events) in canonical — serial —
-//     order once the epoch's fixpoint closes (see opRec, shardRun.commit).
-//     On a failure, records past the canonical first failing operation are
-//     discarded, so Stats, LinkLoads and traces are exact even on abort
-//     paths. Eager execution is off (it would break a shard's serial order),
-//     and a one-shard epoch stops at its first failure: at P = 1 no node
-//     program runs past the canonical failure point, so what programs wrote
-//     themselves (a checkpoint's delivered set) is exact too. At P > 1 node
-//     programs in other shards may have over-executed by up to one epoch —
-//     visible only through such program-written side effects; every
-//     engine-reported artifact is exact. The automatic policy therefore
-//     keeps record-mode runs on one worker. When a RecvAny collapses a
-//     sharded run, the records at or past the earliest operation left are
-//     set aside and replayed into the one worker's order where serial
-//     execution reaches them (shardRun.replay).
+//   - Serial mode (tracer, faults or a finite deadline): the run takes one
+//     worker whatever SetShards asks, nothing executes eagerly, and the
+//     epoch stops at its first failure. Operations then execute in serial
+//     order and none runs past the first failure, so the tracer receives
+//     events in serial order as they happen, and Stats, link loads and
+//     what node programs write themselves (a checkpoint's delivered set)
+//     are exact on abort paths too.
 package simnet
 
 import (
@@ -89,8 +81,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"boolcube/internal/fabric"
 )
 
 // autoShardNodes is the node count at which the automatic policy moves from
@@ -110,12 +100,13 @@ const maxAutoShards = 16
 var heldWorkers atomic.Int64
 
 // SetShards sets the worker count for the next Run: p >= 1 forces exactly p
-// shards, p == 0 (the default) is automatic — one worker below
-// autoShardNodes nodes and in record mode, otherwise every CPU up to
-// GOMAXPROCS that no other running engine holds — and p < 0 means one
-// worker. Traces, Stats, link loads and errors are bit-identical for every
-// p — the differential suite enforces it — so the choice is purely about
-// host performance. Must be called before Run.
+// shards for a fast-mode run, p == 0 (the default) is automatic — one
+// worker below autoShardNodes nodes, otherwise every CPU up to GOMAXPROCS
+// that no other running engine holds — and p < 0 means one worker. A
+// serial-mode run (tracer, faults or a finite deadline) takes one worker
+// whatever p says. Traces, Stats, link loads and errors are bit-identical
+// for every p — the differential suite enforces it — so the choice is
+// purely about host performance. Must be called before Run.
 func (e *Engine) SetShards(p int) { e.shards = p }
 
 // shardLookahead is the minimum virtual duration of any nonempty
@@ -125,20 +116,20 @@ func (e *Engine) shardLookahead() float64 {
 	return dur
 }
 
-// recordMode reports whether the run needs record mode: a tracer, faults or
-// a finite deadline.
-func (e *Engine) recordMode() bool {
+// serialMode reports whether the run must execute in serial order on one
+// worker: it has a tracer, faults or a finite deadline.
+func (e *Engine) serialMode() bool {
 	return e.tracer != nil || e.faults != nil || !math.IsInf(e.deadline, 1)
 }
 
 // acquireWorkers resolves the SetShards setting to a worker count >= 1 and
 // holds that many workers until the returned release is called.
 func (e *Engine) acquireWorkers() (p int, release func()) {
-	p = 1 // without an epoch width only serial order is safe
-	if e.shardLookahead() > 0 {
+	p = 1 // without an epoch width, or in serial mode, only serial order is safe
+	if e.shardLookahead() > 0 && !e.serialMode() {
 		if e.shards > 0 {
 			p = min(e.shards, e.nodesCount)
-		} else if e.shards == 0 && e.nodesCount >= autoShardNodes && !e.recordMode() {
+		} else if e.shards == 0 && e.nodesCount >= autoShardNodes {
 			// The worker count influences host scheduling only, never
 			// results (shard-invariance property): sizing it to the host is
 			// safe.
@@ -156,44 +147,12 @@ func (e *Engine) acquireWorkers() (p int, release func()) {
 	return p, func() { heldWorkers.Add(-int64(p)) }
 }
 
-// statAcc is a shard's fast-mode statistics accumulator: integer counters
-// (exact under any summation order) and a local time maximum.
+// statAcc is a shard's statistics accumulator: integer counters (exact
+// under any summation order) and a local time maximum.
 type statAcc struct {
 	sends, startups, bytes, copyBytes int64
 	retries, drops, faultedSends      int64
 	maxTime                           float64
-}
-
-// opRec is one operation's record-mode commit record. The canonical order
-// of an epoch's records is serial order: ascending action time, and at one
-// time the order in which the linear scan reaches the operations — the
-// lowest node id among those executable. Within a time, an operation becomes
-// executable when its node's previous operation has run and, for a receive,
-// when the send of the message it takes has run: a zero-duration (empty)
-// message can enable a receive at the very instant of its send. commit
-// rebuilds that order from the records alone (program order per node, plus
-// dep), however the shards interleaved them.
-type opRec struct {
-	act  float64
-	node int32
-	sh   int32 // owning shard, to resolve the event range
-	li   int32 // charged link index, -1 when no charge happened
-
-	linkBytes int64 // link + volume deltas (all charges of the op summed)
-	linkBusy  float64
-	startups  int64
-	copyBytes int64
-	copyDt    float64
-	timeBump  float64
-
-	sends, retries, drops, faulted int32
-
-	ev0, ev1 int32 // trace-event range in the owning shard's buffer
-
-	seq int64 // unique operation id, carried by the arrival a send makes
-	dep int64 // a receive: the seq of the send it took when both share a time, else 0
-
-	err error // the node program failed right after this operation
 }
 
 // staged is a cross-shard arrival waiting for the epoch barrier.
@@ -202,9 +161,8 @@ type staged struct {
 	a    arrival
 }
 
-// failCand is a node failure observed during a fast-mode epoch, keyed by the
-// failing node's last operation; the barrier surfaces the one with the
-// smallest key. (Record mode marks the operation's record instead.)
+// failCand is a node failure observed during an epoch, keyed by the failing
+// node's last operation; the barrier surfaces the one with the smallest key.
 type failCand struct {
 	act  float64
 	node int32
@@ -230,13 +188,6 @@ type shard struct {
 
 	fails []failCand
 
-	// Record mode: per-op commit records plus their trace events.
-	recs   []opRec
-	events []fabric.TraceEvent
-	cur    *opRec // open record of the operation being executed
-
-	nseq int64 // record mode: operations recorded by this shard (opRec.seq)
-
 	acc        statAcc
 	doneCount  int
 	crashCount int // crash-stops fired in this shard this epoch
@@ -253,38 +204,8 @@ type shardRun struct {
 	shardSize int
 	lookahead float64
 	horizon   float64 // current epoch's horizon (written at barriers only)
-	record    bool
-	sortBuf   []opRec
-	// Record mode, after a collapse: the records the shards executed at or
-	// past the stopping RecvAny's time, in canonical order, and their trace
-	// events. runEpoch replays them into shard 0 merged with what it
-	// executes (see replay).
-	pend   []opRec
-	pendEv []fabric.TraceEvent
-	unsent map[int64]arrival // by send seq: set-aside messages out of their queues
-	// commit's scratch at P > 1: the canonical order of sortBuf, and the
-	// ready records by node (canonical).
-	order    []int32
-	sortHeap *readyHeap
-	readyRec []int32
+	serial    bool    // serial mode: one worker, no eager execution, stop at the first failure
 }
-
-// beginOp opens an operation executed at action time t on nd and, in record
-// mode, its commit record.
-func (sh *shard) beginOp(nd *Node, t float64) {
-	nd.lastAct = t
-	if sh.run.record {
-		ev := int32(len(sh.events))
-		sh.nseq++
-		sh.recs = append(sh.recs, opRec{
-			act: t, node: int32(nd.id), sh: int32(sh.id), li: -1, ev0: ev, ev1: ev,
-			seq: int64(sh.id)<<40 | sh.nseq,
-		})
-		sh.cur = &sh.recs[len(sh.recs)-1]
-	}
-}
-
-func (sh *shard) endOp() { sh.cur = nil }
 
 // slot hands out an inbound-queue slot for one of this shard's nodes: a
 // popped one from the free list, else the next unused slot of the newest
@@ -360,7 +281,7 @@ func (sh *shard) wake() {
 	for _, id := range sh.skipped {
 		nd := e.nodes[id]
 		t, ok := e.actionTime(nd)
-		ok = ok && !nd.done && !nd.crashed && nd.held == 0
+		ok = ok && !nd.done && !nd.crashed
 		if ht, in := sh.heap.key(int(id)); in != ok || (ok && ht != t) {
 			panic(fmt.Sprintf("simnet: debug: node %d skipped a re-key: heap holds (%g, %v), action time is (%g, %v)",
 				id, ht, in, t, ok))
@@ -374,7 +295,7 @@ func (sh *shard) wake() {
 // otherwise (a receive with an empty queue).
 func (sh *shard) refresh(i int) {
 	nd := sh.run.e.nodes[i]
-	if nd.done || nd.crashed || nd.held > 0 {
+	if nd.done || nd.crashed {
 		sh.heap.remove(i)
 		return
 	}
@@ -397,14 +318,6 @@ func (sh *shard) runEpoch() {
 	sh.reopen = false
 	for first := true; !sh.anyStop; first = false {
 		best, t := h.min()
-		if len(run.pend) > 0 {
-			if r := &run.pend[0]; best == -1 || r.act < t || r.act == t && int(r.node) < best {
-				if r.act >= horizon || run.replay() {
-					break
-				}
-				continue
-			}
-		}
 		if best == -1 {
 			break
 		}
@@ -420,17 +333,15 @@ func (sh *shard) runEpoch() {
 			break
 		}
 		if e.crashDue(best, t) {
-			// Crash-stop at an operation boundary: no record, no resume —
+			// Crash-stop at an operation boundary: no operation, no resume —
 			// the node's program stays parked until drainAll unwinds it.
 			e.crashNode(nd)
 			sh.crashCount++
 			h.remove(best)
 			continue
 		}
-		sh.beginOp(nd, t)
-		done := e.performOp(nd)
-		sh.endOp()
-		if done {
+		nd.lastAct = t
+		if e.performOp(nd) {
 			h.remove(best)
 			nd.done = true
 			sh.doneCount++
@@ -440,20 +351,14 @@ func (sh *shard) runEpoch() {
 		if nd.failure != nil && !nd.done {
 			nd.done = true
 			h.remove(best)
-			if !run.record {
-				sh.fails = append(sh.fails, failCand{act: nd.lastAct, node: int32(nd.id), err: nd.failure})
-			} else {
-				// The node failed right after the operation just executed.
-				sh.recs[len(sh.recs)-1].err = nd.failure
-				if len(run.shards) == 1 {
-					// One shard without eager execution runs in canonical
-					// order: this failure is the first, and stopping here
-					// keeps every node program from running past it.
-					break
-				}
+			sh.fails = append(sh.fails, failCand{act: nd.lastAct, node: int32(nd.id), err: nd.failure})
+			if run.serial {
+				// Serial order: this failure is the first, and stopping here
+				// keeps every node program from running past it.
+				break
 			}
 			// Otherwise keep executing: an earlier failure may still be found
-			// this epoch (the barrier surfaces the canonical first).
+			// this epoch (the barrier surfaces the first).
 		} else {
 			sh.refresh(best)
 		}
@@ -466,19 +371,18 @@ func (sh *shard) runEpoch() {
 // inside the current epoch, a send touches only sender-owned state, and a
 // receive's queue front is final.
 // The shard's worker is suspended in next until this node parks, so the node
-// is the only one touching shard-owned state. Fast mode only: in record
-// mode a node that ran ahead of the canonical order would be past the
-// failure point when a fault or deadline aborts the run. A RecvAny runs
-// eagerly only on one worker: sharded, it stops the shard (anyStop) — another
-// shard may still send the node an empty message serial order delivers
-// first.
+// is the only one touching shard-owned state. Fast mode only: in serial
+// mode a node that ran ahead of serial order would be past the failure
+// point when a fault or deadline aborts the run. A RecvAny runs eagerly
+// only on one worker: sharded, it stops the shard (anyStop) — another shard
+// may still send the node an empty message serial order delivers first.
 func (nd *Node) tryEager() bool {
 	sh := nd.sh
-	if nd.pending.kind == opRecvAny && len(sh.run.shards) > 1 {
-		sh.anyStop = true
+	if sh.run.serial {
 		return false
 	}
-	if sh.run.record {
+	if nd.pending.kind == opRecvAny && len(sh.run.shards) > 1 {
+		sh.anyStop = true
 		return false
 	}
 	e := nd.eng
@@ -486,9 +390,8 @@ func (nd *Node) tryEager() bool {
 	if !ok || t >= sh.run.horizon {
 		return false
 	}
-	sh.beginOp(nd, t)
+	nd.lastAct = t
 	e.performOp(nd)
-	sh.endOp()
 	return true
 }
 
@@ -500,7 +403,7 @@ func (e *Engine) newShardRun(p int) *shardRun {
 		shardSize: (e.nodesCount + p - 1) / p,
 		lookahead: e.shardLookahead(),
 		horizon:   math.Inf(-1), // no epoch open yet: prologues run nothing eagerly
-		record:    e.recordMode(),
+		serial:    e.serialMode(),
 	}
 	for i := range run.shards {
 		sh := &run.shards[i]
@@ -525,15 +428,16 @@ func (e *Engine) newShardRun(p int) *shardRun {
 	return run
 }
 
-// schedule is the coordinator loop: it runs epochs until every node is done,
-// crashed or stuck.
-func (run *shardRun) schedule() error {
+// epochs is the coordinator loop: it runs epochs until every node is done
+// or crashed (stuck false, err nil), no node can execute (stuck), a node
+// fails or the deadline passes (err).
+func (run *shardRun) epochs() (stuck bool, err error) {
 	e := run.e
 	// Surface prologue failures (panics before the first timed operation)
 	// in node-id order.
 	for _, nd := range e.nodes {
 		if err := e.checkFailure(nd); err != nil {
-			return err
+			return false, err
 		}
 	}
 	for i, nd := range e.nodes {
@@ -541,23 +445,19 @@ func (run *shardRun) schedule() error {
 			nd.sh.heap.update(i, t)
 		}
 	}
-	live := e.nodesCount
-	for live > 0 || len(run.pend) > 0 {
+	for live := e.nodesCount; live > 0; {
 		minT, minNode := run.globalMin()
 		if minNode == -1 {
-			if e.crashQuiesce() {
-				return run.abort(e.nodeDownError())
-			}
-			return run.abort(e.deadlockError())
+			return true, nil
 		}
 		if minT > e.deadline && e.nodes[minNode].pending.kind != opDone {
-			return run.abort(e.deadlineError(e.nodes[minNode], minT))
+			return false, e.deadlineError(e.nodes[minNode], minT)
 		}
 		run.horizon = minT + run.lookahead
 		run.eachShard((*shard).runEpoch)
 		// Barrier. Route the staged cross-shard arrivals, and run the epoch
 		// again for every shard an empty one landed in before the horizon,
-		// until none does; then close the epoch's accounting.
+		// until none does.
 		for run.route() {
 			run.eachShard(func(sh *shard) {
 				if sh.reopen {
@@ -565,29 +465,44 @@ func (run *shardRun) schedule() error {
 				}
 			})
 		}
-		// A stopped shard's remaining operations run after the collapse,
-		// and so does everything they enable: none acts before the
-		// smallest pending key.
-		stopped, anyAt := false, math.Inf(1)
+		stopped := false
 		for i := range run.shards {
-			stopped = stopped || run.shards[i].anyStop
+			sh := &run.shards[i]
+			stopped = stopped || sh.anyStop
+			live -= sh.doneCount + sh.crashCount
+			e.crashedCount += sh.crashCount
+			sh.doneCount, sh.crashCount = 0, 0
 		}
-		if stopped {
-			anyAt, _ = run.globalMin()
-		}
-		if err := run.commit(anyAt); err != nil {
-			return run.abort(err)
-		}
-		for i := range run.shards {
-			live -= run.shards[i].doneCount + run.shards[i].crashCount
-			e.crashedCount += run.shards[i].crashCount
-			run.shards[i].doneCount, run.shards[i].crashCount = 0, 0
+		if err := run.firstFailure(); err != nil {
+			return false, err
 		}
 		if stopped {
 			run.collapse()
 		}
 	}
-	return run.finish()
+	return false, nil
+}
+
+// close ends a run its loop has stopped. It folds the shard accumulators
+// into Stats first — once, and before a crash-detection error reads
+// Stats.Time — then turns a stop without an error into crash detection or a
+// deadlock, and unwinds every node on an error.
+func (run *shardRun) close(stuck bool, err error) error {
+	e := run.e
+	run.fold()
+	if err == nil && e.crashQuiesce() {
+		err = e.nodeDownError()
+	} else if err == nil && stuck {
+		err = e.deadlockError()
+	}
+	if err != nil {
+		e.drainAll()
+		return err
+	}
+	if t := e.maxResourceTime(); e.stats.Time < t {
+		e.stats.Time = t
+	}
+	return nil
 }
 
 // route delivers the staged cross-shard arrivals and re-keys the receivers
@@ -621,8 +536,8 @@ func (run *shardRun) route() bool {
 
 // collapse moves the run onto one worker after a RecvAny stopped a shard:
 // shard 0 takes over every node, ready-heap entry and accumulated statistic.
-// The other shards' outboxes are empty and their records were committed or
-// set aside (commit), so nothing else remains.
+// The other shards' outboxes are empty (the barrier routed them), so
+// nothing else remains.
 func (run *shardRun) collapse() {
 	e := run.e
 	s0 := &run.shards[0]
@@ -639,75 +554,6 @@ func (run *shardRun) collapse() {
 	for _, nd := range e.nodes {
 		nd.sh = s0
 	}
-	if len(run.pend) == 0 {
-		return
-	}
-	// Until replayed, a set-aside operation has not happened: its node
-	// waits, and the message it sent is not in its queue. A sender's
-	// set-aside sends are its last ones, so in every queue they are the
-	// tail; replay appends each back in the sender's program order.
-	sent := map[int64]bool{}
-	for i := range run.pend {
-		r := &run.pend[i]
-		e.nodes[r.node].held++
-		if r.sends > 0 {
-			sent[r.seq] = true
-		}
-	}
-	run.unsent = map[int64]arrival{}
-	for _, nd := range e.nodes {
-		for d := range nd.queues {
-			q := &nd.queues[d]
-			var prev *arrival
-			for a := q.head; a != nil; prev, a = a, a.next {
-				if sent[a.seq] {
-					for ; a != nil; a = a.next {
-						run.unsent[a.seq] = arrival{msg: a.msg, at: a.at, dur: a.dur, fromDim: a.fromDim, act: a.act, seq: a.seq}
-					}
-					if q.tail = prev; prev == nil {
-						q.head = nil
-					} else {
-						prev.next = nil
-					}
-					break
-				}
-			}
-		}
-	}
-	for i := range e.nodes {
-		s0.refresh(i)
-	}
-}
-
-// replay moves the next set-aside record into shard 0's commit order, as if
-// its operation executed now: its send's message, unless a set-aside receive
-// took it already, joins its queue, and once its node has no set-aside
-// record left the node runs again. It reports whether the node program
-// failed after the operation.
-func (run *shardRun) replay() (failed bool) {
-	e := run.e
-	sh := &run.shards[0]
-	r := run.pend[0]
-	run.pend = run.pend[1:]
-	ev0 := int32(len(sh.events))
-	sh.events = append(sh.events, run.pendEv[r.ev0:r.ev1]...)
-	r.ev0, r.ev1 = ev0, int32(len(sh.events))
-	sh.recs = append(sh.recs, r)
-	if a, ok := run.unsent[r.seq]; ok {
-		delete(run.unsent, r.seq)
-		dest := e.nodes[int(r.node)^1<<uint(a.fromDim)]
-		sh.note(dest, a.fromDim)
-		*dest.queues[a.fromDim].push(sh) = a
-	}
-	nd := e.nodes[r.node]
-	if nd.held--; nd.held == 0 {
-		sh.refresh(int(r.node))
-	}
-	sh.wake()
-	if len(run.pend) == 0 {
-		run.pend, run.pendEv, run.unsent = nil, nil, nil
-	}
-	return r.err != nil
 }
 
 // eachShard runs f on every shard and waits for all of them: shard 0 on the
@@ -726,34 +572,10 @@ func (run *shardRun) eachShard(f func(*shard)) {
 	wg.Wait()
 }
 
-// finish closes a run whose every node is done or crashed.
-func (run *shardRun) finish() error {
-	e := run.e
-	if e.crashedCount > 0 {
-		return run.abort(e.nodeDownError())
-	}
-	run.foldFast()
-	if t := e.maxResourceTime(); e.stats.Time < t {
-		e.stats.Time = t
-	}
-	return nil
-}
-
-// abort ends a run on an error: fold what fast mode accumulated so Stats
-// stay readable, unwind every node, return err.
-func (run *shardRun) abort(err error) error {
-	run.foldFast()
-	run.e.drainAll()
-	return err
-}
-
 // globalMin returns the smallest (action time, node id) pending key across
-// all shards and set-aside records, or (-1) when nothing is executable.
+// all shards, or (-1) when nothing is executable.
 func (run *shardRun) globalMin() (float64, int) {
 	bestT, best := math.Inf(1), -1
-	if len(run.pend) > 0 {
-		bestT, best = run.pend[0].act, int(run.pend[0].node)
-	}
 	for i := range run.shards {
 		id, t := run.shards[i].heap.min()
 		if id == -1 {
@@ -766,160 +588,21 @@ func (run *shardRun) globalMin() (float64, int) {
 	return bestT, best
 }
 
-// commit closes an epoch's accounting and returns its canonical first
-// failure, if any. Record mode applies the records in canonical order (see
-// opRec) up to and including the first one whose node program failed;
-// everything a shard executed past it is discarded. Records acting at or
-// after anyAt, the earliest operation left when a RecvAny stopped a shard,
-// are not applied but set aside in run.pend: operations the run has yet to
-// execute may precede them in serial order (see replay).
-func (run *shardRun) commit(anyAt float64) error {
-	if !run.record {
-		var fc *failCand
-		for i := range run.shards {
-			for j := range run.shards[i].fails {
-				if f := &run.shards[i].fails[j]; fc == nil || f.before(fc) {
-					fc = f
-				}
-			}
-		}
-		if fc == nil {
-			return nil
-		}
-		return fc.err
-	}
-	all, order := run.shards[0].recs, []int32(nil) // one shard: already in canonical order
-	if len(run.shards) > 1 {
-		all = run.sortBuf[:0]
-		for i := range run.shards {
-			all = append(all, run.shards[i].recs...)
-		}
-		run.sortBuf = all[:0]
-		order = run.canonical(all)
-	}
-	at := func(k int) *opRec {
-		if order == nil {
-			return &all[k]
-		}
-		return &all[order[k]]
-	}
-	var err error
-	k := 0
-	for ; k < len(all) && at(k).act < anyAt; k++ {
-		run.applyRec(at(k))
-		if err = at(k).err; err != nil {
-			break
-		}
-	}
-	if err == nil {
-		for ; k < len(all); k++ {
-			r := *at(k)
-			r.ev0 = int32(len(run.pendEv))
-			run.pendEv = append(run.pendEv, run.shards[r.sh].events[at(k).ev0:at(k).ev1]...)
-			r.sh, r.ev1 = 0, int32(len(run.pendEv))
-			run.pend = append(run.pend, r)
-		}
-	}
+// firstFailure returns the error of the epoch's first failure — the
+// smallest failCand key over all shards — or nil.
+func (run *shardRun) firstFailure() error {
+	var fc *failCand
 	for i := range run.shards {
-		run.shards[i].recs = run.shards[i].recs[:0]
-		run.shards[i].events = run.shards[i].events[:0]
-	}
-	return err
-}
-
-// canonical returns the serial order of an epoch's records as indices into
-// all: the linear scan's order, rebuilt by running it over the records. A
-// record is ready once its node's previous record and, for a same-time
-// receive, the send it took (opRec.dep) are placed; the ready record with
-// the smallest (action time, node id) goes next. In all, every node's
-// records appear in program order, so at most one record per node is ready
-// at a time and a ready heap keyed by node holds them.
-func (run *shardRun) canonical(all []opRec) []int32 {
-	if run.sortHeap == nil {
-		run.sortHeap = newReadyHeap(run.e.nodesCount, 0)
-		run.readyRec = make([]int32, run.e.nodesCount)
-	}
-	next := make([]int32, 2*len(all)) // per record: its node's next record, the receive its send enabled
-	waits := make([]int8, len(all))   // per record: predecessors not yet placed
-	for i := range next {
-		next[i] = -1
-	}
-	bySeq := make(map[int64]int32, len(all))
-	for i := range all {
-		bySeq[all[i].seq] = int32(i)
-	}
-	last := map[int32]int32{}
-	for i := range all {
-		r := &all[i]
-		if j, ok := last[r.node]; ok {
-			next[2*j] = int32(i)
-			waits[i]++
-		}
-		last[r.node] = int32(i)
-		if j, ok := bySeq[r.dep]; ok && r.dep != 0 {
-			next[2*j+1] = int32(i)
-			waits[i]++
-		}
-	}
-	h := run.sortHeap
-	ready := func(i int32) {
-		h.update(int(all[i].node), all[i].act)
-		run.readyRec[all[i].node] = i
-	}
-	for i := range all {
-		if waits[i] == 0 {
-			ready(int32(i))
-		}
-	}
-	order := run.order[:0]
-	for node, _ := h.min(); node != -1; node, _ = h.min() {
-		h.remove(node)
-		i := run.readyRec[node]
-		order = append(order, i)
-		for _, j := range next[2*i : 2*i+2] {
-			if j >= 0 {
-				if waits[j]--; waits[j] == 0 {
-					ready(j)
-				}
+		for j := range run.shards[i].fails {
+			if f := &run.shards[i].fails[j]; fc == nil || f.before(fc) {
+				fc = f
 			}
 		}
 	}
-	run.order = order[:0]
-	return order
-}
-
-// applyRec folds one committed record into the engine's statistics, link
-// aggregates and tracer.
-func (run *shardRun) applyRec(r *opRec) {
-	e := run.e
-	if r.li >= 0 {
-		e.linkUsed[r.li] = true
-		e.linkBytes[r.li] += r.linkBytes
-		e.linkBusy[r.li] += r.linkBusy
-		if e.linkBytes[r.li] > e.stats.MaxLinkBytes {
-			e.stats.MaxLinkBytes = e.linkBytes[r.li]
-		}
-		if e.linkBusy[r.li] > e.stats.MaxLinkBusy {
-			e.stats.MaxLinkBusy = e.linkBusy[r.li]
-		}
+	if fc == nil {
+		return nil
 	}
-	e.stats.Sends += int64(r.sends)
-	e.stats.Startups += r.startups
-	e.stats.Bytes += r.linkBytes
-	e.stats.Retries += int64(r.retries)
-	e.stats.Drops += int64(r.drops)
-	e.stats.FaultedSends += int64(r.faulted)
-	e.stats.CopyBytes += r.copyBytes
-	e.copyTime[r.node] += r.copyDt
-	if r.timeBump > e.stats.Time {
-		e.stats.Time = r.timeBump
-	}
-	if e.tracer != nil {
-		evs := run.shards[r.sh].events[r.ev0:r.ev1]
-		for i := range evs {
-			e.tracer.Record(evs[i])
-		}
-	}
+	return fc.err
 }
 
 // add folds another shard's accumulator into a.
@@ -934,14 +617,10 @@ func (a *statAcc) add(b *statAcc) {
 	a.maxTime = max(a.maxTime, b.maxTime)
 }
 
-// foldFast folds fast-mode shard accumulators into the engine's Stats. The
-// counters are exact sums; the maxima are order-invariant, so taking them
-// over the final link aggregates equals a running maximum. No-op in record
-// mode.
-func (run *shardRun) foldFast() {
-	if run.record {
-		return
-	}
+// fold folds the shard accumulators into the engine's Stats. The counters
+// are exact sums; the maxima are order-invariant, so taking them over the
+// final link aggregates equals a running maximum.
+func (run *shardRun) fold() {
 	e := run.e
 	for i := range run.shards {
 		a := &run.shards[i].acc

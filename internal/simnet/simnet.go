@@ -19,9 +19,10 @@
 // goroutine scheduling. There is one scheduler (shard.go): nodes are
 // partitioned across P >= 1 workers that advance in lookahead-wide epochs,
 // each keeping its executable nodes in an indexed min-heap keyed by action
-// time (sched.go). The automatic P is 1 below 128 nodes and in record mode,
-// else every CPU no other running engine holds; it moves host time only,
-// never a trace, a statistic or an error.
+// time (sched.go). The automatic P is 1 below 128 nodes, else every CPU no
+// other running engine holds; a run with a tracer, faults or a deadline
+// always takes one worker (serial mode). P moves host time only, never a
+// trace, a statistic or an error.
 //
 // Hand-off is by coroutine: every node program runs in an iter.Pull
 // coroutine that yields at each timed operation it cannot execute itself,
@@ -88,7 +89,6 @@ type arrival struct {
 	dur     float64 // transmission duration (for receive-port serialization)
 	fromDim int
 	act     float64  // sender's send action (start) time, for RecvAny tie-breaks
-	seq     int64    // record mode: the send's opRec.seq
 	next    *arrival // next in its queue, or in the shard's free list once popped
 }
 
@@ -154,8 +154,7 @@ type Node struct {
 	stop    func()
 	opErr   error // set by the engine before resume (fault injection)
 	done    bool
-	crashed bool  // crash-stop fired; stays parked until drainAll, never done
-	held    int32 // set-aside records still to replay (shardRun.replay); the node waits until 0
+	crashed bool // crash-stop fired; stays parked until drainAll, never done
 	failure error
 
 	sh      *shard  // owning shard, assigned before the program starts
@@ -322,7 +321,7 @@ func (e *Engine) Run(prog func(fabric.Node)) error {
 	if err != nil {
 		return err
 	}
-	err = run.schedule()
+	err = run.close(run.epochs())
 	e.foldCopyTime()
 	return err
 }
@@ -498,11 +497,9 @@ func (e *Engine) actionTime(nd *Node) (float64, bool) {
 }
 
 // performOp runs the semantics of the node's pending operation — time,
-// statistics, queue movement — without resuming the node's program: the
-// caller resumes it only after closing the operation's commit record,
-// because the resumed node may eagerly execute further operations of its
-// own (shard.go), each needing its own record. It reports whether the
-// program has ended; a receive leaves its message in nd.pending.msg.
+// statistics, queue movement — without resuming the node's program; the
+// caller resumes it. It reports whether the program has ended; a receive
+// leaves its message in nd.pending.msg.
 func (e *Engine) performOp(nd *Node) (done bool) {
 	nd.opErr = nil
 	switch nd.pending.kind {
@@ -515,13 +512,13 @@ func (e *Engine) performOp(nd *Node) (done bool) {
 		e.doRecvAny(nd)
 	case opCopy:
 		t := e.params.CopyTime(nd.pending.bytes)
-		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
+		e.trace(fabric.TraceEvent{Node: nd.id, Kind: "copy", Dim: -1,
 			Bytes: nd.pending.bytes, Start: nd.clock, End: nd.clock + t})
 		nd.clock += t
 		e.addCopy(nd, t, int64(nd.pending.bytes))
 		e.bumpTime(nd, nd.clock)
 	case opAdvance:
-		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "compute", Dim: -1,
+		e.trace(fabric.TraceEvent{Node: nd.id, Kind: "compute", Dim: -1,
 			Start: nd.clock, End: nd.clock + nd.pending.dt})
 		nd.clock += nd.pending.dt
 		e.bumpTime(nd, nd.clock)
@@ -534,17 +531,10 @@ func (e *Engine) performOp(nd *Node) (done bool) {
 
 // addCopy books a local copy's cost. The time lands in the per-node
 // accumulator (folded in id order after the run); the byte count goes to
-// the shard's stat sink. Every sink below has the same two arms: the open
-// commit record in record mode, the shard's accumulator in fast mode.
+// the shard's accumulator, like every counter below.
 func (e *Engine) addCopy(nd *Node, t float64, bytes int64) {
-	sh := nd.sh
-	if sh.run.record {
-		sh.cur.copyDt += t
-		sh.cur.copyBytes += bytes
-		return
-	}
 	e.copyTime[nd.id] += t
-	sh.acc.copyBytes += bytes
+	nd.sh.acc.copyBytes += bytes
 }
 
 // doSend executes one send operation. The returned error is non-nil only
@@ -561,30 +551,19 @@ func (e *Engine) doSend(nd *Node, dim int, m *fabric.Msg) error {
 	if e.faults != nil {
 		var err error
 		if start, err = e.clearFaults(nd, dim, li, port, bytes, dur, startups, start); err != nil {
-			if sh.run.record {
-				sh.cur.faulted++
-			} else {
-				sh.acc.faultedSends++
-			}
+			sh.acc.faultedSends++
 			nd.clock = math.Max(nd.clock, start)
 			e.bumpTime(nd, nd.clock)
 			return err
 		}
 	}
 	end := e.chargeLink(nd, dim, li, port, bytes, dur, startups, start)
-	if sh.run.record {
-		sh.cur.sends++
-	} else {
-		sh.acc.sends++
-	}
+	sh.acc.sends++
 	nd.clock = start
-	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
+	e.trace(fabric.TraceEvent{Node: nd.id, Kind: "send", Dim: dim, Bytes: bytes, Start: start, End: end})
 
 	a := sh.deliver(int(nd.id^1<<uint(dim)), dim)
 	a.msg, a.at, a.dur, a.fromDim, a.act = *m, end, dur, dim, start
-	if sh.run.record {
-		a.seq = sh.cur.seq
-	}
 	return nil
 }
 
@@ -602,13 +581,13 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		if !up {
 			// A zero-length drop event records the attempt that found the
 			// link down and the remaining down-window [Start, DownUntil).
-			e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Start: start, End: start,
+			e.trace(fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Start: start, End: start,
 				Attempt: attempts, DownUntil: nextUp})
 			if math.IsInf(nextUp, 1) || attempts >= e.retry.Attempts {
 				return start, &fabric.FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
 					At: start, Attempts: attempts, Err: fabric.ErrLinkDown}
 			}
-			e.addRetry(nd)
+			nd.sh.acc.retries++
 			start = math.Max(nextUp, start+e.retry.Backoff)
 			continue
 		}
@@ -620,18 +599,14 @@ func (e *Engine) clearFaults(nd *Node, dim, li, port, bytes int, dur float64, st
 		// link and the volume statistics, then retransmit after backoff.
 		// DownUntil stays 0: the link was up, the frame was lost in flight.
 		end := e.chargeLink(nd, dim, li, port, bytes, dur, startups, start)
-		if sh := nd.sh; sh.run.record {
-			sh.cur.drops++
-		} else {
-			sh.acc.drops++
-		}
-		e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
+		nd.sh.acc.drops++
+		e.trace(fabric.TraceEvent{Node: nd.id, Kind: "drop", Dim: dim, Bytes: bytes, Start: start, End: end,
 			Attempt: attempts})
 		if attempts >= e.retry.Attempts {
 			return end, &fabric.FaultError{From: nd.id, To: nd.id ^ 1<<uint(dim), Dim: dim,
 				At: start, Attempts: attempts, Err: fabric.ErrRetryBudget}
 		}
-		e.addRetry(nd)
+		nd.sh.acc.retries++
 		start = end + e.retry.Backoff
 	}
 }
@@ -651,33 +626,13 @@ func (e *Engine) chargeLink(nd *Node, dim, li, port, bytes int, dur float64, sta
 	}
 	nd.sendFree[port] = end
 	e.linkFree[li] = end
-	if sh := nd.sh; sh.run.record {
-		// Volume statistics are deferred to the record so an abort
-		// truncates them at the canonical failure point; linkFree and
-		// sendFree above are simulation state owned by this shard and
-		// stay eager.
-		sh.cur.li = int32(li)
-		sh.cur.linkBytes += int64(bytes)
-		sh.cur.linkBusy += dur
-		sh.cur.startups += int64(startups)
-	} else {
-		e.linkUsed[li] = true
-		e.linkBytes[li] += int64(bytes)
-		e.linkBusy[li] += dur
-		sh.acc.startups += int64(startups)
-		sh.acc.bytes += int64(bytes)
-	}
+	e.linkUsed[li] = true
+	e.linkBytes[li] += int64(bytes)
+	e.linkBusy[li] += dur
+	nd.sh.acc.startups += int64(startups)
+	nd.sh.acc.bytes += int64(bytes)
 	e.bumpTime(nd, end)
 	return end
-}
-
-// addRetry books one retransmission.
-func (e *Engine) addRetry(nd *Node) {
-	if sh := nd.sh; sh.run.record {
-		sh.cur.retries++
-	} else {
-		sh.acc.retries++
-	}
 }
 
 func (e *Engine) doRecv(nd *Node, q *inQueue) {
@@ -731,33 +686,24 @@ func (e *Engine) finishRecv(nd *Node, a *arrival) {
 	nd.recvFree[port] = completion
 	nd.clock = math.Max(nd.clock, completion)
 	e.bumpTime(nd, nd.clock)
-	e.traceN(nd, fabric.TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
+	e.trace(fabric.TraceEvent{Node: nd.id, Kind: "recv", Dim: a.fromDim,
 		Bytes: len(a.msg.Data) * e.params.ElemBytes, Start: completion - a.dur, End: completion})
 	nd.pending.msg = a.msg
-	if sh := nd.sh; sh.run.record && a.act == sh.cur.act {
-		sh.cur.dep = a.seq // an empty message taken at the instant it was sent
-	}
 }
 
 // bumpTime raises the makespan watermark: max is order-invariant, which is
 // what makes the deferred fold exact.
 func (e *Engine) bumpTime(nd *Node, t float64) {
-	if sh := nd.sh; sh.run.record {
-		if t > sh.cur.timeBump {
-			sh.cur.timeBump = t
-		}
-	} else if t > sh.acc.maxTime {
+	if sh := nd.sh; t > sh.acc.maxTime {
 		sh.acc.maxTime = t
 	}
 }
 
-// traceN buffers a node's trace event in its shard; the coordinator flushes
-// the buffer to the tracer in canonical order when it commits the epoch.
-func (e *Engine) traceN(nd *Node, ev fabric.TraceEvent) {
+// trace hands a trace event to the tracer. A tracer puts the run in serial
+// mode, so events arrive in serial order, from one worker.
+func (e *Engine) trace(ev fabric.TraceEvent) {
 	if e.tracer != nil {
-		sh := nd.sh
-		sh.events = append(sh.events, ev)
-		sh.cur.ev1 = int32(len(sh.events))
+		e.tracer.Record(ev)
 	}
 }
 
