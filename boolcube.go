@@ -222,9 +222,9 @@ const (
 	// a flow plan: per-flow checkpoints, and failover under the default
 	// FailoverReroute.
 	ConvertEncoding = plan.ConvertEncoding
-	// AlgorithmAuto lets the library pick: the layout pair is classified
-	// (Classify) and the candidate with the lowest paper-predicted time on
-	// the configured machine wins.
+	// AlgorithmAuto lets the library pick: every candidate the layout pair
+	// admits (Classify decides which) is compiled, and the compiled plan
+	// with the lowest PredictedCost on the configured machine wins.
 	AlgorithmAuto = plan.Auto
 )
 
@@ -437,8 +437,9 @@ func Recover(cp *Checkpoint, xo ExecOptions) (*Result, error) {
 // choice when compiled with AlgorithmAuto.
 func (c *CompiledTranspose) Algorithm() Algorithm { return c.plan.Algorithm() }
 
-// PredictedCost returns the paper's closed-form time estimate (µs) for one
-// execution of this plan, from the same cost model internal/cost exposes.
+// PredictedCost returns the plan's price (µs) for one execution: its
+// compiled traffic walked into per-link loads and a hop schedule, on the
+// configured machine. AlgorithmAuto picks by the same price.
 func (c *CompiledTranspose) PredictedCost() float64 { return c.plan.PredictedCost() }
 
 // Describe renders a one-line summary of the plan (algorithm, layouts,

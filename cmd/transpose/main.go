@@ -178,7 +178,7 @@ func realMain(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "algorithm:         %s on %s (backend %s)\n", alg, mach.Name, backendName)
 	fmt.Fprintf(out, "result:            verified element-exact\n")
-	fmt.Fprintf(out, "predicted time:    %.3f ms (paper model)\n", ct.PredictedCost()/1000)
+	fmt.Fprintf(out, "predicted time:    %.3f ms (plan price)\n", ct.PredictedCost()/1000)
 	timeLabel := "simulated time: "
 	if !caps.VirtualTime {
 		timeLabel = "elapsed time:   "

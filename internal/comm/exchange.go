@@ -20,6 +20,7 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -464,19 +465,7 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		}
 	}
 	slices.SortFunc(out, func(a, b Block) int {
-		if a.Src != b.Src {
-			if a.Src < b.Src {
-				return -1
-			}
-			return 1
-		}
-		if a.Dst < b.Dst {
-			return -1
-		}
-		if a.Dst > b.Dst {
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 	return out
 }

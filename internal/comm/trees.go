@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -50,13 +51,7 @@ func ScatterOnNode(nd fabric.Node, root uint64, trees []*cube.Tree, parts func(d
 			// longest chain starts draining earliest.
 			children := append([]uint64(nil), t.Children[root]...)
 			slices.SortFunc(children, func(a, b uint64) int {
-				if sa, sb := t.SubtreeSize(a), t.SubtreeSize(b); sa != sb {
-					return sb - sa
-				}
-				if a < b {
-					return -1
-				}
-				return 1
+				return cmp.Or(cmp.Compare(t.SubtreeSize(b), t.SubtreeSize(a)), cmp.Compare(a, b))
 			})
 			for _, c := range children {
 				m := buildSubtreeMsg(t, c, k, parts)
@@ -121,13 +116,7 @@ func ScatterOnNode(nd fabric.Node, root uint64, trees []*cube.Tree, parts func(d
 			}
 			// Forward larger subtrees first, as at the root.
 			slices.SortFunc(groups, func(a, b *group) int {
-				if sa, sb := t.SubtreeSize(a.child), t.SubtreeSize(b.child); sa != sb {
-					return sb - sa
-				}
-				if a.child < b.child {
-					return -1
-				}
-				return 1
+				return cmp.Or(cmp.Compare(t.SubtreeSize(b.child), t.SubtreeSize(a.child)), cmp.Compare(a.child, b.child))
 			})
 			for _, g := range groups {
 				nd.Send(dimOf(id, g.child), g.msg)
@@ -187,13 +176,7 @@ func GatherOnNode(nd fabric.Node, t *cube.Tree, data []float64) []Block {
 	}
 	if id == t.Root {
 		slices.SortFunc(acc, func(a, b Block) int {
-			if a.Src < b.Src {
-				return -1
-			}
-			if a.Src > b.Src {
-				return 1
-			}
-			return 0
+			return cmp.Compare(a.Src, b.Src)
 		})
 		return acc
 	}

@@ -273,6 +273,7 @@ func (c *contractCell) check(t *testing.T) {
 	if c.pl.Kind() == plan.KindExchange {
 		t.Run("direct-flows", c.checkDirectFlows)
 	}
+	t.Run("price", c.checkPrice)
 }
 
 // Contract 1, exact: the Dist equals plantest.Want on simnet and on livenet,
@@ -636,6 +637,20 @@ func (c *contractCell) checkDirectFlows(t *testing.T) {
 	}
 	if again := c.pl.DirectFlows(); &again[0] != &got[0] {
 		t.Fatal("DirectFlows rebuilt its spans")
+	}
+}
+
+// Contract 8, the price is the traffic: the plan's price walks exactly the
+// per-link loads the clean run reports, bytes and busy time, and the run
+// takes at least its heaviest link's busy time — Theorem 3's bound.
+func (c *contractCell) checkPrice(t *testing.T) {
+	pr, st := c.pl.Price(), c.clean.Stats
+	if pr.MaxLinkBytes != st.MaxLinkBytes || pr.MaxLinkBusy != st.MaxLinkBusy {
+		t.Errorf("price walks a heaviest link of %d bytes, %g µs busy; the run's carries %d bytes, %g µs",
+			pr.MaxLinkBytes, pr.MaxLinkBusy, st.MaxLinkBytes, st.MaxLinkBusy)
+	}
+	if st.Time < pr.MaxLinkBusy {
+		t.Errorf("run took %g µs, under its heaviest link's %g µs busy time", st.Time, pr.MaxLinkBusy)
 	}
 }
 

@@ -75,12 +75,6 @@ func AllToAllSBnT(M float64, n int, p machine.Params) float64 {
 	return M/(2*N)*p.Tc + float64(n)*p.Tau
 }
 
-// AllToAllLowerBound returns max(M/(2N)·t_c, nτ).
-func AllToAllLowerBound(M float64, n int, p machine.Params) float64 {
-	N := nodesOf(n)
-	return math.Max(M/(2*N)*p.Tc, float64(n)*p.Tau)
-}
-
 // SomeToAllOnePort returns the Table 3 one-port estimate for k splitting
 // steps and l all-to-all steps on M total bytes:
 // T = (l·M/2^(k+l+1) + Σ_{i=0..k-1} M/2^(k+l-i))·t_c
@@ -123,20 +117,14 @@ func SomeToAllNPort(M float64, k, l int, p machine.Params) float64 {
 // PipelinedPaths returns the generic pipelined path-transpose estimate for
 // a pairwise transposition whose per-pair M/N-byte payload is split over k
 // edge-disjoint paths of `hops` hops each and pipelined in packets of B
-// bytes: (ceil(M/(k·B·N)) + hops - 1)(B·t_c + τ). SPT is the (k=1,
-// hops=n) case and DPT the (k=2, hops=n) case; route systems with longer
-// or shorter paths (mixed-encoding routes, e-cube routing) plug in their
-// own hop counts.
+// bytes: (ceil(M/(k·B·N)) + hops - 1)(B·t_c + τ). The Single Path
+// Transpose for packet size B (Section 6.1.1) is the (k=1, hops=n) case and
+// the Dual Paths Transpose (Section 6.1.2) the (k=2, hops=n) case; route
+// systems with longer or shorter paths (mixed-encoding routes, e-cube
+// routing) plug in their own hop counts.
 func PipelinedPaths(M float64, n, hops, k int, B float64, p machine.Params) float64 {
 	N := nodesOf(n)
 	return (ceilDiv(M/(float64(k)*N), B) + float64(hops) - 1) * (B*p.Tc + p.Tau)
-}
-
-// SPT returns the Single Path Transpose time for packet size B bytes
-// (Section 6.1.1): (ceil(M/(B·N)) + n - 1)(B·t_c + τ), where M is the total
-// matrix volume in bytes.
-func SPT(M float64, n int, B float64, p machine.Params) float64 {
-	return PipelinedPaths(M, n, n, 1, B, p)
 }
 
 // SPTOpt returns the optimal packet size B_opt = sqrt(M·τ/(N(n-1)t_c)) and
@@ -146,12 +134,6 @@ func SPTOpt(M float64, n int, p machine.Params) (Bopt, Tmin float64) {
 	Bopt = math.Sqrt(M * p.Tau / (N * float64(n-1) * p.Tc))
 	s := math.Sqrt(M/N*p.Tc) + math.Sqrt(float64(n-1)*p.Tau)
 	return Bopt, s * s
-}
-
-// DPT returns the Dual Paths Transpose time for packet size B
-// (Section 6.1.2): (ceil(M/(2BN)) + n - 1)(B·t_c + τ).
-func DPT(M float64, n int, B float64, p machine.Params) float64 {
-	return PipelinedPaths(M, n, n, 2, B, p)
 }
 
 // DPTOpt returns B_opt and T_min for the DPT.
@@ -223,7 +205,8 @@ func MPTBopt(M float64, n int, p machine.Params) float64 {
 	return math.Sqrt(M * p.Tau / (2 * N * p.Tc))
 }
 
-// TransposeLowerBound returns Theorem 3's bound max(nτ, M/(2N)·t_c).
+// TransposeLowerBound returns Theorem 3's bound max(nτ, M/(2N)·t_c), which
+// is also the all-to-all personalized communication bound (Section 3.2).
 func TransposeLowerBound(M float64, n int, p machine.Params) float64 {
 	N := nodesOf(n)
 	return math.Max(float64(n)*p.Tau, M/(2*N)*p.Tc)

@@ -33,7 +33,7 @@ func TestAllToAllRelations(t *testing.T) {
 	p := machine.IPSC()
 	for _, n := range []int{2, 4, 8} {
 		for _, M := range []float64{1 << 12, 1 << 20} {
-			lb := AllToAllLowerBound(M, n, p)
+			lb := TransposeLowerBound(M, n, p)
 			ex := AllToAllExchange(M, n, p)
 			sb := AllToAllSBnT(M, n, p)
 			if ex < lb || sb < lb {
@@ -96,7 +96,7 @@ func TestSPTOptIsMinimum(t *testing.T) {
 	}
 	// The continuous-form minimum must lower-bound the discrete T over a
 	// sweep, and T(Bopt) must be within a small factor of Tmin.
-	tAtOpt := SPT(M, n, Bopt, p)
+	tAtOpt := PipelinedPaths(M, n, n, 1, Bopt, p)
 	if tAtOpt < Tmin-1e-6 {
 		t.Errorf("T(Bopt) = %v below analytic minimum %v", tAtOpt, Tmin)
 	}
@@ -105,7 +105,7 @@ func TestSPTOptIsMinimum(t *testing.T) {
 		t.Errorf("T(Bopt) = %v not within 25%% of Tmin %v", tAtOpt, Tmin)
 	}
 	for _, B := range []float64{Bopt / 8, Bopt / 2, 2 * Bopt, 8 * Bopt} {
-		if SPT(M, n, B, p) < tAtOpt-1e-6 {
+		if PipelinedPaths(M, n, n, 1, B, p) < tAtOpt-1e-6 {
 			t.Errorf("T(%v) beats T(Bopt)", B)
 		}
 	}

@@ -39,10 +39,10 @@ func driftCase(t *testing.T, alg plan.Algorithm, mach machine.Params,
 	return ratio
 }
 
-// The paper's AllToAllExchange estimate is written for the one-dimensional
-// row-block all-to-all it analyzes; on that layout the simulation realizes
-// the formula essentially exactly, so any drift here means the predictor
-// and the executor have diverged from the shared plan IR.
+// On the one-dimensional row-block all-to-all the paper analyzes (the
+// AllToAllExchange estimate) the price of the exchange is its step sum, which
+// the simulation realizes essentially exactly, so any drift here means the
+// price and the executor have diverged from the shared plan IR.
 func TestExchangePredictionExactOneDim(t *testing.T) {
 	const factor = 1.1
 	mach := machine.IPSC()
@@ -61,45 +61,37 @@ func TestExchangePredictionExactOneDim(t *testing.T) {
 	}
 }
 
-// Across two-dimensional consecutive layouts the closed forms are
-// approximations (the 2-D exchange moves different volumes, and the SBnT
-// executor pays per-hop start-ups the bundled pseudocode amortizes), but
-// the paper's models still track the simulation within a factor of 2 on
-// these small shapes. That bound is all the test checks: it says nothing
-// about whether AlgorithmAuto ranks the candidates right, and a factor of
-// 2 is loose enough for it not to (ROADMAP item 2 measured Choose picking
-// the slowest plan on every n-port cell at 512x512). The conversions (each on its own layout pair, plantest.Pair) are priced from
-// their compiled phases and held to the same factor on both port models.
+// The price walks what the plan compiled, so it tracks the simulation on
+// every registry row: each row on its plantest.Pair layouts, on the one-port
+// iPSC, the n-port iPSC and the Connection Machine, within factor either
+// way. The factor is the worst ratio over these cells, rounded up to 0.05:
+// the one-port path systems, whose hop schedule holds a node's port for a
+// whole flow where the router interleaves packets of different flows, price
+// up to 1.5x over their simulated time (DPT at p = q = n = 6 sits on the
+// bound); the n-port and CM cells price within a few percent.
 func TestPredictionTracksSimulation(t *testing.T) {
-	const factor = 2.0
-	type row struct {
-		alg  plan.Algorithm
-		mach machine.Params
-	}
-	cases := []row{
-		{plan.Exchange, machine.IPSC()},
-		{plan.SBnT, machine.IPSC()},
-		{plan.SBnT, machine.IPSCNPort()},
-	}
-	for _, alg := range []plan.Algorithm{plan.Convert1, plan.Convert2, plan.Convert3, plan.ConvertEncoding} {
-		cases = append(cases, row{alg, machine.IPSC()}, row{alg, machine.IPSCNPort()})
-	}
+	const factor = 1.5
 	shapes := []struct{ p, q, n int }{
 		{4, 4, 4}, {5, 5, 4}, {6, 6, 4}, {6, 6, 6},
 	}
-	for _, c := range cases {
-		for _, sh := range shapes {
-			name := fmt.Sprintf("%s/%s/p%dq%dn%d", c.alg, c.mach.Name, sh.p, sh.q, sh.n)
-			t.Run(name, func(t *testing.T) {
-				before, after, transposes := plantest.Pair(c.alg, sh.p, sh.q, sh.n)
-				ratio := driftCase(t, c.alg, c.mach, before, after, sh.p, sh.q, transposes)
-				if ratio > factor || ratio < 1/factor {
-					t.Errorf("simulated/predicted ratio %.3f outside [%.2f, %.2f]",
-						ratio, 1/factor, factor)
-				}
-			})
+	worst := 1.0
+	for _, alg := range plan.Algorithms() {
+		for _, mach := range []machine.Params{machine.IPSC(), machine.IPSCNPort(), machine.ConnectionMachine()} {
+			for _, sh := range shapes {
+				name := fmt.Sprintf("%s/%s/p%dq%dn%d", alg, mach.Name, sh.p, sh.q, sh.n)
+				t.Run(name, func(t *testing.T) {
+					before, after, transposes := plantest.Pair(alg, sh.p, sh.q, sh.n)
+					ratio := driftCase(t, alg, mach, before, after, sh.p, sh.q, transposes)
+					worst = max(worst, ratio, 1/ratio)
+					if ratio > factor || ratio < 1/factor {
+						t.Errorf("simulated/predicted ratio %.3f outside [%.2f, %.2f]",
+							ratio, 1/factor, factor)
+					}
+				})
+			}
 		}
 	}
+	t.Logf("worst ratio either way %.3f", worst)
 }
 
 // Section 6.2's comparison: algorithm 1 takes 2n exchange steps where

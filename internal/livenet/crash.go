@@ -13,7 +13,7 @@
 // its crash time survives).
 //
 // Detection is by heartbeat: each at-risk node gets a beater goroutine
-// stamping a last-heard time every HeartbeatInterval — alive even while the
+// stamping a last-heard time every SuspicionTimeout/8 — alive even while the
 // node's program is blocked, so only death (or the end of the run) silences
 // it. A detector samples the stamps every quarter suspicion timeout and
 // aborts the run with a typed *fabric.NodeDownError once a node has been
@@ -93,12 +93,12 @@ func (e *Engine) crashLive(nd *Node) {
 	nd.mu.Unlock()
 }
 
-// heartbeat stamps the node's last-heard time every HeartbeatInterval until
+// heartbeat stamps the node's last-heard time every Params.heartbeat until
 // the node dies, the engine aborts, or the run ends. It is a separate
 // goroutine from the node's program on purpose: a blocked program still
 // heartbeats — only death silences a node.
 func (e *Engine) heartbeat(nd *Node, done chan struct{}) {
-	tick := time.NewTicker(e.sup.HeartbeatInterval)
+	tick := time.NewTicker(e.sup.heartbeat())
 	defer tick.Stop()
 	for {
 		select {

@@ -135,12 +135,12 @@ func TestSetParamsDefaultsAndOverrides(t *testing.T) {
 	if d.StallWindow != 5*time.Second || d.SuspicionTimeout != 250*time.Millisecond {
 		t.Fatalf("defaults = %+v, want 5s stall window and 250ms suspicion timeout", d)
 	}
-	if d.HeartbeatInterval != d.SuspicionTimeout/8 {
-		t.Fatalf("default heartbeat %v, want timeout/8", d.HeartbeatInterval)
+	if d.heartbeat() != d.SuspicionTimeout/8 {
+		t.Fatalf("default heartbeat %v, want timeout/8", d.heartbeat())
 	}
 	e.SetParams(Params{StallWindow: time.Second, SuspicionTimeout: 80 * time.Millisecond})
 	p := e.SupervisionParams()
-	if p.StallWindow != time.Second || p.SuspicionTimeout != 80*time.Millisecond || p.HeartbeatInterval != 10*time.Millisecond {
+	if p.StallWindow != time.Second || p.SuspicionTimeout != 80*time.Millisecond || p.heartbeat() != 10*time.Millisecond {
 		t.Fatalf("overrides not honored: %+v", p)
 	}
 }

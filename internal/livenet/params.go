@@ -21,12 +21,9 @@ type Params struct {
 	// *fabric.NodeDownError. Only in force when the installed fault model
 	// schedules crash-stop kills (fabric.CrashModel). Detection latency is
 	// bounded by SuspicionTimeout plus one detector tick (a quarter of it).
-	// Default 250ms.
+	// Each node heartbeats eight times per timeout (heartbeat). Default
+	// 250ms.
 	SuspicionTimeout time.Duration
-	// HeartbeatInterval is how often each node's heartbeat fires. It must
-	// stay well under SuspicionTimeout or every node looks dead. Default
-	// SuspicionTimeout / 8.
-	HeartbeatInterval time.Duration
 }
 
 // defaults for the zero Params fields.
@@ -43,11 +40,12 @@ func (p Params) withDefaults() Params {
 	if p.SuspicionTimeout <= 0 {
 		p.SuspicionTimeout = defaultSuspicionTimeout
 	}
-	if p.HeartbeatInterval <= 0 {
-		p.HeartbeatInterval = p.SuspicionTimeout / 8
-	}
 	return p
 }
+
+// heartbeat is how often each node's heartbeat fires: well under the
+// suspicion timeout, or every node would look dead.
+func (p Params) heartbeat() time.Duration { return p.SuspicionTimeout / 8 }
 
 // SetParams installs supervision parameters for the next Run; zero fields
 // keep their defaults. Must be called before Run.

@@ -67,20 +67,19 @@ const (
 	// transposing it (Sections 2 and 6.3): a node permutation routed most
 	// significant differing dimension first, at most n-1 hops per node.
 	ConvertEncoding
-	// Auto is not an algorithm of its own: Compile resolves it to the
-	// cheapest applicable concrete algorithm via field.Classify and the
-	// closed-form cost model (see Choose).
+	// Auto is not an algorithm of its own: Compile compiles the applicable
+	// candidates (field.Classify decides which) and returns the one whose
+	// compiled traffic prices cheapest (see Plan.Price).
 	Auto
 )
 
 // spec is one registry row: everything the system knows about an algorithm.
-// The single table powers String, ParseAlgorithm, Algorithms, Compile's
-// dispatch, and cost prediction — replacing the switch/list/switch
-// triplicate that used to live in the public package.
+// The single table powers String, ParseAlgorithm, Algorithms and Compile's
+// dispatch — replacing the switch/list/switch triplicate that used to live
+// in the public package.
 type spec struct {
 	name    string
 	compile func(*Plan) error
-	predict func(*Plan) float64
 	// transposes: the after layout describes the transposed matrix.
 	transposes bool
 }
@@ -92,21 +91,21 @@ var specs [Auto + 1]spec
 // (Transposes).
 func init() {
 	specs = [...]spec{
-		Exchange:         {"exchange", compileExchange, predictExchange, true},
-		ExchangeSPTOrder: {"exchange-spt-order", compileExchangeSPTOrder, predictExchange, true},
-		SPT:              {"spt", compileSPT, predictSPT, true},
-		DPT:              {"dpt", compileDPT, predictDPT, true},
-		MPT:              {"mpt", compileMPT, predictMPT, true},
-		SBnT:             {"sbnt", compileSBnT, predictSBnT, true},
-		RoutingLogic:     {"routing-logic", compileRoutingLogic, predictSPT, true},
-		MixedNaive:       {"mixed-naive", compileMixedNaive, predictMixedNaive, true},
-		MixedCombined:    {"mixed-combined", compileMixedCombined, predictMixedCombined, true},
-		ParallelPaths:    {"parallel-paths", compileParallelPaths, predictParallelPaths, true},
-		Convert1:         {"convert-1", compileConvert, predictConvert, true},
-		Convert2:         {"convert-2", compileConvert, predictConvert, true},
-		Convert3:         {"convert-3", compileConvert, predictConvert, true},
-		ConvertEncoding:  {"convert-encoding", compileConvertEncoding, predictConvertEncoding, false},
-		Auto:             {"auto", nil, nil, true}, // resolved by Compile before dispatch
+		Exchange:         {"exchange", compileExchange, true},
+		ExchangeSPTOrder: {"exchange-spt-order", compileExchangeSPTOrder, true},
+		SPT:              {"spt", compileSPT, true},
+		DPT:              {"dpt", compileDPT, true},
+		MPT:              {"mpt", compileMPT, true},
+		SBnT:             {"sbnt", compileSBnT, true},
+		RoutingLogic:     {"routing-logic", compileRoutingLogic, true},
+		MixedNaive:       {"mixed-naive", compileMixedNaive, true},
+		MixedCombined:    {"mixed-combined", compileMixedCombined, true},
+		ParallelPaths:    {"parallel-paths", compileParallelPaths, true},
+		Convert1:         {"convert-1", compileConvert, true},
+		Convert2:         {"convert-2", compileConvert, true},
+		Convert3:         {"convert-3", compileConvert, true},
+		ConvertEncoding:  {"convert-encoding", compileConvertEncoding, false},
+		Auto:             {"auto", nil, true}, // Compile compiles its candidates instead
 	}
 }
 

@@ -13,18 +13,16 @@ import (
 
 // Compile builds the immutable plan for transposing a matrix distributed
 // under `before` into the `after` layout (which describes the transposed
-// matrix) with the given algorithm. Auto is resolved to a concrete
-// algorithm first. The returned plan is sealed: it is never mutated and is
-// safe to replay concurrently and to share through a Cache.
+// matrix) with the given algorithm. Auto compiles its candidates and
+// returns the cheapest (compileAuto). The returned plan is sealed: it is
+// never mutated and is safe to replay concurrently and to share through a
+// Cache.
 func Compile(alg Algorithm, before, after field.Layout, cfg Config) (*Plan, error) {
 	if cfg.Strategy < comm.SingleMessage || cfg.Strategy > comm.Buffered {
 		return nil, fmt.Errorf("plan: unknown exchange strategy %v", cfg.Strategy)
 	}
 	if alg == Auto {
-		var err error
-		if alg, err = Choose(before, after, cfg); err != nil {
-			return nil, err
-		}
+		return compileAuto(before, after, cfg)
 	}
 	if alg < 0 || int(alg) >= len(specs) || specs[alg].compile == nil {
 		return nil, fmt.Errorf("plan: unknown algorithm %v", alg)
@@ -256,20 +254,8 @@ func compilePermutation(p *Plan, route func(src, dst uint64, n int) [][]int) err
 // ShareRange splits a payload of n elements into k nearly-equal chunks and
 // returns the (offset, size) of chunk i.
 func ShareRange(n, k, i int) (off, sz int) {
-	base := n / k
-	rem := n % k
-	for j := 0; j < i; j++ {
-		s := base
-		if j < rem {
-			s++
-		}
-		off += s
-	}
-	sz = base
-	if i < rem {
-		sz++
-	}
-	return off, sz
+	base, rem := n/k, n%k
+	return i*base + min(i, rem), base + min(max(rem-i, 0), 1)
 }
 
 func compileSPT(p *Plan) error {

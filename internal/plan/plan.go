@@ -1,8 +1,9 @@
 // Package plan compiles a transposition — (before Layout, after Layout,
 // Algorithm, machine/strategy configuration) — into an immutable
 // intermediate representation that is then consumed three ways: replayed
-// against distributed data by internal/core, priced by the paper's
-// closed-form cost model (PredictedCost), and rendered as a trace label.
+// against distributed data by internal/core, priced by walking its compiled
+// traffic (Price, which Auto ranks its candidates by), and rendered as a
+// trace label.
 //
 // Compilation does all the O(P·Q) element-address enumeration, route
 // construction and packetization once; execution only gathers, routes and
