@@ -100,20 +100,62 @@ type ExchangeHooks struct {
 	OnFinal func(step int, b Block)
 }
 
-// slotBlock is a Block inside the exchange slot table, tagged with the
-// receive buffer its Data aliases (an index into the rx list) or -1 when
-// the data is caller-owned.
-type slotBlock struct {
-	Block
-	buf int32
+// slot is one occupied slot of the modeled array: key is its index, at the
+// entry of the block in it in the held-block arena, n the block's element
+// count.
+type slot struct {
+	key   uint64
+	at, n int32
 }
 
-// rxBuf tracks one received payload buffer and how many placed blocks still
-// alias it. When the last aliasing block is copied into an outgoing
-// message, the buffer goes back to the engine pool.
+// heldBlock is a block this node holds: (src, dst, sum) with its data at
+// offset off of the received buffer rx[buf] or, when buf is -1, the
+// caller's blocks[off]. A freed entry's off links the next freed one.
+// Neither it nor slot holds a pointer, so placing and moving them costs a
+// copy and nothing else; their int32 counts and offsets bound a message at
+// 2^31 elements, as plan's move-sets bound a local array.
+type heldBlock struct {
+	src, dst, sum uint64
+	buf, off      int32
+}
+
+// rxBuf tracks one received payload buffer (and its address tags) and how
+// many placed blocks still alias it. When the last aliasing block is copied
+// into an outgoing message, the buffer goes back to the engine pool.
 type rxBuf struct {
 	data []float64
+	tags []uint64
 	live int32
+}
+
+// slotKey gathers the bits of x on dims into a slot key: dims[j] becomes
+// key bit len(dims)-1-j.
+func slotKey(dims []int, x uint64) uint64 {
+	var k uint64
+	for _, d := range dims {
+		k = k<<1 | x>>uint(d)&1
+	}
+	return k
+}
+
+func cmpKey(a, b slot) int { return cmp.Compare(a.key, b.key) }
+
+// mergeSlots merges the key-sorted arrivals of a step into the key-sorted
+// slots the node kept, back to front in keep's storage. No key is in both:
+// kept keys agree with the node on the step's bit, arrivals differ there.
+func mergeSlots(keep, arr []slot) []slot {
+	i, j := len(keep)-1, len(arr)-1
+	out := slices.Grow(keep, len(arr))[:len(keep)+len(arr)]
+	for w := len(out) - 1; j >= 0; w-- {
+		if i >= 0 && out[i].key > arr[j].key {
+			out[w] = out[i]
+			i--
+		} else {
+			out[w] = arr[j]
+			j--
+		}
+	}
+	return out
 }
 
 // ExchangeBlocks runs the standard exchange algorithm (Definition 10
@@ -124,11 +166,13 @@ type rxBuf struct {
 // delivered to the node matching its Dst bits on dims. Returns the blocks
 // that belong here.
 //
-// The local blocked array is modeled faithfully: blocks live in 2^l slots
+// The local blocked array is modeled faithfully: it has 2^l slots
 // (l = len(dims)) whose indices are destination bits before a step and
 // source bits after it, so the number of contiguous runs — and hence
 // message count and copy cost per Strategy — doubles each step exactly as
-// in Section 8.1.
+// in Section 8.1. Only the occupied slots are stored, as a key-sorted list,
+// so a node's work and memory per call grow with the blocks it holds and
+// the messages it sends, not with 2^l.
 //
 // Buffer ownership: outgoing message buffers are drawn from the engine
 // pool, received buffers are recycled once every block aliasing them has
@@ -146,6 +190,13 @@ func ExchangeBlocks(nd fabric.Node, dims []int, strat Strategy, blocks []Block) 
 // function returns nil; the Shuffled strategy still charges its inter-step
 // shuffle over the full modeled array, early deliveries included, so hooked
 // and unhooked runs remain bit-identical in time and traffic.
+//
+// A held block's slot is the bits of Src^Dst^id on dims (dims[j] is key bit
+// l-1-j): on a scanned dimension its Dst bit is the node's, leaving the Src
+// bit, and on one still to scan its Src bit is the node's, leaving the Dst
+// bit. So a kept block keeps its slot, a step splits the key-sorted slot
+// list into its send and keep halves in one pass, and the arrivals, which
+// differ from the kept slots in the step's key bit, merge back in.
 func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []Block, hooks ExchangeHooks) []Block {
 	id := nd.ID()
 	l := len(dims)
@@ -154,22 +205,14 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 	// than copying the struct through the Node interface per run and step.
 	params := nd.Params()
 	elemBytes := params.ElemBytes
-	slotOf := func(src, dst uint64, step int) int {
-		s := 0
-		for j, d := range dims {
-			var b uint64
-			if j < step { // processed: source bits
-				b = bits.Bit(src, d)
-			} else {
-				b = bits.Bit(dst, d)
-			}
-			s |= int(b) << uint(l-1-j)
-		}
-		return s
-	}
-	nslots := 1 << uint(l)
-	var rx []rxBuf
 
+	var mask uint64
+	for _, d := range dims {
+		mask |= 1 << uint(d)
+	}
+	home := id & mask // a block has arrived when its Dst bits on dims are these
+
+	var rx []rxBuf // the buffers received so far
 	// retire drops one reference to a receive buffer, recycling it once no
 	// placed block aliases it anymore.
 	retire := func(buf int32) {
@@ -183,17 +226,6 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		}
 	}
 
-	// isHome reports whether a destination address matches this node on
-	// every exchange dimension — i.e. the block has arrived.
-	isHome := func(dst uint64) bool {
-		for _, d := range dims {
-			if bits.Bit(dst, d) != bits.Bit(id, d) {
-				return false
-			}
-		}
-		return true
-	}
-
 	// deliveredElems counts elements handed to OnFinal so far; the Shuffled
 	// strategy adds it back into its inter-step copy so early delivery does
 	// not change the modeled local-array size.
@@ -201,50 +233,66 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 
 	// deliver audits a home block and hands it to the hook, then releases
 	// its receive buffer — the hook must have copied out what it keeps.
-	deliver := func(step int, sb slotBlock) {
-		if sb.Sum != 0 {
-			if got := fabric.Checksum(sb.Data); got != sb.Sum {
-				nd.Fail(&fabric.AuditError{Node: id, Src: sb.Src, Dst: sb.Dst, What: "block", Want: sb.Sum, Got: got})
+	deliver := func(step int, b Block, buf int32) {
+		if b.Sum != 0 {
+			if got := fabric.Checksum(b.Data); got != b.Sum {
+				nd.Fail(&fabric.AuditError{Node: id, Src: b.Src, Dst: b.Dst, What: "block", Want: b.Sum, Got: got})
 			}
 		}
-		hooks.OnFinal(step, sb.Block)
-		deliveredElems += len(sb.Data)
-		retire(sb.buf)
+		hooks.OnFinal(step, b)
+		deliveredElems += len(b.Data)
+		retire(buf)
 	}
 
-	// Count each slot's initial blocks, then carve every slot list out of
-	// one arena: one allocation per call instead of one per slot. A slot
-	// refilled past its carved capacity by a later step grows on its own.
+	// payload returns the data and address tags of a held block of n
+	// elements.
+	payload := func(h *heldBlock, n int32) ([]float64, []uint64) {
+		if h.buf < 0 {
+			b := &blocks[h.off]
+			return b.Data, b.Tags
+		}
+		r, end := &rx[h.buf], h.off+n
+		var tags []uint64
+		if r.tags != nil {
+			tags = r.tags[h.off:end:end]
+		}
+		return r.data[h.off:end:end], tags
+	}
+
+	// Count the blocks to place, then draw the per-call lists once at that
+	// size: the held-block arena and the slot list with the step's send list
+	// beside it.
 	tagged := false
-	first := make([]int, nslots+1)
-	for _, b := range blocks {
-		for _, d := range dims {
-			if bits.Bit(b.Src, d) != bits.Bit(id, d) {
-				panic(fmt.Sprintf("comm: node %d holds block with foreign source %d", id, b.Src))
-			}
+	held := 0
+	for i := range blocks {
+		b := &blocks[i]
+		if (b.Src^id)&mask != 0 {
+			panic(fmt.Sprintf("comm: node %d holds block with foreign source %d", id, b.Src))
 		}
 		if b.Tags != nil {
 			tagged = true
 		}
-		if !hooked || !isHome(b.Dst) {
-			first[slotOf(b.Src, b.Dst, 0)+1]++
+		if !hooked || b.Dst&mask != home {
+			held++
 		}
 	}
-	for s := range nslots {
-		first[s+1] += first[s]
-	}
-	arena := make([]slotBlock, first[nslots])
-	slots := make([][]slotBlock, nslots)
-	for s := range slots {
-		slots[s] = arena[first[s]:first[s]:first[s+1]]
-	}
-	for _, b := range blocks {
-		if hooked && isHome(b.Dst) {
-			deliver(-1, slotBlock{Block: b, buf: -1})
+	rx = make([]rxBuf, 0, min(l, held+1)) // a message a step, to start with
+	blk := make([]heldBlock, 0, held)
+	freed := int32(-1) // the last arena entry freed, -1 when none is
+	slots := make([]slot, 2*held)
+	order, send := slots[:0:held], slots[held:held]
+	heldElems := 0 // elements in the occupied slots
+	for i, b := range blocks {
+		if hooked && b.Dst&mask == home {
+			deliver(-1, b, -1)
 			continue
 		}
-		s := slotOf(b.Src, b.Dst, 0)
-		slots[s] = append(slots[s], slotBlock{Block: b, buf: -1})
+		order = append(order, slot{key: slotKey(dims, b.Src^b.Dst^id), at: int32(len(blk)), n: int32(len(b.Data))})
+		blk = append(blk, heldBlock{src: b.Src, dst: b.Dst, sum: b.Sum, buf: -1, off: int32(i)})
+		heldElems += len(b.Data)
+	}
+	if !slices.IsSortedFunc(order, cmpKey) {
+		slices.SortStableFunc(order, cmpKey)
 	}
 
 	// newMsg allocates one outgoing message at its exact final size, with a
@@ -257,145 +305,137 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 		return m
 	}
 
-	// packRun copies one run of slots into m starting at offsets (po, do),
-	// clears the slots (keeping their backing for the placement pass), and
-	// retires the forwarded blocks' receive buffers.
-	packRun := func(m *fabric.Msg, po, do, start, runLen int) (int, int) {
-		for s := start; s < start+runLen; s++ {
-			for i := range slots[s] {
-				b := &slots[s][i]
-				m.Parts[po] = fabric.Part{Src: b.Src, Dst: b.Dst, N: len(b.Data), Sum: b.Sum}
-				po++
-				if m.Tags != nil && b.Tags != nil {
-					copy(m.Tags[do:], b.Tags)
-				}
-				do += copy(m.Data[do:], b.Data)
-				retire(b.buf)
+	// pack copies the blocks of send[from:to] into m starting at offsets
+	// (po, do), frees their arena entries and retires their receive buffers.
+	pack := func(m *fabric.Msg, po, do, from, to int) (int, int) {
+		for _, s := range send[from:to] {
+			h := &blk[s.at]
+			data, tags := payload(h, s.n)
+			m.Parts[po] = fabric.Part{Src: h.src, Dst: h.dst, N: int(s.n), Sum: h.sum}
+			po++
+			if m.Tags != nil && tags != nil {
+				copy(m.Tags[do:], tags)
 			}
-			slots[s] = slots[s][:0]
+			do += copy(m.Data[do:], data)
+			retire(h.buf)
+			h.off, freed = freed, s.at
+			heldElems -= int(s.n)
 		}
 		return po, do
 	}
 
-	// Per-step scratch, sized for the worst (last) step so the loop body
-	// allocates only message buffers.
-	maxRuns := nslots / 2
-	if maxRuns < 1 {
-		maxRuns = 1
-	}
-	runBlocks := make([]int, maxRuns)
-	runElems := make([]int, maxRuns)
-	msgScratch := make([]fabric.Msg, 0, maxRuns)
-
 	for step := 0; step < l; step++ {
 		d := dims[step]
-		i := l - 1 - step // slot bit exchanged this step
-		myBit := bits.Bit(id, d)
-		// Runs of slots to send: consecutive indices with slot bit i !=
-		// myBit. There are 2^step runs of 2^i slots each.
-		runLen := 1 << uint(i)
-		numRuns := 1 << uint(step)
-		runStart := func(r int) int {
-			start := r * 2 * runLen
-			if myBit == 0 {
-				start += runLen
+		i := uint(l - 1 - step) // slot bit exchanged this step
+		myBit := id >> uint(d) & 1
+
+		// Split the slot list in one pass: slots with bit i != myBit are
+		// sent, in slot order.
+		send = send[:0]
+		keep, sendElems := order[:0], 0
+		for _, s := range order {
+			if s.key>>i&1 == myBit {
+				keep = append(keep, s)
+			} else {
+				send = append(send, s)
+				sendElems += int(s.n)
 			}
-			return start
+		}
+		order = keep
+		// runAt returns the end of the run that starts at send[k] and its
+		// element count: a run is the 2^i consecutive slots that share their
+		// bits above i. Counting a run before packing it lets each message
+		// buffer be pool-allocated once at its exact final size.
+		runAt := func(k int) (end, ne int) {
+			for end = k; end < len(send) && send[end].key>>(i+1) == send[k].key>>(i+1); end++ {
+				ne += int(send[end].n)
+			}
+			return end, ne
 		}
 
-		// Count every run's blocks and elements up front, so each message
-		// buffer is pool-allocated once at its exact final size.
-		for r := 0; r < numRuns; r++ {
-			nb, ne := 0, 0
-			for s, end := runStart(r), runStart(r)+runLen; s < end; s++ {
-				nb += len(slots[s])
-				for i := range slots[s] {
-					ne += len(slots[s][i].Data)
-				}
-			}
-			runBlocks[r], runElems[r] = nb, ne
+		// Package runs into messages per strategy and send them. The
+		// partner's packaging can differ (its run sizes may cross the
+		// buffering threshold differently), so each message carries the
+		// step's message count in Tag and at least one message is always
+		// sent.
+		post := func(m fabric.Msg, count int) {
+			m.Tag = count
+			nd.Send(d, m)
 		}
-
-		// Package runs into messages per strategy.
-		msgs := msgScratch[:0]
 		switch strat {
 		case SingleMessage, Shuffled:
-			tb, te := 0, 0
-			for r := 0; r < numRuns; r++ {
-				tb += runBlocks[r]
-				te += runElems[r]
+			if len(send) == 0 {
+				post(fabric.Msg{}, 1)
+				break
 			}
-			if tb > 0 {
-				m := newMsg(tb, te)
-				po, do := 0, 0
-				for r := 0; r < numRuns; r++ {
-					po, do = packRun(&m, po, do, runStart(r), runLen)
-				}
-				msgs = append(msgs, m)
-			}
+			m := newMsg(len(send), sendElems)
+			pack(&m, 0, 0, 0, len(send))
+			post(m, 1)
 		case Unbuffered:
 			// One message per run even when the run is empty: the doubling
 			// start-up count per step is the point of this variant.
-			for r := 0; r < numRuns; r++ {
+			numRuns := 1 << uint(step)
+			k := 0
+			for r := range numRuns {
 				var m fabric.Msg
-				if runBlocks[r] > 0 {
-					m = newMsg(runBlocks[r], runElems[r])
-					packRun(&m, 0, 0, runStart(r), runLen)
+				if k < len(send) && send[k].key>>(i+1) == uint64(r) {
+					end, ne := runAt(k)
+					m = newMsg(end-k, ne)
+					pack(&m, 0, 0, k, end)
+					k = end
 				}
-				msgs = append(msgs, m)
+				post(m, numRuns)
 			}
 		case Buffered:
 			// Runs of at least BCopy bytes go directly; the rest are copied
-			// into one buffered message (charged as a local copy).
-			direct := func(r int) bool {
-				return params.BCopy > 0 && runElems[r]*elemBytes >= params.BCopy
+			// into one buffered message (charged as a local copy), sent
+			// after the direct ones.
+			direct := func(ne int) bool {
+				return params.BCopy > 0 && ne*elemBytes >= params.BCopy
 			}
-			tb, te := 0, 0
-			for r := 0; r < numRuns; r++ {
-				if runBlocks[r] > 0 && !direct(r) {
-					tb += runBlocks[r]
-					te += runElems[r]
+			count, tb, te := 0, 0, 0
+			for k := 0; k < len(send); {
+				end, ne := runAt(k)
+				if direct(ne) {
+					count++
+				} else {
+					tb, te = tb+end-k, te+ne
 				}
+				k = end
 			}
 			var buffered fabric.Msg
-			po, do := 0, 0
 			if tb > 0 {
+				count++
 				buffered = newMsg(tb, te)
+				nd.Copy(te * elemBytes)
 			}
-			for r := 0; r < numRuns; r++ {
-				if runBlocks[r] == 0 {
-					continue
+			if count == 0 {
+				post(fabric.Msg{}, 1)
+			}
+			po, do := 0, 0
+			for k := 0; k < len(send); {
+				end, ne := runAt(k)
+				if direct(ne) {
+					m := newMsg(end-k, ne)
+					pack(&m, 0, 0, k, end)
+					post(m, count)
+				} else {
+					po, do = pack(&buffered, po, do, k, end)
 				}
-				if direct(r) {
-					m := newMsg(runBlocks[r], runElems[r])
-					packRun(&m, 0, 0, runStart(r), runLen)
-					msgs = append(msgs, m)
-					continue
-				}
-				po, do = packRun(&buffered, po, do, runStart(r), runLen)
+				k = end
 			}
 			if tb > 0 {
-				nd.Copy(te * elemBytes)
-				msgs = append(msgs, buffered)
+				post(buffered, count)
 			}
 		}
 
-		// Exchange: send all messages, then receive the partner's. The
-		// partner's packaging can differ (its run sizes may cross the
-		// buffering threshold differently), so each message carries the
-		// step's total message count in Tag and at least one message is
-		// always sent.
-		if len(msgs) == 0 {
-			msgs = append(msgs, fabric.Msg{})
-		}
-		for _, m := range msgs {
-			m.Tag = len(msgs)
-			nd.Send(d, m)
-		}
-
-		// Place received blocks under the post-step slot interpretation,
-		// aliasing the received buffer instead of copying it out; the alias
-		// count decides when the buffer can be recycled.
+		// Receive the partner's messages and place their blocks, aliasing
+		// the received buffer instead of copying it out; the alias count
+		// decides when the buffer can be recycled. The arrivals take the
+		// freed arena entries and reuse the send list's storage. Each
+		// message is in slot order; only Buffered's direct runs, sent ahead
+		// of the buffered message, can leave the arrivals out of it.
+		arr, sorted := send[:0], true
 		expect := 1
 		for k := 0; k < expect; k++ {
 			in := nd.Recv(d)
@@ -407,62 +447,66 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 				continue
 			}
 			bi := int32(len(rx))
-			rx = append(rx, rxBuf{data: in.Data, live: int32(len(in.Parts))})
+			rx = append(rx, rxBuf{data: in.Data, tags: in.Tags, live: int32(len(in.Parts))})
 			if in.Tags != nil {
 				tagged = true
 			}
 			off := 0
 			for _, p := range in.Parts {
-				b := Block{Src: p.Src, Dst: p.Dst, Sum: p.Sum, Data: in.Data[off : off+p.N : off+p.N]}
-				if in.Tags != nil {
-					b.Tags = in.Tags[off : off+p.N : off+p.N]
-				}
+				h := heldBlock{src: p.Src, dst: p.Dst, sum: p.Sum, buf: bi, off: int32(off)}
 				off += p.N
-				if hooked && isHome(p.Dst) {
-					deliver(step, slotBlock{Block: b, buf: bi})
+				if hooked && p.Dst&mask == home {
+					data, tags := payload(&h, int32(p.N))
+					deliver(step, Block{Src: p.Src, Dst: p.Dst, Sum: p.Sum, Data: data, Tags: tags}, bi)
 					continue
 				}
-				s := slotOf(p.Src, p.Dst, step+1)
-				slots[s] = append(slots[s], slotBlock{Block: b, buf: bi})
+				s := slot{key: slotKey(dims, p.Src^p.Dst^id), at: int32(len(blk)), n: int32(p.N)}
+				if freed >= 0 {
+					s.at, freed = freed, blk[freed].off
+					blk[s.at] = h
+				} else {
+					blk = append(blk, h)
+				}
+				if len(arr) > 0 && s.key < arr[len(arr)-1].key {
+					sorted = false
+				}
+				arr = append(arr, s)
+				heldElems += p.N
 			}
 			nd.Recycle(fabric.Msg{Parts: in.Parts})
 		}
+		if !sorted {
+			slices.SortStableFunc(arr, cmpKey)
+		}
+		order, send = mergeSlots(order, arr), arr[:0]
 
 		if strat == Shuffled && step < l-1 {
 			// Local shuffle so the next step's half is contiguous: full
 			// local data movement. Early-delivered blocks still occupy the
 			// modeled array, so they stay in the charge.
-			total := deliveredElems
-			for _, sl := range slots {
-				for i := range sl {
-					total += len(sl[i].Data)
-				}
-			}
-			nd.Copy(total * elemBytes)
+			nd.Copy((deliveredElems + heldElems) * elemBytes)
 		}
 	}
 
 	if hooked {
-		for s, sl := range slots {
-			if len(sl) > 0 {
-				panic(fmt.Sprintf("comm: node %d: %d undelivered block(s) left in slot %d", id, len(sl), s))
-			}
+		if len(order) > 0 {
+			panic(fmt.Sprintf("comm: node %d: %d undelivered block(s) left, the first in slot %d", id, len(order), order[0].key))
 		}
 		return nil
 	}
 
-	total := 0
-	for _, sl := range slots {
-		total += len(sl)
-	}
-	out := make([]Block, 0, total)
-	for _, sl := range slots {
-		for i := range sl {
-			if !isHome(sl[i].Dst) {
-				panic(fmt.Sprintf("comm: node %d ended with block for %d", id, sl[i].Dst))
-			}
-			out = append(out, sl[i].Block)
+	out := make([]Block, len(order))
+	for k, s := range order {
+		h := &blk[s.at]
+		if h.dst&mask != home {
+			panic(fmt.Sprintf("comm: node %d ended with block for %d", id, h.dst))
 		}
+		if h.buf < 0 {
+			out[k] = blocks[h.off]
+			continue
+		}
+		data, tags := payload(h, s.n)
+		out[k] = Block{Src: h.src, Dst: h.dst, Sum: h.sum, Data: data, Tags: tags}
 	}
 	slices.SortFunc(out, func(a, b Block) int {
 		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))

@@ -275,6 +275,9 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 					blocks = append(blocks, b)
 				}
 			}
+			if fine && out != nil {
+				prog[id].srcs = make([]uint64, 0, mv.NumSources(id))
+			}
 			comm.ExchangeBlocksHooked(nd, ph.Dims, cfg.Strategy, blocks, comm.ExchangeHooks{
 				OnFinal: func(step int, b comm.Block) {
 					if out == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"boolcube/internal/comm"
@@ -323,5 +324,29 @@ func TestConversionStatsPinned(t *testing.T) {
 				t.Errorf("%s %v: Stats moved:\ngot  %+v\nwant %+v", c.name, alg, res.Stats, c.pinned[i])
 			}
 		}
+	}
+}
+
+// The exchange's storage grows with the blocks a node holds, not with the
+// 2^l slots of the array it models: a 512x512 two-dimensional consecutive
+// transpose on the 12-cube Connection Machine (4,096 nodes, one block each,
+// twelve steps) allocates under 128 MB in all, where a per-node table of the
+// 2^12 slots came to ~1.9 GB.
+func TestExchangeAllocGrowsWithBlocks(t *testing.T) {
+	const p, n = 9, 12
+	layout := field.TwoDimConsecutive(p, p, n/2, n/2, field.Binary)
+	pl, err := plan.Compile(plan.Exchange, layout, layout, plan.Config{Machine: machine.ConnectionMachine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := matrix.NewIota(p, p)
+	d := matrix.Scatter(m, layout)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Execute(pl, d, nil)
+	runtime.ReadMemStats(&after)
+	verifyTranspose(t, "2d exchange on the 12-cube", m, res, err)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<20 {
+		t.Errorf("exchange allocated %d MB, want under 128 MB", got>>20)
 	}
 }

@@ -44,12 +44,23 @@ type index struct {
 }
 
 // of returns the runs and element count of what proc exchanges with peer
-// (nil, 0 when nothing).
+// (nil, 0 when nothing). When proc's peers are consecutive addresses — the
+// ascending list spans exactly its length — peer's entry is found by
+// subtraction; otherwise by binary search.
 func (x *index) of(proc, peer uint64) ([]run, int) {
 	lo := x.first[proc]
-	i, ok := slices.BinarySearch(x.peer[lo:x.first[proc+1]], peer)
-	if !ok {
-		return nil, 0
+	peers := x.peer[lo:x.first[proc+1]]
+	var i int
+	if k := len(peers); k > 0 && peers[k-1]-peers[0] == uint64(k-1) {
+		if peer < peers[0] || peer > peers[k-1] {
+			return nil, 0
+		}
+		i = int(peer - peers[0])
+	} else {
+		var ok bool
+		if i, ok = slices.BinarySearch(peers, peer); !ok {
+			return nil, 0
+		}
 	}
 	i += lo
 	return x.runs[x.at[i]:x.at[i+1]], x.off[i+1] - x.off[i]
@@ -409,6 +420,15 @@ func (m *Moves) ScatterRange(dstProc uint64, local []float64, srcProc uint64, of
 // Destinations lists the processors srcProc sends to (excluding itself),
 // ascending. The returned slice is shared and must not be modified.
 func (m *Moves) Destinations(srcProc uint64) []uint64 { return m.dests[srcProc] }
+
+// NumSources returns how many processors other than dstProc send to it.
+func (m *Moves) NumSources(dstProc uint64) int {
+	n := m.in.first[dstProc+1] - m.in.first[dstProc]
+	if _, self := m.in.of(dstProc, dstProc); self > 0 {
+		n--
+	}
+	return n
+}
 
 // PayloadLen returns the number of elements srcProc sends to dstProc.
 func (m *Moves) PayloadLen(srcProc, dstProc uint64) int {

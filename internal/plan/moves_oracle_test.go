@@ -220,9 +220,19 @@ func slots(t testing.TB, x *index, proc, peer uint64) []int {
 }
 
 // matchOracle holds a move-set to the oracle on every (srcProc, dstProc)
-// slot list, in order, on both sides, and on Destinations and PayloadLen.
+// slot list, in order, on both sides, and on Destinations, NumSources and
+// PayloadLen.
 func matchOracle(t testing.TB, got *Moves, want *movesOracle) {
 	t.Helper()
+	for dp, srcs := range want.in {
+		n := len(srcs)
+		if len(srcs[uint64(dp)]) > 0 {
+			n--
+		}
+		if got.NumSources(uint64(dp)) != n {
+			t.Fatalf("NumSources(%d) = %d, want %d", dp, got.NumSources(uint64(dp)), n)
+		}
+	}
 	pairs := 0
 	for sp := range want.out {
 		src := uint64(sp)

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"cmp"
 	"maps"
 	"slices"
 
@@ -102,12 +101,30 @@ func (w *pricer) flows(fs []Flow) {
 	for i := range order {
 		order[i] = i
 	}
+	// A level runs the flows still routing in order of their first packet,
+	// ties to the lower index. As one word per train — the rank of its first
+	// among the level's distinct firsts above its index, 32 bits each — that
+	// order is two sorts of plain numbers, not one by comparison function: a
+	// level's trains share a handful of firsts, and the last level's order
+	// is nearly sorted already.
+	var firsts []float64
+	var keys []uint64
 	for k := range levels {
-		// Keep the last level's order: it is nearly sorted already.
 		order = slices.DeleteFunc(order, func(i int) bool { return len(fs[i].Dims) <= k })
-		slices.SortFunc(order, func(i, j int) int {
-			return cmp.Or(cmp.Compare(cur[i].first, cur[j].first), cmp.Compare(i, j))
-		})
+		firsts, keys = firsts[:0], keys[:0]
+		for _, i := range order {
+			firsts = append(firsts, cur[i].first)
+		}
+		slices.Sort(firsts)
+		firsts = slices.Compact(firsts)
+		for _, i := range order {
+			r, _ := slices.BinarySearch(firsts, cur[i].first)
+			keys = append(keys, uint64(r)<<32|uint64(i))
+		}
+		slices.Sort(keys)
+		for j, key := range keys {
+			order[j] = int(key & (1<<32 - 1))
+		}
 		for _, i := range order {
 			c, d := &cur[i], fs[i].Dims[k]
 			x, y := c.at, c.at^1<<uint(d)
