@@ -117,7 +117,22 @@ var (
 	TwoDimEncoded         = field.TwoDimEncoded
 	CombinedContiguous    = field.CombinedContiguous
 	CombinedSplit         = field.CombinedSplit
+	// PermutedDims returns a layout with its processor address bits
+	// permuted — the content of bit p moves to bit pi[p] — the after layout
+	// of a Permute: Compile(before, PermutedDims(before, pi),
+	// Options{Algorithm: Permute}). pi[p] = n-1-p is the bit reversal.
+	PermutedDims = field.PermutedDims
 )
+
+// ShufflePermutation returns the dimension permutation realizing sh^k (a k
+// step left cyclic shift of the node address), for PermutedDims.
+func ShufflePermutation(n, k int) []int {
+	pi := make([]int, n)
+	for p := range pi {
+		pi[p] = ((p+k)%n + n) % n
+	}
+	return pi
+}
 
 // Matrix construction and distribution.
 var (
@@ -222,6 +237,15 @@ const (
 	// a flow plan: per-flow checkpoints, and failover under the default
 	// FailoverReroute.
 	ConvertEncoding = plan.ConvertEncoding
+	// Permute moves every node's data, local storage unchanged, to the node
+	// whose address is its own with the bits permuted (Section 7): the after
+	// layout is PermutedDims(before, pi), and like ConvertEncoding it
+	// describes the input matrix. The general exchange runs over the
+	// permutation's dimension pairs — for the bit reversal one exchange
+	// pairing dimension i with n-1-i — and any other dimension permutation
+	// takes at most ceil(log2 n) parallel swappings (Lemma 15), one phase
+	// each. Any other layout pair is a compile error.
+	Permute = plan.Permute
 	// AlgorithmAuto lets the library pick: every candidate the layout pair
 	// admits (Classify decides which) is compiled, and the compiled plan
 	// with the lowest PredictedCost on the configured machine wins.
@@ -229,12 +253,12 @@ const (
 )
 
 // Algorithms lists every concrete algorithm (excluding AlgorithmAuto), for
-// sweeps. The last four rows are the conversions (Convert1 .. Convert3 and
-// ConvertEncoding, named "convert-1" .. "convert-3" and "convert-encoding"),
-// run through Transpose or Compile like every row; each accepts only its
-// own kind of layout pair. Algorithm.Transposes is false for
-// ConvertEncoding alone: its after layout describes the input matrix, not
-// its transpose.
+// sweeps. The last five rows are the conversions (Convert1 .. Convert3 and
+// ConvertEncoding, named "convert-1" .. "convert-3" and "convert-encoding")
+// and Permute ("permute"), run through Transpose or Compile like every row;
+// each accepts only its own kind of layout pair. Algorithm.Transposes is
+// false for ConvertEncoding and Permute: their after layout describes the
+// input matrix, not its transpose.
 func Algorithms() []Algorithm { return plan.Algorithms() }
 
 // ParseAlgorithm maps an algorithm name (as produced by Algorithm.String,

@@ -113,50 +113,47 @@ func TestClassifyPublic(t *testing.T) {
 	}
 }
 
-// The 0-cube's one node is its own reversal: the payload comes back
-// unchanged at no cost.
+// permuteRows runs the Permute row on one row of two elements per node of an
+// n-cube; holder[x] is the node row x went to.
+func permuteRows(t *testing.T, n int, pi []int, mach Machine) (holder []uint64, st Stats) {
+	t.Helper()
+	before, m := OneDimConsecutiveRows(n, 1, n, Binary), NewIotaMatrix(n, 1)
+	after, _ := PermutedDims(before, pi) // binary rows always permute
+	res, err := Transpose(Scatter(m, before), after, Options{Algorithm: Permute, Machine: mach})
+	if err != nil || res.Dist.Verify(m) != nil {
+		t.Fatalf("%v: %v", pi, err)
+	}
+	holder = make([]uint64, len(res.Dist.Local))
+	for x, row := range res.Dist.Local {
+		holder[uint64(row[0])/2] = uint64(x)
+	}
+	return holder, res.Stats
+}
+
+// The 0-cube's one node is its own reversal: the data stays put at no cost.
 func TestBitReversalPublic(t *testing.T) {
 	for _, n := range []int{4, 0} {
-		data := make([][]float64, 1<<uint(n))
-		for i := range data {
-			data[i] = []float64{float64(i)}
+		reversal := make([]int, n)
+		for p := range reversal {
+			reversal[p] = n - 1 - p
 		}
-		res, err := BitReversal(n, IPSC(), data)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for x := range res.Data {
-			want := float64(x)
-			if n > 0 {
-				want = float64(bits.Reverse(uint64(x), n))
-			}
-			if res.Data[x][0] != want {
-				t.Fatalf("n=%d: node %04b holds %v, want %v", n, x, res.Data[x][0], want)
+		holder, st := permuteRows(t, n, reversal, IPSC())
+		for x, at := range holder {
+			if n > 0 && at != bits.Reverse(uint64(x), n) {
+				t.Fatalf("n=%d: row %04b went to node %04b", n, x, at)
 			}
 		}
-		if n == 0 && res.Stats != (Stats{}) {
-			t.Errorf("0-cube reversal cost %+v, want zero Stats", res.Stats)
-		}
-		if n > 0 && res.Stats.Time <= 0 {
-			t.Error("no time elapsed")
+		if n == 0 && st != (Stats{}) || n > 0 && st.Time <= 0 {
+			t.Errorf("n=%d: reversal cost %+v, want zero Stats on the 0-cube only", n, st)
 		}
 	}
 }
 
 func TestPermuteDimsShufflePublic(t *testing.T) {
-	n, k := 4, 2
-	data := make([][]float64, 1<<uint(n))
-	for i := range data {
-		data[i] = []float64{float64(i)}
-	}
-	res, err := PermuteDims(n, ShufflePermutation(n, k), Ideal(OnePort), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := range res.Data {
-		dst := bits.RotL(uint64(x), k, n)
-		if res.Data[dst][0] != float64(x) {
-			t.Fatalf("shuffle: node %04b holds %v, want payload of %04b", dst, res.Data[dst], x)
+	holder, _ := permuteRows(t, 4, ShufflePermutation(4, 2), Ideal(OnePort))
+	for x, at := range holder {
+		if at != bits.RotL(uint64(x), 2, 4) {
+			t.Fatalf("shuffle: row %04b went to node %04b", x, at)
 		}
 	}
 }

@@ -46,6 +46,9 @@ func TestRunConvertEncoding(t *testing.T) {
 	for _, args := range [][]string{
 		{"-p", "4", "-q", "4", "-n", "4", "-alg", "convert-encoding"},
 		{"-p", "5", "-q", "4", "-n", "4", "-alg", "convert-encoding", "-after", "2d-consecutive:gray"},
+		// The other row that does not transpose: the bit reversal as a custom
+		// after layout, the row bits as one-bit fields in reversed order.
+		{"-p", "4", "-q", "2", "-n", "4", "-alg", "permute", "-layout", "1d-consecutive-rows", "-after", "custom([2,3)+[3,4)+[4,5)+[5,6))"},
 	} {
 		out, err := run(t, args...)
 		if err != nil {

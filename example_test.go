@@ -59,15 +59,19 @@ func ExampleSimulate() {
 	// time 2 µs, 2 bytes
 }
 
-// ExampleBitReversal performs the Section 7 bit-reversal permutation.
-func ExampleBitReversal() {
-	data := [][]float64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
-	res, err := boolcube.BitReversal(3, boolcube.Ideal(boolcube.OnePort), data)
+// ExamplePermutedDims_bitReversal performs the Section 7 bit-reversal
+// permutation: the Permute row onto the layout with the processor address
+// bits reversed.
+func ExamplePermutedDims_bitReversal() {
+	before := boolcube.OneDimConsecutiveRows(3, 0, 3, boolcube.Binary) // one element per node
+	after, _ := boolcube.PermutedDims(before, []int{2, 1, 0})          // binary rows always permute
+	res, err := boolcube.Transpose(boolcube.Scatter(boolcube.NewIotaMatrix(3, 0), before), after,
+		boolcube.Options{Algorithm: boolcube.Permute, Machine: boolcube.Ideal(boolcube.OnePort)})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	for x, d := range res.Data {
+	for x, d := range res.Dist.Local {
 		fmt.Printf("node %03b holds payload %v\n", x, d[0])
 	}
 	// Output:

@@ -1,8 +1,9 @@
 // Permute demonstrates Section 7 of the paper: using the general exchange
 // algorithm for permutations other than the transpose. It performs the
-// bit-reversal permutation (the data reordering of an FFT) and an arbitrary
-// dimension permutation realized by at most ceil(log2 n) parallel swappings
-// (Lemma 15), verifying both against direct computation.
+// bit-reversal permutation (the data reordering of an FFT) and arbitrary
+// dimension permutations realized by at most ceil(log2 n) parallel
+// swappings (Lemma 15) as the Permute registry row, verifying each against
+// the input matrix.
 package main
 
 import (
@@ -13,75 +14,51 @@ import (
 	"boolcube"
 )
 
-func reverseBits(x uint64, n int) uint64 {
-	var y uint64
-	for i := 0; i < n; i++ {
-		y = y<<1 | (x>>uint(i))&1
+// permute moves the one element each node of an n-cube holds (a 2^n x 1
+// matrix in consecutive rows) to the node whose address is its own with the
+// bits permuted by pi, and checks the result.
+func permute(n int, pi []int) boolcube.Stats {
+	before := boolcube.OneDimConsecutiveRows(n, 0, n, boolcube.Binary)
+	after, err := boolcube.PermutedDims(before, pi)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return y
+	ct, err := boolcube.Compile(before, after, boolcube.Options{Algorithm: boolcube.Permute, Machine: boolcube.IPSC()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	m := boolcube.NewIotaMatrix(n, 0)
+	res, err := ct.Execute(boolcube.Scatter(m, before))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := res.Dist.Verify(m); err != nil {
+		log.Fatalf("permutation %v: %v", pi, err)
+	}
+	return res.Stats
 }
 
 func main() {
 	const n = 6
-	N := 1 << n
-	payload := func() [][]float64 {
-		data := make([][]float64, N)
-		for i := range data {
-			data[i] = []float64{float64(i)}
-		}
-		return data
-	}
 
 	// --- Bit reversal (FFT data reordering) ---
-	res, err := boolcube.BitReversal(n, boolcube.IPSC(), payload())
-	if err != nil {
-		log.Fatal(err)
+	reversal := make([]int, n)
+	for p := range reversal {
+		reversal[p] = n - 1 - p
 	}
-	for x := 0; x < N; x++ {
-		want := float64(reverseBits(uint64(x), n))
-		if res.Data[x][0] != want {
-			log.Fatalf("bit reversal: node %0*b holds %v, want %v", n, x, res.Data[x][0], want)
-		}
-	}
+	st := permute(n, reversal)
 	fmt.Printf("bit-reversal on a %d-cube: %.1f ms simulated, %d start-ups — verified\n",
-		n, res.Stats.Time/1000, res.Stats.Startups)
+		n, st.Time/1000, st.Startups)
 
 	// --- Shuffle sh^2 as a dimension permutation ---
-	pi := boolcube.ShufflePermutation(n, 2)
-	res, err = boolcube.PermuteDims(n, pi, boolcube.IPSC(), payload())
-	if err != nil {
-		log.Fatal(err)
-	}
-	for x := 0; x < N; x++ {
-		dst := int((uint64(x)<<2 | uint64(x)>>(n-2)) & uint64(N-1))
-		if res.Data[dst][0] != float64(x) {
-			log.Fatalf("shuffle: node %0*b holds %v, want payload of %0*b", n, dst, res.Data[dst], n, x)
-		}
-	}
-	fmt.Printf("sh^2 shuffle via parallel swappings: %.1f ms simulated — verified\n", res.Stats.Time/1000)
+	st = permute(n, boolcube.ShufflePermutation(n, 2))
+	fmt.Printf("sh^2 shuffle via parallel swappings: %.1f ms simulated — verified\n", st.Time/1000)
 
 	// --- A random dimension permutation ---
-	rng := rand.New(rand.NewSource(42))
-	pi = rng.Perm(n)
-	res, err = boolcube.PermuteDims(n, pi, boolcube.IPSC(), payload())
-	if err != nil {
-		log.Fatal(err)
-	}
-	apply := func(x uint64) uint64 {
-		var y uint64
-		for p, t := range pi {
-			y |= (x >> uint(p) & 1) << uint(t)
-		}
-		return y
-	}
-	for x := 0; x < N; x++ {
-		dst := apply(uint64(x))
-		if res.Data[dst][0] != float64(x) {
-			log.Fatalf("perm %v: node %0*b holds %v, want payload of %0*b", pi, n, dst, res.Data[dst], n, x)
-		}
-	}
+	pi := rand.New(rand.NewSource(42)).Perm(n)
+	st = permute(n, pi)
 	fmt.Printf("random dimension permutation %v via ≤ %d parallel swappings: %.1f ms — verified\n",
-		pi, ceilLog2(n), res.Stats.Time/1000)
+		pi, ceilLog2(n), st.Time/1000)
 }
 
 func ceilLog2(n int) int {

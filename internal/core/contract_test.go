@@ -48,12 +48,13 @@ func init() {
 	}
 }
 
-// oracles maps a registry row to the published program (Sections 5 and 6.3)
-// whose Stats it must reproduce wherever that program accepts the layouts.
+// oracles maps a registry row to the published program (Sections 5, 6.3 and
+// 7) whose Stats it must reproduce wherever that program accepts the layouts.
 var oracles = map[plan.Algorithm]func(*matrix.Dist, field.Layout, machine.Params) (*Result, error){
 	plan.Exchange:      TransposeExchangePseudocode,
 	plan.SBnT:          TransposeSBnTPseudocode,
 	plan.MixedCombined: mixedProgramOracle,
+	plan.Permute:       lemma15Oracle,
 }
 
 // knownDivergences are the cells known to break a contract, each with why. A
@@ -196,6 +197,13 @@ func contractCells(t *testing.T, rng *rand.Rand, alg plan.Algorithm, n int, mach
 		oneDim := mk1(q, p, n, enc)
 		if !transposes {
 			mk1, oneDim = field.OneDimConsecutiveRows, field.OneDimConsecutiveRows(p, q, n, field.Gray)
+		}
+		if alg == plan.Permute { // the pair is an involution; rotate for Lemma 15's several steps
+			rot := make([]int, n)
+			for i := range rot {
+				rot[i] = (i + 1) % n
+			}
+			oneDim, _ = field.PermutedDims(field.OneDimConsecutiveRows(p, q, n, field.Binary), rot) // binary rows always permute
 		}
 		for _, lp := range []struct {
 			name          string
@@ -392,6 +400,8 @@ func checkScale(t *testing.T) {
 					before := field.TwoDimConsecutive(p, q, hr, hc, field.Binary)
 					after, transposes := field.TwoDimConsecutive(q, p, hc, hr, field.Binary), alg.Transposes()
 					switch {
+					case alg == plan.Permute:
+						before, after, _ = plantest.Pair(alg, p, q, n)
 					case !transposes:
 						after = field.TwoDimConsecutive(p, q, hr, hc, field.Gray)
 					case alg == plan.MixedNaive || alg == plan.MixedCombined:

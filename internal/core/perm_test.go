@@ -1,15 +1,75 @@
 package core
 
 import (
+	mathbits "math/bits"
 	"math/rand"
 	"testing"
 
 	"boolcube/internal/bits"
 	"boolcube/internal/comm"
+	"boolcube/internal/fabric"
+	"boolcube/internal/field"
 	"boolcube/internal/machine"
+	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 	"boolcube/internal/router"
 	"boolcube/internal/simnet"
 )
+
+// permuteProgram is Section 7's general exchange on whole node payloads:
+// each step is one exchange over its (higher, lower) dimension pairs, in
+// which every node sends what it holds to its own address with those bit
+// pairs swapped, what crosses a dimension as one message
+// (comm.SingleMessage). The node permutation leaves local storage as it is.
+func permuteProgram(d *matrix.Dist, after field.Layout, mach machine.Params, steps [][][2]int) (*Result, error) {
+	e, err := fabric.New("", d.Layout.NBits(), mach)
+	if err != nil {
+		return nil, err
+	}
+	loc := make([][]float64, e.Nodes())
+	err = e.Run(func(nd fabric.Node) {
+		id, payload := nd.ID(), d.Local[nd.ID()]
+		for _, step := range steps {
+			to, dims := id, []int(nil)
+			for _, pr := range step {
+				if hi, lo := uint(pr[0]), uint(pr[1]); to>>hi&1 != to>>lo&1 {
+					to ^= 1<<hi | 1<<lo
+				}
+				dims = append(dims, pr[0], pr[1])
+			}
+			payload = comm.ExchangeBlocks(nd, dims, comm.SingleMessage, []comm.Block{{Src: id, Dst: to, Data: payload}})[0].Data
+		}
+		loc[id] = payload
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Dist: &matrix.Dist{Layout: after, Local: loc}, Stats: e.Stats()}, nil
+}
+
+// lemma15Oracle is the permute row's published program: the dimension
+// permutation the pair realizes (node 2^p's destination is 2^pi[p]) as
+// plan.DimPermSteps' parallel swappings (Lemma 15), each one exchange of
+// permuteProgram. On plantest.Pair's bit reversal at even n that is §7's
+// one-exchange program, pairing dimension i with n-1-i, highest pair first.
+func lemma15Oracle(d *matrix.Dist, after field.Layout, mach machine.Params) (*Result, error) {
+	mv, err := plan.NewMoves(d.Layout, after, false)
+	if err != nil {
+		return nil, err
+	}
+	pi := make([]int, d.Layout.NBits())
+	for p := range pi {
+		pi[p] = p
+		if ds := mv.Destinations(1 << uint(p)); len(ds) == 1 {
+			pi[p] = mathbits.TrailingZeros64(ds[0])
+		}
+	}
+	steps, err := plan.DimPermSteps(pi)
+	if err != nil {
+		return nil, err
+	}
+	return permuteProgram(d, after, mach, steps)
+}
 
 func permEngine(t *testing.T, n int) *simnet.Engine {
 	t.Helper()
@@ -26,176 +86,6 @@ func nodePayloads(N int) [][]float64 {
 		data[i] = []float64{float64(i), float64(i) + 0.5}
 	}
 	return data
-}
-
-func TestBitReversal(t *testing.T) {
-	for _, n := range []int{2, 3, 4, 5} {
-		e := permEngine(t, n)
-		N := e.Nodes()
-		got, err := BitReversal(e, nodePayloads(N))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for x := 0; x < N; x++ {
-			src := bits.Reverse(uint64(x), n)
-			if len(got[x]) != 2 || got[x][0] != float64(src) {
-				t.Fatalf("n=%d: node %b holds %v, want payload of %b", n, x, got[x], src)
-			}
-		}
-	}
-}
-
-func TestBitReversalDims(t *testing.T) {
-	dims := BitReversalDims(6)
-	want := []int{5, 0, 4, 1, 3, 2}
-	if len(dims) != 6 {
-		t.Fatalf("dims = %v", dims)
-	}
-	for i := range want {
-		if dims[i] != want[i] {
-			t.Fatalf("dims = %v, want %v", dims, want)
-		}
-	}
-	dims = BitReversalDims(5)
-	if len(dims) != 5 || dims[4] != 2 {
-		t.Fatalf("odd-n dims = %v", dims)
-	}
-}
-
-func TestPermuteNodesRejectsNonPermutation(t *testing.T) {
-	e := permEngine(t, 2)
-	_, err := PermuteNodes(e, func(x uint64) uint64 { return 0 },
-		comm.DescendingDims(2), nodePayloads(4))
-	if err == nil {
-		t.Error("constant map accepted as permutation")
-	}
-}
-
-func TestApplyDimPerm(t *testing.T) {
-	// pi moves content of bit 0 to bit 2, bit 1 to bit 0, bit 2 to bit 1.
-	pi := []int{2, 0, 1}
-	if got := ApplyDimPerm(0b001, pi); got != 0b100 {
-		t.Errorf("ApplyDimPerm(001) = %03b", got)
-	}
-	if got := ApplyDimPerm(0b011, pi); got != 0b101 {
-		t.Errorf("ApplyDimPerm(011) = %03b", got)
-	}
-}
-
-func TestDimPermStepsRealizePermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{2, 3, 4, 5, 6, 8} {
-		for trial := 0; trial < 20; trial++ {
-			pi := rng.Perm(n)
-			steps, err := DimPermSteps(pi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Lemma 15: at most ceil(log2 n) steps (after padding, log2 of
-			// the padded size).
-			maxSteps := 0
-			for s := 1; s < n; s *= 2 {
-				maxSteps++
-			}
-			if len(steps) > maxSteps {
-				t.Fatalf("n=%d pi=%v: %d steps > ceil(log2 n) = %d", n, pi, len(steps), maxSteps)
-			}
-			// Compose the steps on positions: content at p must end at pi[p].
-			pos := make([]int, n) // pos[p] = current position of content born at p
-			for p := range pos {
-				pos[p] = p
-			}
-			for _, step := range steps {
-				cur := make(map[int]int) // position -> content id
-				for p, at := range pos {
-					cur[at] = p
-				}
-				for _, pr := range step {
-					a, b := pr[0], pr[1]
-					ca, okA := cur[a]
-					cb, okB := cur[b]
-					if okA {
-						pos[ca] = b
-					}
-					if okB {
-						pos[cb] = a
-					}
-				}
-			}
-			for p := range pos {
-				if pos[p] != pi[p] {
-					t.Fatalf("n=%d pi=%v: content %d ended at %d", n, pi, p, pos[p])
-				}
-			}
-			// Each step's pairs must be disjoint (a parallel swapping).
-			for _, step := range steps {
-				used := make(map[int]bool)
-				for _, pr := range step {
-					if used[pr[0]] || used[pr[1]] || pr[0] == pr[1] {
-						t.Fatalf("n=%d pi=%v: step %v not a parallel swapping", n, pi, step)
-					}
-					used[pr[0]] = true
-					used[pr[1]] = true
-				}
-			}
-		}
-	}
-}
-
-func TestPermuteDimsData(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{2, 3, 4, 5} {
-		for trial := 0; trial < 5; trial++ {
-			pi := rng.Perm(n)
-			e := permEngine(t, n)
-			N := e.Nodes()
-			got, err := PermuteDims(e, pi, nodePayloads(N))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x := uint64(0); x < uint64(N); x++ {
-				dst := ApplyDimPerm(x, pi)
-				if len(got[dst]) != 2 || got[dst][0] != float64(x) {
-					t.Fatalf("n=%d pi=%v: node %b holds %v, want payload of %b",
-						n, pi, dst, got[dst], x)
-				}
-			}
-		}
-	}
-}
-
-// Shuffle (sh^k) is a dimension permutation: content of bit p moves to bit
-// (p+k) mod n. Check PermuteDims realizes it.
-func TestPermuteDimsShuffle(t *testing.T) {
-	n, k := 4, 1
-	pi := make([]int, n)
-	for p := range pi {
-		pi[p] = (p + k) % n
-	}
-	e := permEngine(t, n)
-	got, err := PermuteDims(e, pi, nodePayloads(e.Nodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := uint64(0); x < uint64(e.Nodes()); x++ {
-		dst := bits.RotL(x, k, n)
-		if got[dst][0] != float64(x) {
-			t.Fatalf("shuffle: node %b holds %v, want payload of %b", dst, got[dst], x)
-		}
-	}
-}
-
-func TestPermuteDimsRejectsBadInput(t *testing.T) {
-	e := permEngine(t, 3)
-	if _, err := PermuteDims(e, []int{0, 1}, nodePayloads(8)); err == nil {
-		t.Error("wrong-length permutation accepted")
-	}
-	if _, err := PermuteDims(e, []int{0, 0, 1}, nodePayloads(8)); err == nil {
-		t.Error("non-permutation accepted")
-	}
-	if _, err := PermuteDims(e, []int{0, 1, 2}, nodePayloads(4)); err == nil {
-		t.Error("wrong payload count accepted")
-	}
 }
 
 func TestPermuteTwoPhase(t *testing.T) {

@@ -1,8 +1,13 @@
 package exper
 
 import (
+	mathbits "math/bits"
+
 	"boolcube/internal/core"
+	"boolcube/internal/field"
 	"boolcube/internal/machine"
+	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 	"boolcube/internal/router"
 	"boolcube/internal/simnet"
 )
@@ -13,9 +18,10 @@ func init() {
 
 // sec7Dims compares three realizations of a dimension permutation
 // (Section 7, Lemma 15) on the worst-case full rotation sh^(n/2), which
-// maximizes the Hamming displacement (Corollary 2): ceil(log2 n) parallel
-// swappings, the generic two-phase all-to-all, and direct e-cube routing of
-// whole payloads.
+// maximizes the Hamming displacement (Corollary 2): the permute row's
+// parallel swappings (sh^(n/2) is an involution, so one) on one-dimensional
+// consecutive rows of one payload each, the generic two-phase all-to-all,
+// and direct e-cube routing of whole payloads.
 func sec7Dims() (*Table, error) {
 	t := &Table{
 		ID:    "sec7dims",
@@ -35,7 +41,7 @@ func sec7Dims() (*Table, error) {
 			for p := range pi {
 				pi[p] = (p + n/2) % n
 			}
-			perm := func(x uint64) uint64 { return core.ApplyDimPerm(x, pi) }
+			perm := func(x uint64) uint64 { return plan.ApplyDimPerm(x, pi) }
 			payloads := func() [][]float64 {
 				data := make([][]float64, N)
 				for i := range data {
@@ -44,11 +50,14 @@ func sec7Dims() (*Table, error) {
 				return data
 			}
 
-			eSwap, err := simnet.New(n, machine.IPSC())
+			rows := field.OneDimConsecutiveRows(n, mathbits.Len(uint(elems))-1, n, field.Binary)
+			swapped, err := field.PermutedDims(rows, pi)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := core.PermuteDims(eSwap, pi, payloads()); err != nil {
+			swap, err := core.Transpose(plan.Permute, &matrix.Dist{Layout: rows, Local: payloads()}, swapped,
+				core.Options{Machine: machine.IPSC()})
+			if err != nil {
 				return nil, err
 			}
 
@@ -76,8 +85,8 @@ func sec7Dims() (*Table, error) {
 				return nil, err
 			}
 
-			loadRatio := float64(eDirect.Stats().MaxLinkBytes) / float64(eSwap.Stats().MaxLinkBytes)
-			t.AddRow(n, kb, eSwap.Stats().Time/1000, eTwo.Stats().Time/1000,
+			loadRatio := float64(eDirect.Stats().MaxLinkBytes) / float64(swap.Stats.MaxLinkBytes)
+			t.AddRow(n, kb, swap.Stats.Time/1000, eTwo.Stats().Time/1000,
 				eDirect.Stats().Time/1000, loadRatio)
 		}
 	}

@@ -512,3 +512,41 @@ func CombinedSplit(p, q, n, s int, rows bool, enc Encoding) Layout {
 			{Lo: lo, Hi: lo + n - s, Enc: enc},
 		}})
 }
+
+// PermutedDims returns l with its processor address bits permuted (Section
+// 7): the element-address bit l keeps at processor bit p moves to processor
+// bit pi[p], so node x's data lands on the node whose bit pi[p] is x's bit p,
+// and local storage is unchanged. A bit reversal is pi[p] = n-1-p. The result
+// lists one field per maximal run of processor bits that stays a run of
+// element bits. The bits of a Gray-coded field wider than one bit are not
+// element bits, so such a layout is refused.
+func PermutedDims(l Layout, pi []int) (Layout, error) {
+	n := l.NBits()
+	if len(pi) != n {
+		return Layout{}, fmt.Errorf("field: dimension permutation %v of a %d-bit processor address", pi, n)
+	}
+	holds := make([]int, n) // holds[t]: the element bit processor bit t holds after
+	seen := make([]bool, n)
+	at := 0
+	for i := len(l.Fields) - 1; i >= 0; i-- {
+		f := l.Fields[i]
+		if f.Enc == Gray && f.Width() > 1 {
+			return Layout{}, fmt.Errorf("field: cannot permute the dimensions of %s: field [%d,%d) is Gray-coded", l.Name, f.Lo, f.Hi)
+		}
+		for b := f.Lo; b < f.Hi; b, at = b+1, at+1 {
+			if t := pi[at]; t < 0 || t >= n || seen[t] {
+				return Layout{}, fmt.Errorf("field: %v is not a permutation of %d dimensions", pi, n)
+			}
+			holds[pi[at]], seen[pi[at]] = b, true
+		}
+	}
+	out := Layout{P: l.P, Q: l.Q, Name: l.Name + "/permuted"}
+	for t := n - 1; t >= 0; t-- {
+		if k := len(out.Fields) - 1; k >= 0 && out.Fields[k].Lo == holds[t]+1 {
+			out.Fields[k].Lo--
+		} else {
+			out.Fields = append(out.Fields, Field{Lo: holds[t], Hi: holds[t] + 1})
+		}
+	}
+	return out, nil
+}

@@ -67,6 +67,13 @@ const (
 	// transposing it (Sections 2 and 6.3): a node permutation routed most
 	// significant differing dimension first, at most n-1 hops per node.
 	ConvertEncoding
+	// Permute moves every node's data to the node whose address is its own
+	// with the bits permuted — bit reversal, the shuffles, any dimension
+	// permutation — without transposing (Section 7): the general exchange
+	// algorithm over the permutation's dimension pairs, one phase for an
+	// involution and Lemma 15's at most ceil(log2 n) parallel swappings
+	// otherwise. field.PermutedDims builds the after layout.
+	Permute
 	// Auto is not an algorithm of its own: Compile compiles the applicable
 	// candidates (field.Classify decides which) and returns the one whose
 	// compiled traffic prices cheapest (see Plan.Price).
@@ -105,6 +112,7 @@ func init() {
 		Convert2:         {"convert-2", compileConvert, true},
 		Convert3:         {"convert-3", compileConvert, true},
 		ConvertEncoding:  {"convert-encoding", compileConvertEncoding, false},
+		Permute:          {"permute", compilePermute, false},
 		Auto:             {"auto", nil, true}, // Compile compiles its candidates instead
 	}
 }
@@ -117,8 +125,8 @@ func (a Algorithm) String() string {
 }
 
 // Transposes reports whether the algorithm's after layout describes the
-// transposed matrix — true for every row but ConvertEncoding, which
-// re-embeds the same matrix.
+// transposed matrix — true for every row but ConvertEncoding and Permute,
+// which re-embed the same matrix.
 func (a Algorithm) Transposes() bool {
 	return a >= 0 && int(a) < len(specs) && specs[a].transposes
 }

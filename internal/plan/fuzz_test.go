@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"boolcube/internal/field"
@@ -9,7 +10,8 @@ import (
 // FuzzNewMovesMatchesOracle builds a layout pair from raw bytes — any number
 // of fields, any order, any widths, as field's FuzzMapAgrees does — and
 // holds NewMoves to the per-element oracle. A pair the oracle refuses must
-// be refused with the same error.
+// be refused with the same error. Where the permute row compiles the pair,
+// its phases must compose to the move-set.
 func FuzzNewMovesMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ps, qs uint8, transpose bool, before, after []byte) {
 		layout := func(p, q int, fields []byte) field.Layout {
@@ -34,6 +36,20 @@ func FuzzNewMovesMatchesOracle(f *testing.F) {
 			return
 		}
 		matchOracle(t, got, want)
+		if pl, err := Compile(Permute, b, a, Config{}); err == nil && !transpose {
+			// The permute row's phases, intermediate layouts included, carry
+			// every node's data where the move-set does.
+			hop := func(mv *Moves, x uint64) uint64 { return append(slices.Clone(mv.Destinations(x)), x)[0] }
+			for x := uint64(0); x < uint64(b.N()); x++ {
+				at := x
+				for _, ph := range pl.Phases() {
+					at = hop(ph.Moves, at)
+				}
+				if at != hop(got, x) {
+					t.Fatalf("%s -> %s: the permute phases carry node %d to %d, the move-set to %d", b, a, x, at, hop(got, x))
+				}
+			}
+		}
 	})
 }
 

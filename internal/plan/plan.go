@@ -119,8 +119,8 @@ func (p *Plan) Kind() Kind { return p.kind }
 func (p *Plan) Moves() *Moves { return p.moves }
 
 // Phases returns the exchanges of a KindExchange plan in execution order
-// (one for the plain transposes, three for the Section 6.2 conversions).
-// Read-only.
+// (one for the plain transposes, three for the Section 6.2 conversions, one
+// per parallel swapping for Permute). Read-only.
 func (p *Plan) Phases() []Phase { return p.phases }
 
 // Flows returns the precompiled flows (KindFlow). Read-only.

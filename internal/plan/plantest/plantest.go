@@ -21,10 +21,20 @@ type Row interface {
 // holding every row to one fixed pair. The default is the square
 // two-dimensional consecutive pair; the Section 6.3 rows get the binary-rows /
 // Gray-columns encodings they are about, the Section 6.2 rows their
-// consecutive -> cyclic pair, and a row that does not transpose (the code
-// conversion) binary -> Gray of the same matrix.
+// consecutive -> cyclic pair, the Section 7 permutation the bit reversal of
+// one-dimensional consecutive rows, and the code conversion binary -> Gray
+// of the same matrix.
 func Pair(alg Row, p, q, n int) (before, after field.Layout, transposes bool) {
 	h := n / 2
+	if alg.String() == "permute" {
+		before = field.OneDimConsecutiveRows(p, q, n, field.Binary)
+		reversal := make([]int, n)
+		for i := range reversal {
+			reversal[i] = n - 1 - i
+		}
+		after, _ = field.PermutedDims(before, reversal) // binary fields always permute
+		return before, after, false
+	}
 	before = field.TwoDimConsecutive(p, q, h, h, field.Binary)
 	if !alg.Transposes() {
 		return before, field.TwoDimConsecutive(p, q, h, h, field.Gray), false

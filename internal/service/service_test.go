@@ -670,9 +670,8 @@ func TestServiceMetricsLatency(t *testing.T) {
 // coexist in shared rounds with 1D binary jobs; everything stays
 // element-exact. Exercises both plan kinds — exchange (one-phase and, with
 // the Section 6.2 conversions, three-phase) and flow — through the one
-// merged-flow execution path; two conversions arrive in textual form, one of
-// them the code conversion of a rectangular matrix, which does not
-// transpose.
+// merged-flow execution path; two conversions and a bit reversal arrive in
+// textual form, the code conversion and the bit reversal not transposing.
 func TestServiceMixedEncodings(t *testing.T) {
 	const n = 4
 	s, err := New(Config{Dims: n, Machine: machine.IPSCNPort()})
@@ -714,6 +713,11 @@ func TestServiceMixedEncodings(t *testing.T) {
 		t.Fatalf("ParseJob(convert-encoding) = %v into %s", parsed.Alg, parsed.After)
 	}
 	add(parsed.Alg, parsed.Before, parsed.After, 5, 4)
+	parsed, err = ParseJob("permute", "1d-consecutive-rows", "custom([2,3)+[3,4)+[4,5)+[5,6))", "", "", 4, 2, n)
+	if err != nil || parsed.Alg != plan.Permute {
+		t.Fatalf("ParseJob(permute) = %v, %v", parsed.Alg, err)
+	}
+	add(parsed.Alg, parsed.Before, parsed.After, 4, 2)
 	results := submitAll(t, s, specs)
 	s.Close()
 	for i, res := range results {
