@@ -1,61 +1,6 @@
 package boolcube
 
-import (
-	"fmt"
-	"testing"
-
-	"boolcube/internal/plan/plantest"
-)
-
-// Replay determinism through both public entry points. Transpose is Compile
-// + Execute over the one plan cache, so this executes one cached plan three
-// times — once via Transpose, twice via Execute — and requires element-exact
-// results and bit-identical simulated Stats run after run, for every
-// algorithm. (That a cached plan equals a freshly compiled one is asserted
-// where the cache lives: internal/plan TestCacheTransparency.)
-func TestCompiledReplayMatchesOneShot(t *testing.T) {
-	p, q, n := 4, 4, 4
-	for _, mach := range []Machine{IPSC(), IPSCNPort()} {
-		for _, alg := range Algorithms() {
-			t.Run(fmt.Sprintf("%s/%s", mach.Name, alg), func(t *testing.T) {
-				before, after, transposes := plantest.Pair(alg, p, q, n)
-				m := NewIotaMatrix(p, q)
-				want := plantest.Want(m, transposes)
-				opt := Options{Algorithm: alg, Machine: mach, LocalCopies: true}
-
-				oneShot, err := Transpose(Scatter(m, before), after, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if verr := oneShot.Dist.Verify(want); verr != nil {
-					t.Fatal(verr)
-				}
-
-				ct, err := Compile(before, after, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for run := 0; run < 2; run++ {
-					res, err := ct.Execute(Scatter(m, before))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if verr := res.Dist.Verify(want); verr != nil {
-						t.Fatalf("run %d: %v", run, verr)
-					}
-					if got, want := res.Stats.Logical(), oneShot.Stats.Logical(); got != want {
-						t.Fatalf("run %d: logical stats diverge from one-shot:\ncompiled %+v\none-shot %+v",
-							run, got, want)
-					}
-					if res.Stats != oneShot.Stats {
-						t.Fatalf("run %d: timing-derived stats diverge from one-shot:\ncompiled %+v\none-shot %+v",
-							run, res.Stats, oneShot.Stats)
-					}
-				}
-			})
-		}
-	}
-}
+import "testing"
 
 // Compiling with AlgorithmAuto picks a concrete algorithm via the cost
 // model and executes it correctly.

@@ -12,8 +12,8 @@ import (
 // dst visits the set bits of src XOR dst in ascending cyclic order starting
 // at the base of the relative address. Each transfer is its own flow, so a
 // node pays one start-up per destination per hop — not the paper's nτ,
-// which needs the transfers bundled into one message per port per round
-// (ROADMAP item 5(b)).
+// which needs the transfers bundled into one message per port per round,
+// a bundling no executor does yet.
 //
 // block(src, dst) supplies the payload for every ordered pair; result[x]
 // maps sources to the data x received.

@@ -9,55 +9,6 @@ import (
 	"boolcube/internal/plan"
 )
 
-func TestConvertEncoding(t *testing.T) {
-	cases := []struct {
-		name          string
-		before, after field.Layout
-	}{
-		{
-			"1d binary -> gray",
-			field.OneDimConsecutiveRows(4, 4, 3, field.Binary),
-			field.OneDimConsecutiveRows(4, 4, 3, field.Gray),
-		},
-		{
-			"1d gray -> binary",
-			field.OneDimCyclicCols(4, 4, 3, field.Gray),
-			field.OneDimCyclicCols(4, 4, 3, field.Binary),
-		},
-		{
-			"2d binary -> gray both fields",
-			field.TwoDimConsecutive(4, 4, 2, 2, field.Binary),
-			field.TwoDimConsecutive(4, 4, 2, 2, field.Gray),
-		},
-		{
-			"2d mixed -> pure gray",
-			field.TwoDimEncoded(4, 4, 2, 2, field.Binary, field.Gray),
-			field.TwoDimEncoded(4, 4, 2, 2, field.Gray, field.Gray),
-		},
-		{
-			"identity (no movement)",
-			field.TwoDimCyclic(4, 4, 2, 2, field.Gray),
-			field.TwoDimCyclic(4, 4, 2, 2, field.Gray),
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			m := matrix.NewIota(4, 4)
-			d := matrix.Scatter(m, c.before)
-			res, err := Transpose(plan.ConvertEncoding, d, c.after, opts(machine.IPSC()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if verr := res.Dist.Verify(m); verr != nil {
-				t.Fatal(verr)
-			}
-			if c.name == "identity (no movement)" && res.Stats.Sends != 0 {
-				t.Errorf("identity conversion generated %d messages", res.Stats.Sends)
-			}
-		})
-	}
-}
-
 // Binary and Gray codes share the most significant bit, so a conversion of
 // an n-bit field crosses at most n-1 dimensions (Section 2: "n-1 routing
 // steps").

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -29,105 +28,6 @@ func verifyTranspose(t *testing.T, name string, m *matrix.Matrix, res *Result, e
 	}
 	if res.Stats.Time <= 0 {
 		t.Fatalf("%s: no simulated time elapsed", name)
-	}
-}
-
-func TestTransposeExchangeOneDim(t *testing.T) {
-	cases := []struct {
-		p, q, n int
-		mk      func(p, q, n int, e field.Encoding) field.Layout
-	}{
-		{4, 4, 3, field.OneDimConsecutiveRows},
-		{4, 4, 3, field.OneDimCyclicRows},
-		{4, 4, 3, field.OneDimConsecutiveCols},
-		{4, 4, 3, field.OneDimCyclicCols},
-		{5, 3, 2, field.OneDimConsecutiveRows},
-		{3, 5, 3, field.OneDimCyclicCols},
-	}
-	for _, c := range cases {
-		for _, enc := range []field.Encoding{field.Binary, field.Gray} {
-			before := c.mk(c.p, c.q, c.n, enc)
-			after := c.mk(c.q, c.p, c.n, enc)
-			name := fmt.Sprintf("%s p=%d q=%d", before, c.p, c.q)
-			m := matrix.NewIota(c.p, c.q)
-			d := matrix.Scatter(m, before)
-			res, err := Transpose(plan.Exchange, d, after, opts(machine.Ideal(machine.OnePort)))
-			verifyTranspose(t, name, m, res, err)
-		}
-	}
-}
-
-// Transposing with a change of storage form (Corollary 6: consecutive <->
-// cyclic, rows <-> columns) still works through the generic exchange.
-func TestTransposeExchangeStorageConversion(t *testing.T) {
-	p, q, n := 4, 4, 3
-	forms := []func(p, q, n int, e field.Encoding) field.Layout{
-		field.OneDimConsecutiveRows,
-		field.OneDimCyclicRows,
-		field.OneDimConsecutiveCols,
-		field.OneDimCyclicCols,
-	}
-	m := matrix.NewIota(p, q)
-	for i, fb := range forms {
-		for j, fa := range forms {
-			before := fb(p, q, n, field.Binary)
-			after := fa(q, p, n, field.Gray)
-			d := matrix.Scatter(m, before)
-			res, err := Transpose(plan.Exchange, d, after, opts(machine.Ideal(machine.OnePort)))
-			verifyTranspose(t, fmt.Sprintf("form %d -> %d", i, j), m, res, err)
-		}
-	}
-}
-
-func TestTransposeExchangeTwoDim(t *testing.T) {
-	p, q, n := 4, 4, 4
-	for _, enc := range []field.Encoding{field.Binary, field.Gray} {
-		for _, strat := range []comm.Strategy{comm.SingleMessage, comm.Unbuffered, comm.Buffered} {
-			before := field.TwoDimConsecutive(p, q, n/2, n/2, enc)
-			after := field.TwoDimConsecutive(q, p, n/2, n/2, enc)
-			m := matrix.NewIota(p, q)
-			d := matrix.Scatter(m, before)
-			o := opts(machine.IPSC())
-			o.Strategy = strat
-			res, err := Transpose(plan.Exchange, d, after, o)
-			verifyTranspose(t, fmt.Sprintf("2d %v %v", enc, strat), m, res, err)
-		}
-	}
-}
-
-func TestTransposeExchangeSPTOrder(t *testing.T) {
-	p, q, n := 3, 3, 4
-	before := field.TwoDimCyclic(p, q, n/2, n/2, field.Binary)
-	after := field.TwoDimCyclic(q, p, n/2, n/2, field.Binary)
-	m := matrix.NewIota(p, q)
-	d := matrix.Scatter(m, before)
-	res, err := Transpose(plan.ExchangeSPTOrder, d, after, opts(machine.Ideal(machine.OnePort)))
-	verifyTranspose(t, "spt-order", m, res, err)
-}
-
-func TestPathTransposes(t *testing.T) {
-	algos := []struct {
-		name string
-		alg  plan.Algorithm
-	}{
-		{"SPT", plan.SPT},
-		{"DPT", plan.DPT},
-		{"MPT", plan.MPT},
-		{"SBnT", plan.SBnT},
-		{"RoutingLogic", plan.RoutingLogic},
-	}
-	p, q, n := 4, 4, 4
-	for _, enc := range []field.Encoding{field.Binary, field.Gray} {
-		for _, a := range algos {
-			before := field.TwoDimConsecutive(p, q, n/2, n/2, enc)
-			after := field.TwoDimConsecutive(q, p, n/2, n/2, enc)
-			m := matrix.NewIota(p, q)
-			d := matrix.Scatter(m, before)
-			o := opts(machine.IPSCNPort())
-			o.Packets = 2
-			res, err := Transpose(a.alg, d, after, o)
-			verifyTranspose(t, fmt.Sprintf("%s/%v", a.name, enc), m, res, err)
-		}
 	}
 }
 
@@ -182,32 +82,6 @@ var convertRows = []plan.Algorithm{plan.Convert1, plan.Convert2, plan.Convert3}
 // transposed matrix, in the before layout's encoding.
 func cyclicOf(b field.Layout) field.Layout {
 	return field.TwoDimCyclic(b.Q, b.P, b.Fields[1].Width(), b.Fields[0].Width(), b.Fields[0].Enc)
-}
-
-func TestConvertAlgorithms(t *testing.T) {
-	p, q, nr := 4, 4, 1
-	for _, alg := range convertRows {
-		before := field.TwoDimConsecutive(p, q, nr, nr, field.Binary)
-		m := matrix.NewIota(p, q)
-		d := matrix.Scatter(m, before)
-		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(machine.IPSC()))
-		verifyTranspose(t, alg.String(), m, res, err)
-		want := field.TwoDimCyclic(q, p, nr, nr, field.Binary)
-		if res.Dist.Layout.String() != want.String() {
-			t.Errorf("%v: layout %s, want %s", alg, res.Dist.Layout, want)
-		}
-	}
-}
-
-func TestConvertAlgorithmsLarger(t *testing.T) {
-	p, q, nr := 5, 4, 2
-	for _, alg := range convertRows {
-		before := field.TwoDimConsecutive(p, q, nr, nr, field.Binary)
-		m := matrix.NewIota(p, q)
-		d := matrix.Scatter(m, before)
-		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(machine.Ideal(machine.OnePort)))
-		verifyTranspose(t, alg.String()+"-large", m, res, err)
-	}
 }
 
 // Section 6.2: algorithm 1 needs 2n communication steps, algorithms 2 and 3
@@ -270,22 +144,6 @@ func TestLocalCopiesCharged(t *testing.T) {
 	}
 	if res.Stats.CopyTime == 0 {
 		t.Error("LocalCopies did not charge copy time")
-	}
-}
-
-// The Section 6.2 conversions are encoding-agnostic: Gray-coded layouts
-// convert exactly like binary ones.
-func TestConvertAlgorithmsGray(t *testing.T) {
-	p, q, nr := 4, 4, 2
-	for _, alg := range convertRows {
-		before := field.TwoDimConsecutive(p, q, nr, nr, field.Gray)
-		m := matrix.NewIota(p, q)
-		d := matrix.Scatter(m, before)
-		res, err := Transpose(alg, d, cyclicOf(d.Layout), opts(machine.IPSC()))
-		verifyTranspose(t, alg.String()+"-gray", m, res, err)
-		if res.Dist.Layout.Fields[0].Enc != field.Gray {
-			t.Errorf("%v: result layout lost the Gray encoding", alg)
-		}
 	}
 }
 

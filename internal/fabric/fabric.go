@@ -11,9 +11,8 @@
 // exchanging messages over per-link channels under wall-clock time. The
 // compiled plans, the comm builders and the router are written purely
 // against this package, so the same execution produces element-identical
-// results on either backend; what each backend can additionally promise
-// (determinism, virtual time, timed fault windows) is declared in its
-// Capabilities.
+// results on either backend; whether a backend additionally promises a
+// virtual, deterministic clock is declared in its Capabilities.
 //
 // The ownership and concurrency contracts documented on Msg, Node.Send and
 // Node.Recycle are part of this interface, not simnet implementation
@@ -260,35 +259,20 @@ type Node interface {
 	Recycle(m Msg)
 }
 
-// Capabilities declares what a backend can promise, so executors and tests
-// can adapt without type-switching on concrete engines.
+// Capabilities declares what a backend can promise beyond the Fabric
+// contract, so executors and tests can adapt without type-switching on
+// concrete engines. Every backend honors SetFaults, SetTracer and crash-stop
+// kills (a fault model implementing CrashModel, surfaced as a typed
+// *NodeDownError); the one promise that differs is the clock.
 type Capabilities struct {
-	// Deterministic: identical programs produce identical results, Stats
-	// and failure points on every run.
-	Deterministic bool
 	// VirtualTime: Stats.Time, Clock and link busy times are simulated
-	// virtual µs under the machine cost model (false means wall-clock).
+	// virtual µs under the machine cost model, fault windows are read on
+	// that clock, and identical programs produce identical results, Stats
+	// and failure points on every run — on any number of OS threads
+	// (simnet's sharded epoch scheduler). False means a wall clock: a
+	// parallel backend whose timing and window-based outcomes depend on
+	// real scheduling.
 	VirtualTime bool
-	// FaultInjection: SetFaults is honored.
-	FaultInjection bool
-	// TimedFaultWindows: fault windows expressed in µs are interpreted on
-	// the same clock the cost model uses, so window-based scenarios replay
-	// exactly. Live backends interpret windows against the wall clock,
-	// where outcomes depend on real scheduling.
-	TimedFaultWindows bool
-	// Tracing: SetTracer is honored.
-	Tracing bool
-	// ParallelDeterminism: the backend stays bit-deterministic — same
-	// traces, Stats and results — even when it executes node programs on
-	// multiple OS threads (simnet's sharded epoch scheduler). Live
-	// backends are parallel but not deterministic; a backend could also be
-	// deterministic only when serial.
-	ParallelDeterminism bool
-	// CrashStop: the backend honors crash-stop node kills from a fault
-	// model implementing CrashModel, detects the dead node (virtually on a
-	// simulated backend, by heartbeat suspicion on a live one) and surfaces
-	// a typed *NodeDownError instead of a silent stall.
-	CrashStop bool
 }
 
 // Fabric is one cube transport: construct with New (or a backend package's

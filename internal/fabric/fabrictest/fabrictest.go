@@ -28,8 +28,9 @@ import (
 )
 
 // Contract runs the backend contract against the backend registered under
-// the given name. Cases that need a capability the backend does not declare
-// (fault injection, crash-stop, virtual time, determinism) are skipped.
+// the given name. Cases that need a virtual clock (exact deadline
+// admission, determinism) are skipped on a backend that does not declare
+// VirtualTime.
 func Contract(t *testing.T, backend string) {
 	caps, ok := fabric.Caps(backend)
 	if !ok {
@@ -85,9 +86,6 @@ func (c contract) engine(t *testing.T, n int, ports machine.PortModel) fabric.Fa
 // faulted is engine with a compiled fault schedule installed.
 func (c contract) faulted(t *testing.T, n int, spec fault.Spec, rp fabric.RetryPolicy) fabric.Fabric {
 	t.Helper()
-	if !c.caps.FaultInjection {
-		t.Skip("backend does not declare FaultInjection")
-	}
 	e := c.engine(t, n, machine.OnePort)
 	e.SetFaults(fault.MustCompile(spec, n), rp)
 	return e
@@ -126,8 +124,7 @@ func (c *countTracer) Record(ev fabric.TraceEvent) {
 }
 
 // The capability matrix is honest: the engine reports what the registry
-// declares, and a backend that declares Tracing reports every send to the
-// tracer it was given.
+// declares, and the backend reports every send to the tracer it was given.
 func testCapabilities(t *testing.T, c contract) {
 	e := c.engine(t, 2, machine.NPort)
 	if got := e.Capabilities(); got != c.caps {
@@ -148,7 +145,7 @@ func testCapabilities(t *testing.T, c contract) {
 	if st.Sends != 8 || st.Bytes != 32 || st.Startups != 8 {
 		t.Errorf("a 2-cube scan of 4-byte messages cost %+v", st)
 	}
-	if c.caps.Tracing && tr.sends != st.Sends {
+	if tr.sends != st.Sends {
 		t.Errorf("tracer saw %d sends, Stats counts %d", tr.sends, st.Sends)
 	}
 	if loads := e.LinkLoads(); len(loads) != 8 {
@@ -509,9 +506,6 @@ func testDeadlineBoundary(t *testing.T, c contract) {
 // reports a stall. How long detection may take against a configured
 // suspicion timeout is each backend's own test; here it must beat 5 s.
 func testCrashStop(t *testing.T, c contract) {
-	if !c.caps.CrashStop {
-		t.Skip("backend does not declare CrashStop")
-	}
 	const victim, at = 3, 10_000
 	e := c.faulted(t, 2, fault.NodeCrash(victim, at), fabric.RetryPolicy{})
 	start := time.Now() //cubevet:ignore detbreak -- test harness bounding real detection latency; no simulated result depends on it
@@ -533,8 +527,8 @@ func testCrashStop(t *testing.T, c contract) {
 }
 
 func testDeterministic(t *testing.T, c contract) {
-	if !c.caps.Deterministic {
-		t.Skip("backend does not declare Deterministic")
+	if !c.caps.VirtualTime {
+		t.Skip("backend does not declare VirtualTime")
 	}
 	run := func() (fabric.Stats, []fabric.LinkLoad) {
 		e := c.engine(t, 4, machine.NPort)
@@ -584,7 +578,6 @@ func testNoLeak(t *testing.T, c contract) {
 	var downErr *fabric.NodeDownError
 	for _, tc := range []struct {
 		name   string
-		skip   bool // the backend does not declare the capability
 		faults fault.Spec
 		budget float64
 		prog   func(fabric.Node)
@@ -595,17 +588,14 @@ func testNoLeak(t *testing.T, c contract) {
 			ended: func(err error) bool { return errors.Is(err, errBoom) }},
 		{name: "panic", prog: after(func(fabric.Node) { panic("boom") }),
 			ended: func(err error) bool { return err != nil && strings.Contains(err.Error(), "boom") }},
-		{name: "fault", skip: !c.caps.FaultInjection, faults: fault.SingleLinkDown(5, 3), prog: scan,
+		{name: "fault", faults: fault.SingleLinkDown(5, 3), prog: scan,
 			ended: func(err error) bool { return errors.As(err, &faultErr) }},
 		{name: "deadline", budget: 20_000, prog: chatter(100_000, 1000),
 			ended: func(err error) bool { return errors.As(err, &deadlineErr) }},
-		{name: "crash", skip: !c.caps.CrashStop, faults: fault.NodeCrash(5, 5_000), prog: chatter(100_000, 500),
+		{name: "crash", faults: fault.NodeCrash(5, 5_000), prog: chatter(100_000, 500),
 			ended: func(err error) bool { return errors.As(err, &downErr) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.skip {
-				t.Skip("backend does not declare the capability")
-			}
 			e, err := fabric.New(c.backend, n, machine.IPSC())
 			if err != nil {
 				t.Fatal(err)

@@ -48,10 +48,9 @@ func (r RetryPolicy) WithDefaults(tau float64) RetryPolicy {
 }
 
 // CrashModel is the optional crash-stop extension of FaultModel: a fault
-// schedule that also kills whole nodes. A backend whose Capabilities set
-// CrashStop type-asserts its FaultModel against this interface at SetFaults
-// time; models without crash rules simply don't implement it (or return no
-// entries).
+// schedule that also kills whole nodes. Every backend type-asserts its
+// FaultModel against this interface at SetFaults time; models without crash
+// rules simply don't implement it (or return no entries).
 //
 // Crash-stop means fail-silent: from its crash time on, the node neither
 // executes program steps nor acknowledges receptions — it does not send

@@ -40,8 +40,8 @@ const (
 	// neither executes program steps nor acknowledges receptions, forever
 	// (End is ignored — crashed nodes do not come back). Unlike NodeDown,
 	// which only severs the node's links while its program keeps running,
-	// Crash kills the processor itself; backends with the CrashStop
-	// capability detect it and surface a typed *fabric.NodeDownError.
+	// Crash kills the processor itself; every backend detects it and
+	// surfaces a typed *fabric.NodeDownError.
 	Crash
 	// RandomCrashes crash-stops Count distinct nodes at Start, chosen
 	// reproducibly from the Spec seed.

@@ -144,9 +144,3 @@ func TestSetParamsDefaultsAndOverrides(t *testing.T) {
 		t.Fatalf("overrides not honored: %+v", p)
 	}
 }
-
-func TestLiveCrashCapabilityDeclared(t *testing.T) {
-	if !liveCaps.CrashStop {
-		t.Fatalf("livenet must declare the CrashStop capability")
-	}
-}

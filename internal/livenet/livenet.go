@@ -52,18 +52,10 @@ func init() {
 	}, liveCaps)
 }
 
-// liveCaps is what the live transport promises: real fault injection,
-// tracing and crash-stop kills with heartbeat detection, no determinism
-// (serial or parallel) and no virtual time.
-var liveCaps = fabric.Capabilities{
-	Deterministic:       false,
-	VirtualTime:         false,
-	FaultInjection:      true,
-	TimedFaultWindows:   false,
-	Tracing:             true,
-	ParallelDeterminism: false,
-	CrashStop:           true,
-}
+// liveCaps is what the live transport promises: a wall clock, no
+// determinism (serial or parallel) — and, like every backend, real fault
+// injection, tracing and crash-stop kills with heartbeat detection.
+var liveCaps = fabric.Capabilities{VirtualTime: false}
 
 // errPoisoned unwinds node goroutines after the engine has aborted.
 var errPoisoned = fmt.Errorf("livenet: engine poisoned")

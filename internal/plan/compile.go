@@ -200,7 +200,9 @@ func compileFlows(p *Plan, route func(src, dst uint64, n int) [][]int) error {
 }
 
 // routeFlows expresses a move-set as source-routed flows: for every (source,
-// destination) payload, the route function's paths split the payload evenly
+// destination) payload, the route function's paths — each of which must end
+// at the destination (a path system's fixed partner is tr(src), which a
+// pairwise pair of other encodings need not be) — split the payload evenly
 // (by canonical-order ranges), and each chunk is packetized — by the
 // caller's Packets, or at the machine's natural B_m grain so
 // store-and-forward hops pipeline.
@@ -215,6 +217,13 @@ func routeFlows(p *Plan, mv *Moves, route func(src, dst uint64, n int) [][]int) 
 				return fmt.Errorf("plan: no route from %d to %d", src, dp)
 			}
 			for pi, dims := range paths {
+				end := src
+				for _, d := range dims {
+					end ^= 1 << uint(d)
+				}
+				if end != dp {
+					return fmt.Errorf("plan: %v routes %d to %d, not to its destination %d", p.alg, src, end, dp)
+				}
 				off, sz := ShareRange(total, len(paths), pi)
 				pk := p.cfg.Packets
 				if pk < 1 {

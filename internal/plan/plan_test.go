@@ -267,3 +267,16 @@ func TestDescribeMentionsAlgorithmAndMachine(t *testing.T) {
 		}
 	}
 }
+
+// A path system's partner of node x is tr(x): a pairwise pair whose
+// encodings send x elsewhere is refused at compile time, not run to the
+// wrong node.
+func TestPathSystemsRefuseForeignPartners(t *testing.T) {
+	before := field.CombinedContiguous(4, 4, 2, 1, true, field.Binary)
+	after := field.CombinedContiguous(4, 4, 2, 1, false, field.Gray)
+	for _, a := range []Algorithm{SPT, DPT, MPT} {
+		if _, err := Compile(a, before, after, Config{Machine: machine.IPSC()}); err == nil {
+			t.Errorf("%v compiled a pair its paths do not end at", a)
+		}
+	}
+}

@@ -66,7 +66,7 @@ func BenchmarkEngineCube10Sharded(b *testing.B) {
 // full 16-cube (65,536 node) SBnT-order all-to-all dimension scan on the
 // CM machine model, auto-sharded. Alongside ns/op it reports bytes/node —
 // the retained per-node engine footprint (heap delta across construction
-// and run, after GC), the memory-ceiling metric of ROADMAP item 5(c).
+// and run, after GC), the metric a per-node memory ceiling is held to.
 func BenchmarkEngineCube16SBnT(b *testing.B) {
 	b.ReportAllocs()
 	var before, after runtime.MemStats

@@ -7,7 +7,6 @@ import (
 
 	"boolcube/internal/fabric"
 	"boolcube/internal/fault"
-	"boolcube/internal/machine"
 )
 
 // ringProg is a program with steady all-dimension traffic: every node sends
@@ -170,12 +169,5 @@ func TestAfterCrashExactlyAtCutIsDead(t *testing.T) {
 	}
 	if !view.PermanentlyDown(1, 0) {
 		t.Fatalf("node dead at the cut must have its links down in the view")
-	}
-}
-
-func TestCrashCapabilityDeclared(t *testing.T) {
-	e := ideal(t, 2, machine.OnePort)
-	if !e.Capabilities().CrashStop {
-		t.Fatalf("simnet must declare the CrashStop capability")
 	}
 }

@@ -218,19 +218,11 @@ func init() {
 	}, simCaps)
 }
 
-// simCaps is what the simulation promises: full determinism on a virtual
-// clock, with fault windows interpreted on that same clock — and the
-// determinism holds for every shard count (shard.go), so large engines
-// parallelize without giving up replayability.
-var simCaps = fabric.Capabilities{
-	Deterministic:       true,
-	VirtualTime:         true,
-	FaultInjection:      true,
-	TimedFaultWindows:   true,
-	Tracing:             true,
-	ParallelDeterminism: true,
-	CrashStop:           true,
-}
+// simCaps is what the simulation promises: a virtual clock, fault windows
+// on that same clock, and full determinism for every shard count
+// (shard.go), so large engines parallelize without giving up
+// replayability.
+var simCaps = fabric.Capabilities{VirtualTime: true}
 
 // Capabilities declares what this backend promises (fabric.Fabric contract).
 func (e *Engine) Capabilities() fabric.Capabilities { return simCaps }

@@ -224,31 +224,3 @@ func TestRecoverDelegatesToResumeWithoutDeadNodes(t *testing.T) {
 		t.Fatalf("link-fault checkpoint grew a dead set: %v", xe.Checkpoint.Dead)
 	}
 }
-
-// The same for a crash-stop: a node dying during the conversion's second
-// phase is relabeled away and the composed move-set reruns on the survivors.
-func TestConversionRecoverAfterPhase2Crash(t *testing.T) {
-	ct, src, base, want, lo, hi := conversionPhase2(t)
-	fp, err := CompileFaults(NodeCrash(5, lo+(hi-lo)/4), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ct.ExecuteWith(src(), ExecOptions{Faults: fp})
-	var xe *ExecError
-	if !errors.As(err, &xe) || !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("crashed run failed with %v, want a node-down *ExecError", err)
-	}
-	if at := xe.Checkpoint.At; at < lo {
-		t.Fatalf("run stopped at t=%v, before phase 2 began at %v", at, lo)
-	}
-	res, _ := recoverLoop(t, xe, ExecOptions{})
-	if verr := res.Dist.Verify(want); verr != nil {
-		t.Fatalf("recovered conversion wrong: %v", verr)
-	}
-	if !reflect.DeepEqual(res.Dist.Local, base.Dist.Local) {
-		t.Fatal("recovered distribution differs bit-for-bit from the unfaulted run")
-	}
-	if !reflect.DeepEqual(xe.Checkpoint.Dead, []uint64{5}) {
-		t.Fatalf("checkpoint Dead = %v, want [5]", xe.Checkpoint.Dead)
-	}
-}

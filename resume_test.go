@@ -2,7 +2,6 @@ package boolcube
 
 import (
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -90,51 +89,6 @@ func TestMPTResumeAfterMidRunLinkKills(t *testing.T) {
 	}
 	if resumeBytes >= base.Stats.Bytes {
 		t.Errorf("resume traffic %d not cheaper than full restart %d", resumeBytes, base.Stats.Bytes)
-	}
-}
-
-// The exchange algorithm checkpoints per delivered block: a mid-run kill
-// on its fixed dimension schedule is unroutable in place, but the resumed
-// residual runs as direct flows and reroutes around the dead link.
-func TestExchangeResumeAfterMidRunKill(t *testing.T) {
-	p, q, n := 4, 4, 6
-	m := NewIotaMatrix(p, q)
-	want := m.Transposed()
-	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
-	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
-	ct, err := Compile(before, after, Options{Algorithm: Exchange, Machine: IPSCNPort()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := ct.Execute(Scatter(m, before))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var xe *ExecError
-	for seed := int64(1); seed <= 32; seed++ {
-		fp, ferr := CompileFaults(FaultSpec{Seed: seed, Rules: []FaultRule{
-			{Kind: FaultRandomLinks, Count: 1, Start: 0.3 * base.Stats.Time},
-		}}, n)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		_, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp})
-		if err != nil {
-			break
-		}
-	}
-	if err == nil {
-		t.Skip("no seed made the exchange fail mid-run")
-	}
-	if !errors.As(err, &xe) {
-		t.Fatalf("mid-run kill returned %v, want *ExecError", err)
-	}
-	res, _ := resumeLoop(t, xe, ExecOptions{})
-	if verr := res.Dist.Verify(want); verr != nil {
-		t.Fatalf("resumed exchange transpose wrong: %v", verr)
-	}
-	if !reflect.DeepEqual(res.Dist.Local, base.Dist.Local) {
-		t.Fatal("resumed distribution differs bit-for-bit from the unfaulted run")
 	}
 }
 
@@ -249,71 +203,5 @@ func TestResumeDegenerateCases(t *testing.T) {
 	}
 	if verr := res2.Dist.Verify(want); verr != nil {
 		t.Fatalf("idempotent resume wrong: %v", verr)
-	}
-}
-
-// conversionPhase2 compiles convert-2 (Section 6.2, algorithm 2) for a 64x32
-// matrix on a 4-cube and returns, beside the unfaulted baseline, the window
-// of its second phase: the column exchange is the only phase that transmits
-// on the low nr cube dimensions, so it spans their first send to their last.
-func conversionPhase2(t *testing.T) (ct *CompiledTranspose, src func() *Dist, base *Result, want *Matrix, lo, hi float64) {
-	t.Helper()
-	p, q, nr := 6, 5, 2
-	m := NewIotaMatrix(p, q)
-	before, after := TwoDimConsecutive(p, q, nr, nr, Binary), TwoDimCyclic(q, p, nr, nr, Binary)
-	alg, err := ParseAlgorithm("convert-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct, err = Compile(before, after, Options{Algorithm: alg, Machine: IPSC()}); err != nil {
-		t.Fatal(err)
-	}
-	src = func() *Dist { return Scatter(m, before) }
-	tr := NewTrace()
-	if base, err = ct.ExecuteTraced(src(), tr); err != nil {
-		t.Fatal(err)
-	}
-	lo = math.Inf(1)
-	for _, ev := range tr.Events {
-		if ev.Kind == "send" && ev.Dim < nr {
-			lo, hi = min(lo, ev.Start), max(hi, ev.End)
-		}
-	}
-	if !(lo > 0 && lo < hi) {
-		t.Fatalf("phase 2 window [%v, %v) is not inside the run", lo, hi)
-	}
-	return ct, src, base, m.Transposed(), lo, hi
-}
-
-// A conversion is a plan like any other: a link killed while its second
-// phase is under way fails the run with a checkpoint — the coarse one, a
-// multi-phase block being no span of the composed move-set — and Resume
-// finishes into the distribution an unfaulted run produces, bit for bit.
-func TestConversionResumeAfterPhase2LinkKill(t *testing.T) {
-	ct, src, base, want, lo, hi := conversionPhase2(t)
-	var xe *ExecError
-	for seed := int64(1); seed <= 32 && xe == nil; seed++ {
-		fp, err := CompileFaults(FaultSpec{Seed: seed, Rules: []FaultRule{
-			{Kind: FaultRandomLinks, Count: 1, Start: lo + (hi-lo)/4},
-		}}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err = ct.ExecuteWith(src(), ExecOptions{Faults: fp}); err != nil && !errors.As(err, &xe) {
-			t.Fatalf("mid-run kill returned %v, want *ExecError", err)
-		}
-	}
-	if xe == nil {
-		t.Fatal("no seed in 1..32 killed a link phase 2 still needed")
-	}
-	if at := xe.Checkpoint.At; at < lo || at > hi {
-		t.Fatalf("run stopped at t=%v, outside phase 2 [%v, %v]", at, lo, hi)
-	}
-	res, _ := resumeLoop(t, xe, ExecOptions{})
-	if verr := res.Dist.Verify(want); verr != nil {
-		t.Fatalf("resumed conversion wrong: %v", verr)
-	}
-	if !reflect.DeepEqual(res.Dist.Local, base.Dist.Local) {
-		t.Fatal("resumed distribution differs bit-for-bit from the unfaulted run")
 	}
 }

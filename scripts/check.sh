@@ -75,13 +75,13 @@ awk '
 # twice — the resumed distribution must stay bit-identical to the unfaulted
 # run on every repetition (plan-cache state must not leak into recovery).
 # Link-fault resume, crash recovery and service rounds share one executor
-# (core.RunTransfers), so the crash-recovery scenarios ride the same step,
-# and so do the two that interrupt a three-phase conversion plan. The
-# registry contract suite cuts every row at every operation end of its clean
-# run, kills a link and crashes a node mid-run, and checks each checkpoint's
-# delivery record and finish against the clean result.
+# (core.RunTransfers), so the crash-recovery scenarios ride the same step.
+# The registry contract suite cuts every row at every operation end of its
+# clean run, kills a link and crashes a node mid-run (inside the second
+# phase of a three-phase conversion), on both backends, and checks each
+# checkpoint's delivery record and finish against the clean result.
 echo "==> go test -run resume scenarios -count=2"
-go test -run 'TestMPTResumeAfterMidRunLinkKills|TestExchangeResumeAfterMidRunKill|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestConversionResumeAfterPhase2LinkKill|TestConversionRecoverAfterPhase2Crash|TestContract' -count=2 . ./internal/core/
+go test -run 'TestMPTResumeAfterMidRunLinkKills|TestDeadlineAbortsAndResumes|TestRecoverAfterMidRunNodeCrash|TestRecoverSurvivesSecondKillDuringRecovery|TestContract' -count=2 . ./internal/core/
 
 # Faulted soak: combined permanent + flaky faults on an 8-cube, replayed
 # for determinism (part of the non-short suite; run explicitly here).
@@ -103,21 +103,6 @@ go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkFabric|BenchmarkSer
 # loud here.
 echo "==> go test -run TestCube12ShardedSmoke (12-cube sharded smoke)"
 go test -run 'TestCube12ShardedSmoke' -count=1 ./internal/simnet/
-
-# Registry contract at scale: every row on an 11-cube (a 12-cube where the
-# row needs an even n), four simnet workers against one, identical Dist and
-# Stats — the exchange rows send empty messages between every pair of
-# shards. The leg skips itself under -short; run it loud here.
-echo "==> go test -run TestContract/scale (registry rows at scale, 4 workers vs 1)"
-go test -run 'TestContract/scale' -count=1 ./internal/core/
-
-# Backend parity smoke: the same compiled plans replayed on the simnet
-# simulation and the livenet goroutine transport must agree element-exactly
-# and on logical stats, including the checkpoint/resume round-trip; the
-# registry contract suite and the all-algorithms table cover every registry
-# row, the conversions included.
-echo "==> go test -run TestBackendParity|TestContract -short (backend parity smoke)"
-go test -run 'TestBackendParity|TestContract' -short -count=1 . ./internal/core/
 
 # -short skips the exper figure sweeps, which exceed the per-package test
 # timeout under the race detector. `make race` runs the full sweep with a

@@ -20,8 +20,8 @@ type Msg = fabric.Msg
 // ExecOptions.Backend.
 func Backends() []string { return fabric.Backends() }
 
-// BackendCapabilities returns what a registered backend promises
-// (determinism, virtual time, fault injection, tracing); ok is false for
+// BackendCapabilities returns what a registered backend promises beyond
+// the fabric contract (a virtual, deterministic clock); ok is false for
 // unknown names. The empty name reports on the default backend.
 func BackendCapabilities(name string) (caps fabric.Capabilities, ok bool) {
 	return fabric.Caps(name)
