@@ -1,15 +1,21 @@
 // Package comm implements the paper's generic personalized-communication
-// algorithms (Section 3): all-to-all personalized communication by the
-// standard exchange algorithm (with the paper's unbuffered, buffered, and
-// locally-shuffled variants) and by spanning-balanced-n-tree routing;
-// one-to-all personalized communication by SBT, rotated-SBT and SBnT
-// scatter; and some-to-all / all-to-some personalized communication as k
-// splitting (or accumulation) steps combined with l all-to-all steps
-// (Theorem 1, Table 3).
+// algorithms (Section 3) as node programs: all-to-all personalized
+// communication by the standard exchange algorithm (with the paper's
+// unbuffered, buffered, and locally-shuffled variants); one-to-all
+// personalized communication by SBT, rotated-SBT and SBnT scatter; and
+// some-to-all / all-to-some personalized communication as k splitting (or
+// accumulation) steps combined with l all-to-all steps (Theorem 1, Table 3).
+// All-to-all by spanning-balanced-n-tree routing is not here: it is the plan
+// registry's sbnt row, which the router runs.
 //
 // Each algorithm comes in two layers: a per-node phase function (operating
-// on a fabric.Node inside a running program, so that phases compose) and a
-// whole-engine wrapper that runs the phase on every node.
+// on a fabric.Node inside a running program, so that phases compose — the
+// plan executor calls ExchangeBlocksHooked, core.PermuteTwoPhase
+// ExchangeBlocks) and a whole-engine wrapper that runs the phase on every
+// node. The wrappers are what the experiments and the benchmark run:
+// SomeToAll (table3), OneToAll (sec31scatter), AllToAllExchange (the
+// benchmark's comm probe) and AllToSome (Theorem 1's all-to-some half, a
+// test).
 //
 // Message building is allocation-disciplined: every builder counts a
 // message's blocks and elements before allocating, draws the buffers from

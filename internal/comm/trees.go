@@ -9,10 +9,10 @@ import (
 	"boolcube/internal/fabric"
 )
 
-// This file implements one-to-all and all-to-one personalized communication
-// (Section 3.1) by scatter/gather over spanning trees: a plain SBT (one-port
-// optimal within 2x), n rotated SBTs, or a spanning balanced n-tree, all
-// with "all data for a subtree at once" scheduling.
+// This file implements one-to-all personalized communication (Section 3.1)
+// by scatter over spanning trees: a plain SBT (one-port optimal within 2x),
+// n rotated SBTs, or a spanning balanced n-tree, all with "all data for a
+// subtree at once" scheduling.
 
 // nextHop returns the child of x on the tree path toward dst (x must be an
 // ancestor of dst; dst != x).
@@ -155,51 +155,6 @@ func dimOf(a, b uint64) int {
 	return dim
 }
 
-// GatherOnNode executes the node's role in an all-to-one personalized
-// communication toward root over one spanning tree: leaves send up, inner
-// nodes accumulate their subtree before forwarding. Returns, at the root
-// only, the gathered blocks sorted by source; other nodes return nil.
-func GatherOnNode(nd fabric.Node, t *cube.Tree, data []float64) []Block {
-	id := nd.ID()
-	acc := make([]Block, 1, t.SubtreeSize(id))
-	acc[0] = Block{Src: id, Dst: t.Root, Data: data}
-	rxDatas := make([][]float64, 0, len(t.Children[id]))
-	for range t.Children[id] {
-		m := nd.RecvAny()
-		off := 0
-		for _, p := range m.Parts {
-			acc = append(acc, Block{Src: p.Src, Dst: p.Dst, Data: m.Data[off : off+p.N : off+p.N]})
-			off += p.N
-		}
-		rxDatas = append(rxDatas, m.Data)
-		nd.Recycle(fabric.Msg{Parts: m.Parts})
-	}
-	if id == t.Root {
-		slices.SortFunc(acc, func(a, b Block) int {
-			return cmp.Compare(a.Src, b.Src)
-		})
-		return acc
-	}
-	ne := 0
-	for _, b := range acc {
-		ne += len(b.Data)
-	}
-	m := fabric.Msg{Parts: nd.AllocParts(len(acc)), Data: nd.AllocData(ne)}
-	do := 0
-	for i, b := range acc {
-		m.Parts[i] = fabric.Part{Src: b.Src, Dst: b.Dst, N: len(b.Data)}
-		do += copy(m.Data[do:], b.Data)
-	}
-	// Everything received has been copied into the upward message; the
-	// receive buffers can go back to the pool.
-	for _, d := range rxDatas {
-		nd.Recycle(fabric.Msg{Data: d})
-	}
-	p := uint64(t.Parent[id])
-	nd.Send(dimOf(id, p), m)
-	return nil
-}
-
 // TreeKind selects the spanning tree family for scatter wrappers.
 type TreeKind int
 
@@ -255,28 +210,6 @@ func OneToAll(e fabric.Fabric, kind TreeKind, root uint64, data func(dst uint64)
 	result := make([][]float64, e.Nodes())
 	err := e.Run(func(nd fabric.Node) {
 		result[nd.ID()] = ScatterOnNode(nd, root, trees, parts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return result, nil
-}
-
-// AllToOne gathers data(src) from every node at root over an SBT. The
-// result is indexed by source.
-func AllToOne(e fabric.Fabric, root uint64, data func(src uint64) []float64) ([][]float64, error) {
-	if root >= uint64(e.Nodes()) {
-		return nil, fmt.Errorf("comm: root %d out of range", root)
-	}
-	tree := cube.SBT(cube.New(e.Dims()), root)
-	result := make([][]float64, e.Nodes())
-	err := e.Run(func(nd fabric.Node) {
-		blocks := GatherOnNode(nd, tree, data(nd.ID()))
-		if nd.ID() == root {
-			for _, b := range blocks {
-				result[b.Src] = b.Data
-			}
-		}
 	})
 	if err != nil {
 		return nil, err

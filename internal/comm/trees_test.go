@@ -8,57 +8,6 @@ import (
 	"boolcube/internal/simnet"
 )
 
-// Gather over trees rooted anywhere collects every node's payload exactly
-// once, including payloads of heterogeneous sizes.
-func TestGatherHeterogeneous(t *testing.T) {
-	n := 4
-	e, err := simnet.New(n, machine.Ideal(machine.OnePort))
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := uint64(11)
-	got, err := AllToOne(e, root, func(src uint64) []float64 {
-		return payload(src, root, int(src%5)) // sizes 0..4
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := uint64(0); s < uint64(e.Nodes()); s++ {
-		checkBlock(t, got[s], s, root, int(s%5))
-	}
-}
-
-// Scatter/gather round trip: scatter from a root, then gather back at a
-// different root; both phases inside separate engines, contents preserved.
-func TestScatterGatherRoundTrip(t *testing.T) {
-	n, size := 4, 3
-	srcRoot, dstRoot := uint64(0), uint64(15)
-
-	e1, err := simnet.New(n, machine.Ideal(machine.NPort))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scattered, err := OneToAll(e1, KindSBnT, srcRoot, func(dst uint64) []float64 {
-		return payload(srcRoot, dst, size)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := simnet.New(n, machine.Ideal(machine.NPort))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gathered, err := AllToOne(e2, dstRoot, func(src uint64) []float64 {
-		return scattered[src]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := uint64(0); s < uint64(1<<uint(n)); s++ {
-		checkBlock(t, gathered[s], srcRoot, s, size)
-	}
-}
-
 // The SBT scatter's cost on an ideal one-port machine matches the
 // Section 3.1 closed form exactly when packets are unlimited: the root
 // transmits (1-1/N)·M bytes serially plus nτ down the critical path...

@@ -297,7 +297,8 @@ func storageFormPairs() [][2]field.Layout {
 // conversions; Table 2's combined and banded layouts; the some-to-all,
 // all-to-some, vector, general and one-node patterns; one element per
 // processor (Corollary 4); one seeded pair of random fields; and the
-// non-transposing rows' encoding changes and zero-traffic identities.
+// mixed rows' other encoding pairs of §6.3 and the non-transposing rows'
+// encoding changes and zero-traffic identities.
 func layoutPairs() []layoutPair {
 	var lps []layoutPair
 	add := func(name string, before, after field.Layout, opt Options, rows ...plan.Algorithm) {
@@ -345,6 +346,17 @@ func layoutPairs() []layoutPair {
 	}
 	add("3x3/one-node", field.OneDimConsecutiveRows(3, 3, 0, field.Binary), field.OneDimConsecutiveRows(3, 3, 0, field.Binary), Options{}, plan.Exchange)
 	add("0x4/vector-in-place", field.OneDimCyclicCols(0, 4, 2, field.Binary), field.OneDimCyclicRows(4, 0, 2, field.Binary), Options{}, plan.Exchange)
+	// §6.3's other (row, column) encoding pairs; binary/Gray → binary/Gray is
+	// the mixed rows' plantest.Pair.
+	for _, ec := range [][4]field.Encoding{
+		{field.Gray, field.Binary, field.Gray, field.Binary},
+		{field.Binary, field.Binary, field.Gray, field.Gray},
+		{field.Gray, field.Gray, field.Binary, field.Binary},
+		{field.Binary, field.Binary, field.Binary, field.Binary},
+	} {
+		add(fmt.Sprintf("4x4/2d-enc-%v-%v/2d-enc-%v-%v", ec[0], ec[1], ec[2], ec[3]), field.TwoDimEncoded(4, 4, 2, 2, ec[0], ec[1]),
+			field.TwoDimEncoded(4, 4, 2, 2, ec[2], ec[3]), Options{}, plan.MixedNaive, plan.MixedCombined)
+	}
 	add("4x4/2d-enc-binary-gray/2d-enc-gray-gray", field.TwoDimEncoded(4, 4, 2, 2, field.Binary, field.Gray),
 		field.TwoDimEncoded(4, 4, 2, 2, field.Gray, field.Gray), Options{}, plan.ConvertEncoding)
 	identity := field.TwoDimCyclic(4, 4, 2, 2, field.Gray)

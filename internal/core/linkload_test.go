@@ -103,6 +103,45 @@ func TestRoutingLogicHotspots(t *testing.T) {
 	}
 }
 
+// rowsTranspose runs the row on the 1-D consecutive-rows transpose of a
+// 2^p × 2^q matrix over an n-cube: the all-to-all personalized
+// communication of Section 3.2, one block per (source, destination) pair.
+func rowsTranspose(t *testing.T, alg plan.Algorithm, p, q, n int, mach machine.Params) *Result {
+	t.Helper()
+	before := field.OneDimConsecutiveRows(p, q, n, field.Binary)
+	after := field.OneDimConsecutiveRows(q, p, n, field.Binary)
+	res, err := Transpose(alg, matrix.Scatter(matrix.NewIota(p, q), before), after, Options{Machine: mach})
+	if err != nil {
+		t.Fatalf("%v: %v", alg, err)
+	}
+	return res
+}
+
+// Section 3.2: with n-port communication and transfer-dominated blocks,
+// SBnT all-to-all beats the one-message exchange algorithm, whose t_c term
+// is n·K/2 against SBnT's K/2 — by at least 2× on a 6-cube.
+func TestSBnTBeatsExchangeNPort(t *testing.T) {
+	mach := machine.Ideal(machine.NPort)
+	mach.Tau = 0.001 // transfer-dominated
+	ex := rowsTranspose(t, plan.Exchange, 9, 9, 6, mach).Stats.Time
+	sb := rowsTranspose(t, plan.SBnT, 9, 9, 6, mach).Stats.Time
+	if ex/sb < 2 {
+		t.Errorf("SBnT %v vs exchange %v: speedup %.2fx, want at least 2x", sb, ex, ex/sb)
+	}
+}
+
+// SBnT all-to-all balances link load: routing each pair from the base of
+// its relative address spreads the traffic over every port, and each of
+// the n·N directed links carries the same bytes.
+func TestSBnTLinkBalance(t *testing.T) {
+	n := 5
+	st := rowsTranspose(t, plan.SBnT, 6, 6, n, machine.Ideal(machine.NPort)).Stats
+	if links := int64(n << n); st.MaxLinkBytes*links != st.Bytes {
+		t.Errorf("SBnT heaviest link carries %d bytes; %d bytes over %d directed links balance at %d",
+			st.MaxLinkBytes, st.Bytes, links, st.Bytes/links)
+	}
+}
+
 // Section 3.1's small-data analysis: splitting a one-to-all scatter over
 // two spanning binomial trees, the reflected pairing spreads edge load
 // better than no rotation and at least as well as any single tree.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"boolcube/internal/field"
@@ -9,37 +8,6 @@ import (
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 )
-
-// All four encoding combinations of Section 6.3, both algorithms, verified
-// element-exactly.
-func TestTransposeMixed(t *testing.T) {
-	p, q, n := 4, 4, 4
-	encs := []struct{ br, bc, ar, ac field.Encoding }{
-		{field.Binary, field.Gray, field.Binary, field.Gray},     // §6.3 main case
-		{field.Gray, field.Binary, field.Gray, field.Binary},     // symmetric
-		{field.Binary, field.Binary, field.Gray, field.Gray},     // bin -> transposed gray
-		{field.Gray, field.Gray, field.Binary, field.Binary},     // gray -> transposed bin
-		{field.Binary, field.Binary, field.Binary, field.Binary}, // degenerate: pure transpose
-	}
-	algos := []struct {
-		name string
-		alg  plan.Algorithm
-	}{
-		{"naive", plan.MixedNaive},
-		{"combined", plan.MixedCombined},
-	}
-	for _, ec := range encs {
-		for _, a := range algos {
-			name := fmt.Sprintf("%s %v%v->%v%v", a.name, ec.br, ec.bc, ec.ar, ec.ac)
-			before := field.TwoDimEncoded(p, q, n/2, n/2, ec.br, ec.bc)
-			after := field.TwoDimEncoded(q, p, n/2, n/2, ec.ar, ec.ac)
-			m := matrix.NewIota(p, q)
-			d := matrix.Scatter(m, before)
-			res, err := Transpose(a.alg, d, after, opts(machine.IPSC()))
-			verifyTranspose(t, name, m, res, err)
-		}
-	}
-}
 
 // The combined algorithm must use at most n routing steps per payload; the
 // naive one up to 2n-2. On a start-up-dominated machine the combined

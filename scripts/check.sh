@@ -26,12 +26,10 @@ go vet ./...
 echo "==> go run ./cmd/cubevet ./..."
 go run ./cmd/cubevet ./...
 
+# This also replays every Fuzz target's seeds and testdata/fuzz corpus in
+# regression mode (no fuzzing), in every package.
 echo "==> go test ./..."
 go test ./...
-
-# Fuzz corpora in regression mode: replay the checked-in seeds (no fuzzing).
-echo "==> go test -run '^Fuzz' (fuzz seed regression)"
-go test -run '^Fuzz' ./internal/field/ ./internal/plan/ ./internal/cube/ ./internal/service/ ./internal/remap/ .
 
 # Golden results: RESULTS.md is the committed output of the full experiment
 # registry and every virtual-time figure in it is a fixed point — host-side
