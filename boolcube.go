@@ -371,12 +371,6 @@ func (c *CompiledTranspose) Execute(d *Dist) (*Result, error) {
 	return core.Execute(c.plan, d, nil)
 }
 
-// ExecuteTraced is Execute with a trace recorder attached; the trace is
-// labeled with the plan's description.
-func (c *CompiledTranspose) ExecuteTraced(d *Dist, t *TraceRecorder) (*Result, error) {
-	return core.Execute(c.plan, d, t)
-}
-
 // ExecOptions carries the per-run knobs of an execution — tracing, fault
 // injection, failover and retry policy. The zero value is a plain
 // fault-free run.

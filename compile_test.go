@@ -30,9 +30,9 @@ func TestCompileAutoResolves(t *testing.T) {
 	}
 }
 
-// ExecuteTraced labels the recorder with the plan description and records
-// the same run.
-func TestExecuteTracedLabelsRecorder(t *testing.T) {
+// ExecuteWith labels a tracer that takes labels with the plan description
+// and records the run.
+func TestExecuteWithLabelsRecorder(t *testing.T) {
 	p, q, n := 4, 4, 4
 	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
 	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
@@ -42,7 +42,7 @@ func TestExecuteTracedLabelsRecorder(t *testing.T) {
 	}
 	m := NewIotaMatrix(p, q)
 	rec := NewTrace()
-	res, err := ct.ExecuteTraced(Scatter(m, before), rec)
+	res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,17 @@ func TestExchangeRejectsBadDims(t *testing.T) {
 	}
 }
 
+// A Strategy ExchangeBlocks has no packaging for is refused up front, by
+// name, not by a node program.
+func TestExchangeRejectsUnknownStrategy(t *testing.T) {
+	e := newEngine(t, 2, machine.Ideal(machine.OnePort))
+	_, err := AllToAllExchange(e, DescendingDims(2), Strategy(9),
+		func(s, d uint64) []float64 { return []float64{1} })
+	if err == nil || !strings.Contains(err.Error(), "unknown exchange strategy strategy(9)") {
+		t.Errorf("AllToAllExchange with Strategy(9): %v, want a refusal naming it", err)
+	}
+}
+
 // Every tree family delivers each node its share, the root's own included —
 // also on the 0-cube, where the root's share is all there is.
 func TestOneToAllCorrectness(t *testing.T) {
@@ -223,22 +234,58 @@ func TestRotatedSBTsBeatSBT(t *testing.T) {
 	}
 }
 
+// exchangeSparse runs ExchangeBlocks over dims on every node of e, each
+// node x holding one block for every dst with sends(x, dst) and none for
+// the other pairs: the block sets of Section 3.3's some-to-all and
+// all-to-some. result[x] maps each source to the data x received from it.
+func exchangeSparse(t *testing.T, e *simnet.Engine, dims []int, strat Strategy, sends func(src, dst uint64) bool, size int) []map[uint64][]float64 {
+	t.Helper()
+	N := uint64(e.Nodes())
+	result := make([]map[uint64][]float64, N)
+	stray := make([]int, N) // blocks a node returned that are not its own
+	err := e.Run(func(nd fabric.Node) {
+		id := nd.ID()
+		var held []Block
+		for dst := range N {
+			if sends(id, dst) {
+				held = append(held, Block{Src: id, Dst: dst, Data: payload(id, dst, size)})
+			}
+		}
+		out := make(map[uint64][]float64)
+		for _, b := range ExchangeBlocks(nd, dims, strat, held) {
+			if b.Dst != id {
+				stray[id]++
+				continue
+			}
+			out[b.Src] = b.Data
+		}
+		result[id] = out
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x, c := range stray {
+		if c > 0 {
+			t.Fatalf("node %d returned %d blocks addressed elsewhere", x, c)
+		}
+	}
+	return result
+}
+
+// Some-to-all (Section 3.3) on the exchange kernel: the sources 0..3 of a
+// 4-cube (zero on the split dimensions 3 and 2) each send every node a
+// block, and both of Theorem 1's orders deliver them intact.
 func TestSomeToAllCorrectness(t *testing.T) {
 	for _, splitFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("splitFirst=%v", splitFirst), func(t *testing.T) {
-			n := 4
-			splitDims := []int{3, 2}
-			exchDims := []int{1, 0}
-			size := 2
-			e := newEngine(t, n, machine.Ideal(machine.OnePort))
-			got, err := SomeToAll(e, splitDims, exchDims, SingleMessage, splitFirst,
-				func(s, d uint64) []float64 { return payload(s, d, size) })
-			if err != nil {
-				t.Fatal(err)
+			n, size := 4, 2
+			dims := []int{3, 2, 1, 0}
+			if !splitFirst {
+				dims = []int{1, 0, 3, 2}
 			}
-			// Sources: nodes 0..3 (zero high bits). Every node must hold
-			// one block from the source sharing nothing (its subcube is
-			// the whole cube here).
+			e := newEngine(t, n, machine.Ideal(machine.OnePort))
+			got := exchangeSparse(t, e, dims, SingleMessage,
+				func(s, d uint64) bool { return s <= 3 }, size)
 			for x := uint64(0); x < uint64(e.Nodes()); x++ {
 				if len(got[x]) != 4 {
 					t.Fatalf("node %d received %d blocks, want 4", x, len(got[x]))
@@ -254,19 +301,20 @@ func TestSomeToAllCorrectness(t *testing.T) {
 	}
 }
 
+// All-to-some (Section 3.3) on the exchange kernel: every node of a 4-cube
+// sends a block to each of the targets 0..3, and both of Theorem 1's orders
+// deliver them intact and nothing to the other nodes.
 func TestAllToSomeCorrectness(t *testing.T) {
 	for _, exchangeFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("exchangeFirst=%v", exchangeFirst), func(t *testing.T) {
-			n := 4
-			splitDims := []int{3, 2}
-			exchDims := []int{1, 0}
-			size := 2
-			e := newEngine(t, n, machine.Ideal(machine.OnePort))
-			got, err := AllToSome(e, splitDims, exchDims, SingleMessage, exchangeFirst,
-				func(s, d uint64) []float64 { return payload(s, d, size) })
-			if err != nil {
-				t.Fatal(err)
+			n, size := 4, 2
+			dims := []int{3, 2, 1, 0}
+			if exchangeFirst {
+				dims = []int{1, 0, 3, 2}
 			}
+			e := newEngine(t, n, machine.Ideal(machine.OnePort))
+			got := exchangeSparse(t, e, dims, SingleMessage,
+				func(s, d uint64) bool { return d <= 3 }, size)
 			N := uint64(e.Nodes())
 			for x := uint64(0); x < N; x++ {
 				if x > 3 {
@@ -283,81 +331,5 @@ func TestAllToSomeCorrectness(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// Theorem 1: splitting first minimizes transfer for some-to-all; exchanging
-// first minimizes it for all-to-some. Compare total bytes moved.
-func TestTheorem1Ordering(t *testing.T) {
-	n := 6
-	splitDims := []int{5, 4, 3}
-	exchDims := []int{2, 1, 0}
-	size := 8
-	block := func(s, d uint64) []float64 { return payload(s, d, size) }
-
-	run := func(someToAll, optimal bool) fabric.Stats {
-		e := newEngine(t, n, machine.Ideal(machine.OnePort))
-		var err error
-		if someToAll {
-			_, err = SomeToAll(e, splitDims, exchDims, SingleMessage, optimal, block)
-		} else {
-			_, err = AllToSome(e, splitDims, exchDims, SingleMessage, optimal, block)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Stats()
-	}
-
-	// Both orders move the same total volume; the optimal order wins on
-	// elapsed time because the all-to-all then runs on split (smaller)
-	// per-node data across 2^k concurrent subcubes.
-	s2aOpt, s2aBad := run(true, true), run(true, false)
-	if s2aOpt.Bytes != s2aBad.Bytes {
-		t.Errorf("some-to-all orders moved different volumes: %d vs %d",
-			s2aOpt.Bytes, s2aBad.Bytes)
-	}
-	if s2aOpt.Time >= s2aBad.Time {
-		t.Errorf("some-to-all: split-first time %v not below exchange-first %v",
-			s2aOpt.Time, s2aBad.Time)
-	}
-	a2sOpt, a2sBad := run(false, true), run(false, false)
-	if a2sOpt.Time >= a2sBad.Time {
-		t.Errorf("all-to-some: exchange-first time %v not below accumulate-first %v",
-			a2sOpt.Time, a2sBad.Time)
-	}
-}
-
-// Bad arguments are refused up front, not by a node program: overlapping
-// dimension sets, and a Strategy ExchangeBlocks has no packaging for.
-func TestSomeToAllRejectsOverlappingDims(t *testing.T) {
-	e := newEngine(t, 3, machine.Ideal(machine.OnePort))
-	if _, err := SomeToAll(e, []int{1}, []int{1, 0}, SingleMessage, true,
-		func(s, d uint64) []float64 { return nil }); err == nil {
-		t.Error("overlapping dim sets accepted")
-	}
-	one := func(s, d uint64) []float64 { return []float64{1} }
-	_, s2a := SomeToAll(newEngine(t, 2, machine.Ideal(machine.OnePort)), []int{1}, []int{0}, Strategy(9), true, one)
-	_, a2s := AllToSome(newEngine(t, 2, machine.Ideal(machine.OnePort)), []int{1}, []int{0}, Strategy(9), true, one)
-	for op, err := range map[string]error{"SomeToAll": s2a, "AllToSome": a2s} {
-		if err == nil || !strings.Contains(err.Error(), "unknown exchange strategy") {
-			t.Errorf("%s with an unknown strategy: %v, want a refusal naming it", op, err)
-		}
-	}
-}
-
-func TestSplitDims(t *testing.T) {
-	for _, c := range []struct {
-		n, k        int
-		split, exch string
-	}{
-		{6, 2, "[5 4]", "[3 2 1 0]"},
-		{3, 0, "[]", "[2 1 0]"},
-		{3, 3, "[2 1 0]", "[]"},
-	} {
-		split, exch := SplitDims(c.n, c.k)
-		if fmt.Sprint(split) != c.split || fmt.Sprint(exch) != c.exch {
-			t.Errorf("SplitDims(%d, %d) = %v, %v; want %s, %s", c.n, c.k, split, exch, c.split, c.exch)
-		}
 	}
 }

@@ -1,21 +1,20 @@
 // Package comm implements the paper's generic personalized-communication
 // algorithms (Section 3) as node programs: all-to-all personalized
 // communication by the standard exchange algorithm (with the paper's
-// unbuffered, buffered, and locally-shuffled variants); one-to-all
-// personalized communication by SBT, rotated-SBT and SBnT scatter; and
-// some-to-all / all-to-some personalized communication as k splitting (or
-// accumulation) steps combined with l all-to-all steps (Theorem 1, Table 3).
+// unbuffered, buffered, and locally-shuffled variants), and one-to-all
+// personalized communication by SBT, rotated-SBT and SBnT scatter.
 // All-to-all by spanning-balanced-n-tree routing is not here: it is the plan
-// registry's sbnt row, which the router runs.
+// registry's sbnt row, which the router runs. Neither are some-to-all and
+// all-to-some communication (Section 3.3): they are the registry's exchange
+// row on a transpose that changes the processor count, scanned in Theorem
+// 1's order (plan.compileExchange).
 //
 // Each algorithm comes in two layers: a per-node phase function (operating
 // on a fabric.Node inside a running program, so that phases compose — the
 // plan executor calls ExchangeBlocksHooked, core.PermuteTwoPhase
 // ExchangeBlocks) and a whole-engine wrapper that runs the phase on every
-// node. The wrappers are what the experiments and the benchmark run:
-// SomeToAll (table3), OneToAll (sec31scatter), AllToAllExchange (the
-// benchmark's comm probe) and AllToSome (Theorem 1's all-to-some half, a
-// test).
+// node: OneToAll (sec31scatter) and AllToAllExchange (the benchmark's comm
+// probe).
 //
 // Message building is allocation-disciplined: every builder counts a
 // message's blocks and elements before allocating, draws the buffers from
@@ -82,7 +81,7 @@ func checkStrategy(s Strategy) error {
 // Block is one (source, destination) payload. The routing of ExchangeBlocks
 // over a dimension set reads only the Dst bits on those dimensions, so Dst
 // may address a node outside the exchange subcube (its remaining bits are
-// handled by other phases, as in some-to-all communication).
+// handled by other phases, as in the plan's multi-phase conversions).
 type Block struct {
 	Src, Dst uint64
 	Data     []float64
@@ -524,9 +523,32 @@ func ExchangeBlocksHooked(nd fabric.Node, dims []int, strat Strategy, blocks []B
 // block per (src, dst) pair. block(src, dst) supplies the payload for every
 // ordered pair of nodes that agree on all dimensions outside dims
 // (including dst == src). result[x] maps each subcube source to the data x
-// received from it. It is SomeToAll with no split dimensions.
+// received from it.
 func AllToAllExchange(e fabric.Fabric, dims []int, strat Strategy, block func(src, dst uint64) []float64) ([]map[uint64][]float64, error) {
-	return SomeToAll(e, nil, dims, strat, true, block)
+	if err := checkDims(e, dims); err != nil {
+		return nil, err
+	}
+	if err := checkStrategy(strat); err != nil {
+		return nil, err
+	}
+	result := make([]map[uint64][]float64, e.Nodes())
+	err := e.Run(func(nd fabric.Node) {
+		id := nd.ID()
+		dsts := subcube(id, dims)
+		held := make([]Block, len(dsts))
+		for i, dst := range dsts {
+			held[i] = Block{Src: id, Dst: dst, Data: block(id, dst)}
+		}
+		out := make(map[uint64][]float64, len(held))
+		for _, b := range ExchangeBlocks(nd, dims, strat, held) {
+			out[b.Src] = b.Data
+		}
+		result[id] = out
+	})
+	if err != nil {
+		return nil, err
+	}
+	return result, nil
 }
 
 // DescendingDims returns [n-1, n-2, ..., 0], the paper's default scan order.

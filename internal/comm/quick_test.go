@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"boolcube/internal/machine"
@@ -50,8 +51,10 @@ func TestExchangeAllToAllRandomized(t *testing.T) {
 	}
 }
 
-// Property: some-to-all delivers intact blocks for random split/exchange
-// dimension partitions and both phase orders.
+// Property: the exchange kernel delivers some-to-all blocks intact for
+// random split/exchange dimension partitions, both phase orders and every
+// strategy. The sources are the nodes that are zero on the k split
+// dimensions, and each sends a block to every node.
 func TestSomeToAllRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -59,26 +62,35 @@ func TestSomeToAllRandomized(t *testing.T) {
 		perm := rng.Perm(n)
 		k := 1 + rng.Intn(n-1)
 		splitDims := perm[:k]
-		exchDims := perm[k:]
+		dims := perm
 		splitFirst := rng.Intn(2) == 0
+		if !splitFirst {
+			dims = append(slices.Clone(perm[k:]), splitDims...)
+		}
+		strat := Strategy(rng.Intn(4))
 		e, err := simnet.New(n, machine.Ideal(machine.OnePort))
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := 1 + rng.Intn(3)
-		got, err := SomeToAll(e, splitDims, exchDims, SingleMessage, splitFirst,
-			func(s, d uint64) []float64 { return payload(s, d, size) })
-		if err != nil {
-			t.Fatalf("trial %d (n=%d split=%v exch=%v): %v", trial, n, splitDims, exchDims, err)
+		var splitMask uint64
+		for _, d := range splitDims {
+			splitMask |= 1 << uint(d)
 		}
-		// Each node receives exactly 2^(n-k) blocks (one per source in its
-		// subcube), each intact.
+		size := 1 + rng.Intn(3)
+		got := exchangeSparse(t, e, dims, strat,
+			func(s, d uint64) bool { return s&splitMask == 0 }, size)
+		// Each node receives exactly 2^(n-k) blocks, one per source, each
+		// intact.
 		want := 1 << uint(n-k)
 		for x := uint64(0); x < uint64(e.Nodes()); x++ {
 			if len(got[x]) != want {
-				t.Fatalf("trial %d: node %d received %d blocks, want %d", trial, x, len(got[x]), want)
+				t.Fatalf("trial %d (n=%d dims=%v k=%d strat=%v): node %d received %d blocks, want %d",
+					trial, n, dims, k, strat, x, len(got[x]), want)
 			}
 			for s, data := range got[x] {
+				if s&splitMask != 0 {
+					t.Fatalf("trial %d: node %d got block from non-source %d", trial, x, s)
+				}
 				checkBlock(t, data, s, x, size)
 			}
 		}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"boolcube/internal/comm"
 	"boolcube/internal/cube"
+	"boolcube/internal/fabric"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
@@ -139,6 +142,79 @@ func TestSBnTLinkBalance(t *testing.T) {
 	if links := int64(n << n); st.MaxLinkBytes*links != st.Bytes {
 		t.Errorf("SBnT heaviest link carries %d bytes; %d bytes over %d directed links balance at %d",
 			st.MaxLinkBytes, st.Bytes, links, st.Bytes/links)
+	}
+}
+
+// Theorem 1 (Section 3.3) on the registry: the exchange row runs some-to-all
+// split-first and all-to-some exchange-first. Each takes the time of the
+// standard exchange of the same blocks in that order, strictly below the
+// other order's, which moves the same bytes.
+func TestExchangeRowTheorem1Order(t *testing.T) {
+	const p, q, k, l = 6, 6, 3, 3
+	n := k + l
+	mach := machine.Ideal(machine.OnePort)
+	desc := comm.DescendingDims(n)
+	splitFirst, exchangeFirst := desc, slices.Concat(desc[k:], desc[:k])
+	for _, c := range []struct {
+		name       string
+		from, to   int // processor address bits before and after
+		fast, slow []int
+	}{
+		{"some-to-all", l, n, splitFirst, exchangeFirst},
+		{"all-to-some", n, l, exchangeFirst, splitFirst},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := field.OneDimConsecutiveRows(p, q, c.from, field.Binary)
+			after := field.OneDimConsecutiveRows(q, p, c.to, field.Binary)
+			m := matrix.NewIota(p, q)
+			res, err := Transpose(plan.Exchange, matrix.Scatter(m, before), after, Options{Machine: mach})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+				t.Fatal(verr)
+			}
+			// elems[src][dst] counts the elements the transpose moves from
+			// src to dst: the block the exchange carries between them.
+			elems := make([][]int, 1<<n)
+			for src := range elems {
+				elems[src] = make([]int, 1<<n)
+			}
+			for u := range uint64(1 << p) {
+				for v := range uint64(1 << q) {
+					elems[before.ProcOf(u, v)][after.ProcOf(v, u)]++
+				}
+			}
+			run := func(dims []int) fabric.Stats {
+				e, err := simnet.New(n, mach)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Run(func(nd fabric.Node) {
+					var blocks []comm.Block
+					for dst, ne := range elems[nd.ID()] {
+						if ne > 0 {
+							blocks = append(blocks, comm.Block{Src: nd.ID(), Dst: uint64(dst), Data: make([]float64, ne)})
+						}
+					}
+					comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return e.Stats()
+			}
+			fast, slow := run(c.fast), run(c.slow)
+			if res.Stats.Time != fast.Time || res.Stats.Bytes != fast.Bytes {
+				t.Errorf("exchange row: time %v, %d bytes; the exchange in Theorem 1's order %v: time %v, %d bytes",
+					res.Stats.Time, res.Stats.Bytes, c.fast, fast.Time, fast.Bytes)
+			}
+			if fast.Time >= slow.Time {
+				t.Errorf("Theorem 1's order %v takes %v, not below the other order %v's %v", c.fast, fast.Time, c.slow, slow.Time)
+			}
+			if fast.Bytes != slow.Bytes {
+				t.Errorf("the orders move %d and %d bytes, want the same", fast.Bytes, slow.Bytes)
+			}
+		})
 	}
 }
 

@@ -3,11 +3,12 @@ package exper
 import (
 	"fmt"
 
-	"boolcube/internal/comm"
+	"boolcube/internal/core"
 	"boolcube/internal/cost"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/simnet"
+	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 )
 
 func init() {
@@ -86,14 +87,15 @@ func table3() (*Table, error) {
 			"the n-port model column is the bound achievable with tree-pipelined routing",
 		},
 	}
-	const totalBytes = 1 << 18
+	// M = 256 KB: a 2^8 x 2^8 matrix of four-byte elements.
+	const logElems, totalBytes = 16, 4 << 16
 	cases := []struct{ k, l int }{{1, 5}, {2, 4}, {3, 3}, {4, 2}, {5, 1}, {0, 6}, {6, 0}}
 	for _, c := range cases {
-		one, err := simulateSomeToAll(totalBytes, c.k, c.l, machine.IPSC())
+		one, err := simulateSomeToAll(logElems, c.k, c.l, machine.IPSC())
 		if err != nil {
 			return nil, err
 		}
-		np, err := simulateSomeToAll(totalBytes, c.k, c.l, machine.IPSCNPort())
+		np, err := simulateSomeToAll(logElems, c.k, c.l, machine.IPSCNPort())
 		if err != nil {
 			return nil, err
 		}
@@ -104,22 +106,22 @@ func table3() (*Table, error) {
 	return t, nil
 }
 
-func simulateSomeToAll(totalBytes, k, l int, mach machine.Params) (float64, error) {
-	n := k + l
-	e, err := simnet.New(n, mach)
+// simulateSomeToAll runs k splitting and l exchange steps as the registry's
+// exchange row: transposing a matrix of 2^logElems elements from 1-D
+// consecutive rows over 2^l nodes into 1-D consecutive rows over 2^(k+l)
+// sends one block from each source to every node of the cube. The row
+// scans the k split dimensions first, Theorem 1's order for some-to-all.
+func simulateSomeToAll(logElems, k, l int, mach machine.Params) (float64, error) {
+	p, q := shapeFor(logElems)
+	before := field.OneDimConsecutiveRows(p, q, l, field.Binary)
+	after := field.OneDimConsecutiveRows(q, p, k+l, field.Binary)
+	m := matrix.NewIota(p, q)
+	res, err := core.Transpose(plan.Exchange, matrix.Scatter(m, before), after, core.Options{Machine: mach})
 	if err != nil {
 		return 0, err
 	}
-	splitDims, exchDims := comm.SplitDims(n, k)
-	// Each of the 2^l sources holds M/2^l bytes, one block per destination
-	// in its n-dimensional subcube.
-	elems := totalBytes / mach.ElemBytes / (1 << uint(l)) / (1 << uint(n))
-	if elems < 1 {
-		elems = 1
+	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+		return 0, verr
 	}
-	block := func(src, dst uint64) []float64 { return make([]float64, elems) }
-	if _, err := comm.SomeToAll(e, splitDims, exchDims, comm.SingleMessage, true, block); err != nil {
-		return 0, err
-	}
-	return e.Stats().Time, nil
+	return res.Stats.Time, nil
 }

@@ -300,13 +300,9 @@ type Fabric interface {
 	// SetFaults installs a fault model and retry policy for the next Run
 	// (nil disables injection). Zero RetryPolicy fields take the defaults.
 	SetFaults(f FaultModel, rp RetryPolicy)
-	// Faults returns the installed fault model (nil when injection is off).
-	Faults() FaultModel
 	// SetDeadline bounds the next Run to t µs on the backend's clock;
 	// t <= 0 disables. A deadline abort is a typed *DeadlineError.
 	SetDeadline(t float64)
-	// Deadline returns the configured budget (+Inf when unset).
-	Deadline() float64
 	// DebugChecks reports whether SIMNET_DEBUG-level verification (element
 	// address tags) is active for this engine.
 	DebugChecks() bool

@@ -189,9 +189,6 @@ func (e *Engine) SetFaults(f fabric.FaultModel, rp fabric.RetryPolicy) {
 	}
 }
 
-// Faults returns the installed fault model (nil when injection is off).
-func (e *Engine) Faults() fabric.FaultModel { return e.faults }
-
 // SetDeadline bounds the next Run to t µs of wall-clock time; t <= 0
 // disables. A deadline abort unwinds every node and Run returns a typed
 // *fabric.DeadlineError, resumable exactly like a simnet deadline hit.
@@ -201,9 +198,6 @@ func (e *Engine) SetDeadline(t float64) {
 	}
 	e.deadline = t
 }
-
-// Deadline returns the configured wall-clock budget (+Inf when unset).
-func (e *Engine) Deadline() float64 { return e.deadline }
 
 // Stats returns the statistics of the last Run. Time is wall-clock µs; the
 // logical counters (Sends, Bytes, Startups, CopyBytes, MaxLinkBytes and

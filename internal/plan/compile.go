@@ -62,24 +62,39 @@ func (p *Plan) addPhase(mv *Moves, dims []int, copyBefore, copyAfter bool) error
 }
 
 // compileScan is the one-phase exchange plan: the whole transpose as a
-// single dimension scan, with the optional pack/unpack copy charges.
-func compileScan(p *Plan, dims []int) error {
+// single scan over the dimensions order returns, asked once NewMoves has
+// accepted the layout pair, with the optional pack/unpack copy charges.
+func compileScan(p *Plan, order func() []int) error {
 	mv, err := NewMoves(p.before, p.after, true)
 	if err != nil {
 		return err
 	}
 	p.moves = mv
-	return p.addPhase(mv, dims, p.cfg.LocalCopies, p.cfg.LocalCopies)
+	return p.addPhase(mv, order(), p.cfg.LocalCopies, p.cfg.LocalCopies)
 }
 
-func compileExchange(p *Plan) error { return compileScan(p, comm.DescendingDims(p.n)) }
+// compileExchange scans from the highest dimension down. On a some-to-all
+// pair (Section 3.3) the 2^l sources are zero on the k highest dimensions,
+// so the scan splits over those before it exchanges over the l others:
+// Theorem 1's faster order. An all-to-some pair wants the reverse, so its
+// scan starts with the l dimensions of the after layout's processors and
+// accumulates over the other n-l last.
+func compileExchange(p *Plan) error {
+	return compileScan(p, func() []int {
+		dims := comm.DescendingDims(p.n)
+		if l := p.after.NBits(); l < p.before.NBits() && field.Classify(p.before, p.after).Pattern == field.AllToSome {
+			return slices.Concat(dims[p.n-l:], dims[:p.n-l])
+		}
+		return dims
+	})
+}
 
 func compileExchangeSPTOrder(p *Plan) error {
 	n := p.before.NBits()
 	if n%2 != 0 {
 		return fmt.Errorf("plan: SPT order needs an even number of cube dimensions, got %d", n)
 	}
-	return compileScan(p, comm.PairedDims(n))
+	return compileScan(p, func() []int { return comm.PairedDims(n) })
 }
 
 // sameLayout reports whether two layouts place every element identically

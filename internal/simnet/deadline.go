@@ -24,9 +24,6 @@ func (e *Engine) SetDeadline(t float64) {
 	e.deadline = t
 }
 
-// Deadline returns the configured virtual-time budget (+Inf when unset).
-func (e *Engine) Deadline() float64 { return e.deadline }
-
 // deadlineError builds the typed abort for the operation that overran.
 func (e *Engine) deadlineError(nd *Node, at float64) error {
 	return &fabric.DeadlineError{Deadline: e.deadline, Node: nd.id, NextAt: at}

@@ -17,6 +17,3 @@ func (e *Engine) SetFaults(f fabric.FaultModel, rp fabric.RetryPolicy) {
 	}
 	e.setCrashes(f)
 }
-
-// Faults returns the installed fault model (nil when injection is off).
-func (e *Engine) Faults() fabric.FaultModel { return e.faults }
