@@ -246,6 +246,13 @@ const (
 	// takes at most ceil(log2 n) parallel swappings (Lemma 15), one phase
 	// each. Any other layout pair is a compile error.
 	Permute = plan.Permute
+	// PermuteTwoPhase takes Permute's layout pairs by Section 7's generic
+	// algorithm for any permutation: two rounds of all-to-all personalized
+	// communication, each over every dimension. Round one sends piece j of
+	// every node's local array to node j, round two forwards each piece to
+	// its owner's destination, so the link load stays balanced whatever the
+	// permutation.
+	PermuteTwoPhase = plan.PermuteTwoPhase
 	// AlgorithmAuto lets the library pick: every candidate the layout pair
 	// admits (Classify decides which) is compiled, and the compiled plan
 	// with the lowest PredictedCost on the configured machine wins.
@@ -253,12 +260,13 @@ const (
 )
 
 // Algorithms lists every concrete algorithm (excluding AlgorithmAuto), for
-// sweeps. The last five rows are the conversions (Convert1 .. Convert3 and
+// sweeps. The last six rows are the conversions (Convert1 .. Convert3 and
 // ConvertEncoding, named "convert-1" .. "convert-3" and "convert-encoding")
-// and Permute ("permute"), run through Transpose or Compile like every row;
+// and the permutations Permute and PermuteTwoPhase ("permute",
+// "permute-two-phase"), run through Transpose or Compile like every row;
 // each accepts only its own kind of layout pair. Algorithm.Transposes is
-// false for ConvertEncoding and Permute: their after layout describes the
-// input matrix, not its transpose.
+// false for ConvertEncoding and the permutations: their after layout
+// describes the input matrix, not its transpose.
 func Algorithms() []Algorithm { return plan.Algorithms() }
 
 // ParseAlgorithm maps an algorithm name (as produced by Algorithm.String,

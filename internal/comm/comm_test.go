@@ -186,7 +186,7 @@ func TestExchangeRejectsUnknownStrategy(t *testing.T) {
 // Every tree family delivers each node its share, the root's own included —
 // also on the 0-cube, where the root's share is all there is.
 func TestOneToAllCorrectness(t *testing.T) {
-	for _, kind := range []TreeKind{KindSBT, KindRotatedSBTs, KindSBnT} {
+	for _, kind := range []TreeKind{KindRotatedSBTs, KindSBnT} {
 		for _, c := range []struct {
 			n    int
 			root uint64
@@ -206,31 +206,6 @@ func TestOneToAllCorrectness(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// Section 3.1: with n-port communication, n rotated SBTs reduce the
-// transfer time by ~n/2 over a single SBT.
-func TestRotatedSBTsBeatSBT(t *testing.T) {
-	n, size := 6, 64
-	p := machine.Ideal(machine.NPort)
-	p.Tau = 0.001
-
-	e1 := newEngine(t, n, p)
-	if _, err := OneToAll(e1, KindSBT, 0, func(dst uint64) []float64 {
-		return payload(0, dst, size)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	e2 := newEngine(t, n, p)
-	if _, err := OneToAll(e2, KindRotatedSBTs, 0, func(dst uint64) []float64 {
-		return payload(0, dst, size)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Stats().Time >= e1.Stats().Time {
-		t.Errorf("rotated SBTs (%v) not faster than SBT (%v)",
-			e2.Stats().Time, e1.Stats().Time)
 	}
 }
 

@@ -2,19 +2,20 @@
 // algorithms (Section 3) as node programs: all-to-all personalized
 // communication by the standard exchange algorithm (with the paper's
 // unbuffered, buffered, and locally-shuffled variants), and one-to-all
-// personalized communication by SBT, rotated-SBT and SBnT scatter.
+// personalized communication by rotated-SBT and SBnT scatter.
 // All-to-all by spanning-balanced-n-tree routing is not here: it is the plan
 // registry's sbnt row, which the router runs. Neither are some-to-all and
 // all-to-some communication (Section 3.3): they are the registry's exchange
 // row on a transpose that changes the processor count, scanned in Theorem
-// 1's order (plan.compileExchange).
+// 1's order (plan.compileExchange). One-to-all over a single SBT is that
+// row's case with one source, and Section 7's two rounds of all-to-all are
+// the permute-two-phase row.
 //
 // Each algorithm comes in two layers: a per-node phase function (operating
 // on a fabric.Node inside a running program, so that phases compose — the
-// plan executor calls ExchangeBlocksHooked, core.PermuteTwoPhase
-// ExchangeBlocks) and a whole-engine wrapper that runs the phase on every
-// node: OneToAll (sec31scatter) and AllToAllExchange (the benchmark's comm
-// probe).
+// plan executor calls ExchangeBlocksHooked) and a whole-engine wrapper that
+// runs the phase on every node: OneToAll (sec31scatter's rotated-SBT and
+// SBnT columns) and AllToAllExchange (the benchmark's comm probe).
 //
 // Message building is allocation-disciplined: every builder counts a
 // message's blocks and elements before allocating, draws the buffers from

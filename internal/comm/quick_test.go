@@ -102,7 +102,7 @@ func TestOneToAllRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(5)
-		kind := TreeKind(rng.Intn(3))
+		kind := TreeKind(rng.Intn(2))
 		root := uint64(rng.Intn(1 << uint(n)))
 		size := 1 + rng.Intn(5)
 		e, err := simnet.New(n, machine.Ideal(machine.NPort))

@@ -10,9 +10,9 @@ import (
 )
 
 // This file implements one-to-all personalized communication (Section 3.1)
-// by scatter over spanning trees: a plain SBT (one-port optimal within 2x),
-// n rotated SBTs, or a spanning balanced n-tree, all with "all data for a
-// subtree at once" scheduling.
+// by scatter over n rotated SBTs or a spanning balanced n-tree, both with
+// "all data for a subtree at once" scheduling. The scatter over a single SBT
+// is the plan registry's exchange row from one node to all.
 
 // nextHop returns the child of x on the tree path toward dst (x must be an
 // ancestor of dst; dst != x).
@@ -36,9 +36,8 @@ func nextHop(t *cube.Tree, x, dst uint64) uint64 {
 // calls are used. Returns this node's received data, concatenated in tree
 // order (k ascending).
 //
-// With one tree (an SBT) this is the paper's one-port algorithm with
-// T_min = (1-1/N)PQ·t_c + nτ; with n rotated SBTs (or an SBnT) and n-port
-// communication the transfer term drops by a factor of n (Section 3.1).
+// With n rotated SBTs (or an SBnT) and n-port communication the transfer
+// term drops by a factor of n from the single SBT's (Section 3.1).
 func ScatterOnNode(nd fabric.Node, root uint64, trees []*cube.Tree, parts func(dst uint64, k int) []float64) []float64 {
 	id := nd.ID()
 	var own []float64
@@ -159,23 +158,17 @@ func dimOf(a, b uint64) int {
 type TreeKind int
 
 const (
-	// KindSBT routes everything over one spanning binomial tree.
-	KindSBT TreeKind = iota
 	// KindRotatedSBTs splits each destination's data over n rotated SBTs.
-	KindRotatedSBTs
+	KindRotatedSBTs TreeKind = iota
 	// KindSBnT routes over the spanning balanced n-tree.
 	KindSBnT
 )
 
 func (k TreeKind) String() string {
-	switch k {
-	case KindSBT:
-		return "sbt"
-	case KindRotatedSBTs:
+	if k == KindRotatedSBTs {
 		return "rotated-sbts"
-	default:
-		return "sbnt"
 	}
+	return "sbnt"
 }
 
 // BuildTrees constructs the spanning tree set of the given kind rooted at
@@ -183,18 +176,14 @@ func (k TreeKind) String() string {
 // so the root's own share is never split zero ways.
 func BuildTrees(kind TreeKind, n int, root uint64) []*cube.Tree {
 	c := cube.New(n)
-	switch kind {
-	case KindSBT:
-		return []*cube.Tree{cube.SBT(c, root)}
-	case KindRotatedSBTs:
-		ts := make([]*cube.Tree, max(n, 1))
-		for k := range ts {
-			ts[k] = cube.RotatedSBT(c, root, k)
-		}
-		return ts
-	default:
+	if kind != KindRotatedSBTs {
 		return []*cube.Tree{cube.SBnT(c, root)}
 	}
+	ts := make([]*cube.Tree, max(n, 1))
+	for k := range ts {
+		ts[k] = cube.RotatedSBT(c, root, k)
+	}
+	return ts
 }
 
 // OneToAll scatters data(dst) from root to every node using the given tree
@@ -217,21 +206,10 @@ func OneToAll(e fabric.Fabric, kind TreeKind, root uint64, data func(dst uint64)
 	return result, nil
 }
 
-// chunkOf splits data into parts nearly-equal chunks and returns chunk k.
+// chunkOf splits data into parts nearly-equal chunks, the first len%parts
+// one element longer, and returns chunk k.
 func chunkOf(data []float64, parts, k int) []float64 {
-	base := len(data) / parts
-	rem := len(data) % parts
-	off := 0
-	for i := 0; i < k; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		off += sz
-	}
-	sz := base
-	if k < rem {
-		sz++
-	}
-	return data[off : off+sz]
+	base, rem := len(data)/parts, len(data)%parts
+	off := k*base + min(k, rem)
+	return data[off : off+base+min(max(rem-k, 0), 1)]
 }

@@ -8,11 +8,9 @@ import (
 	"boolcube/internal/simnet"
 )
 
-// The SBT scatter's cost on an ideal one-port machine matches the
-// Section 3.1 closed form exactly when packets are unlimited: the root
-// transmits (1-1/N)·M bytes serially plus nτ down the critical path...
-// the critical path adds forwarding, so assert the root-egress lower bound
-// and the n-start-up structure instead.
+// The SBnT scatter's cost on an ideal one-port machine is bounded below by
+// the root's egress: the root transmits (1-1/N)·M bytes serially, one
+// message per subtree of its n.
 func TestScatterCostStructure(t *testing.T) {
 	n, size := 4, 16
 	mach := machine.Ideal(machine.OnePort)
@@ -20,7 +18,7 @@ func TestScatterCostStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OneToAll(e, KindSBT, 0, func(dst uint64) []float64 {
+	if _, err := OneToAll(e, KindSBnT, 0, func(dst uint64) []float64 {
 		return payload(0, dst, size)
 	}); err != nil {
 		t.Fatal(err)
@@ -48,7 +46,7 @@ func TestScatterRandomizedSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(5)
-		kind := TreeKind(rng.Intn(3))
+		kind := TreeKind(rng.Intn(2))
 		root := uint64(rng.Intn(1 << uint(n)))
 		sizes := make([]int, 1<<uint(n))
 		for i := range sizes {
@@ -72,7 +70,7 @@ func TestScatterRandomizedSizes(t *testing.T) {
 
 // BuildTrees returns structurally valid spanning trees for every kind.
 func TestBuildTrees(t *testing.T) {
-	for _, kind := range []TreeKind{KindSBT, KindRotatedSBTs, KindSBnT} {
+	for _, kind := range []TreeKind{KindRotatedSBTs, KindSBnT} {
 		trees := BuildTrees(kind, 5, 9)
 		wantCount := 1
 		if kind == KindRotatedSBTs {

@@ -51,10 +51,11 @@ func init() {
 // oracles maps a registry row to the published program (Sections 5, 6.3 and
 // 7) whose Stats it must reproduce wherever that program accepts the layouts.
 var oracles = map[plan.Algorithm]func(*matrix.Dist, field.Layout, machine.Params) (*Result, error){
-	plan.Exchange:      TransposeExchangePseudocode,
-	plan.SBnT:          TransposeSBnTPseudocode,
-	plan.MixedCombined: mixedProgramOracle,
-	plan.Permute:       lemma15Oracle,
+	plan.Exchange:        TransposeExchangePseudocode,
+	plan.SBnT:            TransposeSBnTPseudocode,
+	plan.MixedCombined:   mixedProgramOracle,
+	plan.Permute:         lemma15Oracle,
+	plan.PermuteTwoPhase: twoPhaseOracle,
 }
 
 // knownDivergences are the cells known to break a contract, each with why. A
@@ -223,7 +224,7 @@ func contractCells(t *testing.T, rng *rand.Rand, alg plan.Algorithm, n int, mach
 		if !transposes {
 			mk1, oneDim = field.OneDimConsecutiveRows, field.OneDimConsecutiveRows(p, q, n, field.Gray)
 		}
-		if alg == plan.Permute { // the pair is an involution; rotate for Lemma 15's several steps
+		if alg == plan.Permute || alg == plan.PermuteTwoPhase { // the pair is an involution; rotate for Lemma 15's several steps
 			rot := make([]int, n)
 			for i := range rot {
 				rot[i] = (i + 1) % n
@@ -597,7 +598,7 @@ func checkScale(t *testing.T) {
 					before := field.TwoDimConsecutive(p, q, hr, hc, field.Binary)
 					after, transposes := field.TwoDimConsecutive(q, p, hc, hr, field.Binary), alg.Transposes()
 					switch {
-					case alg == plan.Permute:
+					case alg == plan.Permute || alg == plan.PermuteTwoPhase:
 						before, after, _ = plantest.Pair(alg, p, q, n)
 					case !transposes:
 						after = field.TwoDimConsecutive(p, q, hr, hc, field.Gray)

@@ -1,9 +1,15 @@
 package exper
 
 import (
+	mathbits "math/bits"
+
 	"boolcube/internal/comm"
+	"boolcube/internal/core"
 	"boolcube/internal/cost"
+	"boolcube/internal/field"
 	"boolcube/internal/machine"
+	"boolcube/internal/matrix"
+	"boolcube/internal/plan"
 	"boolcube/internal/simnet"
 )
 
@@ -14,7 +20,10 @@ func init() {
 // sec31Scatter reproduces the Section 3.1 comparison for one-to-all
 // personalized communication: single SBT (one-port optimal within 2x) vs n
 // rotated SBTs vs the spanning balanced n-tree, with the paper's model
-// times printed next to the simulation.
+// times printed next to the simulation. The single SBT is the exchange row
+// from one node to all: a matrix held whole by node 0 into one-dimensional
+// consecutive rows of its transpose, whose scan splits the data over each
+// dimension in turn.
 func sec31Scatter() (*Table, error) {
 	t := &Table{
 		ID:    "sec31scatter",
@@ -33,11 +42,18 @@ func sec31Scatter() (*Table, error) {
 		for _, logBytes := range []int{14, 18} {
 			M := 1 << uint(logBytes)
 			elems := M / mach.ElemBytes / (1 << uint(n)) // per destination
-			if elems < 1 {
-				elems = 1
+			p, q := mathbits.Len(uint(elems))-1, n
+			m := matrix.NewIota(p, q)
+			sbt, err := core.Transpose(plan.Exchange, matrix.Scatter(m, field.OneDimConsecutiveRows(p, q, 0, field.Binary)),
+				field.OneDimConsecutiveRows(q, p, n, field.Binary), core.Options{Machine: mach})
+			if err != nil {
+				return nil, err
 			}
-			row := []interface{}{n, 1 << uint(logBytes-10)}
-			for _, kind := range []comm.TreeKind{comm.KindSBT, comm.KindRotatedSBTs, comm.KindSBnT} {
+			if err := sbt.Dist.Verify(m.Transposed()); err != nil {
+				return nil, err
+			}
+			row := []interface{}{n, 1 << uint(logBytes-10), sbt.Stats.Time / 1000}
+			for _, kind := range []comm.TreeKind{comm.KindRotatedSBTs, comm.KindSBnT} {
 				e, err := simnet.New(n, mach)
 				if err != nil {
 					return nil, err

@@ -3,12 +3,12 @@ package exper
 import (
 	"fmt"
 
-	"boolcube/internal/bits"
 	"boolcube/internal/core"
+	"boolcube/internal/fabric"
+	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -34,15 +34,14 @@ func sec7Perm() (*Table, error) {
 	for _, n := range []int{4, 6} {
 		for _, logBytes := range []int{12, 16} {
 			logElems := logBytes - 2
-			before, after, p, q, ok := twoDimLayouts(logElems, n)
+			before, _, p, q, ok := twoDimLayouts(logElems, n)
 			if !ok {
 				continue
 			}
 			m := matrix.NewIota(p, q)
 
 			// Dedicated transposes.
-			d1 := matrix.Scatter(m, before)
-			ex, err := core.Transpose(plan.Exchange, d1, after, core.Options{Machine: machine.IPSC()})
+			ex, err := runTranspose(plan.Exchange, logElems, n, core.Options{Machine: machine.IPSC()})
 			if err != nil {
 				return nil, err
 			}
@@ -54,25 +53,41 @@ func sec7Perm() (*Table, error) {
 
 			// Generic two-phase permutation of whole node payloads. The
 			// transpose permutation on the node level is tr(x) = sh^(n/2).
-			e, err := simnet.New(n, machine.IPSC())
+			two, err := halfShuffle(plan.PermuteTwoPhase, m, before)
 			if err != nil {
 				return nil, err
 			}
-			d := matrix.Scatter(m, before)
-			perm := func(x uint64) uint64 { return bits.RotL(x, n/2, n) }
-			_, err = core.PermuteTwoPhase(e, perm, d.Local)
-			if err != nil {
-				return nil, err
-			}
-			twoPhase := e.Stats().Time
+			twoPhase := two.Time
 
-			best := ex.Stats.Time
+			best := ex.Time
 			if st2.Time < best {
 				best = st2.Time
 			}
-			t.AddRow(n, 1<<uint(logBytes-10), twoPhase/1000, ex.Stats.Time/1000, st2.Time/1000,
+			t.AddRow(n, 1<<uint(logBytes-10), twoPhase/1000, ex.Time/1000, st2.Time/1000,
 				fmt.Sprintf("%.2f", twoPhase/best))
 		}
 	}
 	return t, nil
+}
+
+// halfShuffle moves every node's share of m, stored under before, to the
+// node sh^(n/2)(x) — its address rotated by half its n bits, the dimension
+// permutation p -> p + n/2 (mod n) — through the registry row alg
+// (plan.Permute or plan.PermuteTwoPhase) on the iPSC, and verifies the
+// result.
+func halfShuffle(alg plan.Algorithm, m *matrix.Matrix, before field.Layout) (fabric.Stats, error) {
+	n := before.NBits()
+	pi := make([]int, n)
+	for p := range pi {
+		pi[p] = (p + n/2) % n
+	}
+	after, err := field.PermutedDims(before, pi)
+	if err != nil {
+		return fabric.Stats{}, err
+	}
+	res, err := core.Transpose(alg, matrix.Scatter(m, before), after, core.Options{Machine: machine.IPSC()})
+	if err != nil {
+		return fabric.Stats{}, err
+	}
+	return res.Stats, res.Dist.Verify(m)
 }

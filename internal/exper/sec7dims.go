@@ -3,7 +3,7 @@ package exper
 import (
 	mathbits "math/bits"
 
-	"boolcube/internal/core"
+	"boolcube/internal/bits"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
@@ -18,10 +18,11 @@ func init() {
 
 // sec7Dims compares three realizations of a dimension permutation
 // (Section 7, Lemma 15) on the worst-case full rotation sh^(n/2), which
-// maximizes the Hamming displacement (Corollary 2): the permute row's
-// parallel swappings (sh^(n/2) is an involution, so one) on one-dimensional
-// consecutive rows of one payload each, the generic two-phase all-to-all,
-// and direct e-cube routing of whole payloads.
+// maximizes the Hamming displacement (Corollary 2), on one-dimensional
+// consecutive rows of one payload each: the permute row's parallel
+// swappings (sh^(n/2) is an involution, so one), the permute-two-phase
+// row's generic two-phase all-to-all, and direct e-cube routing of whole
+// payloads.
 func sec7Dims() (*Table, error) {
 	t := &Table{
 		ID:    "sec7dims",
@@ -37,35 +38,15 @@ func sec7Dims() (*Table, error) {
 		for _, kb := range []int{1, 16} {
 			elems := kb * 1024 / 4
 			N := 1 << uint(n)
-			pi := make([]int, n)
-			for p := range pi {
-				pi[p] = (p + n/2) % n
-			}
-			perm := func(x uint64) uint64 { return plan.ApplyDimPerm(x, pi) }
-			payloads := func() [][]float64 {
-				data := make([][]float64, N)
-				for i := range data {
-					data[i] = make([]float64, elems)
-				}
-				return data
-			}
-
-			rows := field.OneDimConsecutiveRows(n, mathbits.Len(uint(elems))-1, n, field.Binary)
-			swapped, err := field.PermutedDims(rows, pi)
+			lc := mathbits.Len(uint(elems)) - 1
+			m := matrix.NewIota(n, lc)
+			rows := field.OneDimConsecutiveRows(n, lc, n, field.Binary)
+			swap, err := halfShuffle(plan.Permute, m, rows)
 			if err != nil {
 				return nil, err
 			}
-			swap, err := core.Transpose(plan.Permute, &matrix.Dist{Layout: rows, Local: payloads()}, swapped,
-				core.Options{Machine: machine.IPSC()})
+			two, err := halfShuffle(plan.PermuteTwoPhase, m, rows)
 			if err != nil {
-				return nil, err
-			}
-
-			eTwo, err := simnet.New(n, machine.IPSC())
-			if err != nil {
-				return nil, err
-			}
-			if _, err := core.PermuteTwoPhase(eTwo, perm, payloads()); err != nil {
 				return nil, err
 			}
 
@@ -75,18 +56,19 @@ func sec7Dims() (*Table, error) {
 			}
 			var flows []router.Flow
 			for x := uint64(0); x < uint64(N); x++ {
-				if perm(x) == x {
+				y := bits.RotL(x, n/2, n)
+				if y == x {
 					continue
 				}
-				flows = append(flows, router.Flow{Src: x, Dst: perm(x),
-					Dims: router.Ecube(x, perm(x), n), Data: make([]float64, elems)})
+				flows = append(flows, router.Flow{Src: x, Dst: y,
+					Dims: router.Ecube(x, y, n), Data: make([]float64, elems)})
 			}
 			if _, err := router.Run(eDirect, flows); err != nil {
 				return nil, err
 			}
 
-			loadRatio := float64(eDirect.Stats().MaxLinkBytes) / float64(swap.Stats.MaxLinkBytes)
-			t.AddRow(n, kb, swap.Stats.Time/1000, eTwo.Stats().Time/1000,
+			loadRatio := float64(eDirect.Stats().MaxLinkBytes) / float64(swap.MaxLinkBytes)
+			t.AddRow(n, kb, swap.Time/1000, two.Time/1000,
 				eDirect.Stats().Time/1000, loadRatio)
 		}
 	}

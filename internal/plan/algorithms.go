@@ -74,6 +74,12 @@ const (
 	// involution and Lemma 15's at most ceil(log2 n) parallel swappings
 	// otherwise. field.PermutedDims builds the after layout.
 	Permute
+	// PermuteTwoPhase realizes the same pairs as Permute by Section 7's
+	// generic algorithm for any permutation, the transpose included: two
+	// rounds of all-to-all personalized communication, balanced whatever
+	// the permutation, through a layout that spreads every node's data
+	// over all nodes.
+	PermuteTwoPhase
 	// Auto is not an algorithm of its own: Compile compiles the applicable
 	// candidates (field.Classify decides which) and returns the one whose
 	// compiled traffic prices cheapest (see Plan.Price).
@@ -113,6 +119,7 @@ func init() {
 		Convert3:         {"convert-3", compileConvert, true},
 		ConvertEncoding:  {"convert-encoding", compileConvertEncoding, false},
 		Permute:          {"permute", compilePermute, false},
+		PermuteTwoPhase:  {"permute-two-phase", compilePermuteTwoPhase, false},
 		Auto:             {"auto", nil, true}, // Compile compiles its candidates instead
 	}
 }
@@ -125,8 +132,8 @@ func (a Algorithm) String() string {
 }
 
 // Transposes reports whether the algorithm's after layout describes the
-// transposed matrix — true for every row but ConvertEncoding and Permute,
-// which re-embed the same matrix.
+// transposed matrix — true for every row but ConvertEncoding and the two
+// permutation rows, which re-embed the same matrix.
 func (a Algorithm) Transposes() bool {
 	return a >= 0 && int(a) < len(specs) && specs[a].transposes
 }

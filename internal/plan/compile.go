@@ -21,11 +21,16 @@ func Compile(alg Algorithm, before, after field.Layout, cfg Config) (*Plan, erro
 	if cfg.Strategy < comm.SingleMessage || cfg.Strategy > comm.Buffered {
 		return nil, fmt.Errorf("plan: unknown exchange strategy %v", cfg.Strategy)
 	}
+	if alg < 0 || int(alg) >= len(specs) || specs[alg].compile == nil && alg != Auto {
+		return nil, fmt.Errorf("plan: unknown algorithm %v", alg)
+	}
+	// Every row moves the whole matrix, so a pair with no move-set is refused
+	// before a row's own checks (field.Classify among them) read it.
+	if _, _, err := pairMaps(before, after, alg.Transposes()); err != nil {
+		return nil, fmt.Errorf("plan: %s: %w", alg, err)
+	}
 	if alg == Auto {
 		return compileAuto(before, after, cfg)
-	}
-	if alg < 0 || int(alg) >= len(specs) || specs[alg].compile == nil {
-		return nil, fmt.Errorf("plan: unknown algorithm %v", alg)
 	}
 	n := before.NBits()
 	if a := after.NBits(); a > n {
@@ -396,8 +401,8 @@ func combinedMixedRoute(src, dst uint64, n int) [][]int {
 }
 
 func compileMixed(p *Plan, route func(src, dst uint64, n int) [][]int) error {
-	if n := p.before.NBits(); n%2 != 0 {
-		return fmt.Errorf("plan: mixed transpose needs an even number of cube dimensions")
+	if b, a := p.before.NBits(), p.after.NBits(); b != a || b%2 != 0 {
+		return fmt.Errorf("plan: mixed transpose needs the same even number of cube dimensions before and after, got %d and %d", b, a)
 	}
 	return compilePermutation(p, route)
 }

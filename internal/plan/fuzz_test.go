@@ -7,26 +7,35 @@ import (
 	"boolcube/internal/field"
 )
 
-// FuzzNewMovesMatchesOracle builds a layout pair from raw bytes — any number
-// of fields, any order, any widths, as field's FuzzMapAgrees does — and
-// holds NewMoves to the per-element oracle. A pair the oracle refuses must
+// PairFromBytes builds a layout pair from raw bytes — any number of fields,
+// any order, any widths, as field's FuzzMapAgrees does: a 2^p x 2^q matrix
+// (p, q < 6) before, and its transpose when transpose is set; each three
+// bytes of a side are one field's low bit, width and encoding. It is
+// exported for FuzzCompileRuns, whose corpus has the same format.
+func PairFromBytes(ps, qs uint8, transpose bool, before, after []byte) (b, a field.Layout) {
+	layout := func(p, q int, fields []byte) field.Layout {
+		l := field.Layout{P: p, Q: q, Name: "fuzz"}
+		for ; len(fields) >= 3; fields = fields[3:] {
+			lo := int(fields[0]) % 11
+			l.Fields = append(l.Fields, field.Field{Lo: lo, Hi: lo + int(fields[1])%4, Enc: field.Encoding(fields[2] % 2)})
+		}
+		return l
+	}
+	p, q := int(ps)%6, int(qs)%6
+	b, a = layout(p, q, before), layout(p, q, after)
+	if transpose {
+		a.P, a.Q = q, p
+	}
+	return b, a
+}
+
+// FuzzNewMovesMatchesOracle builds a layout pair from raw bytes
+// (PairFromBytes) and holds NewMoves to the per-element oracle. A pair the oracle refuses must
 // be refused with the same error. Where the permute row compiles the pair,
 // its phases must compose to the move-set.
 func FuzzNewMovesMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ps, qs uint8, transpose bool, before, after []byte) {
-		layout := func(p, q int, fields []byte) field.Layout {
-			l := field.Layout{P: p, Q: q, Name: "fuzz"}
-			for ; len(fields) >= 3; fields = fields[3:] {
-				lo := int(fields[0]) % 11
-				l.Fields = append(l.Fields, field.Field{Lo: lo, Hi: lo + int(fields[1])%4, Enc: field.Encoding(fields[2] % 2)})
-			}
-			return l
-		}
-		p, q := int(ps)%6, int(qs)%6
-		b, a := layout(p, q, before), layout(p, q, after)
-		if transpose {
-			a.P, a.Q = q, p
-		}
+		b, a := PairFromBytes(ps, qs, transpose, before, after)
 		want, werr := newMovesOracle(b, a, transpose)
 		got, err := NewMoves(b, a, transpose)
 		if werr != nil || err != nil {

@@ -112,6 +112,24 @@ func copyRuns(runs []run, off int, local, buf []float64, scatter bool) {
 	}
 }
 
+// pairMaps compiles both layouts of a pair, or says why no move-set exists
+// between them: a layout is invalid, or the shapes are not transposed
+// (transpose) or not equal.
+func pairMaps(before, after field.Layout, transpose bool) (bm, am field.Map, err error) {
+	if bm, err = before.Map(); err != nil {
+		return bm, am, fmt.Errorf("invalid before layout: %w", err)
+	}
+	if am, err = after.Map(); err != nil {
+		return bm, am, fmt.Errorf("invalid after layout: %w", err)
+	}
+	if transpose && (after.P != before.Q || after.Q != before.P) {
+		err = fmt.Errorf("transpose needs transposed shapes, got %dx%d -> %dx%d", before.P, before.Q, after.P, after.Q)
+	} else if !transpose && (after.P != before.P || after.Q != before.Q) {
+		err = fmt.Errorf("repartition needs matching shapes, got %dx%d -> %dx%d", before.P, before.Q, after.P, after.Q)
+	}
+	return bm, am, err
+}
+
 // NewMoves builds the move-set. If transpose is true, element (u, v) of the
 // before-matrix is placed as element (v, u) of the after-matrix (whose
 // layout must have the transposed shape); otherwise the shapes must match
@@ -129,24 +147,9 @@ func copyRuns(runs []run, off int, local, buf []float64, scatter bool) {
 // the fill pass walks each source once more, carves its out entries by
 // destination, and places runs behind per-pair cursors.
 func NewMoves(before, after field.Layout, transpose bool) (*Moves, error) {
-	bm, err := before.Map()
+	bm, am, err := pairMaps(before, after, transpose)
 	if err != nil {
-		return nil, fmt.Errorf("plan: invalid before layout: %w", err)
-	}
-	am, err := after.Map()
-	if err != nil {
-		return nil, fmt.Errorf("plan: invalid after layout: %w", err)
-	}
-	if transpose {
-		if after.P != before.Q || after.Q != before.P {
-			return nil, fmt.Errorf("plan: transpose needs transposed shapes, got %dx%d -> %dx%d",
-				before.P, before.Q, after.P, after.Q)
-		}
-	} else {
-		if after.P != before.P || after.Q != before.Q {
-			return nil, fmt.Errorf("plan: repartition needs matching shapes, got %dx%d -> %dx%d",
-				before.P, before.Q, after.P, after.Q)
-		}
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	nb, lb, na, la := before.N(), before.LocalSize(), after.N(), after.LocalSize()
 	if lb > math.MaxInt32 || la > math.MaxInt32 {

@@ -5,29 +5,21 @@ import (
 	mathbits "math/bits"
 	"slices"
 
+	"boolcube/internal/comm"
 	"boolcube/internal/field"
 )
 
 // compilePermute compiles Section 7's use of the general exchange algorithm
-// for permutations other than the transpose. The pair must hold the same
-// matrix, and its move-set must be a dimension permutation pi of the
-// processor address: node x sends all of its data to ApplyDimPerm(x, pi). An
-// involution — a bit reversal, the shuffle sh^(n/2) — is one parallel
-// swapping and so one phase over its dimension pairs, which for the bit
-// reversal is §7's pairing f(i) = i, g(i) = n-1-i scanned n-1, 0, n-2, 1, ...
-// Any other pi takes one phase per Lemma 15 swapping, through the layouts
-// the swappings so far reach. A node permutation charges no local copy: it
-// leaves every local array as it is.
+// for permutations other than the transpose. The pair must be a dimension
+// permutation (dimPermPair). An involution — a bit reversal, the shuffle
+// sh^(n/2) — is one parallel swapping and so one phase over its dimension
+// pairs, which for the bit reversal is §7's pairing f(i) = i, g(i) = n-1-i
+// scanned n-1, 0, n-2, 1, ... Any other pi takes one phase per Lemma 15
+// swapping, through the layouts the swappings so far reach. A node
+// permutation charges no local copy: it leaves every local array as it is.
 func compilePermute(p *Plan) error {
 	before, after := p.before, p.after
-	if a, b := after.NBits(), before.NBits(); a != b {
-		return fmt.Errorf("plan: %s requires the same processor count, got %d and %d cube dimensions", p.alg, b, a)
-	}
-	mv, err := NewMoves(before, after, false)
-	if err != nil {
-		return fmt.Errorf("plan: %s moves the matrix it is given: %w", p.alg, err)
-	}
-	pi, err := dimPermOf(p.alg, mv, p.n)
+	mv, pi, err := dimPermPair(p)
 	if err != nil {
 		return err
 	}
@@ -71,6 +63,61 @@ func compilePermute(p *Plan) error {
 		from = to
 	}
 	return nil
+}
+
+// compilePermuteTwoPhase compiles Section 7's generic permutation (citing
+// [21, 20]): two rounds of all-to-all personalized communication, each an
+// exchange over every dimension, highest first, on the same dimension
+// permutation pairs as compilePermute. Round one splits every node's local
+// array into N pieces and sends piece j to node j; round two forwards each
+// piece to its owner's destination. The rounds meet in the spread layout,
+// whose processor address is the top min(n, ℓ) of before's ℓ local-address
+// bits — ShareRange's piece index — so with fewer than N elements per node
+// element k goes to node k.
+func compilePermuteTwoPhase(p *Plan) error {
+	mv, _, err := dimPermPair(p)
+	if err != nil {
+		return err
+	}
+	p.moves = mv
+	v := p.before.VirtualBits()
+	m := min(p.n, len(v))
+	spread := field.Layout{P: p.before.P, Q: p.before.Q, Name: p.before.Name + "/spread"}
+	for t := m - 1; t >= 0; t-- { // processor bit t is local bit v[len(v)-m+t]
+		b := v[len(v)-m+t]
+		if k := len(spread.Fields) - 1; k >= 0 && spread.Fields[k].Lo == b+1 {
+			spread.Fields[k].Lo--
+		} else {
+			spread.Fields = append(spread.Fields, field.Field{Lo: b, Hi: b + 1})
+		}
+	}
+	from := p.before
+	for _, to := range []field.Layout{spread, p.after} {
+		if mv, err = NewMoves(from, to, false); err != nil {
+			return err
+		}
+		if err := p.addPhase(mv, comm.DescendingDims(p.n), false, false); err != nil {
+			return err
+		}
+		from = to
+	}
+	return nil
+}
+
+// dimPermPair checks what both permutation rows need — the pair holds the
+// same matrix on the same processor count, and its move-set is a dimension
+// permutation pi of the processor address: node x sends all of its data to
+// ApplyDimPerm(x, pi) — and returns the move-set and pi.
+func dimPermPair(p *Plan) (*Moves, []int, error) {
+	if a, b := p.after.NBits(), p.before.NBits(); a != b {
+		return nil, nil, fmt.Errorf("plan: %s requires the same processor count, got %d and %d cube dimensions", p.alg, b, a)
+	}
+	mv, err := NewMoves(p.before, p.after, false)
+	if err != nil {
+		return nil, nil, fmt.Errorf("plan: %s moves the matrix it is given: %w", p.alg, err)
+	}
+	pi, err := dimPermOf(p.alg, mv, p.n)
+	return mv, pi, err
 }
 
 // dimPermOf reads the dimension permutation a move-set realizes off the unit

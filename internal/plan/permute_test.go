@@ -68,9 +68,9 @@ func TestDimPermStepsRealizePermutation(t *testing.T) {
 	}
 }
 
-// A permutation compiles only from a before/after pair of the same matrix
-// whose move-set is a dimension permutation of the processor address, and
-// PermutedDims builds only such pairs.
+// Both permutation rows compile only from a before/after pair of the same
+// matrix whose move-set is a dimension permutation of the processor
+// address, and PermutedDims builds only such pairs.
 func TestPermuteRejectsBadInput(t *testing.T) {
 	rows, gray := field.OneDimConsecutiveRows(4, 2, 3, field.Binary), field.OneDimConsecutiveRows(4, 2, 3, field.Gray)
 	for _, c := range []struct {
@@ -87,9 +87,10 @@ func TestPermuteRejectsBadInput(t *testing.T) {
 		"another processor count": field.OneDimConsecutiveRows(4, 2, 2, field.Binary),
 		"the transposed shape":    field.OneDimConsecutiveRows(2, 4, 3, field.Binary),
 	} {
-		_, err := Compile(Permute, rows, after, Config{})
-		if err == nil || !strings.Contains(err.Error(), "permute") {
-			t.Errorf("%s: Compile(permute) = %v, want an error naming the row", name, err)
+		for _, alg := range []Algorithm{Permute, PermuteTwoPhase} {
+			if _, err := Compile(alg, rows, after, Config{}); err == nil || !strings.Contains(err.Error(), alg.String()) {
+				t.Errorf("%s: Compile(%v) = %v, want an error naming the row", name, alg, err)
+			}
 		}
 	}
 }

@@ -21,12 +21,12 @@ type Row interface {
 // holding every row to one fixed pair. The default is the square
 // two-dimensional consecutive pair; the Section 6.3 rows get the binary-rows /
 // Gray-columns encodings they are about, the Section 6.2 rows their
-// consecutive -> cyclic pair, the Section 7 permutation the bit reversal of
+// consecutive -> cyclic pair, the Section 7 permutations the bit reversal of
 // one-dimensional consecutive rows, and the code conversion binary -> Gray
 // of the same matrix.
 func Pair(alg Row, p, q, n int) (before, after field.Layout, transposes bool) {
 	h := n / 2
-	if alg.String() == "permute" {
+	if name := alg.String(); name == "permute" || name == "permute-two-phase" {
 		before = field.OneDimConsecutiveRows(p, q, n, field.Binary)
 		reversal := make([]int, n)
 		for i := range reversal {

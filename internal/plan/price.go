@@ -234,7 +234,7 @@ func compileAuto(before, after field.Layout, cfg Config) (*Plan, error) {
 // Choose resolves the Auto algorithm: the algorithm of the plan
 // Compile(Auto) returns.
 func Choose(before, after field.Layout, cfg Config) (Algorithm, error) {
-	p, err := compileAuto(before, after, cfg)
+	p, err := Compile(Auto, before, after, cfg)
 	if err != nil {
 		return 0, err
 	}
