@@ -222,9 +222,8 @@ const (
 	// compile error. Their checkpoint is the coarse one — only the self
 	// pairs count as delivered, since a block of the last phase is no span
 	// of the composed move-set — and the exchange phases have no
-	// alternative routes, so Options.Failover does not apply: a
-	// permanently down link on a dimension they scan is refused pre-flight
-	// with an *InfeasibleError.
+	// alternative routes to fail over to: a permanently down link on a
+	// dimension they scan is refused pre-flight with an *InfeasibleError.
 	Convert1 = plan.Convert1
 	Convert2 = plan.Convert2
 	Convert3 = plan.Convert3
@@ -234,8 +233,8 @@ const (
 	// most-significant dimension first so each node needs at most n-1
 	// hops. It is the one row whose after layout describes the input
 	// matrix, not its transpose (Algorithm.Transposes is false), and it is
-	// a flow plan: per-flow checkpoints, and failover under the default
-	// FailoverReroute.
+	// a flow plan: per-flow checkpoints, and failover of blocked flows onto
+	// unused disjoint paths.
 	ConvertEncoding = plan.ConvertEncoding
 	// Permute moves every node's data, local storage unchanged, to the node
 	// whose address is its own with the bits permuted (Section 7): the after
@@ -291,11 +290,10 @@ type Options struct {
 	// timeline rendering (see NewTrace).
 	Trace *TraceRecorder
 	// Faults, when non-nil, injects the compiled fault schedule into the
-	// run (see CompileFaults); Failover and Retry select the response.
+	// run (see CompileFaults). Flow-based algorithms reroute each flow
+	// blocked by a permanently failed link over an unused disjoint path; a
+	// flow with none refuses the run before any traffic moves.
 	Faults *FaultPlan
-	// Failover selects the response to routes blocked by permanent link
-	// failures; the zero value reroutes over unused disjoint paths.
-	Failover FailoverPolicy
 	// Retry bounds the per-transmission retry/backoff loop under faults;
 	// zero fields default to 3 attempts with the machine's τ as backoff.
 	Retry RetryPolicy
@@ -325,7 +323,6 @@ func (o Options) core() core.Options {
 		Packets:     o.Packets,
 		LocalCopies: o.LocalCopies,
 		Faults:      o.Faults,
-		Failover:    o.Failover,
 		Retry:       o.Retry,
 		Deadline:    o.Deadline,
 		Backend:     o.Backend,
@@ -439,7 +436,7 @@ var (
 // host-side, network residuals run as direct dimension-order flows against
 // the checkpoint's fault schedule shifted to the failure instant — links
 // that failed mid-run are permanently down in the shifted view, so the
-// default reroute policy routes around them on disjoint-path alternatives.
+// failover pass routes around them on disjoint-path alternatives.
 // The Result's Stats fold the resumed run's cost on top of the checkpoint's
 // sunk cost; if the resumed run fails in turn, the returned *ExecError
 // carries an updated checkpoint and Resume can be called again.
@@ -519,18 +516,6 @@ var (
 	NodeCrash = fault.NodeCrash
 	// RandomNodeCrashes crash-stops k seed-chosen nodes at a given time.
 	RandomNodeCrashes = fault.RandomNodeCrashes
-)
-
-// FailoverPolicy selects how flow-based algorithms respond to routes
-// blocked by failed links: reroute over unused disjoint paths (default),
-// fail with a typed error, or abandon the blocked flows.
-type FailoverPolicy = core.FailoverPolicy
-
-// Failover policies.
-const (
-	FailoverReroute = core.FailoverReroute
-	FailoverNone    = core.FailoverNone
-	FailoverAbandon = core.FailoverAbandon
 )
 
 // RetryPolicy bounds the engine's per-transmission retry/backoff loop

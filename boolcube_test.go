@@ -103,13 +103,21 @@ func TestConvertRejectsForeignLayouts(t *testing.T) {
 }
 
 func TestClassifyPublic(t *testing.T) {
-	c := Classify(OneDimCyclicCols(4, 4, 2, Binary), OneDimCyclicCols(4, 4, 2, Binary))
-	if c.Pattern != AllToAll {
-		t.Errorf("pattern = %v, want all-to-all", c.Pattern)
+	for _, c := range []struct {
+		before, after Layout
+		want          Pattern
+	}{
+		{OneDimCyclicCols(4, 4, 2, Binary), OneDimCyclicCols(4, 4, 2, Binary), AllToAll},
+		{TwoDimCyclic(4, 4, 2, 2, Binary), TwoDimCyclic(4, 4, 2, 2, Binary), Pairwise},
+	} {
+		if got, err := Classify(c.before, c.after); err != nil || got.Pattern != c.want {
+			t.Errorf("%s -> %s: pattern %v, %v; want %v", c.before, c.after, got.Pattern, err, c.want)
+		}
 	}
-	c = Classify(TwoDimCyclic(4, 4, 2, 2, Binary), TwoDimCyclic(4, 4, 2, 2, Binary))
-	if c.Pattern != Pairwise {
-		t.Errorf("pattern = %v, want pairwise", c.Pattern)
+	// A pair whose shapes are not transposes is refused, not a panic.
+	rows := OneDimConsecutiveRows(3, 2, 2, Binary)
+	if _, err := Classify(rows, rows); err == nil {
+		t.Error("3x2 rows -> the same layout classified without an error")
 	}
 }
 

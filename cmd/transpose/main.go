@@ -169,7 +169,10 @@ func realMain(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "cube:              %d dimensions, %d processors (%s)\n", *n, 1<<uint(*n), mach.Ports)
 	fmt.Fprintf(out, "layout:            %s -> %s\n", before, after)
 	if alg.Transposes() {
-		cls := boolcube.Classify(before, after)
+		cls, err := boolcube.Classify(before, after)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(out, "communication:     %s (k=%d splitting, l=%d exchange steps)\n", cls.Pattern, cls.K, cls.L)
 	}
 	backendName := *backend

@@ -35,8 +35,8 @@ func ExampleClassify() {
 	oneDim := boolcube.OneDimConsecutiveRows(5, 5, 3, boolcube.Binary)
 	twoDim := boolcube.TwoDimCyclic(5, 5, 2, 2, boolcube.Gray)
 
-	c1 := boolcube.Classify(oneDim, boolcube.OneDimConsecutiveRows(5, 5, 3, boolcube.Binary))
-	c2 := boolcube.Classify(twoDim, boolcube.TwoDimCyclic(5, 5, 2, 2, boolcube.Gray))
+	c1, _ := boolcube.Classify(oneDim, boolcube.OneDimConsecutiveRows(5, 5, 3, boolcube.Binary))
+	c2, _ := boolcube.Classify(twoDim, boolcube.TwoDimCyclic(5, 5, 2, 2, boolcube.Gray))
 	fmt.Println("1-D partitioning:", c1.Pattern)
 	fmt.Println("2-D partitioning:", c2.Pattern)
 	// Output:

@@ -19,7 +19,11 @@ func main() {
 
 	fmt.Printf("transposing a %dx%d matrix on a %d-cube (%d processors)\n",
 		m.Rows(), m.Cols(), n, 1<<n)
-	fmt.Printf("communication pattern: %v\n\n", boolcube.Classify(before, after).Pattern)
+	cls, err := boolcube.Classify(before, after)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("communication pattern: %v\n\n", cls.Pattern)
 
 	for _, cfg := range []struct {
 		alg  boolcube.Algorithm

@@ -48,7 +48,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cls := boolcube.Classify(d.Layout, after)
+		cls, err := boolcube.Classify(d.Layout, after)
+		if err != nil {
+			log.Fatal(err)
+		}
 		res, err := boolcube.Transpose(d, after, boolcube.Options{
 			Algorithm: boolcube.Exchange, Machine: mach, Strategy: boolcube.Buffered,
 		})

@@ -22,8 +22,7 @@ func everyDirectedLink(n int) []FaultLink {
 // The paper's redundancy argument, made executable: the MPT rides 2H(x)
 // edge-disjoint paths per pair, so no single link failure may stop it — for
 // every one of the 2^n·n directed links of a 4-cube, the transpose must
-// still complete element-exactly under reroute failover, with bounded
-// slowdown.
+// still complete element-exactly under failover, with bounded slowdown.
 func TestMPTSurvivesAnySingleLinkFailure(t *testing.T) {
 	p, q, n := 4, 4, 4
 	m := NewIotaMatrix(p, q)
@@ -53,9 +52,6 @@ func TestMPTSurvivesAnySingleLinkFailure(t *testing.T) {
 		if verr := res.Dist.Verify(want); verr != nil {
 			t.Fatalf("link %v down: %v", l, verr)
 		}
-		if res.Stats.Abandoned != 0 {
-			t.Fatalf("link %v down: %d flows abandoned under reroute policy", l, res.Stats.Abandoned)
-		}
 		if res.Stats.Time > 3*base.Stats.Time {
 			t.Fatalf("link %v down: slowdown %.2fx exceeds bound 3x",
 				l, res.Stats.Time/base.Stats.Time)
@@ -67,53 +63,29 @@ func TestMPTSurvivesAnySingleLinkFailure(t *testing.T) {
 	}
 }
 
-// The single-path contrast: with failover disabled, SPT under a single link
-// failure either completes untouched (the fault missed its routes) or
-// reports the typed, deterministic fault error; with the default reroute
-// policy, it always completes exactly.
-func TestSPTSingleFaultTypedErrorOrFailover(t *testing.T) {
-	p, q, n := 4, 4, 4
-	m := NewIotaMatrix(p, q)
-	want := m.Transposed()
-	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
-	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
-	ct, err := Compile(before, after, Options{Algorithm: SPT, Machine: IPSCNPort()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// The single-path contrast: SPT has one route per pair, so a single link
+// failure either misses its routes (the run is untouched) or blocks some of
+// them, and failover moves each blocked flow onto a disjoint alternative.
+// Either way the run completes element-exactly.
+func TestSPTSingleFaultFailsOver(t *testing.T) {
+	ct, input, want := sptFourCube(t)
 	hits, misses := 0, 0
-	for _, l := range everyDirectedLink(n) {
-		fp, err := CompileFaults(SingleLinkDown(l.From, l.Dim), n)
+	for _, l := range everyDirectedLink(4) {
+		fp, err := CompileFaults(SingleLinkDown(l.From, l.Dim), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Failover disabled: the outcome is binary and typed.
-		res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: FailoverNone})
-		if err != nil {
-			if !errors.Is(err, fabric.ErrLinkDown) {
-				t.Fatalf("link %v down: error %v is not typed ErrLinkDown", l, err)
-			}
-			// Deterministic: an identical run fails identically.
-			_, err2 := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: FailoverNone})
-			if err2 == nil || err2.Error() != err.Error() {
-				t.Fatalf("link %v down: error not reproducible:\n%v\n%v", l, err, err2)
-			}
-			hits++
-		} else {
-			if verr := res.Dist.Verify(want); verr != nil {
-				t.Fatalf("link %v down (missed routes): %v", l, verr)
-			}
-			misses++
-		}
-
-		// Reroute failover: always completes element-exactly.
-		res, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp})
+		res, err := ct.ExecuteWith(input(), ExecOptions{Faults: fp})
 		if err != nil {
 			t.Fatalf("link %v down: SPT failover failed: %v", l, err)
 		}
 		if verr := res.Dist.Verify(want); verr != nil {
 			t.Fatalf("link %v down: failover result wrong: %v", l, verr)
+		}
+		if res.Stats.Rerouted > 0 {
+			hits++
+		} else {
+			misses++
 		}
 	}
 	if hits == 0 {
@@ -153,100 +125,45 @@ func isTypedFaultErr(err error) bool {
 		errors.Is(err, router.ErrNoRoute)
 }
 
-// FailoverAbandon through the executor: with every outgoing link of one node
-// down, that node's SPT flow has no alternative while the flows merely
-// routed through it do. Abandon drops exactly that flow — its destination
-// block stays zero, every other element lands where the unfaulted run puts
-// it (rerouted flows scatter at their own offsets even though the dropped
-// flow shifted the kept ones' indices) — and the default reroute policy
-// refuses the same run with a typed *router.RouteError naming the flow.
-func TestAbandonDropsOnlyTheUnroutableFlow(t *testing.T) {
-	p, q, n := 4, 4, 4
+// A flow with no disjoint alternative refuses the run: with every outgoing
+// link of one node down, that node's SPT flow has nowhere to go while the
+// flows merely routed through it do, and the run fails before any traffic
+// moves with a typed *router.RouteError naming the stranded flow.
+func TestUnroutableFlowRefusesTheRun(t *testing.T) {
+	ct, input, _ := sptFourCube(t)
 	const cut = 1
-	m := NewIotaMatrix(p, q)
-	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
-	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
-	ct, err := Compile(before, after, Options{Algorithm: SPT, Machine: IPSCNPort()})
+	_, err := ct.ExecuteWith(input(), ExecOptions{Faults: isolated(t, cut, 4)})
+	var re *router.RouteError
+	if !errors.As(err, &re) || re.Src != cut || !errors.Is(err, router.ErrNoRoute) {
+		t.Fatalf("err = %v, want *router.RouteError for node %d's flow", err, cut)
+	}
+}
+
+// sptFourCube compiles the n-port SPT transpose of the 2^4×2^4 iota matrix
+// between 2-D consecutive layouts on a 4-cube. input scatters a fresh copy
+// of the matrix; want is its transpose.
+func sptFourCube(t *testing.T) (ct *CompiledTranspose, input func() *Dist, want *Matrix) {
+	t.Helper()
+	m := NewIotaMatrix(4, 4)
+	before := TwoDimConsecutive(4, 4, 2, 2, Binary)
+	ct, err := Compile(before, TwoDimConsecutive(4, 4, 2, 2, Binary), Options{Algorithm: SPT, Machine: IPSCNPort()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := ct.Execute(Scatter(m, before))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return ct, func() *Dist { return Scatter(m, before) }, m.Transposed()
+}
+
+// isolated is the fault plan of an n-cube with every outgoing link of node
+// down from t = 0.
+func isolated(t *testing.T, node uint64, n int) *FaultPlan {
+	t.Helper()
 	var rules []FaultRule
 	for d := 0; d < n; d++ {
-		rules = append(rules, FaultRule{Kind: FaultLinkDown, Link: FaultLink{From: cut, Dim: d}})
+		rules = append(rules, FaultRule{Kind: FaultLinkDown, Link: FaultLink{From: node, Dim: d}})
 	}
 	fp, err := CompileFaults(FaultSpec{Rules: rules}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: FailoverAbandon})
-	if err != nil {
-		t.Fatalf("abandon policy failed the run: %v", err)
-	}
-	if res.Stats.Abandoned != 1 || res.Stats.Rerouted == 0 {
-		t.Fatalf("abandoned %d, rerouted %d; want exactly 1 abandoned and some rerouted",
-			res.Stats.Abandoned, res.Stats.Rerouted)
-	}
-	got, want := res.Dist.Gather(), base.Dist.Gather()
-	dropped := 0
-	for u := uint64(0); u < uint64(want.Rows()); u++ {
-		for v := uint64(0); v < uint64(want.Cols()); v++ {
-			// Transposed element (u, v) started as (v, u) on the before side.
-			src, dst := before.ProcOf(v, u), after.ProcOf(u, v)
-			switch {
-			case src == cut && dst != cut:
-				dropped++
-				if got.At(u, v) != 0 {
-					t.Fatalf("abandoned element (%d,%d) = %g, want 0", u, v, got.At(u, v))
-				}
-			case got.At(u, v) != want.At(u, v):
-				t.Fatalf("element (%d,%d) from node %d = %g, want %g", u, v, src, got.At(u, v), want.At(u, v))
-			}
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("node 1 sends nothing off-node; the scenario abandons no payload")
-	}
-
-	_, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp})
-	var re *router.RouteError
-	if !errors.As(err, &re) || re.Src != cut || !errors.Is(err, router.ErrNoRoute) {
-		t.Fatalf("reroute policy: %v, want *router.RouteError for node %d's flow", err, cut)
-	}
-}
-
-// A FailoverPolicy outside the three is refused before any engine is built,
-// by ExecuteWith and by Resume and Recover, instead of acting as reroute.
-func TestUnknownFailoverPolicyRefused(t *testing.T) {
-	p, q, n := 4, 4, 4
-	m := NewIotaMatrix(p, q)
-	before := TwoDimConsecutive(p, q, n/2, n/2, Binary)
-	after := TwoDimConsecutive(q, p, n/2, n/2, Binary)
-	ct, err := Compile(before, after, Options{Algorithm: SPT, Machine: IPSCNPort()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := CompileFaults(SingleLinkDown(0, 0), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := FailoverPolicy(7)
-	res, err := ct.ExecuteWith(Scatter(m, before), ExecOptions{Faults: fp, Failover: bad})
-	var xe *ExecError
-	if err == nil || errors.As(err, &xe) {
-		t.Fatalf("failover %v: result %v, error %v; want a refusal before the run", bad, res, err)
-	}
-	_, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Deadline: 1e-9})
-	if !errors.As(err, &xe) {
-		t.Fatalf("tiny deadline did not checkpoint: %v", err)
-	}
-	for name, finish := range map[string]func(*Checkpoint, ExecOptions) (*Result, error){"Resume": Resume, "Recover": Recover} {
-		if _, err := finish(xe.Checkpoint, ExecOptions{Failover: bad}); err == nil || errors.As(err, new(*ExecError)) {
-			t.Errorf("%s with failover %v: %v, want a refusal before the run", name, bad, err)
-		}
-	}
+	return fp
 }

@@ -66,9 +66,11 @@ func NewCheckpoint(p *plan.Plan, d *matrix.Dist) *Checkpoint {
 // ResidualSpans turns the residual move-set into executable form: self-pair
 // residuals are replayed host-side on the spot, and every network residual
 // becomes one direct span, dimension-order routed at the plan's packet
-// grain (plan.DirectSpans). Ecube routes are shortest paths, so resume traffic is bounded by
-// the residual volume times the pair distance — never more than what a full
-// restart would move for the same pairs, and usually far less. Empty exactly
+// grain (plan.DirectSpans). Ecube routes are shortest paths, so resume
+// traffic is bounded by the residual volume times the pair distance (plus
+// two hops for each span failover reroutes). That is not a restart's cost:
+// a plan whose own schedule moves less per element, or a reroute, can make
+// finishing move more bytes than running the whole plan again. Empty exactly
 // when nothing is left to transport. On a fresh checkpoint it equals
 // Plan.DirectFlows, which a fresh execution can share instead.
 func (cp *Checkpoint) ResidualSpans() []plan.Flow {
@@ -135,17 +137,10 @@ var ErrInfeasible = errors.New("plan infeasible under fault schedule")
 type InfeasibleError struct {
 	Plan   string // plan description
 	Detail string // deterministic description of the severed resource
-	Cause  error  // optional typed detail (e.g. *router.RouteError), may be nil
 }
 
 func (e *InfeasibleError) Error() string {
 	return fmt.Sprintf("core: %s infeasible under fault schedule: %s", e.Plan, e.Detail)
 }
 
-func (e *InfeasibleError) Unwrap() []error {
-	out := []error{ErrInfeasible, fabric.ErrLinkDown}
-	if e.Cause != nil {
-		out = append(out, e.Cause)
-	}
-	return out
-}
+func (e *InfeasibleError) Unwrap() []error { return []error{ErrInfeasible, fabric.ErrLinkDown} }

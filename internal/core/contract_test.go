@@ -455,7 +455,11 @@ func (c *contractCell) movesOffNode() bool {
 
 func (c *contractCell) check(t *testing.T) {
 	if before, after := c.pl.Before(), c.pl.After(); c.transposes {
-		c.tally.patterns[field.Classify(before, after).Pattern]++
+		cls, err := field.Classify(before, after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.tally.patterns[cls.Pattern]++
 		c.tally.forms[before.Name+" → "+after.Name]++
 	}
 	c.rec = trace.New()

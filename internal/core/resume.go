@@ -9,8 +9,8 @@ import (
 // it as direct flows, and runs them against the post-failure fault state —
 // by default the checkpoint's own fault schedule shifted to the failure
 // instant (fault.Plan.After), under which every link that failed mid-run is
-// permanently down and the default reroute policy routes around it on
-// disjoint-path alternatives. The residuals finish into the checkpoint's own
+// permanently down and the failover pass routes around it on disjoint-path
+// alternatives. The residuals finish into the checkpoint's own
 // destination arrays, so the Result's Dist is bit-identical to what an
 // uninterrupted run would have produced, and its Stats fold the resumed
 // run's cost on top of the cost already sunk (so resume cost is
@@ -18,8 +18,7 @@ import (
 //
 // xo configures the resumed run. A nil xo.Faults means "inherit": the
 // checkpoint's schedule shifted by cp.At. Tracer and Retry also default to
-// the checkpoint's when unset; Failover's zero value is FailoverReroute,
-// which is almost always what a resume wants.
+// the checkpoint's when unset.
 //
 // If the resumed run fails in turn, Resume returns a new *ExecError whose
 // Checkpoint has absorbed this attempt's deliveries, cost and fault view —
@@ -59,7 +58,7 @@ func resumeMapped(cp *Checkpoint, xo ExecOptions, phys func(uint64) uint64) (*Re
 	if err != nil {
 		return nil, err
 	}
-	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: spans, Phys: phys}}, xo.failoverDown(), xo.Failover == FailoverAbandon)
+	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: spans, Phys: phys}}, xo.failoverDown())
 	total := cp.Stats.Merge(st)
 	if err != nil {
 		// Hand the checkpoint back with this attempt folded in: Opts/At

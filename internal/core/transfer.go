@@ -32,22 +32,22 @@ type Transfer struct {
 // list. In flow order (transfers in list order × spans in span order; the
 // order fixes every virtual-time number) it builds one router flow per span,
 // fails the set over against the links down reports permanently dead (nil
-// skips the pass; abandon drops flows without an alternative instead of
-// refusing the run), gathers the kept payloads into one arena (capped
-// slices; the router chunks each region in place and ownership passes to the
-// receiving nodes), tags them under SIMNET_DEBUG, runs the engine once, and
-// scatters every completed flow — all of them on success, the salvaged ones
-// on failure — into its transfer's Loc at the span's canonical offset. Only
-// a failed run extends Delivered: a completed transfer has no residual left
-// to derive. A span keeps its identity through the whole loop by flow index,
-// so tenants sharing a processor pair, multi-path flows of one pair and
-// failover reorderings need no delivery matching.
+// skips the pass; a flow without an alternative refuses the run), gathers
+// the payloads into one arena (capped slices; the router chunks each region
+// in place and ownership passes to the receiving nodes), tags them under
+// SIMNET_DEBUG, runs the engine once, and scatters every completed flow —
+// all of them on success, the salvaged ones on failure — into its
+// transfer's Loc at the span's canonical offset. Only a failed run extends
+// Delivered: a completed transfer has no residual left to derive. A span
+// keeps its identity through the whole loop by flow index, so tenants
+// sharing a processor pair, multi-path flows of one pair and failover
+// reorderings need no delivery matching.
 //
 // The returned Stats are the engine's with the failover report folded in;
 // when err is a *router.RouteError the set was refused before the engine ran
 // (Stats zero, e still fresh) and its Flow field indexes the flow order
 // above.
-func RunTransfers(e fabric.Fabric, ts []Transfer, down func(from uint64, dim int) bool, abandon bool) (fabric.Stats, error) {
+func RunTransfers(e fabric.Fabric, ts []Transfer, down func(from uint64, dim int) bool) (fabric.Stats, error) {
 	type ref struct{ t, s int }
 	n := e.Dims()
 	nspans := 0
@@ -71,16 +71,11 @@ func RunTransfers(e fabric.Fabric, ts []Transfer, down func(from uint64, dim int
 	if down != nil {
 		// Failover never mutates a route slice it was handed — a rerouted
 		// flow gets a fresh one — so routes shared with a cached plan stay
-		// intact. refs follows the kept flows (kept is ascending).
-		var kept []int
+		// intact. It drops no flow, so refs still index the returned set.
 		var err error
-		if flows, kept, rep, err = router.Failover(flows, n, down, abandon); err != nil {
+		if flows, _, rep, err = router.Failover(flows, n, down, false); err != nil {
 			return fabric.Stats{}, err
 		}
-		for i, fi := range kept {
-			refs[i] = refs[fi]
-		}
-		refs = refs[:len(kept)]
 	}
 
 	total := 0
@@ -114,6 +109,6 @@ func RunTransfers(e fabric.Fabric, ts []Transfer, down func(from uint64, dim int
 		}
 	}
 	st := e.Stats()
-	st.Rerouted, st.ExtraHops, st.Abandoned = rep.Rerouted, rep.ExtraHops, rep.Abandoned
+	st.Rerouted, st.ExtraHops = rep.Rerouted, rep.ExtraHops
 	return st, err
 }

@@ -60,11 +60,9 @@ type Options struct {
 	// Tracer, when non-nil, receives every timed operation of the run.
 	Tracer fabric.Tracer
 	// Faults, when non-nil, injects the compiled fault schedule into the
-	// run; Failover and Retry then select the response policy (see
-	// ExecOptions).
-	Faults   *fault.Plan
-	Failover FailoverPolicy
-	Retry    fabric.RetryPolicy
+	// run; Retry then bounds the per-transmission retries (see ExecOptions).
+	Faults *fault.Plan
+	Retry  fabric.RetryPolicy
 	// Deadline, when positive, aborts the run past this virtual time (µs)
 	// with a resumable checkpoint (see ExecOptions.Deadline).
 	Deadline float64
@@ -76,7 +74,7 @@ type Options struct {
 // ExecConfig extracts the per-run half of the options (the complement of
 // PlanConfig).
 func (o Options) ExecConfig() ExecOptions {
-	return ExecOptions{Tracer: o.Tracer, Faults: o.Faults, Failover: o.Failover, Retry: o.Retry, Deadline: o.Deadline, Backend: o.Backend}
+	return ExecOptions{Tracer: o.Tracer, Faults: o.Faults, Retry: o.Retry, Deadline: o.Deadline, Backend: o.Backend}
 }
 
 // PlanConfig extracts the part of the options that shapes a compiled plan
@@ -110,8 +108,8 @@ func Execute(p *plan.Plan, d *matrix.Dist, tracer fabric.Tracer) (*Result, error
 }
 
 // ExecuteWith is Execute with the full per-run option set: tracing, fault
-// injection, failover and retry policy. The plan stays read-only — fault
-// failover never mutates a plan's routes; rerouted flows get fresh ones.
+// injection with its failover, and retry policy. The plan stays read-only —
+// fault failover never mutates a plan's routes; rerouted flows get fresh ones.
 func ExecuteWith(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 	if got, want := d.Layout.String(), p.Before().String(); got != want {
 		return nil, fmt.Errorf("core: distribution layout %s does not match plan layout %s", got, want)
@@ -323,11 +321,11 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 }
 
 // execFlow replays a KindFlow plan: the plan's compiled flows are the spans
-// of one fresh transfer, run through RunTransfers. Under fault injection with
-// failover enabled, blocked flows are first rerouted (or abandoned) against
-// the permanently-down links; the plan's own route slices are never touched.
-// Every failure — a refused reroute included — carries the checkpoint, whose
-// self pairs are durable even when nothing else moved.
+// of one fresh transfer, run through RunTransfers. Under fault injection,
+// blocked flows are first rerouted around the permanently-down links; the
+// plan's own route slices are never touched. Every failure — a refused
+// reroute included — carries the checkpoint, whose self pairs are durable
+// even when nothing else moved.
 func execFlow(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 	e, err := newEngine(p, xo)
 	if err != nil {
@@ -335,7 +333,7 @@ func execFlow(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 	}
 	cp := NewCheckpoint(p, d)
 	cp.Opts = xo
-	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: p.Flows()}}, xo.failoverDown(), xo.Failover == FailoverAbandon)
+	st, err := RunTransfers(e, []Transfer{{Checkpoint: cp, Spans: p.Flows()}}, xo.failoverDown())
 	if err != nil {
 		cp.Stats, cp.At = st, st.Time
 		return nil, &ExecError{Checkpoint: cp, Err: err}

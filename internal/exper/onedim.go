@@ -8,7 +8,6 @@ import (
 	"boolcube/internal/cost"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 )
 
@@ -42,16 +41,8 @@ func fig9() (*Table, error) {
 func oneDimTranspose(p, q, n int, strat comm.Strategy, mach machine.Params) (float64, error) {
 	before := field.OneDimConsecutiveRows(p, q, n, field.Binary)
 	after := field.OneDimConsecutiveRows(q, p, n, field.Binary)
-	m := matrix.NewIota(p, q)
-	d := matrix.Scatter(m, before)
-	res, err := core.Transpose(plan.Exchange, d, after, core.Options{Machine: mach, Strategy: strat})
-	if err != nil {
-		return 0, err
-	}
-	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
-		return 0, verr
-	}
-	return res.Stats.Time, nil
+	st, err := verified(plan.Exchange, before, after, core.Options{Machine: mach, Strategy: strat})
+	return st.Time, err
 }
 
 // shapeFor splits total element count 2^(p+q) with p = q when possible.

@@ -197,6 +197,5 @@ func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options,
 // outcomes a sweep counts as "failed" rather than an experiment error.
 func isFaultOutcome(err error) bool {
 	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
-		errors.Is(err, router.ErrNoRoute) || errors.Is(err, router.ErrLinkBlocked) ||
-		errors.Is(err, core.ErrInfeasible)
+		errors.Is(err, router.ErrNoRoute) || errors.Is(err, core.ErrInfeasible)
 }

@@ -7,7 +7,6 @@ import (
 	"boolcube/internal/core"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 )
 
@@ -39,27 +38,17 @@ func sec81Router() (*Table, error) {
 			}
 			before := field.OneDimConsecutiveRows(p, q, n, field.Binary)
 			after := field.OneDimConsecutiveRows(q, p, n, field.Binary)
-			m := matrix.NewIota(p, q)
-
-			dr := matrix.Scatter(m, before)
-			router, err := core.Transpose(plan.RoutingLogic, dr, after, core.Options{Machine: mach})
+			router, err := verified(plan.RoutingLogic, before, after, core.Options{Machine: mach})
 			if err != nil {
 				return nil, err
 			}
-			if verr := router.Dist.Verify(m.Transposed()); verr != nil {
-				return nil, verr
-			}
-			db := matrix.Scatter(m, before)
-			buffered, err := core.Transpose(plan.Exchange, db, after,
+			buffered, err := verified(plan.Exchange, before, after,
 				core.Options{Machine: mach, Strategy: comm.Buffered})
 			if err != nil {
 				return nil, err
 			}
-			if verr := buffered.Dist.Verify(m.Transposed()); verr != nil {
-				return nil, verr
-			}
-			t.AddRow(n, 1<<uint(logBytes-10), router.Stats.Time/1000, buffered.Stats.Time/1000,
-				fmt.Sprintf("%.1f", router.Stats.Time/buffered.Stats.Time))
+			t.AddRow(n, 1<<uint(logBytes-10), router.Time/1000, buffered.Time/1000,
+				fmt.Sprintf("%.1f", router.Time/buffered.Time))
 		}
 	}
 	return t, nil

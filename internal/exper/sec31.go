@@ -8,7 +8,6 @@ import (
 	"boolcube/internal/cost"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 	"boolcube/internal/simnet"
 )
@@ -43,16 +42,12 @@ func sec31Scatter() (*Table, error) {
 			M := 1 << uint(logBytes)
 			elems := M / mach.ElemBytes / (1 << uint(n)) // per destination
 			p, q := mathbits.Len(uint(elems))-1, n
-			m := matrix.NewIota(p, q)
-			sbt, err := core.Transpose(plan.Exchange, matrix.Scatter(m, field.OneDimConsecutiveRows(p, q, 0, field.Binary)),
+			sbt, err := verified(plan.Exchange, field.OneDimConsecutiveRows(p, q, 0, field.Binary),
 				field.OneDimConsecutiveRows(q, p, n, field.Binary), core.Options{Machine: mach})
 			if err != nil {
 				return nil, err
 			}
-			if err := sbt.Dist.Verify(m.Transposed()); err != nil {
-				return nil, err
-			}
-			row := []interface{}{n, 1 << uint(logBytes-10), sbt.Stats.Time / 1000}
+			row := []interface{}{n, 1 << uint(logBytes-10), sbt.Time / 1000}
 			for _, kind := range []comm.TreeKind{comm.KindRotatedSBTs, comm.KindSBnT} {
 				e, err := simnet.New(n, mach)
 				if err != nil {

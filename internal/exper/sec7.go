@@ -7,7 +7,6 @@ import (
 	"boolcube/internal/fabric"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 )
 
@@ -34,11 +33,10 @@ func sec7Perm() (*Table, error) {
 	for _, n := range []int{4, 6} {
 		for _, logBytes := range []int{12, 16} {
 			logElems := logBytes - 2
-			before, _, p, q, ok := twoDimLayouts(logElems, n)
+			before, _, _, _, ok := twoDimLayouts(logElems, n)
 			if !ok {
 				continue
 			}
-			m := matrix.NewIota(p, q)
 
 			// Dedicated transposes.
 			ex, err := runTranspose(plan.Exchange, logElems, n, core.Options{Machine: machine.IPSC()})
@@ -53,7 +51,7 @@ func sec7Perm() (*Table, error) {
 
 			// Generic two-phase permutation of whole node payloads. The
 			// transpose permutation on the node level is tr(x) = sh^(n/2).
-			two, err := halfShuffle(plan.PermuteTwoPhase, m, before)
+			two, err := halfShuffle(plan.PermuteTwoPhase, before)
 			if err != nil {
 				return nil, err
 			}
@@ -70,12 +68,12 @@ func sec7Perm() (*Table, error) {
 	return t, nil
 }
 
-// halfShuffle moves every node's share of m, stored under before, to the
-// node sh^(n/2)(x) — its address rotated by half its n bits, the dimension
-// permutation p -> p + n/2 (mod n) — through the registry row alg
+// halfShuffle moves every node's share of an iota matrix stored under before
+// to the node sh^(n/2)(x) — its address rotated by half its n bits, the
+// dimension permutation p -> p + n/2 (mod n) — through the registry row alg
 // (plan.Permute or plan.PermuteTwoPhase) on the iPSC, and verifies the
 // result.
-func halfShuffle(alg plan.Algorithm, m *matrix.Matrix, before field.Layout) (fabric.Stats, error) {
+func halfShuffle(alg plan.Algorithm, before field.Layout) (fabric.Stats, error) {
 	n := before.NBits()
 	pi := make([]int, n)
 	for p := range pi {
@@ -85,9 +83,5 @@ func halfShuffle(alg plan.Algorithm, m *matrix.Matrix, before field.Layout) (fab
 	if err != nil {
 		return fabric.Stats{}, err
 	}
-	res, err := core.Transpose(alg, matrix.Scatter(m, before), after, core.Options{Machine: machine.IPSC()})
-	if err != nil {
-		return fabric.Stats{}, err
-	}
-	return res.Stats, res.Dist.Verify(m)
+	return verified(alg, before, after, core.Options{Machine: machine.IPSC()})
 }

@@ -3,13 +3,10 @@ package exper
 import (
 	mathbits "math/bits"
 
-	"boolcube/internal/bits"
+	"boolcube/internal/core"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/router"
-	"boolcube/internal/simnet"
 )
 
 func init() {
@@ -22,7 +19,9 @@ func init() {
 // consecutive rows of one payload each: the permute row's parallel
 // swappings (sh^(n/2) is an involution, so one), the permute-two-phase
 // row's generic two-phase all-to-all, and direct e-cube routing of whole
-// payloads.
+// payloads. sh^(n/2) is the node map of the square two-dimensional
+// transpose, so the direct column is the routing-logic row on that pair,
+// one packet per payload.
 func sec7Dims() (*Table, error) {
 	t := &Table{
 		ID:    "sec7dims",
@@ -36,40 +35,22 @@ func sec7Dims() (*Table, error) {
 	}
 	for _, n := range []int{4, 6, 8} {
 		for _, kb := range []int{1, 16} {
-			elems := kb * 1024 / 4
-			N := 1 << uint(n)
-			lc := mathbits.Len(uint(elems)) - 1
-			m := matrix.NewIota(n, lc)
+			lc := mathbits.Len(uint(kb*1024/4)) - 1
 			rows := field.OneDimConsecutiveRows(n, lc, n, field.Binary)
-			swap, err := halfShuffle(plan.Permute, m, rows)
+			swap, err := halfShuffle(plan.Permute, rows)
 			if err != nil {
 				return nil, err
 			}
-			two, err := halfShuffle(plan.PermuteTwoPhase, m, rows)
+			two, err := halfShuffle(plan.PermuteTwoPhase, rows)
 			if err != nil {
 				return nil, err
 			}
-
-			eDirect, err := simnet.New(n, machine.IPSC())
+			direct, err := runTranspose(plan.RoutingLogic, n+lc, n, core.Options{Machine: machine.IPSC(), Packets: 1})
 			if err != nil {
 				return nil, err
 			}
-			var flows []router.Flow
-			for x := uint64(0); x < uint64(N); x++ {
-				y := bits.RotL(x, n/2, n)
-				if y == x {
-					continue
-				}
-				flows = append(flows, router.Flow{Src: x, Dst: y,
-					Dims: router.Ecube(x, y, n), Data: make([]float64, elems)})
-			}
-			if _, err := router.Run(eDirect, flows); err != nil {
-				return nil, err
-			}
-
-			loadRatio := float64(eDirect.Stats().MaxLinkBytes) / float64(swap.MaxLinkBytes)
-			t.AddRow(n, kb, swap.Time/1000, two.Time/1000,
-				eDirect.Stats().Time/1000, loadRatio)
+			loadRatio := float64(direct.MaxLinkBytes) / float64(swap.MaxLinkBytes)
+			t.AddRow(n, kb, swap.Time/1000, two.Time/1000, direct.Time/1000, loadRatio)
 		}
 	}
 	return t, nil

@@ -7,7 +7,6 @@ import (
 	"boolcube/internal/cost"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
-	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
 )
 
@@ -115,13 +114,6 @@ func simulateSomeToAll(logElems, k, l int, mach machine.Params) (float64, error)
 	p, q := shapeFor(logElems)
 	before := field.OneDimConsecutiveRows(p, q, l, field.Binary)
 	after := field.OneDimConsecutiveRows(q, p, k+l, field.Binary)
-	m := matrix.NewIota(p, q)
-	res, err := core.Transpose(plan.Exchange, matrix.Scatter(m, before), after, core.Options{Machine: mach})
-	if err != nil {
-		return 0, err
-	}
-	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
-		return 0, verr
-	}
-	return res.Stats.Time, nil
+	st, err := verified(plan.Exchange, before, after, core.Options{Machine: mach})
+	return st.Time, err
 }

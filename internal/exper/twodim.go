@@ -35,24 +35,36 @@ func twoDimLayouts(logElems, n int) (before, after field.Layout, p, q int, ok bo
 	return before, after, p, q, true
 }
 
-// runTranspose executes one algorithm and verifies the result. Plans are
-// compiled once per (algorithm, layout, machine) configuration through the
-// shared cache, so sweeps that revisit a configuration only pay execution.
-func runTranspose(alg plan.Algorithm, logElems, n int, opt core.Options) (fabric.Stats, error) {
-	before, after, p, q, ok := twoDimLayouts(logElems, n)
-	if !ok {
-		return fabric.Stats{}, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
-	}
-	m := matrix.NewIota(p, q)
-	d := matrix.Scatter(m, before)
-	res, err := core.Transpose(alg, d, after, opt)
+// verified runs the registry row alg on an iota matrix stored under before
+// into after and verifies the result element-exact: against the transpose,
+// or against the matrix itself when the row does not transpose
+// (Algorithm.Transposes). Plans are compiled once per (algorithm, layout,
+// machine) configuration through the shared cache, so sweeps that revisit
+// a configuration only pay execution.
+func verified(alg plan.Algorithm, before, after field.Layout, opt core.Options) (fabric.Stats, error) {
+	m := matrix.NewIota(before.P, before.Q)
+	res, err := core.Transpose(alg, matrix.Scatter(m, before), after, opt)
 	if err != nil {
 		return fabric.Stats{}, err
 	}
-	if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+	want := m
+	if alg.Transposes() {
+		want = m.Transposed()
+	}
+	if verr := res.Dist.Verify(want); verr != nil {
 		return fabric.Stats{}, verr
 	}
 	return res.Stats, nil
+}
+
+// runTranspose is verified on the square two-dimensional consecutive pair
+// of 2^logElems elements over an n-cube.
+func runTranspose(alg plan.Algorithm, logElems, n int, opt core.Options) (fabric.Stats, error) {
+	before, after, _, _, ok := twoDimLayouts(logElems, n)
+	if !ok {
+		return fabric.Stats{}, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
+	}
+	return verified(alg, before, after, opt)
 }
 
 // fig13 reproduces Figure 13: copy, communication and total time of the
@@ -177,17 +189,9 @@ func fig15() (*Table, error) {
 			}
 			before := field.TwoDimEncoded(p, q, n/2, n/2, field.Binary, field.Gray)
 			after := field.TwoDimEncoded(q, p, n/2, n/2, field.Binary, field.Gray)
-			m := matrix.NewIota(p, q)
 			run := func(alg plan.Algorithm) (float64, error) {
-				d := matrix.Scatter(m, before)
-				res, err := core.Transpose(alg, d, after, core.Options{Machine: mach})
-				if err != nil {
-					return 0, err
-				}
-				if verr := res.Dist.Verify(m.Transposed()); verr != nil {
-					return 0, verr
-				}
-				return res.Stats.Time, nil
+				st, err := verified(alg, before, after, core.Options{Machine: mach})
+				return st.Time, err
 			}
 			naive, err := run(plan.MixedNaive)
 			if err != nil {

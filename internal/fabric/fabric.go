@@ -107,7 +107,6 @@ type Stats struct {
 	FaultedSends int64 // sends that failed past the retry budget (typed error)
 	Rerouted     int64 // flows failed over to an alternate disjoint path
 	ExtraHops    int64 // extra hops incurred by failover reroutes
-	Abandoned    int64 // flows abandoned under best-effort failover
 }
 
 // Logical strips the timing-derived fields (Time, CopyTime, MaxLinkBusy),
@@ -147,7 +146,6 @@ func (s Stats) Merge(b Stats) Stats {
 	out.FaultedSends += b.FaultedSends
 	out.Rerouted += b.Rerouted
 	out.ExtraHops += b.ExtraHops
-	out.Abandoned += b.Abandoned
 	return out
 }
 

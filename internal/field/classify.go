@@ -1,5 +1,7 @@
 package field
 
+import "fmt"
+
 // This file classifies the interprocessor communication implied by a
 // transposition from one layout to another, following Sections 2, 5 and 6 of
 // the paper. The before-layout describes the P x Q matrix A; the
@@ -72,10 +74,12 @@ type Classification struct {
 
 // Classify determines the communication pattern of transposing a matrix
 // stored under `before` (a P x Q layout) into `after` (a Q x P layout).
-// after.P must equal before.Q and after.Q equal before.P.
-func Classify(before, after Layout) Classification {
+// A pair whose shapes are not transposes of each other (after.P must equal
+// before.Q and after.Q equal before.P) is refused with an error.
+func Classify(before, after Layout) (Classification, error) {
 	if after.P != before.Q || after.Q != before.P {
-		panic("field: after-layout shape is not the transpose of before-layout")
+		return Classification{}, fmt.Errorf("field: classify needs transposed shapes, got %dx%d -> %dx%d",
+			before.P, before.Q, after.P, after.Q)
 	}
 	rb := before.RealBits()
 	raRaw := after.RealBits()
@@ -108,7 +112,7 @@ func Classify(before, after Layout) Classification {
 	default:
 		c.Pattern = General
 	}
-	return c
+	return c, nil
 }
 
 func intersect(a, b []int) []int {

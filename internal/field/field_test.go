@@ -257,7 +257,10 @@ func TestClassify(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		got := Classify(c.before, c.after)
+		got, err := Classify(c.before, c.after)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if got.Pattern != c.pattern || got.K != c.k || got.L != c.l {
 			t.Errorf("%s: got %v k=%d l=%d, want %v k=%d l=%d (RB=%v RA=%v I=%v)",
 				c.name, got.Pattern, got.K, got.L, c.pattern, c.k, c.l, got.RB, got.RA, got.I)
@@ -270,18 +273,18 @@ func TestClassify(t *testing.T) {
 func TestClassifyMixedAllToAll(t *testing.T) {
 	before := TwoDimMixed(5, 5, 2, 2, Binary)
 	after := TwoDimMixed(5, 5, 2, 2, Binary)
-	got := Classify(before, after)
+	got, err := Classify(before, after)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Pattern != AllToAll {
 		t.Errorf("mixed 2d: got %v (RB=%v RA=%v I=%v), want all-to-all",
 			got.Pattern, got.RB, got.RA, got.I)
 	}
 }
 
-func TestClassifyShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Classify with mismatched shapes did not panic")
-		}
-	}()
-	Classify(OneDimCyclicCols(3, 3, 2, Binary), OneDimCyclicCols(4, 4, 2, Binary))
+func TestClassifyShapeMismatchRefused(t *testing.T) {
+	if _, err := Classify(OneDimCyclicCols(3, 3, 2, Binary), OneDimCyclicCols(4, 4, 2, Binary)); err == nil {
+		t.Error("Classify with mismatched shapes returned no error")
+	}
 }

@@ -87,8 +87,11 @@ func compileScan(p *Plan, order func() []int) error {
 func compileExchange(p *Plan) error {
 	return compileScan(p, func() []int {
 		dims := comm.DescendingDims(p.n)
-		if l := p.after.NBits(); l < p.before.NBits() && field.Classify(p.before, p.after).Pattern == field.AllToSome {
-			return slices.Concat(dims[p.n-l:], dims[:p.n-l])
+		if l := p.after.NBits(); l < p.before.NBits() {
+			// NewMoves accepted the pair, so its shapes are transposed.
+			if c, err := field.Classify(p.before, p.after); err == nil && c.Pattern == field.AllToSome {
+				return slices.Concat(dims[p.n-l:], dims[:p.n-l])
+			}
 		}
 		return dims
 	})
@@ -203,7 +206,10 @@ func pathSystems(p *Plan, name string) error {
 // pairwiseOnly verifies that the transposition is between distinct
 // source/destination pairs (Section 6.1) so path-system transposes apply.
 func pairwiseOnly(before, after field.Layout, name string) error {
-	c := field.Classify(before, after)
+	c, err := field.Classify(before, after)
+	if err != nil {
+		return fmt.Errorf("plan: %s: %w", name, err)
+	}
 	if c.Pattern != field.Pairwise {
 		return fmt.Errorf("plan: %s requires pairwise communication, got %v", name, c.Pattern)
 	}

@@ -415,7 +415,7 @@ func (m *Moves) Scatter(dstProc uint64, local []float64, srcProc uint64, data []
 // ScatterRange places the [off, off+len(data)) sub-range of the canonical
 // (srcProc, dstProc) payload into the destination local array — the
 // receive-side counterpart of GatherRange, used when multi-path chunks are
-// scattered per flow (e.g. after a failover pass abandons some of them).
+// scattered per flow (e.g. the salvaged flows of a failed run).
 func (m *Moves) ScatterRange(dstProc uint64, local []float64, srcProc uint64, off int, data []float64) {
 	copyRuns(m.in.span(dstProc, srcProc, off, len(data)), off, local, data, true)
 }

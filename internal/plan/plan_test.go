@@ -188,30 +188,22 @@ func TestPathSystemsRefuseOddN(t *testing.T) {
 // with a pairwise layout pair a path algorithm (or SBnT) must win.
 func TestChooseResolvesAuto(t *testing.T) {
 	before, after := sptLayouts()
-	onePort, err := Choose(before, after, Config{Machine: machine.IPSC()})
-	if err != nil {
-		t.Fatal(err)
+	choose := func(mach machine.Params) Algorithm {
+		t.Helper()
+		p, err := Compile(Auto, before, after, Config{Machine: mach})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Algorithm() == Auto {
+			t.Fatal("Compile(Auto) resolved to Auto")
+		}
+		return p.Algorithm()
 	}
-	if onePort == Auto {
-		t.Fatal("Choose returned Auto")
-	}
-	if onePort != Exchange && onePort != ExchangeSPTOrder && onePort != SBnT {
+	if onePort := choose(machine.IPSC()); onePort != Exchange && onePort != ExchangeSPTOrder && onePort != SBnT {
 		t.Errorf("one-port choice %v is not exchange-shaped", onePort)
 	}
-	nPort, err := Choose(before, after, Config{Machine: machine.IPSCNPort()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nPort == Exchange {
+	if choose(machine.IPSCNPort()) == Exchange {
 		t.Error("n-port pairwise choice fell back to one-port exchange")
-	}
-	// Compiling Auto must produce the same resolution.
-	p, err := Compile(Auto, before, after, Config{Machine: machine.IPSCNPort()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Algorithm() != nPort {
-		t.Errorf("Compile(Auto) resolved %v, Choose said %v", p.Algorithm(), nPort)
 	}
 }
 

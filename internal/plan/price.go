@@ -210,8 +210,12 @@ func (w *pricer) exchange(ph Phase, strat comm.Strategy) {
 // SBnT always, the path systems SPT, DPT and MPT when the pair is pairwise
 // and they compile — and returns the cheapest by price, ties to the earlier.
 func compileAuto(before, after field.Layout, cfg Config) (*Plan, error) {
+	c, err := field.Classify(before, after)
+	if err != nil {
+		return nil, err
+	}
 	cands := []Algorithm{Exchange, SBnT}
-	if field.Classify(before, after).Pattern == field.Pairwise {
+	if c.Pattern == field.Pairwise {
 		cands = append(cands, SPT, DPT, MPT)
 	}
 	var best *Plan
@@ -229,14 +233,4 @@ func compileAuto(before, after field.Layout, cfg Config) (*Plan, error) {
 		}
 	}
 	return best, nil
-}
-
-// Choose resolves the Auto algorithm: the algorithm of the plan
-// Compile(Auto) returns.
-func Choose(before, after field.Layout, cfg Config) (Algorithm, error) {
-	p, err := Compile(Auto, before, after, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return p.alg, nil
 }

@@ -12,9 +12,9 @@ import (
 var ErrNoRoute = errors.New("no fault-free route")
 
 // RouteError is the typed, deterministic error Failover returns when a flow
-// crosses a permanently-down link and cannot be rerouted (single-path
-// algorithms with failover disabled, or a saturated path system). It
-// unwraps to ErrNoRoute or ErrLinkBlocked.
+// crosses a permanently-down link and every disjoint-path alternative for
+// its pair is blocked or already carries another of its flows. It unwraps
+// to ErrNoRoute.
 type RouteError struct {
 	Flow     int    // index into the flow set
 	Src, Dst uint64 // flow endpoints
@@ -26,10 +26,6 @@ func (e *RouteError) Error() string {
 }
 
 func (e *RouteError) Unwrap() error { return e.Err }
-
-// ErrLinkBlocked is wrapped by RouteError when a flow's route crosses a
-// permanently-down link and failover is disabled.
-var ErrLinkBlocked = errors.New("route crosses a failed link")
 
 // FailoverReport quantifies the degradation a reroute pass accepted.
 type FailoverReport struct {
@@ -120,22 +116,6 @@ func Failover(flows []Flow, n int, down func(from uint64, dim int) bool, abandon
 		keptIdx = append(keptIdx, i)
 	}
 	return kept, keptIdx, rep, nil
-}
-
-// CheckRoutes reports the first flow whose route crosses a permanently-down
-// link, as a typed *RouteError wrapping ErrLinkBlocked — the failover-off
-// diagnosis path.
-func CheckRoutes(flows []Flow, down func(from uint64, dim int) bool) error {
-	for i, f := range flows {
-		x := f.Src
-		for _, d := range f.Dims {
-			if down(x, d) {
-				return &RouteError{Flow: i, Src: f.Src, Dst: f.Dst, Err: ErrLinkBlocked}
-			}
-			x ^= 1 << uint(d)
-		}
-	}
-	return nil
 }
 
 // routeKey renders a route as a comparable signature.

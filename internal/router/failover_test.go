@@ -32,7 +32,7 @@ func TestFailoverNoFaultsIsIdentity(t *testing.T) {
 	}
 }
 
-func TestFailoverReroutesBlockedFlow(t *testing.T) {
+func TestFailoverMovesBlockedFlow(t *testing.T) {
 	orig := []int{0, 1}
 	flows := []Flow{{Src: 0, Dst: 3, Dims: orig}}
 	// First hop 0-(dim 0)->1 is down.
@@ -115,7 +115,7 @@ func TestFailoverNoRouteTypedError(t *testing.T) {
 	}
 }
 
-func TestFailoverAbandonDropsFlow(t *testing.T) {
+func TestFailoverDropsUnroutableFlowOnRequest(t *testing.T) {
 	flows := []Flow{
 		{Src: 0, Dst: 1, Dims: []int{0}},
 		{Src: 1, Dst: 0, Dims: []int{0}},
@@ -132,15 +132,22 @@ func TestFailoverAbandonDropsFlow(t *testing.T) {
 	}
 }
 
-func TestCheckRoutesReportsBlockedFlow(t *testing.T) {
+func TestFailoverFindsBlockPastFirstHop(t *testing.T) {
 	flows := []Flow{
 		{Src: 0, Dst: 3, Dims: []int{0, 1}}, // 0->1->3: second hop is 1-(dim 1)->3
+		{Src: 3, Dst: 0, Dims: []int{1, 0}}, // 3->1->0 uses the opposite direction
 	}
-	if err := CheckRoutes(flows, downSet()); err != nil {
-		t.Fatalf("healthy routes flagged: %v", err)
+	kept, idx, rep, err := Failover(flows, 2, downSet([2]int{1, 1}), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := CheckRoutes(flows, downSet([2]int{1, 1}))
-	if !errors.Is(err, ErrLinkBlocked) {
-		t.Fatalf("err = %v, want ErrLinkBlocked", err)
+	if !reflect.DeepEqual(idx, []int{0, 1}) || rep.Rerouted != 1 {
+		t.Fatalf("idx = %v report = %+v, want both flows kept and 1 reroute", idx, rep)
+	}
+	if want := []int{1, 0}; !reflect.DeepEqual(kept[0].Dims, want) {
+		t.Fatalf("rerouted dims = %v, want %v", kept[0].Dims, want)
+	}
+	if &kept[1].Dims[0] != &flows[1].Dims[0] {
+		t.Fatal("the flow clear of the down link was not kept as is")
 	}
 }

@@ -154,7 +154,7 @@ func (s *Service) runRound(units []*unit) {
 	if !math.IsInf(roundBudget, 1) {
 		e.SetDeadline(roundBudget)
 	}
-	st, runErr := core.RunTransfers(e, transfers, down, false)
+	st, runErr := core.RunTransfers(e, transfers, down)
 	var re *router.RouteError
 	if errors.As(runErr, &re) {
 		// Refused before the engine ran: one flow has no fault-free route.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"boolcube/internal/fabric"
+	"boolcube/internal/router"
 )
 
 // resumeLoop drives Resume to completion, bounding the attempts. It returns
@@ -135,8 +136,7 @@ func TestDeadlineAbortsAndResumes(t *testing.T) {
 }
 
 // Pre-flight feasibility: a schedule that permanently severs an exchange
-// dimension, or every route of a flow plan under FailoverNone, is refused
-// with a typed ErrInfeasible before any traffic moves.
+// dimension is refused with a typed ErrInfeasible before any traffic moves.
 func TestInfeasibleRefusedPreFlight(t *testing.T) {
 	p, q, n := 3, 3, 4
 	m := NewIotaMatrix(p, q)
@@ -181,9 +181,7 @@ func TestResumeDegenerateCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force a failure at t=0-ish: a permanent kill on every seed-1 link the
-	// plan needs under FailoverNone yields an immediate typed error; easier
-	// and fully deterministic is a tiny deadline.
+	// Force a failure at t=0-ish: a tiny deadline is fully deterministic.
 	_, err = ct.ExecuteWith(Scatter(m, before), ExecOptions{Deadline: 1e-9})
 	var xe *ExecError
 	if !errors.As(err, &xe) {
@@ -203,5 +201,60 @@ func TestResumeDegenerateCases(t *testing.T) {
 	}
 	if verr := res2.Dist.Verify(want); verr != nil {
 		t.Fatalf("idempotent resume wrong: %v", verr)
+	}
+}
+
+// stoppedAtStart runs ct on input under a deadline of 1 ns and returns the
+// checkpoint of that stop at t ≈ 0.
+func stoppedAtStart(t *testing.T, ct *CompiledTranspose, input *Dist) *Checkpoint {
+	t.Helper()
+	_, err := ct.ExecuteWith(input, ExecOptions{Deadline: 1e-9})
+	var xe *ExecError
+	if !errors.As(err, &xe) {
+		t.Fatalf("tiny deadline did not checkpoint: %v", err)
+	}
+	return xe.Checkpoint
+}
+
+// Resume's residual flows fail over like a fresh run's: an SPT checkpoint
+// resumed with one link down finishes element-exactly for every directed
+// link of a 4-cube, and some of those links block a residual route.
+func TestResumeFailsOverAroundADownLink(t *testing.T) {
+	ct, input, want := sptFourCube(t)
+	hits := 0
+	for _, l := range everyDirectedLink(4) {
+		fp, err := CompileFaults(SingleLinkDown(l.From, l.Dim), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Resume(stoppedAtStart(t, ct, input()), ExecOptions{Faults: fp})
+		if err != nil {
+			t.Fatalf("link %v down: resume failed: %v", l, err)
+		}
+		if verr := res.Dist.Verify(want); verr != nil {
+			t.Fatalf("link %v down: resumed transpose wrong: %v", l, verr)
+		}
+		if res.Stats.Rerouted > 0 {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no single link failure ever blocked a residual route")
+	}
+}
+
+// A residual flow with no disjoint alternative refuses the resumed run as
+// it refuses a fresh one: Resume and Recover (Resume when no node is dead)
+// each hand back a resumable *ExecError wrapping a *router.RouteError for
+// the isolated node's flow.
+func TestUnroutableResidualRefusesResumeAndRecover(t *testing.T) {
+	ct, input, _ := sptFourCube(t)
+	const cut = 1
+	for name, finish := range map[string]func(*Checkpoint, ExecOptions) (*Result, error){"Resume": Resume, "Recover": Recover} {
+		_, err := finish(stoppedAtStart(t, ct, input()), ExecOptions{Faults: isolated(t, cut, 4)})
+		var re *router.RouteError
+		if !errors.As(err, &re) || re.Src != cut || !errors.Is(err, router.ErrNoRoute) || !errors.As(err, new(*ExecError)) {
+			t.Errorf("%s: err = %v, want an *ExecError wrapping *router.RouteError for node %d's flow", name, err, cut)
+		}
 	}
 }
