@@ -391,7 +391,7 @@ func (c *CompiledTranspose) ExecuteWith(d *Dist, xo ExecOptions) (*Result, error
 // Checkpointed execution: any mid-run failure — fault injection past the
 // retry budget, a missed Deadline, a delivery-audit mismatch — surfaces as a
 // typed *ExecError carrying a Checkpoint of everything already delivered.
-// Resume recompiles the residual move-set against the post-failure fault
+// Recover recompiles the residual move-set against the post-failure fault
 // state and finishes into the same distribution an uninterrupted run would
 // have produced, bit for bit, at a fraction of a full restart's traffic.
 type (
@@ -432,26 +432,19 @@ var (
 	ErrRetryBudget = fabric.ErrRetryBudget
 )
 
-// Resume finishes a checkpointed execution: local residuals replay
-// host-side, network residuals run as direct dimension-order flows against
-// the checkpoint's fault schedule shifted to the failure instant — links
-// that failed mid-run are permanently down in the shifted view, so the
-// failover pass routes around them on disjoint-path alternatives.
-// The Result's Stats fold the resumed run's cost on top of the checkpoint's
-// sunk cost; if the resumed run fails in turn, the returned *ExecError
-// carries an updated checkpoint and Resume can be called again.
-func Resume(cp *Checkpoint, xo ExecOptions) (*Result, error) {
-	return core.Resume(cp, xo)
-}
-
-// Recover is Resume with crash-stop survival: dead nodes (accumulated in
-// the checkpoint plus every kill its fault schedule reports as fired) are
-// relabeled away — an idle live node substitutes for each dead one when the
-// cube has spares, otherwise the logical cube folds Gray-code-preservingly
-// onto a dead-free subcube — and the residual move-set reruns against the
-// new embedding. The recovered Dist is bit-identical to an unfaulted run's.
-// With no dead node it behaves exactly like Resume, so every *ExecError can
-// be routed through it.
+// Recover finishes a checkpointed execution, whatever stopped it. Local
+// residuals replay host-side; network residuals run as direct
+// dimension-order flows against the checkpoint's fault schedule shifted to
+// the failure instant — links that failed mid-run are permanently down in
+// the shifted view, so the failover pass routes around them on
+// disjoint-path alternatives. Dead nodes (accumulated in the checkpoint plus
+// every kill its fault schedule reports as fired) are relabeled away: an
+// idle live node substitutes for each dead one when the cube has spares,
+// otherwise the logical cube folds Gray-code-preservingly onto a dead-free
+// subcube. The finished Dist is bit-identical to an unfaulted run's, and
+// its Stats fold the finishing run's cost on top of the checkpoint's sunk
+// cost; if the finishing run fails in turn, the returned *ExecError carries
+// an updated checkpoint and Recover can be called again.
 func Recover(cp *Checkpoint, xo ExecOptions) (*Result, error) {
 	return core.Recover(cp, xo)
 }

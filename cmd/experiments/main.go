@@ -31,14 +31,17 @@ func realMain(args []string, out io.Writer) error {
 	list := flag.Bool("list", false, "list experiment ids")
 	id := flag.String("exp", "", "run one experiment by id")
 	all := flag.Bool("all", false, "run every experiment")
-	format := flag.String("format", "text", "output format: text, md, csv, json")
+	format := flag.String("format", "text", "output format: text, md, json")
 	par := flag.Int("parallel", 0, "experiments to generate concurrently with -all (0 = all cores)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	if err := flag.Parse(args); err != nil {
 		return err
 	}
-	render = *format
+	render, ok := renderers[*format]
+	if !ok {
+		return fmt.Errorf("unknown format %q", *format)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -65,12 +68,6 @@ func realMain(args []string, out io.Writer) error {
 		}()
 	}
 
-	switch render {
-	case "text", "md", "csv", "json":
-	default:
-		return fmt.Errorf("unknown format %q", render)
-	}
-
 	switch {
 	case *list:
 		for _, id := range exper.IDs() {
@@ -78,56 +75,41 @@ func realMain(args []string, out io.Writer) error {
 		}
 		return nil
 	case *id != "":
-		return run(out, *id)
+		return run(out, *id, render)
 	case *all:
-		return runAll(out, *par)
+		return runAll(out, *par, render)
 	default:
 		flag.Usage()
 		return fmt.Errorf("one of -list, -exp, -all required")
 	}
 }
 
-var render = "text"
+// renderers maps each -format value to its table rendering.
+var renderers = map[string]func(*exper.Table) string{
+	"text": (*exper.Table).String,
+	"md":   (*exper.Table).Markdown,
+	"json": (*exper.Table).JSON,
+}
 
 // runAll generates every experiment through the parallel sweep harness
 // (exper.RunMany, up to par workers) and prints the results in id order;
 // the output is byte-identical to a serial run for any par.
-func runAll(out io.Writer, par int) error {
-	ids := exper.IDs()
-	tabs, err := exper.RunMany(ids, par)
+func runAll(out io.Writer, par int, render func(*exper.Table) string) error {
+	tabs, err := exper.RunMany(exper.IDs(), par)
 	if err != nil {
 		return err
 	}
 	for _, tab := range tabs {
-		switch render {
-		case "md":
-			fmt.Fprint(out, tab.Markdown())
-		case "csv":
-			fmt.Fprint(out, tab.CSV())
-		case "json":
-			fmt.Fprint(out, tab.JSON())
-		default:
-			fmt.Fprint(out, tab.String())
-		}
-		fmt.Fprintln(out)
+		fmt.Fprintln(out, render(tab))
 	}
 	return nil
 }
 
-func run(out io.Writer, id string) error {
+func run(out io.Writer, id string, render func(*exper.Table) string) error {
 	tab, err := exper.Run(id)
 	if err != nil {
 		return err
 	}
-	switch render {
-	case "md":
-		fmt.Fprint(out, tab.Markdown())
-	case "csv":
-		fmt.Fprint(out, tab.CSV())
-	case "json":
-		fmt.Fprint(out, tab.JSON())
-	default:
-		fmt.Fprint(out, tab.String())
-	}
+	fmt.Fprint(out, render(tab))
 	return nil
 }

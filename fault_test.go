@@ -121,14 +121,14 @@ func TestNodeDownIsFatalForItsTraffic(t *testing.T) {
 }
 
 func isTypedFaultErr(err error) bool {
-	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
-		errors.Is(err, router.ErrNoRoute)
+	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget)
 }
 
 // A flow with no disjoint alternative refuses the run: with every outgoing
 // link of one node down, that node's SPT flow has nowhere to go while the
 // flows merely routed through it do, and the run fails before any traffic
-// moves with a typed *router.RouteError naming the stranded flow.
+// moves with a typed *router.RouteError naming the stranded flow. The
+// refusal classifies as the link-down outcome it stands for.
 func TestUnroutableFlowRefusesTheRun(t *testing.T) {
 	ct, input, _ := sptFourCube(t)
 	const cut = 1
@@ -136,6 +136,9 @@ func TestUnroutableFlowRefusesTheRun(t *testing.T) {
 	var re *router.RouteError
 	if !errors.As(err, &re) || re.Src != cut || !errors.Is(err, router.ErrNoRoute) {
 		t.Fatalf("err = %v, want *router.RouteError for node %d's flow", err, cut)
+	}
+	if !errors.Is(err, ErrLinkDown) {
+		t.Fatalf("err = %v does not unwrap to ErrLinkDown", err)
 	}
 }
 

@@ -29,11 +29,12 @@ func (f *firstSend) Record(ev fabric.TraceEvent) {
 // zero options, exactly what they always did (Stats pinned below). The two
 // conversions are registry rows now, run through Transpose (each case keeps
 // the name of the entry point it replaced), so Options.Deadline and
-// Options.Faults get a plan's treatment: a deadline abort is an *ExecError whose checkpoint Resume
-// finishes, and a permanently-down used link is refused pre-flight (the
-// exchange phases have no alternative routes) or routed around (the encoding
-// conversion's flows fail over like any flow plan's). The Section 5
-// transcriptions are option-free test oracles; only their cost is pinned.
+// Options.Faults get a plan's treatment: a deadline abort is an *ExecError
+// whose checkpoint Recover finishes, and a permanently-down used link is
+// refused pre-flight (the exchange phases have no alternative routes) or
+// routed around (the encoding conversion's flows fail over like any flow
+// plan's). The Section 5 transcriptions are option-free test oracles; only
+// their cost is pinned.
 func TestAdHocEntryPointsHonourExecOptions(t *testing.T) {
 	mach := machine.IPSC()
 	m := matrix.NewIota(4, 4)
@@ -95,10 +96,10 @@ func TestAdHocEntryPointsHonourExecOptions(t *testing.T) {
 			if de.Deadline != 1 {
 				t.Errorf("Deadline 1: error reports deadline %v", de.Deadline)
 			}
-			if res, err = Resume(ee.Checkpoint, ExecOptions{}); err != nil {
-				t.Fatalf("Resume after the deadline abort: %v", err)
+			if res, err = Recover(ee.Checkpoint, ExecOptions{}); err != nil {
+				t.Fatalf("Recover after the deadline abort: %v", err)
 			} else if err := res.Dist.Verify(want); err != nil {
-				t.Errorf("Resume after the deadline abort: %v", err)
+				t.Errorf("Recover after the deadline abort: %v", err)
 			}
 
 			down := fault.MustCompile(fault.SingleLinkDown(used.link.From, used.link.Dim), c.n)

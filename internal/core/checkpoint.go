@@ -13,7 +13,7 @@ import (
 // partially filled destination arrays, the span-set of canonical payloads
 // already placed in them, the cost accrued so far, and everything needed to
 // recompile the residual move-set (the plan, the source distribution, and
-// the options in force). Resume finishes a checkpoint into the same
+// the options in force). Recover finishes a checkpoint into the same
 // matrix.Dist an uninterrupted run would have produced, bit for bit.
 type Checkpoint struct {
 	Plan *plan.Plan
@@ -21,23 +21,23 @@ type Checkpoint struct {
 	// payloads; it is read-only throughout.
 	Src *matrix.Dist
 	// Loc holds the after-side local arrays as far as the failed run filled
-	// them; Resume completes them in place.
+	// them; Recover completes them in place.
 	Loc [][]float64
 	// Delivered records which canonical payload spans are already in Loc.
 	// A multi-phase exchange plan, which has no fine-grained progress
 	// tracking, records only the self pairs; nil means nothing at all, and
-	// Resume re-executes the full move-set.
+	// Recover re-executes the full move-set.
 	Delivered *plan.Delivered
 	// Stats is the cost accrued across the failed attempt(s) so far; a
-	// successful Resume folds its own cost on top (counters add, makespans
+	// successful Recover folds its own cost on top (counters add, makespans
 	// add, per-link maxima take the max).
 	Stats fabric.Stats
-	// At is the virtual time the run had reached when it stopped. Resume
+	// At is the virtual time the run had reached when it stopped. Recover
 	// shifts the fault schedule by it (fault.Plan.After), so a link that
-	// failed mid-run is permanently down from the resumed run's time zero.
+	// failed mid-run is permanently down from the finishing run's time zero.
 	At float64
-	// Opts are the exec options of the failed run. Resume reuses the
-	// tracer/retry/failover policy and derives its fault view from Faults.
+	// Opts are the exec options of the failed run. Recover reuses the
+	// tracer and retry policy and derives its fault view from Faults.
 	Opts ExecOptions
 	// Dead accumulates the crash-stopped nodes across every failed attempt,
 	// ascending. Recover unions it with the crashes its fault model reports
@@ -110,7 +110,7 @@ func (cp *Checkpoint) DeliveredElems() int {
 
 // ExecError is the typed error a checkpointed execution returns on any
 // mid-run failure (fault injection, deadline, deadlock, audit mismatch): the
-// underlying cause plus the Checkpoint to hand to Resume. It unwraps to the
+// underlying cause plus the Checkpoint to hand to Recover. It unwraps to the
 // cause, so errors.Is against the fault/deadline/audit sentinels keeps
 // working through it.
 type ExecError struct {

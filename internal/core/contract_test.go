@@ -644,11 +644,11 @@ func checkScale(t *testing.T) {
 	}
 }
 
-// Contract 4, deadline → Resume: the clean run is cut with a deadline at
+// Contract 4, deadline → Recover: the clean run is cut with a deadline at
 // each distinct operation end inside (0, makespan). At each cut the
 // checkpoint's delivery record must be true — every span it claims holds the
 // clean run's elements in Loc — its sunk cost must be what the cut run
-// traced, and Resume, looped on *ExecError, must finish bit-identical to the
+// traced, and Recover, looped on *ExecError, must finish bit-identical to the
 // clean run. A progress record filed under the wrong node, or a checkpoint
 // that drops the cost already paid, leaves every uninterrupted result intact
 // and fails here.
@@ -683,7 +683,7 @@ func (c *contractCell) checkDeadlines(t *testing.T) {
 				if attempt == 4 {
 					t.Fatalf("deadline %g: resume did not converge in 4 attempts", at)
 				}
-				if res, err = Resume(xe.Checkpoint, ExecOptions{}); err != nil && !errors.As(err, &xe) {
+				if res, err = Recover(xe.Checkpoint, ExecOptions{}); err != nil && !errors.As(err, &xe) {
 					t.Fatalf("deadline %g: resume: %v (not a resumable *ExecError)", at, err)
 				}
 			}
@@ -698,13 +698,12 @@ func (c *contractCell) checkDeadlines(t *testing.T) {
 // killed, and its sender crash-stops, at that send's start. Each failure is
 // typed (ErrLinkDown, or ErrNodeDown naming just the sender) and stops the
 // run between that instant and the clean run's end, with a checkpoint —
-// dead set empty, or just the sender — that Resume (link) or Recover
-// (crash) finishes bit-identical to the clean run, at a resume cost of
-// exactly what the finishing runs traced (Bytes - cp.Stats.Bytes). At the
-// zero options each scenario also replays identically, and on each backend
-// a link that drops every frame (livenet has no timed faults) fails the run
-// on its retry budget, and Resume without faults lands the same Dist with
-// the drops in its Stats. The 6-cube, where a conversion's coarse
+// dead set empty, or just the sender — that Recover finishes bit-identical
+// to the clean run, at a resume cost of exactly what the finishing runs
+// traced (Bytes - cp.Stats.Bytes). At the zero options each scenario also
+// replays identically, and on each backend a link that drops every frame
+// (livenet has no timed faults) fails the run on its retry budget, and
+// Recover without faults lands the same Dist with the drops in its Stats. The 6-cube, where a conversion's coarse
 // checkpoint reruns 4,032 flows, takes the crash alone.
 func (c *contractCell) checkFaults(t *testing.T) {
 	var sends []fabric.TraceEvent
@@ -731,14 +730,13 @@ func (c *contractCell) checkFaults(t *testing.T) {
 	n := c.pl.NDims()
 	link := fault.Link{From: v.Node, Dim: v.Dim}
 	for _, sc := range []struct {
-		name   string
-		spec   fault.Spec
-		cause  error
-		dead   []uint64
-		finish func(*Checkpoint, ExecOptions) (*Result, error)
+		name  string
+		spec  fault.Spec
+		cause error
+		dead  []uint64
 	}{
-		{"kill", fault.Spec{Rules: []fault.Rule{{Kind: fault.LinkDown, Link: link, Start: v.Start}}}, fabric.ErrLinkDown, nil, Resume},
-		{"crash", fault.NodeCrash(v.Node, v.Start), fabric.ErrNodeDown, []uint64{v.Node}, Recover},
+		{"kill", fault.Spec{Rules: []fault.Rule{{Kind: fault.LinkDown, Link: link, Start: v.Start}}}, fabric.ErrLinkDown, nil},
+		{"crash", fault.NodeCrash(v.Node, v.Start), fabric.ErrNodeDown, []uint64{v.Node}},
 	} {
 		if sc.name == "kill" && v.Start == 0 {
 			t.Logf("every send starts at t=0: no mid-run instant to kill %v at", link)
@@ -748,7 +746,7 @@ func (c *contractCell) checkFaults(t *testing.T) {
 			continue // the 6-cube takes the crash its recovery test took
 		}
 		fp := fault.MustCompile(sc.spec, n)
-		a := c.faulted(t, sc.name, fp, sc.cause, sc.finish)
+		a := c.faulted(t, sc.name, fp, sc.cause)
 		if diff := diffBits(a.dist, c.clean.Dist); diff != "" {
 			t.Errorf("%s at t=%g: %s", sc.name, v.Start, diff)
 		}
@@ -759,7 +757,7 @@ func (c *contractCell) checkFaults(t *testing.T) {
 		if !c.base {
 			continue
 		}
-		if b := c.faulted(t, sc.name, fp, sc.cause, sc.finish); !reflect.DeepEqual(a, b) {
+		if b := c.faulted(t, sc.name, fp, sc.cause); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s at t=%g: a replay of the scenario diverges:\n%+v\n%+v", sc.name, v.Start, a.final, b.final)
 		}
 	}
@@ -773,9 +771,9 @@ func (c *contractCell) checkFaults(t *testing.T) {
 		if !errors.As(err, &xe) || !errors.Is(err, fabric.ErrRetryBudget) {
 			t.Fatalf("%s all-drop %v: %v, want a resumable ErrRetryBudget", backend, link, err)
 		}
-		res, err := Resume(xe.Checkpoint, ExecOptions{Backend: backend, Faults: none})
+		res, err := Recover(xe.Checkpoint, ExecOptions{Backend: backend, Faults: none})
 		if err != nil {
-			t.Fatalf("%s Resume: %v", backend, err)
+			t.Fatalf("%s Recover: %v", backend, err)
 		}
 		if diff := diffBits(res.Dist, c.clean.Dist); diff != "" {
 			t.Errorf("%s resume: %s", backend, diff)
@@ -796,8 +794,8 @@ type faultOutcome struct {
 }
 
 // faulted runs the cell under fp, which must interrupt it with cause, and
-// loops finish on the checkpoint until the transpose completes.
-func (c *contractCell) faulted(t *testing.T, name string, fp *fault.Plan, cause error, finish func(*Checkpoint, ExecOptions) (*Result, error)) faultOutcome {
+// loops Recover on the checkpoint until the transpose completes.
+func (c *contractCell) faulted(t *testing.T, name string, fp *fault.Plan, cause error) faultOutcome {
 	t.Helper()
 	rec := trace.New()
 	_, err := ExecuteWith(c.pl, c.src(), ExecOptions{Faults: fp, Tracer: rec})
@@ -818,7 +816,7 @@ func (c *contractCell) faulted(t *testing.T, name string, fp *fault.Plan, cause 
 		if attempt == 4 {
 			t.Fatalf("%s: finish did not converge in 4 attempts", name)
 		}
-		res, err := finish(xe.Checkpoint, ExecOptions{Tracer: finRec})
+		res, err := Recover(xe.Checkpoint, ExecOptions{Tracer: finRec})
 		if err == nil {
 			out.final, out.dist, out.dead = res.Stats, res.Dist, xe.Checkpoint.Dead
 			break
@@ -884,7 +882,7 @@ func (c *contractCell) checkPrice(t *testing.T) {
 // checkDelivered asserts that the checkpoint's delivery record is exact:
 // each destination slot a span it claims marks holds the clean run's
 // element, and each slot that holds one (every element is nonzero, the
-// arrays start zeroed) is claimed, so Resume neither skips nor resends.
+// arrays start zeroed) is claimed, so Recover neither skips nor resends.
 func checkDelivered(t *testing.T, name string, cp *Checkpoint, clean *matrix.Dist) {
 	t.Helper()
 	mv := cp.Plan.Moves()

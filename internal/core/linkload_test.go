@@ -305,7 +305,7 @@ func TestLinkLoadAccounting(t *testing.T) {
 		flows = append(flows, router.Flow{Src: s, Dst: d, Dims: router.Ecube(s, d, 3),
 			Data: make([]float64, 4)})
 	}
-	if _, err := router.Run(e, flows); err != nil {
+	if _, _, err := router.RunRecover(e, flows); err != nil {
 		t.Fatal(err)
 	}
 	var sum int64

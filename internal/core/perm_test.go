@@ -221,7 +221,7 @@ func TestPermuteTwoPhaseBalanced(t *testing.T) {
 		y := plan.ApplyDimPerm(x, pi)
 		flows = append(flows, router.Flow{Src: x, Dst: y, Dims: router.Ecube(x, y, n), Data: make([]float64, N)})
 	}
-	if _, err := router.Run(eDirect, flows); err != nil {
+	if _, _, err := router.RunRecover(eDirect, flows); err != nil {
 		t.Fatal(err)
 	}
 	if direct := eDirect.Stats().MaxLinkBytes; two.Stats.MaxLinkBytes >= direct {

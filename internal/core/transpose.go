@@ -15,10 +15,10 @@
 //
 // Flow-kind plans have one executor, RunTransfers: gather → failover → one
 // engine run → scatter by flow index → fold the failover report, over a list
-// of checkpointed transfers. A first execution (execFlow), a link-fault
-// Resume, a crash Recover and a shared service round are that kernel over
-// different transfer lists, so every mid-run failure leaves a Checkpoint the
-// same kernel can finish.
+// of checkpointed transfers. A first execution (execFlow), a Recover (after
+// a link fault, a deadline or a crash) and a shared service round are that
+// kernel over different transfer lists, so every mid-run failure leaves a
+// Checkpoint the same kernel can finish.
 //
 // Every algorithm moves real matrix elements between real per-processor
 // arrays; results are returned as a matrix.Dist that callers verify
@@ -202,7 +202,7 @@ func finishDist(after field.Layout, loc [][]float64) *matrix.Dist {
 // Early scattering is what makes a one-phase execution checkpointable: when
 // the run fails mid-flight, everything already scattered is durable, the
 // per-node delivery records turn into a plan.Delivered span-set, and the
-// typed *ExecError hands the Checkpoint to Resume. A block of a multi-phase
+// typed *ExecError hands the Checkpoint to Recover. A block of a multi-phase
 // plan's last phase is not a span of the composed move-set the checkpoint
 // addresses, so such a plan fails with the coarse checkpoint (self pairs
 // placed, nothing else delivered). The hook changes no timed operation.

@@ -106,7 +106,7 @@ func chaosSweep() (*Table, error) {
 		// A crash schedule must fail by node-down detection.
 		out, st, sunk, err := runRecovered(algos[ai].alg, logElems, n,
 			core.Options{Machine: mach, Faults: fp, Backend: backend},
-			core.Recover, maxRecoverAttempts, fabric.ErrNodeDown)
+			maxRecoverAttempts, fabric.ErrNodeDown)
 		if err != nil {
 			return cell{}, err
 		}

@@ -118,17 +118,6 @@ func (t *Table) Markdown() string {
 	return sb.String()
 }
 
-// CSV renders the table as comma-separated values (quotes cells containing
-// commas or quotes), headers first.
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	writeCSVRow(&sb, t.Columns)
-	for _, r := range t.Rows {
-		writeCSVRow(&sb, r)
-	}
-	return sb.String()
-}
-
 // JSON renders the table as one indented JSON object — id, title, columns,
 // rows, notes — for machine-consumed artifacts (the nightly chaos CI job
 // uploads the chaos sweep in this form).
@@ -146,22 +135,6 @@ func (t *Table) JSON() string {
 		return fmt.Sprintf("{\"id\":%q,\"error\":%q}", t.ID, err.Error())
 	}
 	return string(b) + "\n"
-}
-
-func writeCSVRow(sb *strings.Builder, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		if strings.ContainsAny(c, ",\"\n") {
-			sb.WriteByte('"')
-			sb.WriteString(strings.ReplaceAll(c, `"`, `""`))
-			sb.WriteByte('"')
-		} else {
-			sb.WriteString(c)
-		}
-	}
-	sb.WriteByte('\n')
 }
 
 // Generator produces one artifact.

@@ -10,7 +10,6 @@ import (
 	"boolcube/internal/machine"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/router"
 )
 
 func init() {
@@ -37,7 +36,7 @@ const (
 
 // recoverySweep measures checkpoint/resume rather than raw robustness: k
 // random directed links are killed permanently at a mid-run epoch, the
-// failed execution returns its typed checkpoint, and Resume finishes the
+// failed execution returns its typed checkpoint, and Recover finishes the
 // residual move-set over the surviving links. Unlike the fault-sweep (links
 // down from time zero, where the exchange algorithm is fatal by
 // construction), a mid-run kill leaves every algorithm resumable: the
@@ -101,7 +100,7 @@ func recoverySweep() (*Table, error) {
 			return cell{}, err
 		}
 		out, st, sunk, err := runRecovered(a.alg, logElems, n, core.Options{Machine: mach, Faults: fp},
-			core.Resume, maxResumeAttempts, nil)
+			maxResumeAttempts, nil)
 		if err != nil {
 			return cell{}, err
 		}
@@ -153,15 +152,14 @@ func recoverySweep() (*Table, error) {
 const maxResumeAttempts = 3
 
 // runRecovered runs one transposition under a mid-run fault schedule and,
-// on failure, hands the checkpoint to finish (core.Resume or core.Recover,
-// on the run's backend) up to attempts times. cause, when non-nil, is the
-// sentinel the failure must carry; a run that still fails with it, or with
-// any injected-fault outcome, counts as failed. It returns the outcome class,
-// the final cumulative Stats, and the cost already sunk at the first
-// checkpoint (so finishing traffic is st.Bytes - sunk). The result is
-// verified element-exact in every successful outcome.
-func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options,
-	finish func(*core.Checkpoint, core.ExecOptions) (*core.Result, error), attempts int, cause error) (outcome, fabric.Stats, int64, error) {
+// on failure, hands the checkpoint to core.Recover (on the run's backend) up
+// to attempts times. cause, when non-nil, is the sentinel the failure must
+// carry; a run that still fails with it, or with any injected-fault outcome,
+// counts as failed. It returns the outcome class, the final cumulative
+// Stats, and the cost already sunk at the first checkpoint (so finishing
+// traffic is st.Bytes - sunk). The result is verified element-exact in
+// every successful outcome.
+func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options, attempts int, cause error) (outcome, fabric.Stats, int64, error) {
 	before, after, p, q, ok := twoDimLayouts(logElems, n)
 	if !ok {
 		return outFailed, fabric.Stats{}, 0, fmt.Errorf("exper: shape %d elems on %d-cube invalid", logElems, n)
@@ -176,7 +174,7 @@ func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options,
 		}
 		out, sunk = outRecovered, xe.Checkpoint.Stats.Bytes
 		for attempt := 0; attempt < attempts; attempt++ {
-			if res, err = finish(xe.Checkpoint, core.ExecOptions{Backend: opt.Backend}); !errors.As(err, &xe) {
+			if res, err = core.Recover(xe.Checkpoint, core.ExecOptions{Backend: opt.Backend}); !errors.As(err, &xe) {
 				break
 			}
 		}
@@ -197,5 +195,5 @@ func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options,
 // outcomes a sweep counts as "failed" rather than an experiment error.
 func isFaultOutcome(err error) bool {
 	return errors.Is(err, fabric.ErrLinkDown) || errors.Is(err, fabric.ErrRetryBudget) ||
-		errors.Is(err, router.ErrNoRoute) || errors.Is(err, core.ErrInfeasible)
+		errors.Is(err, core.ErrInfeasible)
 }

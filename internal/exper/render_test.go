@@ -36,23 +36,6 @@ func TestTableMarkdown(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	s := sampleTable().CSV()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("csv has %d lines, want 4:\n%s", len(lines), s)
-	}
-	if lines[0] != "a,b" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[2], `"x,y"`) {
-		t.Errorf("comma cell not quoted: %q", lines[2])
-	}
-	if !strings.Contains(lines[2], `"quo""ted"`) {
-		t.Errorf("quote cell not escaped: %q", lines[2])
-	}
-}
-
 func TestAddRowFormats(t *testing.T) {
 	tab := &Table{Columns: []string{"v"}}
 	tab.AddRow(0.0)

@@ -31,7 +31,7 @@ func TestAfterShiftsWindows(t *testing.T) {
 	}
 	// A kill scheduled after the view instant is still in the future there;
 	// one that fired before it becomes permanent-from-zero — the property
-	// Resume's failover relies on to route around mid-run-failed links.
+	// Recover's failover relies on to route around mid-run-failed links.
 	if q.PermanentlyDown(2, 0) {
 		t.Fatal("kill at original t=15 reported PermanentlyDown in the t=10 view")
 	}

@@ -35,10 +35,7 @@ package remap
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
-
-	"boolcube/internal/router"
 )
 
 // Mode identifies the strategy an Assignment used.
@@ -52,18 +49,6 @@ const (
 	// Fold: the cube was folded onto a dead-free subcube.
 	Fold
 )
-
-func (m Mode) String() string {
-	switch m {
-	case Identity:
-		return "identity"
-	case Spare:
-		return "spare"
-	case Fold:
-		return "fold"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // Assignment is a computed relabeling of the logical cube onto live
 // physical nodes. The zero value is not valid; build one with Plan.
@@ -81,13 +66,12 @@ type Assignment struct {
 
 	foldMask uint64 // folded dimension bits
 	keptBits uint64 // kept value on each folded bit
-	deadSet  map[uint64]bool
 }
 
 // Plan computes an assignment for an n-cube with the given dead physical
 // nodes. active lists the logical nodes that must land on live hosts — the
-// endpoints of the traffic still to be moved; nil means every node. Plan
-// fails only when no node survives.
+// endpoints of the traffic still to be moved. Plan fails only when no node
+// survives.
 func Plan(n int, dead []uint64, active []uint64) (*Assignment, error) {
 	if n < 0 || n > 20 {
 		return nil, fmt.Errorf("remap: cube dimension %d out of range [0,20]", n)
@@ -103,20 +87,14 @@ func Plan(n int, dead []uint64, active []uint64) (*Assignment, error) {
 	if uint64(len(deadSet)) == N {
 		return nil, fmt.Errorf("remap: all %d nodes dead; nothing to recover onto", N)
 	}
-	a := &Assignment{N: n, Dead: sortedKeys(deadSet), deadSet: deadSet}
+	a := &Assignment{N: n, Dead: sortedKeys(deadSet)}
 
 	activeSet := make(map[uint64]bool, len(active))
-	if active == nil {
-		for x := uint64(0); x < N; x++ {
-			activeSet[x] = true
+	for _, x := range active {
+		if x >= N {
+			return nil, fmt.Errorf("remap: active node %d out of range [0,%d)", x, N)
 		}
-	} else {
-		for _, x := range active {
-			if x >= N {
-				return nil, fmt.Errorf("remap: active node %d out of range [0,%d)", x, N)
-			}
-			activeSet[x] = true
-		}
+		activeSet[x] = true
 	}
 
 	// needed: active nodes whose identity host is dead.
@@ -192,44 +170,8 @@ func (a *Assignment) Phys(x uint64) uint64 {
 	return x
 }
 
-// Route returns the dimension-order route between the physical hosts of two
-// logical nodes — empty when the endpoints coincide under the assignment
-// (the transfer is a host-side copy on the shared node).
-func (a *Assignment) Route(src, dst uint64) []int {
-	return router.Ecube(a.Phys(src), a.Phys(dst), a.N)
-}
-
 // Degraded reports whether the assignment changes any mapping at all.
 func (a *Assignment) Degraded() bool { return a.Mode != Identity }
-
-// Describe renders the assignment deterministically for logs and tests.
-func (a *Assignment) Describe() string {
-	switch a.Mode {
-	case Spare:
-		s := fmt.Sprintf("spare substitution for %d node(s):", len(a.Spared))
-		for _, x := range sortedKeys(mapBoolKeys(a.Spared)) {
-			s += fmt.Sprintf(" %d->%d", x, a.Spared[x])
-		}
-		return s
-	case Fold:
-		return fmt.Sprintf("fold onto %d-subcube over dims %v (kept bits %0*b)",
-			a.N-len(a.FoldDims), a.FoldDims, len(a.FoldDims), compress(a.keptBits, a.foldMask))
-	}
-	return "identity (no active node dead)"
-}
-
-// compress packs the kept bits of the folded dimensions together for
-// display.
-func compress(kept, mask uint64) uint64 {
-	var out, o uint64
-	for mask != 0 {
-		d := uint(bits.TrailingZeros64(mask))
-		out |= (kept >> d & 1) << o
-		o++
-		mask &^= 1 << d
-	}
-	return out
-}
 
 func sortedKeys(m map[uint64]bool) []uint64 {
 	out := make([]uint64, 0, len(m))
@@ -237,13 +179,5 @@ func sortedKeys(m map[uint64]bool) []uint64 {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func mapBoolKeys(m map[uint64]uint64) map[uint64]bool {
-	out := make(map[uint64]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
 	return out
 }

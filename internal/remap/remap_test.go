@@ -4,7 +4,19 @@ import (
 	"math/bits"
 	"reflect"
 	"testing"
+
+	"boolcube/internal/router"
 )
+
+// every lists all nodes of an n-cube: the active set when every node
+// carries residual traffic.
+func every(n int) []uint64 {
+	out := make([]uint64, 1<<uint(n))
+	for x := range out {
+		out[x] = uint64(x)
+	}
+	return out
+}
 
 func TestIdentityWhenNoActiveNodeDead(t *testing.T) {
 	// Node 5 is dead but carries no residual traffic: nothing to relabel.
@@ -40,15 +52,15 @@ func TestSpareSubstitution(t *testing.T) {
 			t.Fatalf("Phys(%d) = %d, want identity for live active nodes", x, a.Phys(x))
 		}
 	}
-	if r := a.Route(0, 3); len(r) == 0 {
-		t.Fatalf("Route(0,3) empty; want a route to the spare")
+	if r := router.Ecube(a.Phys(0), a.Phys(3), a.N); len(r) == 0 {
+		t.Fatalf("route 0->3 empty; want a route to the spare")
 	}
 }
 
 func TestFoldWhenEveryNodeActive(t *testing.T) {
 	// All 8 nodes carry traffic, node 5 = 101b is dead: no spare exists, so
 	// the cube folds along dimension 2 onto the half without node 5.
-	a, err := Plan(3, []uint64{5}, nil)
+	a, err := Plan(3, []uint64{5}, every(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +80,13 @@ func TestFoldWhenEveryNodeActive(t *testing.T) {
 		}
 	}
 	// Endpoints that coincide under the fold route host-side.
-	if r := a.Route(1, 5); len(r) != 0 {
-		t.Fatalf("Route(1,5) = %v, want empty (both map to node 1)", r)
+	if r := router.Ecube(a.Phys(1), a.Phys(5), a.N); len(r) != 0 {
+		t.Fatalf("route 1->5 = %v, want empty (both map to node 1)", r)
 	}
 }
 
 func TestFoldTwoDeadNodes(t *testing.T) {
-	a, err := Plan(3, []uint64{2, 7}, nil)
+	a, err := Plan(3, []uint64{2, 7}, every(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +102,7 @@ func TestFoldTwoDeadNodes(t *testing.T) {
 }
 
 func TestFoldPreservesAdjacency(t *testing.T) {
-	a, err := Plan(4, []uint64{1, 6, 11}, nil)
+	a, err := Plan(4, []uint64{1, 6, 11}, every(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +121,13 @@ func TestFoldPreservesAdjacency(t *testing.T) {
 }
 
 func TestAllDeadRejected(t *testing.T) {
-	if _, err := Plan(1, []uint64{0, 1}, nil); err == nil {
+	if _, err := Plan(1, []uint64{0, 1}, every(1)); err == nil {
 		t.Fatalf("Plan with no survivors must fail")
 	}
 }
 
 func TestOutOfRangeRejected(t *testing.T) {
-	if _, err := Plan(2, []uint64{4}, nil); err == nil {
+	if _, err := Plan(2, []uint64{4}, every(2)); err == nil {
 		t.Fatalf("dead node beyond the cube must be rejected")
 	}
 	if _, err := Plan(2, nil, []uint64{9}); err == nil {
@@ -123,13 +135,13 @@ func TestOutOfRangeRejected(t *testing.T) {
 	}
 }
 
-func TestDescribeDeterministic(t *testing.T) {
+func TestPlanDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		dead, active []uint64
 	}{
 		{[]uint64{3}, []uint64{0, 1, 2, 3}},
-		{[]uint64{5}, nil},
-		{[]uint64{2, 7}, nil},
+		{[]uint64{5}, every(3)},
+		{[]uint64{2, 7}, every(3)},
 	} {
 		a, err := Plan(3, tc.dead, tc.active)
 		if err != nil {
@@ -139,8 +151,11 @@ func TestDescribeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Describe() != b.Describe() {
-			t.Fatalf("Describe not deterministic: %q vs %q", a.Describe(), b.Describe())
+		for x := uint64(0); x < 8; x++ {
+			if a.Mode != b.Mode || a.Phys(x) != b.Phys(x) {
+				t.Fatalf("dead %v: Plan not deterministic at node %d: %d (mode %d) vs %d (mode %d)",
+					tc.dead, x, a.Phys(x), a.Mode, b.Phys(x), b.Mode)
+			}
 		}
 	}
 }
@@ -171,7 +186,7 @@ func FuzzRemap(f *testing.F) {
 			}
 		}
 		if activeMask == 0 {
-			active = nil // every node active
+			active = every(n)
 		}
 
 		a, err := Plan(n, dead, active)
@@ -189,13 +204,7 @@ func FuzzRemap(f *testing.F) {
 		for _, d := range dead {
 			deadSet[d] = true
 		}
-		check := active
-		if check == nil {
-			for x := uint64(0); x < N; x++ {
-				check = append(check, x)
-			}
-		}
-		for _, x := range check {
+		for _, x := range active {
 			px := a.Phys(x)
 			if px >= N {
 				t.Fatalf("Phys(%d) = %d out of range", x, px)
@@ -223,10 +232,10 @@ func FuzzRemap(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Describe() != b.Describe() || a.Mode != b.Mode {
+		if a.Mode != b.Mode {
 			t.Fatalf("Plan not deterministic")
 		}
-		for _, x := range check {
+		for x := uint64(0); x < N; x++ {
 			if a.Phys(x) != b.Phys(x) {
 				t.Fatalf("Phys not deterministic at %d", x)
 			}

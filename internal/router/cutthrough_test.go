@@ -150,7 +150,7 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := transposeFlows(n, 256)
-	if _, err := Run(e, flows); err != nil {
+	if _, _, err := RunRecover(e, flows); err != nil {
 		t.Fatal(err)
 	}
 	if ct.Time >= e.Stats().Time {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"boolcube/internal/cube"
+	"boolcube/internal/fabric"
 )
 
 // ErrNoRoute is wrapped by RouteError when every disjoint-path alternative
@@ -14,7 +15,9 @@ var ErrNoRoute = errors.New("no fault-free route")
 // RouteError is the typed, deterministic error Failover returns when a flow
 // crosses a permanently-down link and every disjoint-path alternative for
 // its pair is blocked or already carries another of its flows. It unwraps
-// to ErrNoRoute.
+// to ErrNoRoute and to fabric.ErrLinkDown — the sentinel the run would have
+// surfaced on the dead link — so callers classifying fault outcomes see the
+// same sentinel whether the run was refused or failed mid-flight.
 type RouteError struct {
 	Flow     int    // index into the flow set
 	Src, Dst uint64 // flow endpoints
@@ -25,7 +28,7 @@ func (e *RouteError) Error() string {
 	return fmt.Sprintf("router: flow %d (%d -> %d): %v", e.Flow, e.Src, e.Dst, e.Err)
 }
 
-func (e *RouteError) Unwrap() error { return e.Err }
+func (e *RouteError) Unwrap() []error { return []error{e.Err, fabric.ErrLinkDown} }
 
 // FailoverReport quantifies the degradation a reroute pass accepted.
 type FailoverReport struct {

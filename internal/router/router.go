@@ -16,9 +16,9 @@
 // flows. Every packet has a slot fixed before the run (a prefix sum of
 // packets per flow), so destinations file arrivals in place and nothing is
 // sorted or regrouped per node; a one-packet flow's payload is handed over
-// as it arrived, not copied. Run and RunRecover keep the older
-// per-destination delivery map as a view over that result, for callers
-// that only care what arrived where.
+// as it arrived, not copied. RunRecover keeps the older per-destination
+// delivery map as a view over that result, for callers that only care what
+// arrived where.
 package router
 
 import (
@@ -73,16 +73,6 @@ func (p *Partial) Elems() int {
 		total += len(d)
 	}
 	return total
-}
-
-// Run executes all flows on the engine. It returns the deliveries grouped
-// by destination node, in a deterministic order (by source). Sources inject
-// their packets round-robin across their flows — packet 0 of every flow
-// first — which realizes the paper's MPT schedule of sending one packet per
-// path per cycle.
-func Run(e fabric.Fabric, flows []Flow) (map[uint64][]Delivery, error) {
-	out, _, err := RunRecover(e, flows)
-	return out, err
 }
 
 // RunRecover is RunFlows viewed by destination: on success the completed
@@ -179,7 +169,8 @@ func RunFlows(e fabric.Fabric, flows []Flow) (*Partial, error) {
 	err := e.Run(func(nd fabric.Node) {
 		id := nd.ID()
 		// Inject own packets, round-robin across flows: round r sends
-		// packet r of every flow that has one.
+		// packet r of every flow that has one — the paper's MPT schedule
+		// of one packet per path per cycle.
 		mine := srcFlows[srcOff[id]:srcOff[id+1]]
 		rounds := 0
 		for _, fi := range mine {

@@ -21,7 +21,7 @@ func engine(t *testing.T, n int, ports machine.PortModel) *simnet.Engine {
 func TestSingleFlow(t *testing.T) {
 	e := engine(t, 3, machine.NPort)
 	flows := []Flow{{Src: 0, Dst: 7, Dims: []int{0, 1, 2}, Data: []float64{1, 2, 3}}}
-	got, err := Run(e, flows)
+	got, _, err := RunRecover(e, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSingleFlow(t *testing.T) {
 func TestLocalFlow(t *testing.T) {
 	e := engine(t, 2, machine.OnePort)
 	flows := []Flow{{Src: 1, Dst: 1, Data: []float64{5}}}
-	got, err := Run(e, flows)
+	got, _, err := RunRecover(e, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPacketSplitReassembly(t *testing.T) {
 	e := engine(t, 2, machine.NPort)
 	data := []float64{0, 1, 2, 3, 4, 5, 6}
 	flows := []Flow{{Src: 0, Dst: 3, Dims: []int{1, 0}, Data: data, Packets: 3}}
-	got, err := Run(e, flows)
+	got, _, err := RunRecover(e, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStoreAndForwardPipelining(t *testing.T) {
 	e := engine(t, 4, machine.NPort)
 	data := make([]float64, 40) // 4 packets of 10 bytes: packet time 11
 	flows := []Flow{{Src: 0, Dst: 15, Dims: []int{0, 1, 2, 3}, Data: data, Packets: 4}}
-	if _, err := Run(e, flows); err != nil {
+	if _, _, err := RunRecover(e, flows); err != nil {
 		t.Fatal(err)
 	}
 	got := e.Stats().Time
@@ -87,14 +87,14 @@ func TestStoreAndForwardPipelining(t *testing.T) {
 
 func TestRouteValidation(t *testing.T) {
 	e := engine(t, 2, machine.OnePort)
-	if _, err := Run(e, []Flow{{Src: 0, Dst: 3, Dims: []int{0}}}); err == nil ||
+	if _, _, err := RunRecover(e, []Flow{{Src: 0, Dst: 3, Dims: []int{0}}}); err == nil ||
 		!strings.Contains(err.Error(), "ends at") {
 		t.Errorf("bad route accepted: %v", err)
 	}
-	if _, err := Run(e, []Flow{{Src: 0, Dst: 1, Dims: []int{7}}}); err == nil {
+	if _, _, err := RunRecover(e, []Flow{{Src: 0, Dst: 1, Dims: []int{7}}}); err == nil {
 		t.Error("bad dimension accepted")
 	}
-	if _, err := Run(e, []Flow{{Src: 9, Dst: 1, Dims: []int{0}}}); err == nil {
+	if _, _, err := RunRecover(e, []Flow{{Src: 9, Dst: 1, Dims: []int{0}}}); err == nil {
 		t.Error("out-of-range endpoint accepted")
 	}
 }
@@ -137,7 +137,7 @@ func TestEcubeAllToAll(t *testing.T) {
 				})
 			}
 		}
-		got, err := Run(e, flows)
+		got, _, err := RunRecover(e, flows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestMPTFlowsDeliver(t *testing.T) {
 			})
 		}
 	}
-	got, err := Run(e, flows)
+	got, _, err := RunRecover(e, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestDeterministicStats(t *testing.T) {
 		return e, flows
 	}
 	e1, f1 := build()
-	if _, err := Run(e1, f1); err != nil {
+	if _, _, err := RunRecover(e1, f1); err != nil {
 		t.Fatal(err)
 	}
 	e2, f2 := build()
-	if _, err := Run(e2, f2); err != nil {
+	if _, _, err := RunRecover(e2, f2); err != nil {
 		t.Fatal(err)
 	}
 	if e1.Stats() != e2.Stats() {

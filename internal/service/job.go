@@ -109,7 +109,7 @@ type Job struct {
 
 // Wait blocks until the job finishes and returns its result. On failure
 // the error is typed: a *core.ExecError carries the job's checkpoint
-// (hand it to core.Resume to finish the transpose on a private engine),
+// (hand it to core.Recover to finish the transpose on a private engine),
 // ErrCanceled reports a successful Cancel.
 func (j *Job) Wait() (*core.Result, error) {
 	<-j.done

@@ -1,14 +1,10 @@
 package service
 
-import (
-	"sort"
-
-	"boolcube/internal/plan"
-)
+import "slices"
 
 // This file is the service's crash-recovery layer: the circuit breaker that
-// quarantines repeatedly-suspected nodes and the small set-algebra helpers
-// runRound uses to decide which units must be relabeled around dead nodes.
+// quarantines repeatedly-suspected nodes and the check runRound uses to
+// decide which units must be relabeled around dead nodes.
 //
 // The division of labor: a unit's own dead set (unit.Dead) is authoritative
 // for that unit — its round failed on those nodes, so its recovery must
@@ -52,93 +48,18 @@ func (s *Service) QuarantinedNodes() []uint64 {
 	for nd := range s.quarantined {
 		out = append(out, nd)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// quarantineSnapshot copies the quarantine set for one round's use, so the
-// round works against a consistent view without holding the lock.
-func (s *Service) quarantineSnapshot() map[uint64]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.quarantined) == 0 {
-		return nil
-	}
-	out := make(map[uint64]bool, len(s.quarantined))
-	for nd := range s.quarantined {
-		out[nd] = true
-	}
-	return out
-}
-
-// deadView merges a unit's own casualties with the service quarantine into
-// one lookup set (nil when both are empty).
-func deadView(dead []uint64, quarantined map[uint64]bool) map[uint64]bool {
-	if len(dead) == 0 && len(quarantined) == 0 {
-		return nil
-	}
-	out := make(map[uint64]bool, len(dead)+len(quarantined))
-	for _, nd := range dead {
-		out[nd] = true
-	}
-	for nd := range quarantined {
-		out[nd] = true
-	}
-	return out
-}
-
-// mergeDead folds newly detected casualties into a unit's accumulated dead
-// set, keeping it sorted and duplicate-free.
-func mergeDead(dead, fresh []uint64) []uint64 {
-	set := make(map[uint64]bool, len(dead)+len(fresh))
-	for _, nd := range dead {
-		set[nd] = true
-	}
-	for _, nd := range fresh {
-		set[nd] = true
-	}
-	out := make([]uint64, 0, len(set))
-	for nd := range set {
-		out = append(out, nd)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedNodes flattens a node set ascending (remap.Plan wants a slice).
-func sortedNodes(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for nd := range set {
-		out = append(out, nd)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // touchesDead reports whether any of the unit's network spans starts or
 // ends on a node in the dead view — the case that forces a remap; dead
 // intermediates on a route are the failover pass's cheaper problem.
-func (u *unit) touchesDead(dead map[uint64]bool) bool {
+func (u *unit) touchesDead(dead []uint64) bool {
 	for _, sp := range u.spans {
-		if dead[sp.Src] || dead[sp.Dst] {
+		if slices.Contains(dead, sp.Src) || slices.Contains(dead, sp.Dst) {
 			return true
 		}
 	}
 	return false
-}
-
-// spanEndpoints collects the distinct endpoints of a unit's network spans,
-// in first-appearance order — the active set a remap must keep hosted.
-func spanEndpoints(spans []plan.Flow) []uint64 {
-	seen := make(map[uint64]bool, 2*len(spans))
-	var out []uint64
-	for _, sp := range spans {
-		for _, nd := range [2]uint64{sp.Src, sp.Dst} {
-			if !seen[nd] {
-				seen[nd] = true
-				out = append(out, nd)
-			}
-		}
-	}
-	return out
 }

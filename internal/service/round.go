@@ -9,7 +9,6 @@ import (
 	"boolcube/internal/fabric"
 	"boolcube/internal/matrix"
 	"boolcube/internal/plan"
-	"boolcube/internal/remap"
 	"boolcube/internal/router"
 )
 
@@ -66,7 +65,7 @@ func newUnit(j *Job) *unit {
 //
 // Under the service's fault view, rounds survive dead hardware: a unit
 // whose transfers start or end on a dead or quarantined node is relabeled
-// onto survivors (internal/remap — spare substitution or a Gray-preserving
+// onto survivors by core.Relabel (spare substitution or a Gray-preserving
 // fold), residual payloads staying addressed by logical id so results are
 // element-exact; flows that merely route through a casualty fail over to
 // disjoint-path alternatives. A round that still dies on a node crash
@@ -80,7 +79,7 @@ func (s *Service) runRound(units []*unit) {
 	if eb <= 0 {
 		eb = 8
 	}
-	avoid := s.quarantineSnapshot()
+	avoid := s.QuarantinedNodes()
 	roundDead := make(map[uint64]bool)
 	var recoveryBytes int64
 	nflows := 0
@@ -88,25 +87,21 @@ func (s *Service) runRound(units []*unit) {
 	live := units[:0:0]
 	transfers := make([]core.Transfer, 0, len(units))
 	for _, u := range units {
-		t := core.Transfer{Checkpoint: &u.Checkpoint}
-		deadU := deadView(u.Dead, avoid)
-		for nd := range deadU {
+		t := core.Transfer{Checkpoint: &u.Checkpoint, Spans: u.spans}
+		deadU := core.UnionNodes(u.Dead, avoid)
+		for _, nd := range deadU {
 			roundDead[nd] = true
 		}
 		if len(deadU) > 0 && u.touchesDead(deadU) {
 			// Degrade to dimension-order residual spans (replaying any
-			// self pairs host-side), then embed them on the survivors.
-			u.spans = u.ResidualSpans()
-			asg, err := remap.Plan(s.cfg.Dims, sortedNodes(deadU), spanEndpoints(u.spans))
-			if err != nil {
+			// self pairs host-side), embedded on the survivors.
+			var err error
+			if t, err = core.Relabel(&u.Checkpoint, s.cfg.Dims, deadU); err != nil {
 				s.failUnit(u, err)
 				continue
 			}
-			if asg.Degraded() {
-				t.Phys = asg.Phys
-			}
+			u.spans = t.Spans
 		}
-		t.Spans = u.spans
 		live = append(live, u)
 		transfers = append(transfers, t)
 		roundBudget = min(roundBudget, u.budget)
@@ -203,7 +198,7 @@ func (s *Service) runRound(units []*unit) {
 		}
 		u.attempts++
 		if crashed {
-			u.Dead = mergeDead(u.Dead, nde.Nodes)
+			u.Dead = core.UnionNodes(u.Dead, nde.Nodes)
 		}
 		binding := deadline && u.budget <= roundBudget
 		switch {
@@ -268,9 +263,9 @@ func (s *Service) completeUnit(u *unit) {
 // failUnit fails every tenant of a unit with its own resumable checkpoint:
 // the leader is handed the unit's checkpoint itself, followers get copies
 // with their own arrays and delivery record — each tenant can hand its
-// *core.ExecError checkpoint to core.Resume independently and finish
+// *core.ExecError checkpoint to core.Recover independently and finish
 // element-exact on a private engine. Followers go first, for the same
-// reason as in completeUnit: a finished leader may Resume at once, writing
+// reason as in completeUnit: a finished leader may Recover at once, writing
 // the very checkpoint the copies are taken from.
 func (s *Service) failUnit(u *unit, cause error) {
 	u.At = u.Stats.Time

@@ -388,7 +388,7 @@ func TestQueuedJobsAgeWhileResumesFillRound(t *testing.T) {
 
 // TestServiceDeadlineCheckpointResume: a job whose budget cannot cover its
 // transpose fails with a typed *core.ExecError carrying a resumable
-// checkpoint, and core.Resume finishes it element-exact on a private
+// checkpoint, and core.Recover finishes it element-exact on a private
 // engine — the service's multi-tenant generalization of engine deadlines
 // composes with the existing checkpoint machinery.
 func TestServiceDeadlineCheckpointResume(t *testing.T) {
@@ -418,7 +418,7 @@ func TestServiceDeadlineCheckpointResume(t *testing.T) {
 	if ee.Checkpoint.DeliveredElems() == 0 {
 		t.Fatal("checkpoint has no delivered elements; self pairs alone should be durable")
 	}
-	res, err := core.Resume(ee.Checkpoint, core.ExecOptions{})
+	res, err := core.Recover(ee.Checkpoint, core.ExecOptions{})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -91,7 +91,7 @@ func TestServiceRaceSoak(t *testing.T) {
 					}
 					// The deadline abort hands back a checkpoint; finish it
 					// on a private engine and verify element-exactness.
-					res, werr = core.Resume(ee.Checkpoint, core.ExecOptions{})
+					res, werr = core.Recover(ee.Checkpoint, core.ExecOptions{})
 					if werr != nil {
 						t.Errorf("worker %d: resume: %v", w, werr)
 						continue

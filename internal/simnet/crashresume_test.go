@@ -127,12 +127,12 @@ func runCrashResume(t *testing.T, n, elems, shards int, victim uint64, crashAt f
 		}
 		residual = append(residual, router.Flow{
 			Src: asg.Phys(f.Src), Dst: asg.Phys(f.Dst),
-			Dims: asg.Route(f.Src, f.Dst), Data: f.Data,
+			Dims: router.Ecube(asg.Phys(f.Src), asg.Phys(f.Dst), n), Data: f.Data,
 		})
 	}
 	e2 := ideal(t, n, machine.OnePort)
 	e2.SetShards(shards)
-	deliveries, err := router.Run(e2, residual)
+	deliveries, _, err := router.RunRecover(e2, residual)
 	if err != nil {
 		t.Fatalf("resumed run (shards=%d) failed: %v", shards, err)
 	}
@@ -167,7 +167,7 @@ func TestShardedCrashCheckpointResumeInvariant(t *testing.T) {
 	// for one that leaves residual work (deterministic, so the instant
 	// found is stable).
 	base := ideal(t, n, machine.OnePort)
-	if _, err := router.Run(base, resumeFlows(n, elems)); err != nil {
+	if _, _, err := router.RunRecover(base, resumeFlows(n, elems)); err != nil {
 		t.Fatal(err)
 	}
 	makespan := base.Stats().Time

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"boolcube/internal/fabric"
 	"boolcube/internal/router"
 )
 
@@ -61,10 +60,10 @@ func FuzzCheckpointResume(f *testing.F) {
 			if got := xe.Checkpoint.DeliveredElems(); got > len(m.Data) {
 				t.Fatalf("checkpoint claims %d delivered of %d total", got, len(m.Data))
 			}
-			res, err = Resume(xe.Checkpoint, ExecOptions{})
+			res, err = Recover(xe.Checkpoint, ExecOptions{})
 		}
 		if err != nil {
-			if errors.Is(err, router.ErrNoRoute) || errors.Is(err, fabric.ErrLinkDown) {
+			if errors.Is(err, ErrLinkDown) {
 				t.Skipf("scenario unrecoverable in 4 attempts: %v", err)
 			}
 			t.Fatalf("resume did not converge: %v", err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"boolcube/internal/fabric"
-	"boolcube/internal/router"
 )
 
 // Large-configuration soak: a 1024-processor cube moving a megabyte-scale
@@ -129,8 +128,7 @@ func TestSoakFaultedTranspose(t *testing.T) {
 			}
 			survived++
 		case err1 != nil && err2 != nil:
-			if !errors.Is(err1, fabric.ErrLinkDown) && !errors.Is(err1, fabric.ErrRetryBudget) &&
-				!errors.Is(err1, router.ErrNoRoute) {
+			if !errors.Is(err1, fabric.ErrLinkDown) && !errors.Is(err1, fabric.ErrRetryBudget) {
 				t.Fatalf("seed %d: untyped fault outcome: %v", seed, err1)
 			}
 			if err1.Error() != err2.Error() {
