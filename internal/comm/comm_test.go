@@ -172,7 +172,7 @@ func TestExchangeRejectsBadDims(t *testing.T) {
 	}
 }
 
-// A Strategy ExchangeBlocks has no packaging for is refused up front, by
+// A Strategy Lower has no packaging for is refused up front, by
 // name, not by a node program.
 func TestExchangeRejectsUnknownStrategy(t *testing.T) {
 	e := newEngine(t, 2, machine.Ideal(machine.OnePort))
@@ -209,40 +209,20 @@ func TestOneToAllCorrectness(t *testing.T) {
 	}
 }
 
-// exchangeSparse runs ExchangeBlocks over dims on every node of e, each
-// node x holding one block for every dst with sends(x, dst) and none for
-// the other pairs: the block sets of Section 3.3's some-to-all and
+// exchangeSparse runs the exchange over dims on every node of e, each node
+// x holding one block for every dst with sends(x, dst) and none for the
+// other pairs: the block sets of Section 3.3's some-to-all and
 // all-to-some. result[x] maps each source to the data x received from it.
 func exchangeSparse(t *testing.T, e *simnet.Engine, dims []int, strat Strategy, sends func(src, dst uint64) bool, size int) []map[uint64][]float64 {
 	t.Helper()
-	N := uint64(e.Nodes())
-	result := make([]map[uint64][]float64, N)
-	stray := make([]int, N) // blocks a node returned that are not its own
-	err := e.Run(func(nd fabric.Node) {
-		id := nd.ID()
-		var held []Block
-		for dst := range N {
-			if sends(id, dst) {
-				held = append(held, Block{Src: id, Dst: dst, Data: payload(id, dst, size)})
-			}
+	result, err := AllToAllExchange(e, dims, strat, func(src, dst uint64) []float64 {
+		if !sends(src, dst) {
+			return nil
 		}
-		out := make(map[uint64][]float64)
-		for _, b := range ExchangeBlocks(nd, dims, strat, held) {
-			if b.Dst != id {
-				stray[id]++
-				continue
-			}
-			out[b.Src] = b.Data
-		}
-		result[id] = out
+		return payload(src, dst, size)
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for x, c := range stray {
-		if c > 0 {
-			t.Fatalf("node %d returned %d blocks addressed elsewhere", x, c)
-		}
 	}
 	return result
 }
@@ -306,5 +286,49 @@ func TestAllToSomeCorrectness(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A uniform one-dimensional all-to-all lowers to a schedule whose size
+// grows with the steps and the buffers a node holds, not with its blocks:
+// at l steps every node holds l+1 buffers (its input and one arrival a
+// step), and step j's one message is one span per buffer it reads, j+1,
+// so a node has l(l+1)/2 spans (a strided one takes a second entry for its
+// strides), 36 at l = 8 against 256 blocks.
+func TestScheduleSpansGrowWithStepsNotBlocks(t *testing.T) {
+	mach := machine.ConnectionMachine() // Buffered packs every run into one message
+	for _, strat := range []Strategy{SingleMessage, Shuffled, Buffered} {
+		for n := 1; n <= 8; n++ {
+			s, err := Lower(n, DescendingDims(n), strat, mach, func(id uint64) []fabric.Part {
+				parts := make([]fabric.Part, 1<<uint(n))
+				for dst := range parts {
+					parts[dst] = fabric.Part{Src: id, Dst: uint64(dst), N: 4}
+				}
+				return parts
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := n * (n + 1) / 2
+			for x, np := range s.nodes {
+				spans := int32(0)
+				for j := range n {
+					st := s.steps[j*len(s.nodes)+x]
+					for _, m := range s.msgs[st.msgs.at : st.msgs.at+st.msgs.n] {
+						sps := s.spans[m.spans.at : m.spans.at+m.spans.n]
+						for k := 0; k < len(sps); k++ {
+							if sps[k].count > 1 {
+								k++ // its strides
+							}
+							spans++
+						}
+					}
+				}
+				if int(spans) != want || int(np.bufs) != n+1 {
+					t.Fatalf("%v, %d-cube: node %d lowers to %d spans over %d buffers, want %d over %d",
+						strat, n, x, spans, np.bufs, want, n+1)
+				}
+			}
+		}
 	}
 }

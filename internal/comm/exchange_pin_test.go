@@ -1,12 +1,14 @@
 package comm
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"boolcube/internal/fabric"
@@ -37,19 +39,28 @@ func (t traceHash) Record(ev fabric.TraceEvent) {
 		math.Float64bits(ev.Start), math.Float64bits(ev.End))
 }
 
+// pinBlock is one (source, destination) block of a pinned node's input:
+// its payload, its checksum (0: unaudited) and its address tags (nil: none).
+type pinBlock struct {
+	Src, Dst uint64
+	Data     []float64
+	Sum      uint64
+	Tags     []uint64
+}
+
 // pinBlocks is node id's input for one pinned run on an n-cube: a seeded,
 // sparse subset of the destinations the exchange over dims can reach, each
 // with a random destination on the other dimensions, heterogeneous sizes
 // (empty payloads and runs past the iPSC's BCopy included), a few repeated
 // (src, dst) pairs, checksums on some blocks and address tags on others.
-func pinBlocks(id uint64, n int, dims []int) []Block {
+func pinBlocks(id uint64, n int, dims []int) []pinBlock {
 	rng := rand.New(rand.NewSource(int64(id)*7919 + int64(len(dims))))
 	var mask uint64
 	for _, d := range dims {
 		mask |= 1 << uint(d)
 	}
 	outside := uint64(1)<<uint(n) - 1&^mask
-	var blocks []Block
+	var blocks []pinBlock
 	for _, dst := range subcube(id, dims) {
 		if rng.Intn(4) == 0 {
 			continue
@@ -59,7 +70,7 @@ func pinBlocks(id uint64, n int, dims []int) []Block {
 			if rng.Intn(8) == 0 {
 				size = 30 + rng.Intn(31)
 			}
-			b := Block{Src: id, Dst: dst&mask | rng.Uint64()&outside, Data: make([]float64, size)}
+			b := pinBlock{Src: id, Dst: dst&mask | rng.Uint64()&outside, Data: make([]float64, size)}
 			for i := range b.Data {
 				b.Data[i] = float64(b.Src)*1e6 + float64(b.Dst)*1e3 + float64(i) + float64(copies)/8
 			}
@@ -78,11 +89,12 @@ func pinBlocks(id uint64, n int, dims []int) []Block {
 	return blocks
 }
 
-// TestExchangeBlocksPinned pins ExchangeBlocksHooked's deliveries, Stats and
-// trace to recorded values — how the exchange stores what a node holds must
-// not change any of them — over dimension orders the registry does not
-// exercise (a random permutation, a non-contiguous subset), all four
-// strategies, the three machines, and hooked and unhooked runs.
+// TestExchangeBlocksPinned pins the exchange's deliveries, Stats and trace
+// to recorded values — how the exchange is lowered and interpreted must not
+// change any of them — over dimension orders the registry does not exercise
+// (a random permutation, a non-contiguous subset), all four strategies, the
+// three machines, and two ways of reading the deliveries: as they happen
+// (hooked) or all at the end, sorted by (Src, Dst).
 func TestExchangeBlocksPinned(t *testing.T) {
 	const n = 6
 	orders := []struct {
@@ -123,19 +135,41 @@ func TestExchangeBlocksPinned(t *testing.T) {
 	}
 }
 
-// runPinned runs one pinned exchange and digests it. Each node records its
-// deliveries — (step, Src, Dst, Sum, Data, Tags) in the order the hook saw
-// them, or the returned blocks in order — into its own slice; the digest
-// walks the nodes in address order once the run is over.
+// runPinned lowers and runs one pinned exchange and digests it. Each node
+// records its deliveries — (step, Src, Dst, Sum, Data, Tags) — into its own
+// slice, hooked in the order Run hands them over, otherwise at the end,
+// with step 0, in the order the exchange's modeled array ends in (slot key,
+// which is the source's bits on dims, then the source's input order)
+// sorted by (Src, Dst); the digest walks the nodes in address order once
+// the run is over. A block home from the start is the caller's own, so it
+// is recorded as the caller holds it, untagged blocks without tags.
 func runPinned(t *testing.T, n int, dims []int, strat Strategy, p machine.Params, hooked bool) pinCase {
 	t.Helper()
+	var mask uint64
+	for _, d := range dims {
+		mask |= 1 << uint(d)
+	}
+	inputs := make([][]pinBlock, 1<<uint(n))
+	for id := range inputs {
+		inputs[id] = pinBlocks(uint64(id), n, dims)
+	}
+	s, err := Lower(n, dims, strat, p, func(id uint64) []fabric.Part {
+		var parts []fabric.Part
+		for _, b := range inputs[id] {
+			parts = append(parts, fabric.Part{Src: b.Src, Dst: b.Dst, N: len(b.Data)})
+		}
+		return parts
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := newEngine(t, n, p)
 	tr := traceHash{fnv.New64a()}
 	e.SetTracer(tr)
 	rec := make([][]byte, e.Nodes())
-	err := e.Run(func(nd fabric.Node) {
+	err = e.Run(func(nd fabric.Node) {
 		id := nd.ID()
-		put := func(step int, b Block) {
+		put := func(step int, b pinBlock) {
 			r := rec[id]
 			r = binary.LittleEndian.AppendUint64(r, uint64(int64(step)))
 			r = binary.LittleEndian.AppendUint64(r, b.Src)
@@ -151,15 +185,44 @@ func runPinned(t *testing.T, n int, dims []int, strat Strategy, p machine.Params
 			}
 			rec[id] = r
 		}
-		blocks := pinBlocks(id, n, dims)
-		if !hooked {
-			for _, b := range ExchangeBlocks(nd, dims, strat, blocks) {
-				put(0, b)
+		blocks := inputs[id]
+		tagged := slices.ContainsFunc(blocks, func(b pinBlock) bool { return b.Tags != nil })
+		var home []pinBlock
+		in := fabric.Msg{Parts: make([]fabric.Part, len(blocks))}
+		for i, b := range blocks {
+			in.Parts[i] = fabric.Part{Src: b.Src, Dst: b.Dst, N: len(b.Data), Sum: b.Sum}
+			in.Data = append(in.Data, b.Data...)
+			if tagged {
+				// An untagged block on a tagged node travels with zero tags.
+				in.Tags = append(in.Tags, b.Tags...)
+				in.Tags = append(in.Tags, make([]uint64, len(b.Data)-len(b.Tags))...)
 			}
-			return
+			if b.Dst&mask == id&mask {
+				home = append(home, b)
+			}
 		}
-		if out := ExchangeBlocksHooked(nd, dims, strat, blocks, ExchangeHooks{OnFinal: put}); out != nil {
-			panic("hooked exchange returned blocks")
+		var got []pinBlock
+		s.Run(nd, in, func(step int, pt fabric.Part, data []float64, tags []uint64) {
+			b := pinBlock{Src: pt.Src, Dst: pt.Dst, Sum: pt.Sum, Data: data, Tags: tags}
+			if step < 0 {
+				if !slices.Equal(home[0].Data, data) || home[0].Src != pt.Src || home[0].Dst != pt.Dst {
+					panic(fmt.Sprintf("node %d: block home from the start delivered as %+v, want %+v", id, b, home[0]))
+				}
+				b, home = home[0], home[1:]
+			}
+			if hooked {
+				put(step, b)
+				return
+			}
+			b.Data, b.Tags = slices.Clone(b.Data), slices.Clone(b.Tags)
+			got = append(got, b)
+		})
+		slices.SortStableFunc(got, func(a, b pinBlock) int { return cmp.Compare(slotKey(dims, a.Src), slotKey(dims, b.Src)) })
+		slices.SortFunc(got, func(a, b pinBlock) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+		})
+		for _, b := range got {
+			put(0, b)
 		}
 	})
 	if err != nil {

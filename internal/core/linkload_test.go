@@ -190,14 +190,11 @@ func TestExchangeRowTheorem1Order(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := e.Run(func(nd fabric.Node) {
-					var blocks []comm.Block
-					for dst, ne := range elems[nd.ID()] {
-						if ne > 0 {
-							blocks = append(blocks, comm.Block{Src: nd.ID(), Dst: uint64(dst), Data: make([]float64, ne)})
-						}
+				if _, err := comm.AllToAllExchange(e, dims, comm.SingleMessage, func(src, dst uint64) []float64 {
+					if ne := elems[src][dst]; ne > 0 {
+						return make([]float64, ne)
 					}
-					comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
+					return nil
 				}); err != nil {
 					t.Fatal(err)
 				}

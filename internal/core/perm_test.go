@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"testing"
 
 	"boolcube/internal/comm"
@@ -21,22 +22,56 @@ import (
 // pairs swapped, what crosses a dimension as one message
 // (comm.SingleMessage). The node permutation leaves local storage as it is.
 func permuteProgram(d *matrix.Dist, after field.Layout, mach machine.Params, steps [][][2]int) (*Result, error) {
-	e, err := fabric.New("", d.Layout.NBits(), mach)
+	n := d.Layout.NBits()
+	e, err := fabric.New("", n, mach)
 	if err != nil {
 		return nil, err
+	}
+	// Lower every step host-side: node x's payload goes to to[x], and the
+	// payload sizes move with it.
+	type round struct {
+		s  *comm.Schedule
+		to []uint64
+	}
+	rounds := make([]round, len(steps))
+	size := make([]int, e.Nodes())
+	for x := range size {
+		size[x] = len(d.Local[x])
+	}
+	for r, step := range steps {
+		to, dims := make([]uint64, e.Nodes()), []int(nil)
+		for _, pr := range step {
+			dims = append(dims, pr[0], pr[1])
+		}
+		for x := range to {
+			to[x] = uint64(x)
+			for _, pr := range step {
+				if hi, lo := uint(pr[0]), uint(pr[1]); to[x]>>hi&1 != to[x]>>lo&1 {
+					to[x] ^= 1<<hi | 1<<lo
+				}
+			}
+		}
+		s, err := comm.Lower(n, dims, comm.SingleMessage, mach, func(x uint64) []fabric.Part {
+			return []fabric.Part{{Src: x, Dst: to[x], N: size[x]}}
+		})
+		if err != nil {
+			return nil, err
+		}
+		rounds[r] = round{s, to}
+		next := make([]int, len(size))
+		for x, y := range to {
+			next[y] = size[x]
+		}
+		size = next
 	}
 	loc := make([][]float64, e.Nodes())
 	err = e.Run(func(nd fabric.Node) {
 		id, payload := nd.ID(), d.Local[nd.ID()]
-		for _, step := range steps {
-			to, dims := id, []int(nil)
-			for _, pr := range step {
-				if hi, lo := uint(pr[0]), uint(pr[1]); to>>hi&1 != to>>lo&1 {
-					to ^= 1<<hi | 1<<lo
-				}
-				dims = append(dims, pr[0], pr[1])
+		for _, r := range rounds {
+			parts := []fabric.Part{{Src: id, Dst: r.to[id], N: len(payload)}}
+			for _, got := range playRound(nd, r.s, parts, [][]float64{payload}) {
+				payload = got
 			}
-			payload = comm.ExchangeBlocks(nd, dims, comm.SingleMessage, []comm.Block{{Src: id, Dst: to, Data: payload}})[0].Data
 		}
 		loc[id] = payload
 	})
@@ -44,6 +79,19 @@ func permuteProgram(d *matrix.Dist, after field.Layout, mach machine.Params, ste
 		return nil, err
 	}
 	return &Result{Dist: &matrix.Dist{Layout: after, Local: loc}, Stats: e.Stats()}, nil
+}
+
+// playRound plays node nd's part of the lowered exchange s with the input
+// blocks parts, whose payloads are data, and returns what it delivers by
+// source, copied out of the engine's pooled buffers.
+func playRound(nd fabric.Node, s *comm.Schedule, parts []fabric.Part, data [][]float64) map[uint64][]float64 {
+	in := fabric.Msg{Parts: parts}
+	for _, b := range data {
+		in.Data = append(in.Data, b...)
+	}
+	got := make(map[uint64][]float64, len(parts))
+	s.Run(nd, in, func(_ int, p fabric.Part, b []float64, _ []uint64) { got[p.Src] = slices.Clone(b) })
+	return got
 }
 
 // dimPermOfPair reads the dimension permutation a pair realizes off the unit
@@ -118,30 +166,51 @@ func twoPhaseProgram(e fabric.Fabric, perm func(uint64) uint64, data [][]float64
 		}
 		seen[y] = true
 	}
+	// Both rounds' blocks are fixed by the payload sizes: round 1 sends
+	// piece j of x's payload to node j; round 2 forwards, from every
+	// intermediate i, the piece each source s left there to perm(s).
 	dims := comm.DescendingDims(e.Dims())
+	round1 := make([][]fabric.Part, N)
+	round2 := make([][]fabric.Part, N)
+	for x := range N {
+		for y := range N {
+			_, sz := plan.ShareRange(len(data[x]), int(N), int(y))
+			round1[x] = append(round1[x], fabric.Part{Src: x, Dst: y, N: sz})
+			// Node x holds y's piece x after round 1.
+			_, sz = plan.ShareRange(len(data[y]), int(N), int(x))
+			round2[x] = append(round2[x], fabric.Part{Src: x, Dst: perm(y), N: sz})
+		}
+	}
+	var scheds [2]*comm.Schedule
+	for r, parts := range [2][][]fabric.Part{round1, round2} {
+		s, err := comm.Lower(e.Dims(), dims, comm.SingleMessage, e.Params(), func(x uint64) []fabric.Part { return parts[x] })
+		if err != nil {
+			return nil, err
+		}
+		scheds[r] = s
+	}
 	out := make([][]float64, N)
 	err := e.Run(func(nd fabric.Node) {
 		id := nd.ID()
 		// Round 1: scatter my payload in N pieces, piece j to node j.
-		blocks := make([]comm.Block, 0, N)
-		for j := uint64(0); j < N; j++ {
+		pieces := make([][]float64, N)
+		for j := range N {
 			off, sz := plan.ShareRange(len(data[id]), int(N), int(j))
-			blocks = append(blocks, comm.Block{Src: id, Dst: j, Data: data[id][off : off+sz]})
+			pieces[j] = data[id][off : off+sz]
 		}
-		got := comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
+		got := playRound(nd, scheds[0], slices.Clone(round1[id]), pieces)
 		// Round 2: forward each piece to the final destination of its
-		// original owner. The piece index at the destination is this
-		// node's id, carried implicitly as the round-2 source.
-		blocks = blocks[:0]
-		for _, b := range got {
-			blocks = append(blocks, comm.Block{Src: id, Dst: perm(b.Src), Data: b.Data})
+		// original owner, in source order. The piece index at the
+		// destination is this node's id, carried implicitly as the round-2
+		// source.
+		for s := range N {
+			pieces[s] = got[s]
 		}
-		final := comm.ExchangeBlocks(nd, dims, comm.SingleMessage, blocks)
-		// Reassemble pieces in intermediate order (round-2 Src ascending —
-		// ExchangeBlocks returns blocks sorted by Src).
+		final := playRound(nd, scheds[1], slices.Clone(round2[id]), pieces)
+		// Reassemble pieces in intermediate order (round-2 Src ascending).
 		var payload []float64
-		for _, b := range final {
-			payload = append(payload, b.Data...)
+		for i := range N {
+			payload = append(payload, final[i]...)
 		}
 		out[id] = payload
 	})

@@ -195,24 +195,24 @@ func finishDist(after field.Layout, loc [][]float64) *matrix.Dist {
 
 // execExchange replays a KindExchange plan: inside one node program, phase
 // after phase, every node gathers its per-destination blocks from the
-// phase's input array, runs the dimension-scan exchange over the phase's
-// dimension order with the configured strategy, and scatters each block into
-// the phase's output array — the next phase's input, or the destination array
-// for the last one — the moment it arrives (the exchange delivery hook).
-// Early scattering is what makes a one-phase execution checkpointable: when
-// the run fails mid-flight, everything already scattered is durable, the
-// per-node delivery records turn into a plan.Delivered span-set, and the
-// typed *ExecError hands the Checkpoint to Recover. A block of a multi-phase
-// plan's last phase is not a span of the composed move-set the checkpoint
-// addresses, so such a plan fails with the coarse checkpoint (self pairs
-// placed, nothing else delivered). The hook changes no timed operation.
+// phase's input array into one pooled buffer, plays its part of the phase's
+// lowered schedule (plan.Plan.Schedules: the Strategy's messages as span copies,
+// fixed once per plan) and scatters each block into the phase's output
+// array — the next phase's input, or the destination array for the last
+// one — the moment it arrives. Early scattering is what makes a one-phase
+// execution checkpointable: when the run fails mid-flight, everything
+// already scattered is durable, the per-node delivery records turn into a
+// plan.Delivered span-set, and the typed *ExecError hands the Checkpoint to
+// Recover. A block of a multi-phase plan's last phase is not a span of the
+// composed move-set the checkpoint addresses, so such a plan fails with the
+// coarse checkpoint (self pairs placed, nothing else delivered).
 func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error) {
 	e, err := newEngine(p, xo)
 	if err != nil {
 		return nil, err
 	}
 	cfg := p.Config()
-	phases := p.Phases()
+	phases, scheds := p.Phases(), p.Schedules()
 	last := len(phases) - 1
 	fine := last == 0 // only a one-phase plan's deliveries are spans of p.Moves()
 	after := p.After()
@@ -250,45 +250,45 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 				mv.Scatter(id, out, id, mv.Gather(id, local, id))
 				prog[id].selfDone = fine
 			}
-			var blocks []comm.Block
+			var in fabric.Msg
 			if local != nil {
-				// Gather every destination's payload into one pooled arena —
-				// a node sends at most its whole local array — instead of one
-				// allocation per destination. The arena is handed off to the
-				// exchange (which copies blocks into outgoing messages), never
-				// recycled here.
+				// Gather every destination's payload into one pooled buffer —
+				// a node sends at most its whole local array — with one
+				// checksummed part per destination. The schedule recycles it
+				// once no send reads it.
 				dests := mv.Destinations(id)
-				arena := nd.AllocData(len(local))
-				blocks = make([]comm.Block, 0, len(dests))
+				in = fabric.Msg{Parts: nd.AllocParts(len(dests)), Data: nd.AllocData(len(local))}
+				if debug {
+					in.Tags = make([]uint64, len(local))
+				}
 				off := 0
-				for _, dp := range dests {
+				for i, dp := range dests {
 					n := mv.PayloadLen(id, dp)
-					buf := arena[off : off+n : off+n]
-					off += n
+					buf := in.Data[off : off+n : off+n]
 					mv.GatherInto(id, local, dp, buf)
-					b := comm.Block{Src: id, Dst: dp, Data: buf, Sum: fabric.Checksum(buf)}
+					in.Parts[i] = fabric.Part{Src: id, Dst: dp, N: n, Sum: fabric.Checksum(buf)}
 					if debug {
-						b.Tags = addrTags(id, 0, n)
+						for t := range n {
+							in.Tags[off+t] = id<<32 | uint64(t)
+						}
 					}
-					blocks = append(blocks, b)
+					off += n
 				}
 			}
 			if fine && out != nil {
 				prog[id].srcs = make([]uint64, 0, mv.NumSources(id))
 			}
-			comm.ExchangeBlocksHooked(nd, ph.Dims, cfg.Strategy, blocks, comm.ExchangeHooks{
-				OnFinal: func(step int, b comm.Block) {
-					if out == nil {
-						return
-					}
-					if b.Tags != nil {
-						verifyTags(nd, b.Src, b.Dst, 0, b.Tags)
-					}
-					mv.Scatter(id, out, b.Src, b.Data)
-					if fine {
-						prog[id].srcs = append(prog[id].srcs, b.Src)
-					}
-				},
+			scheds[k].Run(nd, in, func(_ int, pt fabric.Part, data []float64, tags []uint64) {
+				if out == nil {
+					return
+				}
+				if tags != nil {
+					verifyTags(nd, pt.Src, pt.Dst, 0, tags)
+				}
+				mv.Scatter(id, out, pt.Src, data)
+				if fine {
+					prog[id].srcs = append(prog[id].srcs, pt.Src)
+				}
 			})
 			if out != nil && ph.CopyAfter {
 				nd.Copy(len(out) * cfg.Machine.ElemBytes)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"runtime"
 	"testing"
 
@@ -206,5 +207,33 @@ func TestExchangeAllocGrowsWithBlocks(t *testing.T) {
 	verifyTranspose(t, "2d exchange on the 12-cube", m, res, err)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<20 {
 		t.Errorf("exchange allocated %d MB, want under 128 MB", got>>20)
+	}
+}
+
+// An exchange replay allocates its messages and little else: replaying the
+// replay benchmark's exbuf8 plan (512x512 one-dimensional rows, Buffered,
+// 8-cube iPSC) makes 14,260 allocations per Execute — the pooled message
+// buffers a one-Run pool cannot reuse (each step's messages are half the
+// last's), the engine, the destination slab — and the bound leaves about
+// 12% headroom. The schedule is lowered before counting; SIMNET_DEBUG adds
+// an address-tag array per message and block, so it is not counted.
+func TestExchangeReplayAllocs(t *testing.T) {
+	if os.Getenv("SIMNET_DEBUG") != "" {
+		t.Skip("SIMNET_DEBUG allocates address tags per message")
+	}
+	layout := field.OneDimConsecutiveRows(9, 9, 8, field.Binary)
+	pl, err := plan.Compile(plan.Exchange, layout, layout, plan.Config{Machine: machine.IPSC(), Strategy: comm.Buffered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := matrix.Scatter(matrix.NewIota(9, 9), layout)
+	pl.Schedules()
+	const bound = 16000
+	if got := testing.AllocsPerRun(3, func() {
+		if _, err := Execute(pl, d, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); got > bound {
+		t.Errorf("Execute of exbuf8 allocates %.0f times, want at most %d", got, bound)
 	}
 }

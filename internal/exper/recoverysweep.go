@@ -180,7 +180,7 @@ func runRecovered(alg plan.Algorithm, logElems, n int, opt core.Options, attempt
 		}
 	}
 	if err == nil {
-		if verr := res.Dist.Verify(m.Transposed()); verr != nil {
+		if verr := res.Dist.VerifyTransposeOf(m); verr != nil {
 			return outFailed, fabric.Stats{}, 0, verr
 		}
 		return out, res.Stats, sunk, nil

@@ -125,7 +125,7 @@ func serviceLoadLevel(n, jobs int, rate float64) ([]interface{}, error) {
 			defer wg.Done()
 			res, err := j.Wait()
 			if err == nil {
-				err = res.Dist.Verify(c.m.Transposed())
+				err = res.Dist.VerifyTransposeOf(c.m)
 			}
 			if err != nil {
 				mu.Lock()

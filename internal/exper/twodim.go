@@ -47,11 +47,11 @@ func verified(alg plan.Algorithm, before, after field.Layout, opt core.Options) 
 	if err != nil {
 		return fabric.Stats{}, err
 	}
-	want := m
+	verify := res.Dist.Verify
 	if alg.Transposes() {
-		want = m.Transposed()
+		verify = res.Dist.VerifyTransposeOf
 	}
-	if verr := res.Dist.Verify(want); verr != nil {
+	if verr := verify(m); verr != nil {
 		return fabric.Stats{}, verr
 	}
 	return res.Stats, nil

@@ -185,15 +185,29 @@ func (d *Dist) RowIndex(proc, r int) uint64 {
 // Verify checks element-exactly that d holds the matrix want: every local
 // slot of every processor must contain the value of the element the layout
 // assigns there. It returns a descriptive error on the first mismatch.
-func (d *Dist) Verify(want *Matrix) error {
-	if d.Layout.P != want.P || d.Layout.Q != want.Q {
+func (d *Dist) Verify(want *Matrix) error { return d.verify(want, false) }
+
+// VerifyTransposeOf checks element-exactly that d holds m's transpose, as
+// Verify(m.Transposed()) does, but reads each expected value out of m by
+// index arithmetic instead of building the transposed copy.
+func (d *Dist) VerifyTransposeOf(m *Matrix) error { return d.verify(m, true) }
+
+// verify checks d against want, or against want's transpose when
+// transposed is set: element (u, v) of d is then want's (v, u).
+func (d *Dist) verify(want *Matrix, transposed bool) error {
+	p, q := want.P, want.Q
+	if transposed {
+		p, q = q, p
+	}
+	if d.Layout.P != p || d.Layout.Q != q {
 		return fmt.Errorf("matrix: shape mismatch: dist (%d,%d) vs want (%d,%d)",
-			d.Layout.P, d.Layout.Q, want.P, want.Q)
+			d.Layout.P, d.Layout.Q, p, q)
 	}
 	mp, err := d.Layout.Map()
 	if err != nil {
 		return fmt.Errorf("matrix: invalid layout: %w", err)
 	}
+	low := uint64(1)<<uint(q) - 1
 	for proc, local := range d.Local {
 		if len(local) != d.Layout.LocalSize() {
 			return fmt.Errorf("matrix: proc %d holds %d elements, want %d",
@@ -201,10 +215,14 @@ func (d *Dist) Verify(want *Matrix) error {
 		}
 		base := mp.ProcPart(uint64(proc))
 		for slot, x := range local {
-			if x != want.Data[base|mp.LocalPart(uint64(slot))] {
+			a := base | mp.LocalPart(uint64(slot))
+			if transposed {
+				a = a&low<<uint(want.Q) | a>>uint(q) //cubevet:ignore shiftwidth -- P and Q bounded by New
+			}
+			if x != want.Data[a] {
 				u, v := d.Layout.ElementOf(uint64(proc), uint64(slot))
 				return fmt.Errorf("matrix: proc %d slot %d: got %v, want a(%d,%d) = %v (layout %s)",
-					proc, slot, x, u, v, want.At(u, v), d.Layout)
+					proc, slot, x, u, v, want.Data[a], d.Layout)
 			}
 		}
 	}

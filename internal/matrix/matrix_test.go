@@ -99,6 +99,27 @@ func TestVerifyDetectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// VerifyTransposeOf(m) is Verify(m.Transposed()) without the copy: on a
+// non-square matrix it accepts the transpose, and it reports a corrupted
+// slot and a shape that is not the transpose exactly as Verify against the
+// transposed copy does.
+func TestVerifyTransposeOfMatchesTransposedCopy(t *testing.T) {
+	m := NewIota(5, 3)
+	l := field.TwoDimConsecutive(3, 5, 1, 2, field.Gray)
+	d := Scatter(m.Transposed(), l)
+	if err := d.VerifyTransposeOf(m); err != nil {
+		t.Fatalf("VerifyTransposeOf on the transpose: %v", err)
+	}
+	d.Local[5][3] = -1
+	got, want := d.VerifyTransposeOf(m), d.Verify(m.Transposed())
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Errorf("VerifyTransposeOf = %v\nVerify(m.Transposed()) = %v", got, want)
+	}
+	if err := d.VerifyTransposeOf(NewIota(3, 5)); err == nil {
+		t.Error("VerifyTransposeOf against a matrix of d's own shape: nil, want a shape mismatch")
+	}
+}
+
 func TestScatterPanicsOnShapeMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -6,11 +6,14 @@
 // trace label.
 //
 // Compilation does all the O(P·Q) element-address enumeration, route
-// construction and packetization once; execution only gathers, routes and
+// construction and packetization once, and the first execution of an
+// exchange plan lowers its phases to per-node message schedules once
+// (Schedules); execution then only gathers, routes or copies spans, and
 // scatters. A Plan is sealed when Compile returns: nothing mutates it
-// afterwards, so one Plan may be replayed concurrently and may be shared
-// through the Cache, satisfying the simnet concurrency contract (node
-// programs only read it).
+// afterwards but its two memos, each built once under a sync.Once
+// (DirectFlows, Schedules), so one Plan may be replayed concurrently and
+// may be shared through the Cache, satisfying the simnet concurrency
+// contract (node programs only read it).
 package plan
 
 import (
@@ -18,6 +21,7 @@ import (
 	"sync"
 
 	"boolcube/internal/comm"
+	"boolcube/internal/fabric"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 )
@@ -89,10 +93,13 @@ type Plan struct {
 	phases []Phase // KindExchange: exchanges, in execution order
 	flows  []Flow  // KindFlow: precompiled flows
 
-	// direct memoizes DirectFlows, the one field built lazily rather than
-	// at compilation; it also makes a Plan uncopyable (go vet copylocks).
+	// direct memoizes DirectFlows and lower Schedules, the fields built
+	// lazily rather than at compilation; they also make a Plan uncopyable
+	// (go vet copylocks).
 	direct     sync.Once
 	directSpan []Flow
+	lower      sync.Once
+	schedules  []*comm.Schedule
 }
 
 // Algorithm returns the (resolved, never Auto) algorithm the plan encodes.
@@ -135,6 +142,37 @@ func (p *Plan) Flows() []Flow { return p.flows }
 func (p *Plan) DirectFlows() []Flow {
 	p.direct.Do(func() { p.directSpan = DirectSpans(p.Remaining(nil), p.n, p.cfg.Packets) })
 	return p.directSpan
+}
+
+// Schedules returns a KindExchange plan's phases lowered to per-node
+// message schedules (comm.Lower), in phase order: node id of phase k starts
+// with one block per destination of k's move-set, in Destinations order.
+// They depend only on the plan, so they are built on first use — an Auto
+// candidate that is priced but never run never pays for them — and shared
+// by every later execution; safe for concurrent use. Read-only.
+func (p *Plan) Schedules() []*comm.Schedule {
+	p.lower.Do(func() {
+		var parts []fabric.Part
+		for k, ph := range p.phases {
+			mv := ph.Moves
+			s, err := comm.Lower(p.n, ph.Dims, p.cfg.Strategy, p.cfg.Machine, func(id uint64) []fabric.Part {
+				parts = parts[:0]
+				if id < uint64(mv.before.N()) {
+					for _, dst := range mv.Destinations(id) {
+						parts = append(parts, fabric.Part{Src: id, Dst: dst, N: mv.PayloadLen(id, dst)})
+					}
+				}
+				return parts
+			})
+			if err != nil {
+				// Compile checked every phase's move-set against its
+				// dimensions, so the exchange delivers every block.
+				panic(fmt.Sprintf("plan: lowering phase %d of %s: %v", k, p.Describe(), err))
+			}
+			p.schedules = append(p.schedules, s)
+		}
+	})
+	return p.schedules
 }
 
 // Describe renders a one-line human-readable summary, used as the trace

@@ -149,10 +149,10 @@ func (w *pricer) flows(fs []Flow) {
 	}
 }
 
-// exchange walks one dimension-scan phase as comm.ExchangeBlocksHooked runs
-// it. At step j a block crosses dims[j] while its holder — its source with
-// the scanned dimensions' bits taken from its destination — differs from
-// the destination there. The holder groups its crossing blocks into runs by
+// exchange walks one dimension-scan phase as comm.Lower packages it. At
+// step j a block crosses dims[j] while its holder — its source with the
+// scanned dimensions' bits taken from its destination — differs from the
+// destination there. The holder groups its crossing blocks into runs by
 // their sources' scanned bits and sends them as one message (SingleMessage,
 // Shuffled), one per run (Unbuffered), or the runs under BCopy bytes copied
 // into one beside the rest (Buffered); Shuffled then copies everything it

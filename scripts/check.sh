@@ -87,13 +87,13 @@ echo "==> go test -run TestSoakFaultedTranspose"
 go test -run 'TestSoakFaultedTranspose' .
 
 # Keep the Go micro-benchmarks compiling and running (measurement is `go run
-# ./bench`): the compiled replay, the backend and service pairs, and the
-# address-arithmetic hot loops under every compile, the move-set build and
-# its Gather/Scatter replay, Scatter and Verify, the ground-truth transpose,
-# the cut-through scheduler and the simnet engine (a 6-cube exchange scan and
-# the one-worker 10-cube scan).
-echo "==> go test -bench replay + backends + service + address hot loops + engine -benchtime=1x"
-go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkFabric|BenchmarkService|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkMovesReplay$|BenchmarkScatterVerify$|BenchmarkTransposed$|BenchmarkCutThrough$|BenchmarkEngineExchange$|BenchmarkEngineCube10Sharded$' -benchtime=1x . ./internal/field/ ./internal/plan/ ./internal/matrix/ ./internal/router/ ./internal/simnet/
+# ./bench`): the compiled replay, the exchange executor, the backend and
+# service pairs, and the address-arithmetic hot loops under every compile, the
+# move-set build and its Gather/Scatter replay, Scatter and Verify, the
+# ground-truth transpose, the cut-through scheduler and the simnet engine (a
+# 6-cube exchange scan and the one-worker 10-cube scan).
+echo "==> go test -bench replay + exchange executor + backends + service + address hot loops + engine -benchtime=1x"
+go test -run '^$' -bench 'BenchmarkTransposeReplay$|BenchmarkExchangeCheckpointed$|BenchmarkFabric|BenchmarkService|BenchmarkProcOf$|BenchmarkLocalOf$|BenchmarkElementOf$|BenchmarkNewMoves$|BenchmarkMovesReplay$|BenchmarkScatterVerify$|BenchmarkTransposed$|BenchmarkCutThrough$|BenchmarkEngineExchange$|BenchmarkEngineCube10Sharded$' -benchtime=1x . ./internal/core/ ./internal/field/ ./internal/plan/ ./internal/matrix/ ./internal/router/ ./internal/simnet/
 
 # Connection Machine scale smoke: a full 12-cube (4096 node) all-to-all,
 # one worker vs the automatic count, byte-identical Stats. The test skips
