@@ -20,8 +20,11 @@
 // one compare of its destination with the node, and per delivered block
 // the checksum audit and the caller's delivery function; and every buffer,
 // the caller's input included, goes back to the engine pool at the end of
-// the last step that reads it. A compiled plan lowers each phase once (plan.Plan.Schedules),
-// so an execution only interprets. The whole-engine wrappers are OneToAll
+// the last step that reads it. Schedule.Cost walks the same charges
+// without data, for the plan's price. A compiled plan lowers each phase
+// once (plan.Plan.Schedules), and its price and every execution read that
+// one schedule, so this package alone knows how a Strategy packages a
+// step. The whole-engine wrappers are OneToAll
 // (sec31scatter's rotated-SBT and SBnT columns) and AllToAllExchange (the
 // benchmark's comm probe).
 package comm
@@ -72,9 +75,9 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// checkStrategy refuses a Strategy outside the four, which Lower has no
+// CheckStrategy refuses a Strategy outside the four, which Lower has no
 // packaging for.
-func checkStrategy(s Strategy) error {
+func CheckStrategy(s Strategy) error {
 	if s < SingleMessage || s > Buffered {
 		return fmt.Errorf("comm: unknown exchange strategy %v", s)
 	}
@@ -245,7 +248,7 @@ func Lower(n int, dims []int, strat Strategy, m machine.Params, blocks func(id u
 	if err := checkDims(n, dims); err != nil {
 		return nil, err
 	}
-	if err := checkStrategy(strat); err != nil {
+	if err := CheckStrategy(strat); err != nil {
 		return nil, err
 	}
 	nodes, l := 1<<uint(n), len(dims)
@@ -626,6 +629,26 @@ func (s *Schedule) deliverHome(nd fabric.Node, step int, b fabric.Msg, deliver f
 		}
 		off = end
 	}
+}
+
+// Cost walks what Run charges on machine m, without data: per step and
+// node the pre-copy, each message in send order — send charges its b bytes
+// from node across dim and returns its send time — and the post-copy. It
+// returns path, the caller's clock, advanced by the steps in turn, each as
+// long as its slowest node.
+func (s *Schedule) Cost(path float64, m machine.Params, send func(node uint64, dim, b int) float64) float64 {
+	for j, d := range s.dims {
+		slowest := 0.0
+		for x, st := range s.steps[j*len(s.nodes) : (j+1)*len(s.nodes)] {
+			t := m.CopyTime(int(st.pre) * m.ElemBytes) // -1, no copy, costs 0
+			for _, mp := range s.msgs[st.msgs.at : st.msgs.at+st.msgs.n] {
+				t += send(uint64(x), d, int(mp.elems)*m.ElemBytes)
+			}
+			slowest = max(slowest, t+m.CopyTime(int(st.post)*m.ElemBytes))
+		}
+		path += slowest
+	}
+	return path
 }
 
 // AllToAllExchange runs the standard exchange over dims on every node of

@@ -263,9 +263,8 @@ func execExchange(p *plan.Plan, d *matrix.Dist, xo ExecOptions) (*Result, error)
 				}
 				off := 0
 				for i, dp := range dests {
-					n := mv.PayloadLen(id, dp)
+					n := mv.GatherInto(id, local, dp, in.Data[off:])
 					buf := in.Data[off : off+n : off+n]
-					mv.GatherInto(id, local, dp, buf)
 					in.Parts[i] = fabric.Part{Src: id, Dst: dp, N: n, Sum: fabric.Checksum(buf)}
 					if debug {
 						for t := range n {

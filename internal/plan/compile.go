@@ -18,8 +18,9 @@ import (
 // never mutated and is safe to replay concurrently and to share through a
 // Cache.
 func Compile(alg Algorithm, before, after field.Layout, cfg Config) (*Plan, error) {
-	if cfg.Strategy < comm.SingleMessage || cfg.Strategy > comm.Buffered {
-		return nil, fmt.Errorf("plan: unknown exchange strategy %v", cfg.Strategy)
+	// Lowering is lazy (Plan.Schedules), so a bad strategy is refused here.
+	if err := comm.CheckStrategy(cfg.Strategy); err != nil {
+		return nil, err
 	}
 	if alg < 0 || int(alg) >= len(specs) || specs[alg].compile == nil && alg != Auto {
 		return nil, fmt.Errorf("plan: unknown algorithm %v", alg)

@@ -381,15 +381,17 @@ func (m *Moves) GatherRange(srcProc uint64, local []float64, dstProc uint64, off
 	return data
 }
 
-// GatherInto is Gather into a caller-provided buffer (len(dst) must equal
-// PayloadLen(srcProc, dstProc)), so replay loops can gather every
-// destination's payload into one preallocated arena.
-func (m *Moves) GatherInto(srcProc uint64, local []float64, dstProc uint64, dst []float64) {
+// GatherInto is Gather into the front of a caller-provided buffer, at
+// least PayloadLen(srcProc, dstProc) long, and returns that length, so
+// replay loops gather every destination's payload into one preallocated
+// arena with one move-set lookup each.
+func (m *Moves) GatherInto(srcProc uint64, local []float64, dstProc uint64, dst []float64) int {
 	runs, n := m.out.of(srcProc, dstProc)
-	if n != len(dst) {
-		panic("plan: gather buffer size does not match move-set")
+	if n > len(dst) {
+		panic("plan: gather buffer shorter than the payload")
 	}
-	copyRuns(runs, 0, local, dst, false)
+	copyRuns(runs, 0, local, dst[:n], false)
+	return n
 }
 
 // GatherRangeInto is GatherRange into a caller-provided buffer of length n,

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,6 +38,25 @@ func TestRangeCallsRejectBadRange(t *testing.T) {
 	}
 	if got := panicOf(func() { mv.GatherRange(0, src, 1, 0, -1) }); got != want {
 		t.Errorf("GatherRange with n = -1 panicked with %v, want %q", got, want)
+	}
+}
+
+// GatherInto fills the front of a longer buffer with Gather's payload and
+// returns its length, and refuses a shorter one.
+func TestGatherIntoWritesFront(t *testing.T) {
+	l := field.OneDimConsecutiveRows(3, 3, 2, field.Binary)
+	mv := MustMoves(l, l, true)
+	src := make([]float64, l.LocalSize())
+	for i := range src {
+		src[i] = float64(i + 1)
+	}
+	want := mv.Gather(0, src, 1)
+	buf := make([]float64, len(want)+3)
+	if n := mv.GatherInto(0, src, 1, buf); n != len(want) || !slices.Equal(buf[:n], want) || buf[n] != 0 {
+		t.Errorf("GatherInto wrote %d elements %v, want %v and the rest untouched", n, buf, want)
+	}
+	if got := panicOf(func() { mv.GatherInto(0, src, 1, buf[:len(want)-1]) }); got != "plan: gather buffer shorter than the payload" {
+		t.Errorf("GatherInto into a short buffer panicked with %v", got)
 	}
 }
 

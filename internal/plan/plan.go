@@ -6,14 +6,14 @@
 // trace label.
 //
 // Compilation does all the O(P·Q) element-address enumeration, route
-// construction and packetization once, and the first execution of an
-// exchange plan lowers its phases to per-node message schedules once
-// (Schedules); execution then only gathers, routes or copies spans, and
-// scatters. A Plan is sealed when Compile returns: nothing mutates it
-// afterwards but its two memos, each built once under a sync.Once
-// (DirectFlows, Schedules), so one Plan may be replayed concurrently and
-// may be shared through the Cache, satisfying the simnet concurrency
-// contract (node programs only read it).
+// construction and packetization once, and an exchange plan's phases are
+// lowered to per-node message schedules once, by its first price or
+// execution (Schedules), which every later price and execution read;
+// execution then only gathers, routes or copies spans, and scatters. A Plan
+// is sealed when Compile returns: nothing mutates it afterwards but its two
+// memos, each built once under a sync.Once (DirectFlows, Schedules), so one
+// Plan may be replayed concurrently and may be shared through the Cache,
+// satisfying the simnet concurrency contract (node programs only read it).
 package plan
 
 import (
@@ -93,9 +93,9 @@ type Plan struct {
 	phases []Phase // KindExchange: exchanges, in execution order
 	flows  []Flow  // KindFlow: precompiled flows
 
-	// direct memoizes DirectFlows and lower Schedules, the fields built
-	// lazily rather than at compilation; they also make a Plan uncopyable
-	// (go vet copylocks).
+	// direct memoizes DirectFlows and lower Schedules (for Price and every
+	// execution alike), the fields built lazily rather than at compilation;
+	// they also make a Plan uncopyable (go vet copylocks).
 	direct     sync.Once
 	directSpan []Flow
 	lower      sync.Once
@@ -147,9 +147,10 @@ func (p *Plan) DirectFlows() []Flow {
 // Schedules returns a KindExchange plan's phases lowered to per-node
 // message schedules (comm.Lower), in phase order: node id of phase k starts
 // with one block per destination of k's move-set, in Destinations order.
-// They depend only on the plan, so they are built on first use — an Auto
-// candidate that is priced but never run never pays for them — and shared
-// by every later execution; safe for concurrent use. Read-only.
+// They depend only on the plan, so they are built on first use — the first
+// Price or execution, so every exchange candidate Auto prices is lowered —
+// and shared by every later price and execution; safe for concurrent use.
+// Read-only.
 func (p *Plan) Schedules() []*comm.Schedule {
 	p.lower.Do(func() {
 		var parts []fabric.Part

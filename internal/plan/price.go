@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"maps"
 	"slices"
 
-	"boolcube/internal/comm"
 	"boolcube/internal/field"
 	"boolcube/internal/machine"
 )
@@ -22,11 +20,11 @@ type Price struct {
 func (p *Plan) PredictedCost() float64 { return p.Price().Time }
 
 // Price walks what the plan will send — each flow's route times its packets,
-// each exchange step's messages as the Strategy packages them — into bytes
-// and busy time per directed link. The time is the critical path (the
-// flows' hop schedule, or the exchange steps, each as long as its slowest
-// node), which no send port's load exceeds, plus the charged copies.
-// Nothing executes.
+// each exchange phase's lowered schedule (Schedules, which pricing builds
+// if no execution has yet) message by message — into bytes and busy time
+// per directed link. The time is the critical path (the flows' hop
+// schedule, or the exchange steps, each as long as its slowest node), which
+// no send port's load exceeds, plus the charged copies. Nothing executes.
 func (p *Plan) Price() Price {
 	links := max(p.n<<uint(p.n), 1) // a 0-cube has no link
 	w := &pricer{mach: p.cfg.Machine, n: p.n, nodes: 1 << uint(p.n),
@@ -38,8 +36,16 @@ func (p *Plan) Price() Price {
 			w.copies = 2 * w.mach.CopyTime(p.before.LocalSize()*w.mach.ElemBytes)
 		}
 	case KindExchange:
-		for _, ph := range p.phases {
-			w.exchange(ph, p.cfg.Strategy)
+		send := func(node uint64, dim, b int) float64 { return w.send(node, dim, b, 1) }
+		for k, s := range p.Schedules() {
+			ph, eb := p.phases[k], w.mach.ElemBytes
+			if ph.CopyBefore {
+				w.copies += w.mach.CopyTime(ph.Moves.before.LocalSize() * eb)
+			}
+			if ph.CopyAfter {
+				w.copies += w.mach.CopyTime(ph.Moves.after.LocalSize() * eb)
+			}
+			w.path = s.Cost(w.path, w.mach, send)
 		}
 	}
 	return Price{Time: w.path + w.copies, MaxLinkBytes: slices.Max(w.bytes), MaxLinkBusy: slices.Max(w.busy)}
@@ -146,63 +152,6 @@ func (w *pricer) flows(fs []Flow) {
 		if k == 0 {
 			copy(clock, injected)
 		}
-	}
-}
-
-// exchange walks one dimension-scan phase as comm.Lower packages it. At
-// step j a block crosses dims[j] while its holder — its source with the
-// scanned dimensions' bits taken from its destination — differs from the
-// destination there. The holder groups its crossing blocks into runs by
-// their sources' scanned bits and sends them as one message (SingleMessage,
-// Shuffled), one per run (Unbuffered), or the runs under BCopy bytes copied
-// into one beside the rest (Buffered); Shuffled then copies everything it
-// holds. The steps run in turn, each as long as its slowest node.
-func (w *pricer) exchange(ph Phase, strat comm.Strategy) {
-	mv, eb := ph.Moves, w.mach.ElemBytes
-	if ph.CopyBefore {
-		w.copies += w.mach.CopyTime(mv.before.LocalSize() * eb)
-	}
-	if ph.CopyAfter {
-		w.copies += w.mach.CopyTime(mv.after.LocalSize() * eb)
-	}
-	step, held := make([]float64, w.nodes), make([]int, w.nodes)
-	var scanned uint64
-	for j, d := range ph.Dims {
-		runs, buffered := map[uint64]int{}, map[uint64]int{} // holder<<n | run -> elements; node -> bytes
-		clear(held)
-		for sp := range mv.before.N() {
-			src := uint64(sp)
-			for _, dst := range mv.Destinations(src) {
-				elems, holder := mv.PayloadLen(src, dst), src&^scanned|dst&scanned
-				if (src^dst)>>uint(d)&1 == 1 {
-					k := holder << uint(w.n)
-					if strat == comm.Unbuffered || strat == comm.Buffered {
-						k |= src & scanned
-					}
-					runs[k] += elems
-				}
-				held[holder^(src^dst)&(1<<uint(d))] += elems
-			}
-		}
-		clear(step)
-		for _, k := range slices.Sorted(maps.Keys(runs)) {
-			node, b := k>>uint(w.n), runs[k]*eb
-			if strat == comm.Buffered && (w.mach.BCopy == 0 || b < w.mach.BCopy) {
-				buffered[node] += b
-			} else {
-				step[node] += w.send(node, d, b, 1)
-			}
-		}
-		for _, node := range slices.Sorted(maps.Keys(buffered)) {
-			step[node] += w.mach.CopyTime(buffered[node]) + w.send(node, d, buffered[node], 1)
-		}
-		if strat == comm.Shuffled && j < len(ph.Dims)-1 {
-			for node, elems := range held {
-				step[node] += w.mach.CopyTime(elems * eb)
-			}
-		}
-		w.path += slices.Max(step)
-		scanned |= 1 << uint(d)
 	}
 }
 
